@@ -3,6 +3,9 @@ package buffer
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -551,5 +554,197 @@ func TestWritebackBackpressure(t *testing.T) {
 	close(bw.gate)
 	if err := w.close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// soleFramePolicy is an allocation-free policy for capacity-1 pools:
+// the victim is the one resident frame.
+type soleFramePolicy struct{ f *Frame }
+
+func (p *soleFramePolicy) Name() string                                { return "sole-frame" }
+func (p *soleFramePolicy) OnAdmit(f *Frame, _ uint64, _ AccessContext) { p.f = f }
+func (p *soleFramePolicy) OnHit(*Frame, uint64, AccessContext)         {}
+func (p *soleFramePolicy) Victim(AccessContext) *Frame                 { return p.f }
+func (p *soleFramePolicy) OnEvict(*Frame)                              { p.f = nil }
+func (p *soleFramePolicy) Reset()                                      { p.f = nil }
+
+// TestAsyncLeaderMissAllocs pins the cost of the common async miss — a
+// leader nobody waits for: its flight-table entry and nothing else. The
+// done channel is the first waiter's to create.
+func TestAsyncLeaderMissAllocs(t *testing.T) {
+	comp, err := ParseComposition("async,shards=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := comp.Build(newStore(t, 2), func(int) Policy { return &soleFramePolicy{} }, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.(*AsyncPool).Close()
+	ctx := AccessContext{QueryID: 1}
+	id := page.ID(1)
+	allocs := testing.AllocsPerRun(1000, func() {
+		id = 3 - id // 2, 1, 2, …: one frame, so every Get misses
+		if _, err := pool.Get(id, ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if st := pool.Stats(); st.Hits != 0 || st.Coalesced != 0 {
+		t.Fatalf("stats = %+v, want leader misses only", st)
+	}
+	if allocs > 1 {
+		t.Errorf("leader-only async miss allocates %.1f objects, want ≤ 1", allocs)
+	}
+}
+
+// orderStore checks, per page, that Writes never overlap and never go
+// back to an older version (the ObjID of the page's entry). When gate is
+// set, the first Write of page gated blocks inside the store until the
+// gate is closed, and entered is closed once it is in there.
+type orderStore struct {
+	storage.Store
+	gated   page.ID
+	entered chan struct{}
+	gate    chan struct{}
+
+	mu     sync.Mutex
+	active map[page.ID]bool
+	last   map[page.ID]uint64
+	writes map[page.ID]int
+	bad    []string
+}
+
+func newOrderStore(base storage.Store) *orderStore {
+	return &orderStore{Store: base, active: map[page.ID]bool{}, last: map[page.ID]uint64{}, writes: map[page.ID]int{}}
+}
+
+func (s *orderStore) Write(p *page.Page) error {
+	v := p.Entries[0].ObjID
+	s.mu.Lock()
+	if s.active[p.ID] {
+		s.bad = append(s.bad, fmt.Sprintf("page %d: version %d written during another write", p.ID, v))
+	}
+	if v < s.last[p.ID] {
+		s.bad = append(s.bad, fmt.Sprintf("page %d: version %d written after %d", p.ID, v, s.last[p.ID]))
+	}
+	s.active[p.ID], s.last[p.ID] = true, v
+	s.writes[p.ID]++
+	first := s.writes[p.ID] == 1
+	s.mu.Unlock()
+	if first && s.gate != nil && p.ID == s.gated {
+		close(s.entered)
+		<-s.gate
+	}
+	runtime.Gosched() // widen the window a second writer would need
+	err := s.Store.Write(p)
+	s.mu.Lock()
+	s.active[p.ID] = false
+	s.mu.Unlock()
+	return err
+}
+
+// TestWritebackNeverReordersOnePage: a writer is stuck inside the store
+// with version 1 of a page when the page is taken back, replaced by
+// version 2 and evicted again. A second writer must not write version 2
+// alongside (the older pwrite could land last): version 2 has to wait
+// for the first write to return, and the store must end with it.
+func TestWritebackNeverReordersOnePage(t *testing.T) {
+	st := newOrderStore(newStore(t, 16))
+	st.gated, st.entered, st.gate = 9, make(chan struct{}), make(chan struct{})
+	sp, err := NewAsyncShardedPool(st, testFactory, 2, 1, AsyncConfig{WritebackWorkers: 2, WritebackQueue: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := AccessContext{}
+	get := func(ids ...page.ID) {
+		t.Helper()
+		for _, id := range ids {
+			if _, err := sp.Get(id, ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := sp.Put(testPage(9, 1), ctx); err != nil {
+		t.Fatal(err)
+	}
+	get(1, 2) // FIFO: the second admission evicts dirty page 9 into the queue
+	<-st.entered
+
+	if err := sp.Put(testPage(9, 2), ctx); err != nil { // takes version 1 back
+		t.Fatal(err)
+	}
+	get(3, 4) // evicts version 2
+
+	// Let a second writer claim whatever slot the eviction queued.
+	deadline := time.Now().Add(5 * time.Second)
+	for sp.Writeback().Depth > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("write-back queue never emptied")
+		}
+		runtime.Gosched()
+	}
+	close(st.gate)
+	if err := sp.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, msg := range st.bad {
+		t.Error(msg)
+	}
+	got, err := st.Store.Read(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Entries[0].ObjID != 2 {
+		t.Errorf("store ends with version %d of page 9, want 2", got.Entries[0].ObjID)
+	}
+	if n := st.writes[9]; n != 2 {
+		t.Errorf("page 9 written %d times, want 2 (version 1, then version 2)", n)
+	}
+}
+
+// TestWritebackOrderStress drives the queue the way an engine does —
+// enqueue ever newer versions of a few hot pages, take some back — with
+// four writers, and checks at the store that each page's writes are
+// serial and in version order, and that after close the store holds the
+// newest version that was enqueued and not taken back.
+func TestWritebackOrderStress(t *testing.T) {
+	const pages = 4
+	st := newOrderStore(newStore(t, pages))
+	w := newWriteback(st, 4, 2)
+	rng := rand.New(rand.NewSource(1))
+	want := map[page.ID]uint64{} // newest version owed to the store
+	for v := uint64(1); v <= 5000; v++ {
+		id := page.ID(rng.Intn(pages) + 1)
+		if rng.Intn(4) == 0 {
+			if _, ok := w.take(id); ok {
+				delete(want, id)
+			}
+			continue
+		}
+		p := testPage(id, v)
+		if !w.enqueue(p) {
+			// Queue full: the engine writes synchronously — safe, because
+			// a refusal means no version of the page is pending or in flight.
+			if err := st.Write(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want[id] = v
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, msg := range st.bad {
+		t.Error(msg)
+	}
+	for id, v := range want {
+		got, err := st.Store.Read(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Entries[0].ObjID != v {
+			t.Errorf("page %d: store ends with version %d, want %d", id, got.Entries[0].ObjID, v)
+		}
 	}
 }

@@ -360,6 +360,10 @@ func (e *Engine) serveAsync(id page.ID, ctx AccessContext, pin bool) (*page.Page
 				e.emitMiss(id, ctx, true, page.Meta{})
 				counted = true
 			}
+			if fl.done == nil {
+				fl.done = make(chan struct{})
+			}
+			done := fl.done
 			if a != nil {
 				e.slot.SetActive(nil)
 			}
@@ -369,7 +373,7 @@ func (e *Engine) serveAsync(id page.ID, ctx AccessContext, pin bool) (*page.Page
 			if a != nil {
 				widx = a.Start(tracing.KindIOWait)
 			}
-			<-fl.done
+			<-done
 			if a != nil {
 				sp := a.At(widx)
 				sp.Page = id
@@ -437,7 +441,7 @@ func (e *Engine) serveAsync(id page.ID, ctx AccessContext, pin bool) (*page.Page
 		} else {
 			now = e.tick()
 		}
-		fl := &inflight{done: make(chan struct{})}
+		fl := &inflight{}
 		e.flight[id] = fl
 		if a != nil {
 			e.slot.SetActive(nil)
@@ -506,10 +510,13 @@ func (e *Engine) serveAsync(id page.ID, ctx AccessContext, pin bool) (*page.Page
 		// the latch, so the close happens-before any waiter's field read
 		// and a failed read leaves no residue for later misses. Waiters
 		// get the resolved bytes even when only admission failed
-		// (ErrAllPinned is the leader's error, not theirs).
+		// (ErrAllPinned is the leader's error, not theirs). No channel
+		// means no waiter ever found the entry.
 		fl.page, fl.err = published, rerr
 		delete(e.flight, id)
-		close(fl.done)
+		if fl.done != nil {
+			close(fl.done)
+		}
 		if rerr != nil {
 			return nil, false, rerr
 		}

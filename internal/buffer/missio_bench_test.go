@@ -1,11 +1,8 @@
 package buffer
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -114,83 +111,4 @@ func BenchmarkPoolMissIO(b *testing.B) {
 			})
 		}
 	}
-}
-
-// missResult is one row of BENCH_missio.json.
-type missResult struct {
-	Pool      string  `json:"pool"`
-	Workers   int     `json:"workers"`
-	Ops       int64   `json:"ops"`
-	NsPerOp   float64 `json:"ns_per_op"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	HitRatio  float64 `json:"hit_ratio"`
-	Coalesced uint64  `json:"coalesced_reads"`
-}
-
-// TestWriteBenchMissIOJSON self-times the locked-vs-async miss-path
-// matrix on the slow store and writes it as JSON to the path in
-// BENCH_MISSIO_JSON — the machine-readable artifact CI archives.
-// Without the variable the test is a no-op, so regular runs stay fast.
-func TestWriteBenchMissIOJSON(t *testing.T) {
-	path := os.Getenv("BENCH_MISSIO_JSON")
-	if path == "" {
-		t.Skip("BENCH_MISSIO_JSON not set")
-	}
-	const ops = 20_000
-	var results []missResult
-	for _, workers := range []int{4, 16} {
-		syncPool, asyncPool := missPools(t)
-		for _, tc := range []struct {
-			name string
-			pool *ShardedPool
-		}{
-			{"LockedMiss", syncPool},
-			{"AsyncMiss", asyncPool},
-		} {
-			// One untimed pass warms the resident sets; the workload stays
-			// miss-heavy regardless (uniform access, 4× the capacity).
-			driveMissPool(t, tc.pool, workers, ops/4)
-			start := time.Now()
-			driveMissPool(t, tc.pool, workers, ops)
-			elapsed := time.Since(start)
-			st := tc.pool.Stats()
-			results = append(results, missResult{
-				Pool:      tc.name,
-				Workers:   workers,
-				Ops:       ops,
-				NsPerOp:   float64(elapsed.Nanoseconds()) / float64(ops),
-				OpsPerSec: float64(ops) / elapsed.Seconds(),
-				HitRatio:  st.HitRatio(),
-				Coalesced: st.Coalesced,
-			})
-		}
-		if err := asyncPool.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	out := struct {
-		Benchmark  string       `json:"benchmark"`
-		GOOS       string       `json:"goos"`
-		GOARCH     string       `json:"goarch"`
-		GOMAXPROCS int          `json:"gomaxprocs"`
-		ReadDelay  string       `json:"read_delay"`
-		Shards     int          `json:"shards"`
-		Results    []missResult `json:"results"`
-	}{
-		Benchmark:  "PoolMissIO",
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		ReadDelay:  missReadDelay.String(),
-		Shards:     missShards,
-		Results:    results,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %d results to %s", len(results), path)
 }

@@ -1,15 +1,11 @@
 package buffer
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/page"
 )
@@ -96,71 +92,4 @@ func BenchmarkPoolParallel(b *testing.B) {
 			})
 		}
 	}
-}
-
-// benchResult is one row of BENCH_pool.json.
-type benchResult struct {
-	Pool      string  `json:"pool"`
-	Workers   int     `json:"workers"`
-	Ops       int64   `json:"ops"`
-	NsPerOp   float64 `json:"ns_per_op"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-}
-
-// TestWriteBenchPoolJSON self-times the SyncManager-vs-ShardedPool
-// matrix and writes it as JSON to the path in BENCH_POOL_JSON — the
-// machine-readable artifact CI archives. Without the variable the test
-// is a no-op, so regular runs stay fast.
-func TestWriteBenchPoolJSON(t *testing.T) {
-	path := os.Getenv("BENCH_POOL_JSON")
-	if path == "" {
-		t.Skip("BENCH_POOL_JSON not set")
-	}
-	const ops = 300_000
-	var results []benchResult
-	for _, workers := range []int{1, 4, 8} {
-		syncPool, shardedPool := benchPools(t, 8)
-		for _, tc := range []struct {
-			name string
-			pool Pool
-		}{
-			{"SyncManager", syncPool},
-			{"ShardedPool", shardedPool},
-		} {
-			// One untimed pass warms the resident sets so the timed pass
-			// measures steady-state serving, not cold misses.
-			drivePool(t, tc.pool, workers, ops/4)
-			start := time.Now()
-			drivePool(t, tc.pool, workers, ops)
-			elapsed := time.Since(start)
-			results = append(results, benchResult{
-				Pool:      tc.name,
-				Workers:   workers,
-				Ops:       ops,
-				NsPerOp:   float64(elapsed.Nanoseconds()) / float64(ops),
-				OpsPerSec: float64(ops) / elapsed.Seconds(),
-			})
-		}
-	}
-	out := struct {
-		Benchmark  string        `json:"benchmark"`
-		GOOS       string        `json:"goos"`
-		GOARCH     string        `json:"goarch"`
-		GOMAXPROCS int           `json:"gomaxprocs"`
-		Results    []benchResult `json:"results"`
-	}{
-		Benchmark:  "PoolParallel",
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Results:    results,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %d results to %s", len(results), path)
 }

@@ -22,15 +22,22 @@ const DefaultWritebackQueue = 1024
 // Invariants:
 //
 //   - pending holds the newest unwritten version of every queued page;
-//     a page is in pending from enqueue until its write completed (or
-//     until take cancels it because the page was re-admitted).
+//     a page is in pending from enqueue until its write completed, or
+//     until take cancels it because the page was re-admitted — unless a
+//     writer is mid-write on it: then the entry stays, emptied, until
+//     that write returns.
 //   - Re-enqueueing a page that is already pending replaces the entry
 //     in place (gen bump) without a second queue slot: consecutive
 //     write-backs of a hot dirty page coalesce into one physical write.
+//   - Writes of one page never overlap and never reorder: an entry has
+//     at most one writer at a time, and because the entry outlives
+//     that writer's store call, a version enqueued meanwhile lands on
+//     the same entry and is written by the same goroutine, afterwards.
 //   - A miss for a pending page must be served from pending (take),
 //     never from the store — the store still holds stale bytes.
-//   - drain returns only when pending is empty and no write is in
-//     flight, so Flush/Clear/Close get a true durability barrier.
+//   - drain returns only when pending is empty — which, by the first
+//     invariant, means no write is in flight either — so
+//     Flush/Clear/Close get a true durability barrier.
 //
 // Write errors are sticky: the first one is kept and returned by
 // drain/close (the erroring page is dropped after being counted, so a
@@ -42,14 +49,13 @@ type writeback struct {
 	// write landing after the eviction that queued it.
 	tracer atomic.Pointer[tracing.Tracer]
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	pending  map[page.ID]*wbEntry
-	inFlight int
-	closed   bool
-	err      error
-	queue    chan page.ID
-	wg       sync.WaitGroup
+	mu      sync.Mutex
+	cond    *sync.Cond
+	pending map[page.ID]*wbEntry
+	closed  bool
+	err     error
+	queue   chan page.ID
+	wg      sync.WaitGroup
 
 	workers   int
 	queued    atomic.Uint64
@@ -60,12 +66,15 @@ type writeback struct {
 	errors    atomic.Uint64
 }
 
-// wbEntry is one pending page: the newest version and a generation
-// counter bumped on every in-place replacement, so a writer can detect
-// that a newer version arrived while it was writing the previous one.
+// wbEntry is one pending page. page is its newest unwritten version,
+// nil once take has canceled it while a writer was busy with it; gen is
+// bumped whenever page changes, so that writer can tell, when its store
+// call returns, whether there is newer work; writing marks the entry as
+// owned by a writer.
 type wbEntry struct {
-	page *page.Page
-	gen  uint64
+	page    *page.Page
+	gen     uint64
+	writing bool
 }
 
 // newWriteback starts workers writer goroutines over a queue of
@@ -100,18 +109,20 @@ func (w *writeback) setTracer(t *tracing.Tracer) { w.tracer.Store(t) }
 // caller writes synchronously (backpressure).
 func (w *writeback) enqueue(p *page.Page) bool {
 	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return false
-	}
 	if e, ok := w.pending[p.ID]; ok {
 		// Already queued (or mid-write): replace in place. The writer
-		// re-checks the generation after its write and redoes it.
+		// re-checks the generation after its write and redoes it. This
+		// comes before the closed check: while an older version is
+		// mid-write, a synchronous write by the caller could land first.
 		e.page = p
 		e.gen++
 		w.mu.Unlock()
 		w.coalesced.Add(1)
 		return true
+	}
+	if w.closed {
+		w.mu.Unlock()
+		return false
 	}
 	select {
 	case w.queue <- p.ID:
@@ -130,21 +141,29 @@ func (w *writeback) enqueue(p *page.Page) bool {
 // read-your-writes path of the miss protocol: a miss on a page whose
 // write-back has not landed yet must get the queued bytes, not the
 // stale store, and re-admitting the page as dirty cancels the queued
-// write (the next eviction or flush writes the newer version).
+// write (the next eviction or flush writes the newer version). A write
+// already in progress cannot be canceled: its entry is emptied and left
+// in place, so that the page's next enqueue waits its turn behind it.
 func (w *writeback) take(id page.ID) (*page.Page, bool) {
 	w.mu.Lock()
 	e, ok := w.pending[id]
-	if !ok {
+	if !ok || e.page == nil {
 		w.mu.Unlock()
 		return nil, false
 	}
-	delete(w.pending, id)
-	if len(w.pending) == 0 && w.inFlight == 0 {
-		w.cond.Broadcast()
+	p := e.page
+	if e.writing {
+		e.page = nil
+		e.gen++
+	} else {
+		delete(w.pending, id)
+		if len(w.pending) == 0 {
+			w.cond.Broadcast()
+		}
 	}
 	w.mu.Unlock()
 	w.canceled.Add(1)
-	return e.page, true
+	return p, true
 }
 
 // worker drains the queue until close.
@@ -160,13 +179,18 @@ func (w *writeback) worker() {
 func (w *writeback) write(id page.ID) {
 	w.mu.Lock()
 	e, ok := w.pending[id]
-	if !ok {
-		// Canceled by take between enqueue and dequeue.
+	if !ok || e.writing {
+		// Canceled by take between enqueue and dequeue; or canceled and
+		// enqueued again under a slot of its own, which another worker
+		// has claimed: that worker writes every version, this slot is
+		// spent.
 		w.mu.Unlock()
 		return
 	}
-	w.inFlight++
-	for {
+	e.writing = true
+	// e.page is nil when take emptied the entry during the last write
+	// and nothing was enqueued since.
+	for e.page != nil {
 		p, gen := e.page, e.gen
 		w.mu.Unlock()
 
@@ -193,18 +217,12 @@ func (w *writeback) write(id page.ID) {
 		if err != nil && w.err == nil {
 			w.err = err
 		}
-		if cur, ok := w.pending[id]; ok && cur == e {
-			if cur.gen != gen {
-				// A newer version was enqueued while we were writing the
-				// previous one: write again so the store ends newest.
-				continue
-			}
-			delete(w.pending, id)
+		if e.gen == gen {
+			break
 		}
-		break
 	}
-	w.inFlight--
-	if len(w.pending) == 0 && w.inFlight == 0 {
+	delete(w.pending, id)
+	if len(w.pending) == 0 {
 		w.cond.Broadcast()
 	}
 	w.mu.Unlock()
@@ -216,7 +234,7 @@ func (w *writeback) write(id page.ID) {
 func (w *writeback) drain() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for len(w.pending) > 0 || w.inFlight > 0 {
+	for len(w.pending) > 0 {
 		w.cond.Wait()
 	}
 	return w.err

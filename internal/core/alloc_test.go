@@ -10,16 +10,10 @@ package core_test
 // instrumentation allocates, so the test skips itself under it).
 //
 // BenchmarkPolicyOpsReference is the old-implementation twin of
-// BenchmarkPolicyOps; benchstat over the pair quantifies the refactor
-// (see BENCH_policycore.json, written by TestWriteBenchPolicyCoreJSON).
+// BenchmarkPolicyOps; benchstat over the pair quantifies the refactor.
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/core"
@@ -121,103 +115,4 @@ func BenchmarkPolicyOpsReference(b *testing.B) {
 			}
 		})
 	}
-}
-
-// policyCoreResult is one row of BENCH_policycore.json: the same policy
-// and trace measured on the old (reference) and new (intrusive)
-// implementations, with per-op time and allocation counts.
-type policyCoreResult struct {
-	Policy      string  `json:"policy"`
-	OldNsPerOp  float64 `json:"old_ns_per_op"`
-	NewNsPerOp  float64 `json:"new_ns_per_op"`
-	OldAllocsOp float64 `json:"old_allocs_per_op"`
-	NewAllocsOp float64 `json:"new_allocs_per_op"`
-	Speedup     float64 `json:"speedup"`
-}
-
-// measurePolicy replays ops requests and returns ns/op and allocs/op
-// (steady state: one warmup pass runs untimed).
-func measurePolicy(t *testing.T, pol buffer.Policy, seq []access, specs []pageSpec, ops int) (float64, float64) {
-	t.Helper()
-	store := buildStore(t, specs)
-	m := mustManager(t, store, pol, 256)
-	run := func(n int) {
-		for i := 0; i < n; i++ {
-			a := seq[i%len(seq)]
-			if _, err := m.Get(a.id, buffer.AccessContext{QueryID: a.query}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	run(ops / 4)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	run(ops)
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	allocs := float64(after.Mallocs-before.Mallocs) / float64(ops)
-	return float64(elapsed.Nanoseconds()) / float64(ops), allocs
-}
-
-// TestWriteBenchPolicyCoreJSON measures the old-vs-new policy matrix and
-// writes BENCH_policycore.json to the path in BENCH_POLICYCORE_JSON —
-// the before/after record of the intrusive-substrate refactor.
-func TestWriteBenchPolicyCoreJSON(t *testing.T) {
-	path := os.Getenv("BENCH_POLICYCORE_JSON")
-	if path == "" {
-		t.Skip("BENCH_POLICYCORE_JSON not set")
-	}
-	const (
-		numPages = 2048
-		ops      = 200_000
-	)
-	seq, specs := benchAccesses(numPages, 1<<16)
-	var results []policyCoreResult
-	for _, f := range core.StandardFactories() {
-		ref, ok := refFactories(256)[f.Name]
-		if !ok {
-			t.Fatalf("no reference implementation for %q", f.Name)
-		}
-		oldNs, oldAllocs := measurePolicy(t, ref, seq, specs, ops)
-		newNs, newAllocs := measurePolicy(t, f.New(256), seq, specs, ops)
-		results = append(results, policyCoreResult{
-			Policy:      f.Name,
-			OldNsPerOp:  oldNs,
-			NewNsPerOp:  newNs,
-			OldAllocsOp: oldAllocs,
-			NewAllocsOp: newAllocs,
-			Speedup:     oldNs / newNs,
-		})
-		fmt.Printf("%-10s old %7.1f ns/op %6.3f allocs/op   new %7.1f ns/op %6.3f allocs/op\n",
-			f.Name, oldNs, oldAllocs, newNs, newAllocs)
-	}
-	out := struct {
-		Benchmark  string             `json:"benchmark"`
-		GOOS       string             `json:"goos"`
-		GOARCH     string             `json:"goarch"`
-		GOMAXPROCS int                `json:"gomaxprocs"`
-		Capacity   int                `json:"capacity"`
-		NumPages   int                `json:"num_pages"`
-		Ops        int                `json:"ops"`
-		Results    []policyCoreResult `json:"results"`
-	}{
-		Benchmark:  "PolicyOps old (container/list era) vs new (intrusive substrate)",
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Capacity:   256,
-		NumPages:   numPages,
-		Ops:        ops,
-		Results:    results,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %d results to %s", len(results), path)
 }

@@ -1,14 +1,10 @@
 package shadow_test
 
 import (
-	"encoding/json"
 	"math/rand"
-	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/core"
@@ -141,73 +137,4 @@ func TestShadowDisabledHitPathZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("hit path with shadows disabled allocates %.1f objects per request, want 0", allocs)
 	}
-}
-
-// shadowBenchResult is one row of BENCH_shadow.json.
-type shadowBenchResult struct {
-	Bank      string  `json:"bank"`
-	Shadows   int     `json:"shadows"`
-	Workers   int     `json:"workers"`
-	Ops       int64   `json:"ops"`
-	NsPerOp   float64 `json:"ns_per_op"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-}
-
-// TestWriteBenchShadowJSON self-times serving with the shadow bank off
-// and on and writes the comparison to the path in BENCH_SHADOW_JSON —
-// the artifact CI archives next to BENCH_pool.json and
-// BENCH_missio.json. A no-op without the variable.
-func TestWriteBenchShadowJSON(t *testing.T) {
-	path := os.Getenv("BENCH_SHADOW_JSON")
-	if path == "" {
-		t.Skip("BENCH_SHADOW_JSON not set")
-	}
-	const ops = 300_000
-	var results []shadowBenchResult
-	for _, tc := range []struct {
-		name     string
-		withBank bool
-		shadows  int
-	}{
-		{"off", false, 0},
-		{"on", true, 6},
-	} {
-		pool, cleanup := benchPool(t, tc.withBank)
-		// One untimed pass warms the resident sets so the timed pass
-		// measures steady-state serving, not cold misses.
-		drivePool(t, pool, benchWorkers, ops/4)
-		start := time.Now()
-		drivePool(t, pool, benchWorkers, ops)
-		elapsed := time.Since(start)
-		cleanup()
-		results = append(results, shadowBenchResult{
-			Bank:      tc.name,
-			Shadows:   tc.shadows,
-			Workers:   benchWorkers,
-			Ops:       ops,
-			NsPerOp:   float64(elapsed.Nanoseconds()) / float64(ops),
-			OpsPerSec: float64(ops) / elapsed.Seconds(),
-		})
-	}
-	out := struct {
-		Benchmark  string              `json:"benchmark"`
-		GOOS       string              `json:"goos"`
-		GOARCH     string              `json:"goarch"`
-		GOMAXPROCS int                 `json:"gomaxprocs"`
-		Results    []shadowBenchResult `json:"results"`
-	}{
-		Benchmark:  "PoolShadow",
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Results:    results,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %d results to %s", len(results), path)
 }

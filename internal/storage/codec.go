@@ -2,97 +2,169 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 
 	"repro/internal/geom"
 	"repro/internal/page"
 )
 
-// Binary page layout (little-endian), used by FileStore. Every page
-// occupies exactly PageSize bytes on disk:
+// Page format v2 (little-endian), used by FileStore. Every page occupies
+// exactly PageSize bytes on disk: an 80-byte header, n fixed-width
+// entries, and a zero tail.
 //
 //	offset  size  field
-//	0       8     page ID
-//	8       1     page type
-//	9       1     (padding)
+//	0       4     CRC-32C (Castagnoli) of bytes [4, 80+48·n)
+//	4       4     magic "SPGR"
+//	8       1     format version (2)
+//	9       1     page type
 //	10      2     level
 //	12      4     number of entries n
-//	16      48·n  entries: MinX MinY MaxX MaxY (float64 each), Child (8), ObjID (8)
+//	16      8     page ID
+//	24      32    Meta.MBR: MinX MinY MaxX MaxY (float64 each)
+//	56      8     Meta.EntryAreaSum   (criterion EA)
+//	64      8     Meta.EntryMarginSum (criterion EM)
+//	72      8     Meta.EntryOverlap   (criterion EO)
+//	80      48·n  entries: MinX MinY MaxX MaxY (float64 each), Child (8), ObjID (8)
 //
-// Derived Meta fields (MBR, entry sums) are recomputed on decode rather
-// than stored: they are cheap (the paper notes area/margin cost "no
-// noticeable overhead") and recomputing keeps the format minimal.
+// The checksum covers the whole used prefix except its own field — every
+// header byte from the magic on and all n entries. The zero tail is
+// neither read nor covered, so a sparse page costs a short checksum.
+//
+// The page's derived Meta is stored, not recomputed on decode: the paper
+// says of the entry overlap (§2.3) that "storing this information on the
+// page may be worthwhile", and on the miss path it is — the O(n²) pass
+// over a 45-entry page costs ≈ 1 000 rectangle intersections, several
+// times the pread it would follow. The codec stores the Meta it is
+// given: keeping it fresh is the writer's contract (rtree refreshes the
+// O(n) fields on every write and the overlap in FinalizeStats), exactly
+// as on MemStore, which keeps the page object itself. Only
+// Meta.NumEntries is not taken from the header: it is the decoded n.
 const (
 	// PageSize is the on-disk size of one page in bytes. 4 KiB holds the
-	// paper's maximum fan-out (51 directory entries = 16+51·48 = 2464 B)
+	// paper's maximum fan-out (51 directory entries = 80+51·48 = 2528 B)
 	// with room to spare.
 	PageSize = 4096
 
-	headerSize = 16
+	headerSize = 80
 	entrySize  = 48
 
 	// MaxEntries is the largest entry count a PageSize page can hold.
 	MaxEntries = (PageSize - headerSize) / entrySize
+
+	pageMagic   = 'S' | 'P'<<8 | 'G'<<16 | 'R'<<24
+	pageVersion = 2
 )
 
-// EncodePage serializes p into buf, which must be at least PageSize bytes.
+// ErrCorruptPage is returned (wrapped) when page bytes fail validation:
+// wrong magic or format version, entry count out of range, checksum
+// mismatch, or a slot holding another page's ID.
+var ErrCorruptPage = errors.New("storage: corrupt page")
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// EncodePage serializes p, Meta included, into buf, which must be at
+// least PageSize bytes.
 func EncodePage(p *page.Page, buf []byte) error {
 	if len(buf) < PageSize {
 		return fmt.Errorf("storage: encode buffer too small: %d < %d", len(buf), PageSize)
 	}
-	if len(p.Entries) > MaxEntries {
-		return fmt.Errorf("storage: page %d has %d entries, max %d", p.ID, len(p.Entries), MaxEntries)
+	// One read of the slice header, so that count, loop and checksum
+	// range agree even on a page its owner is (wrongly) still changing:
+	// the bytes may be torn, but they decode.
+	entries := p.Entries
+	if len(entries) > MaxEntries {
+		return fmt.Errorf("storage: page %d has %d entries, max %d", p.ID, len(entries), MaxEntries)
 	}
-	for i := range buf[:PageSize] {
-		buf[i] = 0
+	if p.Level < 0 || p.Level > math.MaxUint16 {
+		return fmt.Errorf("storage: page %d has level %d, max %d", p.ID, p.Level, math.MaxUint16)
 	}
-	binary.LittleEndian.PutUint64(buf[0:], uint64(p.ID))
-	buf[8] = byte(p.Type)
-	binary.LittleEndian.PutUint16(buf[10:], uint16(p.Level))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(len(p.Entries)))
+	buf = buf[:PageSize]
+	le := binary.LittleEndian
+	le.PutUint32(buf[4:], pageMagic)
+	buf[8] = pageVersion
+	buf[9] = byte(p.Type)
+	le.PutUint16(buf[10:], uint16(p.Level))
+	le.PutUint32(buf[12:], uint32(len(entries)))
+	le.PutUint64(buf[16:], uint64(p.ID))
+	putRect(buf[24:], p.MBR)
+	le.PutUint64(buf[56:], math.Float64bits(p.EntryAreaSum))
+	le.PutUint64(buf[64:], math.Float64bits(p.EntryMarginSum))
+	le.PutUint64(buf[72:], math.Float64bits(p.EntryOverlap))
 	off := headerSize
-	for _, e := range p.Entries {
-		binary.LittleEndian.PutUint64(buf[off+0:], math.Float64bits(e.MBR.MinX))
-		binary.LittleEndian.PutUint64(buf[off+8:], math.Float64bits(e.MBR.MinY))
-		binary.LittleEndian.PutUint64(buf[off+16:], math.Float64bits(e.MBR.MaxX))
-		binary.LittleEndian.PutUint64(buf[off+24:], math.Float64bits(e.MBR.MaxY))
-		binary.LittleEndian.PutUint64(buf[off+32:], uint64(e.Child))
-		binary.LittleEndian.PutUint64(buf[off+40:], e.ObjID)
+	for i := range entries {
+		e := &entries[i]
+		putRect(buf[off:], e.MBR)
+		le.PutUint64(buf[off+32:], uint64(e.Child))
+		le.PutUint64(buf[off+40:], e.ObjID)
 		off += entrySize
 	}
+	le.PutUint32(buf[0:], crc32.Checksum(buf[4:off], castagnoli))
+	clear(buf[off:])
 	return nil
 }
 
-// DecodePage deserializes a page from buf (at least PageSize bytes) and
-// recomputes its derived Meta fields.
+// DecodePage validates buf (at least PageSize bytes) as a v2 page and
+// copies it out: one exact-size entry slice, Meta as stored. Validation
+// failures wrap ErrCorruptPage.
 func DecodePage(buf []byte) (*page.Page, error) {
 	if len(buf) < PageSize {
 		return nil, fmt.Errorf("storage: decode buffer too small: %d < %d", len(buf), PageSize)
 	}
-	id := page.ID(binary.LittleEndian.Uint64(buf[0:]))
-	typ := page.Type(buf[8])
-	level := int(binary.LittleEndian.Uint16(buf[10:]))
-	n := int(binary.LittleEndian.Uint32(buf[12:]))
-	if n < 0 || n > MaxEntries {
-		return nil, fmt.Errorf("storage: corrupt page %d: %d entries", id, n)
+	buf = buf[:PageSize]
+	le := binary.LittleEndian
+	if m, v := le.Uint32(buf[4:]), buf[8]; m != pageMagic || v != pageVersion {
+		return nil, fmt.Errorf("%w: magic %#x version %d, want %#x version %d", ErrCorruptPage, m, v, uint32(pageMagic), pageVersion)
 	}
-	p := page.New(id, typ, level, n)
-	off := headerSize
-	for i := 0; i < n; i++ {
-		e := page.Entry{
-			MBR: geom.Rect{
-				MinX: math.Float64frombits(binary.LittleEndian.Uint64(buf[off+0:])),
-				MinY: math.Float64frombits(binary.LittleEndian.Uint64(buf[off+8:])),
-				MaxX: math.Float64frombits(binary.LittleEndian.Uint64(buf[off+16:])),
-				MaxY: math.Float64frombits(binary.LittleEndian.Uint64(buf[off+24:])),
-			},
-			Child: page.ID(binary.LittleEndian.Uint64(buf[off+32:])),
-			ObjID: binary.LittleEndian.Uint64(buf[off+40:]),
+	n := int(le.Uint32(buf[12:]))
+	if n > MaxEntries {
+		return nil, fmt.Errorf("%w: %d entries, max %d", ErrCorruptPage, n, MaxEntries)
+	}
+	used := headerSize + n*entrySize
+	if want, got := le.Uint32(buf[0:]), crc32.Checksum(buf[4:used], castagnoli); got != want {
+		return nil, fmt.Errorf("%w: checksum %#08x, header says %#08x", ErrCorruptPage, got, want)
+	}
+	p := &page.Page{
+		Meta: page.Meta{
+			ID:             page.ID(le.Uint64(buf[16:])),
+			Type:           page.Type(buf[9]),
+			Level:          int(le.Uint16(buf[10:])),
+			MBR:            getRect(buf[24:]),
+			NumEntries:     n,
+			EntryAreaSum:   math.Float64frombits(le.Uint64(buf[56:])),
+			EntryMarginSum: math.Float64frombits(le.Uint64(buf[64:])),
+			EntryOverlap:   math.Float64frombits(le.Uint64(buf[72:])),
+		},
+		Entries: make([]page.Entry, n),
+	}
+	src := buf[headerSize:used]
+	for i := range p.Entries {
+		b := src[i*entrySize:][:entrySize]
+		p.Entries[i] = page.Entry{
+			MBR:   getRect(b),
+			Child: page.ID(le.Uint64(b[32:])),
+			ObjID: le.Uint64(b[40:]),
 		}
-		p.Append(e)
-		off += entrySize
 	}
-	p.Recompute()
 	return p, nil
+}
+
+func putRect(b []byte, r geom.Rect) {
+	_ = b[31]
+	binary.LittleEndian.PutUint64(b[0:], math.Float64bits(r.MinX))
+	binary.LittleEndian.PutUint64(b[8:], math.Float64bits(r.MinY))
+	binary.LittleEndian.PutUint64(b[16:], math.Float64bits(r.MaxX))
+	binary.LittleEndian.PutUint64(b[24:], math.Float64bits(r.MaxY))
+}
+
+func getRect(b []byte) geom.Rect {
+	_ = b[31]
+	return geom.Rect{
+		MinX: math.Float64frombits(binary.LittleEndian.Uint64(b[0:])),
+		MinY: math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
+		MaxX: math.Float64frombits(binary.LittleEndian.Uint64(b[16:])),
+		MaxY: math.Float64frombits(binary.LittleEndian.Uint64(b[24:])),
+	}
 }

@@ -4,10 +4,12 @@
 // the substrate here is a counting simulator: every Read/Write through a
 // Store increments its Stats. Two implementations are provided:
 //
-//   - MemStore keeps pages in memory (fast, used by the experiment harness),
-//   - FileStore persists fixed-size binary pages in a single file (realism;
-//     it additionally distinguishes random from sequential accesses, the
-//     paper's future-work item 1).
+//   - MemStore keeps pages in memory (used by the experiment harness),
+//   - FileStore persists fixed-size, checksummed binary pages (format v2,
+//     see codec.go) in a single file.
+//
+// Both distinguish random from sequential reads (the paper's future-work
+// item 1).
 //
 // Both are safe for concurrent use.
 package storage
@@ -20,7 +22,8 @@ import (
 	"repro/internal/page"
 )
 
-// ErrPageNotFound is returned when reading a page ID that was never written.
+// ErrPageNotFound is returned (wrapped) when reading a page ID that was
+// never allocated or never written.
 var ErrPageNotFound = errors.New("storage: page not found")
 
 // Stats counts physical page accesses. In the simulation every Read is one

@@ -1,9 +1,14 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -65,9 +70,8 @@ func storeUnderTest(t *testing.T, s Store) {
 			t.Fatalf("entry %d = %+v, want %+v", i, e, p2.Entries[i])
 		}
 	}
-	if got.MBR != p2.MBR || got.EntryAreaSum != p2.EntryAreaSum ||
-		got.EntryMarginSum != p2.EntryMarginSum || got.EntryOverlap != p2.EntryOverlap {
-		t.Errorf("derived meta mismatch: %+v vs %+v", got.Meta, p2.Meta)
+	if got.Meta != p2.Meta {
+		t.Errorf("meta mismatch: %+v vs %+v", got.Meta, p2.Meta)
 	}
 
 	// Stats: 1 read so far.
@@ -174,8 +178,139 @@ func TestFileStoreReopen(t *testing.T) {
 }
 
 func TestOpenFileStoreErrors(t *testing.T) {
-	if _, err := OpenFileStore(filepath.Join(t.TempDir(), "missing.db")); err == nil {
+	dir := t.TempDir()
+	if _, err := OpenFileStore(filepath.Join(dir, "missing.db")); err == nil {
 		t.Error("opening missing file should fail")
+	}
+	// A file of whole pages whose first page is not format v2.
+	rng := rand.New(rand.NewSource(3))
+	v1 := filepath.Join(dir, "v1.db")
+	if err := os.WriteFile(v1, encodeV1(makePage(1, page.TypeData, 0, 5, rng)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenFileStore(v1); !errors.Is(err, ErrCorruptPage) {
+		t.Errorf("opening a v1 page file: err = %v, want ErrCorruptPage", err)
+	}
+	// A file that is not whole pages.
+	short := filepath.Join(dir, "short.db")
+	if err := os.WriteFile(short, make([]byte, PageSize+1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenFileStore(short); err == nil {
+		t.Error("opening a file of 1 page + 1 byte should fail")
+	}
+}
+
+// TestFileStoreTypedErrors: a slot that was allocated but never written
+// reads as ErrPageNotFound — inside the file (a hole) and past its end —
+// while damaged or misplaced bytes read as ErrCorruptPage; neither
+// counts as a read.
+func TestFileStoreTypedErrors(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pages.db")
+	fs, err := CreateFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	hole, written, damaged, misplaced, beyond := fs.Allocate(), fs.Allocate(), fs.Allocate(), fs.Allocate(), fs.Allocate()
+	for _, id := range []page.ID{written, damaged, misplaced} {
+		if err := fs.Write(makePage(id, page.TypeData, 0, 10, rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Damage one entry byte of one page; put a valid page 2 into slot 4.
+	raw, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if _, err := raw.WriteAt([]byte{0xA5}, int64(damaged-1)*PageSize+headerSize+7); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, PageSize)
+	if _, err := raw.ReadAt(buf, int64(written-1)*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := raw.WriteAt(buf, int64(misplaced-1)*PageSize); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name string
+		id   page.ID
+		want error
+	}{
+		{"hole", hole, ErrPageNotFound},
+		{"past the end of the file", beyond, ErrPageNotFound},
+		{"never allocated", beyond + 1, ErrPageNotFound},
+		{"damaged", damaged, ErrCorruptPage},
+		{"another page's bytes", misplaced, ErrCorruptPage},
+	} {
+		if _, err := fs.Read(c.id); !errors.Is(err, c.want) {
+			t.Errorf("read of %s slot: err = %v, want %v", c.name, err, c.want)
+		}
+	}
+	if _, err := fs.Read(written); err != nil {
+		t.Errorf("read of the intact page: %v", err)
+	}
+	if st := fs.Stats(); st.Reads != 1 {
+		t.Errorf("Reads = %d, want 1 (failed reads do not count)", st.Reads)
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Reopening tolerates the hole in slot 1: it is no page of another format.
+	re, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatalf("reopen with an unwritten first slot: %v", err)
+	}
+	re.Close()
+}
+
+// TestStoresReturnEqualPages: whatever Meta a page is written with —
+// fully recomputed, RecomputeFast (no overlap), or never computed —
+// FileStore hands back what MemStore does: the writer's Meta and the
+// same entries.
+func TestStoresReturnEqualPages(t *testing.T) {
+	fs, err := CreateFileStore(filepath.Join(t.TempDir(), "pages.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	ms := NewMemStore()
+	rng := rand.New(rand.NewSource(19))
+	full := makePage(1, page.TypeDirectory, 2, 50, rng)
+	full.Append(page.Entry{MBR: geom.NewRect(0, 0, 1010, 1010), Child: 77}) // overlaps the other 50
+	full.Recompute()
+	fast := makePage(2, page.TypeData, 0, 42, rng)
+	fast.RecomputeFast()
+	fresh := page.New(3, page.TypeData, 0, 42) // as rtree.New writes its root
+	for _, p := range []*page.Page{full, fast, fresh} {
+		for _, s := range []Store{ms, fs} {
+			if id := s.Allocate(); id != p.ID {
+				t.Fatalf("Allocate = %d, want %d", id, p.ID)
+			}
+			if err := s.Write(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m, err := ms.Read(p.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := fs.Read(p.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Meta != m.Meta {
+			t.Errorf("page %d: FileStore meta %+v, MemStore meta %+v", p.ID, f.Meta, m.Meta)
+		}
+		if !slices.Equal(f.Entries, m.Entries) {
+			t.Errorf("page %d: FileStore and MemStore entries differ", p.ID)
+		}
+	}
+	if fast.EntryOverlap != 0 || full.EntryOverlap == 0 {
+		t.Fatalf("test pages: overlap fast %g, full %g", fast.EntryOverlap, full.EntryOverlap)
 	}
 }
 
@@ -184,6 +319,11 @@ func TestCodecRoundTrip(t *testing.T) {
 	buf := make([]byte, PageSize)
 	for trial := 0; trial < 100; trial++ {
 		p := makePage(page.ID(trial+1), page.Type(trial%3), trial%5, rng.Intn(MaxEntries+1), rng)
+		if trial%2 == 1 {
+			// What rtree writes between FinalizeStats passes: no overlap.
+			// The codec stores it as given, it does not "heal" it.
+			p.RecomputeFast()
+		}
 		if err := EncodePage(p, buf); err != nil {
 			t.Fatalf("encode: %v", err)
 		}
@@ -230,9 +370,108 @@ func TestCodecErrors(t *testing.T) {
 	buf[13] = 0xFF
 	buf[14] = 0xFF
 	buf[15] = 0x7F
-	if _, err := DecodePage(buf); err == nil {
-		t.Error("decode of corrupt entry count should fail")
+	if _, err := DecodePage(buf); !errors.Is(err, ErrCorruptPage) {
+		t.Errorf("decode of corrupt entry count: err = %v, want ErrCorruptPage", err)
 	}
+	// A level the 2-byte field cannot hold.
+	ok.Level = 1 << 16
+	if err := EncodePage(ok, buf); err == nil {
+		t.Error("encode of level 65536 should fail")
+	}
+}
+
+// encodeV1 lays p out in the superseded v1 format (no magic, no
+// checksum, no Meta: ID, type, level, count, entries from offset 16).
+func encodeV1(p *page.Page) []byte {
+	buf := make([]byte, PageSize)
+	le := binary.LittleEndian
+	le.PutUint64(buf[0:], uint64(p.ID))
+	buf[8] = byte(p.Type)
+	le.PutUint16(buf[10:], uint16(p.Level))
+	le.PutUint32(buf[12:], uint32(len(p.Entries)))
+	for i, e := range p.Entries {
+		b := buf[16+i*48:]
+		le.PutUint64(b[0:], math.Float64bits(e.MBR.MinX))
+		le.PutUint64(b[8:], math.Float64bits(e.MBR.MinY))
+		le.PutUint64(b[16:], math.Float64bits(e.MBR.MaxX))
+		le.PutUint64(b[24:], math.Float64bits(e.MBR.MaxY))
+		le.PutUint64(b[32:], uint64(e.Child))
+		le.PutUint64(b[40:], e.ObjID)
+	}
+	return buf
+}
+
+// codecCorpus is the seed corpus of FuzzDecodePage: three valid pages
+// and two buffers that must not decode.
+func codecCorpus(tb testing.TB) (valid, invalid [][]byte) {
+	rng := rand.New(rand.NewSource(29))
+	dir := makePage(7, page.TypeDirectory, 1, 51, rng)
+	data := makePage(8, page.TypeData, 0, 42, rng)
+	for _, p := range []*page.Page{dir, data, page.New(9, page.TypeData, 0, 0)} {
+		buf := make([]byte, PageSize)
+		if err := EncodePage(p, buf); err != nil {
+			tb.Fatal(err)
+		}
+		valid = append(valid, buf)
+	}
+	return valid, [][]byte{make([]byte, PageSize), encodeV1(data)}
+}
+
+// TestDecodeRejectsDamage: no single damaged byte of the used prefix —
+// checksum, magic, version, type, level, count, ID, Meta, entries —
+// gets past DecodePage, and neither does a zero page, a v1 page or a
+// truncated one.
+func TestDecodeRejectsDamage(t *testing.T) {
+	valid, invalid := codecCorpus(t)
+	for _, buf := range invalid {
+		if _, err := DecodePage(buf); !errors.Is(err, ErrCorruptPage) {
+			t.Errorf("decode of a non-v2 buffer: err = %v, want ErrCorruptPage", err)
+		}
+	}
+	for _, buf := range valid {
+		p, err := DecodePage(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodePage(buf[:PageBytes(p)]); err == nil {
+			t.Errorf("decode of a page truncated to its %d used bytes should fail", PageBytes(p))
+		}
+		for i := 0; i < PageBytes(p); i++ {
+			for _, mask := range []byte{0x01, 0x80, 0xFF} {
+				buf[i] ^= mask
+				if _, err := DecodePage(buf); !errors.Is(err, ErrCorruptPage) {
+					t.Fatalf("page %d, byte %d ^ %#02x: err = %v, want ErrCorruptPage", p.ID, i, mask, err)
+				}
+				buf[i] ^= mask
+			}
+		}
+	}
+}
+
+// FuzzDecodePage: arbitrary bytes never panic the decoder, and whatever
+// it accepts it accepts exactly — re-encoding the decoded page gives
+// back the used prefix byte for byte.
+func FuzzDecodePage(f *testing.F) {
+	valid, invalid := codecCorpus(f)
+	for _, buf := range append(valid, invalid...) {
+		f.Add(buf)
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		p, err := DecodePage(buf)
+		if err != nil {
+			return
+		}
+		if p.NumEntries != len(p.Entries) || cap(p.Entries) != len(p.Entries) {
+			t.Fatalf("decoded %d entries (cap %d), Meta says %d", len(p.Entries), cap(p.Entries), p.NumEntries)
+		}
+		again := make([]byte, PageSize)
+		if err := EncodePage(p, again); err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		if used := PageBytes(p); !bytes.Equal(again[:used], buf[:used]) {
+			t.Fatalf("re-encoded page differs from the %d bytes it was decoded from", used)
+		}
+	})
 }
 
 func TestMaxEntriesFitsPaperFanout(t *testing.T) {
