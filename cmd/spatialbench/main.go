@@ -80,13 +80,9 @@ type config struct {
 	ctraj      string
 	serve      string
 	pool       string
-	shards     int
 
 	traceOut    string
 	traceSample int
-
-	wbWorkers int
-	wbQueue   int
 
 	shadowPolicies string
 	shadowLadder   string
@@ -109,12 +105,9 @@ func main() {
 	flag.IntVar(&cfg.window, "window", 0, "with -sets: print hit ratios over windows of N requests")
 	flag.StringVar(&cfg.ctraj, "ctraj", "", "run the Fig. 14 adaptation workload and write the c-trajectory CSV to this file")
 	flag.StringVar(&cfg.serve, "serve", "", "serve live metrics on this address (e.g. :8080) while the run executes")
-	flag.StringVar(&cfg.pool, "pool", "", "with -events/-window/-shadow: pool composition spec for instrumented replays, layout[,shards=N][,wbworkers=N][,wbqueue=N] with layout bare|locked|sharded|async (empty = derive from the deprecated -shards/-writeback-* flags)")
-	flag.IntVar(&cfg.shards, "shards", 1, "deprecated alias (use -pool): replay through an async page-hashed sharded pool with this many shards (per-shard policy instances)")
+	flag.StringVar(&cfg.pool, "pool", "bare", "with -events/-window/-shadow: pool composition spec for instrumented replays, layout[,shards=N][,wbworkers=N][,wbqueue=N] with layout bare|locked|sharded|async (per-shard policy instances when sharded)")
 	flag.StringVar(&cfg.traceOut, "trace-out", "", "write request span traces as Chrome trace-event JSON to this file")
 	flag.IntVar(&cfg.traceSample, "trace-sample", 1024, "with -trace-out: trace 1 in N buffer requests")
-	flag.IntVar(&cfg.wbWorkers, "writeback-workers", buffer.DefaultWritebackWorkers, "deprecated alias (use -pool wbworkers=): async layout background dirty-page writer goroutines")
-	flag.IntVar(&cfg.wbQueue, "writeback-queue", buffer.DefaultWritebackQueue, "deprecated alias (use -pool wbqueue=): async layout write-back queue capacity in pages")
 	flag.StringVar(&cfg.shadowPolicies, "shadow", "", "with -sets: comma-separated what-if policies shadow-simulated during instrumented replays (names or specs, e.g. LRU,SLRU 50%,LRU-K:4,ASB)")
 	flag.StringVar(&cfg.shadowLadder, "shadow-ladder", "0.5,1,2,4", "with -shadow: capacity multipliers the replayed policy is shadow-simulated at")
 	flag.IntVar(&cfg.shadowSample, "shadow-sample", 1, "with -shadow: feed the shadow bank 1 in N request events")
@@ -140,29 +133,10 @@ func main() {
 	}
 }
 
-// poolComposition resolves the instrumented-replay pool composition:
-// the -pool spec when given, otherwise the historical behavior of the
-// deprecated flags — an async sharded pool at -shards > 1, a bare
-// engine otherwise (the replay is single-threaded).
-func poolComposition(cfg config) (buffer.Composition, error) {
-	if cfg.pool != "" {
-		return buffer.ParseComposition(cfg.pool)
-	}
-	if cfg.shards > 1 {
-		return buffer.Composition{
-			Layout:           buffer.LayoutAsync,
-			Shards:           cfg.shards,
-			WritebackWorkers: cfg.wbWorkers,
-			WritebackQueue:   cfg.wbQueue,
-		}, nil
-	}
-	return buffer.Composition{Layout: buffer.LayoutBare}, nil
-}
-
 func run(cfg config) error {
 	opts := experiment.Options{Objects: cfg.objects, Seed: cfg.seed}
 
-	comp, err := poolComposition(cfg)
+	comp, err := buffer.ParseComposition(cfg.pool)
 	if err != nil {
 		return err
 	}
@@ -227,7 +201,7 @@ func run(cfg config) error {
 	}
 
 	if cfg.sets != "" {
-		if err := adHoc(cfg, optsFor(cfg.dbNum), tracer, emit); err != nil {
+		if err := adHoc(cfg, optsFor(cfg.dbNum), comp, tracer, emit); err != nil {
 			return err
 		}
 	}
@@ -325,7 +299,7 @@ func writeCTrajectory(dbNum int, opts experiment.Options, seed int64, path strin
 // adHoc runs a custom sweep and prints one gain table per buffer
 // fraction. With -events or -window it additionally re-replays every
 // combination sequentially with observability sinks attached.
-func adHoc(cfg config, opts experiment.Options, tracer *tracing.Tracer, emit func([]*experiment.Table) error) error {
+func adHoc(cfg config, opts experiment.Options, comp buffer.Composition, tracer *tracing.Tracer, emit func([]*experiment.Table) error) error {
 	db, err := experiment.Get(cfg.dbNum, opts)
 	if err != nil {
 		return err
@@ -384,10 +358,6 @@ func adHoc(cfg config, opts experiment.Options, tracer *tracing.Tracer, emit fun
 		return err
 	}
 	if cfg.events != "" || cfg.window > 0 || cfg.shadowPolicies != "" {
-		comp, err := poolComposition(cfg)
-		if err != nil {
-			return err
-		}
 		return instrumentedReplays(db, setNames, polNames, fracList, cfg.seed, cfg.events, cfg.window, comp, tracer,
 			splitCSV(cfg.shadowPolicies), parseLadder(cfg.shadowLadder), cfg.shadowSample)
 	}
@@ -456,13 +426,8 @@ func instrumentedReplays(db *experiment.Database, setNames, polNames []string, f
 					return fmt.Errorf("instrumented replay %s: %w", label, err)
 				}
 				pool.SetSink(obs.Tee(sinks...))
-				if tracer != nil {
-					switch p := pool.(type) {
-					case interface{ SetTracer(t *tracing.Tracer) }:
-						p.SetTracer(tracer)
-					case *buffer.Engine:
-						p.SetTracer(tracer, 0)
-					}
+				if tp, ok := pool.(interface{ SetTracer(*tracing.Tracer) }); ok {
+					tp.SetTracer(tracer)
 				}
 				if _, err := trace.ReplayOn(tr, pool); err != nil {
 					return fmt.Errorf("instrumented replay %s: %w", label, err)

@@ -72,7 +72,7 @@ func main() {
 		core.NewASB(frames, core.DefaultASBOptions())}
 	var lruIO uint64
 	for _, pol := range policies {
-		buf, err := buffer.NewManager(store, pol, frames)
+		buf, err := buffer.NewEngine(store, pol, frames)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -92,7 +92,7 @@ func main() {
 	var lruAccesses uint64
 	for _, pol := range policies {
 		store.ResetStats()
-		buf, err := buffer.NewManager(store, pol, frames)
+		buf, err := buffer.NewEngine(store, pol, frames)
 		if err != nil {
 			log.Fatal(err)
 		}

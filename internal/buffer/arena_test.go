@@ -99,12 +99,12 @@ func TestArenaReset(t *testing.T) {
 	}
 }
 
-// TestManagerArenaSteadyState pins the recycling invariant at the manager
+// TestEngineArenaSteadyState pins the recycling invariant at the manager
 // level: after the buffer warms up, the arena's live count tracks
 // residency exactly and never exceeds capacity.
-func TestManagerArenaSteadyState(t *testing.T) {
+func TestEngineArenaSteadyState(t *testing.T) {
 	s := newStore(t, 32)
-	m, err := NewManager(s, newTestPolicy(), 8)
+	m, err := NewEngine(s, newTestPolicy(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}

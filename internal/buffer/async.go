@@ -1,9 +1,13 @@
 package buffer
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/obs/tracing"
+	"repro/internal/page"
+	"repro/internal/storage"
 )
 
 // DefaultWritebackWorkers is the number of background writer goroutines
@@ -22,8 +26,8 @@ type AsyncConfig struct {
 	WritebackQueue int
 }
 
-// AsyncPool is the asynchronous-I/O layer over a Router: every shard
-// engine's miss path is switched to the non-blocking protocol — the
+// AsyncPool is the asynchronous-I/O layer over a Router: it serves
+// every shard engine's misses with the non-blocking protocol — the
 // shard lock protects only in-memory state, the physical read happens
 // outside it (with per-shard singleflight coalescing of concurrent
 // misses for the same page) — and dirty evicted pages drain through one
@@ -49,6 +53,21 @@ type AsyncPool struct {
 	wb *writeback
 }
 
+// asyncShard is the async layer's state for one shard engine, which
+// reaches it through Engine.async: the flight table of the non-blocking
+// miss protocol, the shard lock the protocol drops around a physical
+// read, and the pool's write-back queue.
+type asyncShard struct {
+	e *Engine
+	// mu is the shard's LockedEngine mutex. Requests arrive holding it;
+	// miss releases and re-acquires it around reads and waits.
+	mu *sync.Mutex
+	// flight has one entry per page whose physical read is in progress
+	// outside mu, shared by every concurrent miss for that page.
+	flight map[page.ID]*inflight
+	wb     *writeback
+}
+
 // Async stacks the asynchronous-I/O layer on a router. The router must
 // not be used directly afterwards (the layer overrides its barrier
 // operations); it must not already carry an async layer.
@@ -63,27 +82,258 @@ func Async(r *Router, cfg AsyncConfig) *AsyncPool {
 	}
 	p := &AsyncPool{Router: r, wb: newWriteback(r.store, workers, queueCap)}
 	for _, sh := range r.shards {
-		sh.e.enableAsync(p.wb)
+		sh.e.async = &asyncShard{e: sh.e, mu: &sh.mu, flight: make(map[page.ID]*inflight), wb: p.wb}
 	}
 	return p
+}
+
+// miss is the non-blocking miss protocol for a page the engine found
+// non-resident. It is entered and left with the shard lock held. Under
+// the lock it checks, in order: the flight table (coalesce onto an
+// in-progress read) and the write-back queue (read-your-writes: a
+// queued dirty page is re-admitted without I/O). Only when both miss
+// does it become the leader: it registers an inflight entry, releases
+// the lock, reads the store, and re-acquires the lock to publish the
+// result to any waiters and admit the page.
+//
+// counted flips when the request has been accounted (exactly one
+// Request event per call); the loop only repeats for Fix waiters, whose
+// pin requires a resident frame and who therefore retry after the
+// leader's publication until they can pin (or become leaders
+// themselves).
+func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, bool, error) {
+	e := s.e
+	// The engine's Active slot carries the trace to the policy and the
+	// traced store while the lock is held; it must be parked (cleared
+	// before every unlock) because other requests use the engine — and
+	// the slot — while we wait or read, and restored after every
+	// re-acquisition that goes on to use the engine.
+	a := e.slot.Active()
+	counted := false
+	for {
+		if fl, ok := s.flight[id]; ok {
+			// Another request is reading this page right now: count a
+			// coalesced miss and wait for its result outside the lock. The
+			// event is emitted here, under the lock, with a zero Meta — the
+			// waiter never observes the page while holding the lock, and
+			// deferring emission past the unlock would interleave it with
+			// other requests' events (documented accuracy caveat of the
+			// shadow-cache contract).
+			if !counted {
+				e.miss(true)
+				e.emitMiss(id, ctx, true, page.Meta{})
+				counted = true
+			}
+			if fl.done == nil {
+				fl.done = make(chan struct{})
+			}
+			done := fl.done
+			if a != nil {
+				e.slot.SetActive(nil)
+			}
+			s.mu.Unlock()
+
+			widx := int32(-1)
+			if a != nil {
+				widx = a.Start(tracing.KindIOWait)
+			}
+			<-done
+			if a != nil {
+				sp := a.At(widx)
+				sp.Page = id
+				sp.Hit = true // coalesced: shared another request's read
+				a.End(widx)
+			}
+			// Re-acquire the lock: to restore the caller's locking
+			// invariant, and for Fix to find the frame.
+			s.mu.Lock()
+			if fl.err != nil {
+				return nil, false, fl.err
+			}
+			if !pin {
+				// Get needs only the bytes; the leader admitted (or
+				// resolved) the page.
+				return fl.page, false, nil
+			}
+			// Fix must pin a resident frame. It may already be evicted
+			// again, in which case the loop coalesces or leads a fresh read
+			// — without recounting.
+			if a != nil {
+				e.slot.SetActive(a)
+			}
+			if fr := e.frames[id]; fr != nil {
+				fr.pins++
+				return fr.Page, false, nil
+			}
+			continue
+		}
+
+		if pg, ok := s.wb.take(id); ok {
+			// The page sits in the write-back queue: the store still holds
+			// stale bytes, so the queued version is re-admitted directly —
+			// no I/O.
+			var now uint64
+			if !counted {
+				now = e.miss(true)
+				e.emitMiss(id, ctx, true, pg.Meta)
+			} else {
+				now = e.tick()
+			}
+			fr, err := s.readmit(pg, now, ctx)
+			if err != nil {
+				return nil, false, err
+			}
+			if pin {
+				fr.pins++
+			}
+			return fr.Page, false, nil
+		}
+
+		// Leader: register the read and perform it outside the lock. The
+		// miss is counted now, but its event is emitted at publish time
+		// (under the re-acquired lock, before admission) so it can carry
+		// the Meta of the page the request actually resolved to.
+		var now uint64
+		emitPending := !counted
+		if !counted {
+			now = e.miss(false)
+		} else {
+			now = e.tick()
+		}
+		fl := &inflight{}
+		s.flight[id] = fl
+		if a != nil {
+			e.slot.SetActive(nil)
+		}
+		s.mu.Unlock()
+
+		ridx := int32(-1)
+		if a != nil {
+			ridx = a.Start(tracing.KindStoreRead)
+		}
+		rpg, rerr := e.store.Read(id)
+		if a != nil {
+			sp := a.At(ridx)
+			sp.Page = id
+			sp.Err = rerr != nil
+			if rpg != nil {
+				sp.Bytes = int32(storage.PageBytes(rpg))
+			}
+			a.End(ridx)
+		}
+
+		s.mu.Lock()
+		if a != nil {
+			e.slot.SetActive(a)
+		}
+		published := rpg
+		var fr *Frame
+		var aerr error
+		if rerr != nil {
+			// The counted miss still emits exactly one event; no page
+			// materialized, so its Meta stays zero.
+			if emitPending {
+				e.emitMiss(id, ctx, false, page.Meta{})
+			}
+		} else if fr = e.frames[id]; fr != nil {
+			// A Put raced the page in while we read: its version is
+			// newer — serve it and discard the read.
+			published = fr.Page
+			if emitPending {
+				e.emitMiss(id, ctx, false, fr.Meta)
+			}
+		} else if pg, ok := s.wb.take(id); ok {
+			// Re-admitted dirty (by a Put) and evicted again while we
+			// read: the queued version is newer than our read.
+			published = pg
+			if emitPending {
+				e.emitMiss(id, ctx, false, pg.Meta)
+			}
+			fr, aerr = s.readmit(pg, now, ctx)
+		} else {
+			if emitPending {
+				e.emitMiss(id, ctx, false, rpg.Meta)
+			}
+			fr, aerr = e.admit(rpg, now, ctx)
+		}
+		// Publish: fields first, then unregister, then close — all under
+		// the lock, so the close happens-before any waiter's field read
+		// and a failed read leaves no residue for later misses. Waiters
+		// get the resolved bytes even when only admission failed
+		// (ErrAllPinned is the leader's error, not theirs). No channel
+		// means no waiter ever found the entry.
+		fl.page, fl.err = published, rerr
+		delete(s.flight, id)
+		if fl.done != nil {
+			close(fl.done)
+		}
+		if rerr != nil {
+			return nil, false, rerr
+		}
+		if aerr != nil {
+			return nil, false, aerr
+		}
+		if pin {
+			fr.pins++
+		}
+		return fr.Page, false, nil
+	}
+}
+
+// readmit admits a page taken back from the write-back queue. It stays
+// dirty: its canceled write must eventually happen via a later eviction
+// or Flush. When it cannot be admitted (all frames pinned) the dirty
+// page must not be lost — its write is put back in motion.
+func (s *asyncShard) readmit(pg *page.Page, now uint64, ctx AccessContext) (*Frame, error) {
+	fr, err := s.e.admit(pg, now, ctx)
+	if err != nil {
+		if werr := s.e.writeOut(pg, true); werr != nil {
+			err = errors.Join(err, werr)
+		}
+		return nil, err
+	}
+	fr.Dirty = true
+	return fr, nil
+}
+
+// InflightReads returns the number of physical reads currently in
+// progress outside the shard locks — the summed occupancy of the
+// per-shard flight tables. The shards are counted one after another, so
+// under churn the sum is an instantaneous estimate, not an atomic
+// snapshot — the usual multi-counter scrape contract.
+func (p *AsyncPool) InflightReads() int {
+	n := 0
+	for _, sh := range p.shards {
+		sh.mu.Lock()
+		n += len(sh.e.async.flight)
+		sh.mu.Unlock()
+	}
+	return n
 }
 
 // Writeback returns a snapshot of the background write-back queue
 // counters.
 func (p *AsyncPool) Writeback() WritebackMetrics { return p.wb.metrics() }
 
-// Flush writes back all dirty resident pages, shard by shard, after
-// first draining the background write-back queue — so when Flush
-// returns every write-back decided before the call is durable. The
-// drain comes first deliberately: queued pages are never resident
-// (re-admission cancels their queued write), so the two write sets are
-// disjoint, and draining first means no background writer is still
-// running behind the per-shard flushes.
+// Flush writes back all dirty resident pages, shard by shard, between
+// two drains of the background write-back queue — so when Flush returns
+// every write-back decided before the call is durable. The first drain
+// leaves the per-shard flushes few writers to run behind. A write-back
+// that starts after it can still be in flight when its page — put again
+// meanwhile — is flushed; that version then joins the page's writer
+// instead of being written alongside (see Engine.writeOut), and the
+// second drain waits for it.
 func (p *AsyncPool) Flush() error {
 	if err := p.wb.drain(); err != nil {
 		return fmt.Errorf("buffer: write-back drain: %w", err)
 	}
-	return p.Router.Flush()
+	if err := p.Router.Flush(); err != nil {
+		return err
+	}
+	if err := p.wb.drain(); err != nil {
+		return fmt.Errorf("buffer: write-back drain: %w", err)
+	}
+	return nil
 }
 
 // Close flushes the pool (draining the write-back queue) and stops the

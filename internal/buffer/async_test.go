@@ -78,7 +78,7 @@ func testPage(id page.ID, obj uint64) *page.Page {
 // waitForRequests polls until the pool has accounted n requests — i.e.
 // the leader is mid-read and every other goroutine is registered as a
 // coalesced waiter — or the deadline passes.
-func waitForRequests(t *testing.T, sp *ShardedPool, n uint64) {
+func waitForRequests(t *testing.T, sp *AsyncPool, n uint64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for sp.Stats().Requests < n {
@@ -95,10 +95,11 @@ func waitForRequests(t *testing.T, sp *ShardedPool, n uint64) {
 // Coalesced holds exactly.
 func TestAsyncSingleflightOneRead(t *testing.T) {
 	gs := &gatedStore{Store: newStore(t, 8), gate: make(chan struct{})}
-	sp, err := NewAsyncShardedPool(gs, testFactory, 4, 1, AsyncConfig{})
+	r, err := NewRouter(gs, testFactory, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sp := Async(r, AsyncConfig{})
 	defer sp.Close()
 
 	const n = 16
@@ -149,10 +150,11 @@ func TestAsyncSingleflightOneRead(t *testing.T) {
 func TestAsyncSingleflightSharedError(t *testing.T) {
 	gs := &gatedStore{Store: newStore(t, 8), gate: make(chan struct{})}
 	gs.fail.Store(true)
-	sp, err := NewAsyncShardedPool(gs, testFactory, 4, 1, AsyncConfig{})
+	r, err := NewRouter(gs, testFactory, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sp := Async(r, AsyncConfig{})
 	defer sp.Close()
 
 	const n = 8
@@ -191,10 +193,11 @@ func TestAsyncSingleflightSharedError(t *testing.T) {
 // real pin afterwards (each Unfix releases exactly one).
 func TestAsyncFixCoalesce(t *testing.T) {
 	gs := &gatedStore{Store: newStore(t, 8), gate: make(chan struct{})}
-	sp, err := NewAsyncShardedPool(gs, testFactory, 4, 1, AsyncConfig{})
+	r, err := NewRouter(gs, testFactory, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sp := Async(r, AsyncConfig{})
 	defer sp.Close()
 
 	const n = 8
@@ -233,12 +236,12 @@ func TestAsyncFixCoalesce(t *testing.T) {
 // TestAsyncSingleShardSeedEquivalence pins the tentpole's compatibility
 // promise: a single-threaded read-only replay through a 1-shard async
 // pool is stat-for-stat — and event-for-event — identical to the seed
-// Manager over the same reference string.
+// Engine over the same reference string.
 func TestAsyncSingleShardSeedEquivalence(t *testing.T) {
 	const numPages, capacity, requests = 64, 16, 4096
 
 	seedStore := newStore(t, numPages)
-	seed, err := NewManager(seedStore, newTestPolicy(), capacity)
+	seed, err := NewEngine(seedStore, newTestPolicy(), capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,10 +250,11 @@ func TestAsyncSingleShardSeedEquivalence(t *testing.T) {
 	seed.SetSink(seedSink)
 
 	asyncStore := newStore(t, numPages)
-	sp, err := NewAsyncShardedPool(asyncStore, testFactory, capacity, 1, AsyncConfig{})
+	r, err := NewRouter(asyncStore, testFactory, capacity, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sp := Async(r, AsyncConfig{})
 	defer sp.Close()
 	var asyncLog bytes.Buffer
 	asyncSink := obs.NewJSONLSink(&asyncLog)
@@ -293,7 +297,7 @@ func TestAsyncSingleShardSeedEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(seedLog.Bytes(), asyncLog.Bytes()) {
-		t.Error("event streams diverge between seed Manager and 1-shard async pool")
+		t.Error("event streams diverge between seed Engine and 1-shard async pool")
 	}
 }
 
@@ -304,10 +308,11 @@ func TestAsyncSingleShardSeedEquivalence(t *testing.T) {
 func TestAsyncConcurrentGetStress(t *testing.T) {
 	const numPages, capacity, workers, perWorker = 256, 64, 8, 1500
 	cs := &countingStore{Store: newStore(t, numPages)}
-	sp, err := NewAsyncShardedPool(cs, testFactory, capacity, 4, AsyncConfig{})
+	r, err := NewRouter(cs, testFactory, capacity, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sp := Async(r, AsyncConfig{})
 	defer sp.Close()
 
 	var wg sync.WaitGroup
@@ -347,10 +352,11 @@ func TestAsyncConcurrentGetStress(t *testing.T) {
 // write eventually happens.
 func TestAsyncWritebackReadYourWrites(t *testing.T) {
 	bw := &blockWriteStore{Store: newStore(t, 32), gate: make(chan struct{})}
-	sp, err := NewAsyncShardedPool(bw, testFactory, 2, 1, AsyncConfig{WritebackWorkers: 1, WritebackQueue: 4})
+	r, err := NewRouter(bw, testFactory, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sp := Async(r, AsyncConfig{WritebackWorkers: 1, WritebackQueue: 4})
 
 	ctx := AccessContext{}
 	if _, err := sp.Get(1, ctx); err != nil {
@@ -404,10 +410,11 @@ func TestAsyncWritebackReadYourWrites(t *testing.T) {
 // is empty.
 func TestAsyncFlushDrainsWriteback(t *testing.T) {
 	st := newStore(t, 32)
-	sp, err := NewAsyncShardedPool(st, testFactory, 4, 1, AsyncConfig{WritebackWorkers: 2, WritebackQueue: 16})
+	r, err := NewRouter(st, testFactory, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sp := Async(r, AsyncConfig{WritebackWorkers: 2, WritebackQueue: 16})
 	defer sp.Close()
 
 	ctx := AccessContext{}
@@ -493,10 +500,11 @@ func (s *failWriteStore) Write(*page.Page) error { return errFailedWrite }
 // sticky error along with the rest of the accounting.
 func TestWritebackStickyError(t *testing.T) {
 	fs := &failWriteStore{Store: newStore(t, 8)}
-	sp, err := NewAsyncShardedPool(fs, testFactory, 2, 1, AsyncConfig{WritebackWorkers: 1, WritebackQueue: 4})
+	r, err := NewRouter(fs, testFactory, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sp := Async(r, AsyncConfig{WritebackWorkers: 1, WritebackQueue: 4})
 	defer sp.Close()
 
 	ctx := AccessContext{}
@@ -651,10 +659,11 @@ func (s *orderStore) Write(p *page.Page) error {
 func TestWritebackNeverReordersOnePage(t *testing.T) {
 	st := newOrderStore(newStore(t, 16))
 	st.gated, st.entered, st.gate = 9, make(chan struct{}), make(chan struct{})
-	sp, err := NewAsyncShardedPool(st, testFactory, 2, 1, AsyncConfig{WritebackWorkers: 2, WritebackQueue: 4})
+	r, err := NewRouter(st, testFactory, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sp := Async(r, AsyncConfig{WritebackWorkers: 2, WritebackQueue: 4})
 	ctx := AccessContext{}
 	get := func(ids ...page.ID) {
 		t.Helper()
@@ -746,5 +755,118 @@ func TestWritebackOrderStress(t *testing.T) {
 		if got.Entries[0].ObjID != v {
 			t.Errorf("page %d: store ends with version %d, want %d", id, got.Entries[0].ObjID, v)
 		}
+	}
+}
+
+// holdStore blocks the first Write of each page in hold inside the store
+// until the page's release channel is closed; its entered channel is
+// closed once the write is in there.
+type holdStore struct {
+	storage.Store
+	mu   sync.Mutex
+	hold map[page.ID]heldWrite
+}
+
+type heldWrite struct{ entered, release chan struct{} }
+
+func (s *holdStore) Write(p *page.Page) error {
+	s.mu.Lock()
+	h, ok := s.hold[p.ID]
+	delete(s.hold, p.ID)
+	s.mu.Unlock()
+	if ok {
+		close(h.entered)
+		<-h.release
+	}
+	return s.Store.Write(p)
+}
+
+// TestAsyncFlushJoinsInflightWriteback: a Flush is already past its
+// drain (held at shard 0) when, on shard 1, version 2 of page x is
+// evicted and its write-back sticks inside the store, and version 3 is
+// put. When the Flush reaches x it must not write version 3 alongside
+// version 2 (the older write could land last): version 3 joins x's
+// writer, and Flush returns only after it is in the store.
+func TestAsyncFlushJoinsInflightWriteback(t *testing.T) {
+	hs := &holdStore{Store: newStore(t, 32), hold: map[page.ID]heldWrite{}}
+	st := newOrderStore(hs)
+	r, err := NewRouter(st, testFactory, 4, 2) // two frames per shard
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := Async(r, AsyncConfig{WritebackWorkers: 1, WritebackQueue: 4})
+
+	// y lives on shard 0, which Flush visits first; x and two fillers on
+	// shard 1.
+	var y, x page.ID
+	var fill []page.ID
+	for id := page.ID(1); id <= 32; id++ {
+		switch {
+		case r.shardIndex(id) == 0 && y == 0:
+			y = id
+		case r.shardIndex(id) == 1 && x == 0:
+			x = id
+		case r.shardIndex(id) == 1 && len(fill) < 2:
+			fill = append(fill, id)
+		}
+	}
+	holdY := heldWrite{make(chan struct{}), make(chan struct{})}
+	holdX := heldWrite{make(chan struct{}), make(chan struct{})}
+	hs.hold[y], hs.hold[x] = holdY, holdX
+
+	ctx := AccessContext{}
+	if err := sp.Put(testPage(y, 1), ctx); err != nil {
+		t.Fatal(err)
+	}
+	flushed := make(chan error, 1)
+	go func() { flushed <- sp.Flush() }()
+	<-holdY.entered // Flush has drained and holds shard 0
+
+	if err := sp.Put(testPage(x, 2), ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range fill { // FIFO: the second admission evicts x
+		if _, err := sp.Get(id, ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-holdX.entered // version 2 is mid-write
+	if err := sp.Put(testPage(x, 3), ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	close(holdY.release)
+	// Wait until the Flush has dealt with x: handed version 3 to the
+	// writer, or (the defect) written it itself.
+	deadline := time.Now().Add(5 * time.Second)
+	for sp.Writeback().Coalesced == 0 {
+		st.mu.Lock()
+		n := st.writes[x]
+		st.mu.Unlock()
+		if n > 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Flush never reached page x")
+		}
+		runtime.Gosched()
+	}
+	close(holdX.release)
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+
+	for _, msg := range st.bad {
+		t.Error(msg)
+	}
+	got, err := hs.Store.Read(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Entries[0].ObjID != 3 {
+		t.Errorf("store holds version %d of page %d after Flush, want 3", got.Entries[0].ObjID, x)
+	}
+	if err := sp.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

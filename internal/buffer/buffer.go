@@ -19,9 +19,7 @@
 //     (Async).
 //
 // Compositions are described by a Composition spec (ParseComposition /
-// Composition.Build); the historical Manager, SyncManager, ShardedPool
-// and AsyncShardedPool names remain as thin constructors over this
-// stack. See DESIGN.md, "Engine layering".
+// Composition.Build). See DESIGN.md, "Engine layering".
 //
 // A page request is a hit (served from memory, no physical I/O) or a
 // miss (one physical read through the store, possibly preceded by an

@@ -67,15 +67,15 @@ func newStore(t testing.TB, n int) *storage.MemStore {
 	return s
 }
 
-func TestNewManagerValidation(t *testing.T) {
+func TestNewEngineValidation(t *testing.T) {
 	s := newStore(t, 1)
-	if _, err := NewManager(s, newTestPolicy(), 0); err == nil {
+	if _, err := NewEngine(s, newTestPolicy(), 0); err == nil {
 		t.Error("capacity 0 should fail")
 	}
-	if _, err := NewManager(nil, newTestPolicy(), 1); err == nil {
+	if _, err := NewEngine(nil, newTestPolicy(), 1); err == nil {
 		t.Error("nil store should fail")
 	}
-	if _, err := NewManager(s, nil, 1); err == nil {
+	if _, err := NewEngine(s, nil, 1); err == nil {
 		t.Error("nil policy should fail")
 	}
 }
@@ -83,7 +83,7 @@ func TestNewManagerValidation(t *testing.T) {
 func TestHitMissAccounting(t *testing.T) {
 	s := newStore(t, 5)
 	pol := newTestPolicy()
-	m, err := NewManager(s, pol, 3)
+	m, err := NewEngine(s, pol, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestLastUseUpdatedAfterOnHit(t *testing.T) {
 		// During OnHit, LastUse must still be the previous access time.
 		sawOld = f.LastUse < now
 	}
-	m, err := NewManager(s, pol, 2)
+	m, err := NewEngine(s, pol, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func (p *hookPolicy) OnHit(f *Frame, now uint64, ctx AccessContext) {
 
 func TestPinPreventsEviction(t *testing.T) {
 	s := newStore(t, 3)
-	m, err := NewManager(s, newTestPolicy(), 2)
+	m, err := NewEngine(s, newTestPolicy(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestPinPreventsEviction(t *testing.T) {
 
 func TestAllPinned(t *testing.T) {
 	s := newStore(t, 3)
-	m, err := NewManager(s, newTestPolicy(), 2)
+	m, err := NewEngine(s, newTestPolicy(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestAllPinned(t *testing.T) {
 
 func TestDirtyWriteBackOnEviction(t *testing.T) {
 	s := newStore(t, 3)
-	m, err := NewManager(s, newTestPolicy(), 1)
+	m, err := NewEngine(s, newTestPolicy(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestDirtyWriteBackOnEviction(t *testing.T) {
 
 func TestFlush(t *testing.T) {
 	s := newStore(t, 2)
-	m, err := NewManager(s, newTestPolicy(), 2)
+	m, err := NewEngine(s, newTestPolicy(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestFlush(t *testing.T) {
 func TestClear(t *testing.T) {
 	s := newStore(t, 4)
 	pol := newTestPolicy()
-	m, err := NewManager(s, pol, 2)
+	m, err := NewEngine(s, pol, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestClear(t *testing.T) {
 
 func TestGetUnknownPage(t *testing.T) {
 	s := newStore(t, 1)
-	m, err := NewManager(s, newTestPolicy(), 2)
+	m, err := NewEngine(s, newTestPolicy(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestStatsDiskCounters(t *testing.T) {
 
 func TestCapacityOneBuffer(t *testing.T) {
 	s := newStore(t, 3)
-	m, err := NewManager(s, newTestPolicy(), 1)
+	m, err := NewEngine(s, newTestPolicy(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

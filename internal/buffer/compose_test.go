@@ -2,7 +2,6 @@ package buffer
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -73,6 +72,34 @@ func TestCompositionStringRoundTrip(t *testing.T) {
 
 // testFactoryFIFO adapts testPolicy to PolicyFactory for composed pools.
 func testFactoryFIFO(int) Policy { return newTestPolicy() }
+
+// FuzzParseComposition: -pool is the only way to choose a pool, so the
+// parser takes arbitrary command-line text. It must never panic, and a
+// spec it accepts must render (String) to one it parses to the same
+// Composition.
+func FuzzParseComposition(f *testing.F) {
+	for _, spec := range []string{
+		// TestParseComposition's good and bad specs.
+		"bare", "locked", "sharded", "sharded,shards=4", "async",
+		"async,shards=8,wbworkers=2,wbqueue=256", " Async , Shards=2 ", "sharded,shards=0",
+		"", "turbo", "bare,shards=2", "locked,shards=2", "sharded,wbworkers=2",
+		"sharded,shards", "sharded,shards=-1", "sharded,shards=two", "async,wbunknown=1",
+		// The pool specs of the six workloads in bench/workload.go.
+		"sharded,shards=2", "async,shards=2", "async,shards=2,wbworkers=1",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		c, err := ParseComposition(spec)
+		if err != nil {
+			return
+		}
+		again, err := ParseComposition(c.String())
+		if err != nil || again != c {
+			t.Errorf("ParseComposition(%q) = %+v, but its String %q parses to %+v, %v", spec, c, c.String(), again, err)
+		}
+	})
+}
 
 func TestCompositionBuildTypes(t *testing.T) {
 	cases := []struct {
@@ -417,48 +444,5 @@ func TestComposedHitPathZeroAllocs(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestDeprecatedConstructorsDelegate pins the compatibility contract of
-// the historical names: they must build the same layer stack the
-// composition specs do.
-func TestDeprecatedConstructorsDelegate(t *testing.T) {
-	m, err := NewManager(newStore(t, 8), newTestPolicy(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var _ *Engine = m // Manager IS the engine
-
-	sm := NewSyncManager(m)
-	var _ *LockedEngine = sm // SyncManager IS the locking layer
-	if sm.Engine() != m {
-		t.Error("NewSyncManager did not wrap the given engine")
-	}
-
-	sp, err := NewShardedPool(newStore(t, 8), testFactoryFIFO, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.Async() {
-		t.Error("NewShardedPool built an async pool")
-	}
-	if sp.Router == nil || sp.Shards() != 2 {
-		t.Errorf("NewShardedPool routing: %d shards", sp.Shards())
-	}
-
-	ap, err := NewAsyncShardedPool(newStore(t, 8), testFactoryFIFO, 8, 2, AsyncConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ap.Close()
-	if !ap.Async() {
-		t.Error("NewAsyncShardedPool built a synchronous pool")
-	}
-	if ap.Writeback().QueueCap == 0 {
-		t.Error("NewAsyncShardedPool has no write-back queue")
-	}
-	if got := strings.TrimSpace(reflect.TypeOf(ap).String()); got != "*buffer.ShardedPool" {
-		t.Errorf("NewAsyncShardedPool built %s", got)
 	}
 }

@@ -3,7 +3,6 @@ package buffer
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -23,12 +22,11 @@ import (
 // An Engine on its own is not safe for concurrent use — that is the
 // locking layer's job (Lock / LockedEngine). The sharding layer
 // (NewRouter) routes page IDs across many locked engines, and the
-// async-I/O layer (Async) switches each engine's miss path to
-// singleflight reads outside the latch plus background write-back.
+// async-I/O layer (Async) takes over each engine's misses — singleflight
+// reads outside the latch — and its dirty write-outs.
 //
-// Manager is the historical name of the bare engine; the experiment
-// harness runs one engine per goroutine, exactly as the paper's
-// single-threaded evaluation does.
+// The experiment harness runs one bare engine per goroutine, exactly as
+// the paper's single-threaded evaluation does.
 type Engine struct {
 	store    storage.Store
 	policy   Policy
@@ -68,28 +66,12 @@ type Engine struct {
 	// latch and consumed (and cleared) by the next traced request.
 	pendingLockWait int64
 
-	// latch is the lock serializing this engine, owned by the locking
-	// layer (a no-op for bare engines). The engine itself never acquires
-	// it around whole requests — callers do; the async miss path drops
-	// and re-acquires it around physical reads.
-	latch sync.Locker
-
-	// flight, when non-nil, switches the miss path to the asynchronous
-	// protocol: one entry per page whose physical read is currently in
-	// progress outside the latch, shared by every concurrent miss for
-	// that page. Nil on synchronous engines.
-	flight map[page.ID]*inflight
-
-	// wb, when non-nil, receives dirty evicted pages for background
-	// write-back instead of the synchronous under-latch store write.
-	wb writebackEnqueuer
+	// async is this engine's share of the async-I/O layer, nil on
+	// synchronous engines. The engine refers to the layer in three places:
+	// serve hands it every miss, writeOut hands it dirty pages, and put
+	// tells it that a newer version supersedes a queued one.
+	async *asyncShard
 }
-
-// nopLocker is the latch of a bare (single-threaded) engine.
-type nopLocker struct{}
-
-func (nopLocker) Lock()   {}
-func (nopLocker) Unlock() {}
 
 // NewEngine creates a bare core engine of the given capacity (in
 // frames, ≥ 1) over store, managed by policy. Wrap it with Lock for
@@ -109,35 +91,8 @@ func NewEngine(store storage.Store, policy Policy, capacity int) (*Engine, error
 		frames:   make(map[page.ID]*Frame, capacity),
 		arena:    NewArena(capacity),
 		sink:     obs.NopSink{},
-		latch:    nopLocker{},
 	}, nil
 }
-
-// Manager is the historical name of the bare core engine — the
-// single-threaded pool the paper's experiments use. It is kept as an
-// alias so existing constructors, type switches and tests keep working;
-// new code should speak of Engine and the layer constructors.
-type Manager = Engine
-
-// NewManager creates a bare single-threaded buffer engine; it is the
-// historical spelling of NewEngine.
-func NewManager(store storage.Store, policy Policy, capacity int) (*Manager, error) {
-	return NewEngine(store, policy, capacity)
-}
-
-// enableAsync switches the engine's miss path to the asynchronous
-// protocol: physical reads run outside the latch with singleflight
-// coalescing, and dirty victims drain through wb. Called by the async
-// layer at composition time, before the engine serves requests.
-func (e *Engine) enableAsync(wb writebackEnqueuer) {
-	e.flight = make(map[page.ID]*inflight)
-	e.wb = wb
-}
-
-// setLatch installs the serializing lock of the enclosing locking
-// layer. Only the async miss path ever acquires it (to drop it around
-// physical reads); requests as a whole are locked by the layer itself.
-func (e *Engine) setLatch(l sync.Locker) { e.latch = l }
 
 // SetSink attaches an observability sink to the engine and, if the
 // policy implements obs.SinkSetter, to the policy as well — one call
@@ -159,13 +114,12 @@ func (e *Engine) SetSink(s obs.Sink) {
 // store (via a storage.Traced wrapper, so physical I/O appears as child
 // spans) and, if the policy implements tracing.SlotSetter, to the policy
 // (so victim selections and ASB adaptations appear as child spans) —
-// like SetSink, one call instruments the whole stack. shard is the pool
-// shard this engine serves (0 for an unsharded engine); it is stamped
-// on every span and selects the tracer's trace ring. A nil tracer
+// like SetSink, one call instruments the whole stack. Every span is
+// stamped with the pool shard this engine serves (0 unless a Router
+// owns it), which also selects the tracer's trace ring. A nil tracer
 // detaches everything.
-func (e *Engine) SetTracer(t *tracing.Tracer, shard int) {
+func (e *Engine) SetTracer(t *tracing.Tracer) {
 	e.tracer = t
-	e.shard = shard
 	e.pendingLockWait = 0
 	if t != nil {
 		e.io = storage.Traced(e.store, &e.slot)
@@ -262,23 +216,12 @@ func (e *Engine) timedServe(id page.ID, ctx AccessContext, pin bool) (*page.Page
 }
 
 // serve is the untimed hit/miss protocol, reporting whether the request
-// hit. Synchronous engines (no flight table) run the seed sequence —
-// count, read, evict, admit — entirely under the caller's latch;
-// engines switched to the async protocol by the async layer coalesce
-// concurrent misses and read outside the latch. Both modes are entered
-// and left with the latch held.
+// hit; it is entered and left under the caller's serialization. A miss
+// on an engine under the async layer is handed to it; otherwise the
+// physical read happens in place. Read before evicting: a failed read
+// must not discard a perfectly good cached page (or count an eviction)
+// for a request that errored.
 func (e *Engine) serve(id page.ID, ctx AccessContext, pin bool) (*page.Page, bool, error) {
-	if e.flight == nil {
-		return e.serveSync(id, ctx, pin)
-	}
-	return e.serveAsync(id, ctx, pin)
-}
-
-// serveSync is the synchronous request path: any physical read happens
-// in place, under the caller's serialization. Read before evicting: a
-// failed read must not discard a perfectly good cached page (or count
-// an eviction) for a request that errored.
-func (e *Engine) serveSync(id page.ID, ctx AccessContext, pin bool) (*page.Page, bool, error) {
 	if f, ok := e.frames[id]; ok {
 		e.hit(f, ctx)
 		if pin {
@@ -286,7 +229,10 @@ func (e *Engine) serveSync(id page.ID, ctx AccessContext, pin bool) (*page.Page,
 		}
 		return f.Page, true, nil
 	}
-	now := e.miss(id, ctx, false)
+	if e.async != nil {
+		return e.async.miss(id, ctx, pin)
+	}
+	now := e.miss(false)
 	p, err := e.io.Read(id)
 	if err != nil {
 		// The miss was counted, so its event must still flow — with a
@@ -308,241 +254,6 @@ func (e *Engine) serveSync(id page.ID, ctx AccessContext, pin bool) (*page.Page,
 	return f.Page, false, nil
 }
 
-// serveAsync is the non-blocking miss protocol. It is entered and left
-// with the latch held. Under the latch it checks, in order: the
-// resident frames (hit), the flight table (coalesce onto an in-progress
-// read), and the write-back queue (read-your-writes: a queued dirty
-// page is re-admitted without I/O). Only when all three miss does it
-// become the leader: it registers an inflight entry, releases the
-// latch, reads the store, and re-acquires the latch to publish the
-// result to any waiters and admit the page.
-//
-// counted flips when the request has been accounted (exactly one
-// Request event per call); the loop only repeats for Fix waiters, whose
-// pin requires a resident frame and who therefore retry after the
-// leader's publication until they can pin (or become leaders
-// themselves).
-func (e *Engine) serveAsync(id page.ID, ctx AccessContext, pin bool) (*page.Page, bool, error) {
-	// The engine's Active slot carries the trace to the policy and the
-	// traced store while the latch is held; it must be parked (cleared
-	// before every unlock) because other requests use the engine — and
-	// the slot — while we wait or read, and restored after every
-	// re-acquisition.
-	a := e.slot.Active()
-	counted := false
-	for {
-		if a != nil {
-			e.slot.SetActive(a)
-		}
-
-		if fr := e.frames[id]; fr != nil {
-			hit := false
-			if !counted {
-				e.hit(fr, ctx)
-				hit = true
-			}
-			if pin {
-				fr.pins++
-			}
-			return fr.Page, hit, nil
-		}
-
-		if fl, ok := e.flight[id]; ok {
-			// Another request is reading this page right now: count a
-			// coalesced miss and wait for its result outside the latch. The
-			// event is emitted here, under the latch, with a zero Meta — the
-			// waiter never observes the page while holding the latch, and
-			// deferring emission past the unlock would interleave it with
-			// other requests' events (documented accuracy caveat of the
-			// shadow-cache contract).
-			if !counted {
-				e.miss(id, ctx, true)
-				e.emitMiss(id, ctx, true, page.Meta{})
-				counted = true
-			}
-			if fl.done == nil {
-				fl.done = make(chan struct{})
-			}
-			done := fl.done
-			if a != nil {
-				e.slot.SetActive(nil)
-			}
-			e.latch.Unlock()
-
-			widx := int32(-1)
-			if a != nil {
-				widx = a.Start(tracing.KindIOWait)
-			}
-			<-done
-			if a != nil {
-				sp := a.At(widx)
-				sp.Page = id
-				sp.Hit = true // coalesced: shared another request's read
-				a.End(widx)
-			}
-			if fl.err != nil {
-				e.latch.Lock()
-				return nil, false, fl.err
-			}
-			if !pin {
-				// Get needs only the bytes; the leader admitted (or
-				// resolved) the page. Re-acquire the latch only to restore
-				// the caller's locking invariant.
-				e.latch.Lock()
-				return fl.page, false, nil
-			}
-			// Fix must pin a resident frame; retry under the latch (the
-			// frame may already be evicted again, in which case the loop
-			// coalesces or leads a fresh read — without recounting).
-			e.latch.Lock()
-			continue
-		}
-
-		if pg, ok := e.takeQueued(id); ok {
-			// The page sits in the write-back queue: the store still holds
-			// stale bytes, so the queued version is re-admitted directly —
-			// no I/O — and stays dirty (its canceled write must eventually
-			// happen via a later eviction or Flush).
-			var now uint64
-			if !counted {
-				now = e.miss(id, ctx, true)
-				e.emitMiss(id, ctx, true, pg.Meta)
-				counted = true
-			} else {
-				now = e.tick()
-			}
-			fr, err := e.admit(pg, now, ctx)
-			if err != nil {
-				// Admission failed (all frames pinned): the dirty page must
-				// not be lost — put its write back in motion.
-				if !e.wb.enqueue(pg) {
-					if werr := e.store.Write(pg); werr != nil {
-						err = errors.Join(err, werr)
-					}
-				}
-				return nil, false, err
-			}
-			fr.Dirty = true
-			if pin {
-				fr.pins++
-			}
-			return fr.Page, false, nil
-		}
-
-		// Leader: register the read and perform it outside the latch. The
-		// miss is counted now, but its event is emitted at publish time
-		// (under the re-acquired latch, before admission) so it can carry
-		// the Meta of the page the request actually resolved to.
-		var now uint64
-		emitPending := !counted
-		if !counted {
-			now = e.miss(id, ctx, false)
-			counted = true
-		} else {
-			now = e.tick()
-		}
-		fl := &inflight{}
-		e.flight[id] = fl
-		if a != nil {
-			e.slot.SetActive(nil)
-		}
-		e.latch.Unlock()
-
-		ridx := int32(-1)
-		if a != nil {
-			ridx = a.Start(tracing.KindStoreRead)
-		}
-		rpg, rerr := e.store.Read(id)
-		if a != nil {
-			sp := a.At(ridx)
-			sp.Page = id
-			sp.Err = rerr != nil
-			if rpg != nil {
-				sp.Bytes = int32(storage.PageBytes(rpg))
-			}
-			a.End(ridx)
-		}
-
-		e.latch.Lock()
-		if a != nil {
-			e.slot.SetActive(a)
-		}
-		published := rpg
-		var fr *Frame
-		var aerr error
-		if rerr != nil {
-			// The counted miss still emits exactly one event; no page
-			// materialized, so its Meta stays zero.
-			if emitPending {
-				e.emitMiss(id, ctx, false, page.Meta{})
-			}
-		} else {
-			if fr = e.frames[id]; fr != nil {
-				// A Put raced the page in while we read: its version is
-				// newer — serve it and discard the read.
-				published = fr.Page
-				if emitPending {
-					e.emitMiss(id, ctx, false, fr.Meta)
-				}
-			} else if pg, ok := e.takeQueued(id); ok {
-				// Re-admitted dirty (by a Put) and evicted again while we
-				// read: the queued version is newer than our read.
-				published = pg
-				if emitPending {
-					e.emitMiss(id, ctx, false, pg.Meta)
-				}
-				fr, aerr = e.admit(pg, now, ctx)
-				if fr != nil {
-					fr.Dirty = true
-				} else if !e.wb.enqueue(pg) {
-					if werr := e.store.Write(pg); werr != nil {
-						aerr = errors.Join(aerr, werr)
-					}
-				}
-			} else {
-				if emitPending {
-					e.emitMiss(id, ctx, false, rpg.Meta)
-				}
-				fr, aerr = e.admit(rpg, now, ctx)
-			}
-		}
-		// Publish: fields first, then unregister, then close — all under
-		// the latch, so the close happens-before any waiter's field read
-		// and a failed read leaves no residue for later misses. Waiters
-		// get the resolved bytes even when only admission failed
-		// (ErrAllPinned is the leader's error, not theirs). No channel
-		// means no waiter ever found the entry.
-		fl.page, fl.err = published, rerr
-		delete(e.flight, id)
-		if fl.done != nil {
-			close(fl.done)
-		}
-		if rerr != nil {
-			return nil, false, rerr
-		}
-		if aerr != nil {
-			return nil, false, aerr
-		}
-		if pin {
-			fr.pins++
-		}
-		return fr.Page, false, nil
-	}
-}
-
-// takeQueued cancels and returns the write-back queue's pending version
-// of id, if a queue is attached and holds one.
-func (e *Engine) takeQueued(id page.ID) (*page.Page, bool) {
-	if e.wb == nil {
-		return nil, false
-	}
-	return e.wb.take(id)
-}
-
-// inflightLen returns the occupancy of the flight table (0 on
-// synchronous engines). Must run under the engine's serialization.
-func (e *Engine) inflightLen() int { return len(e.flight) }
-
 // hit accounts one read request served by the resident frame f: clock
 // tick, hit counters, sink event, policy OnHit, LastUse update. Must
 // run under the engine's serialization.
@@ -563,8 +274,7 @@ func (e *Engine) hit(f *Frame, ctx AccessContext) {
 // (emitMiss) so the miss paths can attach the read page's Meta to the
 // event once the read resolved. Must run under the engine's
 // serialization.
-func (e *Engine) miss(id page.ID, ctx AccessContext, coalesced bool) uint64 {
-	_ = id
+func (e *Engine) miss(coalesced bool) uint64 {
 	e.clock++
 	e.stats.Requests++
 	e.stats.Misses++
@@ -626,28 +336,32 @@ func (e *Engine) allocFrame() *Frame {
 	return &Frame{}
 }
 
-// writebackEnqueuer is the hook a background write-back queue installs
-// on an engine (via setWriteback): enqueue hands over a dirty evicted
-// page and reports whether the queue accepted it. It is called under
-// the latch, so it must never block; a false return (queue full or
-// closed) makes the engine fall back to a synchronous write — the
-// queue-full backpressure path. take cancels (and returns) the pending
-// entry for a page, so a newer version entering the buffer supersedes a
-// queued older one before its stale write can land.
-type writebackEnqueuer interface {
-	enqueue(p *page.Page) bool
-	take(id page.ID) (*page.Page, bool)
+// writeOut writes one dirty page to the store. Under the async layer
+// the page's background writer takes it: an evicted page is queued
+// (until its write lands, misses on it are served from the queue, never
+// from the stale store), a page that stays resident only joins a write
+// of that page already in flight, so the two cannot overlap or land out
+// of order. Otherwise — no layer, queue full or closed, or nothing in
+// flight — the write happens in place; that is safe because a page is
+// only ever queued under this engine's serialization, which the caller
+// holds.
+func (e *Engine) writeOut(p *page.Page, evicted bool) error {
+	if e.async != nil {
+		var taken bool
+		if evicted {
+			taken = e.async.wb.enqueue(p)
+		} else {
+			taken = e.async.wb.coalesce(p)
+		}
+		if taken {
+			return nil
+		}
+	}
+	return e.io.Write(p)
 }
 
-// setWriteback attaches (or, with nil, detaches) a background
-// write-back queue: dirty victims are enqueued instead of written
-// synchronously under the latch. enableAsync additionally switches the
-// miss path; setWriteback alone keeps misses synchronous.
-func (e *Engine) setWriteback(wb writebackEnqueuer) { e.wb = wb }
-
-// evictOne asks the policy for a victim, writes it back if dirty (or
-// hands it to the background write-back queue when one is attached),
-// and removes it.
+// evictOne asks the policy for a victim, writes it out if dirty, and
+// removes it.
 func (e *Engine) evictOne(ctx AccessContext) error {
 	v := e.policy.Victim(ctx)
 	if v == nil {
@@ -660,11 +374,7 @@ func (e *Engine) evictOne(ctx AccessContext) error {
 		return fmt.Errorf("buffer: policy %s returned non-resident victim %d", e.policy.Name(), v.Meta.ID)
 	}
 	if v.Dirty {
-		if e.wb != nil && e.wb.enqueue(v.Page) {
-			// Queued: a background writer will perform the physical
-			// write; until then misses on this page are served from the
-			// queue (read-your-writes), never from the stale store.
-		} else if err := e.io.Write(v.Page); err != nil {
+		if err := e.writeOut(v.Page, true); err != nil {
 			return fmt.Errorf("buffer: write-back of page %d: %w", v.Meta.ID, err)
 		}
 		e.stats.WriteBacks++
@@ -784,10 +494,10 @@ func (e *Engine) put(p *page.Page, ctx AccessContext) error {
 		return nil
 	}
 
-	if e.wb != nil {
+	if e.async != nil {
 		// A queued write-back of an older version is superseded by this
 		// content; cancel it so the stale write can never land after ours.
-		e.wb.take(p.ID)
+		e.async.wb.take(p.ID)
 	}
 	if len(e.frames) >= e.capacity {
 		if err := e.evictOne(ctx); err != nil {
@@ -824,7 +534,7 @@ func (e *Engine) flush() error {
 		if !f.Dirty {
 			continue
 		}
-		if err := e.io.Write(f.Page); err != nil {
+		if err := e.writeOut(f.Page, false); err != nil {
 			return fmt.Errorf("buffer: flush page %d: %w", f.Meta.ID, err)
 		}
 		e.stats.WriteBacks++

@@ -20,10 +20,8 @@ import (
 // strict accounting the policies rely on (policy callbacks observe a
 // consistent buffer state). It owns the lock-instrumentation
 // invariants: contention profiling and per-request lock-wait
-// measurement happen here, never in the engine. The mutex is also
-// installed as the engine's latch, so an engine switched to the
-// asynchronous miss protocol drops exactly this lock around its
-// physical reads.
+// measurement happen here, never in the engine. The async layer's miss
+// protocol drops exactly this mutex around its physical reads.
 type LockedEngine struct {
 	mu sync.Mutex
 	e  *Engine
@@ -43,9 +41,7 @@ type LockedEngine struct {
 // Lock wraps an engine with the locking layer. The engine must not be
 // used directly afterwards — the wrapper owns its serialization.
 func Lock(e *Engine) *LockedEngine {
-	le := &LockedEngine{e: e}
-	e.setLatch(&le.mu)
-	return le
+	return &LockedEngine{e: e}
 }
 
 // lockForShard is Lock plus the shard index the engine reports under;
@@ -56,11 +52,6 @@ func lockForShard(e *Engine, shard int) *LockedEngine {
 	le.e.shard = shard
 	return le
 }
-
-// Engine returns the wrapped core engine. Callers must hold no
-// references that outlive the wrapper's serialization: only accessors
-// documented as concurrency-safe may be used while the pool serves.
-func (l *LockedEngine) Engine() *Engine { return l.e }
 
 // lockRequest acquires the mutex for a request, measuring the wait when
 // a contention profiler or tracer wants it and depositing it with the
@@ -177,13 +168,6 @@ func (l *LockedEngine) ResidentIDs() []page.ID {
 	return l.e.ResidentIDs()
 }
 
-// inflightLen returns the occupancy of the engine's flight table.
-func (l *LockedEngine) inflightLen() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.e.inflightLen()
-}
-
 // SetSink attaches an observability sink (see Engine.SetSink). Events
 // are emitted under the layer's mutex, so any sink works here — but a
 // concurrency-safe aggregator like obs.Counters keeps critical sections
@@ -201,7 +185,7 @@ func (l *LockedEngine) SetSink(sink obs.Sink) {
 // LockWait. A nil tracer detaches.
 func (l *LockedEngine) SetTracer(t *tracing.Tracer) {
 	l.mu.Lock()
-	l.e.SetTracer(t, l.shard)
+	l.e.SetTracer(t)
 	l.mu.Unlock()
 	l.traceWait.Store(t != nil)
 }

@@ -71,21 +71,21 @@ func driveMissPool(tb testing.TB, pool Pool, workers int, ops int64) {
 }
 
 // missPools builds the two contenders over fresh slow stores: a
-// synchronous ShardedPool (physical reads under the shard lock) and an
+// synchronous Router (physical reads under the shard lock) and an
 // async one (reads outside the lock, singleflight coalescing).
-func missPools(tb testing.TB) (syncPool, asyncPool *ShardedPool) {
+func missPools(tb testing.TB) (syncPool *Router, asyncPool *AsyncPool) {
 	mk := func() storage.Store {
 		return &delayStore{Store: newStore(tb, missNumPages), delay: missReadDelay}
 	}
-	sp, err := NewShardedPool(mk(), testFactory, missCapacity, missShards)
+	sp, err := NewRouter(mk(), testFactory, missCapacity, missShards)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ap, err := NewAsyncShardedPool(mk(), testFactory, missCapacity, missShards, AsyncConfig{})
+	r, err := NewRouter(mk(), testFactory, missCapacity, missShards)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return sp, ap
+	return sp, Async(r, AsyncConfig{})
 }
 
 // BenchmarkPoolMissIO compares the under-lock and the non-blocking miss

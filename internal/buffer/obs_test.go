@@ -29,9 +29,9 @@ func (p *sinkAwarePolicy) OnEvict(f *Frame) {
 	p.Sink().Eviction(obs.EvictionEvent{Page: f.Meta.ID, Reason: "test", LRURank: -1})
 }
 
-func TestManagerEmitsRequestEvents(t *testing.T) {
+func TestEngineEmitsRequestEvents(t *testing.T) {
 	s := newStore(t, 4)
-	m, err := NewManager(s, newTestPolicy(), 2)
+	m, err := NewEngine(s, newTestPolicy(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestManagerEmitsRequestEvents(t *testing.T) {
 func TestSetSinkForwardsToPolicy(t *testing.T) {
 	s := newStore(t, 4)
 	pol := &sinkAwarePolicy{testPolicy: *newTestPolicy()}
-	m, err := NewManager(s, pol, 1)
+	m, err := NewEngine(s, pol, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,13 +119,13 @@ func TestSetSinkForwardsToPolicy(t *testing.T) {
 	}
 }
 
-func TestSyncManagerSetSink(t *testing.T) {
+func TestLockedEngineSetSink(t *testing.T) {
 	s := newStore(t, 2)
-	m, err := NewManager(s, newTestPolicy(), 2)
+	m, err := NewEngine(s, newTestPolicy(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := NewSyncManager(m)
+	sm := Lock(m)
 	var counters obs.Counters
 	sm.SetSink(&counters)
 	if _, err := sm.Get(1, AccessContext{}); err != nil {
@@ -140,12 +140,12 @@ func TestSyncManagerSetSink(t *testing.T) {
 	}
 }
 
-// TestManagerTimesRequestsForLatencySinks asserts the timing points:
+// TestEngineTimesRequestsForLatencySinks asserts the timing points:
 // when (and only when) the attached sink implements obs.LatencyRecorder,
 // every read and write request publishes a latency sample.
-func TestManagerTimesRequestsForLatencySinks(t *testing.T) {
+func TestEngineTimesRequestsForLatencySinks(t *testing.T) {
 	s := newStore(t, 4)
-	m, err := NewManager(s, newTestPolicy(), 2)
+	m, err := NewEngine(s, newTestPolicy(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestManagerTimesRequestsForLatencySinks(t *testing.T) {
 // when it is not used.
 func TestRequestHitPathZeroAllocs(t *testing.T) {
 	s := newStore(t, 1)
-	m, err := NewManager(s, newTestPolicy(), 1)
+	m, err := NewEngine(s, newTestPolicy(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,9 +202,9 @@ func TestRequestHitPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkManagerGetHit measures the hit path with and without a
+// BenchmarkEngineGetHit measures the hit path with and without a
 // counting sink attached; run with -benchmem to see the 0 allocs/op.
-func BenchmarkManagerGetHit(b *testing.B) {
+func BenchmarkEngineGetHit(b *testing.B) {
 	for _, cfg := range []struct {
 		name string
 		sink obs.Sink
@@ -214,7 +214,7 @@ func BenchmarkManagerGetHit(b *testing.B) {
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			s := newStore(b, 1)
-			m, err := NewManager(s, newTestPolicy(), 1)
+			m, err := NewEngine(s, newTestPolicy(), 1)
 			if err != nil {
 				b.Fatal(err)
 			}

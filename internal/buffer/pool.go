@@ -61,12 +61,11 @@ type Pool interface {
 // instances. core.Factory.New is of this type.
 type PolicyFactory func(capacity int) Policy
 
-// Compile-time interface checks: the engine, every layer stack, and the
-// historical combined type implement Pool.
+// Compile-time interface checks: the engine and every layer stack
+// implement Pool.
 var (
 	_ Pool = (*Engine)(nil)
 	_ Pool = (*LockedEngine)(nil)
 	_ Pool = (*Router)(nil)
 	_ Pool = (*AsyncPool)(nil)
-	_ Pool = (*ShardedPool)(nil)
 )

@@ -78,13 +78,13 @@ func (workload) Generate(r *rand.Rand, size int) reflect.Value {
 	return reflect.ValueOf(w)
 }
 
-// TestQuickManagerMatchesLRUModel: for arbitrary access sequences, the
+// TestQuickEngineMatchesLRUModel: for arbitrary access sequences, the
 // manager with an LRU policy produces exactly the hit/miss sequence and
 // final residency of the executable LRU specification.
-func TestQuickManagerMatchesLRUModel(t *testing.T) {
+func TestQuickEngineMatchesLRUModel(t *testing.T) {
 	f := func(w workload) bool {
 		store := newQuickStore(24)
-		m, err := NewManager(store, newLRUPolicy(), int(w.Capacity))
+		m, err := NewEngine(store, newLRUPolicy(), int(w.Capacity))
 		if err != nil {
 			return false
 		}

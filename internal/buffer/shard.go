@@ -233,20 +233,6 @@ func (r *Router) ResidentIDs() []page.ID {
 	return ids
 }
 
-// InflightReads returns the number of physical reads currently in
-// progress outside the shard locks — the summed occupancy of the
-// per-shard singleflight tables. Always 0 without the async layer,
-// whose reads run under the shard lock. The shards are counted one
-// after another, so under churn the sum is an instantaneous estimate,
-// not an atomic snapshot — the usual multi-counter scrape contract.
-func (r *Router) InflightReads() int {
-	n := 0
-	for _, sh := range r.shards {
-		n += sh.inflightLen()
-	}
-	return n
-}
-
 // SetSink attaches one observability sink to every shard, wrapped with
 // obs.TagShard so each event carries its shard index; Engine.SetSink
 // forwards the tagged sink to each shard's policy, so the whole sharded

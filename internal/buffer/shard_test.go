@@ -48,7 +48,7 @@ func TestStatsFieldSet(t *testing.T) {
 	}
 }
 
-// TestStatsAddProperty checks the algebra ShardedPool.Stats relies on:
+// TestStatsAddProperty checks the algebra Router.Stats relies on:
 // Add is the componentwise sum, merging per-shard snapshots in any
 // order yields the same total, and the merged value survives a JSON
 // round-trip unchanged.
@@ -99,21 +99,21 @@ func TestStatsAddProperty(t *testing.T) {
 	}
 }
 
-// TestShardedPoolSingleShardEquivalence replays a recorded reference
-// string through a ShardedPool with one shard and through a bare
-// Manager with the same policy type: identical Stats and identical
+// TestRouterSingleShardEquivalence replays a recorded reference
+// string through a Router with one shard and through a bare
+// Engine with the same policy type: identical Stats and identical
 // resident sets, access for access.
-func TestShardedPoolSingleShardEquivalence(t *testing.T) {
+func TestRouterSingleShardEquivalence(t *testing.T) {
 	const numPages, capacity = 40, 7
 	rng := rand.New(rand.NewSource(11))
 
 	s1 := newStore(t, numPages)
 	s2 := newStore(t, numPages)
-	m, err := NewManager(s1, newTestPolicy(), capacity)
+	m, err := NewEngine(s1, newTestPolicy(), capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := NewShardedPool(s2, testFactory, capacity, 1)
+	sp, err := NewRouter(s2, testFactory, capacity, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,13 +164,13 @@ func TestShardedPoolSingleShardEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedPoolShardStatsMerge drives a multi-shard pool and checks
+// TestRouterShardStatsMerge drives a multi-shard pool and checks
 // that Stats() equals the merge of the per-shard snapshots and the
 // whole-run expectations (every request accounted exactly once).
-func TestShardedPoolShardStatsMerge(t *testing.T) {
+func TestRouterShardStatsMerge(t *testing.T) {
 	const numPages, capacity, shards, ops = 60, 16, 4, 5000
 	s := newStore(t, numPages)
-	sp, err := NewShardedPool(s, testFactory, capacity, shards)
+	sp, err := NewRouter(s, testFactory, capacity, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,12 +222,12 @@ func TestShardedPoolShardStatsMerge(t *testing.T) {
 	}
 }
 
-// TestShardedPoolWritePath exercises Put/MarkDirty/Flush/Fix/Unfix
+// TestRouterWritePath exercises Put/MarkDirty/Flush/Fix/Unfix
 // through the shard routing.
-func TestShardedPoolWritePath(t *testing.T) {
+func TestRouterWritePath(t *testing.T) {
 	const numPages = 12
 	s := newStore(t, numPages)
-	sp, err := NewShardedPool(s, testFactory, 6, 3)
+	sp, err := NewRouter(s, testFactory, 6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,46 +281,46 @@ func TestShardedPoolWritePath(t *testing.T) {
 	}
 }
 
-// TestShardedPoolClamping covers the constructor edge cases: shard
+// TestRouterClamping covers the constructor edge cases: shard
 // counts are clamped so every shard owns at least two frames, and
 // invalid inputs error.
-func TestShardedPoolClamping(t *testing.T) {
+func TestRouterClamping(t *testing.T) {
 	s := newStore(t, 4)
-	sp, err := NewShardedPool(s, testFactory, 5, 64)
+	sp, err := NewRouter(s, testFactory, 5, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sp.Shards() != 2 {
 		t.Errorf("Shards() = %d, want 2 (clamped to capacity/2)", sp.Shards())
 	}
-	sp, err = NewShardedPool(s, testFactory, 1, 8)
+	sp, err = NewRouter(s, testFactory, 1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sp.Shards() != 1 {
 		t.Errorf("Shards() = %d, want 1", sp.Shards())
 	}
-	if _, err := NewShardedPool(nil, testFactory, 4, 2); err == nil {
+	if _, err := NewRouter(nil, testFactory, 4, 2); err == nil {
 		t.Error("nil store should fail")
 	}
-	if _, err := NewShardedPool(s, nil, 4, 2); err == nil {
+	if _, err := NewRouter(s, nil, 4, 2); err == nil {
 		t.Error("nil factory should fail")
 	}
-	if _, err := NewShardedPool(s, testFactory, 0, 2); err == nil {
+	if _, err := NewRouter(s, testFactory, 0, 2); err == nil {
 		t.Error("zero capacity should fail")
 	}
-	if _, err := NewShardedPool(s, func(int) Policy { return nil }, 4, 2); err == nil {
+	if _, err := NewRouter(s, func(int) Policy { return nil }, 4, 2); err == nil {
 		t.Error("nil-returning factory should fail")
 	}
 }
 
-// TestShardedPoolConcurrent hammers one pool from many goroutines; the
+// TestRouterConcurrent hammers one pool from many goroutines; the
 // race detector checks the locking, the final accounting checks that no
 // request was lost or double-counted.
-func TestShardedPoolConcurrent(t *testing.T) {
+func TestRouterConcurrent(t *testing.T) {
 	const numPages, capacity, shards, workers, perWorker = 64, 16, 4, 8, 2000
 	s := newStore(t, numPages)
-	sp, err := NewShardedPool(s, testFactory, capacity, shards)
+	sp, err := NewRouter(s, testFactory, capacity, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func (f *failingStore) Read(id page.ID) (*page.Page, error) {
 func TestMissReadFailureKeepsResidentPages(t *testing.T) {
 	base := newStore(t, 5)
 	fs := &failingStore{Store: base, failRead: map[page.ID]bool{4: true}}
-	m, err := NewManager(fs, newTestPolicy(), 2)
+	m, err := NewEngine(fs, newTestPolicy(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +427,7 @@ func TestMissReadFailureKeepsResidentPages(t *testing.T) {
 	// The same contract holds through a sharded pool (the path every
 	// concurrent consumer takes).
 	fsp := &failingStore{Store: newStore(t, 5), failRead: map[page.ID]bool{4: true}}
-	sp, err := NewShardedPool(fsp, testFactory, 2, 1)
+	sp, err := NewRouter(fsp, testFactory, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,16 +444,16 @@ func TestMissReadFailureKeepsResidentPages(t *testing.T) {
 	}
 }
 
-// TestShardedPoolDeterministicRouting pins down that shard routing is a
+// TestRouterDeterministicRouting pins down that shard routing is a
 // pure function of the page ID (replays and live execution agree on
 // placement).
-func TestShardedPoolDeterministicRouting(t *testing.T) {
+func TestRouterDeterministicRouting(t *testing.T) {
 	s := newStore(t, 32)
-	sp1, err := NewShardedPool(s, testFactory, 16, 4)
+	sp1, err := NewRouter(s, testFactory, 16, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp2, err := NewShardedPool(newStore(t, 32), testFactory, 16, 4)
+	sp2, err := NewRouter(newStore(t, 32), testFactory, 16, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,17 +8,17 @@ import (
 	"repro/internal/page"
 )
 
-// TestManagerTracedRequest checks that a sampled Get produces a root span
+// TestEngineTracedRequest checks that a sampled Get produces a root span
 // with the request payload and, on a miss, a store.Read child span from
 // the traced store wrapper.
-func TestManagerTracedRequest(t *testing.T) {
+func TestEngineTracedRequest(t *testing.T) {
 	s := newStore(t, 4)
-	m, err := NewManager(s, newTestPolicy(), 2)
+	m, err := NewEngine(s, newTestPolicy(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := tracing.NewTracer(1, 1, 16)
-	m.SetTracer(tr, 0)
+	m.SetTracer(tr)
 
 	ctx := AccessContext{QueryID: 9}
 	if _, err := m.Get(1, ctx); err != nil { // miss
@@ -49,16 +49,16 @@ func TestManagerTracedRequest(t *testing.T) {
 	}
 }
 
-// TestManagerTracedWriteBack checks that dirty evictions and Flush record
+// TestEngineTracedWriteBack checks that dirty evictions and Flush record
 // store.Write child spans, and that Flush is traced unconditionally.
-func TestManagerTracedWriteBack(t *testing.T) {
+func TestEngineTracedWriteBack(t *testing.T) {
 	s := newStore(t, 4)
-	m, err := NewManager(s, newTestPolicy(), 1)
+	m, err := NewEngine(s, newTestPolicy(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := tracing.NewTracer(1, 1, 16)
-	m.SetTracer(tr, 0)
+	m.SetTracer(tr)
 
 	ctx := AccessContext{}
 	if _, err := m.Get(1, ctx); err != nil {
@@ -104,17 +104,17 @@ func TestManagerTracedWriteBack(t *testing.T) {
 	}
 }
 
-// TestManagerDetachTracer checks that SetTracer(nil, 0) restores the
+// TestEngineDetachTracer checks that SetTracer(nil) restores the
 // untraced store and stops recording.
-func TestManagerDetachTracer(t *testing.T) {
+func TestEngineDetachTracer(t *testing.T) {
 	s := newStore(t, 4)
-	m, err := NewManager(s, newTestPolicy(), 2)
+	m, err := NewEngine(s, newTestPolicy(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := tracing.NewTracer(1, 1, 16)
-	m.SetTracer(tr, 0)
-	m.SetTracer(nil, 0)
+	m.SetTracer(tr)
+	m.SetTracer(nil)
 	if _, err := m.Get(1, AccessContext{}); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestManagerDetachTracer(t *testing.T) {
 // attached an unsampled hit allocates nothing either.
 func TestTracingDisabledHitAllocFree(t *testing.T) {
 	s := newStore(t, 2)
-	m, err := NewManager(s, newTestPolicy(), 2)
+	m, err := NewEngine(s, newTestPolicy(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestTracingDisabledHitAllocFree(t *testing.T) {
 	}
 
 	// Huge sampling interval: every request goes down the unsampled path.
-	m.SetTracer(tracing.NewTracer(1<<40, 1, 8), 0)
+	m.SetTracer(tracing.NewTracer(1<<40, 1, 8))
 	if allocs := testing.AllocsPerRun(500, func() {
 		if _, err := m.Get(1, ctx); err != nil {
 			t.Fatal(err)
@@ -159,13 +159,13 @@ func TestTracingDisabledHitAllocFree(t *testing.T) {
 	}
 }
 
-// TestShardedPoolTracing checks that every shard stamps its own index on
+// TestRouterTracing checks that every shard stamps its own index on
 // its spans and records into its own ring, and that lock waits land in
 // root spans.
-func TestShardedPoolTracing(t *testing.T) {
+func TestRouterTracing(t *testing.T) {
 	const shards = 4
 	s := newStore(t, 64)
-	pool, err := NewShardedPool(s, func(capacity int) Policy { return newTestPolicy() }, 32, shards)
+	pool, err := NewRouter(s, func(capacity int) Policy { return newTestPolicy() }, 32, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,15 +215,15 @@ func TestShardedPoolTracing(t *testing.T) {
 	}
 }
 
-// TestSyncManagerTracing checks the single-mutex wrapper: spans carry
+// TestLockedEngineTracing checks the single-mutex wrapper: spans carry
 // shard 0 and the contention profiler counts every request acquisition.
-func TestSyncManagerTracing(t *testing.T) {
+func TestLockedEngineTracing(t *testing.T) {
 	s := newStore(t, 8)
-	m, err := NewManager(s, newTestPolicy(), 4)
+	m, err := NewEngine(s, newTestPolicy(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := NewSyncManager(m)
+	sm := Lock(m)
 	tr := tracing.NewTracer(1, 1, 32)
 	sm.SetTracer(tr)
 	c := tracing.NewContention(1)
@@ -240,7 +240,7 @@ func TestSyncManagerTracing(t *testing.T) {
 	}
 	for _, trc := range traces {
 		if trc[0].Shard != 0 {
-			t.Fatalf("SyncManager span on shard %d", trc[0].Shard)
+			t.Fatalf("LockedEngine span on shard %d", trc[0].Shard)
 		}
 	}
 	if c.Acquisitions(0) != 10 {

@@ -104,18 +104,15 @@ func newWriteback(store storage.Store, workers, queueCap int) *writeback {
 // KindWriteback spans into.
 func (w *writeback) setTracer(t *tracing.Tracer) { w.tracer.Store(t) }
 
-// enqueue implements writebackEnqueuer. Called under a shard lock, so
-// it must never block: a full or closed queue returns false and the
-// caller writes synchronously (backpressure).
+// enqueue hands over a dirty evicted page and reports whether the queue
+// accepted it. Called under a shard lock, so it must never block: a
+// full or closed queue returns false and the caller writes
+// synchronously (backpressure).
 func (w *writeback) enqueue(p *page.Page) bool {
 	w.mu.Lock()
-	if e, ok := w.pending[p.ID]; ok {
-		// Already queued (or mid-write): replace in place. The writer
-		// re-checks the generation after its write and redoes it. This
-		// comes before the closed check: while an older version is
+	if w.replacePending(p) {
+		// This comes before the closed check: while an older version is
 		// mid-write, a synchronous write by the caller could land first.
-		e.page = p
-		e.gen++
 		w.mu.Unlock()
 		w.coalesced.Add(1)
 		return true
@@ -135,6 +132,33 @@ func (w *writeback) enqueue(p *page.Page) bool {
 	w.mu.Unlock()
 	w.queued.Add(1)
 	return true
+}
+
+// coalesce hands over a dirty page only if its page already has a
+// pending entry — for a resident page that can only be one a writer is
+// busy with — and reports whether it did. It never takes a queue slot:
+// with no write of the page in flight the caller writes synchronously.
+func (w *writeback) coalesce(p *page.Page) bool {
+	w.mu.Lock()
+	ok := w.replacePending(p)
+	w.mu.Unlock()
+	if ok {
+		w.coalesced.Add(1)
+	}
+	return ok
+}
+
+// replacePending makes p the newest unwritten version of its page if
+// the page is already queued (or mid-write): the entry is replaced in
+// place, and the writer re-checks the generation after its write and
+// redoes it. The caller holds w.mu.
+func (w *writeback) replacePending(p *page.Page) bool {
+	e, ok := w.pending[p.ID]
+	if ok {
+		e.page = p
+		e.gen++
+	}
+	return ok
 }
 
 // take removes and returns the pending version of id, if any — the

@@ -43,7 +43,7 @@ func TestPolicyZeroAlloc(t *testing.T) {
 		f := f
 		t.Run(f.Name, func(t *testing.T) {
 			store := buildStore(t, specs)
-			m := mustManager(t, store, f.New(capacity), capacity)
+			m := mustEngine(t, store, f.New(capacity), capacity)
 			// Pre-read every page once so measured Puts reuse these
 			// pointers; Clone during measurement would be a false positive.
 			puts := make([]*page.Page, numPages+1)
@@ -102,7 +102,7 @@ func BenchmarkPolicyOpsReference(b *testing.B) {
 		}
 		b.Run(f.Name, func(b *testing.B) {
 			s := buildStoreB(b, specs)
-			m, err := buffer.NewManager(s, ref, 256)
+			m, err := buffer.NewEngine(s, ref, 256)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -299,7 +299,7 @@ func TestASBManagerIntegrationInvariants(t *testing.T) {
 	}
 	s := buildStore(t, specs)
 	pol := core.NewASB(10, core.DefaultASBOptions())
-	m := mustManager(t, s, pol, 10)
+	m := mustEngine(t, s, pol, 10)
 
 	for i := 0; i < 5000; i++ {
 		id := page.ID(rng.Intn(numPages) + 1)
@@ -355,7 +355,7 @@ func TestASBLiveGauges(t *testing.T) {
 	if pol.LiveOverflowLen() != 0 {
 		t.Fatalf("initial live overflow = %d, want 0", pol.LiveOverflowLen())
 	}
-	m, err := buffer.NewManager(s, pol, 10)
+	m, err := buffer.NewEngine(s, pol, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func TestASBProbeRecordsSignalsWithoutAdapting(t *testing.T) {
 }
 
 func TestASBProbeExternalSinkObservesEvents(t *testing.T) {
-	// Attaching an external sink (as buffer.Manager.SetSink would) must
+	// Attaching an external sink (as buffer.Engine.SetSink would) must
 	// not disconnect the probe's own recorder.
 	areas := []float64{5, 3, 10, 10, 10, 10, 10, 10, 10, 10}
 	p, frames := driveProbe(10, areas, 0.25)

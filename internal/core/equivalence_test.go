@@ -44,7 +44,7 @@ func equivPages(rng *rand.Rand, n int) []pageSpec {
 
 // step drives one trace operation against a manager and reports whether
 // it missed. fixed tracks the manager's currently pinned IDs.
-func equivStep(t *testing.T, m *buffer.Manager, s *storage.MemStore, op, opArg int,
+func equivStep(t *testing.T, m *buffer.Engine, s *storage.MemStore, op, opArg int,
 	id page.ID, ctx buffer.AccessContext, fixed map[page.ID]bool) bool {
 	t.Helper()
 	before := m.Stats().Misses
@@ -89,7 +89,7 @@ func equivStep(t *testing.T, m *buffer.Manager, s *storage.MemStore, op, opArg i
 	return m.Stats().Misses > before
 }
 
-func sortedResident(m *buffer.Manager) []page.ID {
+func sortedResident(m *buffer.Engine) []page.ID {
 	ids := m.ResidentIDs()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
@@ -115,8 +115,8 @@ func TestIntrusiveMatchesReference(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/cap%d", fac.Name, capacity), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(capacity)*1000 + int64(len(fac.Name))))
 				store := buildStore(t, equivPages(rng, numPages))
-				mNew := mustManager(t, store, fac.New(capacity), capacity)
-				mRef := mustManager(t, store, ref, capacity)
+				mNew := mustEngine(t, store, fac.New(capacity), capacity)
+				mRef := mustEngine(t, store, ref, capacity)
 				fixedNew := map[page.ID]bool{}
 				fixedRef := map[page.ID]bool{}
 

@@ -26,7 +26,7 @@ func ExampleNewASB() {
 	}
 
 	policy := core.NewASB(10, core.DefaultASBOptions())
-	buf, err := buffer.NewManager(store, policy, 10)
+	buf, err := buffer.NewEngine(store, policy, 10)
 	if err != nil {
 		panic(err)
 	}
@@ -60,7 +60,7 @@ func ExampleNewSpatial() {
 			panic(err)
 		}
 	}
-	buf, err := buffer.NewManager(store, core.NewSpatial(page.CritA), 2)
+	buf, err := buffer.NewEngine(store, core.NewSpatial(page.CritA), 2)
 	if err != nil {
 		panic(err)
 	}

@@ -20,7 +20,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 func TestLRUHitRefreshesRecency(t *testing.T) {
 	s := buildStore(t, uniformPages(3, 1))
 	// 1,2 fill; hit 1; request 3 must evict 2 (LRU), not 1.
-	m := mustManager(t, s, core.NewLRU(), 2)
+	m := mustEngine(t, s, core.NewLRU(), 2)
 	runOn(t, m, seqOf(1, 2))
 	runOn(t, m, []access{q(1, 3)}) // hit on 1
 	runOn(t, m, []access{q(3, 4)})
@@ -47,7 +47,7 @@ func TestLRUSequentialFlooding(t *testing.T) {
 
 func TestFIFOIgnoresHits(t *testing.T) {
 	s := buildStore(t, uniformPages(3, 1))
-	m := mustManager(t, s, core.NewFIFO(), 2)
+	m := mustEngine(t, s, core.NewFIFO(), 2)
 	runOn(t, m, seqOf(1, 2))
 	// Hit page 1 repeatedly; FIFO still evicts 1 first.
 	runOn(t, m, []access{q(1, 10), q(1, 11)})
@@ -68,7 +68,7 @@ func TestLRUNames(t *testing.T) {
 
 func TestLRUReset(t *testing.T) {
 	s := buildStore(t, uniformPages(3, 1))
-	m := mustManager(t, s, core.NewLRU(), 2)
+	m := mustEngine(t, s, core.NewLRU(), 2)
 	runOn(t, m, seqOf(1, 2))
 	if err := m.Clear(); err != nil {
 		t.Fatal(err)

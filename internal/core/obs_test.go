@@ -32,7 +32,7 @@ func TestSteadyStateEvictionAllocsUnchangedBySink(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			measure := func(sink obs.Sink) float64 {
 				s := buildStore(t, specs)
-				m, err := buffer.NewManager(s, newPolicy(), 4)
+				m, err := buffer.NewEngine(s, newPolicy(), 4)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,7 +85,7 @@ func TestInstrumentedPoliciesEmitEvictionEvents(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := buildStore(t, specs)
-			m, err := buffer.NewManager(s, tc.policy, 4)
+			m, err := buffer.NewEngine(s, tc.policy, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +119,7 @@ func TestASBEvictionReasons(t *testing.T) {
 		specs[i] = dataPage(float64(i + 1))
 	}
 	s := buildStore(t, specs)
-	m, err := buffer.NewManager(s, core.NewASB(6, core.DefaultASBOptions()), 6)
+	m, err := buffer.NewEngine(s, core.NewASB(6, core.DefaultASBOptions()), 6)
 	if err != nil {
 		t.Fatal(err)
 	}

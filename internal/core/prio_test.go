@@ -43,7 +43,7 @@ func TestLRUTDropsObjectPagesFirst(t *testing.T) {
 		{typ: page.TypeObject, level: 0, area: 1},
 		{typ: page.TypeData, level: 0, area: 1},
 	})
-	m := mustManager(t, s, core.NewLRUT(), 3)
+	m := mustEngine(t, s, core.NewLRUT(), 3)
 	runOn(t, m, seqOf(1, 2, 3))
 	// Object page 3 was used most recently, but must be evicted first.
 	runOn(t, m, []access{q(4, 9)})
@@ -58,7 +58,7 @@ func TestLRUTKeepsDirectoryLongest(t *testing.T) {
 		{typ: page.TypeDirectory, level: 1, area: 1},
 		dataPage(1), dataPage(1), dataPage(1),
 	})
-	m := mustManager(t, s, core.NewLRUT(), 2)
+	m := mustEngine(t, s, core.NewLRUT(), 2)
 	runOn(t, m, seqOf(1, 2, 3, 4))
 	// Data pages churn among themselves; the directory page stays.
 	if !m.Contains(1) {
@@ -74,7 +74,7 @@ func TestLRUPEvictsLowestLevelFirst(t *testing.T) {
 		{typ: page.TypeData, level: 0, area: 1},
 		{typ: page.TypeData, level: 0, area: 1},
 	})
-	m := mustManager(t, s, core.NewLRUP(), 3)
+	m := mustEngine(t, s, core.NewLRUP(), 3)
 	runOn(t, m, seqOf(3, 1, 2)) // leaf requested first = least recent
 	// Admitting page 4 must evict page 3 (lowest level) even though the
 	// recency order alone would also pick 3 here; so re-touch 3 first.
@@ -92,7 +92,7 @@ func TestLRUPUsesLRUWithinLevel(t *testing.T) {
 	s := buildStore(t, []pageSpec{
 		dataPage(1), dataPage(1), dataPage(1),
 	})
-	m := mustManager(t, s, core.NewLRUP(), 2)
+	m := mustEngine(t, s, core.NewLRUP(), 2)
 	runOn(t, m, seqOf(1, 2))
 	runOn(t, m, []access{q(1, 5)}) // 1 more recent than 2
 	runOn(t, m, []access{q(3, 6)})
@@ -115,7 +115,7 @@ func TestPriorityLRUReset(t *testing.T) {
 		{typ: page.TypeDirectory, level: 1, area: 1},
 		dataPage(1), dataPage(1),
 	})
-	m := mustManager(t, s, core.NewLRUP(), 2)
+	m := mustEngine(t, s, core.NewLRUP(), 2)
 	runOn(t, m, seqOf(1, 2, 3))
 	if err := m.Clear(); err != nil {
 		t.Fatal(err)

@@ -91,13 +91,13 @@ type containsPool interface {
 	ResidentIDs() []page.ID
 }
 
-// TestShardedPoolConformance runs every standard policy inside the
+// TestRouterConformance runs every standard policy inside the
 // multi-shard compositions — sharded and async — against the invariants
 // of the single-manager conformance suite: capacity respected, resident
 // pages always hit, hits+misses = requests, physical reads = misses
 // (single-threaded and read-only, so the async layer coalesces nothing),
 // Clear cold-starts.
-func TestShardedPoolConformance(t *testing.T) {
+func TestRouterConformance(t *testing.T) {
 	const numPages = 80
 	specs := conformanceSpecs(numPages, 31)
 	seq := conformanceSeq(numPages, 4000, 31)
@@ -155,13 +155,13 @@ func TestShardedPoolConformance(t *testing.T) {
 	}
 }
 
-// TestShardedPoolSingleShardMatchesManager replays the conformance
+// TestRouterSingleShardMatchesEngine replays the conformance
 // reference string through every composition that must route like one
 // big buffer — locked, single-shard sharded, single-shard async — and a
 // bare engine, for every standard policy: the stats and the resident
 // set must be identical access for access. This is the
 // behavioural-equivalence guarantee the layer stack documents.
-func TestShardedPoolSingleShardMatchesManager(t *testing.T) {
+func TestRouterSingleShardMatchesEngine(t *testing.T) {
 	const numPages, capacity = 80, 16
 	specs := conformanceSpecs(numPages, 31)
 	seq := conformanceSeq(numPages, 3000, 37)
@@ -171,7 +171,7 @@ func TestShardedPoolSingleShardMatchesManager(t *testing.T) {
 			f := f
 			t.Run(f.Name+"/"+spec, func(t *testing.T) {
 				sm := buildStore(t, specs)
-				m := mustManager(t, sm, f.New(capacity), capacity)
+				m := mustEngine(t, sm, f.New(capacity), capacity)
 				sp := buildComposition(t, spec, buildStore(t, specs), f, capacity).(containsPool)
 				defer closePool(t, sp)
 				for i, a := range seq {
@@ -208,11 +208,11 @@ func TestShardedPoolSingleShardMatchesManager(t *testing.T) {
 	}
 }
 
-// TestShardedPoolConcurrentPolicies drives every standard policy inside
+// TestRouterConcurrentPolicies drives every standard policy inside
 // the concurrent compositions from several goroutines at once. Run under
 // -race this checks that the locking layer fully serializes policy
 // state per shard; the final accounting checks no request was lost.
-func TestShardedPoolConcurrentPolicies(t *testing.T) {
+func TestRouterConcurrentPolicies(t *testing.T) {
 	const numPages, capacity, workers, perWorker = 80, 16, 4, 1500
 	specs := conformanceSpecs(numPages, 31)
 

@@ -76,7 +76,7 @@ func TestSLRUVictimInsideCandidateSet(t *testing.T) {
 	s := buildStore(t, []pageSpec{
 		dataPage(100), dataPage(50), dataPage(1), dataPage(2), dataPage(75),
 	})
-	m := mustManager(t, s, core.NewSLRU(page.CritA, 2), 4)
+	m := mustEngine(t, s, core.NewSLRU(page.CritA, 2), 4)
 	// LRU order after this: [3 4] recent, [1 2] old → candidates {1,2};
 	// victim is 2 (area 50 < 100) despite pages 3,4 having areas 1,2.
 	runOn(t, m, seqOf(1, 2, 3, 4))
@@ -89,7 +89,7 @@ func TestSLRUVictimInsideCandidateSet(t *testing.T) {
 func TestSLRUTieKeepsOlder(t *testing.T) {
 	// Equal areas in the candidate set: evict the least recently used.
 	s := buildStore(t, uniformPages(4, 7))
-	m := mustManager(t, s, core.NewSLRU(page.CritA, 3), 3)
+	m := mustEngine(t, s, core.NewSLRU(page.CritA, 3), 3)
 	runOn(t, m, seqOf(1, 2, 3))
 	runOn(t, m, []access{q(4, 9)})
 	if m.Contains(1) || !resident(m, 2, 3, 4) {
@@ -99,7 +99,7 @@ func TestSLRUTieKeepsOlder(t *testing.T) {
 
 func TestSLRUReset(t *testing.T) {
 	s := buildStore(t, uniformPages(3, 1))
-	m := mustManager(t, s, core.NewSLRU(page.CritA, 2), 2)
+	m := mustEngine(t, s, core.NewSLRU(page.CritA, 2), 2)
 	runOn(t, m, seqOf(1, 2, 3))
 	if err := m.Clear(); err != nil {
 		t.Fatal(err)

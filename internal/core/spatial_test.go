@@ -26,7 +26,7 @@ func TestSpatialEvictsSmallestArea(t *testing.T) {
 	// Pages with areas 9, 1, 4: the area-1 page must go first even if it
 	// is the most recently used.
 	s := buildStore(t, []pageSpec{dataPage(9), dataPage(1), dataPage(4), dataPage(25)})
-	m := mustManager(t, s, core.NewSpatial(page.CritA), 3)
+	m := mustEngine(t, s, core.NewSpatial(page.CritA), 3)
 	runOn(t, m, seqOf(1, 2, 3))
 	runOn(t, m, []access{q(2, 7)}) // touch the small page — recency must not save it
 	runOn(t, m, []access{q(4, 8)})
@@ -54,7 +54,7 @@ func TestSpatialKeepsLargePageForever(t *testing.T) {
 	specs := []pageSpec{dataPage(1e6)}
 	specs = append(specs, uniformPages(10, 1)...)
 	s := buildStore(t, specs)
-	m := mustManager(t, s, core.NewSpatial(page.CritA), 3)
+	m := mustEngine(t, s, core.NewSpatial(page.CritA), 3)
 	runOn(t, m, seqOf(1)) // huge page in
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 200; i++ {
@@ -89,7 +89,7 @@ func TestSpatialCriteriaDiffer(t *testing.T) {
 	}
 
 	// Under A: page 2 (area 9) loses to page 1 (area 10000).
-	mA := mustManager(t, s, core.NewSpatial(page.CritA), 2)
+	mA := mustEngine(t, s, core.NewSpatial(page.CritA), 2)
 	runOn(t, mA, seqOf(1, 2))
 	runOn(t, mA, []access{q(3, 5)})
 	if mA.Contains(2) || !resident(mA, 1, 3) {
@@ -97,7 +97,7 @@ func TestSpatialCriteriaDiffer(t *testing.T) {
 	}
 
 	// Under EO: page 1 (overlap 0) loses to page 2 (overlap 1).
-	mEO := mustManager(t, s, core.NewSpatial(page.CritEO), 2)
+	mEO := mustEngine(t, s, core.NewSpatial(page.CritEO), 2)
 	runOn(t, mEO, seqOf(1, 2))
 	runOn(t, mEO, []access{q(3, 5)})
 	if mEO.Contains(1) || !resident(mEO, 2, 3) {
@@ -107,7 +107,7 @@ func TestSpatialCriteriaDiffer(t *testing.T) {
 
 func TestSpatialSkipsPinnedVictim(t *testing.T) {
 	s := buildStore(t, []pageSpec{dataPage(1), dataPage(9), dataPage(4)})
-	m := mustManager(t, s, core.NewSpatial(page.CritA), 2)
+	m := mustEngine(t, s, core.NewSpatial(page.CritA), 2)
 	// Pin the smallest page; the next-smallest must be evicted instead.
 	if _, err := m.Fix(1, buffer.AccessContext{QueryID: 1}); err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestSpatialHeapConsistencyUnderChurn(t *testing.T) {
 	}
 	s := buildStore(t, specs)
 	pol := core.NewSpatial(page.CritEA)
-	m := mustManager(t, s, pol, 7)
+	m := mustEngine(t, s, pol, 7)
 	for i := 0; i < 3000; i++ {
 		id := page.ID(rng.Intn(40) + 1)
 		runOn(t, m, []access{q(id, uint64(i/4))})
@@ -149,7 +149,7 @@ func TestSpatialHeapConsistencyUnderChurn(t *testing.T) {
 func TestSpatialReset(t *testing.T) {
 	s := buildStore(t, uniformPages(3, 1))
 	pol := core.NewSpatial(page.CritA)
-	m := mustManager(t, s, pol, 2)
+	m := mustEngine(t, s, pol, 2)
 	runOn(t, m, seqOf(1, 2, 3))
 	if err := m.Clear(); err != nil {
 		t.Fatal(err)

@@ -134,8 +134,8 @@ func TestSpecEquivalence(t *testing.T) {
 		seq, specs := benchAccesses(48, 2000)
 		store1 := buildStore(t, specs)
 		store2 := buildStore(t, specs)
-		m1 := mustManager(t, store1, specF.New(capacity), capacity)
-		m2 := mustManager(t, store2, stdF.New(capacity), capacity)
+		m1 := mustEngine(t, store1, specF.New(capacity), capacity)
+		m2 := mustEngine(t, store2, stdF.New(capacity), capacity)
 		miss1 := runOn(t, m1, seq)
 		miss2 := runOn(t, m2, seq)
 		if !idsEqual(miss1, miss2) {

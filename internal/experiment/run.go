@@ -102,12 +102,11 @@ func Run(db *Database, setNames []string, factories []core.Factory, fracs []floa
 				}
 				j := jobs[i]
 				var stats buffer.Stats
-				var err error
-				o, tc := currentObserver(), currentTracer()
-				if o != nil || tc != nil {
-					stats, err = trace.ReplayTraced(j.tr, db.Store, j.f.New(j.frames), j.frames, o, tc)
-				} else {
-					stats, err = trace.Replay(j.tr, db.Store, j.f.New(j.frames), j.frames)
+				m, err := buffer.NewEngine(db.Store, j.f.New(j.frames), j.frames)
+				if err == nil {
+					m.SetSink(currentObserver())
+					m.SetTracer(currentTracer())
+					stats, err = trace.ReplayOn(j.tr, m)
 				}
 				mu.Lock()
 				if err != nil && firstErr == nil {
@@ -232,13 +231,11 @@ func RunAdaptation(db *Database, frac float64, seed int64) (*AdaptationTrace, er
 	out.Initial = pol.CandidateSize()
 	out.MainCap = pol.MainCapacity()
 
-	m, err := buffer.NewManager(db.Store, pol, frames)
+	m, err := buffer.NewEngine(db.Store, pol, frames)
 	if err != nil {
 		return nil, err
 	}
-	if tc := currentTracer(); tc != nil {
-		m.SetTracer(tc, 0)
-	}
+	m.SetTracer(currentTracer())
 	// The rest of the run programs against the Pool interface — the
 	// harness measures policies, not a concrete pool flavour.
 	var pool buffer.Pool = m

@@ -93,7 +93,7 @@ func runUpdateOnce(gen *dataset.Generator, objects int, frac float64, f core.Fac
 	if frames < 2 {
 		frames = 2
 	}
-	m, err := buffer.NewManager(store, f.New(frames), frames)
+	m, err := buffer.NewEngine(store, f.New(frames), frames)
 	if err != nil {
 		return UpdateResult{}, err
 	}

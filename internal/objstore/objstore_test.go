@@ -261,11 +261,11 @@ func TestRefinementThroughSeparateBuffers(t *testing.T) {
 	// Both must record traffic, and object-page traffic must respect the
 	// buffer abstraction (reads == misses).
 	tree, objs, treeStore, objPages, shapes, _ := buildFilterRefine(t, 2000)
-	treeBuf, err := buffer.NewManager(treeStore, core.NewLRU(), 32)
+	treeBuf, err := buffer.NewEngine(treeStore, core.NewLRU(), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	objBuf, err := buffer.NewManager(objPages, core.NewLRUT(), 32)
+	objBuf, err := buffer.NewEngine(objPages, core.NewLRUT(), 32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,12 +115,12 @@ func TestAsyncSinkDropAccountingUnderSaturation(t *testing.T) {
 	}
 }
 
-// TestSyncManagerWithAsyncRingSink is the satellite race test: several
-// goroutines drive one SyncManager with the ring sink attached (run
+// TestLockedEngineWithAsyncRingSink is the satellite race test: several
+// goroutines drive one LockedEngine with the ring sink attached (run
 // under -race in CI). With a ring at least as large as the event volume
 // there must be no drops and the downstream counters must agree exactly
 // with the manager's stats.
-func TestSyncManagerWithAsyncRingSink(t *testing.T) {
+func TestLockedEngineWithAsyncRingSink(t *testing.T) {
 	const pages, frames = 64, 16
 	const goroutines, perG = 8, 2000
 

@@ -121,7 +121,7 @@ func TestShadowDisabledHitPathZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := buffer.NewManager(store, lru(4), 4)
+	m, err := buffer.NewEngine(store, lru(4), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func (cs *checkingSink) Request(e obs.RequestEvent) {
 }
 
 // TestShadowReplayEquivalence is the correctness anchor of the package:
-// a shadow cache fed the event stream of a real Manager running the same
+// a shadow cache fed the event stream of a real Engine running the same
 // policy at the same capacity must match it hit-for-hit, reference by
 // reference, and end with the identical resident set. LRU is the
 // contract's required case; the spatial and adaptive policies exercise
@@ -87,7 +87,7 @@ func TestShadowReplayEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := buffer.NewManager(store, factory(capacity), capacity)
+			m, err := buffer.NewEngine(store, factory(capacity), capacity)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +150,12 @@ func TestBankReplayedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := trace.ReplayWithSink(tr, store, lru(capacity), capacity, bank)
+	m, err := buffer.NewEngine(store, lru(capacity), capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetSink(bank)
+	st, err := trace.ReplayOn(tr, m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -367,7 +367,7 @@ func (s *Slot) Active() *Active {
 }
 
 // SlotSetter is implemented by span producers below the manager
-// (policies) that accept a trace slot; buffer.Manager.SetTracer
+// (policies) that accept a trace slot; buffer.Engine.SetTracer
 // forwards its slot through this interface, mirroring obs.SinkSetter.
 type SlotSetter interface {
 	SetTraceSlot(*Slot)

@@ -225,7 +225,7 @@ func TestSearchThroughBuffer(t *testing.T) {
 	ms := tr.Store().(*storage.MemStore)
 	ms.ResetStats()
 	pol := &fifoStub{}
-	m, err := buffer.NewManager(ms, pol, 16)
+	m, err := buffer.NewEngine(ms, pol, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

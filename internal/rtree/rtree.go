@@ -6,7 +6,7 @@
 //
 // Tree nodes are the pages of package page, persisted through a
 // storage.Store. Construction goes directly to the store; queries read
-// nodes through a pluggable Reader so that a buffer.Manager can sit in
+// nodes through a pluggable Reader so that a buffer.Engine can sit in
 // between and the replacement policy under study determines the physical
 // I/O — the measurement setup of the paper.
 package rtree

@@ -6,17 +6,15 @@
 // (database, query set) pair and replays it through every policy × buffer
 // size. Replay produces exactly the disk-access counts of live execution —
 // an equivalence the integration tests assert — at a fraction of the cost.
-// ReplayWithSink additionally re-emits the obs event stream during replay,
-// so recorded traces can feed the same exporters (JSONL, counters,
-// c-trajectories) as live runs.
+// A replay re-emits the obs event stream into whatever sink its pool
+// carries, so recorded traces can feed the same exporters (JSONL,
+// counters, c-trajectories) as live runs.
 package trace
 
 import (
 	"fmt"
 
 	"repro/internal/buffer"
-	"repro/internal/obs"
-	"repro/internal/obs/tracing"
 	"repro/internal/page"
 	"repro/internal/queryset"
 	"repro/internal/rtree"
@@ -69,36 +67,9 @@ func Record(t *rtree.Tree, qs queryset.Set) (*Trace, error) {
 // capacity and policy, returning the buffer statistics (DiskReads is the
 // paper's cost metric).
 func Replay(tr *Trace, store storage.Store, pol buffer.Policy, capacity int) (buffer.Stats, error) {
-	m, err := buffer.NewManager(store, pol, capacity)
+	m, err := buffer.NewEngine(store, pol, capacity)
 	if err != nil {
 		return buffer.Stats{}, err
-	}
-	return ReplayOn(tr, m)
-}
-
-// ReplayWithSink is Replay with an observability sink attached before the
-// first reference, so replay re-emits the full event stream (requests,
-// evictions, promotions, adaptations) exactly as live execution would.
-func ReplayWithSink(tr *Trace, store storage.Store, pol buffer.Policy, capacity int, sink obs.Sink) (buffer.Stats, error) {
-	return ReplayTraced(tr, store, pol, capacity, sink, nil)
-}
-
-// ReplayTraced is ReplayWithSink with a request-scoped span tracer
-// additionally attached (the replay records as shard 0): sampled
-// references produce span trees — Get, victim selection with criterion
-// values, ASB adaptations, physical I/O — exportable via
-// tracing.WriteChromeTrace or WriteSpansJSONL. sink and tracer may each
-// be nil; with both nil this is plain Replay.
-func ReplayTraced(tr *Trace, store storage.Store, pol buffer.Policy, capacity int, sink obs.Sink, tracer *tracing.Tracer) (buffer.Stats, error) {
-	m, err := buffer.NewManager(store, pol, capacity)
-	if err != nil {
-		return buffer.Stats{}, err
-	}
-	if sink != nil {
-		m.SetSink(sink)
-	}
-	if tracer != nil {
-		m.SetTracer(tracer, 0)
 	}
 	return ReplayOn(tr, m)
 }
@@ -107,6 +78,8 @@ func ReplayTraced(tr *Trace, store storage.Store, pol buffer.Policy, capacity in
 // cleared first, as the paper clears the buffer before each query set).
 // Any buffer.Pool works: a bare Engine for the single-threaded
 // experiments, a sharded composition to measure partitioned policies.
+// Sinks and tracers attached to the pool beforehand see the replay
+// exactly as they would see live execution.
 func ReplayOn(tr *Trace, p buffer.Pool) (buffer.Stats, error) {
 	if err := p.Clear(); err != nil {
 		return buffer.Stats{}, err

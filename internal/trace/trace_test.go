@@ -126,7 +126,7 @@ func TestReplayEquivalentToLive(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			mLive, err := buffer.NewManager(store, tc.mk(), capacity)
+			mLive, err := buffer.NewEngine(store, tc.mk(), capacity)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +143,12 @@ func TestReplayEquivalentToLive(t *testing.T) {
 			}
 
 			var counters obs.Counters
-			observed, err := ReplayWithSink(trc, store, tc.mk(), capacity, &counters)
+			mObserved, err := buffer.NewEngine(store, tc.mk(), capacity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mObserved.SetSink(&counters)
+			observed, err := ReplayOn(trc, mObserved)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,13 +164,13 @@ func TestReplayEquivalentToLive(t *testing.T) {
 	}
 }
 
-func TestReplayOnClearsManager(t *testing.T) {
+func TestReplayOnClearsEngine(t *testing.T) {
 	tr, store, qs := buildFixture(t)
 	trc, err := Record(tr, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := buffer.NewManager(store, core.NewLRU(), 32)
+	m, err := buffer.NewEngine(store, core.NewLRU(), 32)
 	if err != nil {
 		t.Fatal(err)
 	}

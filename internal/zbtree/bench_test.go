@@ -45,7 +45,7 @@ func BenchmarkPoliciesOnZBTree(b *testing.B) {
 	}
 
 	run := func(pol buffer.Policy) uint64 {
-		m, err := buffer.NewManager(store, pol, frames)
+		m, err := buffer.NewEngine(store, pol, frames)
 		if err != nil {
 			b.Fatal(err)
 		}

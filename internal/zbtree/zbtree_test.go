@@ -333,7 +333,7 @@ func TestQueriesThroughBufferManager(t *testing.T) {
 		t.Fatal(err)
 	}
 	pol := &countingPolicy{}
-	m, err := buffer.NewManager(tr.Store(), pol, 24)
+	m, err := buffer.NewEngine(tr.Store(), pol, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
