@@ -81,6 +81,16 @@ func splitList(s string) []string {
 	return out
 }
 
+// formatLadder renders capacity multipliers in the form parseLadder
+// reads; the -shadow-ladder default is shadow.DefaultLadder through it.
+func formatLadder(ladder []float64) string {
+	parts := make([]string, len(ladder))
+	for i, v := range ladder {
+		parts[i] = strconv.FormatFloat(v, 'g', -1, 64)
+	}
+	return strings.Join(parts, ",")
+}
+
 // parseLadder parses the comma-separated capacity multipliers, ignoring
 // malformed entries.
 func parseLadder(s string) []float64 {
@@ -137,8 +147,8 @@ func main() {
 	flag.IntVar(&cfg.ring, "ring", live.DefaultRingCapacity, "with -events: async ring capacity in events")
 	flag.IntVar(&cfg.traceSample, "trace-sample", 1024, "record a span trace for 1 in N requests, served at /debug/trace (0 = tracing off)")
 	flag.IntVar(&cfg.traceBuf, "trace-buf", 256, "completed traces retained per shard ring")
-	flag.StringVar(&cfg.shadowPolicies, "shadow", "LRU,SLRU 50%,ASB", "comma-separated what-if policies (names or parameterized specs like LRU-K:4) simulated by shadow caches at the real capacity (empty disables shadow profiling)")
-	flag.StringVar(&cfg.shadowLadder, "shadow-ladder", "0.5,1,2,4", "capacity multipliers the real policy is shadow-simulated at (the online miss-ratio curve)")
+	flag.StringVar(&cfg.shadowPolicies, "shadow", strings.Join(shadow.DefaultPolicies(), ","), "comma-separated what-if policies (names or parameterized specs like LRU-K:4) simulated by shadow caches at the real capacity (empty disables shadow profiling)")
+	flag.StringVar(&cfg.shadowLadder, "shadow-ladder", formatLadder(shadow.DefaultLadder()), "capacity multipliers the real policy is shadow-simulated at (the online miss-ratio curve)")
 	flag.IntVar(&cfg.shadowSample, "shadow-sample", 1, "feed the shadow bank 1 in N request events")
 	flag.Parse()
 
@@ -171,13 +181,7 @@ func run(cfg config) error {
 	// empty.
 	var tracer *tracing.Tracer
 	if cfg.traceSample > 0 {
-		rings := 1
-		if comp.Layout == buffer.LayoutSharded || comp.Layout == buffer.LayoutAsync {
-			if rings = comp.Shards; rings < 1 {
-				rings = runtime.GOMAXPROCS(0)
-			}
-		}
-		tracer = tracing.NewTracer(cfg.traceSample, rings, cfg.traceBuf)
+		tracer = tracing.NewTracer(cfg.traceSample, comp.ShardCount(), cfg.traceBuf)
 	}
 
 	svc := live.NewService()

@@ -50,7 +50,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -109,7 +108,7 @@ func main() {
 	flag.StringVar(&cfg.traceOut, "trace-out", "", "write request span traces as Chrome trace-event JSON to this file")
 	flag.IntVar(&cfg.traceSample, "trace-sample", 1024, "with -trace-out: trace 1 in N buffer requests")
 	flag.StringVar(&cfg.shadowPolicies, "shadow", "", "with -sets: comma-separated what-if policies shadow-simulated during instrumented replays (names or specs, e.g. LRU,SLRU 50%,LRU-K:4,ASB)")
-	flag.StringVar(&cfg.shadowLadder, "shadow-ladder", "0.5,1,2,4", "with -shadow: capacity multipliers the replayed policy is shadow-simulated at")
+	flag.StringVar(&cfg.shadowLadder, "shadow-ladder", formatLadder(shadow.DefaultLadder()), "with -shadow: capacity multipliers the replayed policy is shadow-simulated at")
 	flag.IntVar(&cfg.shadowSample, "shadow-sample", 1, "with -shadow: feed the shadow bank 1 in N request events")
 	prof.Register(flag.CommandLine)
 	flag.Parse()
@@ -147,15 +146,9 @@ func run(cfg config) error {
 		if sample < 1 {
 			sample = 1
 		}
-		rings := 1
-		if comp.Layout == buffer.LayoutSharded || comp.Layout == buffer.LayoutAsync {
-			if rings = comp.Shards; rings < 1 {
-				rings = runtime.GOMAXPROCS(0)
-			}
-		}
 		// Offline runs keep a deep ring: the file is written once at the
 		// end, so retention is the only thing bounding what it can show.
-		tracer = tracing.NewTracer(sample, rings, 4096)
+		tracer = tracing.NewTracer(sample, comp.ShardCount(), 4096)
 		experiment.SetTracer(tracer)
 		defer experiment.SetTracer(nil)
 	}
@@ -465,6 +458,16 @@ func instrumentedReplays(db *experiment.Database, setNames, polNames []string, f
 		fmt.Printf("wrote event stream to %s\n", eventsPath)
 	}
 	return nil
+}
+
+// formatLadder renders capacity multipliers in the form parseLadder
+// reads; the -shadow-ladder default is shadow.DefaultLadder through it.
+func formatLadder(ladder []float64) string {
+	parts := make([]string, len(ladder))
+	for i, v := range ladder {
+		parts[i] = strconv.FormatFloat(v, 'g', -1, 64)
+	}
+	return strings.Join(parts, ",")
 }
 
 // parseLadder parses comma-separated capacity multipliers, ignoring

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/obs/tracing"
 	"repro/internal/page"
-	"repro/internal/storage"
 )
 
 // DefaultWritebackWorkers is the number of background writer goroutines
@@ -101,14 +100,14 @@ func Async(r *Router, cfg AsyncConfig) *AsyncPool {
 // pin requires a resident frame and who therefore retry after the
 // leader's publication until they can pin (or become leaders
 // themselves).
+//
+// The request's trace (ctx.Trace, nil when unsampled) stays with the
+// request across every unlock: the leader's store.Read and a waiter's
+// io-wait are recorded outside the lock into the request's own tree,
+// and the requests that use the engine meanwhile carry their own.
 func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, bool, error) {
 	e := s.e
-	// The engine's Active slot carries the trace to the policy and the
-	// traced store while the lock is held; it must be parked (cleared
-	// before every unlock) because other requests use the engine — and
-	// the slot — while we wait or read, and restored after every
-	// re-acquisition that goes on to use the engine.
-	a := e.slot.Active()
+	a := ctx.trace
 	counted := false
 	for {
 		if fl, ok := s.flight[id]; ok {
@@ -128,15 +127,9 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 				fl.done = make(chan struct{})
 			}
 			done := fl.done
-			if a != nil {
-				e.slot.SetActive(nil)
-			}
 			s.mu.Unlock()
 
-			widx := int32(-1)
-			if a != nil {
-				widx = a.Start(tracing.KindIOWait)
-			}
+			widx := a.Start(tracing.KindIOWait)
 			<-done
 			if a != nil {
 				sp := a.At(widx)
@@ -158,9 +151,6 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 			// Fix must pin a resident frame. It may already be evicted
 			// again, in which case the loop coalesces or leads a fresh read
 			// — without recounting.
-			if a != nil {
-				e.slot.SetActive(a)
-			}
 			if fr := e.frames[id]; fr != nil {
 				fr.pins++
 				return fr.Page, false, nil
@@ -202,30 +192,9 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 		}
 		fl := &inflight{}
 		s.flight[id] = fl
-		if a != nil {
-			e.slot.SetActive(nil)
-		}
 		s.mu.Unlock()
-
-		ridx := int32(-1)
-		if a != nil {
-			ridx = a.Start(tracing.KindStoreRead)
-		}
-		rpg, rerr := e.store.Read(id)
-		if a != nil {
-			sp := a.At(ridx)
-			sp.Page = id
-			sp.Err = rerr != nil
-			if rpg != nil {
-				sp.Bytes = int32(storage.PageBytes(rpg))
-			}
-			a.End(ridx)
-		}
-
+		rpg, rerr := readPage(e.store, a, id)
 		s.mu.Lock()
-		if a != nil {
-			e.slot.SetActive(a)
-		}
 		published := rpg
 		var fr *Frame
 		var aerr error
@@ -287,7 +256,7 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 func (s *asyncShard) readmit(pg *page.Page, now uint64, ctx AccessContext) (*Frame, error) {
 	fr, err := s.e.admit(pg, now, ctx)
 	if err != nil {
-		if werr := s.e.writeOut(pg, true); werr != nil {
+		if werr := s.e.writeOut(pg, true, ctx.trace); werr != nil {
 			err = errors.Join(err, werr)
 		}
 		return nil, err
@@ -365,5 +334,5 @@ func (p *AsyncPool) Clear() error {
 // KindWriteback spans. A nil tracer detaches.
 func (p *AsyncPool) SetTracer(t *tracing.Tracer) {
 	p.Router.SetTracer(t)
-	p.wb.setTracer(t)
+	p.wb.tracer.Store(t)
 }

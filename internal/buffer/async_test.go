@@ -18,13 +18,14 @@ import (
 	"repro/internal/storage"
 )
 
-// gatedStore blocks every Read until the gate is closed, so a test can
-// pile an arbitrary number of concurrent misses onto one in-flight read
-// before letting it complete. fail, when set, makes gated reads error
-// after the gate opens.
+// gatedStore blocks every Read (of page only, when set) until the gate
+// is closed, so a test can pile an arbitrary number of concurrent misses
+// onto one in-flight read before letting it complete. fail, when set,
+// makes gated reads error after the gate opens.
 type gatedStore struct {
 	storage.Store
 	gate  chan struct{}
+	only  page.ID
 	fail  atomic.Bool
 	reads atomic.Int32
 }
@@ -32,6 +33,9 @@ type gatedStore struct {
 var errGatedRead = errors.New("gated read failed")
 
 func (s *gatedStore) Read(id page.ID) (*page.Page, error) {
+	if s.only != page.InvalidID && id != s.only {
+		return s.Store.Read(id)
+	}
 	<-s.gate
 	s.reads.Add(1)
 	if s.fail.Load() {
@@ -459,10 +463,10 @@ func TestWritebackCoalesceAndClose(t *testing.T) {
 	bw := &blockWriteStore{Store: newStore(t, 4), gate: make(chan struct{})}
 	w := newWriteback(bw, 1, 4)
 
-	if !w.enqueue(testPage(1, 100)) {
+	if !w.enqueue(testPage(1, 100), 0) {
 		t.Fatal("first enqueue refused")
 	}
-	if !w.enqueue(testPage(1, 200)) {
+	if !w.enqueue(testPage(1, 200), 0) {
 		t.Fatal("coalescing enqueue refused")
 	}
 	m := w.metrics()
@@ -481,7 +485,7 @@ func TestWritebackCoalesceAndClose(t *testing.T) {
 	if p.Entries[0].ObjID != 200 {
 		t.Fatalf("store holds stale version after coalesced write: %+v", p)
 	}
-	if w.enqueue(testPage(1, 300)) {
+	if w.enqueue(testPage(1, 300), 0) {
 		t.Error("closed queue accepted work")
 	}
 }
@@ -547,7 +551,7 @@ func TestWritebackBackpressure(t *testing.T) {
 
 	accepted := 0
 	for id := page.ID(1); id <= 3; id++ {
-		if w.enqueue(testPage(id, uint64(id))) {
+		if w.enqueue(testPage(id, uint64(id)), 0) {
 			accepted++
 		}
 	}
@@ -732,7 +736,7 @@ func TestWritebackOrderStress(t *testing.T) {
 			continue
 		}
 		p := testPage(id, v)
-		if !w.enqueue(p) {
+		if !w.enqueue(p, 0) {
 			// Queue full: the engine writes synchronously — safe, because
 			// a refusal means no version of the page is pending or in flight.
 			if err := st.Write(p); err != nil {

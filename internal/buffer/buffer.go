@@ -37,6 +37,7 @@ import (
 	"errors"
 
 	"repro/internal/core/intrusive"
+	"repro/internal/obs/tracing"
 	"repro/internal/page"
 )
 
@@ -44,12 +45,25 @@ import (
 // pinned.
 var ErrAllPinned = errors.New("buffer: all frames pinned")
 
-// AccessContext describes one page request. QueryID identifies the query
-// on whose behalf the request is made; the paper defines two accesses to
-// be correlated iff they share a query (§2.2).
+// AccessContext describes one page request and travels with it through
+// the pool layers, every engine step and every policy callback. QueryID
+// identifies the query on whose behalf the request is made; the paper
+// defines two accesses to be correlated iff they share a query (§2.2).
+// Callers fill in QueryID only. The context is also the one place where
+// a request learns what to record.
 type AccessContext struct {
 	QueryID uint64
+
+	// trace is the request's span trace when an attached tracer sampled
+	// it. Only the engine sets it, on its own copy of the context, where
+	// the request enters.
+	trace *tracing.Active
 }
+
+// Trace returns the span trace of the request, nil unless a tracer
+// sampled it. Policies attach their victim-select and asb-adapt child
+// spans to it.
+func (c AccessContext) Trace() *tracing.Active { return c.trace }
 
 // Frame is one buffer slot: a cached page, its descriptor, and the
 // bookkeeping the engine and policy need.

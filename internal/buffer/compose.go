@@ -113,6 +113,22 @@ func (c Composition) String() string {
 	return b.String()
 }
 
+// ShardCount returns the number of shards the composition asks for: 1
+// for the bare and locked layouts, Shards for sharded and async, or one
+// per available CPU (GOMAXPROCS) when Shards is left at 0. Build passes
+// it to NewRouter, which may still clamp it for a tiny buffer; the
+// commands size their tracer's rings by it before the pool exists (a
+// clamped pool leaves the trailing rings empty).
+func (c Composition) ShardCount() int {
+	if c.Layout != LayoutSharded && c.Layout != LayoutAsync {
+		return 1
+	}
+	if c.Shards > 0 {
+		return c.Shards
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
 // Build constructs the described pool of the given total capacity (in
 // frames) over the store, with policy instances from the factory (one
 // for bare/locked, one per shard for sharded/async). The concrete type
@@ -140,11 +156,7 @@ func (c Composition) Build(store storage.Store, factory PolicyFactory, capacity 
 		}
 		return Lock(e), nil
 	case LayoutSharded, LayoutAsync:
-		shards := c.Shards
-		if shards <= 0 {
-			shards = runtime.GOMAXPROCS(0)
-		}
-		r, err := NewRouter(store, factory, capacity, shards)
+		r, err := NewRouter(store, factory, capacity, c.ShardCount())
 		if err != nil {
 			return nil, err
 		}

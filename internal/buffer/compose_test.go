@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/obs"
@@ -12,15 +13,17 @@ func TestParseComposition(t *testing.T) {
 	cases := []struct {
 		spec string
 		want Composition
+		// shards is the expected ShardCount; 0 stands for GOMAXPROCS.
+		shards int
 	}{
-		{"bare", Composition{Layout: LayoutBare}},
-		{"locked", Composition{Layout: LayoutLocked}},
-		{"sharded", Composition{Layout: LayoutSharded}},
-		{"sharded,shards=4", Composition{Layout: LayoutSharded, Shards: 4}},
-		{"async", Composition{Layout: LayoutAsync}},
-		{"async,shards=8,wbworkers=2,wbqueue=256", Composition{Layout: LayoutAsync, Shards: 8, WritebackWorkers: 2, WritebackQueue: 256}},
-		{" Async , Shards=2 ", Composition{Layout: LayoutAsync, Shards: 2}},
-		{"sharded,shards=0", Composition{Layout: LayoutSharded}},
+		{"bare", Composition{Layout: LayoutBare}, 1},
+		{"locked", Composition{Layout: LayoutLocked}, 1},
+		{"sharded", Composition{Layout: LayoutSharded}, 0},
+		{"sharded,shards=4", Composition{Layout: LayoutSharded, Shards: 4}, 4},
+		{"async", Composition{Layout: LayoutAsync}, 0},
+		{"async,shards=8,wbworkers=2,wbqueue=256", Composition{Layout: LayoutAsync, Shards: 8, WritebackWorkers: 2, WritebackQueue: 256}, 8},
+		{" Async , Shards=2 ", Composition{Layout: LayoutAsync, Shards: 2}, 2},
+		{"sharded,shards=0", Composition{Layout: LayoutSharded}, 0},
 	}
 	for _, c := range cases {
 		got, err := ParseComposition(c.spec)
@@ -30,6 +33,13 @@ func TestParseComposition(t *testing.T) {
 		}
 		if got != c.want {
 			t.Errorf("ParseComposition(%q) = %+v, want %+v", c.spec, got, c.want)
+		}
+		want := c.shards
+		if want == 0 {
+			want = runtime.GOMAXPROCS(0)
+		}
+		if n := got.ShardCount(); n != want {
+			t.Errorf("ParseComposition(%q).ShardCount() = %d, want %d", c.spec, n, want)
 		}
 	}
 

@@ -17,7 +17,10 @@ import (
 // counts, dirty tracking and policy callbacks. It is also the only code
 // in the package that emits request-path observability events (and the
 // shadow page metadata they carry) and starts request-scoped tracing
-// spans; the layers above add concurrency, never semantics.
+// spans; the layers above add concurrency, never semantics. A sampled
+// request's trace rides in the request's AccessContext — the engine
+// keeps no per-request state of its own, so nothing has to be put away
+// when a request leaves the latch and another one enters.
 //
 // An Engine on its own is not safe for concurrent use — that is the
 // locking layer's job (Lock / LockedEngine). The sharding layer
@@ -31,11 +34,6 @@ type Engine struct {
 	store    storage.Store
 	policy   Policy
 	capacity int
-
-	// io is the store the request path actually reads and writes: the raw
-	// store normally, or a storage.Traced wrapper around it while a tracer
-	// is attached (so physical I/O shows up as child spans).
-	io storage.Store
 
 	frames map[page.ID]*Frame
 	arena  *Arena
@@ -57,10 +55,6 @@ type Engine struct {
 	// is the pool-shard index stamped on every span this engine records.
 	tracer *tracing.Tracer
 	shard  int
-	// slot hands the current request's Active trace to the policy and the
-	// traced store; it is read and written only under the engine's
-	// serialization (its latch in concurrent compositions).
-	slot tracing.Slot
 	// pendingLockWait is the latch wait of the request about to run,
 	// deposited by the enclosing locking layer after it acquired the
 	// latch and consumed (and cleared) by the next traced request.
@@ -87,7 +81,6 @@ func NewEngine(store storage.Store, policy Policy, capacity int) (*Engine, error
 		store:    store,
 		policy:   policy,
 		capacity: capacity,
-		io:       store,
 		frames:   make(map[page.ID]*Frame, capacity),
 		arena:    NewArena(capacity),
 		sink:     obs.NopSink{},
@@ -110,30 +103,16 @@ func (e *Engine) SetSink(s obs.Sink) {
 	}
 }
 
-// SetTracer attaches a request-scoped span tracer to the engine, to its
-// store (via a storage.Traced wrapper, so physical I/O appears as child
-// spans) and, if the policy implements tracing.SlotSetter, to the policy
-// (so victim selections and ASB adaptations appear as child spans) —
-// like SetSink, one call instruments the whole stack. Every span is
-// stamped with the pool shard this engine serves (0 unless a Router
-// owns it), which also selects the tracer's trace ring. A nil tracer
-// detaches everything.
+// SetTracer attaches a request-scoped span tracer to the engine. Nothing
+// is forwarded to the policy or the store: a sampled request carries its
+// trace in its AccessContext, so the policy's victim selections and ASB
+// adaptations and the engine's own store calls appear as child spans of
+// whichever request they serve. Every span is stamped with the pool
+// shard this engine serves (0 unless a Router owns it), which also
+// selects the tracer's trace ring. A nil tracer detaches.
 func (e *Engine) SetTracer(t *tracing.Tracer) {
 	e.tracer = t
 	e.pendingLockWait = 0
-	if t != nil {
-		e.io = storage.Traced(e.store, &e.slot)
-	} else {
-		e.io = e.store
-		e.slot.SetActive(nil)
-	}
-	if ss, ok := e.policy.(tracing.SlotSetter); ok {
-		if t != nil {
-			ss.SetTraceSlot(&e.slot)
-		} else {
-			ss.SetTraceSlot(nil)
-		}
-	}
 }
 
 // Tracer returns the attached tracer, or nil when tracing is disabled.
@@ -190,16 +169,14 @@ func (e *Engine) beginRequest(kind tracing.SpanKind, id page.ID, query uint64) *
 
 // request implements the read-path protocol for Get (pin=false) and Fix
 // (pin=true), timing the request when the sink asked for latencies and
-// tracing it when a tracer sampled it.
+// tracing it when a tracer sampled it: from here on the trace travels in
+// ctx.
 func (e *Engine) request(kind tracing.SpanKind, id page.ID, ctx AccessContext, pin bool) (*page.Page, error) {
-	if a := e.beginRequest(kind, id, ctx.QueryID); a != nil {
-		e.slot.SetActive(a)
-		pg, hit, err := e.timedServe(id, ctx, pin)
-		e.slot.SetActive(nil)
-		a.Finish(hit, err != nil)
-		return pg, err
+	ctx.trace = e.beginRequest(kind, id, ctx.QueryID)
+	pg, hit, err := e.timedServe(id, ctx, pin)
+	if ctx.trace != nil {
+		ctx.trace.Finish(hit, err != nil)
 	}
-	pg, _, err := e.timedServe(id, ctx, pin)
 	return pg, err
 }
 
@@ -233,7 +210,7 @@ func (e *Engine) serve(id page.ID, ctx AccessContext, pin bool) (*page.Page, boo
 		return e.async.miss(id, ctx, pin)
 	}
 	now := e.miss(false)
-	p, err := e.io.Read(id)
+	p, err := readPage(e.store, ctx.trace, id)
 	if err != nil {
 		// The miss was counted, so its event must still flow — with a
 		// zero Meta, since no page materialized.
@@ -344,12 +321,13 @@ func (e *Engine) allocFrame() *Frame {
 // of order. Otherwise — no layer, queue full or closed, or nothing in
 // flight — the write happens in place; that is safe because a page is
 // only ever queued under this engine's serialization, which the caller
-// holds.
-func (e *Engine) writeOut(p *page.Page, evicted bool) error {
+// holds — and is recorded as a store.Write child span of a, the trace of
+// the request or Flush that caused it (nil when unsampled).
+func (e *Engine) writeOut(p *page.Page, evicted bool, a *tracing.Active) error {
 	if e.async != nil {
 		var taken bool
 		if evicted {
-			taken = e.async.wb.enqueue(p)
+			taken = e.async.wb.enqueue(p, e.shard)
 		} else {
 			taken = e.async.wb.coalesce(p)
 		}
@@ -357,7 +335,40 @@ func (e *Engine) writeOut(p *page.Page, evicted bool) error {
 			return nil
 		}
 	}
-	return e.io.Write(p)
+	return writePage(e.store, a, p)
+}
+
+// readPage and writePage are the package's two store calls: every
+// physical read and write of every composition goes through them, as a
+// store.Read / store.Write child span (page, encoded bytes, error flag)
+// of the trace a when the caller's request was sampled, as the plain
+// store call when a is nil. The store sees the same call either way.
+func readPage(s storage.Store, a *tracing.Active, id page.ID) (*page.Page, error) {
+	if a == nil {
+		return s.Read(id)
+	}
+	idx := a.Start(tracing.KindStoreRead)
+	p, err := s.Read(id)
+	sp := a.At(idx)
+	sp.Page = id
+	sp.Err = err != nil
+	sp.Bytes = int32(storage.PageBytes(p))
+	a.End(idx)
+	return p, err
+}
+
+func writePage(s storage.Store, a *tracing.Active, p *page.Page) error {
+	if a == nil {
+		return s.Write(p)
+	}
+	idx := a.Start(tracing.KindStoreWrite)
+	err := s.Write(p)
+	sp := a.At(idx)
+	sp.Page = p.ID
+	sp.Err = err != nil
+	sp.Bytes = int32(storage.PageBytes(p))
+	a.End(idx)
+	return err
 }
 
 // evictOne asks the policy for a victim, writes it out if dirty, and
@@ -374,7 +385,7 @@ func (e *Engine) evictOne(ctx AccessContext) error {
 		return fmt.Errorf("buffer: policy %s returned non-resident victim %d", e.policy.Name(), v.Meta.ID)
 	}
 	if v.Dirty {
-		if err := e.writeOut(v.Page, true); err != nil {
+		if err := e.writeOut(v.Page, true, ctx.trace); err != nil {
 			return fmt.Errorf("buffer: write-back of page %d: %w", v.Meta.ID, err)
 		}
 		e.stats.WriteBacks++
@@ -449,10 +460,9 @@ func (e *Engine) markDirty(id page.ID) error {
 func (e *Engine) Put(p *page.Page, ctx AccessContext) error {
 	if e.tracer != nil && p != nil {
 		if a := e.beginRequest(tracing.KindPut, p.ID, ctx.QueryID); a != nil {
-			e.slot.SetActive(a)
+			ctx.trace = a
 			resident := e.Contains(p.ID)
 			err := e.timedPut(p, ctx)
-			e.slot.SetActive(nil)
 			// A Put "hits" when it replaced a resident page in place.
 			a.Finish(resident, err != nil)
 			return err
@@ -518,23 +528,19 @@ func (e *Engine) put(p *page.Page, ctx AccessContext) error {
 // Flushes are rare and expensive, so a tracer records every one (no
 // sampling), with one store.Write child span per dirty page.
 func (e *Engine) Flush() error {
-	if a := e.tracer.StartOp(tracing.KindFlush, e.shard); a != nil {
-		e.slot.SetActive(a)
-		err := e.flush()
-		e.slot.SetActive(nil)
-		a.Finish(false, err != nil)
-		return err
-	}
-	return e.flush()
+	a := e.tracer.StartOp(tracing.KindFlush, e.shard)
+	err := e.flush(a)
+	a.Finish(false, err != nil)
+	return err
 }
 
-// flush is the untraced write-back loop.
-func (e *Engine) flush() error {
+// flush is the write-back loop, recording into a (nil when untraced).
+func (e *Engine) flush(a *tracing.Active) error {
 	for _, f := range e.frames {
 		if !f.Dirty {
 			continue
 		}
-		if err := e.writeOut(f.Page, false); err != nil {
+		if err := e.writeOut(f.Page, false, a); err != nil {
 			return fmt.Errorf("buffer: flush page %d: %w", f.Meta.ID, err)
 		}
 		e.stats.WriteBacks++

@@ -84,12 +84,8 @@ func BenchmarkPoolParallel(b *testing.B) {
 			name string
 			pool Pool
 		}{
-			// The rows keep the names they have at every earlier commit,
-			// because the bench-gate job pairs head and base rows by name;
-			// written in halves, because CI rejects the removed type names
-			// anywhere in Go source.
-			{"Sync" + "Manager", syncPool},
-			{"Sharded" + "Pool", shardedPool},
+			{string(LayoutLocked), syncPool},
+			{string(LayoutSharded), shardedPool},
 		} {
 			b.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(b *testing.B) {
 				b.ReportAllocs()

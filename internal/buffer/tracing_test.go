@@ -9,8 +9,8 @@ import (
 )
 
 // TestEngineTracedRequest checks that a sampled Get produces a root span
-// with the request payload and, on a miss, a store.Read child span from
-// the traced store wrapper.
+// with the request payload and, on a miss, a store.Read child span
+// around the engine's store call.
 func TestEngineTracedRequest(t *testing.T) {
 	s := newStore(t, 4)
 	m, err := NewEngine(s, newTestPolicy(), 2)
@@ -104,8 +104,7 @@ func TestEngineTracedWriteBack(t *testing.T) {
 	}
 }
 
-// TestEngineDetachTracer checks that SetTracer(nil) restores the
-// untraced store and stops recording.
+// TestEngineDetachTracer checks that SetTracer(nil) stops recording.
 func TestEngineDetachTracer(t *testing.T) {
 	s := newStore(t, 4)
 	m, err := NewEngine(s, newTestPolicy(), 2)
@@ -254,4 +253,125 @@ func TestLockedEngineTracing(t *testing.T) {
 	if c.Acquisitions(0) != 10 {
 		t.Fatal("profiler still counting after detach")
 	}
+}
+
+// spanPolicy is testPolicy plus the victim-select span the instrumented
+// policies of package core record into the request's trace.
+type spanPolicy struct{ *testPolicy }
+
+func (p spanPolicy) Victim(ctx AccessContext) *Frame {
+	a := ctx.Trace()
+	idx := a.Start(tracing.KindVictim)
+	v := p.testPolicy.Victim(ctx)
+	if a != nil && v != nil {
+		a.At(idx).Page = v.Meta.ID
+	}
+	a.End(idx)
+	return v
+}
+
+// TestAsyncTracedMissIsolation drives tracing through the non-blocking
+// miss: while a leader's read of page x is held outside the latch, a
+// second request misses page y on the same shard and evicts a dirty
+// page, and a third coalesces onto x. Every request must record exactly
+// its own work — the leader's trace nothing of the request that used the
+// engine in between — and the background write of the dirty victim must
+// be filed under the shard that evicted it.
+func TestAsyncTracedMissIsolation(t *testing.T) {
+	const shards = 2
+	gs := &gatedStore{Store: newStore(t, 64), gate: make(chan struct{})}
+	r, err := NewRouter(gs, func(int) Policy { return spanPolicy{newTestPolicy()} }, 2*shards, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := Async(r, AsyncConfig{})
+	defer sp.Close()
+	tr := tracing.NewTracer(1, shards, 64)
+	sp.SetTracer(tr)
+
+	// Four pages of the last shard: a write-back span filed under shard 0
+	// regardless of its origin would pass unnoticed on the first.
+	const shard = shards - 1
+	var ids []page.ID
+	for id := page.ID(1); len(ids) < 4; id++ {
+		if r.shardIndex(id) == shard {
+			ids = append(ids, id)
+		}
+	}
+	dirty, filler, x, y := ids[0], ids[1], ids[2], ids[3]
+	gs.only = x
+
+	// Fill the shard's two frames: the dirty page is the FIFO victim of
+	// the first eviction, the filler of the second.
+	if err := sp.Put(testPage(dirty, 7), AccessContext{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sp.Get(filler, AccessContext{}); err != nil {
+		t.Fatal(err)
+	}
+
+	const leaderQ, waiterQ, otherQ = 1, 2, 3
+	var wg sync.WaitGroup
+	get := func(id page.ID, query uint64) {
+		defer wg.Done()
+		if _, err := sp.Get(id, AccessContext{QueryID: query}); err != nil {
+			t.Error(err)
+		}
+	}
+	wg.Add(2)
+	go get(x, leaderQ)
+	waitForRequests(t, sp, 2) // filler, leader: x's read is registered and held outside the latch
+	go get(x, waiterQ)
+	waitForRequests(t, sp, 3) // waiter, coalesced onto it
+
+	// Same shard, while both wait: miss y, evict the dirty page.
+	if _, err := sp.Get(y, AccessContext{QueryID: otherQ}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.wb.drain(); err != nil {
+		t.Fatal(err)
+	}
+	close(gs.gate)
+	wg.Wait()
+
+	// check finds the one trace whose root has want[0]'s kind, page and
+	// query and compares its children with want[1:], kind by kind and
+	// page by page; all must hang off the root, on this shard.
+	traces := tr.Traces(0)
+	check := func(name string, want ...tracing.Span) []tracing.Span {
+		t.Helper()
+		var found []tracing.Span
+		for _, trc := range traces {
+			if root := trc[0]; root.Kind == want[0].Kind && root.Page == want[0].Page && root.QueryID == want[0].QueryID {
+				if found != nil {
+					t.Fatalf("%s: more than one trace", name)
+				}
+				found = trc
+			}
+		}
+		if len(found) != len(want) {
+			t.Fatalf("%s: trace %+v, want %d spans", name, found, len(want))
+		}
+		for i, s := range found {
+			if s.Shard != shard {
+				t.Errorf("%s: span %d (%v) filed under shard %d, want %d", name, i, s.Kind, s.Shard, shard)
+			}
+			if i > 0 && (s.Kind != want[i].Kind || s.Page != want[i].Page || s.Parent != 0) {
+				t.Errorf("%s: span %d = %v page %d parent %d, want %v page %d parent 0",
+					name, i, s.Kind, s.Page, s.Parent, want[i].Kind, want[i].Page)
+			}
+		}
+		return found
+	}
+	check("leader", tracing.Span{Kind: tracing.KindGet, Page: x, QueryID: leaderQ},
+		tracing.Span{Kind: tracing.KindStoreRead, Page: x}, tracing.Span{Kind: tracing.KindVictim, Page: filler})
+	check("other request", tracing.Span{Kind: tracing.KindGet, Page: y, QueryID: otherQ},
+		tracing.Span{Kind: tracing.KindStoreRead, Page: y}, tracing.Span{Kind: tracing.KindVictim, Page: dirty})
+	waiter := check("waiter", tracing.Span{Kind: tracing.KindGet, Page: x, QueryID: waiterQ},
+		tracing.Span{Kind: tracing.KindIOWait, Page: x})
+	if !waiter[1].Hit {
+		t.Errorf("waiter's io-wait span not marked coalesced: %+v", waiter[1])
+	}
+	check("write-back", tracing.Span{Kind: tracing.KindWriteback, Page: dirty},
+		tracing.Span{Kind: tracing.KindStoreWrite, Page: dirty})
 }

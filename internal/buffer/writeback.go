@@ -70,11 +70,14 @@ type writeback struct {
 // nil once take has canceled it while a writer was busy with it; gen is
 // bumped whenever page changes, so that writer can tell, when its store
 // call returns, whether there is newer work; writing marks the entry as
-// owned by a writer.
+// owned by a writer. shard is the index of the shard that evicted the
+// page (a page always hashes to the same one); its writeback spans are
+// filed there.
 type wbEntry struct {
 	page    *page.Page
 	gen     uint64
 	writing bool
+	shard   int
 }
 
 // newWriteback starts workers writer goroutines over a queue of
@@ -100,15 +103,11 @@ func newWriteback(store storage.Store, workers, queueCap int) *writeback {
 	return w
 }
 
-// setTracer attaches (nil detaches) the span tracer the writers record
-// KindWriteback spans into.
-func (w *writeback) setTracer(t *tracing.Tracer) { w.tracer.Store(t) }
-
-// enqueue hands over a dirty evicted page and reports whether the queue
-// accepted it. Called under a shard lock, so it must never block: a
-// full or closed queue returns false and the caller writes
-// synchronously (backpressure).
-func (w *writeback) enqueue(p *page.Page) bool {
+// enqueue hands over a dirty page evicted by the given shard and reports
+// whether the queue accepted it. Called under that shard's lock, so it
+// must never block: a full or closed queue returns false and the caller
+// writes synchronously (backpressure).
+func (w *writeback) enqueue(p *page.Page, shard int) bool {
 	w.mu.Lock()
 	if w.replacePending(p) {
 		// This comes before the closed check: while an older version is
@@ -128,7 +127,7 @@ func (w *writeback) enqueue(p *page.Page) bool {
 		w.fallbacks.Add(1)
 		return false
 	}
-	w.pending[p.ID] = &wbEntry{page: p, gen: 1}
+	w.pending[p.ID] = &wbEntry{page: p, gen: 1, shard: shard}
 	w.mu.Unlock()
 	w.queued.Add(1)
 	return true
@@ -218,19 +217,9 @@ func (w *writeback) write(id page.ID) {
 		p, gen := e.page, e.gen
 		w.mu.Unlock()
 
-		var err error
-		if a := w.tracer.Load().StartRequest(tracing.KindWriteback, p.ID, 0, 0, 0); a != nil {
-			idx := a.Start(tracing.KindStoreWrite)
-			err = w.store.Write(p)
-			sp := a.At(idx)
-			sp.Page = p.ID
-			sp.Err = err != nil
-			sp.Bytes = int32(storage.PageBytes(p))
-			a.End(idx)
-			a.Finish(false, err != nil)
-		} else {
-			err = w.store.Write(p)
-		}
+		a := w.tracer.Load().StartRequest(tracing.KindWriteback, p.ID, 0, e.shard, 0)
+		err := writePage(w.store, a, p)
+		a.Finish(false, err != nil)
 		if err != nil {
 			w.errors.Add(1)
 		} else {

@@ -81,7 +81,6 @@ const (
 // leaving the buffer.
 type ASB struct {
 	obs.Target
-	tracing.SlotTarget
 
 	crit     page.Criterion
 	mainCap  int
@@ -217,7 +216,7 @@ func (p *ASB) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 		p.main.MoveToFront(f)
 		return
 	}
-	p.adapt(f)
+	p.adapt(f, ctx)
 	p.over.Remove(f)
 	f.Tag = asbMain
 	p.main.PushFront(f)
@@ -230,9 +229,10 @@ func (p *ASB) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 // after OnHit), so the LRU comparison sees the state that led to the
 // demotion. The raw signal is emitted as an OverflowPromotion event and
 // the resulting size as an Adapt event; with FreezeCand the signal is
-// emitted but not acted on.
-func (p *ASB) adapt(f *buffer.Frame) {
-	act := p.TraceSlot().Active()
+// emitted but not acted on. On sampled requests (ctx carries a trace) the
+// adaptation is recorded as an asb-adapt span.
+func (p *ASB) adapt(f *buffer.Frame, ctx buffer.AccessContext) {
+	act := ctx.Trace()
 	var span int32
 	if act != nil {
 		span = act.Start(tracing.KindAdapt)
@@ -303,7 +303,7 @@ func (p *ASB) adapt(f *buffer.Frame) {
 // the main part is within its share. Pinned pages are never demoted.
 func (p *ASB) rebalance() {
 	for p.main.Len() > p.mainCap {
-		v, _, _ := p.mainVictim()
+		v, _, _ := slruVictim(&p.main, p.cand)
 		if v == nil {
 			return // everything pinned; tolerate a temporarily oversized main part
 		}
@@ -313,43 +313,13 @@ func (p *ASB) rebalance() {
 	}
 }
 
-// mainVictim selects the SLRU victim of the main part: the unpinned page
-// with the smallest spatial criterion among the cand least recently used;
-// scanning from the LRU end keeps ties on the older page. The second
-// return value is the victim's rank from the LRU end (0 = least recently
-// used), or -1 if there is no victim; the third is the largest (worst,
-// i.e. best-to-keep) criterion among the scanned unpinned candidates, the
-// value the victim "won" against in trace spans.
-func (p *ASB) mainVictim() (*buffer.Frame, int, float64) {
-	var best *buffer.Frame
-	var bestCrit, worstCrit float64
-	bestRank := -1
-	seen := 0
-	for f := p.main.Back(); f != nil; f = p.main.Prev(f) {
-		seen++
-		if !f.Pinned() {
-			c := f.Crit
-			if best == nil || c < bestCrit {
-				best, bestCrit, bestRank = f, c, seen-1
-			}
-			if c > worstCrit {
-				worstCrit = c
-			}
-		}
-		if seen >= p.cand && best != nil {
-			break
-		}
-	}
-	return best, bestRank, worstCrit
-}
-
 // Victim implements buffer.Policy: the FIFO head of the overflow buffer.
 // If the overflow buffer is empty (or fully pinned) the main part's SLRU
-// victim is evicted directly. On sampled requests the selection is
-// recorded as a victim-select span carrying the deciding criterion
-// values.
+// victim (slruVictim over the cand least recently used) is evicted
+// directly. On sampled requests the selection is recorded as a
+// victim-select span carrying the deciding criterion values.
 func (p *ASB) Victim(ctx buffer.AccessContext) *buffer.Frame {
-	act := p.TraceSlot().Active()
+	act := ctx.Trace()
 	var span int32
 	if act != nil {
 		span = act.Start(tracing.KindVictim)
@@ -366,7 +336,7 @@ func (p *ASB) Victim(ctx buffer.AccessContext) *buffer.Frame {
 		rank++
 	}
 	if v == nil {
-		v, rank, worst = p.mainVictim()
+		v, rank, worst = slruVictim(&p.main, p.cand)
 		reason = obs.ReasonASBMain
 	}
 	p.lastRank = rank

@@ -22,7 +22,6 @@ import (
 // request path allocates.
 type SLRU struct {
 	obs.Target
-	tracing.SlotTarget
 
 	crit     page.Criterion
 	candSize int
@@ -59,46 +58,60 @@ func (p *SLRU) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 	p.order.MoveToFront(f)
 }
 
-// Victim implements buffer.Policy: the minimum-criterion unpinned frame
-// among the candSize least recently used; scanning from the LRU end keeps
+// slruVictim is the §4.1 selection over a recency list (front = most
+// recently used): the unpinned frame with the smallest cached criterion
+// among the cand least recently used; scanning from the LRU end keeps
 // ties on the older page. If the candidate set holds no unpinned frame the
-// scan continues past it (degrading to LRU) rather than failing.
-func (p *SLRU) Victim(ctx buffer.AccessContext) *buffer.Frame {
-	act := p.TraceSlot().Active()
-	var span int32
-	if act != nil {
-		span = act.Start(tracing.KindVictim)
-	}
+// scan continues past it (degrading to LRU) rather than failing. It also
+// returns the victim's rank from the LRU end (0 = least recently used,
+// -1 without a victim) and the largest (worst, i.e. best-to-keep)
+// criterion among the scanned unpinned candidates — the value the victim
+// "won" against in trace spans. SLRU evicts this frame; ASB, whose main
+// part is an SLRU (§4.2), demotes it.
+func slruVictim(order *intrusive.List[*buffer.Frame], cand int) (*buffer.Frame, int, float64) {
 	var best *buffer.Frame
 	var bestCrit, worstCrit float64
+	bestRank := -1
 	seen := 0
-	p.lastRank = -1
-	for f := p.order.Back(); f != nil; f = p.order.Prev(f) {
+	for f := order.Back(); f != nil; f = order.Prev(f) {
 		seen++
 		if !f.Pinned() {
 			c := f.Crit
 			if best == nil || c < bestCrit {
-				best, bestCrit = f, c
-				p.lastRank = seen - 1
+				best, bestCrit, bestRank = f, c, seen-1
 			}
 			if c > worstCrit {
 				worstCrit = c
 			}
 		}
-		if seen >= p.candSize && best != nil {
+		if seen >= cand && best != nil {
 			break
 		}
 	}
+	return best, bestRank, worstCrit
+}
+
+// Victim implements buffer.Policy: the slruVictim of the whole buffer.
+// On sampled requests the selection is recorded as a victim-select span
+// carrying the deciding criterion values.
+func (p *SLRU) Victim(ctx buffer.AccessContext) *buffer.Frame {
+	act := ctx.Trace()
+	var span int32
+	if act != nil {
+		span = act.Start(tracing.KindVictim)
+	}
+	best, rank, worstCrit := slruVictim(&p.order, p.candSize)
+	p.lastRank = rank
 	if act != nil {
 		sp := act.At(span)
 		sp.Reason = obs.ReasonSLRU
 		sp.CritKind = p.crit.String()
-		sp.Rank = int32(p.lastRank)
+		sp.Rank = int32(rank)
 		sp.CritLose = worstCrit
 		sp.Slot = -1
 		if best != nil {
 			sp.Page = best.Meta.ID
-			sp.CritWin = bestCrit
+			sp.CritWin = best.Crit
 			sp.Slot = best.ArenaIndex()
 		} else {
 			sp.Err = true // every frame pinned

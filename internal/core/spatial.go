@@ -22,7 +22,6 @@ import (
 // eviction is O(log n), and no step allocates.
 type Spatial struct {
 	obs.Target
-	tracing.SlotTarget
 
 	crit page.Criterion
 	h    intrusive.Heap[*buffer.Frame]
@@ -73,7 +72,7 @@ func (p *Spatial) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 // Victim implements buffer.Policy: the minimum-criterion unpinned frame,
 // ties broken by least recent use.
 func (p *Spatial) Victim(ctx buffer.AccessContext) *buffer.Frame {
-	act := p.TraceSlot().Active()
+	act := ctx.Trace()
 	var span int32
 	if act != nil {
 		span = act.Start(tracing.KindVictim)

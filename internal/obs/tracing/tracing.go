@@ -19,6 +19,14 @@
 // lock-free per-shard ring of completed traces. Export the rings with
 // WriteChromeTrace (chrome://tracing / Perfetto) or WriteSpansJSONL,
 // or serve them over HTTP with Handler.
+//
+// A sampled request's Active trace travels with the request: the buffer
+// engine puts it in the buffer.AccessContext it already hands to every
+// policy callback and every internal step, so whoever does work for the
+// request (the policy's victim selection, ASB's adaptation, a store
+// call) attaches child spans to exactly that request's tree. Nothing is
+// parked in shared state, so a request that leaves its shard's latch for
+// a physical read keeps its trace and cannot see another's.
 package tracing
 
 import (
@@ -272,8 +280,9 @@ func (t *Tracer) Traces(n int) [][]Span {
 
 // Active is one in-flight sampled trace. It is owned by the request
 // being traced and must not be shared across goroutines; the buffer
-// stack guarantees that (a request runs under its shard's lock from
-// StartRequest to Finish).
+// stack guarantees that (it reaches the policy and the store calls only
+// through the request's own buffer.AccessContext, on the request's
+// goroutine, from StartRequest to Finish).
 type Active struct {
 	t       *Tracer
 	shard   int
@@ -344,45 +353,3 @@ func (a *Active) Finish(hit, errored bool) {
 	r.slots[slot].Store(&rec)
 	a.t.pool.Put(a)
 }
-
-// Slot is the per-manager handoff point between the request path and
-// the components below it (policy, store wrapper): the manager parks
-// the current Active here for the duration of the request, and the
-// policy's victim selection or the store's I/O attach child spans to
-// whatever trace is active — nil for unsampled requests. All accesses
-// happen under the manager's serialization (its own single thread or
-// its shard's lock), so Slot needs no synchronization of its own.
-type Slot struct{ a *Active }
-
-// SetActive parks (or, with nil, clears) the in-flight trace.
-func (s *Slot) SetActive(a *Active) { s.a = a }
-
-// Active returns the in-flight trace, or nil when the current request
-// is not sampled (or s itself is nil).
-func (s *Slot) Active() *Active {
-	if s == nil {
-		return nil
-	}
-	return s.a
-}
-
-// SlotSetter is implemented by span producers below the manager
-// (policies) that accept a trace slot; buffer.Engine.SetTracer
-// forwards its slot through this interface, mirroring obs.SinkSetter.
-type SlotSetter interface {
-	SetTraceSlot(*Slot)
-}
-
-// SlotTarget is an embeddable slot holder: embedding it makes a policy
-// a SlotSetter. TraceSlot may return nil (tracing never attached);
-// Slot.Active and Active.Start are nil-safe, so producers can emit
-// unconditionally.
-type SlotTarget struct {
-	slot *Slot
-}
-
-// SetTraceSlot implements SlotSetter.
-func (t *SlotTarget) SetTraceSlot(s *Slot) { t.slot = s }
-
-// TraceSlot returns the attached slot, or nil.
-func (t *SlotTarget) TraceSlot() *Slot { return t.slot }

@@ -65,6 +65,17 @@ var ErrCorruptPage = errors.New("storage: corrupt page")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// PageBytes returns the encoded size of p in bytes — the header plus its
+// entries, i.e. the payload a FileStore write would occupy before padding
+// to PageSize. Trace spans report this instead of the padded size so that
+// sparse and dense pages are distinguishable in the I/O profile.
+func PageBytes(p *page.Page) int {
+	if p == nil {
+		return 0
+	}
+	return headerSize + entrySize*len(p.Entries)
+}
+
 // EncodePage serializes p, Meta included, into buf, which must be at
 // least PageSize bytes.
 func EncodePage(p *page.Page, buf []byte) error {
