@@ -576,7 +576,7 @@ type soleFramePolicy struct{ f *Frame }
 func (p *soleFramePolicy) Name() string                                { return "sole-frame" }
 func (p *soleFramePolicy) OnAdmit(f *Frame, _ uint64, _ AccessContext) { p.f = f }
 func (p *soleFramePolicy) OnHit(*Frame, uint64, AccessContext)         {}
-func (p *soleFramePolicy) Victim(AccessContext) *Frame                 { return p.f }
+func (p *soleFramePolicy) Victim(AccessContext) Choice                 { return Choice{Frame: p.f} }
 func (p *soleFramePolicy) OnEvict(*Frame)                              { p.f = nil }
 func (p *soleFramePolicy) Reset()                                      { p.f = nil }
 

@@ -61,8 +61,7 @@ type AccessContext struct {
 }
 
 // Trace returns the span trace of the request, nil unless a tracer
-// sampled it. Policies attach their victim-select and asb-adapt child
-// spans to it.
+// sampled it. ASB attaches its asb-adapt child spans to it.
 func (c AccessContext) Trace() *tracing.Active { return c.trace }
 
 // Frame is one buffer slot: a cached page, its descriptor, and the
@@ -138,13 +137,40 @@ func (f *Frame) Aux() any { return f.aux }
 // SetAux attaches policy-private state to the frame.
 func (f *Frame) SetAux(v any) { f.aux = v }
 
+// Choice is a policy's answer to Victim, returned by value: the frame it
+// picked and why (the strings hold constants). The engine fills the
+// victim-select span and the obs.EvictionEvent from it, so a policy
+// decides which page leaves and never how that is reported.
+type Choice struct {
+	// Frame is the victim, never pinned; nil when every frame is pinned.
+	Frame *Frame
+	// Reason is the policy's eviction-reason constant (obs.Reason*).
+	Reason string
+	// CritKind names what Win and Lose measure: the spatial criterion
+	// ("A", "EA", …), "class" for the priority class of LRU-T/P, "hist-k"
+	// for LRU-K's HIST(q,K); empty for policies that rank by order alone.
+	CritKind string
+	// Win is the victim's deciding value, 0 when the policy has none.
+	Win float64
+	// Lose is the largest (best-to-keep) value among the candidates the
+	// victim won against, 0 when none were compared.
+	Lose float64
+	// Rank is the victim's place in the policy's LRU or FIFO order (0 =
+	// least recently used / oldest admission, more when pinned frames were
+	// skipped), -1 without such an order or without a victim.
+	Rank int
+}
+
 // Policy decides which frame to evict when the buffer is full.
 //
 // The engine guarantees: OnAdmit is called exactly once per residence of a
 // page; OnHit only for admitted frames; Victim only when at least one frame
 // exists; OnEvict exactly once for the frame most recently returned by
-// Victim. Victim must never return a pinned frame (return nil instead,
-// which the engine surfaces as ErrAllPinned).
+// Victim (a nil Choice.Frame the engine surfaces as ErrAllPinned).
+//
+// Reporting is the engine's: the Choice fills the victim-select span of a
+// sampled request, and the eviction's one obs.EvictionEvent follows
+// OnEvict — so a failed dirty write-out leaves a span but no event.
 type Policy interface {
 	// Name returns the policy's display name (e.g. "LRU", "ASB").
 	Name() string
@@ -154,11 +180,11 @@ type Policy interface {
 	// still holds the previous access time; the engine sets it to now
 	// after the callback returns.
 	OnHit(f *Frame, now uint64, ctx AccessContext)
-	// Victim selects the frame to evict, or nil if every frame is pinned.
+	// Victim selects the frame to evict and says why (see Choice).
 	// ctx is the access on whose behalf the eviction happens; LRU-K uses
 	// it to exclude pages whose last reference is correlated with the
 	// current access (paper §2.2, third case).
-	Victim(ctx AccessContext) *Frame
+	Victim(ctx AccessContext) Choice
 	// OnEvict is invoked after the engine removed f from the buffer.
 	OnEvict(f *Frame)
 	// Reset discards all policy state (the buffer was cleared).

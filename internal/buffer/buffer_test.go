@@ -34,13 +34,13 @@ func (p *testPolicy) OnHit(f *Frame, now uint64, ctx AccessContext) {
 	p.lastCtx = ctx
 }
 
-func (p *testPolicy) Victim(ctx AccessContext) *Frame {
+func (p *testPolicy) Victim(ctx AccessContext) Choice {
 	for e := p.order.Front(); e != nil; e = e.Next() {
 		if f := e.Value.(*Frame); !f.Pinned() {
-			return f
+			return Choice{Frame: f, Reason: "test", Rank: -1}
 		}
 	}
-	return nil
+	return Choice{}
 }
 
 func (p *testPolicy) OnEvict(f *Frame) {

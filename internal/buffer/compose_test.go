@@ -259,6 +259,11 @@ func TestCompositionMatrixEquivalence(t *testing.T) {
 			applyOp(t, pool, op)
 		}
 		st := pool.Stats()
+		// One Eviction event per counted eviction, on every layout: the
+		// engine reports them, so no layer and no policy can drop one.
+		if uint64(len(rec.evictions)) != st.Evictions {
+			t.Errorf("%s: %d eviction events for %d evictions", spec, len(rec.evictions), st.Evictions)
+		}
 		var ids []page.ID
 		switch p := pool.(type) {
 		case *Engine:

@@ -88,10 +88,9 @@ func NewEngine(store storage.Store, policy Policy, capacity int) (*Engine, error
 }
 
 // SetSink attaches an observability sink to the engine and, if the
-// policy implements obs.SinkSetter, to the policy as well — one call
-// instruments the whole stack. A nil sink detaches (back to NopSink).
-// The engine emits Request events; instrumented policies emit
-// Eviction, OverflowPromotion and Adapt events.
+// policy implements obs.SinkSetter (ASB does, for its OverflowPromotion
+// and Adapt events), to the policy as well. A nil sink detaches (back to
+// NopSink). Request and Eviction events are the engine's, for any policy.
 func (e *Engine) SetSink(s obs.Sink) {
 	if s == nil {
 		s = obs.NopSink{}
@@ -105,9 +104,9 @@ func (e *Engine) SetSink(s obs.Sink) {
 
 // SetTracer attaches a request-scoped span tracer to the engine. Nothing
 // is forwarded to the policy or the store: a sampled request carries its
-// trace in its AccessContext, so the policy's victim selections and ASB
-// adaptations and the engine's own store calls appear as child spans of
-// whichever request they serve. Every span is stamped with the pool
+// trace in its AccessContext, so the engine's victim selections and store
+// calls and ASB's adaptations appear as child spans of whichever request
+// they serve. Every span is stamped with the pool
 // shard this engine serves (0 unless a Router owns it), which also
 // selects the tracer's trace ring. A nil tracer detaches.
 func (e *Engine) SetTracer(t *tracing.Tracer) {
@@ -371,10 +370,29 @@ func writePage(s storage.Store, a *tracing.Active, p *page.Page) error {
 	return err
 }
 
-// evictOne asks the policy for a victim, writes it out if dirty, and
-// removes it.
+// evictOne asks the policy for its choice, writes the victim out if
+// dirty, and removes it. Evictions are reported here and nowhere else:
+// the choice fills the victim-select span of a sampled request and, after
+// OnEvict, the event.
 func (e *Engine) evictOne(ctx AccessContext) error {
-	v := e.policy.Victim(ctx)
+	a := ctx.trace
+	var span int32
+	if a != nil {
+		span = a.Start(tracing.KindVictim)
+	}
+	c := e.policy.Victim(ctx)
+	v := c.Frame
+	if a != nil {
+		sp := a.At(span)
+		sp.Reason, sp.CritKind = c.Reason, c.CritKind
+		sp.CritWin, sp.CritLose = c.Win, c.Lose
+		sp.Rank, sp.Slot = int32(c.Rank), -1
+		sp.Err = v == nil // every frame pinned
+		if v != nil {
+			sp.Page, sp.Slot = v.Meta.ID, v.ArenaIndex()
+		}
+		a.End(span)
+	}
 	if v == nil {
 		return ErrAllPinned
 	}
@@ -393,6 +411,7 @@ func (e *Engine) evictOne(ctx AccessContext) error {
 	delete(e.frames, v.Meta.ID)
 	e.stats.Evictions++
 	e.policy.OnEvict(v)
+	e.sink.Eviction(obs.EvictionEvent{Page: v.Meta.ID, Reason: c.Reason, Criterion: c.Win, LRURank: c.Rank})
 	// The policy has unlinked the frame and nothing above holds a *Frame
 	// (callers only ever see *page.Page), so the slot recycles to the
 	// free-list for the admission that triggered this eviction.
@@ -509,19 +528,11 @@ func (e *Engine) put(p *page.Page, ctx AccessContext) error {
 		// content; cancel it so the stale write can never land after ours.
 		e.async.wb.take(p.ID)
 	}
-	if len(e.frames) >= e.capacity {
-		if err := e.evictOne(ctx); err != nil {
-			return err
-		}
+	f, err := e.admit(p, now, ctx)
+	if err == nil {
+		f.Dirty = true
 	}
-	f := e.allocFrame()
-	f.Meta = p.Meta
-	f.Page = p
-	f.LastUse = now
-	f.Dirty = true
-	e.frames[p.ID] = f
-	e.policy.OnAdmit(f, now, ctx)
-	return nil
+	return err
 }
 
 // Flush writes back all dirty resident pages without evicting them.

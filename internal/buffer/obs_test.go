@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/obs"
@@ -12,21 +13,25 @@ type recordingSink struct {
 	obs.NopSink
 	requests  []obs.RequestEvent
 	evictions []obs.EvictionEvent
+	adapts    int
 }
 
 func (r *recordingSink) Request(e obs.RequestEvent)   { r.requests = append(r.requests, e) }
 func (r *recordingSink) Eviction(e obs.EvictionEvent) { r.evictions = append(r.evictions, e) }
+func (r *recordingSink) Adapt(obs.AdaptEvent)         { r.adapts++ }
 
-// sinkAwarePolicy is a testPolicy that also accepts a sink and emits an
-// Eviction event per eviction, like the instrumented core policies.
+// sinkAwarePolicy is a testPolicy that also accepts a sink for events of
+// its own, as ASB does: it emits an Adapt event per hit.
 type sinkAwarePolicy struct {
 	testPolicy
-	obs.Target
+	sink obs.Sink
 }
 
-func (p *sinkAwarePolicy) OnEvict(f *Frame) {
-	p.testPolicy.OnEvict(f)
-	p.Sink().Eviction(obs.EvictionEvent{Page: f.Meta.ID, Reason: "test", LRURank: -1})
+func (p *sinkAwarePolicy) SetSink(s obs.Sink) { p.sink = s }
+
+func (p *sinkAwarePolicy) OnHit(f *Frame, now uint64, ctx AccessContext) {
+	p.testPolicy.OnHit(f, now, ctx)
+	p.sink.Adapt(obs.AdaptEvent{})
 }
 
 func TestEngineEmitsRequestEvents(t *testing.T) {
@@ -97,24 +102,32 @@ func TestSetSinkForwardsToPolicy(t *testing.T) {
 	rec := &recordingSink{}
 	m.SetSink(rec)
 
-	for id := page.ID(1); id <= 3; id++ {
+	for _, id := range []page.ID{1, 1, 2, 3} {
 		if _, err := m.Get(id, AccessContext{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(rec.evictions) != 2 {
-		t.Fatalf("policy emitted %d evictions through the forwarded sink, want 2", len(rec.evictions))
+	// The engine reports each eviction, from the policy's Choice.
+	want := []obs.EvictionEvent{
+		{Page: 1, Reason: "test", LRURank: -1},
+		{Page: 2, Reason: "test", LRURank: -1},
 	}
-	if rec.evictions[0].Page != 1 || rec.evictions[1].Page != 2 {
-		t.Errorf("eviction pages = %+v", rec.evictions)
+	if !reflect.DeepEqual(rec.evictions, want) {
+		t.Errorf("evictions = %+v, want %+v", rec.evictions, want)
+	}
+	// The policy's own events arrive through the forwarded sink.
+	if rec.adapts != 1 {
+		t.Errorf("policy emitted %d events through the forwarded sink, want 1", rec.adapts)
 	}
 
 	// Detaching falls back to the no-op sink on both layers.
 	m.SetSink(nil)
-	if _, err := m.Get(4, AccessContext{}); err != nil {
-		t.Fatal(err)
+	for _, id := range []page.ID{4, 4} {
+		if _, err := m.Get(id, AccessContext{}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(rec.requests) != 3 || len(rec.evictions) != 2 {
+	if len(rec.requests) != 4 || len(rec.evictions) != 2 || rec.adapts != 1 {
 		t.Error("detached sink still received events")
 	}
 }

@@ -47,13 +47,13 @@ func (p *lruPolicy) OnAdmit(f *Frame, now uint64, ctx AccessContext) {
 func (p *lruPolicy) OnHit(f *Frame, now uint64, ctx AccessContext) {
 	p.order.MoveToFront(f.Aux().(*list.Element))
 }
-func (p *lruPolicy) Victim(ctx AccessContext) *Frame {
+func (p *lruPolicy) Victim(ctx AccessContext) Choice {
 	for e := p.order.Back(); e != nil; e = e.Prev() {
 		if f := e.Value.(*Frame); !f.Pinned() {
-			return f
+			return Choice{Frame: f}
 		}
 	}
-	return nil
+	return Choice{}
 }
 func (p *lruPolicy) OnEvict(f *Frame) {
 	p.order.Remove(f.Aux().(*list.Element))

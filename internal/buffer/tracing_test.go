@@ -255,21 +255,6 @@ func TestLockedEngineTracing(t *testing.T) {
 	}
 }
 
-// spanPolicy is testPolicy plus the victim-select span the instrumented
-// policies of package core record into the request's trace.
-type spanPolicy struct{ *testPolicy }
-
-func (p spanPolicy) Victim(ctx AccessContext) *Frame {
-	a := ctx.Trace()
-	idx := a.Start(tracing.KindVictim)
-	v := p.testPolicy.Victim(ctx)
-	if a != nil && v != nil {
-		a.At(idx).Page = v.Meta.ID
-	}
-	a.End(idx)
-	return v
-}
-
 // TestAsyncTracedMissIsolation drives tracing through the non-blocking
 // miss: while a leader's read of page x is held outside the latch, a
 // second request misses page y on the same shard and evicts a dirty
@@ -280,7 +265,7 @@ func (p spanPolicy) Victim(ctx AccessContext) *Frame {
 func TestAsyncTracedMissIsolation(t *testing.T) {
 	const shards = 2
 	gs := &gatedStore{Store: newStore(t, 64), gate: make(chan struct{})}
-	r, err := NewRouter(gs, func(int) Policy { return spanPolicy{newTestPolicy()} }, 2*shards, shards)
+	r, err := NewRouter(gs, testFactoryFIFO, 2*shards, shards)
 	if err != nil {
 		t.Fatal(err)
 	}

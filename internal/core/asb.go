@@ -74,13 +74,12 @@ const (
 // Frame.Crit at admission, so candidate scans and the §4.2 adaptation
 // votes never recompute MBR geometry and never allocate.
 //
-// ASB emits observability events when a sink is attached (via
+// ASB emits its own observability events when a sink is attached (via
 // buffer.Engine.SetSink or directly through SetSink): an
-// OverflowPromotion per overflow hit carrying the §4.2 signal, an Adapt
-// per adaptation event (the Fig. 14 series), and an Eviction per page
-// leaving the buffer.
+// OverflowPromotion per overflow hit carrying the §4.2 signal and an
+// Adapt per adaptation event (the Fig. 14 series).
 type ASB struct {
-	obs.Target
+	sink obs.Sink // never nil
 
 	crit     page.Criterion
 	mainCap  int
@@ -95,10 +94,6 @@ type ASB struct {
 	main intrusive.List[*buffer.Frame]
 	// over is the overflow FIFO, front = oldest (next FIFO victim).
 	over intrusive.List[*buffer.Frame]
-
-	// lastRank is the LRU rank of the frame most recently returned by
-	// Victim, consumed by the Eviction event in OnEvict; -1 when unknown.
-	lastRank int
 
 	adaptations uint64
 
@@ -135,6 +130,7 @@ func NewASB(capacity int, opts ASBOptions) *ASB {
 	}
 	mainCap := capacity - overCap
 	a := &ASB{
+		sink:     obs.NopSink{},
 		crit:     opts.Criterion,
 		mainCap:  mainCap,
 		overCap:  overCap,
@@ -143,11 +139,18 @@ func NewASB(capacity int, opts ASBOptions) *ASB {
 		freeze:   opts.FreezeCand,
 		main:     intrusive.NewList(frameHooks),
 		over:     intrusive.NewList(frameHooks),
-		lastRank: -1,
 	}
 	a.cand = a.initCand
 	a.publishGauges()
 	return a
+}
+
+// SetSink implements obs.SinkSetter. A nil sink resets to NopSink.
+func (p *ASB) SetSink(s obs.Sink) {
+	if s == nil {
+		s = obs.NopSink{}
+	}
+	p.sink = s
 }
 
 // publishGauges refreshes the atomic gauge mirrors; called at the end of
@@ -259,7 +262,7 @@ func (p *ASB) adapt(f *buffer.Frame, ctx buffer.AccessContext) {
 			betterLRU++
 		}
 	}
-	p.Sink().OverflowPromotion(obs.OverflowPromotionEvent{
+	p.sink.OverflowPromotion(obs.OverflowPromotionEvent{
 		Page:          f.Meta.ID,
 		BetterSpatial: betterSpatial,
 		BetterLRU:     betterLRU,
@@ -296,7 +299,7 @@ func (p *ASB) adapt(f *buffer.Frame, ctx buffer.AccessContext) {
 	// One Adapt event per adaptation event, even when the size is
 	// unchanged: the paper counts overflow hits as adaptation events, and
 	// Fig. 14 plots one sample per event.
-	p.Sink().Adapt(obs.AdaptEvent{OldC: oldC, NewC: p.cand})
+	p.sink.Adapt(obs.AdaptEvent{OldC: oldC, NewC: p.cand})
 }
 
 // rebalance demotes main-part SLRU victims into the overflow buffer until
@@ -316,65 +319,27 @@ func (p *ASB) rebalance() {
 // Victim implements buffer.Policy: the FIFO head of the overflow buffer.
 // If the overflow buffer is empty (or fully pinned) the main part's SLRU
 // victim (slruVictim over the cand least recently used) is evicted
-// directly. On sampled requests the selection is recorded as a
-// victim-select span carrying the deciding criterion values.
-func (p *ASB) Victim(ctx buffer.AccessContext) *buffer.Frame {
-	act := ctx.Trace()
-	var span int32
-	if act != nil {
-		span = act.Start(tracing.KindVictim)
+// directly.
+func (p *ASB) Victim(ctx buffer.AccessContext) buffer.Choice {
+	kind := p.crit.String()
+	if f, rank := firstUnpinned(&p.over, true); f != nil {
+		return buffer.Choice{Frame: f, Reason: obs.ReasonASBOverflow, CritKind: kind, Win: f.Crit, Rank: rank}
 	}
-	var v *buffer.Frame
-	reason := obs.ReasonASBOverflow
-	var worst float64
-	rank := 0
-	for f := p.over.Front(); f != nil; f = p.over.Next(f) {
-		if !f.Pinned() {
-			v = f
-			break
-		}
-		rank++
+	f, rank, worst := slruVictim(&p.main, p.cand)
+	c := buffer.Choice{Frame: f, Reason: obs.ReasonASBMain, CritKind: kind, Lose: worst, Rank: rank}
+	if f != nil {
+		c.Win = f.Crit
 	}
-	if v == nil {
-		v, rank, worst = slruVictim(&p.main, p.cand)
-		reason = obs.ReasonASBMain
-	}
-	p.lastRank = rank
-	if act != nil {
-		sp := act.At(span)
-		sp.Reason = reason
-		sp.CritKind = p.crit.String()
-		sp.Rank = int32(rank)
-		sp.CritLose = worst
-		sp.Slot = -1
-		if v != nil {
-			sp.Page = v.Meta.ID
-			sp.CritWin = v.Crit
-			sp.Slot = v.ArenaIndex()
-		} else {
-			sp.Err = true // every frame pinned
-		}
-		act.End(span)
-	}
-	return v
+	return c
 }
 
 // OnEvict implements buffer.Policy.
 func (p *ASB) OnEvict(f *buffer.Frame) {
-	reason := obs.ReasonASBMain
 	if f.Tag == asbOver {
 		p.over.Remove(f)
-		reason = obs.ReasonASBOverflow
 	} else {
 		p.main.Remove(f)
 	}
-	p.Sink().Eviction(obs.EvictionEvent{
-		Page:      f.Meta.ID,
-		Reason:    reason,
-		Criterion: f.Crit,
-		LRURank:   p.lastRank,
-	})
-	p.lastRank = -1
 	p.publishGauges()
 }
 
@@ -385,7 +350,6 @@ func (p *ASB) Reset() {
 	p.over.Clear()
 	p.cand = p.initCand
 	p.adaptations = 0
-	p.lastRank = -1
 	p.publishGauges()
 }
 

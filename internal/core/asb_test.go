@@ -224,18 +224,26 @@ func TestASBFreezeCandPinsSize(t *testing.T) {
 	if p.Adaptations() != 1 {
 		t.Errorf("Adaptations() = %d, want 1 (overflow hits still counted)", p.Adaptations())
 	}
+	// Detaching with nil falls back to the no-op sink: the next overflow
+	// hit is still counted, and the detached sink does not see it.
+	p.SetSink(nil)
+	p.OnHit(frames[2], 12, buffer.AccessContext{QueryID: 12})
+	if p.Adaptations() != 2 || counters.Snapshot().Promotions != 1 {
+		t.Errorf("after SetSink(nil): Adaptations() = %d, recorded promotions = %d, want 2 and 1",
+			p.Adaptations(), counters.Snapshot().Promotions)
+	}
 }
 
 func TestASBVictimIsOverflowFIFOHead(t *testing.T) {
 	areas := []float64{5, 3, 10, 10, 10, 10, 10, 10, 10, 10}
 	p, frames := driveASB(10, areas, core.DefaultASBOptions())
 	// Overflow FIFO: page2 (demoted first), page1. Victim = page2.
-	v := p.Victim(buffer.AccessContext{})
+	v := p.Victim(buffer.AccessContext{}).Frame
 	if v != frames[2] {
 		t.Errorf("victim = page %d, want 2", v.Meta.ID)
 	}
 	p.OnEvict(v)
-	if v2 := p.Victim(buffer.AccessContext{}); v2 != frames[1] {
+	if v2 := p.Victim(buffer.AccessContext{}).Frame; v2 != frames[1] {
 		t.Errorf("second victim = page %d, want 1", v2.Meta.ID)
 	}
 }
@@ -248,7 +256,7 @@ func TestASBVictimFallsBackToMainWhenOverflowEmpty(t *testing.T) {
 	if p.OverflowLen() != 0 {
 		t.Fatalf("overflow = %d, want 0", p.OverflowLen())
 	}
-	v := p.Victim(buffer.AccessContext{})
+	v := p.Victim(buffer.AccessContext{}).Frame
 	if v == nil {
 		t.Fatal("victim = nil")
 	}
@@ -269,7 +277,7 @@ func TestASBMainHitRefreshesRecency(t *testing.T) {
 		t.Error("main-part hit must not adapt")
 	}
 	// Page 1 is now MRU; the demotion candidate set is {2,3} → page 2.
-	if v := p.Victim(buffer.AccessContext{}); v.Meta.ID != 2 {
+	if v := p.Victim(buffer.AccessContext{}).Frame; v.Meta.ID != 2 {
 		t.Errorf("victim = page %d, want 2", v.Meta.ID)
 	}
 }

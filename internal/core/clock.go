@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/buffer"
 	"repro/internal/core/intrusive"
+	"repro/internal/obs"
 )
 
 // Clock is the classic second-chance (CLOCK) approximation of LRU: frames
@@ -58,10 +59,12 @@ func (p *Clock) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 }
 
 // Victim implements buffer.Policy: sweep, clearing reference bits, until
-// an unpinned frame with a clear bit is found.
-func (p *Clock) Victim(ctx buffer.AccessContext) *buffer.Frame {
+// an unpinned frame with a clear bit is found. The ring keeps no recency
+// order, so the choice has no rank.
+func (p *Clock) Victim(ctx buffer.AccessContext) buffer.Choice {
+	c := buffer.Choice{Reason: obs.ReasonClock, Rank: -1}
 	if p.hand == nil {
-		return nil
+		return c
 	}
 	// Two full sweeps suffice: the first clears bits, the second must
 	// find a victim unless everything is pinned.
@@ -69,13 +72,14 @@ func (p *Clock) Victim(ctx buffer.AccessContext) *buffer.Frame {
 		f := p.hand
 		if !f.Pinned() {
 			if f.Tag == 0 {
-				return f
+				c.Frame = f
+				break
 			}
 			f.Tag = 0
 		}
 		p.hand = p.next(f)
 	}
-	return nil
+	return c
 }
 
 // OnEvict implements buffer.Policy.
@@ -130,21 +134,23 @@ func (p *PinLevels) pinnedLevel(f *buffer.Frame) bool {
 
 // Victim implements buffer.Policy: the LRU frame among non-pinned levels;
 // if only pinned-level frames remain, the LRU of those (the buffer must
-// stay functional).
-func (p *PinLevels) Victim(ctx buffer.AccessContext) *buffer.Frame {
-	var fallback *buffer.Frame
-	for f := p.lru.order.Back(); f != nil; f = p.lru.order.Prev(f) {
+// stay functional). The rank is the victim's place in the underlying LRU
+// order, counting every frame passed over.
+func (p *PinLevels) Victim(ctx buffer.AccessContext) buffer.Choice {
+	c := buffer.Choice{Reason: obs.ReasonLRU, Rank: -1}
+	for f, rank := p.lru.order.Back(), 0; f != nil; f, rank = p.lru.order.Prev(f), rank+1 {
 		if f.Pinned() {
 			continue
 		}
 		if !p.pinnedLevel(f) {
-			return f
+			c.Frame, c.Rank = f, rank
+			break
 		}
-		if fallback == nil {
-			fallback = f
+		if c.Frame == nil {
+			c.Frame, c.Rank = f, rank
 		}
 	}
-	return fallback
+	return c
 }
 
 // OnEvict implements buffer.Policy.

@@ -14,7 +14,11 @@
 //     candidate-set size self-tunes through a FIFO overflow buffer (§4.2).
 //
 // All policies implement buffer.Policy; Factories enumerates constructors
-// for the experiment harness.
+// for the experiment harness. A policy only decides: Victim returns a
+// buffer.Choice — the frame plus reason, deciding value and rank — and
+// the engine turns it into the victim-select span and the Eviction
+// event, so no policy holds a sink or a trace for reporting evictions
+// (ASB keeps a sink for its own OverflowPromotion and Adapt events).
 package core
 
 import (

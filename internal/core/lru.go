@@ -17,19 +17,12 @@ func frameHooks(f *buffer.Frame) *intrusive.Hooks[*buffer.Frame] { return &f.Lin
 // are threaded onto an intrusive recency list through their embedded link
 // words, so admission, hits and eviction allocate nothing.
 type LRU struct {
-	obs.Target
-
 	// order is the recency list, front = most recently used.
 	order intrusive.List[*buffer.Frame]
-	// lastRank is the LRU rank of the frame most recently returned by
-	// Victim (> 0 only when pinned frames were skipped).
-	lastRank int
 }
 
 // NewLRU returns an LRU policy.
-func NewLRU() *LRU {
-	return &LRU{order: intrusive.NewList(frameHooks), lastRank: -1}
-}
+func NewLRU() *LRU { return &LRU{order: intrusive.NewList(frameHooks)} }
 
 // Name implements buffer.Policy.
 func (p *LRU) Name() string { return "LRU" }
@@ -44,53 +37,29 @@ func (p *LRU) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 	p.order.MoveToFront(f)
 }
 
-// Victim implements buffer.Policy: the least recently used unpinned frame.
-func (p *LRU) Victim(ctx buffer.AccessContext) *buffer.Frame {
-	rank := 0
-	for f := p.order.Back(); f != nil; f = p.order.Prev(f) {
-		if !f.Pinned() {
-			p.lastRank = rank
-			return f
-		}
-		rank++
-	}
-	return nil
+// Victim implements buffer.Policy: the least recently used unpinned
+// frame; its rank counts the pinned frames skipped.
+func (p *LRU) Victim(ctx buffer.AccessContext) buffer.Choice {
+	f, rank := firstUnpinned(&p.order, false)
+	return buffer.Choice{Frame: f, Reason: obs.ReasonLRU, Rank: rank}
 }
 
 // OnEvict implements buffer.Policy.
-func (p *LRU) OnEvict(f *buffer.Frame) {
-	p.order.Remove(f)
-	p.Sink().Eviction(obs.EvictionEvent{
-		Page:    f.Meta.ID,
-		Reason:  obs.ReasonLRU,
-		LRURank: p.lastRank,
-	})
-	p.lastRank = -1
-}
+func (p *LRU) OnEvict(f *buffer.Frame) { p.order.Remove(f) }
 
 // Reset implements buffer.Policy.
-func (p *LRU) Reset() {
-	p.order.Clear()
-	p.lastRank = -1
-}
+func (p *LRU) Reset() { p.order.Clear() }
 
 // FIFO evicts pages in admission order regardless of later hits. It is
 // used as the eviction rule of the ASB overflow buffer and available as a
 // standalone baseline.
 type FIFO struct {
-	obs.Target
-
 	// order is the admission queue, front = oldest admission.
 	order intrusive.List[*buffer.Frame]
-	// lastRank is the admission-order rank of the frame most recently
-	// returned by Victim (0 = oldest admission).
-	lastRank int
 }
 
 // NewFIFO returns a FIFO policy.
-func NewFIFO() *FIFO {
-	return &FIFO{order: intrusive.NewList(frameHooks), lastRank: -1}
-}
+func NewFIFO() *FIFO { return &FIFO{order: intrusive.NewList(frameHooks)} }
 
 // Name implements buffer.Policy.
 func (p *FIFO) Name() string { return "FIFO" }
@@ -103,32 +72,15 @@ func (p *FIFO) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 // OnHit implements buffer.Policy: hits do not reorder a FIFO.
 func (p *FIFO) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {}
 
-// Victim implements buffer.Policy: the oldest unpinned admission.
-func (p *FIFO) Victim(ctx buffer.AccessContext) *buffer.Frame {
-	rank := 0
-	for f := p.order.Front(); f != nil; f = p.order.Next(f) {
-		if !f.Pinned() {
-			p.lastRank = rank
-			return f
-		}
-		rank++
-	}
-	return nil
+// Victim implements buffer.Policy: the oldest unpinned admission; its
+// rank is its place in admission order (0 = oldest).
+func (p *FIFO) Victim(ctx buffer.AccessContext) buffer.Choice {
+	f, rank := firstUnpinned(&p.order, true)
+	return buffer.Choice{Frame: f, Reason: obs.ReasonFIFO, Rank: rank}
 }
 
 // OnEvict implements buffer.Policy.
-func (p *FIFO) OnEvict(f *buffer.Frame) {
-	p.order.Remove(f)
-	p.Sink().Eviction(obs.EvictionEvent{
-		Page:    f.Meta.ID,
-		Reason:  obs.ReasonFIFO,
-		LRURank: p.lastRank,
-	})
-	p.lastRank = -1
-}
+func (p *FIFO) OnEvict(f *buffer.Frame) { p.order.Remove(f) }
 
 // Reset implements buffer.Policy.
-func (p *FIFO) Reset() {
-	p.order.Clear()
-	p.lastRank = -1
-}
+func (p *FIFO) Reset() { p.order.Clear() }

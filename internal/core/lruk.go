@@ -31,8 +31,6 @@ import (
 // record index in Frame.Tag and are threaded onto an intrusive residency
 // list. Steady-state touches and victim scans allocate nothing.
 type LRUK struct {
-	obs.Target
-
 	k        int
 	resident intrusive.List[*buffer.Frame]
 
@@ -199,12 +197,19 @@ func (p *LRUK) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 // page is correlated with the current query, the restriction is dropped
 // (otherwise a buffer smaller than one query's working set could never
 // evict) — one of the "special cases" footnote 2 of the paper leaves open.
-func (p *LRUK) Victim(ctx buffer.AccessContext) *buffer.Frame {
-	v := p.victim(ctx, true)
-	if v == nil {
-		v = p.victim(ctx, false)
+// The choice's deciding value is the victim's HIST(q,K), the backward
+// K-distance it was ranked by; it has no rank (history order, not
+// recency order).
+func (p *LRUK) Victim(ctx buffer.AccessContext) buffer.Choice {
+	c := buffer.Choice{Reason: obs.ReasonLRUK, CritKind: "hist-k", Rank: -1}
+	c.Frame = p.victim(ctx, true)
+	if c.Frame == nil {
+		c.Frame = p.victim(ctx, false)
 	}
-	return v
+	if c.Frame != nil {
+		c.Win = float64(p.timesOf(int32(c.Frame.Tag))[p.k-1])
+	}
+	return c
 }
 
 func (p *LRUK) victim(ctx buffer.AccessContext, excludeCorrelated bool) *buffer.Frame {
@@ -230,19 +235,10 @@ func (p *LRUK) victim(ctx buffer.AccessContext, excludeCorrelated bool) *buffer.
 }
 
 // OnEvict implements buffer.Policy. The history record is retained (until
-// the retention bound recycles it). The Eviction event's Criterion is the
-// victim's HIST(q,K) — the backward K-distance the policy ranked it by;
-// LRURank is -1 (history order, not recency order).
+// the retention bound recycles it).
 func (p *LRUK) OnEvict(f *buffer.Frame) {
 	p.resident.Remove(f)
-	ri := int32(f.Tag)
-	p.recs[ri].resident = false
-	p.Sink().Eviction(obs.EvictionEvent{
-		Page:      f.Meta.ID,
-		Reason:    obs.ReasonLRUK,
-		Criterion: float64(p.timesOf(ri)[p.k-1]),
-		LRURank:   -1,
-	})
+	p.recs[int32(f.Tag)].resident = false
 }
 
 // Reset implements buffer.Policy: it clears residency AND the retained

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/buffer"
@@ -63,49 +64,61 @@ func TestSteadyStateEvictionAllocsUnchangedBySink(t *testing.T) {
 }
 
 // TestInstrumentedPoliciesEmitEvictionEvents replays a miss-heavy access
-// pattern and checks every instrumented policy reports its evictions
-// with its own reason tag.
+// pattern through every named policy on every pool layout and checks
+// that each eviction the engine counted was reported exactly once, with
+// the policy's own reason tag, and reached the Counters aggregator under
+// that reason.
 func TestInstrumentedPoliciesEmitEvictionEvents(t *testing.T) {
-	specs := make([]pageSpec, 8)
+	specs := make([]pageSpec, 20)
 	for i := range specs {
 		specs[i] = dataPage(float64(i + 1))
 	}
-	cases := []struct {
-		name   string
-		policy buffer.Policy
-		reason string
-	}{
-		{"LRU", core.NewLRU(), obs.ReasonLRU},
-		{"FIFO", core.NewFIFO(), obs.ReasonFIFO},
-		{"LRU-P", core.NewLRUP(), obs.ReasonPriority},
-		{"SLRU", core.NewSLRU(page.CritA, 2), obs.ReasonSLRU},
-		{"spatial", core.NewSpatial(page.CritA), obs.ReasonSpatial},
-		{"LRU-2", core.NewLRUK(2), obs.ReasonLRUK},
+	reasons := map[string][]string{
+		"LRU": {obs.ReasonLRU}, "PIN": {obs.ReasonLRU}, "FIFO": {obs.ReasonFIFO},
+		"LRU-T": {obs.ReasonPriority}, "LRU-P": {obs.ReasonPriority},
+		"LRU-2": {obs.ReasonLRUK}, "LRU-3": {obs.ReasonLRUK}, "LRU-5": {obs.ReasonLRUK},
+		"A": {obs.ReasonSpatial}, "EA": {obs.ReasonSpatial}, "M": {obs.ReasonSpatial},
+		"EM": {obs.ReasonSpatial}, "EO": {obs.ReasonSpatial},
+		"SLRU 50%": {obs.ReasonSLRU}, "SLRU 25%": {obs.ReasonSLRU},
+		"ASB":   {obs.ReasonASBOverflow, obs.ReasonASBMain},
+		"CLOCK": {obs.ReasonClock},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s := buildStore(t, specs)
-			m, err := buffer.NewEngine(s, tc.policy, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec := &evictionRecorder{}
-			m.SetSink(rec)
-			for i := 0; i < 16; i++ {
-				if _, err := m.Get(page.ID(i%8+1), buffer.AccessContext{QueryID: uint64(i)}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if len(rec.events) == 0 {
-				t.Fatal("no eviction events emitted")
-			}
-			if uint64(len(rec.events)) != m.Stats().Evictions {
-				t.Errorf("%d events for %d evictions", len(rec.events), m.Stats().Evictions)
-			}
-			for _, e := range rec.events {
-				if e.Reason != tc.reason {
-					t.Fatalf("reason = %q, want %q", e.Reason, tc.reason)
-				}
+	for _, f := range shardableFactories() {
+		t.Run(f.Name, func(t *testing.T) {
+			for _, layout := range []string{"bare", "locked", "sharded,shards=2", "async,shards=2"} {
+				t.Run(layout, func(t *testing.T) {
+					pool := buildComposition(t, layout, buildStore(t, specs), f, 4)
+					defer closePool(t, pool)
+					rec := &evictionRecorder{}
+					var counters obs.Counters
+					pool.SetSink(obs.Tee(rec, &counters))
+					for i := 0; i < 60; i++ {
+						if _, err := pool.Get(page.ID(i%20+1), buffer.AccessContext{QueryID: uint64(i)}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					evictions := pool.Stats().Evictions
+					if evictions == 0 {
+						t.Fatal("replay evicted nothing")
+					}
+					if uint64(len(rec.events)) != evictions {
+						t.Errorf("%d events for %d evictions", len(rec.events), evictions)
+					}
+					snap := counters.Snapshot()
+					if snap.Evictions != evictions {
+						t.Errorf("Counters.Evictions = %d, Stats.Evictions = %d", snap.Evictions, evictions)
+					}
+					for _, e := range rec.events {
+						if !slices.Contains(reasons[f.Name], e.Reason) {
+							t.Fatalf("reason = %q, want one of %v", e.Reason, reasons[f.Name])
+						}
+					}
+					snap.ByReason.Each(func(reason string, n uint64) {
+						if !slices.Contains(reasons[f.Name], reason) {
+							t.Errorf("counters filed %d evictions under %q", n, reason)
+						}
+					})
+				})
 			}
 		})
 	}

@@ -49,8 +49,6 @@ func LevelPriority(m page.Meta) int {
 // allocate-and-sort of the naive implementation is gone from the
 // steady-state path.
 type PriorityLRU struct {
-	obs.Target
-
 	name string
 	prio PriorityFunc
 	// classes maps priority → LRU chain (front = MRU). Chains persist
@@ -58,9 +56,6 @@ type PriorityLRU struct {
 	classes map[int]*intrusive.List[*buffer.Frame]
 	// classIDs is the sorted key set of classes.
 	classIDs []int
-	// lastRank is the victim's LRU rank within its priority class at
-	// selection time.
-	lastRank int
 }
 
 // NewLRUT returns the type-based LRU policy (paper §2.1).
@@ -77,10 +72,9 @@ func NewLRUP() *PriorityLRU {
 // function.
 func NewPriorityLRU(name string, prio PriorityFunc) *PriorityLRU {
 	return &PriorityLRU{
-		name:     name,
-		prio:     prio,
-		classes:  make(map[int]*intrusive.List[*buffer.Frame]),
-		lastRank: -1,
+		name:    name,
+		prio:    prio,
+		classes: make(map[int]*intrusive.List[*buffer.Frame]),
 	}
 }
 
@@ -116,33 +110,20 @@ func (p *PriorityLRU) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContex
 }
 
 // Victim implements buffer.Policy: the LRU frame of the lowest-priority
-// class containing an unpinned frame.
-func (p *PriorityLRU) Victim(ctx buffer.AccessContext) *buffer.Frame {
+// class containing an unpinned frame, with that class as its deciding
+// value and its rank within the class.
+func (p *PriorityLRU) Victim(ctx buffer.AccessContext) buffer.Choice {
 	for _, c := range p.classIDs {
-		rank := 0
-		l := p.classes[c]
-		for f := l.Back(); f != nil; f = l.Prev(f) {
-			if !f.Pinned() {
-				p.lastRank = rank
-				return f
-			}
-			rank++
+		if f, rank := firstUnpinned(p.classes[c], false); f != nil {
+			return buffer.Choice{Frame: f, Reason: obs.ReasonPriority, CritKind: "class", Win: float64(c), Rank: rank}
 		}
 	}
-	return nil
+	return buffer.Choice{Reason: obs.ReasonPriority, CritKind: "class", Rank: -1}
 }
 
 // OnEvict implements buffer.Policy.
 func (p *PriorityLRU) OnEvict(f *buffer.Frame) {
-	class := int(int32(f.Tag))
-	p.classes[class].Remove(f)
-	p.Sink().Eviction(obs.EvictionEvent{
-		Page:      f.Meta.ID,
-		Reason:    obs.ReasonPriority,
-		Criterion: float64(class),
-		LRURank:   p.lastRank,
-	})
-	p.lastRank = -1
+	p.classes[int(int32(f.Tag))].Remove(f)
 }
 
 // Reset implements buffer.Policy: the chains are emptied but the class
@@ -151,5 +132,4 @@ func (p *PriorityLRU) Reset() {
 	for _, l := range p.classes {
 		l.Clear()
 	}
-	p.lastRank = -1
 }

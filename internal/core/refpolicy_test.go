@@ -9,9 +9,9 @@ package core_test
 // refactor introduced shows up as a counterexample trace.
 //
 // The reference policies use only the exported buffer API (Frame.Aux /
-// SetAux carry their per-frame state), emit Eviction events through
-// obs.Target like the real ones, and deliberately allocate per
-// operation — they are correctness baselines, not performance ones.
+// SetAux carry their per-frame state), explain their victim in the
+// returned buffer.Choice like the real ones, and deliberately allocate
+// per operation — they are correctness baselines, not performance ones.
 
 import (
 	"container/heap"
@@ -26,13 +26,9 @@ import (
 
 // ---------------------------------------------------------------- LRU --
 
-type refLRU struct {
-	obs.Target
-	order    *list.List
-	lastRank int
-}
+type refLRU struct{ order *list.List }
 
-func newRefLRU() *refLRU { return &refLRU{order: list.New(), lastRank: -1} }
+func newRefLRU() *refLRU { return &refLRU{order: list.New()} }
 
 func (p *refLRU) Name() string { return "LRU" }
 
@@ -44,39 +40,29 @@ func (p *refLRU) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 	p.order.MoveToFront(f.Aux().(*list.Element))
 }
 
-func (p *refLRU) Victim(ctx buffer.AccessContext) *buffer.Frame {
+func (p *refLRU) Victim(ctx buffer.AccessContext) buffer.Choice {
 	rank := 0
 	for e := p.order.Back(); e != nil; e = e.Prev() {
 		if f := e.Value.(*buffer.Frame); !f.Pinned() {
-			p.lastRank = rank
-			return f
+			return buffer.Choice{Frame: f, Reason: obs.ReasonLRU, Rank: rank}
 		}
 		rank++
 	}
-	return nil
+	return buffer.Choice{}
 }
 
 func (p *refLRU) OnEvict(f *buffer.Frame) {
 	p.order.Remove(f.Aux().(*list.Element))
-	p.Sink().Eviction(obs.EvictionEvent{Page: f.Meta.ID, Reason: obs.ReasonLRU, LRURank: p.lastRank})
-	p.lastRank = -1
 	f.SetAux(nil)
 }
 
-func (p *refLRU) Reset() {
-	p.order.Init()
-	p.lastRank = -1
-}
+func (p *refLRU) Reset() { p.order.Init() }
 
 // --------------------------------------------------------------- FIFO --
 
-type refFIFO struct {
-	obs.Target
-	order    *list.List
-	lastRank int
-}
+type refFIFO struct{ order *list.List }
 
-func newRefFIFO() *refFIFO { return &refFIFO{order: list.New(), lastRank: -1} }
+func newRefFIFO() *refFIFO { return &refFIFO{order: list.New()} }
 
 func (p *refFIFO) Name() string { return "FIFO" }
 
@@ -86,38 +72,30 @@ func (p *refFIFO) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessContext)
 
 func (p *refFIFO) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {}
 
-func (p *refFIFO) Victim(ctx buffer.AccessContext) *buffer.Frame {
+func (p *refFIFO) Victim(ctx buffer.AccessContext) buffer.Choice {
 	rank := 0
 	for e := p.order.Front(); e != nil; e = e.Next() {
 		if f := e.Value.(*buffer.Frame); !f.Pinned() {
-			p.lastRank = rank
-			return f
+			return buffer.Choice{Frame: f, Reason: obs.ReasonFIFO, Rank: rank}
 		}
 		rank++
 	}
-	return nil
+	return buffer.Choice{}
 }
 
 func (p *refFIFO) OnEvict(f *buffer.Frame) {
 	p.order.Remove(f.Aux().(*list.Element))
-	p.Sink().Eviction(obs.EvictionEvent{Page: f.Meta.ID, Reason: obs.ReasonFIFO, LRURank: p.lastRank})
-	p.lastRank = -1
 	f.SetAux(nil)
 }
 
-func (p *refFIFO) Reset() {
-	p.order.Init()
-	p.lastRank = -1
-}
+func (p *refFIFO) Reset() { p.order.Init() }
 
 // ------------------------------------------------------- priority LRU --
 
 type refPriorityLRU struct {
-	obs.Target
-	name     string
-	prio     func(page.Meta) int
-	classes  map[int]*list.List
-	lastRank int
+	name    string
+	prio    func(page.Meta) int
+	classes map[int]*list.List
 }
 
 type refPrioAux struct {
@@ -126,7 +104,7 @@ type refPrioAux struct {
 }
 
 func newRefPriorityLRU(name string, prio func(page.Meta) int) *refPriorityLRU {
-	return &refPriorityLRU{name: name, prio: prio, classes: make(map[int]*list.List), lastRank: -1}
+	return &refPriorityLRU{name: name, prio: prio, classes: make(map[int]*list.List)}
 }
 
 func (p *refPriorityLRU) Name() string { return p.name }
@@ -146,7 +124,7 @@ func (p *refPriorityLRU) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessCon
 	p.classes[aux.class].MoveToFront(aux.elem)
 }
 
-func (p *refPriorityLRU) Victim(ctx buffer.AccessContext) *buffer.Frame {
+func (p *refPriorityLRU) Victim(ctx buffer.AccessContext) buffer.Choice {
 	classes := make([]int, 0, len(p.classes))
 	for c, l := range p.classes {
 		if l.Len() > 0 {
@@ -158,35 +136,25 @@ func (p *refPriorityLRU) Victim(ctx buffer.AccessContext) *buffer.Frame {
 		rank := 0
 		for e := p.classes[c].Back(); e != nil; e = e.Prev() {
 			if f := e.Value.(*buffer.Frame); !f.Pinned() {
-				p.lastRank = rank
-				return f
+				return buffer.Choice{Frame: f, Reason: obs.ReasonPriority, Win: float64(c), Rank: rank}
 			}
 			rank++
 		}
 	}
-	return nil
+	return buffer.Choice{}
 }
 
 func (p *refPriorityLRU) OnEvict(f *buffer.Frame) {
 	aux := f.Aux().(*refPrioAux)
 	p.classes[aux.class].Remove(aux.elem)
-	p.Sink().Eviction(obs.EvictionEvent{
-		Page: f.Meta.ID, Reason: obs.ReasonPriority,
-		Criterion: float64(aux.class), LRURank: p.lastRank,
-	})
-	p.lastRank = -1
 	f.SetAux(nil)
 }
 
-func (p *refPriorityLRU) Reset() {
-	p.classes = make(map[int]*list.List)
-	p.lastRank = -1
-}
+func (p *refPriorityLRU) Reset() { p.classes = make(map[int]*list.List) }
 
 // -------------------------------------------------------------- LRU-K --
 
 type refLRUK struct {
-	obs.Target
 	k        int
 	resident map[*buffer.Frame]struct{}
 	hist     map[page.ID]*refHistRec
@@ -230,12 +198,16 @@ func (p *refLRUK) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 	p.touch(f.Meta.ID, now, ctx.QueryID)
 }
 
-func (p *refLRUK) Victim(ctx buffer.AccessContext) *buffer.Frame {
+func (p *refLRUK) Victim(ctx buffer.AccessContext) buffer.Choice {
 	v := p.victim(ctx, true)
 	if v == nil {
 		v = p.victim(ctx, false)
 	}
-	return v
+	c := buffer.Choice{Frame: v, Reason: obs.ReasonLRUK, Rank: -1}
+	if v != nil {
+		c.Win = float64(p.hist[v.Meta.ID].times[p.k-1])
+	}
+	return c
 }
 
 func (p *refLRUK) victim(ctx buffer.AccessContext, excludeCorrelated bool) *buffer.Frame {
@@ -259,16 +231,7 @@ func (p *refLRUK) victim(ctx buffer.AccessContext, excludeCorrelated bool) *buff
 	return best
 }
 
-func (p *refLRUK) OnEvict(f *buffer.Frame) {
-	delete(p.resident, f)
-	var histK float64
-	if rec := p.hist[f.Meta.ID]; rec != nil {
-		histK = float64(rec.times[p.k-1])
-	}
-	p.Sink().Eviction(obs.EvictionEvent{
-		Page: f.Meta.ID, Reason: obs.ReasonLRUK, Criterion: histK, LRURank: -1,
-	})
-}
+func (p *refLRUK) OnEvict(f *buffer.Frame) { delete(p.resident, f) }
 
 func (p *refLRUK) Reset() {
 	p.resident = make(map[*buffer.Frame]struct{})
@@ -278,7 +241,6 @@ func (p *refLRUK) Reset() {
 // ------------------------------------------------------------ spatial --
 
 type refSpatial struct {
-	obs.Target
 	crit page.Criterion
 	h    refSpatialHeap
 }
@@ -304,13 +266,13 @@ func (p *refSpatial) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext
 	heap.Fix(&p.h, aux.idx)
 }
 
-func (p *refSpatial) Victim(ctx buffer.AccessContext) *buffer.Frame {
+func (p *refSpatial) Victim(ctx buffer.AccessContext) buffer.Choice {
 	var parked []*buffer.Frame
-	var victim *buffer.Frame
+	victim := buffer.Choice{Reason: obs.ReasonSpatial, Rank: -1}
 	for p.h.Len() > 0 {
 		f := p.h.frames[0]
 		if !f.Pinned() {
-			victim = f
+			victim.Frame, victim.Win = f, f.Aux().(*refSpatialAux).crit
 			break
 		}
 		parked = append(parked, heap.Pop(&p.h).(*buffer.Frame))
@@ -326,9 +288,6 @@ func (p *refSpatial) OnEvict(f *buffer.Frame) {
 	if aux.idx >= 0 {
 		heap.Remove(&p.h, aux.idx)
 	}
-	p.Sink().Eviction(obs.EvictionEvent{
-		Page: f.Meta.ID, Reason: obs.ReasonSpatial, Criterion: aux.crit, LRURank: -1,
-	})
 	f.SetAux(nil)
 }
 
@@ -380,11 +339,9 @@ func (h *refSpatialHeap) Pop() any {
 // --------------------------------------------------------------- SLRU --
 
 type refSLRU struct {
-	obs.Target
 	crit     page.Criterion
 	candSize int
 	order    *list.List
-	lastRank int
 }
 
 type refSLRUAux struct {
@@ -393,7 +350,7 @@ type refSLRUAux struct {
 }
 
 func newRefSLRU(crit page.Criterion, candSize int) *refSLRU {
-	return &refSLRU{crit: crit, candSize: candSize, order: list.New(), lastRank: -1}
+	return &refSLRU{crit: crit, candSize: candSize, order: list.New()}
 }
 
 func (p *refSLRU) Name() string { return "SLRU" }
@@ -406,22 +363,19 @@ func (p *refSLRU) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 	p.order.MoveToFront(f.Aux().(*refSLRUAux).elem)
 }
 
-func (p *refSLRU) Victim(ctx buffer.AccessContext) *buffer.Frame {
-	var best *buffer.Frame
-	var bestCrit float64
+func (p *refSLRU) Victim(ctx buffer.AccessContext) buffer.Choice {
+	best := buffer.Choice{Reason: obs.ReasonSLRU, Rank: -1}
 	seen := 0
-	p.lastRank = -1
 	for e := p.order.Back(); e != nil; e = e.Prev() {
 		f := e.Value.(*buffer.Frame)
 		seen++
 		if !f.Pinned() {
 			c := f.Aux().(*refSLRUAux).crit
-			if best == nil || c < bestCrit {
-				best, bestCrit = f, c
-				p.lastRank = seen - 1
+			if best.Frame == nil || c < best.Win {
+				best.Frame, best.Win, best.Rank = f, c, seen-1
 			}
 		}
-		if seen >= p.candSize && best != nil {
+		if seen >= p.candSize && best.Frame != nil {
 			break
 		}
 	}
@@ -429,19 +383,11 @@ func (p *refSLRU) Victim(ctx buffer.AccessContext) *buffer.Frame {
 }
 
 func (p *refSLRU) OnEvict(f *buffer.Frame) {
-	aux := f.Aux().(*refSLRUAux)
-	p.order.Remove(aux.elem)
-	p.Sink().Eviction(obs.EvictionEvent{
-		Page: f.Meta.ID, Reason: obs.ReasonSLRU, Criterion: aux.crit, LRURank: p.lastRank,
-	})
-	p.lastRank = -1
+	p.order.Remove(f.Aux().(*refSLRUAux).elem)
 	f.SetAux(nil)
 }
 
-func (p *refSLRU) Reset() {
-	p.order.Init()
-	p.lastRank = -1
-}
+func (p *refSLRU) Reset() { p.order.Init() }
 
 func (p *refSLRU) OnUpdate(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 	aux := f.Aux().(*refSLRUAux)
@@ -452,7 +398,6 @@ func (p *refSLRU) OnUpdate(f *buffer.Frame, now uint64, ctx buffer.AccessContext
 // ---------------------------------------------------------------- ASB --
 
 type refASB struct {
-	obs.Target
 	crit     page.Criterion
 	mainCap  int
 	initCand int
@@ -460,7 +405,6 @@ type refASB struct {
 	cand     int
 	main     *list.List
 	over     *list.List
-	lastRank int
 }
 
 type refASBAux struct {
@@ -497,7 +441,6 @@ func newRefASB(capacity int) *refASB {
 		step:     refClamp(int(0.01*float64(mainCap)+0.5), 1, mainCap),
 		main:     list.New(),
 		over:     list.New(),
-		lastRank: -1,
 	}
 	a.cand = a.initCand
 	return a
@@ -585,36 +528,32 @@ func (p *refASB) mainVictim() (*buffer.Frame, int) {
 	return best, bestRank
 }
 
-func (p *refASB) Victim(ctx buffer.AccessContext) *buffer.Frame {
-	var v *buffer.Frame
-	rank := 0
+func (p *refASB) Victim(ctx buffer.AccessContext) buffer.Choice {
+	c := buffer.Choice{Reason: obs.ReasonASBOverflow}
 	for e := p.over.Front(); e != nil; e = e.Next() {
 		if f := e.Value.(*buffer.Frame); !f.Pinned() {
-			v = f
+			c.Frame = f
 			break
 		}
-		rank++
+		c.Rank++
 	}
-	if v == nil {
-		v, rank = p.mainVictim()
+	if c.Frame == nil {
+		c.Reason = obs.ReasonASBMain
+		c.Frame, c.Rank = p.mainVictim()
 	}
-	p.lastRank = rank
-	return v
+	if c.Frame != nil {
+		c.Win = c.Frame.Aux().(*refASBAux).crit
+	}
+	return c
 }
 
 func (p *refASB) OnEvict(f *buffer.Frame) {
 	aux := f.Aux().(*refASBAux)
-	reason := obs.ReasonASBMain
 	if aux.inOver {
 		p.over.Remove(aux.elem)
-		reason = obs.ReasonASBOverflow
 	} else {
 		p.main.Remove(aux.elem)
 	}
-	p.Sink().Eviction(obs.EvictionEvent{
-		Page: f.Meta.ID, Reason: reason, Criterion: aux.crit, LRURank: p.lastRank,
-	})
-	p.lastRank = -1
 	f.SetAux(nil)
 }
 
@@ -622,7 +561,6 @@ func (p *refASB) Reset() {
 	p.main.Init()
 	p.over.Init()
 	p.cand = p.initCand
-	p.lastRank = -1
 }
 
 func (p *refASB) OnUpdate(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
@@ -670,22 +608,22 @@ func (p *refClock) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) 
 	f.Aux().(*refClockAux).ref = true
 }
 
-func (p *refClock) Victim(ctx buffer.AccessContext) *buffer.Frame {
+func (p *refClock) Victim(ctx buffer.AccessContext) buffer.Choice {
 	if p.hand == nil {
-		return nil
+		return buffer.Choice{}
 	}
 	for i := 0; i < 2*p.size; i++ {
 		f := p.hand.Value.(*buffer.Frame)
 		aux := f.Aux().(*refClockAux)
 		if !f.Pinned() && !aux.ref {
-			return f
+			return buffer.Choice{Frame: f, Reason: obs.ReasonClock, Rank: -1}
 		}
 		if !f.Pinned() {
 			aux.ref = false
 		}
 		p.hand = p.hand.Next()
 	}
-	return nil
+	return buffer.Choice{}
 }
 
 func (p *refClock) OnEvict(f *buffer.Frame) {
@@ -728,18 +666,21 @@ func (p *refPinLevels) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessConte
 	p.lru.OnHit(f, now, ctx)
 }
 
-func (p *refPinLevels) Victim(ctx buffer.AccessContext) *buffer.Frame {
-	var fallback *buffer.Frame
+func (p *refPinLevels) Victim(ctx buffer.AccessContext) buffer.Choice {
+	var fallback buffer.Choice
+	rank := -1
 	for e := p.lru.order.Back(); e != nil; e = e.Prev() {
 		f := e.Value.(*buffer.Frame)
+		rank++
 		if f.Pinned() {
 			continue
 		}
+		c := buffer.Choice{Frame: f, Reason: obs.ReasonLRU, Rank: rank}
 		if f.Meta.Level < p.minLevel {
-			return f
+			return c
 		}
-		if fallback == nil {
-			fallback = f
+		if fallback.Frame == nil {
+			fallback = c
 		}
 	}
 	return fallback

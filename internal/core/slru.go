@@ -6,7 +6,6 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/core/intrusive"
 	"repro/internal/obs"
-	"repro/internal/obs/tracing"
 	"repro/internal/page"
 )
 
@@ -21,15 +20,10 @@ import (
 // candidate scan reads one float per inspected frame and nothing on the
 // request path allocates.
 type SLRU struct {
-	obs.Target
-
 	crit     page.Criterion
 	candSize int
 	// order is the recency list, front = most recently used.
 	order intrusive.List[*buffer.Frame]
-	// lastRank is the LRU rank of the frame most recently returned by
-	// Victim, consumed by the Eviction event in OnEvict.
-	lastRank int
 }
 
 // NewSLRU returns an SLRU policy with a fixed candidate-set size of
@@ -38,7 +32,7 @@ func NewSLRU(crit page.Criterion, candSize int) *SLRU {
 	if candSize < 1 {
 		panic(fmt.Sprintf("core: SLRU candidate size must be ≥ 1, got %d", candSize))
 	}
-	return &SLRU{crit: crit, candSize: candSize, order: intrusive.NewList(frameHooks), lastRank: -1}
+	return &SLRU{crit: crit, candSize: candSize, order: intrusive.NewList(frameHooks)}
 }
 
 // Name implements buffer.Policy.
@@ -58,6 +52,28 @@ func (p *SLRU) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 	p.order.MoveToFront(f)
 }
 
+// firstUnpinned scans a policy list from its eviction end — the back of
+// a recency list, the front of an admission queue (fromFront) — for the
+// first unpinned frame. It returns the frame with its rank, the number
+// of pinned frames skipped, or (nil, -1) when every frame is pinned.
+func firstUnpinned(l *intrusive.List[*buffer.Frame], fromFront bool) (*buffer.Frame, int) {
+	f := l.Back()
+	if fromFront {
+		f = l.Front()
+	}
+	for rank := 0; f != nil; rank++ {
+		if !f.Pinned() {
+			return f, rank
+		}
+		if fromFront {
+			f = l.Next(f)
+		} else {
+			f = l.Prev(f)
+		}
+	}
+	return nil, -1
+}
+
 // slruVictim is the §4.1 selection over a recency list (front = most
 // recently used): the unpinned frame with the smallest cached criterion
 // among the cand least recently used; scanning from the LRU end keeps
@@ -66,8 +82,8 @@ func (p *SLRU) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 // returns the victim's rank from the LRU end (0 = least recently used,
 // -1 without a victim) and the largest (worst, i.e. best-to-keep)
 // criterion among the scanned unpinned candidates — the value the victim
-// "won" against in trace spans. SLRU evicts this frame; ASB, whose main
-// part is an SLRU (§4.2), demotes it.
+// "won" against in its buffer.Choice. SLRU evicts this frame; ASB, whose
+// main part is an SLRU (§4.2), demotes it.
 func slruVictim(order *intrusive.List[*buffer.Frame], cand int) (*buffer.Frame, int, float64) {
 	var best *buffer.Frame
 	var bestCrit, worstCrit float64
@@ -92,52 +108,20 @@ func slruVictim(order *intrusive.List[*buffer.Frame], cand int) (*buffer.Frame, 
 }
 
 // Victim implements buffer.Policy: the slruVictim of the whole buffer.
-// On sampled requests the selection is recorded as a victim-select span
-// carrying the deciding criterion values.
-func (p *SLRU) Victim(ctx buffer.AccessContext) *buffer.Frame {
-	act := ctx.Trace()
-	var span int32
-	if act != nil {
-		span = act.Start(tracing.KindVictim)
+func (p *SLRU) Victim(ctx buffer.AccessContext) buffer.Choice {
+	best, rank, worst := slruVictim(&p.order, p.candSize)
+	c := buffer.Choice{Frame: best, Reason: obs.ReasonSLRU, CritKind: p.crit.String(), Lose: worst, Rank: rank}
+	if best != nil {
+		c.Win = best.Crit
 	}
-	best, rank, worstCrit := slruVictim(&p.order, p.candSize)
-	p.lastRank = rank
-	if act != nil {
-		sp := act.At(span)
-		sp.Reason = obs.ReasonSLRU
-		sp.CritKind = p.crit.String()
-		sp.Rank = int32(rank)
-		sp.CritLose = worstCrit
-		sp.Slot = -1
-		if best != nil {
-			sp.Page = best.Meta.ID
-			sp.CritWin = best.Crit
-			sp.Slot = best.ArenaIndex()
-		} else {
-			sp.Err = true // every frame pinned
-		}
-		act.End(span)
-	}
-	return best
+	return c
 }
 
 // OnEvict implements buffer.Policy.
-func (p *SLRU) OnEvict(f *buffer.Frame) {
-	p.order.Remove(f)
-	p.Sink().Eviction(obs.EvictionEvent{
-		Page:      f.Meta.ID,
-		Reason:    obs.ReasonSLRU,
-		Criterion: f.Crit,
-		LRURank:   p.lastRank,
-	})
-	p.lastRank = -1
-}
+func (p *SLRU) OnEvict(f *buffer.Frame) { p.order.Remove(f) }
 
 // Reset implements buffer.Policy.
-func (p *SLRU) Reset() {
-	p.order.Clear()
-	p.lastRank = -1
-}
+func (p *SLRU) Reset() { p.order.Clear() }
 
 // OnUpdate implements buffer.Updater: refresh the cached criterion and
 // the recency position.

@@ -4,7 +4,6 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/core/intrusive"
 	"repro/internal/obs"
-	"repro/internal/obs/tracing"
 	"repro/internal/page"
 )
 
@@ -21,8 +20,6 @@ import (
 // Frame.Slot, so hits only need a heap fix for the recency component,
 // eviction is O(log n), and no step allocates.
 type Spatial struct {
-	obs.Target
-
 	crit page.Criterion
 	h    intrusive.Heap[*buffer.Frame]
 	// parked is reusable scratch for pinned frames popped aside during
@@ -70,21 +67,17 @@ func (p *Spatial) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 }
 
 // Victim implements buffer.Policy: the minimum-criterion unpinned frame,
-// ties broken by least recent use.
-func (p *Spatial) Victim(ctx buffer.AccessContext) *buffer.Frame {
-	act := ctx.Trace()
-	var span int32
-	if act != nil {
-		span = act.Start(tracing.KindVictim)
-	}
+// ties broken by least recent use. The choice has no rank: the heap
+// tracks recency only as a tie-break.
+func (p *Spatial) Victim(ctx buffer.AccessContext) buffer.Choice {
 	// Pop pinned frames aside, take the first unpinned, push the pinned
 	// ones back. Pins are rare and shallow in this workload.
 	parked := p.parked[:0]
-	var victim *buffer.Frame
+	c := buffer.Choice{Reason: obs.ReasonSpatial, CritKind: p.crit.String(), Rank: -1}
 	for p.h.Len() > 0 {
 		f := p.h.Min()
 		if !f.Pinned() {
-			victim = f
+			c.Frame, c.Win = f, f.Crit
 			break
 		}
 		parked = append(parked, p.h.Remove(0))
@@ -93,38 +86,14 @@ func (p *Spatial) Victim(ctx buffer.AccessContext) *buffer.Frame {
 		p.h.Push(f)
 	}
 	p.parked = parked[:0]
-	if act != nil {
-		sp := act.At(span)
-		sp.Reason = obs.ReasonSpatial
-		sp.CritKind = p.crit.String()
-		sp.Rank = -1 // the heap tracks recency only as a tie-break
-		sp.Slot = -1
-		if victim != nil {
-			sp.Page = victim.Meta.ID
-			sp.CritWin = victim.Crit
-			sp.Slot = victim.ArenaIndex()
-		} else {
-			sp.Err = true // every frame pinned
-		}
-		act.End(span)
-	}
-	return victim
+	return c
 }
 
-// OnEvict implements buffer.Policy. The Eviction event carries the
-// spatial criterion value; LRURank is -1 (the heap tracks recency only
-// as a tie-break, not as a rank).
+// OnEvict implements buffer.Policy.
 func (p *Spatial) OnEvict(f *buffer.Frame) {
-	crit := f.Crit
 	if f.Slot >= 0 {
 		p.h.Remove(f.Slot)
 	}
-	p.Sink().Eviction(obs.EvictionEvent{
-		Page:      f.Meta.ID,
-		Reason:    obs.ReasonSpatial,
-		Criterion: crit,
-		LRURank:   -1,
-	})
 }
 
 // Reset implements buffer.Policy. The heap's backing slice is kept, so a

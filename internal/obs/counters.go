@@ -18,6 +18,7 @@ const (
 	reasonSlotLRUK
 	reasonSlotASBOverflow
 	reasonSlotASBMain
+	reasonSlotClock
 	reasonSlotOther
 	numReasonSlots
 )
@@ -26,7 +27,7 @@ const (
 var reasonSlotNames = [numReasonSlots]string{
 	ReasonLRU, ReasonFIFO, ReasonPriority, ReasonSLRU,
 	ReasonSpatial, ReasonLRUK, ReasonASBOverflow, ReasonASBMain,
-	"other",
+	ReasonClock, "other",
 }
 
 // reasonSlot maps an eviction reason to its counter slot.
@@ -48,6 +49,8 @@ func reasonSlot(r string) int {
 		return reasonSlotASBOverflow
 	case ReasonASBMain:
 		return reasonSlotASBMain
+	case ReasonClock:
+		return reasonSlotClock
 	}
 	return reasonSlotOther
 }

@@ -1,6 +1,6 @@
 // Package obs is the observability layer of the buffer system: a
-// structured event stream emitted by the buffer manager and the
-// replacement policies, plus cheap aggregators (atomic counters, a
+// structured event stream emitted by the buffer engine (and, for its
+// adaptation, by ASB), plus cheap aggregators (atomic counters, a
 // windowed hit-ratio tracker), exporters (JSONL, CSV c-trajectory) and
 // profiling helpers shared by the commands.
 //
@@ -15,15 +15,16 @@
 //   - Request — every read-path buffer request, hit or miss (§3's
 //     disk-access metric is derived from these);
 //   - Eviction — a page leaving the buffer, with the policy's reason,
-//     the criterion value that condemned it and its LRU rank;
+//     the criterion value that condemned it and its LRU rank, emitted by
+//     the engine, once per eviction, from the policy's buffer.Choice;
 //   - OverflowPromotion — an ASB overflow hit with the §4.2 adaptation
 //     signal (better-spatial vs better-LRU counts);
 //   - Adapt — a change (or re-confirmation) of the ASB candidate-set
 //     size, the series plotted in Fig. 14.
 //
 // Producers attach sinks through SetSink; buffer.Engine forwards its
-// sink to the policy when the policy implements SinkSetter, so one call
-// instruments the whole stack.
+// sink to the policy when the policy implements SinkSetter (ASB), so one
+// call instruments the whole stack.
 package obs
 
 import "repro/internal/page"
@@ -65,14 +66,16 @@ const (
 	ReasonLRUK        = "lru-k"        // oldest HIST(q,K)
 	ReasonASBOverflow = "asb-overflow" // FIFO head of the ASB overflow buffer
 	ReasonASBMain     = "asb-main"     // ASB main-part SLRU victim (overflow empty)
+	ReasonClock       = "clock"        // first clear reference bit under the CLOCK hand
 )
 
 // EvictionEvent describes a page leaving the buffer. Criterion is the
 // policy's victim-selection value (spatial criterion for the spatial
-// family, HIST(q,K) for LRU-K; 0 when not applicable). LRURank is the
-// victim's distance from the LRU end of the policy's recency order at
-// selection time (0 = least recently used), or -1 when the policy has no
-// meaningful rank (heap-ordered or history-ordered policies).
+// family, HIST(q,K) for LRU-K, the priority class for LRU-T/P; 0 when
+// not applicable). LRURank is the victim's distance from the eviction
+// end of the policy's LRU or FIFO order at selection time (0 = least
+// recently used), or -1 when the policy has no meaningful rank (heap-,
+// history- or ring-ordered policies).
 type EvictionEvent struct {
 	Page      page.ID
 	Reason    string
@@ -120,7 +123,7 @@ type Sink interface {
 	Adapt(e AdaptEvent)
 }
 
-// SinkSetter is implemented by event producers (policies, managers) that
+// SinkSetter is implemented by event producers (ASB, the pool layers) that
 // accept a sink. buffer.Engine.SetSink forwards to its policy through
 // this interface.
 type SinkSetter interface {
@@ -152,29 +155,6 @@ func (NopSink) OverflowPromotion(OverflowPromotionEvent) {}
 
 // Adapt implements Sink.
 func (NopSink) Adapt(AdaptEvent) {}
-
-// Target is an embeddable sink holder. Embedding it makes a producer a
-// SinkSetter; Sink() never returns nil, so producers can emit without
-// nil checks even on zero-valued embedders.
-type Target struct {
-	sink Sink
-}
-
-// SetSink implements SinkSetter. A nil sink resets to NopSink.
-func (t *Target) SetSink(s Sink) {
-	if s == nil {
-		s = NopSink{}
-	}
-	t.sink = s
-}
-
-// Sink returns the attached sink, or NopSink if none was set.
-func (t *Target) Sink() Sink {
-	if t.sink == nil {
-		return NopSink{}
-	}
-	return t.sink
-}
 
 // multiSink fans events out to several sinks in order.
 type multiSink []Sink

@@ -21,23 +21,6 @@ func (r *recordingSink) Eviction(e EvictionEvent) {
 func (r *recordingSink) OverflowPromotion(e OverflowPromotionEvent) { r.promote++; r.last = e }
 func (r *recordingSink) Adapt(e AdaptEvent)                         { r.adapt++; r.last = e }
 
-func TestTargetDefaultsToNop(t *testing.T) {
-	var tgt Target
-	if _, ok := tgt.Sink().(NopSink); !ok {
-		t.Fatalf("zero Target sink = %T, want NopSink", tgt.Sink())
-	}
-	tgt.SetSink(nil)
-	if _, ok := tgt.Sink().(NopSink); !ok {
-		t.Fatalf("SetSink(nil) sink = %T, want NopSink", tgt.Sink())
-	}
-	rec := &recordingSink{}
-	tgt.SetSink(rec)
-	tgt.Sink().Request(RequestEvent{Page: 1, Hit: true})
-	if rec.req != 1 {
-		t.Errorf("recorded %d requests, want 1", rec.req)
-	}
-}
-
 func TestTeeFansOutAndCollapses(t *testing.T) {
 	a, b := &recordingSink{}, &recordingSink{}
 	s := Tee(a, nil, NopSink{}, b)

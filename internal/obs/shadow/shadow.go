@@ -117,7 +117,7 @@ func (c *Cache) Ref(id page.ID, meta page.Meta, queryID uint64) bool {
 			// Ghost frames are never pinned, so Victim returning nil can
 			// only mean a broken policy; mirror the Engine (which fails
 			// the request with ErrAllPinned) by not admitting.
-			if v := c.policy.Victim(ctx); v != nil {
+			if v := c.policy.Victim(ctx).Frame; v != nil {
 				delete(c.frames, v.Meta.ID)
 				c.policy.OnEvict(v)
 				c.arena.Free(v)

@@ -23,8 +23,8 @@
 // A sampled request's Active trace travels with the request: the buffer
 // engine puts it in the buffer.AccessContext it already hands to every
 // policy callback and every internal step, so whoever does work for the
-// request (the policy's victim selection, ASB's adaptation, a store
-// call) attaches child spans to exactly that request's tree. Nothing is
+// request (the engine's victim selection and store calls, ASB's
+// adaptation) attaches child spans to exactly that request's tree. Nothing is
 // parked in shared state, so a request that leaves its shard's latch for
 // a physical read keeps its trace and cannot see another's.
 package tracing
@@ -51,8 +51,8 @@ const (
 	KindFix
 	// KindFlush is a whole-buffer flush (root span; always sampled).
 	KindFlush
-	// KindVictim is a policy victim selection, emitted by the policy
-	// with the criterion values that decided it.
+	// KindVictim is a policy victim selection, recorded by the engine for
+	// every policy from the buffer.Choice the policy returned.
 	KindVictim
 	// KindAdapt is an ASB candidate-size adaptation on an overflow hit.
 	KindAdapt
@@ -134,9 +134,9 @@ type Span struct {
 
 	// Victim-selection payload (KindVictim).
 	Reason   string  // eviction reason constant (obs.Reason*)
-	CritKind string  // spatial criterion kind ("A", "EA", …)
-	CritWin  float64 // criterion value of the selected victim
-	CritLose float64 // worst (largest) criterion among scanned candidates
+	CritKind string  // what the values measure ("A", "EA", …, "class", "hist-k")
+	CritWin  float64 // deciding value of the selected victim
+	CritLose float64 // worst (largest) value among scanned candidates
 	Rank     int32   // victim's LRU rank, -1 when not applicable
 	Slot     int32   // arena index of the victim's frame, -1 off-arena/none
 

@@ -255,13 +255,13 @@ func (p *fifoStub) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessContext
 	p.frames = append(p.frames, f)
 }
 func (p *fifoStub) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {}
-func (p *fifoStub) Victim(ctx buffer.AccessContext) *buffer.Frame {
+func (p *fifoStub) Victim(ctx buffer.AccessContext) buffer.Choice {
 	for _, f := range p.frames {
 		if !f.Pinned() {
-			return f
+			return buffer.Choice{Frame: f}
 		}
 	}
-	return nil
+	return buffer.Choice{}
 }
 func (p *fifoStub) OnEvict(f *buffer.Frame) {
 	for i, g := range p.frames {

@@ -551,7 +551,7 @@ func (p *lruStub) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessContext)
 	p.frames = append(p.frames, f)
 }
 func (p *lruStub) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {}
-func (p *lruStub) Victim(ctx buffer.AccessContext) *buffer.Frame {
+func (p *lruStub) Victim(ctx buffer.AccessContext) buffer.Choice {
 	var best *buffer.Frame
 	for _, f := range p.frames {
 		if f.Pinned() {
@@ -561,7 +561,7 @@ func (p *lruStub) Victim(ctx buffer.AccessContext) *buffer.Frame {
 			best = f
 		}
 	}
-	return best
+	return buffer.Choice{Frame: best}
 }
 func (p *lruStub) OnEvict(f *buffer.Frame) {
 	for i, g := range p.frames {

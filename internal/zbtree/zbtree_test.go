@@ -363,13 +363,13 @@ func (p *countingPolicy) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessC
 	p.frames = append(p.frames, f)
 }
 func (p *countingPolicy) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {}
-func (p *countingPolicy) Victim(ctx buffer.AccessContext) *buffer.Frame {
+func (p *countingPolicy) Victim(ctx buffer.AccessContext) buffer.Choice {
 	for _, f := range p.frames {
 		if !f.Pinned() {
-			return f
+			return buffer.Choice{Frame: f}
 		}
 	}
-	return nil
+	return buffer.Choice{}
 }
 func (p *countingPolicy) OnEvict(f *buffer.Frame) {
 	for i, g := range p.frames {
