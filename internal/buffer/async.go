@@ -64,7 +64,9 @@ type asyncShard struct {
 	// flight has one entry per page whose physical read is in progress
 	// outside mu, shared by every concurrent miss for that page.
 	flight map[page.ID]*inflight
-	wb     *writeback
+	// spare is a flight record no waiter saw, for the next leader.
+	spare *inflight
+	wb    *writeback
 }
 
 // Async stacks the asynchronous-I/O layer on a router. The router must
@@ -105,7 +107,7 @@ func Async(r *Router, cfg AsyncConfig) *AsyncPool {
 // request across every unlock: the leader's store.Read and a waiter's
 // io-wait are recorded outside the lock into the request's own tree,
 // and the requests that use the engine meanwhile carry their own.
-func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, bool, error) {
+func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, error) {
 	e := s.e
 	a := ctx.trace
 	counted := false
@@ -141,19 +143,19 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 			// invariant, and for Fix to find the frame.
 			s.mu.Lock()
 			if fl.err != nil {
-				return nil, false, fl.err
+				return nil, fl.err
 			}
 			if !pin {
 				// Get needs only the bytes; the leader admitted (or
 				// resolved) the page.
-				return fl.page, false, nil
+				return fl.page, nil
 			}
 			// Fix must pin a resident frame. It may already be evicted
 			// again, in which case the loop coalesces or leads a fresh read
 			// — without recounting.
 			if fr := e.frames[id]; fr != nil {
 				fr.pins++
-				return fr.Page, false, nil
+				return fr.Page, nil
 			}
 			continue
 		}
@@ -171,12 +173,12 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 			}
 			fr, err := s.readmit(pg, now, ctx)
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			if pin {
 				fr.pins++
 			}
-			return fr.Page, false, nil
+			return fr.Page, nil
 		}
 
 		// Leader: register the read and perform it outside the lock. The
@@ -190,7 +192,10 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 		} else {
 			now = e.tick()
 		}
-		fl := &inflight{}
+		fl := s.spare
+		if s.spare = nil; fl == nil {
+			fl = &inflight{}
+		}
 		s.flight[id] = fl
 		s.mu.Unlock()
 		rpg, rerr := readPage(e.store, a, id)
@@ -230,22 +235,24 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 		// and a failed read leaves no residue for later misses. Waiters
 		// get the resolved bytes even when only admission failed
 		// (ErrAllPinned is the leader's error, not theirs). No channel
-		// means no waiter ever found the entry.
-		fl.page, fl.err = published, rerr
+		// means no waiter ever found the entry: it becomes the spare.
 		delete(s.flight, id)
 		if fl.done != nil {
+			fl.page, fl.err = published, rerr
 			close(fl.done)
+		} else {
+			s.spare = fl
 		}
 		if rerr != nil {
-			return nil, false, rerr
+			return nil, rerr
 		}
 		if aerr != nil {
-			return nil, false, aerr
+			return nil, aerr
 		}
 		if pin {
 			fr.pins++
 		}
-		return fr.Page, false, nil
+		return fr.Page, nil
 	}
 }
 

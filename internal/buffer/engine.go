@@ -45,10 +45,11 @@ type Engine struct {
 	// allocation-free when unobserved.
 	sink obs.Sink
 	// timer is non-nil only when sink implements obs.LatencyRecorder;
-	// then each request is bracketed with monotonic-clock readings and
-	// the elapsed nanoseconds published. Latency-blind sinks (including
-	// NopSink) keep the hot path free of clock reads.
-	timer obs.LatencyRecorder
+	// then startSample times every miss and Put and one hit in hitSample,
+	// which stands for the untimedHits before it. Latency-blind sinks
+	// (including NopSink) keep the hot path free of clock reads.
+	timer       obs.LatencyRecorder
+	untimedHits uint64
 
 	// tracer samples request-scoped span traces; nil when tracing is
 	// disabled (the request path then pays a single pointer test). shard
@@ -62,7 +63,7 @@ type Engine struct {
 
 	// async is this engine's share of the async-I/O layer, nil on
 	// synchronous engines. The engine refers to the layer in three places:
-	// serve hands it every miss, writeOut hands it dirty pages, and put
+	// fetch hands it every miss, writeOut hands it dirty pages, and put
 	// tells it that a newer version supersedes a queued one.
 	async *asyncShard
 }
@@ -97,6 +98,7 @@ func (e *Engine) SetSink(s obs.Sink) {
 	}
 	e.sink = s
 	e.timer, _ = s.(obs.LatencyRecorder)
+	e.untimedHits = 0
 	if ss, ok := e.policy.(obs.SinkSetter); ok {
 		ss.SetSink(s)
 	}
@@ -116,11 +118,6 @@ func (e *Engine) SetTracer(t *tracing.Tracer) {
 
 // Tracer returns the attached tracer, or nil when tracing is disabled.
 func (e *Engine) Tracer() *tracing.Tracer { return e.tracer }
-
-// depositLockWait records the latch wait of the request about to run;
-// the next traced request attaches it to its root span. Called by the
-// locking layer after acquiring the latch.
-func (e *Engine) depositLockWait(ns int64) { e.pendingLockWait = ns }
 
 // Capacity returns the buffer capacity in frames.
 func (e *Engine) Capacity() int { return e.capacity }
@@ -166,45 +163,79 @@ func (e *Engine) beginRequest(kind tracing.SpanKind, id page.ID, query uint64) *
 	return e.tracer.StartRequest(kind, id, query, e.shard, wait)
 }
 
+// hitSample is the hit-timing interval: with a latency-recording sink
+// attached, one hit in hitSample is timed and stands for all of them.
+const hitSample = 64
+
 // request implements the read-path protocol for Get (pin=false) and Fix
-// (pin=true), timing the request when the sink asked for latencies and
-// tracing it when a tracer sampled it: from here on the trace travels in
-// ctx.
+// (pin=true): lookup, then the hit in place or the miss through fetch. A
+// request a tracer sampled carries its trace in ctx from here on.
 func (e *Engine) request(kind tracing.SpanKind, id page.ID, ctx AccessContext, pin bool) (*page.Page, error) {
 	ctx.trace = e.beginRequest(kind, id, ctx.QueryID)
-	pg, hit, err := e.timedServe(id, ctx, pin)
-	if ctx.trace != nil {
-		ctx.trace.Finish(hit, err != nil)
+	f, hit := e.frames[id]
+	weight, start := e.startSample(hit, ctx.trace)
+	if !hit {
+		pg, err := e.fetch(id, ctx, pin)
+		e.finish(ctx.trace, start, weight, false, err != nil)
+		return pg, err
 	}
-	return pg, err
+	e.hit(f, ctx)
+	if pin {
+		f.pins++
+	}
+	e.finish(ctx.trace, start, weight, true, false)
+	return f.Page, nil
 }
 
-// timedServe brackets serve with latency timing when the sink asked for
-// it.
-func (e *Engine) timedServe(id page.ID, ctx AccessContext, pin bool) (*page.Page, bool, error) {
+// startSample is the one place a request learns what to record of its
+// own duration: the weight of its latency sample (0 = not timed) and,
+// unless its trace a has the clock readings already, the first one. With
+// a latency recorder attached a miss or a Put (hit=false) is always
+// timed, for itself — two clock readings vanish beside its cost — and a
+// hit when hitSample-1 untimed hits preceded it (or a tracer sampled
+// it), standing for those too: the recorder's count trails the requests
+// by < hitSample, its sum and quantiles stay consistent estimators. Must
+// run under the engine's serialization.
+func (e *Engine) startSample(hit bool, a *tracing.Active) (weight uint64, start time.Time) {
 	if e.timer == nil {
-		return e.serve(id, ctx, pin)
+		return 0, start
 	}
-	start := time.Now()
-	pg, hit, err := e.serve(id, ctx, pin)
-	e.timer.RecordLatency(time.Since(start).Nanoseconds())
-	return pg, hit, err
+	if hit && a == nil && e.untimedHits < hitSample-1 {
+		e.untimedHits++
+		return 0, start
+	}
+	weight = 1
+	if hit {
+		weight += e.untimedHits
+		e.untimedHits = 0
+	}
+	if a == nil {
+		start = time.Now()
+	}
+	return weight, start
 }
 
-// serve is the untimed hit/miss protocol, reporting whether the request
-// hit; it is entered and left under the caller's serialization. A miss
-// on an engine under the async layer is handed to it; otherwise the
-// physical read happens in place. Read before evicting: a failed read
-// must not discard a perfectly good cached page (or count an eviction)
-// for a request that errored.
-func (e *Engine) serve(id page.ID, ctx AccessContext, pin bool) (*page.Page, bool, error) {
-	if f, ok := e.frames[id]; ok {
-		e.hit(f, ctx)
-		if pin {
-			f.pins++
-		}
-		return f.Page, true, nil
+// finish closes the request's trace and publishes its latency sample;
+// the root span's duration is the sample of a traced request.
+func (e *Engine) finish(a *tracing.Active, start time.Time, weight uint64, hit, failed bool) {
+	var ns int64
+	if a != nil {
+		ns = a.Finish(hit, failed)
+	} else if weight > 0 {
+		ns = time.Since(start).Nanoseconds()
 	}
+	if weight > 0 {
+		e.timer.RecordLatency(ns, weight)
+	}
+}
+
+// fetch serves a request that found its page non-resident; it is entered
+// and left under the caller's serialization. On an engine under the
+// async layer the miss is handed to it; otherwise the physical read
+// happens in place. Read before evicting: a failed read must not discard
+// a perfectly good cached page (or count an eviction) for a request that
+// errored.
+func (e *Engine) fetch(id page.ID, ctx AccessContext, pin bool) (*page.Page, error) {
 	if e.async != nil {
 		return e.async.miss(id, ctx, pin)
 	}
@@ -214,7 +245,7 @@ func (e *Engine) serve(id page.ID, ctx AccessContext, pin bool) (*page.Page, boo
 		// The miss was counted, so its event must still flow — with a
 		// zero Meta, since no page materialized.
 		e.emitMiss(id, ctx, false, page.Meta{})
-		return nil, false, err
+		return nil, err
 	}
 	// Emit after the successful read, so the event carries the page's
 	// Meta (shadow caches replay spatial criteria from it), and before
@@ -222,12 +253,12 @@ func (e *Engine) serve(id page.ID, ctx AccessContext, pin bool) (*page.Page, boo
 	e.emitMiss(id, ctx, false, p.Meta)
 	f, err := e.admit(p, now, ctx)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if pin {
 		f.pins++
 	}
-	return f.Page, false, nil
+	return f.Page, nil
 }
 
 // hit accounts one read request served by the resident frame f: clock
@@ -473,31 +504,18 @@ func (e *Engine) markDirty(id page.ID) error {
 // it is the write path for update workloads. A non-resident page is
 // admitted without a physical read (the caller provides the content); a
 // resident page is replaced in place. Dirty pages are written back on
-// eviction or Flush. Like reads, Puts are timed when the sink implements
+// eviction or Flush. Every Put is timed when the sink implements
 // obs.LatencyRecorder. Put never reads the store, so it runs entirely
 // under the latch in every composition.
 func (e *Engine) Put(p *page.Page, ctx AccessContext) error {
-	if e.tracer != nil && p != nil {
-		if a := e.beginRequest(tracing.KindPut, p.ID, ctx.QueryID); a != nil {
-			ctx.trace = a
-			resident := e.Contains(p.ID)
-			err := e.timedPut(p, ctx)
-			// A Put "hits" when it replaced a resident page in place.
-			a.Finish(resident, err != nil)
-			return err
-		}
+	if p != nil {
+		ctx.trace = e.beginRequest(tracing.KindPut, p.ID, ctx.QueryID)
 	}
-	return e.timedPut(p, ctx)
-}
-
-// timedPut brackets put with latency timing when the sink asked for it.
-func (e *Engine) timedPut(p *page.Page, ctx AccessContext) error {
-	if e.timer == nil {
-		return e.put(p, ctx)
-	}
-	start := time.Now()
+	// A traced Put "hits" when it replaced a resident page in place.
+	resident := ctx.trace != nil && e.Contains(p.ID)
+	weight, start := e.startSample(false, ctx.trace)
 	err := e.put(p, ctx)
-	e.timer.RecordLatency(time.Since(start).Nanoseconds())
+	e.finish(ctx.trace, start, weight, resident, err != nil)
 	return err
 }
 

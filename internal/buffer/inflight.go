@@ -15,8 +15,10 @@ import "repro/internal/page"
 //
 // done is created by the first waiter, under the lock, and stays nil
 // when there is none — the common case (a few reads in a hundred have a
-// waiter on the benchmark's two-worker miss workload), which then costs
-// one allocation, not two.
+// waiter on the benchmark's two-worker miss workload). A record that
+// leaves the table without one was seen by its leader alone, who parks
+// it, still zero, as the shard's spare for the next leader: the common
+// case allocates nothing. A record a waiter saw is left to the GC.
 //
 // The error path leaves no residue: a failed read publishes err, and
 // because the entry is already unregistered, the next miss for the page

@@ -53,10 +53,12 @@ func lockForShard(e *Engine, shard int) *LockedEngine {
 	return le
 }
 
-// lockRequest acquires the mutex for a request, measuring the wait when
-// a contention profiler or tracer wants it and depositing it with the
-// engine (whose next traced root span attaches it). The common case
-// (neither attached) is two atomic loads plus the plain Lock.
+// lockRequest acquires the mutex for a request. With a contention
+// profiler or tracer attached it tries the mutex first: an acquisition
+// that finds it free counts with a wait of zero and reads no clock; one
+// that has to queue is measured and its wait deposited with the engine
+// (whose next traced root span attaches it). The common case (neither
+// attached) is two atomic loads plus the plain Lock.
 func (l *LockedEngine) lockRequest() {
 	c := l.contention.Load()
 	traced := l.traceWait.Load()
@@ -64,17 +66,22 @@ func (l *LockedEngine) lockRequest() {
 		l.mu.Lock()
 		return
 	}
-	if c != nil {
-		c.BeginWait(l.shard)
-	}
-	start := time.Now()
-	l.mu.Lock()
-	wait := time.Since(start).Nanoseconds()
-	if c != nil {
-		c.EndWait(l.shard, wait)
+	var wait int64
+	if !l.mu.TryLock() {
+		if c != nil {
+			c.BeginWait(l.shard)
+		}
+		start := time.Now()
+		l.mu.Lock()
+		wait = time.Since(start).Nanoseconds()
+		if c != nil {
+			c.EndWait(l.shard, wait)
+		}
+	} else if c != nil {
+		c.Uncontended(l.shard)
 	}
 	if traced {
-		l.e.depositLockWait(wait)
+		l.e.pendingLockWait = wait
 	}
 }
 
@@ -180,9 +187,9 @@ func (l *LockedEngine) SetSink(sink obs.Sink) {
 
 // SetTracer attaches a request-scoped span tracer to the wrapped engine
 // (see Engine.SetTracer); the engine records under this layer's shard
-// index (0 unless owned by a Router). While a tracer is attached, each
-// request's mutex wait is measured and lands in its root span's
-// LockWait. A nil tracer detaches.
+// index (0 unless owned by a Router). While a tracer is attached, the
+// mutex wait of a request that had to queue is measured and lands in its
+// root span's LockWait (0 = the mutex was free). A nil tracer detaches.
 func (l *LockedEngine) SetTracer(t *tracing.Tracer) {
 	l.mu.Lock()
 	l.e.SetTracer(t)

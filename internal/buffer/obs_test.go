@@ -153,41 +153,104 @@ func TestLockedEngineSetSink(t *testing.T) {
 	}
 }
 
-// TestEngineTimesRequestsForLatencySinks asserts the timing points:
-// when (and only when) the attached sink implements obs.LatencyRecorder,
-// every read and write request publishes a latency sample.
+// latencyLog records the calls and the summed weights an engine makes to
+// its latency recorder.
+type latencyLog struct {
+	obs.NopSink
+	calls  int
+	weight uint64
+	nanos  []int64
+}
+
+func (l *latencyLog) RecordLatency(nanos int64, weight uint64) {
+	l.calls++
+	l.weight += weight
+	l.nanos = append(l.nanos, nanos)
+}
+
+// TestEngineTimesRequestsForLatencySinks asserts the timing contract on
+// every layout: when (and only when) the attached sink implements
+// obs.LatencyRecorder, each miss and each Put publishes one sample of
+// weight 1 and every hitSample-th hit one sample of weight hitSample, so
+// over h hits (a multiple of hitSample, all on one page, hence one
+// shard), m misses and p puts the recorder sees m + p + h/hitSample
+// calls whose weights sum to h + m + p.
 func TestEngineTimesRequestsForLatencySinks(t *testing.T) {
-	s := newStore(t, 4)
-	m, err := NewEngine(s, newTestPolicy(), 2)
+	for _, spec := range []string{"bare", "locked", "sharded,shards=2", "async,shards=2"} {
+		t.Run(spec, func(t *testing.T) {
+			comp, err := ParseComposition(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			store := newStore(t, 8)
+			pool, err := comp.Build(store, testFactoryFIFO, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cl, ok := pool.(interface{ Close() error }); ok {
+				defer cl.Close()
+			}
+			log := &latencyLog{}
+			pool.SetSink(log)
+			get := func(id page.ID) {
+				t.Helper()
+				if _, err := pool.Get(id, AccessContext{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check := func(when string, calls int, weight uint64) {
+				t.Helper()
+				if log.calls != calls || log.weight != weight {
+					t.Fatalf("%s: %d calls of summed weight %d, want %d and %d", when, log.calls, log.weight, calls, weight)
+				}
+			}
+
+			const m, p, h = 3, 2, 2 * hitSample
+			for id := page.ID(1); id <= m; id++ {
+				get(id)
+			}
+			check("after the misses", m, m)
+			for i := 0; i < hitSample-1; i++ {
+				get(1)
+			}
+			check("before the first timed hit", m, m)
+			get(1)
+			check("at the first timed hit", m+1, m+hitSample)
+			for i := 0; i < h-hitSample; i++ {
+				get(1)
+			}
+			for _, id := range []page.ID{2, 7} { // one resident, one not
+				pg, err := store.Read(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := pool.Put(pg, AccessContext{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check("at the end", m+p+h/hitSample, m+p+h)
+
+			pool.SetSink(nil) // detaching stops misses and hits alike
+			get(8)
+			for i := 0; i < hitSample; i++ {
+				get(1)
+			}
+			check("after detaching", m+p+h/hitSample, m+p+h)
+		})
+	}
+
+	// A sink that records no latency leaves the engine without a timer —
+	// the only thing that makes it read the clock for a request.
+	e, err := NewEngine(newStore(t, 1), newTestPolicy(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var h obs.Histogram
-	m.SetSink(&h)
-
-	for _, id := range []page.ID{1, 1, 2} {
-		if _, err := m.Get(id, AccessContext{}); err != nil {
-			t.Fatal(err)
+	for _, s := range []obs.Sink{&obs.Counters{}, obs.NopSink{}, nil} {
+		e.SetSink(&obs.Histogram{})
+		e.SetSink(s)
+		if e.timer != nil {
+			t.Errorf("sink %T left a latency timer attached", s)
 		}
-	}
-	p, err := s.Read(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Put(p, AccessContext{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.Count(); got != 4 {
-		t.Errorf("latency samples = %d, want 4 (3 gets + 1 put)", got)
-	}
-
-	// Detaching stops the clock reads.
-	m.SetSink(nil)
-	if _, err := m.Get(1, AccessContext{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.Count(); got != 4 {
-		t.Errorf("latency samples after detach = %d, want 4", got)
 	}
 }
 

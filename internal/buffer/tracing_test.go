@@ -3,6 +3,7 @@ package buffer
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs/tracing"
 	"repro/internal/page"
@@ -359,4 +360,158 @@ func TestAsyncTracedMissIsolation(t *testing.T) {
 	}
 	check("write-back", tracing.Span{Kind: tracing.KindWriteback, Page: dirty},
 		tracing.Span{Kind: tracing.KindStoreWrite, Page: dirty})
+}
+
+// TestTracedRequestIsItsOwnLatencySample: a request the tracer sampled is
+// always timed, hit or not, and its latency sample is its root span's
+// duration — one pair of clock readings serves both.
+func TestTracedRequestIsItsOwnLatencySample(t *testing.T) {
+	s := newStore(t, 4)
+	e, err := NewEngine(s, newTestPolicy(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := tracing.NewTracer(1, 1, 16)
+	e.SetTracer(tr)
+	log := &latencyLog{}
+	e.SetSink(log)
+	for _, id := range []page.ID{1, 1, 2, 1} { // miss, hit, miss, hit
+		if _, err := e.Get(id, AccessContext{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pg, err := s.Read(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Put(pg, AccessContext{}); err != nil {
+		t.Fatal(err)
+	}
+	traces := tr.Traces(0)
+	if len(traces) != 5 || log.calls != 5 || log.weight != 5 {
+		t.Fatalf("%d traces, %d samples of summed weight %d, want 5 of each", len(traces), log.calls, log.weight)
+	}
+	for i, trc := range traces {
+		if log.nanos[i] != trc[0].Dur {
+			t.Errorf("request %d (%s): latency sample %d ns, root span %d ns", i, trc[0].Kind, log.nanos[i], trc[0].Dur)
+		}
+	}
+}
+
+// TestUncontendedLatchRecordsNoWait pins "no clock on an uncontended
+// acquire" by its effect: a single goroutine never queues, so with a
+// profiler and a tracer attached every acquisition is counted and the
+// measured wait stays exactly zero.
+func TestUncontendedLatchRecordsNoWait(t *testing.T) {
+	for _, spec := range []string{"locked", "sharded,shards=2"} {
+		t.Run(spec, func(t *testing.T) {
+			comp, err := ParseComposition(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool, err := comp.Build(newStore(t, 16), testFactoryFIFO, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := tracing.NewContention(2)
+			tr := tracing.NewTracer(64, 2, 32)
+			ip := pool.(interface {
+				SetTracer(*tracing.Tracer)
+				EnableContention(*tracing.Contention)
+			})
+			ip.SetTracer(tr)
+			ip.EnableContention(c)
+
+			const requests = 10000
+			var calls uint64
+			for i := 0; i < requests; i++ {
+				id := page.ID(1 + i%16)
+				if _, err := pool.Fix(id, AccessContext{}); err != nil {
+					t.Fatal(err)
+				}
+				calls++
+				if i%10 == 0 {
+					if err := pool.MarkDirty(id); err != nil {
+						t.Fatal(err)
+					}
+					calls++
+				}
+				if err := pool.Unfix(id); err != nil {
+					t.Fatal(err)
+				}
+				calls++
+			}
+			var acquired uint64
+			for sh := 0; sh < c.Shards(); sh++ {
+				acquired += c.Acquisitions(sh)
+				if w := c.Waiters(sh); w != 0 {
+					t.Errorf("shard %d: %d waiters left", sh, w)
+				}
+			}
+			if acquired != calls {
+				t.Errorf("profiler counted %d acquisitions, want %d (one per call)", acquired, calls)
+			}
+			if w := c.TotalWaitNanos(); w != 0 {
+				t.Errorf("total wait = %d ns on a latch nobody contended, want 0", w)
+			}
+			for _, trc := range tr.Traces(0) {
+				if trc[0].LockWait != 0 {
+					t.Errorf("%s span of page %d: LockWait = %d, want 0", trc[0].Kind, trc[0].Page, trc[0].LockWait)
+				}
+			}
+		})
+	}
+}
+
+// TestContendedLatchMeasuresWait is the other branch: a request that
+// finds the latch held — by a miss whose store read a gate keeps inside
+// the lock — is a waiter while it queues, and its measured wait lands in
+// the profiler and in its own root span.
+func TestContendedLatchMeasuresWait(t *testing.T) {
+	gs := &gatedStore{Store: newStore(t, 4), gate: make(chan struct{}), only: 1}
+	e, err := NewEngine(gs, newTestPolicy(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := Lock(e)
+	c := tracing.NewContention(1)
+	tr := tracing.NewTracer(1, 1, 8)
+	le.SetTracer(tr)
+	le.EnableContention(c)
+
+	var wg sync.WaitGroup
+	get := func(id page.ID) {
+		defer wg.Done()
+		if _, err := le.Get(id, AccessContext{}); err != nil {
+			t.Error(err)
+		}
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	wg.Add(2)
+	go get(1) // takes the free latch, then sits in the gated read
+	waitFor("the holder's acquisition", func() bool { return c.Acquisitions(0) == 1 })
+	go get(2)
+	waitFor("the second request to queue", func() bool { return c.Waiters(0) == 1 })
+	close(gs.gate)
+	wg.Wait()
+
+	if c.Acquisitions(0) != 2 || c.Waiters(0) != 0 {
+		t.Errorf("acquisitions = %d, waiters = %d, want 2 and 0", c.Acquisitions(0), c.Waiters(0))
+	}
+	if c.WaitNanos(0) <= 0 {
+		t.Errorf("WaitNanos = %d after a request queued behind a held latch, want > 0", c.WaitNanos(0))
+	}
+	for _, trc := range tr.Traces(0) {
+		root := trc[0]
+		if queued := root.Page == 2; queued != (root.LockWait > 0) {
+			t.Errorf("Get(%d): LockWait = %d, want > 0 only for the request that queued", root.Page, root.LockWait)
+		}
+	}
 }

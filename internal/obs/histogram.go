@@ -18,7 +18,7 @@ import (
 // 1/histSub (12.5%). The bucket layout is fixed at compile time, so two
 // snapshots are always structurally compatible.
 //
-// Histogram implements LatencyRecorder (RecordLatency == Observe), so it
+// Histogram implements LatencyRecorder (RecordLatency == ObserveN), so it
 // can be attached wherever the buffer manager publishes request timings,
 // and (via the embedded NopSink) satisfies Sink, so a latency-only
 // histogram can ride in a Tee next to event-consuming sinks. The zero
@@ -70,17 +70,20 @@ func histBucketHigh(idx int) int64 {
 }
 
 // Observe records one value. Negative values are clamped to 0.
-func (h *Histogram) Observe(v int64) {
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records n occurrences of one value (a weighted sample).
+func (h *Histogram) ObserveN(v int64, n uint64) {
 	if v < 0 {
 		v = 0
 	}
-	h.count.Add(1)
-	h.sum.Add(v)
-	h.buckets[histBucketIndex(v)].Add(1)
+	h.count.Add(n)
+	h.sum.Add(v * int64(n))
+	h.buckets[histBucketIndex(v)].Add(n)
 }
 
 // RecordLatency implements LatencyRecorder.
-func (h *Histogram) RecordLatency(nanos int64) { h.Observe(nanos) }
+func (h *Histogram) RecordLatency(nanos int64, weight uint64) { h.ObserveN(nanos, weight) }
 
 // Count returns the number of recorded values.
 func (h *Histogram) Count() uint64 { return h.count.Load() }

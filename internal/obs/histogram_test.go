@@ -102,6 +102,46 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
+// TestHistogramObserveN: a weighted observation is indistinguishable from
+// that many single ones — count, sum, bucket, merge and quantiles.
+func TestHistogramObserveN(t *testing.T) {
+	var weighted, single Histogram
+	for _, o := range []struct {
+		v int64
+		n uint64
+	}{{100, 64}, {5000, 1}, {100, 64}, {90000, 3}, {-7, 2}, {100, 0}} {
+		weighted.ObserveN(o.v, o.n)
+		for i := uint64(0); i < o.n; i++ {
+			single.Observe(o.v)
+		}
+	}
+	w, s := weighted.Snapshot(), single.Snapshot()
+	if w != s {
+		t.Fatalf("weighted snapshot differs from the one-by-one snapshot:\n%+v\n%+v", w, s)
+	}
+	if w.Count != 134 || w.Sum != 128*100+5000+3*90000 || weighted.Count() != 134 {
+		t.Errorf("count/sum = %d/%d, want 134/%d", w.Count, w.Sum, 128*100+5000+3*90000)
+	}
+	if got := w.CountAtMost(histBucketHigh(histBucketIndex(100))); got != 130 {
+		t.Errorf("values ≤ 100's bucket = %d, want 130 (128 weighted + 2 clamped)", got)
+	}
+	// 128 of 134 samples are the weighted hits: median and p90 sit in
+	// their bucket, only the tail sees the slow singles.
+	for _, q := range []float64{0.5, 0.9} {
+		if got := w.Quantile(q); got < 96 || got > 112 {
+			t.Errorf("q%.2f = %.0f, want inside 100's bucket", q, got)
+		}
+	}
+	if got := w.Quantile(0.99); got < 80000 {
+		t.Errorf("q0.99 = %.0f, want the 90000 tail", got)
+	}
+	var other Histogram
+	other.ObserveN(100, 6)
+	if m := w.Merge(other.Snapshot()); m.Count != 140 || m.Sum != w.Sum+600 || m.CountAtMost(112) != 136 {
+		t.Errorf("merged count/sum/≤112 = %d/%d/%d, want 140/%d/136", m.Count, m.Sum, m.CountAtMost(112), w.Sum+600)
+	}
+}
+
 func TestHistogramConcurrent(t *testing.T) {
 	var h Histogram
 	const goroutines, per = 8, 10000
@@ -129,7 +169,7 @@ func TestHistogramConcurrent(t *testing.T) {
 func TestHistogramImplementsLatencyRecorder(t *testing.T) {
 	var h Histogram
 	var lr LatencyRecorder = &h
-	lr.RecordLatency(42)
+	lr.RecordLatency(42, 1)
 	if h.Count() != 1 {
 		t.Error("RecordLatency did not observe")
 	}

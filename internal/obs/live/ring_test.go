@@ -10,6 +10,8 @@ import (
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/obs/live"
+	"repro/internal/obs/shadow"
+	"repro/internal/obs/tracing"
 	"repro/internal/page"
 	"repro/internal/storage"
 )
@@ -172,5 +174,84 @@ func TestLockedEngineWithAsyncRingSink(t *testing.T) {
 	}
 	if snap.Evictions != stats.Evictions {
 		t.Errorf("evictions: async %d, stats %d", snap.Evictions, stats.Evictions)
+	}
+}
+
+// TestObservedHitPathZeroAllocs is the allocation gate of the observed
+// stack: an async pool carrying everything the end-to-end benchmark's
+// serve-observed workload (bufserve's defaults) attaches — the service
+// sink teed with a default shadow bank behind a default-size ring, the
+// 1-in-1024 tracer and the contention profiler — allocates nothing per
+// resident Get, and nothing per leader miss either (a MemStore page is
+// the store's own, the flight record is recycled). A sampled trace does
+// allocate; one in 1024 rounds to zero per request.
+func TestObservedHitPathZeroAllocs(t *testing.T) {
+	const pages, shards = 64, 2
+	for _, tc := range []struct {
+		name   string
+		policy string
+		frames int
+		hot    int // Gets cycle over pages 1..hot
+	}{
+		{"hit", "ASB", 2 * pages, 8},     // everything resident
+		{"leader-miss", "LRU", 8, pages}, // a cycle longer than the cache: LRU always misses
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			factory, err := core.Resolver(tc.policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			comp, err := buffer.ParseComposition("async,shards=2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool, err := comp.Build(newStore(t, pages), factory, tc.frames)
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc := live.NewService()
+			bank, err := shadow.NewBank(shadow.Specs(tc.policy, tc.frames, shadow.DefaultPolicies(), shadow.DefaultLadder()), core.Resolver, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ring := live.NewAsyncSink(bank, 0, svc.Counters.AddDropped)
+			pool.SetSink(obs.Tee(svc.Sink(), ring))
+			ip := pool.(interface {
+				SetTracer(*tracing.Tracer)
+				EnableContention(*tracing.Contention)
+				Close() error
+			})
+			ip.SetTracer(tracing.NewTracer(1024, shards, 256))
+			ip.EnableContention(tracing.NewContention(shards))
+
+			ctx := buffer.AccessContext{QueryID: 1}
+			next := 0
+			get := func() {
+				next = next%tc.hot + 1
+				if _, err := pool.Get(page.ID(next), ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 2*pages; i++ { // warm: admit the pages, fill the shadows
+				get()
+			}
+			before := pool.Stats()
+			allocs := testing.AllocsPerRun(2000, get)
+			after := pool.Stats()
+			hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
+			if tc.hot < pages && misses != 0 || tc.hot == pages && hits != 0 {
+				t.Fatalf("%d hits and %d misses: not the %s path alone", hits, misses, tc.name)
+			}
+			if allocs != 0 {
+				t.Errorf("observed %s allocates %.1f objects per Get, want 0", tc.name, allocs)
+			}
+			pool.SetSink(nil)
+			if err := ring.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := ip.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -109,7 +109,7 @@ func (ss serviceSink) Adapt(e obs.AdaptEvent) {
 }
 
 // RecordLatency implements obs.LatencyRecorder.
-func (ss serviceSink) RecordLatency(nanos int64) { ss.s.Latency.Observe(nanos) }
+func (ss serviceSink) RecordLatency(ns int64, weight uint64) { ss.s.Latency.ObserveN(ns, weight) }
 
 // Sink returns the concurrency-safe sink feeding this service.
 func (s *Service) Sink() obs.Sink { return serviceSink{s} }

@@ -11,8 +11,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/buffer"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/live"
+	"repro/internal/page"
 )
 
 // feedService pushes a small, known event mix through the service sink.
@@ -25,7 +28,7 @@ func feedService(t *testing.T, svc *live.Service) {
 	}
 	for i := 0; i < 10; i++ {
 		sink.Request(obs.RequestEvent{Page: 1, Hit: i%2 == 0})
-		lr.RecordLatency(int64(1000 * (i + 1)))
+		lr.RecordLatency(int64(1000*(i+1)), 1)
 	}
 	sink.Eviction(obs.EvictionEvent{Page: 2, Reason: obs.ReasonSLRU, Criterion: 0.25})
 	sink.Eviction(obs.EvictionEvent{Page: 3, Reason: obs.ReasonASBOverflow, Criterion: 0.75})
@@ -285,5 +288,62 @@ func TestAddGaugeReplaces(t *testing.T) {
 	}
 	if strings.Contains(body, "\ng 1\n") {
 		t.Error("stale gauge value still exposed")
+	}
+}
+
+// TestLatencyCountTracksRequests drives a real engine with the service
+// sink attached through a mix of hits and misses and reads the result
+// off /metrics: the latency histogram is a weighted sample — misses one
+// by one, hits one in 64 standing for 64 — so its count trails the
+// request counter by fewer than 64 and never leads it.
+func TestLatencyCountTracksRequests(t *testing.T) {
+	svc := live.NewService()
+	e, err := buffer.NewEngine(newStore(t, 64), core.NewASB(16, core.DefaultASBOptions()), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := buffer.Lock(e)
+	pool.SetSink(svc.Sink())
+	for i := 0; i < 5000; i++ {
+		id := page.ID(1 + i%8) // a resident hot set …
+		if i%5 == 0 {
+			id = page.ID(9 + (i/5)%56) // … and a cycling tail that misses
+		}
+		if _, err := pool.Get(id, buffer.AccessContext{QueryID: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := pool.Stats()
+	if st.Hits < 1000 || st.Misses < 500 {
+		t.Fatalf("stats %+v: the run was meant to mix hits and misses", st)
+	}
+
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	body := get(t, ts.URL+"/metrics")
+	sample := func(name string) uint64 {
+		t.Helper()
+		for _, line := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				n, err := strconv.ParseUint(v, 10, 64)
+				if err != nil {
+					t.Fatalf("unparseable sample %q: %v", line, err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("/metrics has no sample %s", name)
+		return 0
+	}
+	requests := sample("spatialbuf_requests_total")
+	timed := sample("spatialbuf_request_latency_seconds_count")
+	if requests != st.Requests {
+		t.Errorf("spatialbuf_requests_total = %d, stats say %d", requests, st.Requests)
+	}
+	if timed > requests || requests-timed > 63 {
+		t.Errorf("latency count %d against %d requests, want it behind by at most 63", timed, requests)
+	}
+	if got := sample(`spatialbuf_request_latency_seconds_bucket{le="+Inf"}`); got != timed {
+		t.Errorf("+Inf bucket = %d, count = %d", got, timed)
 	}
 }

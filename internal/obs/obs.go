@@ -133,11 +133,15 @@ type SinkSetter interface {
 // LatencyRecorder is the optional sink extension for wall-clock request
 // timings. The simulation core is counting-based and never times
 // requests; but when the attached sink implements LatencyRecorder, the
-// buffer manager brackets each request with a monotonic-clock reading
-// and publishes the elapsed nanoseconds here. Histogram and
-// WindowTracker implement it; Tee propagates it when any member does.
+// buffer engine times them with a pair of monotonic-clock readings and
+// publishes weighted samples: a miss and a Put are always timed and
+// arrive with weight 1; a hit is timed one in 64 and arrives with weight
+// = the hits since the last timed hit, itself included. A call counts as
+// weight samples of nanos each, so counts follow the requests (at most
+// 63 hits late) and sums and quantiles stay consistent estimators.
+// Histogram and WindowTracker implement it; Tee propagates it.
 type LatencyRecorder interface {
-	RecordLatency(nanos int64)
+	RecordLatency(nanos int64, weight uint64)
 }
 
 // NopSink discards all events. It is the default sink of every producer;
@@ -191,9 +195,9 @@ type timedMultiSink struct {
 	timers []LatencyRecorder
 }
 
-func (t timedMultiSink) RecordLatency(nanos int64) {
+func (t timedMultiSink) RecordLatency(nanos int64, weight uint64) {
 	for _, lr := range t.timers {
-		lr.RecordLatency(nanos)
+		lr.RecordLatency(nanos, weight)
 	}
 }
 
@@ -272,7 +276,7 @@ type timedShardTagger struct {
 	timer LatencyRecorder
 }
 
-func (t timedShardTagger) RecordLatency(nanos int64) { t.timer.RecordLatency(nanos) }
+func (t timedShardTagger) RecordLatency(ns int64, weight uint64) { t.timer.RecordLatency(ns, weight) }
 
 // TagShard wraps a sink so every event it receives carries the given
 // shard index — buffer.Router attaches one per shard, so one shared

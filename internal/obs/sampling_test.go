@@ -69,9 +69,9 @@ func TestTeePropagatesLatency(t *testing.T) {
 	if !ok {
 		t.Fatal("Tee with a LatencyRecorder member must implement LatencyRecorder")
 	}
-	lr.RecordLatency(123)
-	if h.Count() != 1 {
-		t.Error("latency did not reach the histogram through the tee")
+	lr.RecordLatency(123, 5)
+	if snap := h.Snapshot(); snap.Count != 5 || snap.Sum != 5*123 {
+		t.Errorf("histogram behind the tee: count %d sum %d, want the weighted sample 5 × 123", snap.Count, snap.Sum)
 	}
 	// A tee of latency-blind sinks must NOT advertise the interface, or
 	// the manager would time requests for nothing.

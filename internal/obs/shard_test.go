@@ -12,9 +12,13 @@ import (
 type latencySink struct {
 	recordingSink
 	latencies []int64
+	weights   []uint64
 }
 
-func (l *latencySink) RecordLatency(ns int64) { l.latencies = append(l.latencies, ns) }
+func (l *latencySink) RecordLatency(ns int64, weight uint64) {
+	l.latencies = append(l.latencies, ns)
+	l.weights = append(l.weights, weight)
+}
 
 func TestTagShardRewritesEvents(t *testing.T) {
 	rec := &recordingSink{}
@@ -60,9 +64,9 @@ func TestTagShardPreservesLatencyRecorder(t *testing.T) {
 	if !ok {
 		t.Fatal("tagged latency sink lost LatencyRecorder")
 	}
-	lr.RecordLatency(42)
-	if len(ls.latencies) != 1 || ls.latencies[0] != 42 {
-		t.Errorf("latencies = %v, want [42]", ls.latencies)
+	lr.RecordLatency(42, 7)
+	if len(ls.latencies) != 1 || ls.latencies[0] != 42 || ls.weights[0] != 7 {
+		t.Errorf("latencies = %v weights = %v, want [42] [7]", ls.latencies, ls.weights)
 	}
 	tagged.Request(RequestEvent{Page: 5})
 	if e := ls.last.(RequestEvent); e.Shard != 1 {

@@ -4,11 +4,13 @@ import "sync/atomic"
 
 // Contention aggregates shard-lock acquisition costs: cumulative
 // lock-wait time, acquisition counts, and the instantaneous number of
-// goroutines queued on each shard's lock. It is the aggregate companion
-// of the per-request LockWait span field — the spans show individual
-// stalls, the profiler shows which shards are hot overall. All methods
-// are safe for concurrent use; the per-shard slots are padded so two
-// shards' counters never share a cache line.
+// goroutines queued on each shard's lock. Only an acquisition that had
+// to wait is measured (BeginWait/EndWait); one that found the lock free
+// reports Uncontended — one atomic add, no clock reading. It is the
+// aggregate companion of the per-request LockWait span field — the spans
+// show individual stalls, the profiler shows which shards are hot
+// overall. All methods are safe for concurrent use; the per-shard slots
+// are padded so two shards' counters never share a cache line.
 type Contention struct {
 	shards []contendedShard
 }
@@ -45,6 +47,11 @@ func (c *Contention) EndWait(shard int, waitNs int64) {
 	s.waiters.Add(-1)
 	s.waitNs.Add(waitNs)
 	s.acquired.Add(1)
+}
+
+// Uncontended records an acquisition that found the lock free.
+func (c *Contention) Uncontended(shard int) {
+	c.shards[shard].acquired.Add(1)
 }
 
 // Waiters returns the instantaneous queue depth of the shard's lock:

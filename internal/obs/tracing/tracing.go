@@ -337,19 +337,22 @@ func (a *Active) End(idx int32) {
 
 // Finish closes the root span with the request outcome, publishes the
 // completed trace into its shard's ring, and recycles the Active. The
-// Active must not be used afterwards.
-func (a *Active) Finish(hit, errored bool) {
+// Active must not be used afterwards. It returns the root span's
+// duration in nanoseconds, the request's latency (0 on a nil Active).
+func (a *Active) Finish(hit, errored bool) int64 {
 	if a == nil {
-		return
+		return 0
 	}
 	root := &a.spans[0]
 	root.Hit = hit
 	root.Err = errored
-	root.Dur = a.t.now() - root.Start
+	dur := a.t.now() - root.Start
+	root.Dur = dur
 	rec := make([]Span, len(a.spans))
 	copy(rec, a.spans)
 	r := &a.t.rings[a.shard%len(a.t.rings)]
 	slot := (r.pos.Add(1) - 1) % uint64(len(r.slots))
 	r.slots[slot].Store(&rec)
 	a.t.pool.Put(a)
+	return dur
 }

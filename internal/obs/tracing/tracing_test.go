@@ -255,6 +255,12 @@ func TestContention(t *testing.T) {
 	if c.TotalWaitNanos() != 800 {
 		t.Fatalf("TotalWaitNanos = %d, want 800", c.TotalWaitNanos())
 	}
+	// An acquisition that found the lock free counts, and nothing else.
+	c.Uncontended(1)
+	if c.Waiters(1) != 0 || c.WaitNanos(1) != 750 || c.Acquisitions(1) != 3 {
+		t.Fatalf("shard 1 after an uncontended acquisition: waiters=%d wait=%d acq=%d",
+			c.Waiters(1), c.WaitNanos(1), c.Acquisitions(1))
+	}
 }
 
 func TestContentionConcurrent(t *testing.T) {

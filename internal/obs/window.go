@@ -8,9 +8,9 @@ package obs
 // shows up as a windowed-ratio transient that the cumulative ratio
 // smears out.
 //
-// The tracker also accepts optional per-request latencies via
-// RecordLatency for callers that time their requests (the simulation
-// core is counting-based, so the manager does not time requests itself).
+// The tracker also accepts request latencies via RecordLatency (the
+// weighted samples of LatencyRecorder) from callers that time their
+// requests, as the buffer engine does for a sink that asks.
 //
 // WindowTracker implements Sink; non-Request events are ignored. It is
 // not safe for concurrent use.
@@ -27,9 +27,9 @@ type WindowTracker struct {
 type WindowStats struct {
 	Requests uint64
 	Hits     uint64
-	// LatencyNanos is the sum of latencies recorded during the window;
-	// LatencySamples the number of recordings (0 if the caller does not
-	// time requests).
+	// LatencyNanos is the weighted sum of latencies recorded during the
+	// window; LatencySamples the sum of their weights (0 if the caller
+	// does not time requests).
 	LatencyNanos   int64
 	LatencySamples uint64
 }
@@ -73,10 +73,11 @@ func (t *WindowTracker) Request(e RequestEvent) {
 	}
 }
 
-// RecordLatency adds one timed request to the current window.
-func (t *WindowTracker) RecordLatency(nanos int64) {
-	t.cur.LatencyNanos += nanos
-	t.cur.LatencySamples++
+// RecordLatency adds one timed request standing for weight requests to
+// the current window.
+func (t *WindowTracker) RecordLatency(nanos int64, weight uint64) {
+	t.cur.LatencyNanos += nanos * int64(weight)
+	t.cur.LatencySamples += weight
 }
 
 // close pushes the current window into the ring, overwriting the oldest

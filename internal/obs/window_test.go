@@ -101,14 +101,14 @@ func TestWindowTrackerExactRingBoundary(t *testing.T) {
 func TestWindowTrackerLatency(t *testing.T) {
 	w := NewWindowTracker(2, 2)
 	w.Request(RequestEvent{Hit: true})
-	w.RecordLatency(100)
-	w.RecordLatency(300)
+	w.RecordLatency(100, 3) // a timed hit standing for three
+	w.RecordLatency(500, 1)
 	w.Request(RequestEvent{})
 	ws := w.Windows()
 	if len(ws) != 1 {
 		t.Fatalf("windows = %+v", ws)
 	}
-	if ws[0].LatencySamples != 2 || ws[0].LatencyNanos != 400 {
+	if ws[0].LatencySamples != 4 || ws[0].LatencyNanos != 800 {
 		t.Errorf("latency agg = %+v", ws[0])
 	}
 	if m := ws[0].MeanLatencyNanos(); m != 200 {
