@@ -3,7 +3,6 @@ package buffer
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/obs/tracing"
 	"repro/internal/page"
@@ -58,9 +57,10 @@ type AsyncPool struct {
 // read, and the pool's write-back queue.
 type asyncShard struct {
 	e *Engine
-	// mu is the shard's LockedEngine mutex. Requests arrive holding it;
-	// miss releases and re-acquires it around reads and waits.
-	mu *sync.Mutex
+	// l is the shard's lock layer. Requests arrive holding its mutex; miss
+	// releases it around reads and waits and re-acquires it with l.lock,
+	// which replays the hits served meanwhile.
+	l *LockedEngine
 	// flight has one entry per page whose physical read is in progress
 	// outside mu, shared by every concurrent miss for that page.
 	flight map[page.ID]*inflight
@@ -83,7 +83,7 @@ func Async(r *Router, cfg AsyncConfig) *AsyncPool {
 	}
 	p := &AsyncPool{Router: r, wb: newWriteback(r.store, workers, queueCap)}
 	for _, sh := range r.shards {
-		sh.e.async = &asyncShard{e: sh.e, mu: &sh.mu, flight: make(map[page.ID]*inflight), wb: p.wb}
+		sh.e.async = &asyncShard{e: sh.e, l: sh, flight: make(map[page.ID]*inflight), wb: p.wb}
 	}
 	return p
 }
@@ -129,7 +129,7 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 				fl.done = make(chan struct{})
 			}
 			done := fl.done
-			s.mu.Unlock()
+			s.l.mu.Unlock()
 
 			widx := a.Start(tracing.KindIOWait)
 			<-done
@@ -141,7 +141,7 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 			}
 			// Re-acquire the lock: to restore the caller's locking
 			// invariant, and for Fix to find the frame.
-			s.mu.Lock()
+			s.l.lock()
 			if fl.err != nil {
 				return nil, fl.err
 			}
@@ -153,7 +153,7 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 			// Fix must pin a resident frame. It may already be evicted
 			// again, in which case the loop coalesces or leads a fresh read
 			// — without recounting.
-			if fr := e.frames[id]; fr != nil {
+			if fr := e.frames.get(id); fr != nil {
 				fr.pins++
 				return fr.Page, nil
 			}
@@ -190,6 +190,10 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 		if !counted {
 			now = e.miss(false)
 		} else {
+			// A Fix waiter whose page was evicted again before it could pin
+			// it: counted (and reported) as coalesced, it now reads for itself
+			// after all, and DiskReads must say so.
+			e.stats.Coalesced--
 			now = e.tick()
 		}
 		fl := s.spare
@@ -197,9 +201,9 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 			fl = &inflight{}
 		}
 		s.flight[id] = fl
-		s.mu.Unlock()
+		s.l.mu.Unlock()
 		rpg, rerr := readPage(e.store, a, id)
-		s.mu.Lock()
+		s.l.lock()
 		published := rpg
 		var fr *Frame
 		var aerr error
@@ -209,7 +213,7 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 			if emitPending {
 				e.emitMiss(id, ctx, false, page.Meta{})
 			}
-		} else if fr = e.frames[id]; fr != nil {
+		} else if fr = e.frames.get(id); fr != nil {
 			// A Put raced the page in while we read: its version is
 			// newer — serve it and discard the read.
 			published = fr.Page
@@ -280,7 +284,7 @@ func (s *asyncShard) readmit(pg *page.Page, now uint64, ctx AccessContext) (*Fra
 func (p *AsyncPool) InflightReads() int {
 	n := 0
 	for _, sh := range p.shards {
-		sh.mu.Lock()
+		sh.lock()
 		n += len(sh.e.async.flight)
 		sh.mu.Unlock()
 	}

@@ -10,7 +10,8 @@
 //     callbacks, and the only code that emits observability events,
 //     shadow metadata and request-scoped tracing spans.
 //   - LockedEngine — a mutex around an Engine, with lock-contention and
-//     lock-wait profiling (Lock).
+//     lock-wait profiling (Lock); once it is contended, hits are served
+//     latch-free and accounted by the next mutex holder.
 //   - Router — a page-hash sharding layer over locked engines, with
 //     per-shard policy instances, shard-tagged events and exact stats
 //     merging (NewRouter).

@@ -3,6 +3,7 @@ package buffer
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -425,10 +426,16 @@ func TestCompositionConcurrentSmoke(t *testing.T) {
 // TestComposedHitPathZeroAllocs extends the engine's zero-alloc gate to
 // every composition: with the default no-op sink, a buffer hit through
 // the full layer stack (lock, router, async flight check) must not
-// allocate.
+// allocate — neither taking the latch nor, on the layouts that have one,
+// served latch-free with the bookkeeping deferred (1000 runs of 4 hits
+// fill and drain each shard's ring some thirty times).
 func TestComposedHitPathZeroAllocs(t *testing.T) {
-	for _, spec := range []string{"bare", "locked", "sharded,shards=2", "async,shards=2"} {
-		t.Run(spec, func(t *testing.T) {
+	for _, name := range []string{
+		"bare", "locked", "sharded,shards=2", "async,shards=2",
+		"locked/deferred", "sharded,shards=2/deferred", "async,shards=2/deferred",
+	} {
+		t.Run(name, func(t *testing.T) {
+			spec, deferred := strings.CutSuffix(name, "/deferred")
 			comp, err := ParseComposition(spec)
 			if err != nil {
 				t.Fatal(err)
@@ -442,6 +449,9 @@ func TestComposedHitPathZeroAllocs(t *testing.T) {
 				if _, err := pool.Get(id, ctx); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if deferred {
+				forceDeferral(t, pool)
 			}
 			allocs := testing.AllocsPerRun(1000, func() {
 				for id := page.ID(1); id <= 4; id++ {

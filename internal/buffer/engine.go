@@ -35,7 +35,7 @@ type Engine struct {
 	policy   Policy
 	capacity int
 
-	frames map[page.ID]*Frame
+	frames frameTable
 	arena  *Arena
 	clock  uint64
 	stats  Stats
@@ -82,7 +82,7 @@ func NewEngine(store storage.Store, policy Policy, capacity int) (*Engine, error
 		store:    store,
 		policy:   policy,
 		capacity: capacity,
-		frames:   make(map[page.ID]*Frame, capacity),
+		frames:   newFrameTable(capacity),
 		arena:    NewArena(capacity),
 		sink:     obs.NopSink{},
 	}, nil
@@ -123,13 +123,12 @@ func (e *Engine) Tracer() *tracing.Tracer { return e.tracer }
 func (e *Engine) Capacity() int { return e.capacity }
 
 // Len returns the number of resident pages.
-func (e *Engine) Len() int { return len(e.frames) }
+func (e *Engine) Len() int { return e.frames.n }
 
 // Contains reports whether the page is resident (without counting a
 // request or touching policy state).
 func (e *Engine) Contains(id page.ID) bool {
-	_, ok := e.frames[id]
-	return ok
+	return e.frames.get(id) != nil
 }
 
 // Policy returns the replacement policy driving this engine.
@@ -172,7 +171,8 @@ const hitSample = 64
 // request a tracer sampled carries its trace in ctx from here on.
 func (e *Engine) request(kind tracing.SpanKind, id page.ID, ctx AccessContext, pin bool) (*page.Page, error) {
 	ctx.trace = e.beginRequest(kind, id, ctx.QueryID)
-	f, hit := e.frames[id]
+	f := e.frames.get(id)
+	hit := f != nil
 	weight, start := e.startSample(hit, ctx.trace)
 	if !hit {
 		pg, err := e.fetch(id, ctx, pin)
@@ -265,13 +265,19 @@ func (e *Engine) fetch(id page.ID, ctx AccessContext, pin bool) (*page.Page, err
 // tick, hit counters, sink event, policy OnHit, LastUse update. Must
 // run under the engine's serialization.
 func (e *Engine) hit(f *Frame, ctx AccessContext) {
-	e.clock++
-	now := e.clock
-	e.stats.Requests++
-	e.stats.Hits++
-	e.emitRequest(obs.RequestEvent{Page: f.Meta.ID, QueryID: ctx.QueryID, Hit: true, Meta: f.Meta})
+	now := e.countHit(&f.Meta, ctx)
 	e.policy.OnHit(f, now, ctx)
 	f.LastUse = now
+}
+
+// countHit is the part of hit that needs no frame — clock tick, hit
+// counters, sink event — and returns the request's logical time.
+func (e *Engine) countHit(m *page.Meta, ctx AccessContext) uint64 {
+	e.clock++
+	e.stats.Requests++
+	e.stats.Hits++
+	e.emitRequest(obs.RequestEvent{Page: m.ID, QueryID: ctx.QueryID, Hit: true, Meta: *m})
+	return e.clock
 }
 
 // miss accounts one read request that missed and returns the request's
@@ -318,7 +324,7 @@ func (e *Engine) tick() uint64 {
 // first when the buffer is full. Must run under the engine's
 // serialization; now must come from miss/tick.
 func (e *Engine) admit(p *page.Page, now uint64, ctx AccessContext) (*Frame, error) {
-	if len(e.frames) >= e.capacity {
+	if e.frames.n >= e.capacity {
 		if err := e.evictOne(ctx); err != nil {
 			return nil, err
 		}
@@ -327,7 +333,7 @@ func (e *Engine) admit(p *page.Page, now uint64, ctx AccessContext) (*Frame, err
 	f.Meta = p.Meta
 	f.Page = p
 	f.LastUse = now
-	e.frames[p.ID] = f
+	e.frames.put(f)
 	e.policy.OnAdmit(f, now, ctx)
 	return f, nil
 }
@@ -430,7 +436,7 @@ func (e *Engine) evictOne(ctx AccessContext) error {
 	if v.Pinned() {
 		return fmt.Errorf("buffer: policy %s returned pinned victim %d", e.policy.Name(), v.Meta.ID)
 	}
-	if _, ok := e.frames[v.Meta.ID]; !ok {
+	if e.frames.get(v.Meta.ID) == nil {
 		return fmt.Errorf("buffer: policy %s returned non-resident victim %d", e.policy.Name(), v.Meta.ID)
 	}
 	if v.Dirty {
@@ -439,7 +445,7 @@ func (e *Engine) evictOne(ctx AccessContext) error {
 		}
 		e.stats.WriteBacks++
 	}
-	delete(e.frames, v.Meta.ID)
+	e.frames.del(v.Meta.ID)
 	e.stats.Evictions++
 	e.policy.OnEvict(v)
 	e.sink.Eviction(obs.EvictionEvent{Page: v.Meta.ID, Reason: c.Reason, Criterion: c.Win, LRURank: c.Rank})
@@ -466,8 +472,8 @@ func (e *Engine) Unfix(id page.ID) error {
 
 // unfix is the untraced pin release.
 func (e *Engine) unfix(id page.ID) error {
-	f, ok := e.frames[id]
-	if !ok {
+	f := e.frames.get(id)
+	if f == nil {
 		return fmt.Errorf("buffer: unfix of non-resident page %d", id)
 	}
 	if f.pins == 0 {
@@ -492,8 +498,8 @@ func (e *Engine) MarkDirty(id page.ID) error {
 
 // markDirty is the untraced dirty flagging.
 func (e *Engine) markDirty(id page.ID) error {
-	f, ok := e.frames[id]
-	if !ok {
+	f := e.frames.get(id)
+	if f == nil {
 		return fmt.Errorf("buffer: mark dirty of non-resident page %d", id)
 	}
 	f.Dirty = true
@@ -528,10 +534,11 @@ func (e *Engine) put(p *page.Page, ctx AccessContext) error {
 	now := e.clock
 	e.stats.Puts++
 
-	if f, ok := e.frames[p.ID]; ok {
+	if f := e.frames.get(p.ID); f != nil {
 		f.Page = p
 		f.Meta = p.Meta
 		f.Dirty = true
+		e.frames.put(f)
 		if u, ok := e.policy.(Updater); ok {
 			u.OnUpdate(f, now, ctx)
 		} else {
@@ -565,8 +572,9 @@ func (e *Engine) Flush() error {
 
 // flush is the write-back loop, recording into a (nil when untraced).
 func (e *Engine) flush(a *tracing.Active) error {
-	for _, f := range e.frames {
-		if !f.Dirty {
+	for i := range e.frames.slots {
+		f := e.frames.slots[i].f
+		if f == nil || !f.Dirty {
 			continue
 		}
 		if err := e.writeOut(f.Page, false, a); err != nil {
@@ -585,7 +593,7 @@ func (e *Engine) Clear() error {
 	if err := e.Flush(); err != nil {
 		return err
 	}
-	clear(e.frames)
+	e.frames.clear()
 	// Reset the policy while the frame links are still intact (its Clear
 	// walks them), then scrub and refill the arena.
 	e.policy.Reset()
@@ -598,9 +606,11 @@ func (e *Engine) Clear() error {
 // ResidentIDs returns the IDs of all resident pages, for tests and
 // introspection. Order is unspecified.
 func (e *Engine) ResidentIDs() []page.ID {
-	ids := make([]page.ID, 0, len(e.frames))
-	for id := range e.frames {
-		ids = append(ids, id)
+	ids := make([]page.ID, 0, e.frames.n)
+	for i := range e.frames.slots {
+		if f := e.frames.slots[i].f; f != nil {
+			ids = append(ids, f.Meta.ID)
+		}
 	}
 	return ids
 }

@@ -13,8 +13,8 @@ import (
 //   - Engine — the bare single-threaded core the paper's experiments
 //     use; fastest when one goroutine owns the buffer.
 //   - LockedEngine (Lock) — one mutex around an Engine; strict global
-//     accounting shared by many goroutines, throughput limited by the
-//     single lock.
+//     accounting shared by many goroutines. Misses and writes serialize
+//     on the lock; hits stop doing so once it is contended.
 //   - Router (NewRouter) — page.ID-hashed shards, each an independent
 //     locked engine with its own policy instance; scales with cores at
 //     the cost of partitioned (per-shard) policy state.

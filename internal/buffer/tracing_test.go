@@ -210,8 +210,10 @@ func TestRouterTracing(t *testing.T) {
 	for i := 0; i < c.Shards(); i++ {
 		acq += c.Acquisitions(i)
 	}
-	if acq != 200 {
-		t.Fatalf("profiler counted %d acquisitions, want 200", acq)
+	// A miss always acquires its shard's mutex; a hit does unless it was
+	// served latch-free, which the profiler does not count.
+	if st := pool.Stats(); st.Requests != 200 || acq < st.Misses || acq > 200 {
+		t.Fatalf("profiler counted %d acquisitions for %d requests, %d of them misses", acq, st.Requests, st.Misses)
 	}
 }
 

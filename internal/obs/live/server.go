@@ -226,6 +226,12 @@ func (g gaugeSample) Key() string {
 // their values outside it. Gauges sharing a name are grouped adjacently
 // (first-registration order within and across groups), as the
 // Prometheus exposition format requires for labeled families.
+//
+// The scrape handlers sample the gauges before they read the counters: a
+// gauge that asks the pool a question under its latches (bufserve's
+// spatialbuf_resident_pages calls Pool.Len) is a barrier that makes the
+// pool report the hits it served latch-free (DESIGN.md §5c), so the
+// counters of an idle pool are exact.
 func (s *Service) gaugeSnapshot() []gaugeSample {
 	s.mu.Lock()
 	gs := make([]Gauge, len(s.gauges))
@@ -285,6 +291,7 @@ var summaryQs = []float64{0.5, 0.9, 0.95, 0.99}
 
 func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	gauges := s.gaugeSnapshot() // before the counters: see gaugeSnapshot
 	c := s.Counters.Snapshot()
 	lat := s.Latency.Snapshot()
 	crit := s.Criterion.Snapshot()
@@ -367,7 +374,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	count("spatialbuf_eviction_criterion_count", "", crit.Count)
 
 	lastName := ""
-	for _, g := range s.gaugeSnapshot() {
+	for _, g := range gauges {
 		if g.Name != lastName {
 			metric(g.Name, g.Help, "gauge")
 			lastName = g.Name
@@ -407,6 +414,7 @@ func histVarsOf(s obs.HistSnapshot, scale float64) histVars {
 }
 
 func (s *Service) handleVars(w http.ResponseWriter, _ *http.Request) {
+	gauges := s.gaugeSnapshot() // before the counters: see gaugeSnapshot
 	c := s.Counters.Snapshot()
 	p := varsPayload{
 		Counters: c,
@@ -415,7 +423,7 @@ func (s *Service) handleVars(w http.ResponseWriter, _ *http.Request) {
 		Crit:     histVarsOf(s.Criterion.Snapshot(), critScale),
 		Gauges:   make(map[string]float64),
 	}
-	for _, g := range s.gaugeSnapshot() {
+	for _, g := range gauges {
 		p.Gauges[g.Key()] = g.Value
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")

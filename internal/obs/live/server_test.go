@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -321,20 +322,7 @@ func TestLatencyCountTracksRequests(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	body := get(t, ts.URL+"/metrics")
-	sample := func(name string) uint64 {
-		t.Helper()
-		for _, line := range strings.Split(body, "\n") {
-			if v, ok := strings.CutPrefix(line, name+" "); ok {
-				n, err := strconv.ParseUint(v, 10, 64)
-				if err != nil {
-					t.Fatalf("unparseable sample %q: %v", line, err)
-				}
-				return n
-			}
-		}
-		t.Fatalf("/metrics has no sample %s", name)
-		return 0
-	}
+	sample := func(name string) uint64 { return metricSample(t, body, name) }
 	requests := sample("spatialbuf_requests_total")
 	timed := sample("spatialbuf_request_latency_seconds_count")
 	if requests != st.Requests {
@@ -345,5 +333,102 @@ func TestLatencyCountTracksRequests(t *testing.T) {
 	}
 	if got := sample(`spatialbuf_request_latency_seconds_bucket{le="+Inf"}`); got != timed {
 		t.Errorf("+Inf bucket = %d, count = %d", got, timed)
+	}
+}
+
+// metricSample returns the integer sample of an unlabeled-or-exact
+// metric line off a /metrics body.
+func metricSample(t *testing.T, body, name string) uint64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatalf("unparseable sample %q: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("/metrics has no sample %s", name)
+	return 0
+}
+
+// gateSink passes events on and parks the request for one page inside
+// its Request event — that is, under the pool's latch — until released.
+type gateSink struct {
+	obs.Sink
+	page             page.ID
+	entered, release chan struct{}
+}
+
+func (g gateSink) Request(e obs.RequestEvent) {
+	g.Sink.Request(e)
+	if e.Page == g.page {
+		close(g.entered)
+		<-g.release
+	}
+}
+
+// TestScrapeOfIdlePoolIsExact pins the scrape side of the latch-free hit
+// contract (DESIGN.md §5c). Two workers burst on one pool; then a request
+// finds the latch held by a second goroutine and is served latch-free, so
+// the idle pool has served one hit more than its sink has seen. A scrape
+// evaluates the resident-pages gauge — a pool barrier, registered as
+// cmd/bufserve registers it — before it reads the counters, so
+// spatialbuf_requests_total is exact without anyone touching the pool in
+// between.
+func TestScrapeOfIdlePoolIsExact(t *testing.T) {
+	const workers, perWorker, hot, cold = 2, 20000, 8, 9
+	svc := live.NewService()
+	e, err := buffer.NewEngine(newStore(t, 64), core.NewLRU(), 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := buffer.Lock(e)
+	gate := gateSink{Sink: svc.Sink(), page: cold, entered: make(chan struct{}), release: make(chan struct{})}
+	pool.SetSink(gate)
+	svc.AddGauge("spatialbuf_resident_pages", "Pages currently held in buffer frames.",
+		func() float64 { return float64(pool.Len()) })
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				if _, err := pool.Get(page.ID(1+i%hot), buffer.AccessContext{QueryID: uint64(w)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	wg.Add(1)
+	go func() { // holds the latch inside the miss event of the cold page
+		defer wg.Done()
+		if _, err := pool.Get(cold, buffer.AccessContext{}); err != nil {
+			t.Error(err)
+		}
+	}()
+	<-gate.entered
+	if _, err := pool.Get(1, buffer.AccessContext{}); err != nil { // resident: served without the latch
+		t.Fatal(err)
+	}
+	close(gate.release)
+	wg.Wait()
+
+	const issued = workers*perWorker + 2
+	if got := svc.Counters.Snapshot().Requests; got != issued-1 {
+		t.Fatalf("the sink has seen %d of %d requests before any barrier, want all but the latch-free one", got, issued)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	body := get(t, ts.URL+"/metrics")
+	if got := metricSample(t, body, "spatialbuf_requests_total"); got != issued {
+		t.Errorf("spatialbuf_requests_total = %d on the idle pool, %d were issued", got, issued)
+	}
+	if got := metricSample(t, body, "spatialbuf_hits_total"); got != issued-hot-1 {
+		t.Errorf("spatialbuf_hits_total = %d, want %d", got, issued-hot-1)
 	}
 }
