@@ -15,44 +15,41 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/experiment"
 	"repro/internal/obs"
 )
 
-func main() {
-	var (
-		dbNum   = flag.Int("db", 1, "database number (1 or 2)")
-		objects = flag.Int("objects", 0, "object count (0 = default scale)")
-		seed    = flag.Int64("seed", 1, "generation seed")
-		frac    = flag.Float64("frac", experiment.LargestFrac, "buffer size as a fraction of the page count")
-		csvPath = flag.String("csv", "", "write the (refIndex, candidateSize) series as CSV")
-		inPath  = flag.String("in", "", "render a previously captured trajectory CSV instead of recomputing")
-		width   = flag.Int("width", 100, "plot width in columns")
-		height  = flag.Int("height", 20, "plot height in rows")
-	)
-	flag.Parse()
+func main() { cli.Main("asbviz", declare) }
 
-	var err error
-	if *inPath != "" {
-		err = runFromFile(*inPath, *width, *height)
-	} else {
-		err = run(*dbNum, *objects, *seed, *frac, *csvPath, *width, *height)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "asbviz:", err)
-		os.Exit(1)
+// declare declares asbviz's flags on fs.
+func declare(fs *flag.FlagSet) (*obs.ProfileFlags, func() error) {
+	var db cli.DB
+	db.Register(fs, "database number (1 or 2)", "object count (0 = default scale)")
+	frac := fs.Float64("frac", experiment.LargestFrac, "buffer size as a fraction of the page count")
+	csvPath := fs.String("csv", "", "write the (refIndex, candidateSize) series as CSV")
+	inPath := fs.String("in", "", "render a previously captured trajectory CSV instead of recomputing")
+	width := fs.Int("width", 100, "plot width in columns")
+	height := fs.Int("height", 20, "plot height in rows")
+	return nil, func() error {
+		if *inPath != "" {
+			return runFromFile(*inPath, *width, *height)
+		}
+		return run(&db, *frac, *csvPath, *width, *height)
 	}
 }
 
-func run(dbNum, objects int, seed int64, frac float64, csvPath string, width, height int) error {
-	db, err := experiment.Get(dbNum, experiment.Options{Objects: objects, Seed: seed})
+func run(sel *cli.DB, frac float64, csvPath string, width, height int) error {
+	db, err := sel.Get()
 	if err != nil {
 		return err
 	}
-	at, err := experiment.RunAdaptation(db, frac, seed)
+	at, err := experiment.RunAdaptation(db, frac, sel.Seed)
 	if err != nil {
 		return err
 	}
@@ -71,15 +68,8 @@ func run(dbNum, objects int, seed int64, frac float64, csvPath string, width, he
 	legend(width, phases)
 
 	if csvPath != "" {
-		f, err := os.Create(csvPath)
+		err := cli.WriteFile(csvPath, func(w io.Writer) error { return obs.WriteTrajectoryCSV(w, at.RefAt, at.Sizes) })
 		if err != nil {
-			return err
-		}
-		if err := obs.WriteTrajectoryCSV(f, at.RefAt, at.Sizes); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
 			return err
 		}
 		fmt.Printf("\nwrote %d samples to %s\n", len(at.Sizes), csvPath)
@@ -105,26 +95,11 @@ func runFromFile(path string, width, height int) error {
 		fmt.Println("(no adaptation events)")
 		return nil
 	}
-	maxCand, total := cands[0], refs[len(refs)-1]+1
-	for _, c := range cands {
-		if c > maxCand {
-			maxCand = c
-		}
-	}
+	maxCand, total := slices.Max(cands), refs[len(refs)-1]+1
 	fmt.Printf("%s: %d adaptation events over %d references, candidate size %d..%d\n\n",
-		path, len(refs), total, minInt(cands), maxCand)
+		path, len(refs), total, slices.Min(cands), maxCand)
 	plot(refs, cands, total, maxCand, cands[0], nil, width, height)
 	return nil
-}
-
-func minInt(xs []int) int {
-	m := xs[0]
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 // plot renders a candidate-size trajectory as ASCII art: step-wise,

@@ -55,12 +55,12 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/experiment"
@@ -70,44 +70,9 @@ import (
 	"repro/internal/obs/tracing"
 )
 
-// splitList splits a comma-separated flag value, trimming blanks.
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-// formatLadder renders capacity multipliers in the form parseLadder
-// reads; the -shadow-ladder default is shadow.DefaultLadder through it.
-func formatLadder(ladder []float64) string {
-	parts := make([]string, len(ladder))
-	for i, v := range ladder {
-		parts[i] = strconv.FormatFloat(v, 'g', -1, 64)
-	}
-	return strings.Join(parts, ",")
-}
-
-// parseLadder parses the comma-separated capacity multipliers, ignoring
-// malformed entries.
-func parseLadder(s string) []float64 {
-	var out []float64
-	for _, part := range splitList(s) {
-		if v, err := strconv.ParseFloat(part, 64); err == nil && v > 0 {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 type config struct {
 	addr     string
-	dbNum    int
-	objects  int
-	seed     int64
+	db       cli.DB
 	set      string
 	policy   string
 	frac     float64
@@ -123,42 +88,40 @@ type config struct {
 	traceSample int
 	traceBuf    int
 
-	shadowPolicies string
-	shadowLadder   string
-	shadowSample   int
+	shadow cli.Shadow
 }
 
-func main() {
-	var cfg config
-	flag.StringVar(&cfg.addr, "addr", ":8080", "HTTP listen address for metrics, dashboard and pprof")
-	flag.IntVar(&cfg.dbNum, "db", 1, "database number (1 or 2)")
-	flag.IntVar(&cfg.objects, "objects", 0, "objects in the database (0 = default scale)")
-	flag.Int64Var(&cfg.seed, "seed", 1, "generation seed")
-	flag.StringVar(&cfg.set, "set", "U-P", "query set to replay (e.g. U-P, INT-W-33)")
-	flag.StringVar(&cfg.policy, "policy", "ASB", "replacement policy: a registry name (LRU, ASB, ...) or a parameterized spec like LRU-K:4, SLRU:EA:0.25, SPATIAL:EM, ASB:A:0.3, PIN:2")
-	flag.Float64Var(&cfg.frac, "frac", experiment.LargestFrac, "buffer size as a fraction of the database")
-	flag.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "concurrent replay goroutines")
-	flag.StringVar(&cfg.pool, "pool", "async", "pool composition spec: layout[,shards=N][,wbworkers=N][,wbqueue=N] with layout bare|locked|sharded|async (shards=0 or omitted = one per CPU)")
-	flag.DurationVar(&cfg.duration, "duration", 0, "stop after this long (0 = run until signalled)")
-	flag.IntVar(&cfg.loops, "loops", 0, "trace replays per worker (0 = unbounded)")
-	flag.IntVar(&cfg.rate, "rate", 0, "approximate total requests/second across workers (0 = unthrottled)")
-	flag.StringVar(&cfg.events, "events", "", "also capture the event stream as JSONL to this file")
-	flag.IntVar(&cfg.sample, "sample", 64, "with -events: keep 1 in N request events (evictions etc. always kept)")
-	flag.IntVar(&cfg.ring, "ring", live.DefaultRingCapacity, "with -events: async ring capacity in events")
-	flag.IntVar(&cfg.traceSample, "trace-sample", 1024, "record a span trace for 1 in N requests, served at /debug/trace (0 = tracing off)")
-	flag.IntVar(&cfg.traceBuf, "trace-buf", 256, "completed traces retained per shard ring")
-	flag.StringVar(&cfg.shadowPolicies, "shadow", strings.Join(shadow.DefaultPolicies(), ","), "comma-separated what-if policies (names or parameterized specs like LRU-K:4) simulated by shadow caches at the real capacity (empty disables shadow profiling)")
-	flag.StringVar(&cfg.shadowLadder, "shadow-ladder", formatLadder(shadow.DefaultLadder()), "capacity multipliers the real policy is shadow-simulated at (the online miss-ratio curve)")
-	flag.IntVar(&cfg.shadowSample, "shadow-sample", 1, "feed the shadow bank 1 in N request events")
-	flag.Parse()
+func main() { cli.Main("bufserve", declare) }
 
-	if err := run(cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "bufserve:", err)
-		os.Exit(1)
+// declare declares bufserve's flags on fs.
+func declare(fs *flag.FlagSet) (*obs.ProfileFlags, func() error) {
+	cfg := new(config)
+	fs.StringVar(&cfg.addr, "addr", ":8080", "HTTP listen address for metrics, dashboard and pprof")
+	cfg.db.Register(fs, "database number (1 or 2)", "objects in the database (0 = default scale)")
+	fs.StringVar(&cfg.set, "set", "U-P", "query set to replay (e.g. U-P, INT-W-33)")
+	fs.StringVar(&cfg.policy, "policy", "ASB", "replacement policy: a registry name (LRU, ASB, ...) or a parameterized spec like LRU-K:4, SLRU:EA:0.25, SPATIAL:EM, ASB:A:0.3, PIN:2")
+	fs.Float64Var(&cfg.frac, "frac", experiment.LargestFrac, "buffer size as a fraction of the database")
+	fs.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "concurrent replay goroutines")
+	fs.StringVar(&cfg.pool, "pool", "async", "pool composition spec: layout[,shards=N][,wbworkers=N][,wbqueue=N] with layout bare|locked|sharded|async (shards=0 or omitted = one per CPU)")
+	fs.DurationVar(&cfg.duration, "duration", 0, "stop after this long (0 = run until signalled)")
+	fs.IntVar(&cfg.loops, "loops", 0, "trace replays per worker (0 = unbounded)")
+	fs.IntVar(&cfg.rate, "rate", 0, "approximate total requests/second across workers (0 = unthrottled)")
+	fs.StringVar(&cfg.events, "events", "", "also capture the event stream as JSONL to this file")
+	fs.IntVar(&cfg.sample, "sample", 64, "with -events: keep 1 in N request events (evictions etc. always kept)")
+	fs.IntVar(&cfg.ring, "ring", live.DefaultRingCapacity, "with -events: async ring capacity in events")
+	fs.IntVar(&cfg.traceSample, "trace-sample", 1024, "record a span trace for 1 in N requests, served at /debug/trace (0 = tracing off)")
+	fs.IntVar(&cfg.traceBuf, "trace-buf", 256, "completed traces retained per shard ring")
+	cfg.shadow.Register(fs, strings.Join(shadow.DefaultPolicies(), ","),
+		"comma-separated what-if policies (names or parameterized specs like LRU-K:4) simulated by shadow caches at the real capacity (empty disables shadow profiling)",
+		"capacity multipliers the real policy is shadow-simulated at (the online miss-ratio curve)",
+		"feed the shadow bank 1 in N request events")
+	return nil, func() error { return run(cfg) }
+}
+
+func run(cfg *config) error {
+	if err := cfg.shadow.Parse(); err != nil {
+		return err
 	}
-}
-
-func run(cfg config) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if cfg.duration > 0 {
@@ -205,11 +168,11 @@ func run(cfg config) error {
 	go func() { serveErr <- srv.Serve(ln) }()
 	fmt.Printf("bufserve: serving metrics on http://%s/\n", ln.Addr())
 
-	db, err := experiment.Get(cfg.dbNum, experiment.Options{Objects: cfg.objects, Seed: cfg.seed})
+	db, err := cfg.db.Get()
 	if err != nil {
 		return err
 	}
-	tr, err := db.Trace(cfg.set, cfg.seed)
+	tr, err := db.Trace(cfg.set, cfg.db.Seed)
 	if err != nil {
 		return err
 	}
@@ -222,13 +185,8 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
-	if c, ok := pool.(interface{ Close() error }); ok {
-		defer c.Close()
-	}
-	shards := 1
-	if sp, ok := pool.(interface{ Shards() int }); ok {
-		shards = sp.Shards() // may have been clamped for tiny buffers
-	}
+	defer cli.Close(pool)
+	shards := cli.Shards(pool) // may have been clamped for tiny buffers
 	if ap, ok := pool.(*buffer.AsyncPool); ok {
 		svc.AddGauge("spatialbuf_writeback_queue_depth", "Pages waiting in the background write-back queue.",
 			func() float64 { return float64(ap.Writeback().Depth) })
@@ -277,12 +235,7 @@ func run(cfg config) error {
 	}
 	if tracer != nil {
 		cont := tracing.NewContention(shards)
-		if tp, ok := pool.(interface{ SetTracer(*tracing.Tracer) }); ok {
-			tp.SetTracer(tracer)
-		}
-		if cp, ok := pool.(interface{ EnableContention(*tracing.Contention) }); ok {
-			cp.EnableContention(cont)
-		}
+		cli.Trace(pool, tracer, cont)
 		svc.AddContentionGauges(cont)
 		svc.AddTracerGauges(tracer)
 	}
@@ -312,9 +265,8 @@ func run(cfg config) error {
 		svc.AddAsyncSinkGauges(async)
 	}
 	var shadowAsync *live.AsyncSink
-	if cfg.shadowPolicies != "" {
-		specs := shadow.Specs(cfg.policy, frames, splitList(cfg.shadowPolicies), parseLadder(cfg.shadowLadder))
-		bank, err := shadow.NewBank(specs, core.Resolver, 0)
+	if cfg.shadow.Enabled() {
+		bank, err := cfg.shadow.Bank(cfg.policy, frames, 0)
 		if err != nil {
 			return err
 		}
@@ -323,10 +275,10 @@ func run(cfg config) error {
 		// path pays one non-blocking channel send (before sampling, if
 		// -shadow-sample > 1), never the simulation cost.
 		shadowAsync = live.NewAsyncSink(bank, cfg.ring, svc.Counters.AddDropped)
-		sinks = append(sinks, obs.NewSamplingSink(shadowAsync, cfg.shadowSample))
+		sinks = append(sinks, cfg.shadow.Sampled(shadowAsync))
 		svc.AddShadowGauges(bank)
 		fmt.Printf("bufserve: shadow profiler: %d ghost caches (policies %s at %d frames; %s ladder %s)\n",
-			bank.Len(), cfg.shadowPolicies, frames, cfg.policy, cfg.shadowLadder)
+			bank.Len(), cfg.shadow.Policies, frames, cfg.policy, cfg.shadow.Ladder)
 	}
 	pool.SetSink(obs.Tee(sinks...))
 

@@ -8,46 +8,32 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
-	"repro/internal/experiment"
+	"repro/cmd/internal/cli"
 	"repro/internal/obs"
 )
 
-func main() {
-	var (
-		dbNum   = flag.Int("db", 1, "database number (1 or 2)")
-		objects = flag.Int("objects", 0, "object count (0 = default scale)")
-		seed    = flag.Int64("seed", 1, "generation seed")
-		out     = flag.String("out", "data", "output directory")
-		sets    = flag.String("sets", "U-P,U-W-33,ID-W,S-P,INT-P,IND-P", "query sets to emit")
-		queries = flag.Int("queries", 1000, "queries per emitted set")
-		prof    obs.ProfileFlags
-	)
-	prof.Register(flag.CommandLine)
-	flag.Parse()
+func main() { cli.Main("datagen", declare) }
 
-	stop, err := prof.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "datagen:", err)
-		os.Exit(1)
-	}
-	err = run(*dbNum, *objects, *seed, *out, *sets, *queries)
-	if serr := stop(); err == nil {
-		err = serr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "datagen:", err)
-		os.Exit(1)
-	}
+// declare declares datagen's flags on fs.
+func declare(fs *flag.FlagSet) (*obs.ProfileFlags, func() error) {
+	var db cli.DB
+	var prof obs.ProfileFlags
+	db.Register(fs, "database number (1 or 2)", "object count (0 = default scale)")
+	out := fs.String("out", "data", "output directory")
+	sets := fs.String("sets", "U-P,U-W-33,ID-W,S-P,INT-P,IND-P", "query sets to emit")
+	queries := fs.Int("queries", 1000, "queries per emitted set")
+	prof.Register(fs)
+	return &prof, func() error { return run(&db, *out, *sets, *queries) }
 }
 
-func run(dbNum, objects int, seed int64, out, sets string, queries int) error {
-	db, err := experiment.Get(dbNum, experiment.Options{Objects: objects, Seed: seed})
+func run(sel *cli.DB, out, sets string, queries int) error {
+	db, err := sel.Get()
 	if err != nil {
 		return err
 	}
@@ -55,7 +41,7 @@ func run(dbNum, objects int, seed int64, out, sets string, queries int) error {
 		return err
 	}
 
-	if err := writeFile(filepath.Join(out, "objects.csv"), func(w *bufio.Writer) error {
+	if err := cli.WriteFile(filepath.Join(out, "objects.csv"), func(w io.Writer) error {
 		fmt.Fprintln(w, "id,minx,miny,maxx,maxy")
 		for _, o := range db.Objects {
 			fmt.Fprintf(w, "%d,%g,%g,%g,%g\n", o.ID, o.MBR.MinX, o.MBR.MinY, o.MBR.MaxX, o.MBR.MaxY)
@@ -65,7 +51,7 @@ func run(dbNum, objects int, seed int64, out, sets string, queries int) error {
 		return err
 	}
 
-	if err := writeFile(filepath.Join(out, "places.csv"), func(w *bufio.Writer) error {
+	if err := cli.WriteFile(filepath.Join(out, "places.csv"), func(w io.Writer) error {
 		fmt.Fprintln(w, "x,y,population")
 		for _, p := range db.Places {
 			fmt.Fprintf(w, "%g,%g,%d\n", p.Loc.X, p.Loc.Y, p.Population)
@@ -75,13 +61,13 @@ func run(dbNum, objects int, seed int64, out, sets string, queries int) error {
 		return err
 	}
 
-	for _, name := range splitCSV(sets) {
-		qs, err := db.QuerySet(name, queries, seed)
+	for _, name := range cli.Split(sets) {
+		qs, err := db.QuerySet(name, queries, sel.Seed)
 		if err != nil {
 			return err
 		}
 		path := filepath.Join(out, "queries-"+name+".csv")
-		if err := writeFile(path, func(w *bufio.Writer) error {
+		if err := cli.WriteFile(path, func(w io.Writer) error {
 			fmt.Fprintln(w, "id,minx,miny,maxx,maxy")
 			for _, q := range qs.Queries {
 				fmt.Fprintf(w, "%d,%g,%g,%g,%g\n", q.ID, q.Rect.MinX, q.Rect.MinY, q.Rect.MaxX, q.Rect.MaxY)
@@ -97,35 +83,4 @@ func run(dbNum, objects int, seed int64, out, sets string, queries int) error {
 	fmt.Printf("tree: %d pages (%.2f%% directory), height %d\n",
 		db.Stats.TotalPages(), db.Stats.DirFraction()*100, db.Stats.Height)
 	return nil
-}
-
-func writeFile(path string, fill func(*bufio.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	if err := fill(w); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func splitCSV(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if part := s[start:i]; part != "" {
-				out = append(out, part)
-			}
-			start = i + 1
-		}
-	}
-	return out
 }

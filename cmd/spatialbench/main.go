@@ -46,13 +46,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/experiment"
@@ -66,13 +66,11 @@ import (
 // config collects the command-line options.
 type config struct {
 	figure     string
-	dbNum      int
+	db         cli.DB
 	sets       string
 	policies   string
 	fracs      string
-	objects    int
 	paperScale bool
-	seed       int64
 	csvDir     string
 	events     string
 	window     int
@@ -83,61 +81,72 @@ type config struct {
 	traceOut    string
 	traceSample int
 
-	shadowPolicies string
-	shadowLadder   string
-	shadowSample   int
+	shadow cli.Shadow
+	prof   obs.ProfileFlags
 }
 
-func main() {
-	var cfg config
-	var prof obs.ProfileFlags
-	flag.StringVar(&cfg.figure, "figure", "", "figure to reproduce: 4..9, 12..14, lrut, the extensions crosssam/updates, or 'all'")
-	flag.IntVar(&cfg.dbNum, "db", 1, "database number for ad-hoc sweeps (1 or 2)")
-	flag.StringVar(&cfg.sets, "sets", "", "comma-separated query sets for an ad-hoc sweep (e.g. U-P,INT-W-33)")
-	flag.StringVar(&cfg.policies, "policies", "LRU,A,LRU-2,ASB", "comma-separated policies for an ad-hoc sweep: registry names or parameterized specs like LRU-K:4, SLRU:EA:0.25")
-	flag.StringVar(&cfg.fracs, "fracs", "0.006,0.047", "comma-separated buffer fractions for an ad-hoc sweep")
-	flag.IntVar(&cfg.objects, "objects", 0, "objects per database (0 = default scale)")
-	flag.BoolVar(&cfg.paperScale, "paperscale", false, "use the paper's database sizes (slow)")
-	flag.Int64Var(&cfg.seed, "seed", 1, "generation seed")
-	flag.StringVar(&cfg.csvDir, "csv", "", "directory to additionally write tables as CSV")
-	flag.StringVar(&cfg.events, "events", "", "with -sets: write the sweep's event stream as JSONL to this file")
-	flag.IntVar(&cfg.window, "window", 0, "with -sets: print hit ratios over windows of N requests")
-	flag.StringVar(&cfg.ctraj, "ctraj", "", "run the Fig. 14 adaptation workload and write the c-trajectory CSV to this file")
-	flag.StringVar(&cfg.serve, "serve", "", "serve live metrics on this address (e.g. :8080) while the run executes")
-	flag.StringVar(&cfg.pool, "pool", "bare", "with -events/-window/-shadow: pool composition spec for instrumented replays, layout[,shards=N][,wbworkers=N][,wbqueue=N] with layout bare|locked|sharded|async (per-shard policy instances when sharded)")
-	flag.StringVar(&cfg.traceOut, "trace-out", "", "write request span traces as Chrome trace-event JSON to this file")
-	flag.IntVar(&cfg.traceSample, "trace-sample", 1024, "with -trace-out: trace 1 in N buffer requests")
-	flag.StringVar(&cfg.shadowPolicies, "shadow", "", "with -sets: comma-separated what-if policies shadow-simulated during instrumented replays (names or specs, e.g. LRU,SLRU 50%,LRU-K:4,ASB)")
-	flag.StringVar(&cfg.shadowLadder, "shadow-ladder", formatLadder(shadow.DefaultLadder()), "with -shadow: capacity multipliers the replayed policy is shadow-simulated at")
-	flag.IntVar(&cfg.shadowSample, "shadow-sample", 1, "with -shadow: feed the shadow bank 1 in N request events")
-	prof.Register(flag.CommandLine)
-	flag.Parse()
+func main() { cli.Main("spatialbench", declare) }
 
+// declare declares spatialbench's flags on fs.
+func declare(fs *flag.FlagSet) (*obs.ProfileFlags, func() error) {
+	cfg := new(config)
+	fs.StringVar(&cfg.figure, "figure", "", "figure to reproduce: 4..9, 12..14, lrut, the extensions crosssam/updates, or 'all'")
+	cfg.db.Register(fs, "database number for ad-hoc sweeps (1 or 2)", "objects per database (0 = default scale)")
+	fs.StringVar(&cfg.sets, "sets", "", "comma-separated query sets for an ad-hoc sweep (e.g. U-P,INT-W-33)")
+	fs.StringVar(&cfg.policies, "policies", "LRU,A,LRU-2,ASB", "comma-separated policies for an ad-hoc sweep: registry names or parameterized specs like LRU-K:4, SLRU:EA:0.25")
+	fs.StringVar(&cfg.fracs, "fracs", "0.006,0.047", "comma-separated buffer fractions for an ad-hoc sweep")
+	fs.BoolVar(&cfg.paperScale, "paperscale", false, "use the paper's database sizes (slow)")
+	fs.StringVar(&cfg.csvDir, "csv", "", "directory to additionally write tables as CSV")
+	fs.StringVar(&cfg.events, "events", "", "with -sets: write the sweep's event stream as JSONL to this file")
+	fs.IntVar(&cfg.window, "window", 0, "with -sets: print hit ratios over windows of N requests")
+	fs.StringVar(&cfg.ctraj, "ctraj", "", "run the Fig. 14 adaptation workload and write the c-trajectory CSV to this file")
+	fs.StringVar(&cfg.serve, "serve", "", "serve live metrics on this address (e.g. :8080) while the run executes")
+	fs.StringVar(&cfg.pool, "pool", "bare", "with -events/-window/-shadow: pool composition spec for instrumented replays, layout[,shards=N][,wbworkers=N][,wbqueue=N] with layout bare|locked|sharded|async (per-shard policy instances when sharded)")
+	fs.StringVar(&cfg.traceOut, "trace-out", "", "write request span traces as Chrome trace-event JSON to this file")
+	fs.IntVar(&cfg.traceSample, "trace-sample", 1024, "with -trace-out: trace 1 in N buffer requests")
+	cfg.shadow.Register(fs, "",
+		"with -sets: comma-separated what-if policies shadow-simulated during instrumented replays (names or specs, e.g. LRU,SLRU 50%,LRU-K:4,ASB)",
+		"with -shadow: capacity multipliers the replayed policy is shadow-simulated at",
+		"with -shadow: feed the shadow bank 1 in N request events")
+	cfg.prof.Register(fs)
+	return &cfg.prof, func() error { return run(cfg) }
+}
+
+func run(cfg *config) error {
 	if cfg.figure == "" && cfg.sets == "" && cfg.ctraj == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	stop, err := prof.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "spatialbench:", err)
-		os.Exit(1)
-	}
-	err = run(cfg)
-	if serr := stop(); err == nil {
-		err = serr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "spatialbench:", err)
-		os.Exit(1)
-	}
-}
-
-func run(cfg config) error {
-	opts := experiment.Options{Objects: cfg.objects, Seed: cfg.seed}
-
+	// Everything the flags can get wrong fails here, before any database
+	// is built.
 	comp, err := buffer.ParseComposition(cfg.pool)
 	if err != nil {
 		return err
+	}
+	fracs, err := cli.Floats("fracs", cfg.fracs)
+	if err != nil {
+		return err
+	}
+	if err := cfg.shadow.Parse(); err != nil {
+		return err
+	}
+	figs := experiment.Figures()
+	var figIDs []string
+	switch {
+	case cfg.figure == "":
+	case cfg.paperScale:
+		// Figures build both databases; per-figure paper-scale runs
+		// should use ad-hoc mode per database instead.
+		return fmt.Errorf("-paperscale is only supported for ad-hoc sweeps (-sets); use -objects to scale figures")
+	case cfg.figure == "all":
+		figIDs = experiment.FigureIDs()
+	case figs[cfg.figure] == nil:
+		return fmt.Errorf("unknown figure %q (have %v)", cfg.figure, experiment.FigureIDs())
+	default:
+		figIDs = []string{cfg.figure}
+	}
+	if cfg.paperScale {
+		cfg.db.Objects = experiment.PaperObjects[cfg.db.Num]
 	}
 
 	var tracer *tracing.Tracer
@@ -169,14 +178,6 @@ func run(cfg config) error {
 		fmt.Printf("serving live metrics on http://%s/\n", ln.Addr())
 	}
 
-	optsFor := func(n int) experiment.Options {
-		o := opts
-		if cfg.paperScale {
-			o.Objects = experiment.PaperObjects[n]
-		}
-		return o
-	}
-
 	emit := func(tables []*experiment.Table) error {
 		for _, t := range tables {
 			fmt.Println(t.Render())
@@ -194,49 +195,30 @@ func run(cfg config) error {
 	}
 
 	if cfg.sets != "" {
-		if err := adHoc(cfg, optsFor(cfg.dbNum), comp, tracer, emit); err != nil {
+		if err := adHoc(cfg, fracs, comp, tracer, emit); err != nil {
 			return err
 		}
 	}
 
-	if cfg.figure != "" {
-		figs := experiment.Figures()
-		var ids []string
-		if cfg.figure == "all" {
-			ids = experiment.FigureIDs()
-		} else {
-			if figs[cfg.figure] == nil {
-				return fmt.Errorf("unknown figure %q (have %v)", cfg.figure, experiment.FigureIDs())
-			}
-			ids = []string{cfg.figure}
+	for _, id := range figIDs {
+		fmt.Printf("=== Figure %s ===\n", id)
+		tables, err := figs[id](cfg.db.Options(), cfg.db.Seed)
+		if err != nil {
+			return fmt.Errorf("figure %s: %w", id, err)
 		}
-		for _, id := range ids {
-			fmt.Printf("=== Figure %s ===\n", id)
-			if cfg.paperScale {
-				// Figures build both databases; per-figure paper-scale runs
-				// should use ad-hoc mode per database instead.
-				return fmt.Errorf("-paperscale is only supported for ad-hoc sweeps (-sets); use -objects to scale figures")
-			}
-			tables, err := figs[id](opts, cfg.seed)
-			if err != nil {
-				return fmt.Errorf("figure %s: %w", id, err)
-			}
-			if err := emit(tables); err != nil {
-				return err
-			}
+		if err := emit(tables); err != nil {
+			return err
 		}
 	}
 
 	if cfg.ctraj != "" {
-		if err := writeCTrajectory(cfg.dbNum, optsFor(cfg.dbNum), cfg.seed, cfg.ctraj); err != nil {
+		if err := writeCTrajectory(&cfg.db, cfg.ctraj); err != nil {
 			return err
 		}
 	}
 
 	if tracer != nil {
-		if err := writeTraces(tracer, cfg.traceOut); err != nil {
-			return err
-		}
+		return writeTraces(tracer, cfg.traceOut)
 	}
 	return nil
 }
@@ -245,15 +227,8 @@ func run(cfg config) error {
 // JSON.
 func writeTraces(tracer *tracing.Tracer, path string) error {
 	traces := tracer.Traces(0)
-	f, err := os.Create(path)
+	err := cli.WriteFile(path, func(w io.Writer) error { return tracing.WriteChromeTrace(w, traces) })
 	if err != nil {
-		return err
-	}
-	if err := tracing.WriteChromeTrace(f, traces); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %d request traces (1 in %d of %d requests) to %s\n",
@@ -264,24 +239,17 @@ func writeTraces(tracer *tracing.Tracer, path string) error {
 // writeCTrajectory runs the Fig. 14 mixed workload (INT-W-33 + U-W-33 +
 // S-W-33 through an ASB buffer) and writes the candidate-size trajectory
 // captured from the event stream as "ref,candidate" CSV.
-func writeCTrajectory(dbNum int, opts experiment.Options, seed int64, path string) error {
-	db, err := experiment.Get(dbNum, opts)
+func writeCTrajectory(sel *cli.DB, path string) error {
+	db, err := sel.Get()
 	if err != nil {
 		return err
 	}
-	at, err := experiment.RunAdaptation(db, experiment.LargestFrac, seed)
+	at, err := experiment.RunAdaptation(db, experiment.LargestFrac, sel.Seed)
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(path)
+	err = cli.WriteFile(path, func(w io.Writer) error { return obs.WriteTrajectoryCSV(w, at.RefAt, at.Sizes) })
 	if err != nil {
-		return err
-	}
-	if err := obs.WriteTrajectoryCSV(f, at.RefAt, at.Sizes); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("wrote c-trajectory (%d samples over %d references) to %s\n",
@@ -292,8 +260,8 @@ func writeCTrajectory(dbNum int, opts experiment.Options, seed int64, path strin
 // adHoc runs a custom sweep and prints one gain table per buffer
 // fraction. With -events or -window it additionally re-replays every
 // combination sequentially with observability sinks attached.
-func adHoc(cfg config, opts experiment.Options, comp buffer.Composition, tracer *tracing.Tracer, emit func([]*experiment.Table) error) error {
-	db, err := experiment.Get(cfg.dbNum, opts)
+func adHoc(cfg *config, fracList []float64, comp buffer.Composition, tracer *tracing.Tracer, emit func([]*experiment.Table) error) error {
+	db, err := cfg.db.Get()
 	if err != nil {
 		return err
 	}
@@ -301,58 +269,25 @@ func adHoc(cfg config, opts experiment.Options, comp buffer.Composition, tracer 
 		db.Name, db.Stats.NumObjects, db.Stats.TotalPages(),
 		db.Stats.DirFraction()*100, db.Stats.Height)
 
-	setNames := splitCSV(cfg.sets)
-	polNames := splitCSV(cfg.policies)
-	var fracList []float64
-	for _, f := range splitCSV(cfg.fracs) {
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			return fmt.Errorf("bad fraction %q: %w", f, err)
-		}
-		fracList = append(fracList, v)
-	}
+	setNames := cli.Split(cfg.sets)
+	polNames := cli.Split(cfg.policies)
 
-	withLRU := polNames
-	if !contains(polNames, "LRU") {
-		withLRU = append([]string{"LRU"}, polNames...)
-	}
-	var factories []core.Factory
-	for _, n := range withLRU {
-		f, err := core.FactoryByName(n)
-		if err != nil {
-			return err
-		}
-		factories = append(factories, f)
-	}
-	sw, err := experiment.Run(db, setNames, factories, fracList, cfg.seed)
-	if err != nil {
-		return err
-	}
 	var tables []*experiment.Table
 	for _, frac := range fracList {
-		t := experiment.NewTable(
-			fmt.Sprintf("adhoc-db%d-%.1f%%", cfg.dbNum, frac*100),
+		t, err := experiment.GainTable(db,
+			fmt.Sprintf("adhoc-db%d-%.1f%%", cfg.db.Num, frac*100),
 			fmt.Sprintf("ad-hoc sweep, %s, buffer %.1f%%", db.Name, frac*100),
-			"gain vs LRU [%]", setNames, polNames)
-		for _, set := range setNames {
-			for _, pol := range polNames {
-				g, err := sw.Gain(set, pol, frac)
-				if err != nil {
-					return err
-				}
-				if err := t.Set(set, pol, g*100); err != nil {
-					return err
-				}
-			}
+			setNames, polNames, frac, cfg.db.Seed)
+		if err != nil {
+			return err
 		}
 		tables = append(tables, t)
 	}
 	if err := emit(tables); err != nil {
 		return err
 	}
-	if cfg.events != "" || cfg.window > 0 || cfg.shadowPolicies != "" {
-		return instrumentedReplays(db, setNames, polNames, fracList, cfg.seed, cfg.events, cfg.window, comp, tracer,
-			splitCSV(cfg.shadowPolicies), parseLadder(cfg.shadowLadder), cfg.shadowSample)
+	if cfg.events != "" || cfg.window > 0 || cfg.shadow.Enabled() {
+		return instrumentedReplays(db, setNames, polNames, fracList, cfg.db.Seed, cfg.events, cfg.window, comp, tracer, &cfg.shadow)
 	}
 	return nil
 }
@@ -370,7 +305,7 @@ func adHoc(cfg config, opts experiment.Options, comp buffer.Composition, tracer 
 // monolithic one. The replay itself is single-threaded, where the async
 // pool is stat-for-stat identical to the synchronous one, so the tables
 // stay comparable.
-func instrumentedReplays(db *experiment.Database, setNames, polNames []string, fracs []float64, seed int64, eventsPath string, window int, comp buffer.Composition, tracer *tracing.Tracer, shadowPols []string, shadowLadder []float64, shadowSample int) error {
+func instrumentedReplays(db *experiment.Database, setNames, polNames []string, fracs []float64, seed int64, eventsPath string, window int, comp buffer.Composition, tracer *tracing.Tracer, sh *cli.Shadow) error {
 	var jsonl *obs.JSONLSink
 	if eventsPath != "" {
 		f, err := os.Create(eventsPath)
@@ -404,31 +339,26 @@ func instrumentedReplays(db *experiment.Database, setNames, polNames []string, f
 					sinks = append(sinks, wt)
 				}
 				var bank *shadow.Bank
-				if len(shadowPols) > 0 {
-					specs := shadow.Specs(polName, frames, shadowPols, shadowLadder)
-					bank, err = shadow.NewBank(specs, core.Resolver, window)
+				if sh.Enabled() {
+					bank, err = sh.Bank(polName, frames, window)
 					if err != nil {
 						return fmt.Errorf("instrumented replay %s: %w", label, err)
 					}
 					// The replay is single-threaded and offline, so the bank
 					// hangs directly off the tee — no async ring needed.
-					sinks = append(sinks, obs.NewSamplingSink(bank, shadowSample))
+					sinks = append(sinks, sh.Sampled(bank))
 				}
 				pool, err := comp.Build(db.Store, fac.New, frames)
 				if err != nil {
 					return fmt.Errorf("instrumented replay %s: %w", label, err)
 				}
 				pool.SetSink(obs.Tee(sinks...))
-				if tp, ok := pool.(interface{ SetTracer(*tracing.Tracer) }); ok {
-					tp.SetTracer(tracer)
-				}
+				cli.Trace(pool, tracer, nil)
 				if _, err := trace.ReplayOn(tr, pool); err != nil {
 					return fmt.Errorf("instrumented replay %s: %w", label, err)
 				}
-				if c, ok := pool.(interface{ Close() error }); ok {
-					if err := c.Close(); err != nil {
-						return fmt.Errorf("instrumented replay %s: close: %w", label, err)
-					}
+				if err := cli.Close(pool); err != nil {
+					return fmt.Errorf("instrumented replay %s: close: %w", label, err)
 				}
 				if bank != nil {
 					fmt.Printf("%-24s shadow regret %+.4f (real hit ratio %.3f over %d events):\n",
@@ -458,45 +388,4 @@ func instrumentedReplays(db *experiment.Database, setNames, polNames []string, f
 		fmt.Printf("wrote event stream to %s\n", eventsPath)
 	}
 	return nil
-}
-
-// formatLadder renders capacity multipliers in the form parseLadder
-// reads; the -shadow-ladder default is shadow.DefaultLadder through it.
-func formatLadder(ladder []float64) string {
-	parts := make([]string, len(ladder))
-	for i, v := range ladder {
-		parts[i] = strconv.FormatFloat(v, 'g', -1, 64)
-	}
-	return strings.Join(parts, ",")
-}
-
-// parseLadder parses comma-separated capacity multipliers, ignoring
-// malformed or non-positive entries.
-func parseLadder(s string) []float64 {
-	var out []float64
-	for _, part := range splitCSV(s) {
-		if v, err := strconv.ParseFloat(part, 64); err == nil && v > 0 {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func splitCSV(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func contains(xs []string, want string) bool {
-	for _, x := range xs {
-		if x == want {
-			return true
-		}
-	}
-	return false
 }

@@ -21,8 +21,8 @@ import (
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/obs"
@@ -31,48 +31,42 @@ import (
 	"repro/internal/trace"
 )
 
-func main() {
-	var (
-		dbNum   = flag.Int("db", 1, "database number (1 or 2)")
-		objects = flag.Int("objects", 0, "object count (0 = default scale)")
-		seed    = flag.Int64("seed", 1, "generation seed")
-		setName = flag.String("set", "U-P", "query set to trace")
-		queries = flag.Int("queries", 0, "query count (0 = calibrated)")
-		refs    = flag.Bool("refs", false, "dump the raw reference string")
-		out     = flag.String("out", "", "save the trace to a file (gob) for later replay")
-		mrc     = flag.String("mrc", "", "write a miss-ratio-curve CSV (shadow-cache replay) to this file")
-		mrcPols = flag.String("mrc-policies", "LRU,SLRU 50%,ASB", "with -mrc: comma-separated policies to curve")
-		mrcCaps = flag.String("mrc-capacities", "", "with -mrc: comma-separated buffer sizes in frames (empty = powers of two up to the distinct page count)")
-		prof    obs.ProfileFlags
-	)
-	prof.Register(flag.CommandLine)
-	flag.Parse()
+func main() { cli.Main("tracedump", declare) }
 
-	stop, err := prof.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracedump:", err)
-		os.Exit(1)
-	}
-	err = run(*dbNum, *objects, *seed, *setName, *queries, *refs, *out, *mrc, *mrcPols, *mrcCaps)
-	if serr := stop(); err == nil {
-		err = serr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracedump:", err)
-		os.Exit(1)
-	}
+// declare declares tracedump's flags on fs.
+func declare(fs *flag.FlagSet) (*obs.ProfileFlags, func() error) {
+	var db cli.DB
+	var prof obs.ProfileFlags
+	db.Register(fs, "database number (1 or 2)", "object count (0 = default scale)")
+	setName := fs.String("set", "U-P", "query set to trace")
+	queries := fs.Int("queries", 0, "query count (0 = calibrated)")
+	refs := fs.Bool("refs", false, "dump the raw reference string")
+	out := fs.String("out", "", "save the trace to a file (gob) for later replay")
+	mrc := fs.String("mrc", "", "write a miss-ratio-curve CSV (shadow-cache replay) to this file")
+	mrcPols := fs.String("mrc-policies", "LRU,SLRU 50%,ASB", "with -mrc: comma-separated policies to curve")
+	mrcCaps := fs.String("mrc-capacities", "", "with -mrc: comma-separated buffer sizes in frames (empty = powers of two up to the distinct page count)")
+	prof.Register(fs)
+	return &prof, func() error { return run(&db, *setName, *queries, *refs, *out, *mrc, *mrcPols, *mrcCaps) }
 }
 
-func run(dbNum, objects int, seed int64, setName string, queries int, dumpRefs bool, out, mrc, mrcPols, mrcCaps string) error {
-	db, err := experiment.Get(dbNum, experiment.Options{Objects: objects, Seed: seed})
+func run(sel *cli.DB, setName string, queries int, dumpRefs bool, out, mrc, mrcPols, mrcCaps string) error {
+	var capacities []int
+	for _, f := range cli.Split(mrcCaps) {
+		v, err := strconv.Atoi(f)
+		if err != nil || v < 2 {
+			return fmt.Errorf("bad -mrc-capacities entry %q (want integer ≥ 2)", f)
+		}
+		capacities = append(capacities, v)
+	}
+	db, err := sel.Get()
 	if err != nil {
 		return err
 	}
 	var tr *trace.Trace
 	if queries == 0 {
-		tr, err = db.Trace(setName, seed)
+		tr, err = db.Trace(setName, sel.Seed)
 	} else {
-		set, qerr := db.QuerySet(setName, queries, seed)
+		set, qerr := db.QuerySet(setName, queries, sel.Seed)
 		if qerr != nil {
 			return qerr
 		}
@@ -80,6 +74,9 @@ func run(dbNum, objects int, seed int64, setName string, queries int, dumpRefs b
 	}
 	if err != nil {
 		return err
+	}
+	if tr.Len() == 0 {
+		return fmt.Errorf("query set %s produced an empty trace: nothing to report", setName)
 	}
 
 	touch := make(map[page.ID]int)
@@ -144,7 +141,7 @@ func run(dbNum, objects int, seed int64, setName string, queries int, dumpRefs b
 		fmt.Printf("trace saved to %s\n", out)
 	}
 	if mrc != "" {
-		if err := writeMRC(tr, db, mrc, mrcPols, mrcCaps, len(touch)); err != nil {
+		if err := writeMRC(tr, db, mrc, cli.Split(mrcPols), capacities, len(touch)); err != nil {
 			return err
 		}
 	}
@@ -161,41 +158,19 @@ func run(dbNum, objects int, seed int64, setName string, queries int, dumpRefs b
 // curves as a results/-style CSV: one row per capacity, one column per
 // policy. Page descriptors are read from the store once (PageMetas), so
 // the replay itself is pure in-memory simulation.
-func writeMRC(tr *trace.Trace, db *experiment.Database, path, polList, capList string, distinct int) error {
-	var pols []string
-	for _, p := range strings.Split(polList, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			pols = append(pols, p)
-		}
-	}
+func writeMRC(tr *trace.Trace, db *experiment.Database, path string, pols []string, capacities []int, distinct int) error {
 	if len(pols) == 0 {
 		return fmt.Errorf("-mrc-policies is empty")
 	}
-	var capacities []int
-	if capList == "" {
+	if len(capacities) == 0 {
 		for c := 2; ; c *= 2 {
 			capacities = append(capacities, c)
 			if c >= distinct {
 				break
 			}
 		}
-	} else {
-		for _, f := range strings.Split(capList, ",") {
-			f = strings.TrimSpace(f)
-			if f == "" {
-				continue
-			}
-			v, err := strconv.Atoi(f)
-			if err != nil || v < 2 {
-				return fmt.Errorf("bad -mrc-capacities entry %q (want integer ≥ 2)", f)
-			}
-			capacities = append(capacities, v)
-		}
-		sort.Ints(capacities)
 	}
-	if len(capacities) == 0 {
-		return fmt.Errorf("-mrc-capacities is empty")
-	}
+	sort.Ints(capacities)
 
 	var specs []shadow.Spec
 	for _, p := range pols {
@@ -219,20 +194,14 @@ func writeMRC(tr *trace.Trace, db *experiment.Database, path, polList, capList s
 	for _, st := range bank.Stats() {
 		missAt[shadow.Spec{Policy: st.Policy, Capacity: st.Capacity}] = 1 - st.HitRatio
 	}
-	var b strings.Builder
-	b.WriteString("row")
-	for _, p := range pols {
-		b.WriteString("," + p)
-	}
-	b.WriteByte('\n')
-	for _, c := range capacities {
-		fmt.Fprintf(&b, "%d", c)
-		for _, p := range pols {
-			fmt.Fprintf(&b, ",%.4f", missAt[shadow.Spec{Policy: p, Capacity: c}])
+	t := experiment.NewTable("mrc", "", "", make([]string, len(capacities)), pols)
+	for ri, c := range capacities {
+		t.Rows[ri] = strconv.Itoa(c)
+		for ci, p := range pols {
+			t.Cells[ri][ci] = missAt[shadow.Spec{Policy: p, Capacity: c}]
 		}
-		b.WriteByte('\n')
 	}
-	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(t.CSV()), 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("wrote miss-ratio curves (%d policies × %d capacities over %d references) to %s\n",

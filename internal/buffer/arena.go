@@ -32,9 +32,6 @@ func NewArena(capacity int) *Arena {
 	return a
 }
 
-// Cap returns the arena size in frames.
-func (a *Arena) Cap() int { return len(a.frames) }
-
 // Live returns the number of frames currently allocated.
 func (a *Arena) Live() int { return len(a.frames) - len(a.free) }
 

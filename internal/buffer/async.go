@@ -8,22 +8,6 @@ import (
 	"repro/internal/page"
 )
 
-// DefaultWritebackWorkers is the number of background writer goroutines
-// used when AsyncConfig leaves it zero.
-const DefaultWritebackWorkers = 2
-
-// AsyncConfig tunes the asynchronous I/O machinery of the async layer.
-// The zero value selects the defaults.
-type AsyncConfig struct {
-	// WritebackWorkers is the number of background goroutines writing
-	// dirty evicted pages to the store (default DefaultWritebackWorkers).
-	WritebackWorkers int
-	// WritebackQueue is the write-back queue capacity in pages (default
-	// DefaultWritebackQueue). When the queue is full, evictions fall back
-	// to a synchronous under-lock write — the backpressure path.
-	WritebackQueue int
-}
-
 // AsyncPool is the asynchronous-I/O layer over a Router: it serves
 // every shard engine's misses with the non-blocking protocol — the
 // shard lock protects only in-memory state, the physical read happens
@@ -69,19 +53,14 @@ type asyncShard struct {
 	wb    *writeback
 }
 
-// Async stacks the asynchronous-I/O layer on a router. The router must
-// not be used directly afterwards (the layer overrides its barrier
-// operations); it must not already carry an async layer.
-func Async(r *Router, cfg AsyncConfig) *AsyncPool {
-	workers := cfg.WritebackWorkers
-	if workers < 1 {
-		workers = DefaultWritebackWorkers
-	}
-	queueCap := cfg.WritebackQueue
-	if queueCap < 1 {
-		queueCap = DefaultWritebackQueue
-	}
-	p := &AsyncPool{Router: r, wb: newWriteback(r.store, workers, queueCap)}
+// Async stacks the asynchronous-I/O layer on a router, with wbWorkers
+// background goroutines writing dirty evicted pages to the store from a
+// queue of wbQueue pages (Composition.WritebackWorkers/WritebackQueue;
+// < 1 selects the defaults). The router must not be used directly
+// afterwards (the layer overrides its barrier operations); it must not
+// already carry an async layer.
+func Async(r *Router, wbWorkers, wbQueue int) *AsyncPool {
+	p := &AsyncPool{Router: r, wb: newWriteback(r.store, wbWorkers, wbQueue)}
 	for _, sh := range r.shards {
 		sh.e.async = &asyncShard{e: sh.e, l: sh, flight: make(map[page.ID]*inflight), wb: p.wb}
 	}

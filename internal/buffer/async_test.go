@@ -103,7 +103,7 @@ func TestAsyncSingleflightOneRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := Async(r, AsyncConfig{})
+	sp := Async(r, 0, 0)
 	defer sp.Close()
 
 	const n = 16
@@ -158,7 +158,7 @@ func TestAsyncSingleflightSharedError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := Async(r, AsyncConfig{})
+	sp := Async(r, 0, 0)
 	defer sp.Close()
 
 	const n = 8
@@ -201,7 +201,7 @@ func TestAsyncFixCoalesce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := Async(r, AsyncConfig{})
+	sp := Async(r, 0, 0)
 	defer sp.Close()
 
 	const n = 8
@@ -258,7 +258,7 @@ func TestAsyncSingleShardSeedEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := Async(r, AsyncConfig{})
+	sp := Async(r, 0, 0)
 	defer sp.Close()
 	var asyncLog bytes.Buffer
 	asyncSink := obs.NewJSONLSink(&asyncLog)
@@ -316,7 +316,7 @@ func TestAsyncConcurrentGetStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := Async(r, AsyncConfig{})
+	sp := Async(r, 0, 0)
 	defer sp.Close()
 
 	var wg sync.WaitGroup
@@ -360,7 +360,7 @@ func TestAsyncWritebackReadYourWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := Async(r, AsyncConfig{WritebackWorkers: 1, WritebackQueue: 4})
+	sp := Async(r, 1, 4)
 
 	ctx := AccessContext{}
 	if _, err := sp.Get(1, ctx); err != nil {
@@ -418,7 +418,7 @@ func TestAsyncFlushDrainsWriteback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := Async(r, AsyncConfig{WritebackWorkers: 2, WritebackQueue: 16})
+	sp := Async(r, 2, 16)
 	defer sp.Close()
 
 	ctx := AccessContext{}
@@ -508,7 +508,7 @@ func TestWritebackStickyError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := Async(r, AsyncConfig{WritebackWorkers: 1, WritebackQueue: 4})
+	sp := Async(r, 1, 4)
 	defer sp.Close()
 
 	ctx := AccessContext{}
@@ -668,7 +668,7 @@ func TestWritebackNeverReordersOnePage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := Async(r, AsyncConfig{WritebackWorkers: 2, WritebackQueue: 4})
+	sp := Async(r, 2, 4)
 	ctx := AccessContext{}
 	get := func(ids ...page.ID) {
 		t.Helper()
@@ -799,7 +799,7 @@ func TestAsyncFlushJoinsInflightWriteback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := Async(r, AsyncConfig{WritebackWorkers: 1, WritebackQueue: 4})
+	sp := Async(r, 1, 4)
 
 	// y lives on shard 0, which Flush visits first; x and two fillers on
 	// shard 1.

@@ -115,13 +115,6 @@ type Frame struct {
 	// Stamp is a policy-owned recency shadow of LastUse (Spatial updates
 	// it in OnHit, before the engine bumps LastUse).
 	Stamp uint64
-
-	// aux is policy-private per-frame state for policies outside this
-	// package that need more than the embedded words. The standard
-	// policies no longer use it; it remains for extension policies (and
-	// the list-backed reference implementations the equivalence tests
-	// keep).
-	aux any
 }
 
 // Pinned reports whether the frame is currently pinned and therefore not
@@ -131,12 +124,6 @@ func (f *Frame) Pinned() bool { return f.pins > 0 }
 // ArenaIndex returns the frame's slot in its engine's arena, or -1 for
 // frames constructed outside an arena (hand-made test frames).
 func (f *Frame) ArenaIndex() int32 { return f.arena - 1 }
-
-// Aux returns the policy-private state attached to the frame.
-func (f *Frame) Aux() any { return f.aux }
-
-// SetAux attaches policy-private state to the frame.
-func (f *Frame) SetAux(v any) { f.aux = v }
 
 // Choice is a policy's answer to Victim, returned by value: the frame it
 // picked and why (the strings hold constants). The engine fills the

@@ -13,20 +13,23 @@ import (
 // testPolicy is a minimal FIFO policy for exercising manager mechanics.
 type testPolicy struct {
 	order   *list.List
+	elems   map[*Frame]*list.Element
 	admits  int
 	hits    int
 	evicts  int
 	lastCtx AccessContext
 }
 
-func newTestPolicy() *testPolicy { return &testPolicy{order: list.New()} }
+func newTestPolicy() *testPolicy {
+	return &testPolicy{order: list.New(), elems: make(map[*Frame]*list.Element)}
+}
 
 func (p *testPolicy) Name() string { return "test-fifo" }
 
 func (p *testPolicy) OnAdmit(f *Frame, now uint64, ctx AccessContext) {
 	p.admits++
 	p.lastCtx = ctx
-	f.SetAux(p.order.PushBack(f))
+	p.elems[f] = p.order.PushBack(f)
 }
 
 func (p *testPolicy) OnHit(f *Frame, now uint64, ctx AccessContext) {
@@ -45,10 +48,14 @@ func (p *testPolicy) Victim(ctx AccessContext) Choice {
 
 func (p *testPolicy) OnEvict(f *Frame) {
 	p.evicts++
-	p.order.Remove(f.Aux().(*list.Element))
+	p.order.Remove(p.elems[f])
+	delete(p.elems, f)
 }
 
-func (p *testPolicy) Reset() { p.order.Init() }
+func (p *testPolicy) Reset() {
+	p.order.Init()
+	clear(p.elems)
+}
 
 // newStore creates a MemStore with n single-entry pages (IDs 1..n).
 func newStore(t testing.TB, n int) *storage.MemStore {

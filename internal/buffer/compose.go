@@ -35,8 +35,9 @@ type Composition struct {
 	// rejected by ParseComposition) for bare and locked layouts.
 	Shards int
 	// WritebackWorkers and WritebackQueue tune the async layout's
-	// background write-back (see AsyncConfig); zero selects the
-	// defaults. Rejected by ParseComposition for other layouts.
+	// background write-back; zero selects DefaultWritebackWorkers and
+	// DefaultWritebackQueue. Rejected by ParseComposition for other
+	// layouts.
 	WritebackWorkers int
 	WritebackQueue   int
 }
@@ -163,10 +164,7 @@ func (c Composition) Build(store storage.Store, factory PolicyFactory, capacity 
 		if c.Layout == LayoutSharded {
 			return r, nil
 		}
-		return Async(r, AsyncConfig{
-			WritebackWorkers: c.WritebackWorkers,
-			WritebackQueue:   c.WritebackQueue,
-		}), nil
+		return Async(r, c.WritebackWorkers, c.WritebackQueue), nil
 	default:
 		return nil, fmt.Errorf("buffer: unknown pool layout %q", c.Layout)
 	}

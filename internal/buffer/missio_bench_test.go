@@ -85,7 +85,7 @@ func missPools(tb testing.TB) (syncPool *Router, asyncPool *AsyncPool) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return sp, Async(r, AsyncConfig{})
+	return sp, Async(r, 0, 0)
 }
 
 // BenchmarkPoolMissIO compares the under-lock and the non-blocking miss

@@ -36,16 +36,21 @@ func (m *refModel) access(id page.ID) bool {
 
 // lruPolicy is a minimal LRU implementation local to this test (the real
 // policies live in package core, which buffer cannot import).
-type lruPolicy struct{ order *list.List }
+type lruPolicy struct {
+	order *list.List
+	elems map[*Frame]*list.Element
+}
 
-func newLRUPolicy() *lruPolicy { return &lruPolicy{order: list.New()} }
+func newLRUPolicy() *lruPolicy {
+	return &lruPolicy{order: list.New(), elems: make(map[*Frame]*list.Element)}
+}
 
 func (p *lruPolicy) Name() string { return "lru" }
 func (p *lruPolicy) OnAdmit(f *Frame, now uint64, ctx AccessContext) {
-	f.SetAux(p.order.PushFront(f))
+	p.elems[f] = p.order.PushFront(f)
 }
 func (p *lruPolicy) OnHit(f *Frame, now uint64, ctx AccessContext) {
-	p.order.MoveToFront(f.Aux().(*list.Element))
+	p.order.MoveToFront(p.elems[f])
 }
 func (p *lruPolicy) Victim(ctx AccessContext) Choice {
 	for e := p.order.Back(); e != nil; e = e.Prev() {
@@ -56,9 +61,13 @@ func (p *lruPolicy) Victim(ctx AccessContext) Choice {
 	return Choice{}
 }
 func (p *lruPolicy) OnEvict(f *Frame) {
-	p.order.Remove(f.Aux().(*list.Element))
+	p.order.Remove(p.elems[f])
+	delete(p.elems, f)
 }
-func (p *lruPolicy) Reset() { p.order.Init() }
+func (p *lruPolicy) Reset() {
+	p.order.Init()
+	clear(p.elems)
+}
 
 // workload is a quick-generatable access sequence over a small ID space.
 type workload struct {

@@ -119,9 +119,6 @@ func (r *Router) Shards() int { return len(r.shards) }
 // shard capacities).
 func (r *Router) Capacity() int { return r.capacity }
 
-// ShardCapacity returns the capacity of shard i in frames.
-func (r *Router) ShardCapacity(i int) int { return r.shards[i].Capacity() }
-
 // ShardPolicy returns shard i's replacement-policy instance. The policy
 // is driven under the shard's mutex, so while the pool is serving, only
 // accessors documented as concurrency-safe (e.g. core.ASB's atomic

@@ -179,10 +179,10 @@ func TestRouterShardStatsMerge(t *testing.T) {
 	}
 	capSum := 0
 	for i := 0; i < sp.Shards(); i++ {
-		if sp.ShardCapacity(i) < 1 {
-			t.Fatalf("shard %d has capacity %d", i, sp.ShardCapacity(i))
+		if sp.shards[i].Capacity() < 1 {
+			t.Fatalf("shard %d has capacity %d", i, sp.shards[i].Capacity())
 		}
-		capSum += sp.ShardCapacity(i)
+		capSum += sp.shards[i].Capacity()
 	}
 	if capSum != capacity || sp.Capacity() != capacity {
 		t.Fatalf("capacity split: shards sum to %d, Capacity() = %d, want %d", capSum, sp.Capacity(), capacity)

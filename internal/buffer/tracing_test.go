@@ -272,7 +272,7 @@ func TestAsyncTracedMissIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := Async(r, AsyncConfig{})
+	sp := Async(r, 0, 0)
 	defer sp.Close()
 	tr := tracing.NewTracer(1, shards, 64)
 	sp.SetTracer(tr)
@@ -449,12 +449,12 @@ func TestUncontendedLatchRecordsNoWait(t *testing.T) {
 				if w := c.Waiters(sh); w != 0 {
 					t.Errorf("shard %d: %d waiters left", sh, w)
 				}
+				if w := c.WaitNanos(sh); w != 0 {
+					t.Errorf("shard %d: waited %d ns on a latch nobody contended, want 0", sh, w)
+				}
 			}
 			if acquired != calls {
 				t.Errorf("profiler counted %d acquisitions, want %d (one per call)", acquired, calls)
-			}
-			if w := c.TotalWaitNanos(); w != 0 {
-				t.Errorf("total wait = %d ns on a latch nobody contended, want 0", w)
 			}
 			for _, trc := range tr.Traces(0) {
 				if trc[0].LockWait != 0 {

@@ -9,9 +9,15 @@ import (
 	"repro/internal/storage"
 )
 
-// DefaultWritebackQueue is the write-back queue capacity (in pages) used
-// when AsyncConfig leaves it zero.
-const DefaultWritebackQueue = 1024
+// The write-back defaults, used for a Composition that leaves
+// WritebackWorkers or WritebackQueue zero: the number of background
+// writer goroutines, and the queue capacity in pages. When the queue is
+// full, evictions fall back to a synchronous under-lock write — the
+// backpressure path.
+const (
+	DefaultWritebackWorkers = 2
+	DefaultWritebackQueue   = 1024
+)
 
 // writeback is the background write-back machinery of an async pool:
 // dirty evicted pages are enqueued under the shard lock (never
@@ -81,10 +87,10 @@ type wbEntry struct {
 }
 
 // newWriteback starts workers writer goroutines over a queue of
-// queueCap page slots.
+// queueCap page slots; values < 1 select the defaults.
 func newWriteback(store storage.Store, workers, queueCap int) *writeback {
 	if workers < 1 {
-		workers = 1
+		workers = DefaultWritebackWorkers
 	}
 	if queueCap < 1 {
 		queueCap = DefaultWritebackQueue

@@ -147,15 +147,6 @@ func (l *List[E]) MoveToFront(e E) {
 	l.PushFront(e)
 }
 
-// MoveToBack relinks e (already on the list) to the back.
-func (l *List[E]) MoveToBack(e E) {
-	if e == l.tail {
-		return
-	}
-	l.Remove(e)
-	l.PushBack(e)
-}
-
 // Clear unlinks every element, resetting their link words, and empties the
 // list. O(n).
 func (l *List[E]) Clear() {

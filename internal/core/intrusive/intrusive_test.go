@@ -69,16 +69,15 @@ func TestListBasicOps(t *testing.T) {
 	}
 
 	l.MoveToFront(ns[1]) // [2 3 1 4]
-	l.MoveToBack(ns[2])  // [2 1 4 3]
-	if got := ids(&l); !eq(got, []int{2, 1, 4, 3}) {
-		t.Fatalf("after moves: %v", got)
+	if got := ids(&l); !eq(got, []int{2, 3, 1, 4}) {
+		t.Fatalf("after MoveToFront: %v", got)
 	}
 
-	l.Remove(ns[3]) // [2 1 3]
+	l.Remove(ns[3]) // [2 3 1]
 	if l.Contains(ns[3]) {
 		t.Fatal("removed element still Contains")
 	}
-	if got := ids(&l); !eq(got, []int{2, 1, 3}) {
+	if got := ids(&l); !eq(got, []int{2, 3, 1}) {
 		t.Fatalf("after remove: %v", got)
 	}
 
@@ -108,7 +107,6 @@ func TestListEdgeCases(t *testing.T) {
 		t.Fatal("single element not both front and back")
 	}
 	l.MoveToFront(a)
-	l.MoveToBack(a)
 	l.Remove(a)
 	if l.Len() != 0 {
 		t.Fatal("remove of only element")
@@ -173,7 +171,8 @@ func TestListMatchesContainerList(t *testing.T) {
 			cl.MoveToFront(elems[n])
 		case op == 2:
 			n := pick()
-			il.MoveToBack(n)
+			il.Remove(n)
+			il.PushBack(n)
 			cl.MoveToBack(elems[n])
 		case op == 3:
 			i := rng.Intn(len(members))

@@ -87,9 +87,6 @@ func NewLRUK(k int) *LRUK {
 // Name implements buffer.Policy.
 func (p *LRUK) Name() string { return fmt.Sprintf("LRU-%d", p.k) }
 
-// K returns the history depth.
-func (p *LRUK) K() int { return p.k }
-
 // RetentionBound returns the maximum number of history records retained
 // before the oldest non-resident history is recycled.
 func (p *LRUK) RetentionBound() int {

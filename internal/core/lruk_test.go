@@ -20,9 +20,6 @@ func TestLRUKName(t *testing.T) {
 	if got := core.NewLRUK(2).Name(); got != "LRU-2" {
 		t.Errorf("name = %q", got)
 	}
-	if core.NewLRUK(2).K() != 2 {
-		t.Error("K() = ?")
-	}
 }
 
 func TestLRU2PrefersFrequentlyReusedPages(t *testing.T) {

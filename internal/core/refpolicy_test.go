@@ -8,10 +8,13 @@ package core_test
 // identical miss and eviction sequences, so any behavioral drift the
 // refactor introduced shows up as a counterexample trace.
 //
-// The reference policies use only the exported buffer API (Frame.Aux /
-// SetAux carry their per-frame state), explain their victim in the
-// returned buffer.Choice like the real ones, and deliberately allocate
-// per operation — they are correctness baselines, not performance ones.
+// The reference policies use only the exported buffer API and keep
+// their per-frame state in a side map keyed by the frame the engine
+// hands to every callback (entered in OnAdmit, deleted in OnEvict,
+// dropped in Reset), so the production Frame carries nothing for them.
+// They explain their victim in the returned buffer.Choice like the real
+// ones, and deliberately allocate per operation — they are correctness
+// baselines, not performance ones.
 
 import (
 	"container/heap"
@@ -26,18 +29,23 @@ import (
 
 // ---------------------------------------------------------------- LRU --
 
-type refLRU struct{ order *list.List }
+type refLRU struct {
+	order *list.List
+	aux   map[*buffer.Frame]*list.Element
+}
 
-func newRefLRU() *refLRU { return &refLRU{order: list.New()} }
+func newRefLRU() *refLRU {
+	return &refLRU{order: list.New(), aux: make(map[*buffer.Frame]*list.Element)}
+}
 
 func (p *refLRU) Name() string { return "LRU" }
 
 func (p *refLRU) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	f.SetAux(p.order.PushFront(f))
+	p.aux[f] = p.order.PushFront(f)
 }
 
 func (p *refLRU) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	p.order.MoveToFront(f.Aux().(*list.Element))
+	p.order.MoveToFront(p.aux[f])
 }
 
 func (p *refLRU) Victim(ctx buffer.AccessContext) buffer.Choice {
@@ -52,22 +60,30 @@ func (p *refLRU) Victim(ctx buffer.AccessContext) buffer.Choice {
 }
 
 func (p *refLRU) OnEvict(f *buffer.Frame) {
-	p.order.Remove(f.Aux().(*list.Element))
-	f.SetAux(nil)
+	p.order.Remove(p.aux[f])
+	delete(p.aux, f)
 }
 
-func (p *refLRU) Reset() { p.order.Init() }
+func (p *refLRU) Reset() {
+	p.order.Init()
+	clear(p.aux)
+}
 
 // --------------------------------------------------------------- FIFO --
 
-type refFIFO struct{ order *list.List }
+type refFIFO struct {
+	order *list.List
+	aux   map[*buffer.Frame]*list.Element
+}
 
-func newRefFIFO() *refFIFO { return &refFIFO{order: list.New()} }
+func newRefFIFO() *refFIFO {
+	return &refFIFO{order: list.New(), aux: make(map[*buffer.Frame]*list.Element)}
+}
 
 func (p *refFIFO) Name() string { return "FIFO" }
 
 func (p *refFIFO) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	f.SetAux(p.order.PushBack(f))
+	p.aux[f] = p.order.PushBack(f)
 }
 
 func (p *refFIFO) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {}
@@ -84,11 +100,14 @@ func (p *refFIFO) Victim(ctx buffer.AccessContext) buffer.Choice {
 }
 
 func (p *refFIFO) OnEvict(f *buffer.Frame) {
-	p.order.Remove(f.Aux().(*list.Element))
-	f.SetAux(nil)
+	p.order.Remove(p.aux[f])
+	delete(p.aux, f)
 }
 
-func (p *refFIFO) Reset() { p.order.Init() }
+func (p *refFIFO) Reset() {
+	p.order.Init()
+	clear(p.aux)
+}
 
 // ------------------------------------------------------- priority LRU --
 
@@ -96,6 +115,7 @@ type refPriorityLRU struct {
 	name    string
 	prio    func(page.Meta) int
 	classes map[int]*list.List
+	aux     map[*buffer.Frame]*refPrioAux
 }
 
 type refPrioAux struct {
@@ -104,7 +124,8 @@ type refPrioAux struct {
 }
 
 func newRefPriorityLRU(name string, prio func(page.Meta) int) *refPriorityLRU {
-	return &refPriorityLRU{name: name, prio: prio, classes: make(map[int]*list.List)}
+	return &refPriorityLRU{name: name, prio: prio, classes: make(map[int]*list.List),
+		aux: make(map[*buffer.Frame]*refPrioAux)}
 }
 
 func (p *refPriorityLRU) Name() string { return p.name }
@@ -116,11 +137,11 @@ func (p *refPriorityLRU) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessC
 		l = list.New()
 		p.classes[class] = l
 	}
-	f.SetAux(&refPrioAux{class: class, elem: l.PushFront(f)})
+	p.aux[f] = &refPrioAux{class: class, elem: l.PushFront(f)}
 }
 
 func (p *refPriorityLRU) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	aux := f.Aux().(*refPrioAux)
+	aux := p.aux[f]
 	p.classes[aux.class].MoveToFront(aux.elem)
 }
 
@@ -145,12 +166,15 @@ func (p *refPriorityLRU) Victim(ctx buffer.AccessContext) buffer.Choice {
 }
 
 func (p *refPriorityLRU) OnEvict(f *buffer.Frame) {
-	aux := f.Aux().(*refPrioAux)
+	aux := p.aux[f]
 	p.classes[aux.class].Remove(aux.elem)
-	f.SetAux(nil)
+	delete(p.aux, f)
 }
 
-func (p *refPriorityLRU) Reset() { p.classes = make(map[int]*list.List) }
+func (p *refPriorityLRU) Reset() {
+	p.classes = make(map[int]*list.List)
+	clear(p.aux)
+}
 
 // -------------------------------------------------------------- LRU-K --
 
@@ -251,17 +275,19 @@ type refSpatialAux struct {
 	use  uint64
 }
 
-func newRefSpatial(crit page.Criterion) *refSpatial { return &refSpatial{crit: crit} }
+func newRefSpatial(crit page.Criterion) *refSpatial {
+	return &refSpatial{crit: crit, h: refSpatialHeap{aux: make(map[*buffer.Frame]*refSpatialAux)}}
+}
 
 func (p *refSpatial) Name() string { return p.crit.String() }
 
 func (p *refSpatial) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	f.SetAux(&refSpatialAux{crit: p.crit.Value(f.Meta), use: now})
+	p.h.aux[f] = &refSpatialAux{crit: p.crit.Value(f.Meta), use: now}
 	heap.Push(&p.h, f)
 }
 
 func (p *refSpatial) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	aux := f.Aux().(*refSpatialAux)
+	aux := p.h.aux[f]
 	aux.use = now
 	heap.Fix(&p.h, aux.idx)
 }
@@ -272,7 +298,7 @@ func (p *refSpatial) Victim(ctx buffer.AccessContext) buffer.Choice {
 	for p.h.Len() > 0 {
 		f := p.h.frames[0]
 		if !f.Pinned() {
-			victim.Frame, victim.Win = f, f.Aux().(*refSpatialAux).crit
+			victim.Frame, victim.Win = f, p.h.aux[f].crit
 			break
 		}
 		parked = append(parked, heap.Pop(&p.h).(*buffer.Frame))
@@ -284,17 +310,20 @@ func (p *refSpatial) Victim(ctx buffer.AccessContext) buffer.Choice {
 }
 
 func (p *refSpatial) OnEvict(f *buffer.Frame) {
-	aux := f.Aux().(*refSpatialAux)
+	aux := p.h.aux[f]
 	if aux.idx >= 0 {
 		heap.Remove(&p.h, aux.idx)
 	}
-	f.SetAux(nil)
+	delete(p.h.aux, f)
 }
 
-func (p *refSpatial) Reset() { p.h.frames = nil }
+func (p *refSpatial) Reset() {
+	p.h.frames = nil
+	clear(p.h.aux)
+}
 
 func (p *refSpatial) OnUpdate(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	aux := f.Aux().(*refSpatialAux)
+	aux := p.h.aux[f]
 	aux.crit = p.crit.Value(f.Meta)
 	aux.use = now
 	heap.Fix(&p.h, aux.idx)
@@ -302,13 +331,14 @@ func (p *refSpatial) OnUpdate(f *buffer.Frame, now uint64, ctx buffer.AccessCont
 
 type refSpatialHeap struct {
 	frames []*buffer.Frame
+	aux    map[*buffer.Frame]*refSpatialAux
 }
 
 func (h *refSpatialHeap) Len() int { return len(h.frames) }
 
 func (h *refSpatialHeap) Less(i, j int) bool {
-	a := h.frames[i].Aux().(*refSpatialAux)
-	b := h.frames[j].Aux().(*refSpatialAux)
+	a := h.aux[h.frames[i]]
+	b := h.aux[h.frames[j]]
 	if a.crit != b.crit {
 		return a.crit < b.crit
 	}
@@ -317,13 +347,13 @@ func (h *refSpatialHeap) Less(i, j int) bool {
 
 func (h *refSpatialHeap) Swap(i, j int) {
 	h.frames[i], h.frames[j] = h.frames[j], h.frames[i]
-	h.frames[i].Aux().(*refSpatialAux).idx = i
-	h.frames[j].Aux().(*refSpatialAux).idx = j
+	h.aux[h.frames[i]].idx = i
+	h.aux[h.frames[j]].idx = j
 }
 
 func (h *refSpatialHeap) Push(x any) {
 	f := x.(*buffer.Frame)
-	f.Aux().(*refSpatialAux).idx = len(h.frames)
+	h.aux[f].idx = len(h.frames)
 	h.frames = append(h.frames, f)
 }
 
@@ -332,7 +362,7 @@ func (h *refSpatialHeap) Pop() any {
 	f := h.frames[n-1]
 	h.frames[n-1] = nil
 	h.frames = h.frames[:n-1]
-	f.Aux().(*refSpatialAux).idx = -1
+	h.aux[f].idx = -1
 	return f
 }
 
@@ -342,6 +372,7 @@ type refSLRU struct {
 	crit     page.Criterion
 	candSize int
 	order    *list.List
+	aux      map[*buffer.Frame]*refSLRUAux
 }
 
 type refSLRUAux struct {
@@ -350,17 +381,18 @@ type refSLRUAux struct {
 }
 
 func newRefSLRU(crit page.Criterion, candSize int) *refSLRU {
-	return &refSLRU{crit: crit, candSize: candSize, order: list.New()}
+	return &refSLRU{crit: crit, candSize: candSize, order: list.New(),
+		aux: make(map[*buffer.Frame]*refSLRUAux)}
 }
 
 func (p *refSLRU) Name() string { return "SLRU" }
 
 func (p *refSLRU) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	f.SetAux(&refSLRUAux{elem: p.order.PushFront(f), crit: p.crit.Value(f.Meta)})
+	p.aux[f] = &refSLRUAux{elem: p.order.PushFront(f), crit: p.crit.Value(f.Meta)}
 }
 
 func (p *refSLRU) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	p.order.MoveToFront(f.Aux().(*refSLRUAux).elem)
+	p.order.MoveToFront(p.aux[f].elem)
 }
 
 func (p *refSLRU) Victim(ctx buffer.AccessContext) buffer.Choice {
@@ -370,7 +402,7 @@ func (p *refSLRU) Victim(ctx buffer.AccessContext) buffer.Choice {
 		f := e.Value.(*buffer.Frame)
 		seen++
 		if !f.Pinned() {
-			c := f.Aux().(*refSLRUAux).crit
+			c := p.aux[f].crit
 			if best.Frame == nil || c < best.Win {
 				best.Frame, best.Win, best.Rank = f, c, seen-1
 			}
@@ -383,14 +415,17 @@ func (p *refSLRU) Victim(ctx buffer.AccessContext) buffer.Choice {
 }
 
 func (p *refSLRU) OnEvict(f *buffer.Frame) {
-	p.order.Remove(f.Aux().(*refSLRUAux).elem)
-	f.SetAux(nil)
+	p.order.Remove(p.aux[f].elem)
+	delete(p.aux, f)
 }
 
-func (p *refSLRU) Reset() { p.order.Init() }
+func (p *refSLRU) Reset() {
+	p.order.Init()
+	clear(p.aux)
+}
 
 func (p *refSLRU) OnUpdate(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	aux := f.Aux().(*refSLRUAux)
+	aux := p.aux[f]
 	aux.crit = p.crit.Value(f.Meta)
 	p.order.MoveToFront(aux.elem)
 }
@@ -405,6 +440,7 @@ type refASB struct {
 	cand     int
 	main     *list.List
 	over     *list.List
+	aux      map[*buffer.Frame]*refASBAux
 }
 
 type refASBAux struct {
@@ -441,6 +477,7 @@ func newRefASB(capacity int) *refASB {
 		step:     refClamp(int(0.01*float64(mainCap)+0.5), 1, mainCap),
 		main:     list.New(),
 		over:     list.New(),
+		aux:      make(map[*buffer.Frame]*refASBAux),
 	}
 	a.cand = a.initCand
 	return a
@@ -450,13 +487,13 @@ func (p *refASB) Name() string { return "ASB" }
 
 func (p *refASB) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 	aux := &refASBAux{crit: p.crit.Value(f.Meta)}
-	f.SetAux(aux)
+	p.aux[f] = aux
 	aux.elem = p.main.PushFront(f)
 	p.rebalance()
 }
 
 func (p *refASB) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	aux := f.Aux().(*refASBAux)
+	aux := p.aux[f]
 	if !aux.inOver {
 		p.main.MoveToFront(aux.elem)
 		return
@@ -475,7 +512,7 @@ func (p *refASB) adapt(f *buffer.Frame, aux *refASBAux) {
 		if q == f {
 			continue
 		}
-		if q.Aux().(*refASBAux).crit > aux.crit {
+		if p.aux[q].crit > aux.crit {
 			betterSpatial++
 		}
 		if q.LastUse > f.LastUse {
@@ -500,7 +537,7 @@ func (p *refASB) rebalance() {
 		if v == nil {
 			return
 		}
-		aux := v.Aux().(*refASBAux)
+		aux := p.aux[v]
 		p.main.Remove(aux.elem)
 		aux.inOver = true
 		aux.elem = p.over.PushBack(v)
@@ -516,7 +553,7 @@ func (p *refASB) mainVictim() (*buffer.Frame, int) {
 		f := e.Value.(*buffer.Frame)
 		seen++
 		if !f.Pinned() {
-			c := f.Aux().(*refASBAux).crit
+			c := p.aux[f].crit
 			if best == nil || c < bestCrit {
 				best, bestCrit, bestRank = f, c, seen-1
 			}
@@ -542,29 +579,30 @@ func (p *refASB) Victim(ctx buffer.AccessContext) buffer.Choice {
 		c.Frame, c.Rank = p.mainVictim()
 	}
 	if c.Frame != nil {
-		c.Win = c.Frame.Aux().(*refASBAux).crit
+		c.Win = p.aux[c.Frame].crit
 	}
 	return c
 }
 
 func (p *refASB) OnEvict(f *buffer.Frame) {
-	aux := f.Aux().(*refASBAux)
+	aux := p.aux[f]
 	if aux.inOver {
 		p.over.Remove(aux.elem)
 	} else {
 		p.main.Remove(aux.elem)
 	}
-	f.SetAux(nil)
+	delete(p.aux, f)
 }
 
 func (p *refASB) Reset() {
 	p.main.Init()
 	p.over.Init()
 	p.cand = p.initCand
+	clear(p.aux)
 }
 
 func (p *refASB) OnUpdate(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	aux := f.Aux().(*refASBAux)
+	aux := p.aux[f]
 	aux.crit = p.crit.Value(f.Meta)
 	if !aux.inOver {
 		p.main.MoveToFront(aux.elem)
@@ -581,6 +619,7 @@ func (p *refASB) OnUpdate(f *buffer.Frame, now uint64, ctx buffer.AccessContext)
 type refClock struct {
 	hand *ring.Ring
 	size int
+	aux  map[*buffer.Frame]*refClockAux
 }
 
 type refClockAux struct {
@@ -588,14 +627,14 @@ type refClockAux struct {
 	ref  bool
 }
 
-func newRefClock() *refClock { return &refClock{} }
+func newRefClock() *refClock { return &refClock{aux: make(map[*buffer.Frame]*refClockAux)} }
 
 func (p *refClock) Name() string { return "CLOCK" }
 
 func (p *refClock) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 	n := ring.New(1)
 	n.Value = f
-	f.SetAux(&refClockAux{node: n})
+	p.aux[f] = &refClockAux{node: n}
 	if p.hand == nil {
 		p.hand = n
 	} else {
@@ -605,7 +644,7 @@ func (p *refClock) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessContext
 }
 
 func (p *refClock) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	f.Aux().(*refClockAux).ref = true
+	p.aux[f].ref = true
 }
 
 func (p *refClock) Victim(ctx buffer.AccessContext) buffer.Choice {
@@ -614,7 +653,7 @@ func (p *refClock) Victim(ctx buffer.AccessContext) buffer.Choice {
 	}
 	for i := 0; i < 2*p.size; i++ {
 		f := p.hand.Value.(*buffer.Frame)
-		aux := f.Aux().(*refClockAux)
+		aux := p.aux[f]
 		if !f.Pinned() && !aux.ref {
 			return buffer.Choice{Frame: f, Reason: obs.ReasonClock, Rank: -1}
 		}
@@ -627,7 +666,7 @@ func (p *refClock) Victim(ctx buffer.AccessContext) buffer.Choice {
 }
 
 func (p *refClock) OnEvict(f *buffer.Frame) {
-	aux := f.Aux().(*refClockAux)
+	aux := p.aux[f]
 	if p.size == 1 {
 		p.hand = nil
 	} else {
@@ -637,12 +676,13 @@ func (p *refClock) OnEvict(f *buffer.Frame) {
 		aux.node.Prev().Unlink(1)
 	}
 	p.size--
-	f.SetAux(nil)
+	delete(p.aux, f)
 }
 
 func (p *refClock) Reset() {
 	p.hand = nil
 	p.size = 0
+	clear(p.aux)
 }
 
 // ---------------------------------------------------------------- PIN --

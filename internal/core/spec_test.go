@@ -46,8 +46,8 @@ func TestParseSpec(t *testing.T) {
 		if f.Name != "LRU-K:4" {
 			t.Fatalf("spec name = %q", f.Name)
 		}
-		if k := f.New(64).(*core.LRUK).K(); k != 4 {
-			t.Fatalf("K = %d, want 4", k)
+		if name := f.New(64).Name(); name != "LRU-4" {
+			t.Fatalf("built policy is %s, want LRU-4", name)
 		}
 	})
 	t.Run("SLRU fraction", func(t *testing.T) {

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -85,10 +86,16 @@ func atoiSafe(s string) (int, error) {
 	return v, err
 }
 
-// gainTable runs a sweep and renders one gain-vs-LRU table per
-// (db, frac) with rows = sets and cols = policies.
-func gainTable(db *Database, id, title string, sets, policies []string, frac float64, seed int64) (*Table, error) {
-	factories, err := factoriesByName(append([]string{"LRU"}, policies...)...)
+// GainTable runs a sweep and renders one gain-vs-LRU table per
+// (db, frac) with rows = sets and cols = policies; LRU is swept as the
+// baseline whether or not it is one of the columns. The figures and
+// spatialbench's ad-hoc sweeps are built from it.
+func GainTable(db *Database, id, title string, sets, policies []string, frac float64, seed int64) (*Table, error) {
+	swept := policies
+	if !slices.Contains(policies, "LRU") {
+		swept = append([]string{"LRU"}, policies...)
+	}
+	factories, err := factoriesByName(swept...)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +178,7 @@ func Fig5(opts Options, seed int64) ([]*Table, error) {
 	policies := []string{"LRU-2", "LRU-3", "LRU-5"}
 	var tables []*Table
 	for _, frac := range []float64{0.006, 0.047} {
-		t, err := gainTable(db,
+		t, err := GainTable(db,
 			fmt.Sprintf("fig5-%s", fracLabel(frac)),
 			fmt.Sprintf("LRU-K vs LRU, DB1, buffer %s", fracLabel(frac)),
 			RepresentativeSets, policies, frac, seed)
@@ -232,7 +239,7 @@ func comparisonFigure(figID string, sets []string, opts Options, seed int64) ([]
 			return nil, err
 		}
 		for _, frac := range []float64{0.006, 0.047} {
-			t, err := gainTable(db,
+			t, err := GainTable(db,
 				fmt.Sprintf("%s-db%d-%s", figID, dbn, fracLabel(frac)),
 				fmt.Sprintf("LRU-P / A / LRU-2 vs LRU, %s, buffer %s", db.Name, fracLabel(frac)),
 				sets, policies, frac, seed)
@@ -270,7 +277,7 @@ func Fig12(opts Options, seed int64) ([]*Table, error) {
 	policies := []string{"A", "SLRU 50%", "SLRU 25%"}
 	var tables []*Table
 	for _, frac := range []float64{0.006, 0.047} {
-		t, err := gainTable(db,
+		t, err := GainTable(db,
 			fmt.Sprintf("fig12-%s", fracLabel(frac)),
 			fmt.Sprintf("static candidate sets, DB1, buffer %s", fracLabel(frac)),
 			RepresentativeSets, policies, frac, seed)
@@ -293,7 +300,7 @@ func Fig13(opts Options, seed int64) ([]*Table, error) {
 			return nil, err
 		}
 		for _, frac := range []float64{0.006, 0.047} {
-			t, err := gainTable(db,
+			t, err := GainTable(db,
 				fmt.Sprintf("fig13-db%d-%s", dbn, fracLabel(frac)),
 				fmt.Sprintf("A / SLRU / ASB / LRU-2 vs LRU, %s, buffer %s", db.Name, fracLabel(frac)),
 				RepresentativeSets, policies, frac, seed)
@@ -343,7 +350,7 @@ func FigLRUT(opts Options, seed int64) ([]*Table, error) {
 	policies := []string{"LRU-T", "LRU-P"}
 	var tables []*Table
 	for _, frac := range []float64{0.003, 0.047} {
-		t, err := gainTable(db,
+		t, err := GainTable(db,
 			fmt.Sprintf("lrut-%s", fracLabel(frac)),
 			fmt.Sprintf("LRU-T vs LRU-P, DB1, buffer %s", fracLabel(frac)),
 			RepresentativeSets, policies, frac, seed)

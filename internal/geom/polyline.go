@@ -1,7 +1,5 @@
 package geom
 
-import "math"
-
 // Polyline is an exact object representation: a connected sequence of
 // vertices. The paper's storage architecture (Brinkhoff et al., SSD 1993)
 // keeps such exact representations on separate object pages; queries
@@ -30,16 +28,6 @@ func (p Polyline) NumSegments() int {
 // Segment returns the endpoints of segment i.
 func (p Polyline) Segment(i int) (Point, Point) {
 	return p[i], p[i+1]
-}
-
-// Length returns the total Euclidean length.
-func (p Polyline) Length() float64 {
-	total := 0.0
-	for i := 0; i < p.NumSegments(); i++ {
-		a, b := p.Segment(i)
-		total += math.Hypot(b.X-a.X, b.Y-a.Y)
-	}
-	return total
 }
 
 // IntersectsRect reports whether any part of the polyline lies inside or
@@ -108,11 +96,4 @@ func segmentIntersectsRect(a, b Point, r Rect) bool {
 		return false
 	}
 	return t0 <= t1
-}
-
-// Clone returns a copy of the polyline.
-func (p Polyline) Clone() Polyline {
-	out := make(Polyline, len(p))
-	copy(out, p)
-	return out
 }

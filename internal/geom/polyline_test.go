@@ -22,18 +22,12 @@ func TestPolylineSegmentsAndLength(t *testing.T) {
 	if p.NumSegments() != 2 {
 		t.Errorf("NumSegments = %d", p.NumSegments())
 	}
-	if got := p.Length(); math.Abs(got-11) > 1e-12 {
-		t.Errorf("Length = %g, want 11", got)
-	}
 	a, b := p.Segment(1)
 	if a != (Point{X: 3, Y: 4}) || b != (Point{X: 3, Y: 10}) {
 		t.Errorf("Segment(1) = %v, %v", a, b)
 	}
 	if (Polyline{{X: 1, Y: 1}}).NumSegments() != 0 {
 		t.Error("single vertex has no segments")
-	}
-	if (Polyline{{X: 1, Y: 1}}).Length() != 0 {
-		t.Error("single vertex has zero length")
 	}
 }
 
@@ -125,13 +119,4 @@ func segPointDist(a, b, q Point) float64 {
 		t = 1
 	}
 	return math.Hypot(q.X-(a.X+t*dx), q.Y-(a.Y+t*dy))
-}
-
-func TestPolylineClone(t *testing.T) {
-	p := Polyline{{X: 1, Y: 1}, {X: 2, Y: 2}}
-	c := p.Clone()
-	c[0].X = 99
-	if p[0].X != 1 {
-		t.Error("clone mutation leaked")
-	}
 }

@@ -19,7 +19,6 @@ package objstore
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/buffer"
 	"repro/internal/geom"
@@ -192,15 +191,4 @@ func (s *Store) Refine(rd rtree.Reader, ctx buffer.AccessContext, objID uint64, 
 		return shape.IntersectsRect(window), nil
 	}
 	return true, nil
-}
-
-// SortedObjectIDs returns all stored object IDs in ascending order (for
-// tests and tools).
-func (s *Store) SortedObjectIDs() []uint64 {
-	ids := make([]uint64, 0, len(s.locs))
-	for id := range s.locs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }

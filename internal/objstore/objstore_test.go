@@ -95,12 +95,13 @@ func TestFetchUnknownObject(t *testing.T) {
 
 func TestObjectPagesHaveObjectType(t *testing.T) {
 	pages := storage.NewMemStore()
-	st, err := Build(pages, toExact(buildObjects(t, 200)), 10)
+	objs := toExact(buildObjects(t, 200))
+	st, err := Build(pages, objs, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, objID := range st.SortedObjectIDs() {
-		for _, pid := range st.Pages(objID) {
+	for _, obj := range objs {
+		for _, pid := range st.Pages(obj.ID) {
 			p, err := pages.Read(pid)
 			if err != nil {
 				t.Fatal(err)

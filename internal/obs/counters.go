@@ -159,21 +159,6 @@ func (e EvictionsByReason) MarshalJSON() ([]byte, error) {
 	return append(buf, '}'), nil
 }
 
-// UnmarshalJSON reverses MarshalJSON so snapshots round-trip through
-// JSON (e.g. a /vars consumer decoding into Snapshot). Unknown reasons
-// land in the "other" slot.
-func (e *EvictionsByReason) UnmarshalJSON(data []byte) error {
-	var m map[string]uint64
-	if err := json.Unmarshal(data, &m); err != nil {
-		return err
-	}
-	*e = EvictionsByReason{}
-	for reason, count := range m {
-		e[reasonSlot(reason)] += count
-	}
-	return nil
-}
-
 // Snapshot is a point-in-time copy of the counters, JSON-marshalable in
 // the expvar style. It stays a comparable value type.
 type Snapshot struct {

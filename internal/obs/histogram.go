@@ -110,17 +110,6 @@ type HistSnapshot struct {
 	counts [histBuckets]uint64
 }
 
-// Merge returns the element-wise sum of two snapshots.
-func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
-	out := s
-	out.Count += o.Count
-	out.Sum += o.Sum
-	for i, c := range o.counts {
-		out.counts[i] += c
-	}
-	return out
-}
-
 // Mean returns the mean recorded value, or 0 for an empty snapshot.
 func (s HistSnapshot) Mean() float64 {
 	if s.Count == 0 {

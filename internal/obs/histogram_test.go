@@ -87,23 +87,8 @@ func TestHistogramEmptyAndNegative(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	for v := int64(0); v < 100; v++ {
-		a.Observe(v)
-		b.Observe(v + 100)
-	}
-	m := a.Snapshot().Merge(b.Snapshot())
-	if m.Count != 200 {
-		t.Fatalf("merged count = %d", m.Count)
-	}
-	if q := m.Quantile(0.5); q < 80 || q > 120 {
-		t.Errorf("merged median = %f, want ≈100", q)
-	}
-}
-
 // TestHistogramObserveN: a weighted observation is indistinguishable from
-// that many single ones — count, sum, bucket, merge and quantiles.
+// that many single ones — count, sum, bucket and quantiles.
 func TestHistogramObserveN(t *testing.T) {
 	var weighted, single Histogram
 	for _, o := range []struct {
@@ -134,11 +119,6 @@ func TestHistogramObserveN(t *testing.T) {
 	}
 	if got := w.Quantile(0.99); got < 80000 {
 		t.Errorf("q0.99 = %.0f, want the 90000 tail", got)
-	}
-	var other Histogram
-	other.ObserveN(100, 6)
-	if m := w.Merge(other.Snapshot()); m.Count != 140 || m.Sum != w.Sum+600 || m.CountAtMost(112) != 136 {
-		t.Errorf("merged count/sum/≤112 = %d/%d/%d, want 140/%d/136", m.Count, m.Sum, m.CountAtMost(112), w.Sum+600)
 	}
 }
 

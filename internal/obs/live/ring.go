@@ -30,7 +30,6 @@ const (
 	kindEviction
 	kindPromotion
 	kindAdapt
-	numKinds
 )
 
 const (
@@ -97,7 +96,6 @@ type AsyncSink struct {
 
 	delivered atomic.Uint64
 	dropped   atomic.Uint64
-	byKind    [numKinds]atomic.Uint64
 
 	// dropHook, when set, is invoked with 1 for every dropped event —
 	// typically obs.(*Counters).AddDropped, so the drop count appears in
@@ -201,7 +199,6 @@ func (s *AsyncSink) put(r *record) {
 	if sl == nil {
 		s.mu.Unlock()
 		s.dropped.Add(1)
-		s.byKind[r.kind].Add(1)
 		if s.dropHook != nil {
 			s.dropHook(1)
 		}
@@ -242,10 +239,6 @@ func (s *AsyncSink) Delivered() uint64 { return s.delivered.Load() }
 // Dropped returns how many events were discarded because no slab was
 // free (or the sink closed).
 func (s *AsyncSink) Dropped() uint64 { return s.dropped.Load() }
-
-// DroppedRequests returns the Request-event share of Dropped — the count
-// that matters for interpreting sampled capture files.
-func (s *AsyncSink) DroppedRequests() uint64 { return s.byKind[kindRequest].Load() }
 
 // Depth returns the number of events accepted and not yet delivered —
 // the instantaneous backlog. A depth pinned near Capacity means the

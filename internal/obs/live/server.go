@@ -443,11 +443,13 @@ func (s *Service) handleCTraj(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
+	// Subscribed before the headers go out: a client that has seen the
+	// response misses no event emitted afterwards.
+	ch, cancel := s.Traj.Subscribe(256)
+	defer cancel()
 	fmt.Fprintf(w, "retry: 2000\n\n")
 	fl.Flush()
 
-	ch, cancel := s.Traj.Subscribe(256)
-	defer cancel()
 	for {
 		select {
 		case sample, ok := <-ch:

@@ -79,11 +79,3 @@ func (b *Broadcaster) Subscribe(buf int) (<-chan CTrajSample, func()) {
 		b.mu.Unlock()
 	}
 }
-
-// Subscribers returns the current subscriber count (for tests and the
-// dashboard).
-func (b *Broadcaster) Subscribers() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.subs)
-}

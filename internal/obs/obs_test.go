@@ -167,7 +167,7 @@ func TestTrajectoryRecorderAndCSVRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := r.WriteCSV(&buf); err != nil {
+	if err := WriteTrajectoryCSV(&buf, r.Ref, r.Cand); err != nil {
 		t.Fatal(err)
 	}
 	refs, cands, err := ReadTrajectoryCSV(&buf)

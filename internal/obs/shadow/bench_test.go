@@ -72,7 +72,7 @@ func benchPool(tb testing.TB, withBank bool) (pool *buffer.AsyncPool, cleanup fu
 	if err != nil {
 		tb.Fatal(err)
 	}
-	pool = buffer.Async(router, buffer.AsyncConfig{})
+	pool = buffer.Async(router, 0, 0)
 	if !withBank {
 		return pool, func() { pool.Close() }
 	}

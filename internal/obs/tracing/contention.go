@@ -65,13 +65,3 @@ func (c *Contention) WaitNanos(shard int) int64 { return c.shards[shard].waitNs.
 // Acquisitions returns the number of completed lock acquisitions of the
 // shard.
 func (c *Contention) Acquisitions(shard int) uint64 { return c.shards[shard].acquired.Load() }
-
-// TotalWaitNanos returns the cumulative lock-wait time summed over all
-// shards.
-func (c *Contention) TotalWaitNanos() int64 {
-	var n int64
-	for i := range c.shards {
-		n += c.shards[i].waitNs.Load()
-	}
-	return n
-}

@@ -252,8 +252,8 @@ func TestContention(t *testing.T) {
 	}
 	c.BeginWait(0)
 	c.EndWait(0, 50)
-	if c.TotalWaitNanos() != 800 {
-		t.Fatalf("TotalWaitNanos = %d, want 800", c.TotalWaitNanos())
+	if c.WaitNanos(0) != 50 || c.WaitNanos(1) != 750 {
+		t.Fatalf("WaitNanos = %d/%d, want 50/750", c.WaitNanos(0), c.WaitNanos(1))
 	}
 	// An acquisition that found the lock free counts, and nothing else.
 	c.Uncontended(1)
@@ -279,17 +279,19 @@ func TestContentionConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	var total uint64
+	var waited int64
 	for s := 0; s < 4; s++ {
 		if c.Waiters(s) != 0 {
 			t.Fatalf("shard %d has %d leftover waiters", s, c.Waiters(s))
 		}
 		total += c.Acquisitions(s)
+		waited += c.WaitNanos(s)
 	}
 	if total != 8000 {
 		t.Fatalf("acquisitions %d, want 8000", total)
 	}
-	if c.TotalWaitNanos() != 8000 {
-		t.Fatalf("TotalWaitNanos = %d, want 8000", c.TotalWaitNanos())
+	if waited != 8000 {
+		t.Fatalf("summed WaitNanos = %d, want 8000", waited)
 	}
 }
 

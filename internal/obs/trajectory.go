@@ -44,11 +44,6 @@ func (r *TrajectoryRecorder) Refs() int { return r.refs }
 // Len returns the number of recorded samples.
 func (r *TrajectoryRecorder) Len() int { return len(r.Ref) }
 
-// WriteCSV writes the recorded series in the c-trajectory CSV format.
-func (r *TrajectoryRecorder) WriteCSV(w io.Writer) error {
-	return WriteTrajectoryCSV(w, r.Ref, r.Cand)
-}
-
 // WriteTrajectoryCSV writes a candidate-set trajectory as CSV with the
 // header "ref,candidate" — the interchange format between spatialbench
 // (producer) and asbviz (consumer).

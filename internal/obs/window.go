@@ -42,15 +42,6 @@ func (w WindowStats) HitRatio() float64 {
 	return float64(w.Hits) / float64(w.Requests)
 }
 
-// MeanLatencyNanos returns the mean recorded latency, or 0 without
-// samples.
-func (w WindowStats) MeanLatencyNanos() float64 {
-	if w.LatencySamples == 0 {
-		return 0
-	}
-	return float64(w.LatencyNanos) / float64(w.LatencySamples)
-}
-
 // NewWindowTracker returns a tracker aggregating perWindow requests per
 // window and retaining the keep most recent completed windows. Both must
 // be ≥ 1.
@@ -91,10 +82,6 @@ func (t *WindowTracker) close() {
 	t.completed++
 	t.cur = WindowStats{}
 }
-
-// Completed returns how many windows have been closed since creation
-// (including windows already overwritten in the ring).
-func (t *WindowTracker) Completed() uint64 { return t.completed }
 
 // WindowSize returns the number of requests per window.
 func (t *WindowTracker) WindowSize() int { return int(t.perWindow) }

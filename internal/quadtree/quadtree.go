@@ -67,9 +67,6 @@ func New(store storage.Store, space geom.Rect, params Params) (*Tree, error) {
 	return &Tree{store: store, params: params, space: space, root: rootID}, nil
 }
 
-// Root returns the root page ID.
-func (t *Tree) Root() page.ID { return t.root }
-
 // NumObjects returns the number of stored objects.
 func (t *Tree) NumObjects() int { return t.count }
 

@@ -27,11 +27,6 @@ type Query struct {
 	Rect geom.Rect
 }
 
-// IsPoint reports whether the query region is degenerate.
-func (q Query) IsPoint() bool {
-	return q.Rect.Width() == 0 && q.Rect.Height() == 0
-}
-
 // Set is a named sequence of queries.
 type Set struct {
 	Name    string
@@ -234,7 +229,3 @@ func Concat(name string, sets ...Set) Set {
 	}
 	return out
 }
-
-// Extensions are the reciprocal window extensions used in the paper's
-// experiments.
-var Extensions = []int{33, 100, 333, 1000}

@@ -35,7 +35,7 @@ func checkSet(t *testing.T, s Set, wantName string, n int, wantPoints bool) {
 		if q.Rect.IsEmpty() {
 			t.Fatalf("%s: query %d empty", s.Name, i)
 		}
-		if wantPoints && !q.IsPoint() {
+		if wantPoints && (q.Rect.Width() != 0 || q.Rect.Height() != 0) {
 			t.Fatalf("%s: query %d should be a point, got %v", s.Name, i, q.Rect)
 		}
 	}
@@ -59,7 +59,7 @@ func TestUniform(t *testing.T) {
 }
 
 func TestUniformWindows(t *testing.T) {
-	for _, ex := range Extensions {
+	for _, ex := range []int{33, 100, 333, 1000} {
 		s := UniformWindows(space, 100, ex, 2)
 		wantName := map[int]string{33: "U-W-33", 100: "U-W-100", 333: "U-W-333", 1000: "U-W-1000"}[ex]
 		checkSet(t, s, wantName, 100, false)
@@ -188,14 +188,5 @@ func TestConcat(t *testing.T) {
 	// Rects preserved in order.
 	if c.Queries[0].Rect != a.Queries[0].Rect || c.Queries[50].Rect != b.Queries[0].Rect {
 		t.Error("concat did not preserve query order")
-	}
-}
-
-func TestIsPoint(t *testing.T) {
-	if !(Query{Rect: geom.RectFromPoint(geom.Point{X: 1, Y: 2})}).IsPoint() {
-		t.Error("point rect should be a point query")
-	}
-	if (Query{Rect: geom.NewRect(0, 0, 1, 1)}).IsPoint() {
-		t.Error("window should not be a point query")
 	}
 }

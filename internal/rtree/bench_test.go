@@ -75,23 +75,9 @@ func BenchmarkPointQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
-		err := tr.PointQuery(rd, buffer.AccessContext{QueryID: uint64(i)}, p,
+		err := tr.Search(rd, buffer.AccessContext{QueryID: uint64(i)}, geom.RectFromPoint(p),
 			func(page.Entry) bool { return true })
 		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkNearestNeighbors measures 10-NN queries.
-func BenchmarkNearestNeighbors(b *testing.B) {
-	tr, _ := benchTree(b, 50_000)
-	rd := StoreReader{Store: tr.Store()}
-	rng := rand.New(rand.NewSource(5))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
-		if _, err := tr.NearestNeighbors(rd, buffer.AccessContext{QueryID: uint64(i)}, 10, p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/buffer"
-	"repro/internal/geom"
 	"repro/internal/page"
 )
 
@@ -74,23 +73,4 @@ func Join(left, right *Tree, rdL, rdR Reader, ctx buffer.AccessContext, fn JoinV
 		}
 	}
 	return nil
-}
-
-// SelfJoinWindow is a convenience for the examples: it joins the objects
-// of a tree against a query window list, returning the total number of
-// intersections found. It demonstrates batched window execution under a
-// shared buffer.
-func SelfJoinWindow(t *Tree, rd Reader, windows []geom.Rect, startQuery uint64) (int, error) {
-	total := 0
-	for i, w := range windows {
-		ctx := buffer.AccessContext{QueryID: startQuery + uint64(i)}
-		err := t.Search(rd, ctx, w, func(page.Entry) bool {
-			total++
-			return true
-		})
-		if err != nil {
-			return 0, err
-		}
-	}
-	return total, nil
 }

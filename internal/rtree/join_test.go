@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/buffer"
-	"repro/internal/geom"
 )
 
 func TestJoinMatchesBruteForce(t *testing.T) {
@@ -103,26 +102,5 @@ func TestJoinEarlyStop(t *testing.T) {
 	}
 	if count != 5 {
 		t.Errorf("early stop after %d pairs, want 5", count)
-	}
-}
-
-func TestSelfJoinWindow(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	objs := randObjs(rng, 400)
-	tr, _ := buildTree(t, objs)
-	windows := []geom.Rect{
-		geom.NewRect(0, 0, 500, 500),
-		geom.NewRect(500, 0, 1000, 500),
-	}
-	got, err := SelfJoinWindow(tr, StoreReader{Store: tr.Store()}, windows, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0
-	for _, w := range windows {
-		want += len(bruteSearch(objs, w))
-	}
-	if got != want {
-		t.Errorf("SelfJoinWindow = %d, want %d", got, want)
 	}
 }

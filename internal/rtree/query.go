@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/buffer"
@@ -38,27 +37,9 @@ type Visit func(e page.Entry) bool
 
 // Search reports all data entries whose MBR intersects query, reading
 // pages through rd under the given access context. This is the window
-// query of the paper's experiments.
+// query of the paper's experiments (a point query is a degenerate
+// window); the traversal is depth-first.
 func (t *Tree) Search(rd Reader, ctx buffer.AccessContext, query geom.Rect, fn Visit) error {
-	return t.search(rd, ctx, query, geom.Rect.Intersects, fn)
-}
-
-// SearchContained reports all data entries whose MBR lies completely
-// inside query.
-func (t *Tree) SearchContained(rd Reader, ctx buffer.AccessContext, query geom.Rect, fn Visit) error {
-	return t.search(rd, ctx, query, func(q, e geom.Rect) bool { return q.Contains(e) }, fn)
-}
-
-// PointQuery reports all data entries whose MBR contains the point.
-func (t *Tree) PointQuery(rd Reader, ctx buffer.AccessContext, pt geom.Point, fn Visit) error {
-	return t.Search(rd, ctx, geom.RectFromPoint(pt), fn)
-}
-
-// search runs a depth-first window query; leafPred decides whether a data
-// entry matches (directory descent always uses intersection).
-func (t *Tree) search(rd Reader, ctx buffer.AccessContext, query geom.Rect,
-	leafPred func(q, e geom.Rect) bool, fn Visit) error {
-
 	stack := []page.ID{t.root}
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
@@ -69,10 +50,8 @@ func (t *Tree) search(rd Reader, ctx buffer.AccessContext, query geom.Rect,
 		}
 		if node.Level == 0 {
 			for _, e := range node.Entries {
-				if leafPred(query, e.MBR) {
-					if !fn(e) {
-						return nil
-					}
+				if query.Intersects(e.MBR) && !fn(e) {
+					return nil
 				}
 			}
 			continue
@@ -84,67 +63,4 @@ func (t *Tree) search(rd Reader, ctx buffer.AccessContext, query geom.Rect,
 		}
 	}
 	return nil
-}
-
-// Neighbor is one result of a nearest-neighbour query.
-type Neighbor struct {
-	Entry page.Entry
-	Dist  float64 // MinDist from the query point to the entry MBR
-}
-
-// NearestNeighbors returns the k data entries closest to pt (by MBR
-// MinDist), nearest first, using best-first traversal with a priority
-// queue (Hjaltason & Samet). Fewer than k results are returned if the tree
-// is smaller than k.
-func (t *Tree) NearestNeighbors(rd Reader, ctx buffer.AccessContext, k int, pt geom.Point) ([]Neighbor, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	pq := &nnQueue{}
-	heap.Push(pq, nnItem{dist: 0, pageID: t.root, isPage: true})
-	var out []Neighbor
-	for pq.Len() > 0 && len(out) < k {
-		item := heap.Pop(pq).(nnItem)
-		if !item.isPage {
-			out = append(out, Neighbor{Entry: item.entry, Dist: item.dist})
-			continue
-		}
-		node, err := rd.Get(item.pageID, ctx)
-		if err != nil {
-			return nil, fmt.Errorf("rtree: nearest neighbors: %w", err)
-		}
-		for _, e := range node.Entries {
-			child := nnItem{dist: e.MBR.MinDist(pt), entry: e}
-			if node.Level > 0 {
-				child.isPage = true
-				child.pageID = e.Child
-			}
-			heap.Push(pq, child)
-		}
-	}
-	return out, nil
-}
-
-// nnItem is a priority-queue element: either a page to expand or a data
-// entry candidate.
-type nnItem struct {
-	dist   float64
-	isPage bool
-	pageID page.ID
-	entry  page.Entry
-}
-
-// nnQueue is a min-heap of nnItems by distance.
-type nnQueue []nnItem
-
-func (q nnQueue) Len() int           { return len(q) }
-func (q nnQueue) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q nnQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *nnQueue) Push(x any)        { *q = append(*q, x.(nnItem)) }
-func (q *nnQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
 }

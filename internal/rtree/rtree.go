@@ -1,8 +1,8 @@
 // Package rtree implements the R*-tree of Beckmann, Kriegel, Schneider and
 // Seeger (SIGMOD 1990): the spatial access method used by the paper's
 // experiments. It provides dynamic insertion with forced reinsertion and
-// the R* split, deletion with tree condensation, and window, point,
-// containment and nearest-neighbour queries.
+// the R* split, deletion with tree condensation, window queries (a point
+// query is a degenerate window) and a synchronized-traversal join.
 //
 // Tree nodes are the pages of package page, persisted through a
 // storage.Store. Construction goes directly to the store; queries read
@@ -112,9 +112,6 @@ func New(store storage.Store, params Params) (*Tree, error) {
 	t.root = rootID
 	return t, nil
 }
-
-// Root returns the root page ID.
-func (t *Tree) Root() page.ID { return t.root }
 
 // Height returns the number of levels (1 = root is a leaf).
 func (t *Tree) Height() int { return t.height }

@@ -223,43 +223,10 @@ func TestPointQueryMatchesBruteForce(t *testing.T) {
 	tr, _ := buildTree(t, objs)
 	for trial := 0; trial < 200; trial++ {
 		pt := geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
-		var got []uint64
-		err := tr.PointQuery(StoreReader{Store: tr.Store()}, buffer.AccessContext{}, pt,
-			func(e page.Entry) bool { got = append(got, e.ObjID); return true })
-		if err != nil {
-			t.Fatal(err)
-		}
-		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+		got := searchIDs(t, tr, geom.RectFromPoint(pt))
 		want := bruteSearch(objs, geom.RectFromPoint(pt))
 		if !idsMatch(got, want) {
 			t.Fatalf("trial %d point %v: got %v, want %v", trial, pt, got, want)
-		}
-	}
-}
-
-func TestSearchContainedMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	objs := randObjs(rng, 600)
-	tr, _ := buildTree(t, objs)
-	for trial := 0; trial < 50; trial++ {
-		query := geom.RectFromCenter(
-			geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}, 150, 150)
-		var got []uint64
-		err := tr.SearchContained(StoreReader{Store: tr.Store()}, buffer.AccessContext{}, query,
-			func(e page.Entry) bool { got = append(got, e.ObjID); return true })
-		if err != nil {
-			t.Fatal(err)
-		}
-		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-		var want []uint64
-		for _, o := range objs {
-			if query.Contains(o.mbr) {
-				want = append(want, o.id)
-			}
-		}
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		if !idsMatch(got, want) {
-			t.Fatalf("trial %d: got %d, want %d", trial, len(got), len(want))
 		}
 	}
 }
@@ -280,41 +247,6 @@ func TestSearchEarlyStop(t *testing.T) {
 	}
 	if count != 10 {
 		t.Errorf("early stop visited %d entries, want 10", count)
-	}
-}
-
-func TestNearestNeighborsMatchBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	objs := randObjs(rng, 700)
-	tr, _ := buildTree(t, objs)
-	for trial := 0; trial < 40; trial++ {
-		pt := geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
-		k := rng.Intn(10) + 1
-		got, err := tr.NearestNeighbors(StoreReader{Store: tr.Store()}, buffer.AccessContext{}, k, pt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != k {
-			t.Fatalf("got %d neighbors, want %d", len(got), k)
-		}
-		// Distances must be sorted and match the brute-force k-th distance.
-		dists := make([]float64, len(objs))
-		for i, o := range objs {
-			dists[i] = o.mbr.MinDist(pt)
-		}
-		sort.Float64s(dists)
-		for i, nb := range got {
-			if i > 0 && nb.Dist < got[i-1].Dist {
-				t.Fatalf("neighbors not sorted by distance")
-			}
-			if math.Abs(nb.Dist-dists[i]) > 1e-9 {
-				t.Fatalf("neighbor %d dist %g, want %g", i, nb.Dist, dists[i])
-			}
-		}
-	}
-	// k ≤ 0 yields nothing.
-	if nn, err := tr.NearestNeighbors(StoreReader{Store: tr.Store()}, buffer.AccessContext{}, 0, geom.Point{}); err != nil || nn != nil {
-		t.Errorf("k=0: %v, %v", nn, err)
 	}
 }
 

@@ -35,11 +35,6 @@ type Stats struct {
 	Sequential uint64 // reads of the page following the previously read one
 }
 
-// Random returns the number of non-sequential reads.
-func (s Stats) Random() uint64 {
-	return s.Reads - s.Sequential
-}
-
 // Store is a page container with I/O accounting.
 //
 // Read returns the stored page. Callers must not mutate the returned page;

@@ -109,9 +109,6 @@ func New(store storage.Store, space geom.Rect, params Params) (*Tree, error) {
 	return &Tree{store: store, params: params, space: space, root: rootID, height: 1}, nil
 }
 
-// Root returns the root page ID.
-func (t *Tree) Root() page.ID { return t.root }
-
 // Height returns the number of levels.
 func (t *Tree) Height() int { return t.height }
 
