@@ -43,8 +43,8 @@ func EmptyRect() Rect {
 // order.
 func NewRect(x1, y1, x2, y2 float64) Rect {
 	return Rect{
-		MinX: math.Min(x1, x2), MinY: math.Min(y1, y2),
-		MaxX: math.Max(x1, x2), MaxY: math.Max(y1, y2),
+		MinX: min(x1, x2), MinY: min(y1, y2),
+		MaxX: max(x1, x2), MaxY: max(y1, y2),
 	}
 }
 
@@ -114,8 +114,8 @@ func (r Rect) Union(s Rect) Rect {
 		return r
 	}
 	return Rect{
-		MinX: math.Min(r.MinX, s.MinX), MinY: math.Min(r.MinY, s.MinY),
-		MaxX: math.Max(r.MaxX, s.MaxX), MaxY: math.Max(r.MaxY, s.MaxY),
+		MinX: min(r.MinX, s.MinX), MinY: min(r.MinY, s.MinY),
+		MaxX: max(r.MaxX, s.MaxX), MaxY: max(r.MaxY, s.MaxY),
 	}
 }
 
@@ -141,15 +141,18 @@ func (r Rect) Intersection(s Rect) Rect {
 		return EmptyRect()
 	}
 	return Rect{
-		MinX: math.Max(r.MinX, s.MinX), MinY: math.Max(r.MinY, s.MinY),
-		MaxX: math.Min(r.MaxX, s.MaxX), MaxY: math.Min(r.MaxY, s.MaxY),
+		MinX: max(r.MinX, s.MinX), MinY: max(r.MinY, s.MinY),
+		MaxX: min(r.MaxX, s.MaxX), MaxY: min(r.MaxY, s.MaxY),
 	}
 }
 
 // OverlapArea returns the area of the intersection of r and s; 0 if they
 // do not overlap (or touch only on a boundary).
 func (r Rect) OverlapArea(s Rect) float64 {
-	return r.Intersection(s).Area()
+	if !r.Intersects(s) {
+		return 0
+	}
+	return (min(r.MaxX, s.MaxX) - max(r.MinX, s.MinX)) * (min(r.MaxY, s.MaxY) - max(r.MinY, s.MinY))
 }
 
 // Contains reports whether s lies completely inside r. Every non-empty

@@ -367,3 +367,75 @@ func TestQuickMinDistZeroInside(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMinMaxBuiltinsBitIdentical pins NewRect, Union, Intersection and
+// OverlapArea, which use the min/max builtins, to the math.Min/math.Max
+// formulation they replaced: the same bits (sign of zero, NaN) for every
+// rectangle over the special values. The one place the two differ is kept
+// out of the table: math.Min(-Inf, NaN) is -Inf and math.Max(+Inf, NaN) is
+// +Inf, where the builtins return NaN — so infinities and NaN are
+// tabulated separately. No stored rectangle has a NaN (Valid rejects it).
+func TestMinMaxBuiltinsBitIdentical(t *testing.T) {
+	finite := []float64{-2, math.Copysign(0, -1), 0, 5e-324, 1}
+	var rects []Rect
+	for _, special := range [][]float64{{math.Inf(-1), math.Inf(1)}, {math.NaN()}} {
+		vals := append(special, finite...)
+		for _, a := range vals {
+			for _, b := range vals {
+				rects = append(rects, Rect{MinX: a, MinY: b, MaxX: b, MaxY: a}, Rect{MinX: a, MinY: a, MaxX: b, MaxY: b})
+			}
+		}
+	}
+	hasNaN := func(r Rect) bool { return r != r }
+	hasInf := func(r Rect) bool {
+		return math.IsInf(r.MinX, 0) || math.IsInf(r.MinY, 0) || math.IsInf(r.MaxX, 0) || math.IsInf(r.MaxY, 0)
+	}
+	// Every NaN counts as the same value: math.Min returns the canonical
+	// one, the builtin whichever its operand carried.
+	bit := func(v float64) uint64 {
+		if v != v {
+			v = math.NaN()
+		}
+		return math.Float64bits(v)
+	}
+	bits := func(r Rect) [4]uint64 { return [4]uint64{bit(r.MinX), bit(r.MinY), bit(r.MaxX), bit(r.MaxY)} }
+	for _, r := range rects {
+		want := Rect{
+			MinX: math.Min(r.MinX, r.MaxX), MinY: math.Min(r.MinY, r.MaxY),
+			MaxX: math.Max(r.MinX, r.MaxX), MaxY: math.Max(r.MinY, r.MaxY),
+		}
+		if got := NewRect(r.MinX, r.MinY, r.MaxX, r.MaxY); bits(got) != bits(want) {
+			t.Fatalf("NewRect(%v) = %v, math.Min/Max give %v", r, got, want)
+		}
+		for _, s := range rects {
+			if hasNaN(r) && hasInf(s) || hasInf(r) && hasNaN(s) {
+				continue
+			}
+			want := Rect{
+				MinX: math.Min(r.MinX, s.MinX), MinY: math.Min(r.MinY, s.MinY),
+				MaxX: math.Max(r.MaxX, s.MaxX), MaxY: math.Max(r.MaxY, s.MaxY),
+			}
+			if r.IsEmpty() {
+				want = s
+			} else if s.IsEmpty() {
+				want = r
+			}
+			if got := r.Union(s); bits(got) != bits(want) {
+				t.Fatalf("%#v.Union(%#v) = %#v, math.Min/Max give %#v", r, s, got, want)
+			}
+			want = EmptyRect()
+			if r.Intersects(s) {
+				want = Rect{
+					MinX: math.Max(r.MinX, s.MinX), MinY: math.Max(r.MinY, s.MinY),
+					MaxX: math.Min(r.MaxX, s.MaxX), MaxY: math.Min(r.MaxY, s.MaxY),
+				}
+			}
+			if got := r.Intersection(s); bits(got) != bits(want) {
+				t.Fatalf("%#v.Intersection(%#v) = %#v, math.Min/Max give %#v", r, s, got, want)
+			}
+			if got, want := r.OverlapArea(s), want.Area(); bit(got) != bit(want) {
+				t.Fatalf("%#v.OverlapArea(%#v) = %g, Intersection().Area() = %g", r, s, got, want)
+			}
+		}
+	}
+}

@@ -12,7 +12,7 @@ import (
 
 // benchTree builds a tree with the paper's fan-outs over n clustered
 // objects.
-func benchTree(b *testing.B, n int) (*Tree, []obj) {
+func benchTree(b testing.TB, n int) (*Tree, []obj) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
 	objs := randObjs(rng, n)
@@ -46,6 +46,38 @@ func BenchmarkInsert(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkChooseSubtree measures ChooseSubtree's overlap-enlargement
+// search on a full level-1 node (51 entries) of a built tree, for a point
+// and for a small window: supporting evidence for the end-to-end numbers
+// of ISSUE 22, not a claim of its own.
+func BenchmarkChooseSubtree(b *testing.B) {
+	tr, objs := benchTree(b, 50_000)
+	var node *page.Page
+	_ = tr.walk(tr.root, func(p *page.Page) error {
+		if p.Level == 1 && (node == nil || len(p.Entries) > len(node.Entries)) {
+			node = p
+		}
+		return nil
+	})
+	if len(node.Entries) != tr.params.MaxDirEntries {
+		b.Fatalf("fullest level-1 node has %d entries", len(node.Entries))
+	}
+	for _, bc := range []struct {
+		name string
+		ext  float64
+	}{{"point", 0}, {"window", 3}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c := objs[i%len(objs)].mbr.Center()
+				sinkIdx = chooseByOverlap(node, geom.RectFromCenter(c, bc.ext, bc.ext))
+			}
+		})
+	}
+}
+
+// sinkIdx keeps the benchmarked call alive.
+var sinkIdx int
 
 // BenchmarkWindowQuery measures unbuffered window queries on a 50k-object
 // tree.

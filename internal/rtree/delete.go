@@ -102,7 +102,6 @@ func (t *Tree) condense(path []pathStep) error {
 			// is removed and lower depths were already processed.
 			continue
 		}
-		node.RecomputeFast()
 		if err := t.write(node); err != nil {
 			return err
 		}
@@ -115,7 +114,7 @@ func (t *Tree) condense(path []pathStep) error {
 	// Reinsert orphaned entries at their original levels, deepest first.
 	for i := len(orphans) - 1; i >= 0; i-- {
 		for _, e := range orphans[i].entries {
-			t.reinsertDone = make(map[int]bool)
+			t.reinsertDone = 0
 			if err := t.insertEntry(e, orphans[i].level); err != nil {
 				return err
 			}

@@ -16,7 +16,7 @@ func (t *Tree) Insert(objID uint64, mbr geom.Rect) error {
 	if !mbr.Valid() {
 		return fmt.Errorf("rtree: insert object %d: invalid MBR %v", objID, mbr)
 	}
-	t.reinsertDone = make(map[int]bool)
+	t.reinsertDone = 0
 	if err := t.insertEntry(page.Entry{MBR: mbr, ObjID: objID}, 0); err != nil {
 		return err
 	}
@@ -55,7 +55,8 @@ func (t *Tree) choosePath(r geom.Rect, level int) ([]pathStep, error) {
 	if err != nil {
 		return nil, err
 	}
-	path := []pathStep{{node: node, parentIdx: -1}}
+	path := make([]pathStep, 1, t.height)
+	path[0] = pathStep{node: node, parentIdx: -1}
 	for node.Level > level {
 		idx := chooseSubtree(node, r)
 		child, err := t.read(node.Entries[idx].Child)
@@ -97,22 +98,40 @@ func chooseByArea(node *page.Page, r geom.Rect) int {
 	return best
 }
 
-// chooseByOverlap returns the entry with minimum overlap enlargement.
+// chooseByOverlap returns the entry with minimum overlap enlargement. It
+// makes exactly the choices of the textbook double loop (the oracle in
+// choose_test.go) but leaves out what cannot change them: terms that are
+// exactly zero, and candidates that can no longer win or tie. The terms
+// it keeps are added in the textbook's order, so ovl is the same float
+// (DESIGN.md §5a.4; approximate variants would change the tree's shape).
 func chooseByOverlap(node *page.Page, r geom.Rect) int {
+	entries := node.Entries
 	best := -1
 	var bestOvl, bestEnl, bestArea float64
-	for i := range node.Entries {
-		grown := node.Entries[i].MBR.Union(r)
+candidates:
+	for i := range entries {
+		e := entries[i].MBR
 		var ovl float64
-		for j := range node.Entries {
-			if j == i {
-				continue
+		// r inside e: the enlarged MBR is e and every term is x − x.
+		if !e.Contains(r) {
+			grown := e.Union(r)
+			for j := range entries {
+				m := entries[j].MBR
+				// m disjoint from grown is disjoint from e ⊆ grown: 0 − 0.
+				if j == i || !grown.Intersects(m) {
+					continue
+				}
+				ovl += grown.OverlapArea(m) - e.OverlapArea(m)
+				// e ⊆ grown and rounding is monotone, so no term is
+				// negative and partial sums never decrease: above the
+				// best complete sum, i can neither win nor tie.
+				if best >= 0 && ovl > bestOvl {
+					continue candidates
+				}
 			}
-			ovl += grown.OverlapArea(node.Entries[j].MBR) -
-				node.Entries[i].MBR.OverlapArea(node.Entries[j].MBR)
 		}
-		enl := node.Entries[i].MBR.Enlargement(r)
-		area := node.Entries[i].MBR.Area()
+		enl := e.Enlargement(r)
+		area := e.Area()
 		if best < 0 || ovl < bestOvl || (ovl == bestOvl && enl < bestEnl) ||
 			(ovl == bestOvl && enl == bestEnl && area < bestArea) {
 			best, bestOvl, bestEnl, bestArea = i, ovl, enl, area
@@ -146,8 +165,9 @@ func (t *Tree) writeAndAdjust(path []pathStep, depth int) error {
 // insertion (never for the root), a split otherwise.
 func (t *Tree) overflowTreatment(path []pathStep, depth int) error {
 	node := path[depth].node
-	if node.ID != t.root && !t.reinsertDone[node.Level] {
-		t.reinsertDone[node.Level] = true
+	bit := uint64(1) << node.Level
+	if node.ID != t.root && t.reinsertDone&bit == 0 {
+		t.reinsertDone |= bit
 		return t.reinsert(path, depth)
 	}
 	return t.split(path, depth)
@@ -170,6 +190,10 @@ func (t *Tree) reinsert(path []pathStep, depth int) error {
 		dx, dy := c.X-center.X, c.Y-center.Y
 		des[i] = distEntry{e: e, d: dx*dx + dy*dy}
 	}
+	// Not stable, on purpose left alone: which of two entries at equal
+	// distance goes first decides where they end up, so the permutation
+	// this sort happens to produce is part of the tree's shape (and of
+	// every figure). Another algorithm, even a stable one, would move them.
 	sort.Slice(des, func(i, j int) bool { return des[i].d > des[j].d })
 
 	p := int(t.params.ReinsertFrac * float64(len(des)))
@@ -228,6 +252,9 @@ func (t *Tree) split(path []pathStep, depth int) error {
 // growRoot replaces the root with a new directory node over the two split
 // halves.
 func (t *Tree) growRoot(left, right *page.Page) error {
+	if t.height >= maxHeight {
+		return fmt.Errorf("rtree: tree height limit %d reached", maxHeight)
+	}
 	rootID := t.io.Allocate()
 	root := page.New(rootID, page.TypeDirectory, left.Level+1, t.params.MaxDirEntries)
 	root.Entries = append(root.Entries,
@@ -257,8 +284,7 @@ func entryMBRs(entries []page.Entry) []geom.Rect {
 // between the groups, then their total area. Both groups have at least m
 // entries.
 func rstarSplit(entries []page.Entry, m int) (group1, group2 []page.Entry) {
-	axis := chooseSplitAxis(entries, m)
-	lower, upper := axisSortings(entries, axis)
+	lower, upper := chooseSplitAxis(entries, m)
 
 	var best []page.Entry
 	bestK := 0
@@ -281,10 +307,11 @@ func rstarSplit(entries []page.Entry, m int) (group1, group2 []page.Entry) {
 	return group1, group2
 }
 
-// chooseSplitAxis returns 0 (x) or 1 (y): the axis whose distributions
-// have the smaller total margin.
-func chooseSplitAxis(entries []page.Entry, m int) int {
-	bestAxis, bestMargin := 0, 0.0
+// chooseSplitAxis picks the axis (x, then y) whose distributions have the
+// smaller total margin and returns the entries sorted by lower and by
+// upper value along it.
+func chooseSplitAxis(entries []page.Entry, m int) (byLower, byUpper []page.Entry) {
+	bestMargin := 0.0
 	for axis := 0; axis < 2; axis++ {
 		lower, upper := axisSortings(entries, axis)
 		margin := 0.0
@@ -295,10 +322,10 @@ func chooseSplitAxis(entries []page.Entry, m int) int {
 			}
 		}
 		if axis == 0 || margin < bestMargin {
-			bestAxis, bestMargin = axis, margin
+			byLower, byUpper, bestMargin = lower, upper, margin
 		}
 	}
-	return bestAxis
+	return byLower, byUpper
 }
 
 // axisSortings returns the entries sorted by lower and by upper value

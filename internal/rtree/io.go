@@ -40,9 +40,9 @@ type bufferedIO struct {
 	ctx   buffer.AccessContext
 }
 
-func (b bufferedIO) Read(id page.ID) (*page.Page, error) { return b.pool.Get(id, b.ctx) }
-func (b bufferedIO) Write(p *page.Page) error            { return b.pool.Put(p, b.ctx) }
-func (b bufferedIO) Allocate() page.ID                   { return b.store.Allocate() }
+func (b *bufferedIO) Read(id page.ID) (*page.Page, error) { return b.pool.Get(id, b.ctx) }
+func (b *bufferedIO) Write(p *page.Page) error            { return b.pool.Put(p, b.ctx) }
+func (b *bufferedIO) Allocate() page.ID                   { return b.store.Allocate() }
 
 // UseBuffer routes all subsequent mutation I/O (Insert, Delete) through
 // the buffer pool under the given context; queries already take their
@@ -53,7 +53,7 @@ func (t *Tree) UseBuffer(pool buffer.Pool, ctx buffer.AccessContext) error {
 	if pool == nil {
 		return fmt.Errorf("rtree: UseBuffer with nil buffer pool")
 	}
-	t.io = bufferedIO{pool: pool, store: t.store, ctx: ctx}
+	t.io = &bufferedIO{pool: pool, store: t.store, ctx: ctx}
 	return nil
 }
 
@@ -61,12 +61,11 @@ func (t *Tree) UseBuffer(pool buffer.Pool, ctx buffer.AccessContext) error {
 // (e.g. one context per update operation, so correlated accesses are
 // recognized).
 func (t *Tree) UseBufferContext(ctx buffer.AccessContext) error {
-	b, ok := t.io.(bufferedIO)
+	b, ok := t.io.(*bufferedIO)
 	if !ok {
 		return fmt.Errorf("rtree: UseBufferContext without UseBuffer")
 	}
 	b.ctx = ctx
-	t.io = b
 	return nil
 }
 

@@ -40,7 +40,11 @@ type Visit func(e page.Entry) bool
 // query of the paper's experiments (a point query is a degenerate
 // window); the traversal is depth-first.
 func (t *Tree) Search(rd Reader, ctx buffer.AccessContext, query geom.Rect, fn Visit) error {
-	stack := []page.ID{t.root}
+	// The pending IDs start on the goroutine's stack; 64 slots hold the
+	// deepest traversal of every query set up to W-33 at the default
+	// scale, and append moves a larger one to the heap.
+	var pending [64]page.ID
+	stack := append(pending[:0], t.root)
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]

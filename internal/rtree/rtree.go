@@ -89,11 +89,15 @@ type Tree struct {
 	height     int // number of levels; 1 = the root is a leaf
 	numObjects int
 
-	// reinsertDone tracks, during one insertion, the levels that already
-	// used forced reinsertion (OverflowTreatment is allowed once per
+	// reinsertDone has bit l set once level l used forced reinsertion
+	// during the current insertion (OverflowTreatment is allowed once per
 	// level per inserted entry).
-	reinsertDone map[int]bool
+	reinsertDone uint64
 }
+
+// maxHeight bounds the tree so that every level has a bit in
+// reinsertDone; the page format stores a level in 16 bits.
+const maxHeight = 64
 
 // New creates an empty R*-tree on the store.
 func New(store storage.Store, params Params) (*Tree, error) {
