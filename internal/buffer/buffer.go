@@ -38,6 +38,7 @@ import (
 	"errors"
 
 	"repro/internal/core/intrusive"
+	"repro/internal/obs"
 	"repro/internal/obs/tracing"
 	"repro/internal/page"
 )
@@ -59,11 +60,32 @@ type AccessContext struct {
 	// it. Only the engine sets it, on its own copy of the context, where
 	// the request enters.
 	trace *tracing.Active
+	// engine is the engine serving the request, set where trace is; nil
+	// in a context no engine made (a hand-driven policy, a shadow cache).
+	engine *Engine
 }
 
 // Trace returns the span trace of the request, nil unless a tracer
 // sampled it. ASB attaches its asb-adapt child spans to it.
 func (c AccessContext) Trace() *tracing.Active { return c.trace }
+
+// OverflowPromotion and Adapt are how a policy reports while it serves
+// the request: the event gets the shard of the request's engine and goes
+// to the sink that engine holds now. A context no engine made discards it.
+func (c AccessContext) OverflowPromotion(e obs.OverflowPromotionEvent) {
+	if c.engine != nil {
+		e.Shard = c.engine.shard
+		c.engine.sink.OverflowPromotion(e)
+	}
+}
+
+// Adapt reports a candidate-size adaptation (see OverflowPromotion).
+func (c AccessContext) Adapt(e obs.AdaptEvent) {
+	if c.engine != nil {
+		e.Shard = c.engine.shard
+		c.engine.sink.Adapt(e)
+	}
+}
 
 // Frame is one buffer slot: a cached page, its descriptor, and the
 // bookkeeping the engine and policy need.

@@ -53,7 +53,8 @@ type Engine struct {
 
 	// tracer samples request-scoped span traces; nil when tracing is
 	// disabled (the request path then pays a single pointer test). shard
-	// is the pool-shard index stamped on every span this engine records.
+	// is the pool-shard index stamped on every span this engine records
+	// and every event it emits, the contention profiler's index too.
 	tracer *tracing.Tracer
 	shard  int
 	// pendingLockWait is the latch wait of the request about to run,
@@ -88,10 +89,11 @@ func NewEngine(store storage.Store, policy Policy, capacity int) (*Engine, error
 	}, nil
 }
 
-// SetSink attaches an observability sink to the engine and, if the
-// policy implements obs.SinkSetter (ASB does, for its OverflowPromotion
-// and Adapt events), to the policy as well. A nil sink detaches (back to
-// NopSink). Request and Eviction events are the engine's, for any policy.
+// SetSink attaches an observability sink to the engine. A nil sink
+// detaches (back to NopSink). Request and Eviction events are the
+// engine's, for any policy; what a policy reports of its own (ASB's
+// OverflowPromotion and Adapt) comes through the request's AccessContext
+// and reaches the same sink.
 func (e *Engine) SetSink(s obs.Sink) {
 	if s == nil {
 		s = obs.NopSink{}
@@ -99,9 +101,6 @@ func (e *Engine) SetSink(s obs.Sink) {
 	e.sink = s
 	e.timer, _ = s.(obs.LatencyRecorder)
 	e.untimedHits = 0
-	if ss, ok := e.policy.(obs.SinkSetter); ok {
-		ss.SetSink(s)
-	}
 }
 
 // SetTracer attaches a request-scoped span tracer to the engine. Nothing
@@ -170,7 +169,7 @@ const hitSample = 64
 // (pin=true): lookup, then the hit in place or the miss through fetch. A
 // request a tracer sampled carries its trace in ctx from here on.
 func (e *Engine) request(kind tracing.SpanKind, id page.ID, ctx AccessContext, pin bool) (*page.Page, error) {
-	ctx.trace = e.beginRequest(kind, id, ctx.QueryID)
+	ctx.trace, ctx.engine = e.beginRequest(kind, id, ctx.QueryID), e
 	f := e.frames.get(id)
 	hit := f != nil
 	weight, start := e.startSample(hit, ctx.trace)
@@ -276,7 +275,7 @@ func (e *Engine) countHit(m *page.Meta, ctx AccessContext) uint64 {
 	e.clock++
 	e.stats.Requests++
 	e.stats.Hits++
-	e.emitRequest(obs.RequestEvent{Page: m.ID, QueryID: ctx.QueryID, Hit: true, Meta: *m})
+	e.emitRequest(obs.RequestEvent{Page: m.ID, QueryID: ctx.QueryID, Hit: true, Shard: e.shard, Meta: *m})
 	return e.clock
 }
 
@@ -302,7 +301,7 @@ func (e *Engine) miss(coalesced bool) uint64 {
 // miss resolved to, or the zero Meta when none materialized (failed
 // reads, coalesced waiters). Must run under the engine's serialization.
 func (e *Engine) emitMiss(id page.ID, ctx AccessContext, coalesced bool, meta page.Meta) {
-	e.emitRequest(obs.RequestEvent{Page: id, QueryID: ctx.QueryID, Hit: false, Coalesced: coalesced, Meta: meta})
+	e.emitRequest(obs.RequestEvent{Page: id, QueryID: ctx.QueryID, Hit: false, Shard: e.shard, Coalesced: coalesced, Meta: meta})
 }
 
 // emitRequest publishes one request event — the single site in the
@@ -448,7 +447,7 @@ func (e *Engine) evictOne(ctx AccessContext) error {
 	e.frames.del(v.Meta.ID)
 	e.stats.Evictions++
 	e.policy.OnEvict(v)
-	e.sink.Eviction(obs.EvictionEvent{Page: v.Meta.ID, Reason: c.Reason, Criterion: c.Win, LRURank: c.Rank})
+	e.sink.Eviction(obs.EvictionEvent{Page: v.Meta.ID, Reason: c.Reason, Criterion: c.Win, LRURank: c.Rank, Shard: e.shard})
 	// The policy has unlinked the frame and nothing above holds a *Frame
 	// (callers only ever see *page.Page), so the slot recycles to the
 	// free-list for the admission that triggered this eviction.
@@ -514,6 +513,7 @@ func (e *Engine) markDirty(id page.ID) error {
 // obs.LatencyRecorder. Put never reads the store, so it runs entirely
 // under the latch in every composition.
 func (e *Engine) Put(p *page.Page, ctx AccessContext) error {
+	ctx.engine = e
 	if p != nil {
 		ctx.trace = e.beginRequest(tracing.KindPut, p.ID, ctx.QueryID)
 	}

@@ -35,12 +35,7 @@ type LockedEngine struct {
 	mu sync.Mutex
 	e  *Engine
 
-	// shard is the index this engine reports under to the contention
-	// profiler and the tracer: 0 for a standalone locked engine, the
-	// routing index when owned by a Router.
-	shard int
-
-	// contention, when set, profiles acquisitions of mu under shard;
+	// contention, when set, profiles acquisitions of mu under e.shard;
 	// traceWait additionally feeds the measured wait into the root span
 	// of traced requests. Both are read before taking mu, hence atomic.
 	contention atomic.Pointer[tracing.Contention]
@@ -114,7 +109,7 @@ func (l *LockedEngine) drain() {
 		for !rec.ready.Load() {
 			runtime.Gosched()
 		}
-		p, ctx := rec.pg, AccessContext{QueryID: rec.query}
+		p, ctx := rec.pg, AccessContext{QueryID: rec.query, engine: l.e}
 		rec.pg = nil // do not keep an evicted page alive
 		rec.ready.Store(false)
 		l.replay(p, ctx)
@@ -152,15 +147,6 @@ func Lock(e *Engine) *LockedEngine {
 	return &LockedEngine{e: e}
 }
 
-// lockForShard is Lock plus the shard index the engine reports under;
-// used by the sharding layer.
-func lockForShard(e *Engine, shard int) *LockedEngine {
-	le := Lock(e)
-	le.shard = shard
-	le.e.shard = shard
-	return le
-}
-
 // tryLockRequest acquires the mutex for a request if it is free (for a
 // contention profiler a wait of zero, and no clock reading). Finding it
 // held starts or extends deferral.
@@ -170,7 +156,7 @@ func (l *LockedEngine) tryLockRequest() bool {
 		return false
 	}
 	if c := l.contention.Load(); c != nil {
-		c.Uncontended(l.shard)
+		c.Uncontended(l.e.shard)
 	}
 	if l.traceWait.Load() {
 		l.e.pendingLockWait = 0
@@ -193,13 +179,13 @@ func (l *LockedEngine) lockRequest() {
 		l.mu.Lock()
 	} else {
 		if c != nil {
-			c.BeginWait(l.shard)
+			c.BeginWait(l.e.shard)
 		}
 		start := time.Now()
 		l.mu.Lock()
 		wait := time.Since(start).Nanoseconds()
 		if c != nil {
-			c.EndWait(l.shard, wait)
+			c.EndWait(l.e.shard, wait)
 		}
 		if traced {
 			l.e.pendingLockWait = wait
@@ -336,8 +322,8 @@ func (l *LockedEngine) SetSink(sink obs.Sink) {
 }
 
 // SetTracer attaches a request-scoped span tracer to the wrapped engine
-// (see Engine.SetTracer); the engine records under this layer's shard
-// index (0 unless owned by a Router). While a tracer is attached, the
+// (see Engine.SetTracer); the engine records under its shard index (0
+// unless owned by a Router). While a tracer is attached, the
 // mutex wait of a request that had to queue is measured and lands in its
 // root span's LockWait (0 = the mutex was free). A nil tracer detaches.
 func (l *LockedEngine) SetTracer(t *tracing.Tracer) {

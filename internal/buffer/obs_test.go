@@ -11,27 +11,29 @@ import (
 // recordingSink tallies events for assertions.
 type recordingSink struct {
 	obs.NopSink
-	requests  []obs.RequestEvent
-	evictions []obs.EvictionEvent
-	adapts    int
+	requests   []obs.RequestEvent
+	evictions  []obs.EvictionEvent
+	promotions int
+	adapts     int
 }
 
 func (r *recordingSink) Request(e obs.RequestEvent)   { r.requests = append(r.requests, e) }
 func (r *recordingSink) Eviction(e obs.EvictionEvent) { r.evictions = append(r.evictions, e) }
-func (r *recordingSink) Adapt(obs.AdaptEvent)         { r.adapts++ }
+func (r *recordingSink) OverflowPromotion(obs.OverflowPromotionEvent) {
+	r.promotions++
+}
+func (r *recordingSink) Adapt(obs.AdaptEvent) { r.adapts++ }
 
-// sinkAwarePolicy is a testPolicy that also accepts a sink for events of
-// its own, as ASB does: it emits an Adapt event per hit.
-type sinkAwarePolicy struct {
+// reportingPolicy is a testPolicy with events of its own, as ASB has: it
+// reports a promotion and an adaptation through the context of every hit.
+type reportingPolicy struct {
 	testPolicy
-	sink obs.Sink
 }
 
-func (p *sinkAwarePolicy) SetSink(s obs.Sink) { p.sink = s }
-
-func (p *sinkAwarePolicy) OnHit(f *Frame, now uint64, ctx AccessContext) {
+func (p *reportingPolicy) OnHit(f *Frame, now uint64, ctx AccessContext) {
 	p.testPolicy.OnHit(f, now, ctx)
-	p.sink.Adapt(obs.AdaptEvent{})
+	ctx.OverflowPromotion(obs.OverflowPromotionEvent{Page: f.Meta.ID})
+	ctx.Adapt(obs.AdaptEvent{})
 }
 
 func TestEngineEmitsRequestEvents(t *testing.T) {
@@ -92,43 +94,54 @@ func TestEngineEmitsRequestEvents(t *testing.T) {
 	}
 }
 
-func TestSetSinkForwardsToPolicy(t *testing.T) {
+// TestContextEventsReachCurrentSink: what a policy reports through its
+// request's context arrives at whichever sink the engine holds at that
+// moment — re-attaching cannot leave the policy on the old one — and a
+// context no engine made drops it.
+func TestContextEventsReachCurrentSink(t *testing.T) {
 	s := newStore(t, 4)
-	pol := &sinkAwarePolicy{testPolicy: *newTestPolicy()}
+	pol := &reportingPolicy{testPolicy: *newTestPolicy()}
 	m, err := NewEngine(s, pol, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &recordingSink{}
-	m.SetSink(rec)
-
-	for _, id := range []page.ID{1, 1, 2, 3} {
-		if _, err := m.Get(id, AccessContext{}); err != nil {
-			t.Fatal(err)
+	get := func(ids ...page.ID) {
+		t.Helper()
+		for _, id := range ids {
+			if _, err := m.Get(id, AccessContext{}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	a, b := &recordingSink{}, &recordingSink{}
+	m.SetSink(a)
+	get(1, 1, 2, 3) // one hit, two evictions
+	m.SetSink(b)
+	get(3) // hit
+	m.SetSink(nil)
+	get(3) // hit, reported to nobody
+
 	// The engine reports each eviction, from the policy's Choice.
 	want := []obs.EvictionEvent{
 		{Page: 1, Reason: "test", LRURank: -1},
 		{Page: 2, Reason: "test", LRURank: -1},
 	}
-	if !reflect.DeepEqual(rec.evictions, want) {
-		t.Errorf("evictions = %+v, want %+v", rec.evictions, want)
+	if !reflect.DeepEqual(a.evictions, want) {
+		t.Errorf("evictions = %+v, want %+v", a.evictions, want)
 	}
-	// The policy's own events arrive through the forwarded sink.
-	if rec.adapts != 1 {
-		t.Errorf("policy emitted %d events through the forwarded sink, want 1", rec.adapts)
+	if a.promotions != 1 || a.adapts != 1 || len(a.requests) != 4 {
+		t.Errorf("first sink saw %d promotions, %d adapts, %d requests, want 1, 1, 4",
+			a.promotions, a.adapts, len(a.requests))
+	}
+	if b.promotions != 1 || b.adapts != 1 || len(b.requests) != 1 || len(b.evictions) != 0 {
+		t.Errorf("second sink saw %d promotions, %d adapts, %d requests, %d evictions, want 1, 1, 1, 0",
+			b.promotions, b.adapts, len(b.requests), len(b.evictions))
 	}
 
-	// Detaching falls back to the no-op sink on both layers.
-	m.SetSink(nil)
-	for _, id := range []page.ID{4, 4} {
-		if _, err := m.Get(id, AccessContext{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(rec.requests) != 4 || len(rec.evictions) != 2 || rec.adapts != 1 {
-		t.Error("detached sink still received events")
+	// Outside any engine the policy's reports go nowhere.
+	pol.OnHit(m.frames.get(3), 9, AccessContext{})
+	if a.promotions+b.promotions != 2 || a.adapts+b.adapts != 2 {
+		t.Error("a context no engine made delivered an event")
 	}
 }
 

@@ -38,8 +38,8 @@ import (
 //
 // A Router is safe for concurrent use by any number of goroutines.
 // Sinks attached via SetSink receive the merged event stream of all
-// shards (each event tagged with its shard index via obs.TagShard) and
-// must therefore be safe for concurrent use. The layer owns exactly the
+// shards (each event stamped with its shard index by the shard's engine)
+// and must therefore be safe for concurrent use. The layer owns exactly the
 // routing invariants: hashing, capacity splitting, per-shard fan-out of
 // sinks/tracers/profilers, and stats merging — the request path itself
 // stays in the engines.
@@ -90,7 +90,8 @@ func NewRouter(store storage.Store, factory PolicyFactory, capacity, shards int)
 		if err != nil {
 			return nil, fmt.Errorf("buffer: shard %d: %w", i, err)
 		}
-		r.shards[i] = lockForShard(e, i)
+		e.shard = i
+		r.shards[i] = Lock(e)
 	}
 	return r, nil
 }
@@ -230,15 +231,14 @@ func (r *Router) ResidentIDs() []page.ID {
 	return ids
 }
 
-// SetSink attaches one observability sink to every shard, wrapped with
-// obs.TagShard so each event carries its shard index; Engine.SetSink
-// forwards the tagged sink to each shard's policy, so the whole sharded
-// stack emits into s. The sink receives events from all shards
-// concurrently and must be safe for concurrent use (obs.Counters, the
-// live service sink and the async ring are). A nil sink detaches.
+// SetSink attaches one observability sink to every shard; each shard's
+// engine stamps its index on what it emits. The sink receives events
+// from all shards concurrently and must be safe for concurrent use
+// (obs.Counters, the live service sink and the async ring are). A nil
+// sink detaches.
 func (r *Router) SetSink(s obs.Sink) {
-	for i, sh := range r.shards {
-		sh.SetSink(obs.TagShard(s, i))
+	for _, sh := range r.shards {
+		sh.SetSink(s)
 	}
 }
 

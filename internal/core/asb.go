@@ -26,11 +26,6 @@ type ASBOptions struct {
 	InitialCandFrac float64
 	// StepFrac is the adaptation step as a fraction of the main part.
 	StepFrac float64
-	// FreezeCand pins the candidate-set size to its initial value: the
-	// §4.2 signal is still computed and emitted as OverflowPromotion
-	// events, but never acted on. Diagnostic — used by ASBProbe to
-	// inspect the signal distribution under a controlled candidate size.
-	FreezeCand bool
 }
 
 // DefaultASBOptions returns the paper's parameter settings.
@@ -74,19 +69,16 @@ const (
 // Frame.Crit at admission, so candidate scans and the §4.2 adaptation
 // votes never recompute MBR geometry and never allocate.
 //
-// ASB emits its own observability events when a sink is attached (via
-// buffer.Engine.SetSink or directly through SetSink): an
-// OverflowPromotion per overflow hit carrying the §4.2 signal and an
-// Adapt per adaptation event (the Fig. 14 series).
+// ASB reports its adaptation through the context of the request it is
+// serving (buffer.AccessContext), which hands the events to the engine's
+// sink: an OverflowPromotion per overflow hit carrying the §4.2 signal
+// and an Adapt per adaptation event (the Fig. 14 series).
 type ASB struct {
-	sink obs.Sink // never nil
-
 	crit     page.Criterion
 	mainCap  int
 	overCap  int
 	initCand int
 	step     int
-	freeze   bool
 
 	cand int // current candidate-set size, in [1, mainCap]
 
@@ -130,27 +122,17 @@ func NewASB(capacity int, opts ASBOptions) *ASB {
 	}
 	mainCap := capacity - overCap
 	a := &ASB{
-		sink:     obs.NopSink{},
 		crit:     opts.Criterion,
 		mainCap:  mainCap,
 		overCap:  overCap,
 		initCand: clamp(int(opts.InitialCandFrac*float64(mainCap)+0.5), 1, mainCap),
 		step:     clamp(int(opts.StepFrac*float64(mainCap)+0.5), 1, mainCap),
-		freeze:   opts.FreezeCand,
 		main:     intrusive.NewList(frameHooks),
 		over:     intrusive.NewList(frameHooks),
 	}
 	a.cand = a.initCand
 	a.publishGauges()
 	return a
-}
-
-// SetSink implements obs.SinkSetter. A nil sink resets to NopSink.
-func (p *ASB) SetSink(s obs.Sink) {
-	if s == nil {
-		s = obs.NopSink{}
-	}
-	p.sink = s
 }
 
 // publishGauges refreshes the atomic gauge mirrors; called at the end of
@@ -230,10 +212,10 @@ func (p *ASB) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 // adapt applies the self-tuning rule on an overflow hit. f.LastUse still
 // holds the promoted page's previous access time (the manager updates it
 // after OnHit), so the LRU comparison sees the state that led to the
-// demotion. The raw signal is emitted as an OverflowPromotion event and
-// the resulting size as an Adapt event; with FreezeCand the signal is
-// emitted but not acted on. On sampled requests (ctx carries a trace) the
-// adaptation is recorded as an asb-adapt span.
+// demotion. The raw signal is reported as an OverflowPromotion event and
+// the resulting size as an Adapt event, both through ctx. On sampled
+// requests (ctx carries a trace) the adaptation is recorded as an
+// asb-adapt span.
 func (p *ASB) adapt(f *buffer.Frame, ctx buffer.AccessContext) {
 	act := ctx.Trace()
 	var span int32
@@ -262,15 +244,11 @@ func (p *ASB) adapt(f *buffer.Frame, ctx buffer.AccessContext) {
 			betterLRU++
 		}
 	}
-	p.sink.OverflowPromotion(obs.OverflowPromotionEvent{
+	ctx.OverflowPromotion(obs.OverflowPromotionEvent{
 		Page:          f.Meta.ID,
 		BetterSpatial: betterSpatial,
 		BetterLRU:     betterLRU,
 	})
-	if p.freeze {
-		p.adaptations++
-		return
-	}
 	// The overflow population is not a neutral sample: every page in it
 	// was *selected* for a small spatial criterion by the main part's
 	// victim choice, which deflates the better-spatial count relative to
@@ -299,7 +277,7 @@ func (p *ASB) adapt(f *buffer.Frame, ctx buffer.AccessContext) {
 	// One Adapt event per adaptation event, even when the size is
 	// unchanged: the paper counts overflow hits as adaptation events, and
 	// Fig. 14 plots one sample per event.
-	p.sink.Adapt(obs.AdaptEvent{OldC: oldC, NewC: p.cand})
+	ctx.Adapt(obs.AdaptEvent{OldC: oldC, NewC: p.cand})
 }
 
 // rebalance demotes main-part SLRU victims into the overflow buffer until

@@ -181,13 +181,28 @@ func TestASBCandidateClamped(t *testing.T) {
 
 func TestASBAdaptEvents(t *testing.T) {
 	// An overflow hit emits one OverflowPromotion (the §4.2 signal) and
-	// one Adapt event through the attached sink.
+	// one Adapt event, through the request's context, to the sink the
+	// engine holds.
 	rec := obs.NewTrajectoryRecorder()
 	var counters obs.Counters
 	areas := []float64{5, 3, 10, 10, 10, 10, 10, 10, 10, 10}
-	p, frames := driveASB(10, areas, core.DefaultASBOptions())
-	p.SetSink(obs.Tee(rec, &counters))
-	p.OnHit(frames[1], 11, buffer.AccessContext{QueryID: 11})
+	specs := make([]pageSpec, len(areas))
+	for i, a := range areas {
+		specs[i] = dataPage(a)
+	}
+	p := core.NewASB(10, core.DefaultASBOptions())
+	e, err := buffer.NewEngine(buildStore(t, specs), p, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetSink(obs.Tee(rec, &counters))
+	// Ten admissions at times 1..10 (pages 2 and 1 end up in the overflow
+	// buffer), then the overflow hit on page 1 at time 11.
+	for _, id := range []page.ID{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 1} {
+		if _, err := e.Get(id, buffer.AccessContext{QueryID: uint64(id)}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if rec.Len() != 1 || rec.Cand[0] != p.CandidateSize() {
 		t.Errorf("recorder saw %v, candidate = %d", rec.Cand, p.CandidateSize())
 	}
@@ -197,40 +212,6 @@ func TestASBAdaptEvents(t *testing.T) {
 	}
 	if s.Candidate != uint64(p.CandidateSize()) {
 		t.Errorf("counter candidate = %d, policy = %d", s.Candidate, p.CandidateSize())
-	}
-}
-
-func TestASBFreezeCandPinsSize(t *testing.T) {
-	// FreezeCand: the signal is still emitted but the candidate size
-	// never moves.
-	opts := core.DefaultASBOptions()
-	opts.FreezeCand = true
-	var counters obs.Counters
-	areas := []float64{5, 3, 10, 10, 10, 10, 10, 10, 10, 10}
-	p, frames := driveASB(10, areas, opts)
-	p.SetSink(&counters)
-	before := p.CandidateSize()
-	p.OnHit(frames[1], 11, buffer.AccessContext{QueryID: 11})
-	if p.CandidateSize() != before {
-		t.Errorf("frozen candidate moved: %d → %d", before, p.CandidateSize())
-	}
-	s := counters.Snapshot()
-	if s.Promotions != 1 {
-		t.Errorf("promotions = %d, want 1 (signal still emitted)", s.Promotions)
-	}
-	if s.Adaptations != 0 {
-		t.Errorf("adaptations = %d, want 0 (frozen)", s.Adaptations)
-	}
-	if p.Adaptations() != 1 {
-		t.Errorf("Adaptations() = %d, want 1 (overflow hits still counted)", p.Adaptations())
-	}
-	// Detaching with nil falls back to the no-op sink: the next overflow
-	// hit is still counted, and the detached sink does not see it.
-	p.SetSink(nil)
-	p.OnHit(frames[2], 12, buffer.AccessContext{QueryID: 12})
-	if p.Adaptations() != 2 || counters.Snapshot().Promotions != 1 {
-		t.Errorf("after SetSink(nil): Adaptations() = %d, recorded promotions = %d, want 2 and 1",
-			p.Adaptations(), counters.Snapshot().Promotions)
 	}
 }
 

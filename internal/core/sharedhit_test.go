@@ -167,14 +167,33 @@ type shardReplay struct {
 	acquisitions uint64
 }
 
-// replaySharded runs goldenReplay on a fresh pool and reports per shard.
-// Before the replay it touches two pages of every shard, x then y, and
-// clears the pool; with hold set, the request for x is kept inside the
-// latch by a second goroutine while the request for y arrives — which is
-// how a shard learns that it is shared and starts to defer.
+// replaySharded runs goldenReplay on a fresh pool of 12 frames and
+// reports per shard, the digest of the shard's events included.
 func replaySharded(t *testing.T, layout string, f core.Factory, hold bool) []shardReplay {
 	t.Helper()
-	const numPages, capacity = 60, 12
+	var digests shardDigests
+	out := replayShardedInto(t, layout, f, 12, hold, func(shards int) obs.Sink {
+		digests = make(shardDigests, shards)
+		for i := range digests {
+			digests[i] = fnv.New64a()
+		}
+		return digests
+	})
+	for i := range out {
+		out[i].events = digests[i].Sum64()
+	}
+	return out
+}
+
+// replayShardedInto runs goldenReplay on a fresh pool with the sink that
+// newSink makes for its shard count attached, and reports every shard's
+// counters. Before the replay it touches two pages of every shard, x then
+// y, and clears the pool; with hold set, the request for x is kept inside
+// the latch by a second goroutine while the request for y arrives — which
+// is how a shard learns that it is shared and starts to defer.
+func replayShardedInto(t *testing.T, layout string, f core.Factory, capacity int, hold bool, newSink func(shards int) obs.Sink) []shardReplay {
+	t.Helper()
+	const numPages = 60
 	store := buildStore(t, conformanceSpecs(numPages, 7))
 	pool := buildComposition(t, layout, store, f, capacity).(shardedPool)
 	defer closePool(t, pool)
@@ -234,18 +253,13 @@ func replaySharded(t *testing.T, layout string, f core.Factory, hold bool) []sha
 		t.Fatal(err)
 	}
 
-	digests := make(shardDigests, pool.Shards())
-	for i := range digests {
-		digests[i] = fnv.New64a()
-	}
-	pool.SetSink(digests)
+	pool.SetSink(newSink(pool.Shards()))
 	cont := tracing.NewContention(pool.Shards())
 	pool.EnableContention(cont)
 	goldenReplay(t, pool, store)
 	out := make([]shardReplay, pool.Shards())
 	for i := range out {
-		out[i].stats = pool.ShardStats(i) // first: the barrier that reports the shard's last deferred hits
-		out[i].events = digests[i].Sum64()
+		out[i].stats = pool.ShardStats(i) // the barrier that reports the shard's last deferred hits
 		out[i].acquisitions = cont.Acquisitions(i)
 	}
 	return out
@@ -283,5 +297,80 @@ func TestDeferredReplayKeepsShardOrder(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// stamped is one event as stampLog saw it: kind, page (0 for an Adapt)
+// and the shard it was stamped with.
+type stamped struct {
+	kind  byte
+	page  page.ID
+	shard int
+}
+
+// stampLog keeps every event's stamp, in arrival order. The replay it
+// listens to runs on one goroutine.
+type stampLog []stamped
+
+func (l *stampLog) Request(e obs.RequestEvent)   { *l = append(*l, stamped{'R', e.Page, e.Shard}) }
+func (l *stampLog) Eviction(e obs.EvictionEvent) { *l = append(*l, stamped{'E', e.Page, e.Shard}) }
+func (l *stampLog) OverflowPromotion(e obs.OverflowPromotionEvent) {
+	*l = append(*l, stamped{'P', e.Page, e.Shard})
+}
+func (l *stampLog) Adapt(e obs.AdaptEvent) { *l = append(*l, stamped{'A', 0, e.Shard}) }
+
+// TestEventsCarryTheirShard: one sink, handed unwrapped to every shard,
+// sees each event under the index of the shard that emitted it, whether
+// the engine emitted it for itself (Request, Eviction — as many per shard
+// as the shard counted) or for its policy through the request's context
+// (ASB's OverflowPromotion follows the Request of the same page, its
+// Adapt follows that promotion, both on that request's shard) — and a
+// hit replayed from the ring is stamped like one served under the latch.
+func TestEventsCarryTheirShard(t *testing.T) {
+	asb := factoriesNamed(t, "ASB")[0]
+	for _, layout := range []string{"sharded,shards=4", "async,shards=4"} {
+		for _, hold := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/hold=%t", layout, hold), func(t *testing.T) {
+				log := &stampLog{}
+				shards := replayShardedInto(t, layout, asb, 24, hold, func(int) obs.Sink { return log })
+				if len(shards) != 4 {
+					t.Fatalf("%d shards, want 4", len(shards))
+				}
+				requests, evictions := make([]uint64, len(shards)), make([]uint64, len(shards))
+				promotions := 0
+				for i, e := range *log {
+					switch e.kind {
+					case 'R':
+						requests[e.shard]++
+					case 'E':
+						evictions[e.shard]++
+					case 'P':
+						promotions++
+						if prev := (*log)[i-1]; prev.kind != 'R' || prev.page != e.page || prev.shard != e.shard {
+							t.Fatalf("event %d: promotion %+v follows %+v", i, e, prev)
+						}
+					case 'A':
+						if prev := (*log)[i-1]; prev.kind != 'P' || prev.shard != e.shard {
+							t.Fatalf("event %d: adapt %+v follows %+v", i, e, prev)
+						}
+					}
+				}
+				for i, sh := range shards {
+					if hold && sh.acquisitions >= sh.stats.Requests {
+						t.Errorf("shard %d: %d latch acquisitions for %d requests: no hit was deferred", i, sh.acquisitions, sh.stats.Requests)
+					}
+					if sh.stats.Hits == 0 || sh.stats.Evictions == 0 {
+						t.Errorf("shard %d: stats %+v, the replay was meant to hit and to evict", i, sh.stats)
+					}
+					if requests[i] != sh.stats.Requests || evictions[i] != sh.stats.Evictions {
+						t.Errorf("shard %d: %d requests and %d evictions stamped, %d and %d counted",
+							i, requests[i], evictions[i], sh.stats.Requests, sh.stats.Evictions)
+					}
+				}
+				if promotions == 0 {
+					t.Error("the replay was meant to hit ASB's overflow buffer")
+				}
+			})
+		}
 	}
 }

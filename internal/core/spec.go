@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -54,9 +55,11 @@ func ParseSpec(spec string) (Factory, error) {
 		if err != nil {
 			return bad("%v", err)
 		}
+		// Written so that NaN fails it; the upper bound keeps int(size)
+		// defined (+Inf and 1e30 convert to a negative frame count).
 		size, err := strconv.ParseFloat(args[1], 64)
-		if err != nil || size <= 0 {
-			return bad("size must be a positive number, got %q", args[1])
+		if err != nil || !(size > 0 && size <= math.MaxInt32) {
+			return bad("size must be a positive number (a frame count at most %d), got %q", math.MaxInt32, args[1])
 		}
 		return Factory{Name: spec, New: func(c int) buffer.Policy {
 			if size < 1 {
@@ -89,7 +92,7 @@ func ParseSpec(spec string) (Factory, error) {
 		names := []string{"overflow", "initial-candidate", "step"}
 		for i, a := range args[1:] {
 			v, err := strconv.ParseFloat(a, 64)
-			if err != nil || v <= 0 || v >= 1 {
+			if err != nil || !(v > 0 && v < 1) { // NaN is in no interval
 				return bad("%s fraction must be in (0, 1), got %q", names[i], a)
 			}
 			*fracs[i] = v

@@ -100,8 +100,9 @@ func TestParseSpec(t *testing.T) {
 	for _, bad := range []string{
 		"LRU-K:0", "LRU-K:x", "LRU-K:", "LRU-K:2:3",
 		"SLRU:A", "SLRU:Q:0.5", "SLRU:A:0", "SLRU:A:-1",
+		"SLRU:A:NaN", "SLRU:A:Inf", "SLRU:A:1e30", "SLRU:A:2147483648",
 		"SPATIAL:", "SPATIAL:XX",
-		"ASB:", "ASB:A:1.5", "ASB:A:0.2:0.25:0.01:9",
+		"ASB:", "ASB:A:1.5", "ASB:A:0.2:0.25:0.01:9", "ASB:A:NaN", "ASB:A:0.2:Inf",
 		"PIN:-1", "PIN:x",
 		"WOMBAT:3",
 	} {
@@ -109,6 +110,35 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("FactoryByName(%q) should fail", bad)
 		}
 	}
+}
+
+// FuzzParseSpec: a spec comes from a command line, so ParseSpec never
+// panics, and a factory it hands out is usable as it stands — it carries
+// the spec as its name and builds a policy at the capacities the commands
+// and the shadow bank's ladder use (a shard's two frames, the benchmark's
+// 37 and 1 002).
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"LRU-K:4", "SLRU:EA:0.25", "SLRU:A:12", "SLRU:A:2147483647", "SPATIAL:em", "ASB:A:0.2:0.25:0.01", "PIN:2",
+		"SLRU:A:NaN", "SLRU:A:Inf", "SLRU:A:1e30", "ASB:A:NaN",
+		"", ":", "ASB", "asb:a:1e-300", "SLRU:A:0x1p-2", "LRU-K:-0",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		fac, err := core.ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		if fac.Name != spec {
+			t.Fatalf("ParseSpec(%q) named its factory %q", spec, fac.Name)
+		}
+		for _, c := range []int{2, 37, 1002} {
+			if fac.New(c) == nil {
+				t.Fatalf("ParseSpec(%q).New(%d) built nothing", spec, c)
+			}
+		}
+	})
 }
 
 // TestSpecEquivalence checks a parameterized spec builds the same policy

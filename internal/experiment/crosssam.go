@@ -24,11 +24,11 @@ type samRunner struct {
 	store  *storage.MemStore
 }
 
-// FigCrossSAM is an extension beyond the paper: the same window workload
+// figCrossSAM is an extension beyond the paper: the same window workload
 // and the same replacement policies on all three access-method families
 // §2.3 names — R*-tree, z-order B-tree and quadtree. Cells are gains over
 // LRU per (SAM, policy).
-func FigCrossSAM(opts Options, seed int64) ([]*Table, error) {
+func figCrossSAM(opts Options, seed int64) ([]*Table, error) {
 	db, err := Get(1, opts)
 	if err != nil {
 		return nil, err
@@ -162,9 +162,9 @@ func rowsOf(sams []*samRunner, rows []string) []string {
 	return rows
 }
 
-// FigUpdates renders the update-workload extension (future-work item 2)
+// figUpdates renders the update-workload extension (future-work item 2)
 // as a table of total I/O (reads + write-backs) relative to LRU.
-func FigUpdates(opts Options, seed int64) ([]*Table, error) {
+func figUpdates(opts Options, seed int64) ([]*Table, error) {
 	objects := opts.Objects
 	if objects <= 0 {
 		objects = 24_000

@@ -24,7 +24,7 @@ type Options struct {
 	// paper-scale values are 1,641,079 for DB1 and 572,694 for DB2).
 	Objects int
 	// Places is the number of place records for the S/INT/IND query sets
-	// (0 = Objects/12).
+	// (0 = Objects/40, at least 600).
 	Places int
 	// Seed drives all generation. The default 1 reproduces the shipped
 	// EXPERIMENTS.md numbers.

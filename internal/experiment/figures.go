@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Query-set groups used by the paper's figures.
@@ -35,55 +34,79 @@ func fracLabel(frac float64) string {
 // FigureFunc computes the tables reproducing one figure of the paper.
 type FigureFunc func(opts Options, seed int64) ([]*Table, error)
 
-// Figures maps figure identifiers ("4".."9", "12".."14", "lrut") to their
-// reproduction functions.
+// gainFigure is a figure made of one GainTable per database and buffer
+// fraction: title, then the database and the fraction, heads each table.
+type gainFigure struct {
+	id       string // prefix of the table IDs
+	title    string
+	dbs      []int
+	fracs    []float64
+	sets     []string
+	policies []string
+}
+
+var (
+	db1, bothDBs = []int{1}, []int{1, 2}
+	usualFracs   = []float64{0.006, 0.047}         // the pair most of the paper's figures show
+	extremeFracs = []float64{0.003, 0.047}         // the smallest and the largest buffer
+	comparison   = []string{"LRU-P", "A", "LRU-2"} // §3.5's three, against LRU
+)
+
+// figures is the registry in display order: the paper's figures by
+// number, then the named ones ("crosssam" and "updates" are extensions
+// beyond the paper).
+var figures = []struct {
+	id string
+	fn FigureFunc
+}{
+	{"4", fig4},
+	// Figure 5: LRU-K (K = 2, 3, 5) against LRU on the primary database
+	// across all distribution families.
+	{"5", gainFigure{"fig5", "LRU-K vs LRU", db1, usualFracs,
+		RepresentativeSets, []string{"LRU-2", "LRU-3", "LRU-5"}}.tables},
+	{"6", fig6},
+	// Figures 7–9: the uniform, the identical and similar, the independent
+	// and intensified distributions.
+	{"7", gainFigure{"fig7", "LRU-P / A / LRU-2 vs LRU", bothDBs, usualFracs,
+		UniformSets, comparison}.tables},
+	{"8", gainFigure{"fig8", "LRU-P / A / LRU-2 vs LRU", bothDBs, usualFracs,
+		IdenticalSimilarSets, comparison}.tables},
+	{"9", gainFigure{"fig9", "LRU-P / A / LRU-2 vs LRU", bothDBs, usualFracs,
+		slices.Concat(IndependentSets, IntensifiedSets), comparison}.tables},
+	// Figure 12: SLRU with static candidate sets of 50% and 25% against
+	// the pure spatial strategy A.
+	{"12", gainFigure{"fig12", "static candidate sets", db1, usualFracs,
+		RepresentativeSets, []string{"A", "SLRU 50%", "SLRU 25%"}}.tables},
+	// Figure 13, the headline comparison: A, SLRU 25%, ASB and LRU-2
+	// against LRU on both databases.
+	{"13", gainFigure{"fig13", "A / SLRU / ASB / LRU-2 vs LRU", bothDBs, usualFracs,
+		RepresentativeSets, []string{"A", "SLRU 25%", "ASB", "LRU-2"}}.tables},
+	{"14", fig14},
+	{"crosssam", figCrossSAM},
+	// The §3.2 observation: LRU-P beats LRU-T for small buffers and
+	// matches it for large ones.
+	{"lrut", gainFigure{"lrut", "LRU-T vs LRU-P", db1, extremeFracs,
+		RepresentativeSets, []string{"LRU-T", "LRU-P"}}.tables},
+	{"updates", figUpdates},
+}
+
+// Figures maps figure identifiers ("4".."9", "12".."14", "lrut",
+// "crosssam", "updates") to their reproduction functions.
 func Figures() map[string]FigureFunc {
-	return map[string]FigureFunc{
-		"4":    Fig4,
-		"5":    Fig5,
-		"6":    Fig6,
-		"7":    Fig7,
-		"8":    Fig8,
-		"9":    Fig9,
-		"12":   Fig12,
-		"13":   Fig13,
-		"14":   Fig14,
-		"lrut": FigLRUT,
-		// Extensions beyond the paper:
-		"crosssam": FigCrossSAM,
-		"updates":  FigUpdates,
+	m := make(map[string]FigureFunc, len(figures))
+	for _, f := range figures {
+		m[f.id] = f.fn
 	}
+	return m
 }
 
 // FigureIDs returns the figure identifiers in display order.
 func FigureIDs() []string {
-	ids := make([]string, 0)
-	for id := range Figures() {
-		ids = append(ids, id)
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		// Numeric first, then names.
-		a, b := ids[i], ids[j]
-		an, aerr := atoiSafe(a)
-		bn, berr := atoiSafe(b)
-		switch {
-		case aerr == nil && berr == nil:
-			return an < bn
-		case aerr == nil:
-			return true
-		case berr == nil:
-			return false
-		default:
-			return a < b
-		}
-	})
 	return ids
-}
-
-func atoiSafe(s string) (int, error) {
-	var v int
-	_, err := fmt.Sscanf(s, "%d", &v)
-	return v, err
 }
 
 // GainTable runs a sweep and renders one gain-vs-LRU table per
@@ -118,9 +141,36 @@ func GainTable(db *Database, id, title string, sets, policies []string, frac flo
 	return t, nil
 }
 
-// Fig4 reproduces Figure 4: the gain of LRU-P over LRU for the uniform
+// tables renders the figure; a figure over both databases names the
+// database in its table IDs.
+func (g gainFigure) tables(opts Options, seed int64) ([]*Table, error) {
+	var tables []*Table
+	for _, dbn := range g.dbs {
+		db, err := Get(dbn, opts)
+		if err != nil {
+			return nil, err
+		}
+		id := g.id
+		if len(g.dbs) > 1 {
+			id = fmt.Sprintf("%s-db%d", g.id, dbn)
+		}
+		for _, frac := range g.fracs {
+			t, err := GainTable(db,
+				fmt.Sprintf("%s-%s", id, fracLabel(frac)),
+				fmt.Sprintf("%s, %s, buffer %s", g.title, db.Name, fracLabel(frac)),
+				g.sets, g.policies, frac, seed)
+			if err != nil {
+				return nil, err
+			}
+			tables = append(tables, t)
+		}
+	}
+	return tables, nil
+}
+
+// fig4 reproduces Figure 4: the gain of LRU-P over LRU for the uniform
 // and intensified query sets on both databases, across all buffer sizes.
-func Fig4(opts Options, seed int64) ([]*Table, error) {
+func fig4(opts Options, seed int64) ([]*Table, error) {
 	var tables []*Table
 	groups := []struct {
 		label string
@@ -168,31 +218,9 @@ func Fig4(opts Options, seed int64) ([]*Table, error) {
 	return tables, nil
 }
 
-// Fig5 reproduces Figure 5: LRU-K (K = 2, 3, 5) against LRU on the
-// primary database across all distribution families.
-func Fig5(opts Options, seed int64) ([]*Table, error) {
-	db, err := Get(1, opts)
-	if err != nil {
-		return nil, err
-	}
-	policies := []string{"LRU-2", "LRU-3", "LRU-5"}
-	var tables []*Table
-	for _, frac := range []float64{0.006, 0.047} {
-		t, err := GainTable(db,
-			fmt.Sprintf("fig5-%s", fracLabel(frac)),
-			fmt.Sprintf("LRU-K vs LRU, DB1, buffer %s", fracLabel(frac)),
-			RepresentativeSets, policies, frac, seed)
-		if err != nil {
-			return nil, err
-		}
-		tables = append(tables, t)
-	}
-	return tables, nil
-}
-
-// Fig6 reproduces Figure 6: the five spatial strategies relative to A
+// fig6 reproduces Figure 6: the five spatial strategies relative to A
 // (accesses of A = 100%) on the primary database.
-func Fig6(opts Options, seed int64) ([]*Table, error) {
+func fig6(opts Options, seed int64) ([]*Table, error) {
 	db, err := Get(1, opts)
 	if err != nil {
 		return nil, err
@@ -228,96 +256,11 @@ func Fig6(opts Options, seed int64) ([]*Table, error) {
 	return tables, nil
 }
 
-// comparisonFigure renders the §3.5 comparison (LRU-P, A, LRU-2 vs LRU)
-// for one group of query sets on both databases at 0.6% and 4.7%.
-func comparisonFigure(figID string, sets []string, opts Options, seed int64) ([]*Table, error) {
-	policies := []string{"LRU-P", "A", "LRU-2"}
-	var tables []*Table
-	for _, dbn := range []int{1, 2} {
-		db, err := Get(dbn, opts)
-		if err != nil {
-			return nil, err
-		}
-		for _, frac := range []float64{0.006, 0.047} {
-			t, err := GainTable(db,
-				fmt.Sprintf("%s-db%d-%s", figID, dbn, fracLabel(frac)),
-				fmt.Sprintf("LRU-P / A / LRU-2 vs LRU, %s, buffer %s", db.Name, fracLabel(frac)),
-				sets, policies, frac, seed)
-			if err != nil {
-				return nil, err
-			}
-			tables = append(tables, t)
-		}
-	}
-	return tables, nil
-}
-
-// Fig7 reproduces Figure 7: the uniform distribution comparison.
-func Fig7(opts Options, seed int64) ([]*Table, error) {
-	return comparisonFigure("fig7", UniformSets, opts, seed)
-}
-
-// Fig8 reproduces Figure 8: identical and similar distributions.
-func Fig8(opts Options, seed int64) ([]*Table, error) {
-	return comparisonFigure("fig8", IdenticalSimilarSets, opts, seed)
-}
-
-// Fig9 reproduces Figure 9: independent and intensified distributions.
-func Fig9(opts Options, seed int64) ([]*Table, error) {
-	return comparisonFigure("fig9", append(append([]string{}, IndependentSets...), IntensifiedSets...), opts, seed)
-}
-
-// Fig12 reproduces Figure 12: SLRU with static candidate sets of 50% and
-// 25% against the pure spatial strategy A.
-func Fig12(opts Options, seed int64) ([]*Table, error) {
-	db, err := Get(1, opts)
-	if err != nil {
-		return nil, err
-	}
-	policies := []string{"A", "SLRU 50%", "SLRU 25%"}
-	var tables []*Table
-	for _, frac := range []float64{0.006, 0.047} {
-		t, err := GainTable(db,
-			fmt.Sprintf("fig12-%s", fracLabel(frac)),
-			fmt.Sprintf("static candidate sets, DB1, buffer %s", fracLabel(frac)),
-			RepresentativeSets, policies, frac, seed)
-		if err != nil {
-			return nil, err
-		}
-		tables = append(tables, t)
-	}
-	return tables, nil
-}
-
-// Fig13 reproduces Figure 13 — the headline comparison: A, SLRU 25%, ASB
-// and LRU-2 against LRU on both databases.
-func Fig13(opts Options, seed int64) ([]*Table, error) {
-	policies := []string{"A", "SLRU 25%", "ASB", "LRU-2"}
-	var tables []*Table
-	for _, dbn := range []int{1, 2} {
-		db, err := Get(dbn, opts)
-		if err != nil {
-			return nil, err
-		}
-		for _, frac := range []float64{0.006, 0.047} {
-			t, err := GainTable(db,
-				fmt.Sprintf("fig13-db%d-%s", dbn, fracLabel(frac)),
-				fmt.Sprintf("A / SLRU / ASB / LRU-2 vs LRU, %s, buffer %s", db.Name, fracLabel(frac)),
-				RepresentativeSets, policies, frac, seed)
-			if err != nil {
-				return nil, err
-			}
-			tables = append(tables, t)
-		}
-	}
-	return tables, nil
-}
-
-// Fig14 reproduces Figure 14: the candidate-set size of the ASB over the
+// fig14 reproduces Figure 14: the candidate-set size of the ASB over the
 // concatenated INT-W-33 + U-W-33 + S-W-33 workload. The table reports the
 // per-phase average candidate size; the full trajectory is available via
 // RunAdaptation.
-func Fig14(opts Options, seed int64) ([]*Table, error) {
+func fig14(opts Options, seed int64) ([]*Table, error) {
 	db, err := Get(1, opts)
 	if err != nil {
 		return nil, err
@@ -338,26 +281,4 @@ func Fig14(opts Options, seed int64) ([]*Table, error) {
 		set(rows[p+1], at.PhaseAverage(p))
 	}
 	return []*Table{t}, nil
-}
-
-// FigLRUT reproduces the §3.2 observation: LRU-P beats LRU-T for small
-// buffers and matches it for large ones.
-func FigLRUT(opts Options, seed int64) ([]*Table, error) {
-	db, err := Get(1, opts)
-	if err != nil {
-		return nil, err
-	}
-	policies := []string{"LRU-T", "LRU-P"}
-	var tables []*Table
-	for _, frac := range []float64{0.003, 0.047} {
-		t, err := GainTable(db,
-			fmt.Sprintf("lrut-%s", fracLabel(frac)),
-			fmt.Sprintf("LRU-T vs LRU-P, DB1, buffer %s", fracLabel(frac)),
-			RepresentativeSets, policies, frac, seed)
-		if err != nil {
-			return nil, err
-		}
-		tables = append(tables, t)
-	}
-	return tables, nil
 }

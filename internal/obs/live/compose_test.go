@@ -23,16 +23,17 @@ func (c *composeCollector) OverflowPromotion(obs.OverflowPromotionEvent) {}
 func (c *composeCollector) Adapt(obs.AdaptEvent)                         {}
 
 // TestComposedSinkShardsAndSampling drives the production composition
-// TagShard(SamplingSink(AsyncSink(collector))) from one goroutine per
-// shard and asserts two invariants survive concurrent emit:
+// SamplingSink(AsyncSink(collector)) from one goroutine per shard, each
+// stamping its events as a shard's engine does, and asserts two
+// invariants survive concurrent emit:
 //
 //   - exact sampling: the shared SamplingSink's atomic counter admits
 //     exactly 1 in every of the offered Request events, regardless of
 //     how the emitting goroutines interleave;
 //   - tag integrity: every delivered event carries the shard index of
 //     the goroutine that emitted it (checked against the query ID each
-//     goroutine encodes), i.e. tags are stamped per-wrapper, never
-//     smeared across shards.
+//     goroutine encodes), i.e. the ring's slabs never smear one
+//     producer's events into another's.
 //
 // Evictions bypass sampling by design, so all of them must arrive.
 func TestComposedSinkShardsAndSampling(t *testing.T) {
@@ -50,21 +51,21 @@ func TestComposedSinkShardsAndSampling(t *testing.T) {
 
 	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
-		tagged := obs.TagShard(sampled, s)
 		wg.Add(1)
-		go func(s int, sink obs.Sink) {
+		go func(s int) {
 			defer wg.Done()
 			for i := 0; i < perShard; i++ {
-				sink.Request(obs.RequestEvent{
+				sampled.Request(obs.RequestEvent{
 					Page:    page.ID(i),
 					QueryID: uint64(s), // encode the emitter for tag checks
 					Hit:     i%2 == 0,
+					Shard:   s,
 				})
 			}
 			for i := 0; i < evictions; i++ {
-				sink.Eviction(obs.EvictionEvent{Page: page.ID(i), Reason: "test"})
+				sampled.Eviction(obs.EvictionEvent{Page: page.ID(i), Reason: "test", Shard: s})
 			}
-		}(s, tagged)
+		}(s)
 	}
 	wg.Wait()
 	if err := async.Close(); err != nil {

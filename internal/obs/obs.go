@@ -5,7 +5,7 @@
 // profiling helpers shared by the commands.
 //
 // The design constraint is that observability must be free when unused:
-// every producer holds a Sink (never nil — NopSink by default) and emits
+// the engine holds a Sink (never nil — NopSink by default) and emits
 // fixed-size event structs by value, so with the no-op sink the
 // Engine.Get hot path stays allocation-free (asserted by
 // TestRequestHitPathZeroAllocs in package buffer).
@@ -22,16 +22,18 @@
 //   - Adapt — a change (or re-confirmation) of the ASB candidate-set
 //     size, the series plotted in Fig. 14.
 //
-// Producers attach sinks through SetSink; buffer.Engine forwards its
-// sink to the policy when the policy implements SinkSetter (ASB), so one
-// call instruments the whole stack.
+// Only buffer.Engine holds a Sink (attached through a pool's SetSink)
+// and only it stamps an event's Shard. A policy reports through the
+// AccessContext of the request it is serving (ASB's OverflowPromotion
+// and Adapt), which reaches whichever sink the engine holds at that
+// moment; a context no engine made discards the event.
 package obs
 
 import "repro/internal/page"
 
 // RequestEvent describes one read-path buffer request. Shard is the
 // index of the pool shard that served the request; 0 for unsharded
-// pools (buffer.Router tags each shard's events through TagShard).
+// pools (the engine stamps every event with the shard it serves).
 type RequestEvent struct {
 	Page    page.ID
 	QueryID uint64
@@ -123,13 +125,6 @@ type Sink interface {
 	Adapt(e AdaptEvent)
 }
 
-// SinkSetter is implemented by event producers (ASB, the pool layers) that
-// accept a sink. buffer.Engine.SetSink forwards to its policy through
-// this interface.
-type SinkSetter interface {
-	SetSink(Sink)
-}
-
 // LatencyRecorder is the optional sink extension for wall-clock request
 // timings. The simulation core is counting-based and never times
 // requests; but when the attached sink implements LatencyRecorder, the
@@ -144,7 +139,7 @@ type LatencyRecorder interface {
 	RecordLatency(nanos int64, weight uint64)
 }
 
-// NopSink discards all events. It is the default sink of every producer;
+// NopSink discards all events. It is the default sink of every engine;
 // its calls compile to nothing and add no allocations.
 type NopSink struct{}
 
@@ -249,51 +244,4 @@ func Tee(sinks ...Sink) Sink {
 		return timedMultiSink{multiSink: kept, timers: timers}
 	}
 	return kept
-}
-
-// shardTagger stamps every event with a shard index before forwarding.
-// Events travel by value, so the rewrite never mutates sender state.
-type shardTagger struct {
-	next  Sink
-	shard int
-}
-
-func (t shardTagger) Request(e RequestEvent) { e.Shard = t.shard; t.next.Request(e) }
-
-func (t shardTagger) Eviction(e EvictionEvent) { e.Shard = t.shard; t.next.Eviction(e) }
-
-func (t shardTagger) OverflowPromotion(e OverflowPromotionEvent) {
-	e.Shard = t.shard
-	t.next.OverflowPromotion(e)
-}
-
-func (t shardTagger) Adapt(e AdaptEvent) { e.Shard = t.shard; t.next.Adapt(e) }
-
-// timedShardTagger is a shardTagger over a latency-recording sink; it
-// forwards timings unchanged so request timing survives the tagging.
-type timedShardTagger struct {
-	shardTagger
-	timer LatencyRecorder
-}
-
-func (t timedShardTagger) RecordLatency(ns int64, weight uint64) { t.timer.RecordLatency(ns, weight) }
-
-// TagShard wraps a sink so every event it receives carries the given
-// shard index — buffer.Router attaches one per shard, so one shared
-// concurrency-safe sink (Counters, the live service, an async ring) sees
-// the merged stream with shard attribution. Nil and NopSink pass through
-// untouched (tagging a discarded event buys nothing); a sink that
-// implements LatencyRecorder keeps that capability through the wrapper.
-func TagShard(s Sink, shard int) Sink {
-	if s == nil {
-		return NopSink{}
-	}
-	if _, nop := s.(NopSink); nop {
-		return s
-	}
-	t := shardTagger{next: s, shard: shard}
-	if lr, ok := s.(LatencyRecorder); ok {
-		return timedShardTagger{shardTagger: t, timer: lr}
-	}
-	return t
 }

@@ -7,80 +7,6 @@ import (
 	"testing"
 )
 
-// latencySink records events and latencies, for TagShard pass-through
-// checks.
-type latencySink struct {
-	recordingSink
-	latencies []int64
-	weights   []uint64
-}
-
-func (l *latencySink) RecordLatency(ns int64, weight uint64) {
-	l.latencies = append(l.latencies, ns)
-	l.weights = append(l.weights, weight)
-}
-
-func TestTagShardRewritesEvents(t *testing.T) {
-	rec := &recordingSink{}
-	s := TagShard(rec, 3)
-
-	s.Request(RequestEvent{Page: 1, Hit: true})
-	if e := rec.last.(RequestEvent); e.Shard != 3 || e.Page != 1 || !e.Hit {
-		t.Errorf("request = %+v, want shard 3 with fields intact", e)
-	}
-	s.Eviction(EvictionEvent{Page: 9, Reason: ReasonSLRU})
-	if e := rec.last.(EvictionEvent); e.Shard != 3 || e.Page != 9 || e.Reason != ReasonSLRU {
-		t.Errorf("eviction = %+v, want shard 3 with fields intact", e)
-	}
-	s.OverflowPromotion(OverflowPromotionEvent{Page: 7})
-	if e := rec.last.(OverflowPromotionEvent); e.Shard != 3 || e.Page != 7 {
-		t.Errorf("promotion = %+v, want shard 3", e)
-	}
-	s.Adapt(AdaptEvent{OldC: 4, NewC: 5})
-	if e := rec.last.(AdaptEvent); e.Shard != 3 || e.OldC != 4 || e.NewC != 5 {
-		t.Errorf("adapt = %+v, want shard 3", e)
-	}
-	if rec.req != 1 || rec.evict != 1 || rec.promote != 1 || rec.adapt != 1 {
-		t.Errorf("event counts: %+v", *rec)
-	}
-}
-
-func TestTagShardCollapsesNop(t *testing.T) {
-	// nil and NopSink stay cost-free: no wrapper is allocated.
-	if _, ok := TagShard(nil, 2).(NopSink); !ok {
-		t.Error("TagShard(nil) should be NopSink")
-	}
-	if _, ok := TagShard(NopSink{}, 2).(NopSink); !ok {
-		t.Error("TagShard(NopSink) should stay NopSink")
-	}
-}
-
-func TestTagShardPreservesLatencyRecorder(t *testing.T) {
-	// A latency-recording sink must keep recording through the tagger
-	// (the manager decides whether to time requests by interface probe).
-	ls := &latencySink{}
-	tagged := TagShard(ls, 1)
-	lr, ok := tagged.(LatencyRecorder)
-	if !ok {
-		t.Fatal("tagged latency sink lost LatencyRecorder")
-	}
-	lr.RecordLatency(42, 7)
-	if len(ls.latencies) != 1 || ls.latencies[0] != 42 || ls.weights[0] != 7 {
-		t.Errorf("latencies = %v weights = %v, want [42] [7]", ls.latencies, ls.weights)
-	}
-	tagged.Request(RequestEvent{Page: 5})
-	if e := ls.last.(RequestEvent); e.Shard != 1 {
-		t.Errorf("shard = %d, want 1", e.Shard)
-	}
-
-	// A latency-blind sink must NOT grow a LatencyRecorder by tagging,
-	// or the manager would start timing requests nobody records.
-	rec := &recordingSink{}
-	if _, ok := TagShard(rec, 1).(LatencyRecorder); ok {
-		t.Error("tagging a latency-blind sink must not add LatencyRecorder")
-	}
-}
-
 // TestJSONLShardField pins the wire format: events from shard 0 (and all
 // unsharded pools) serialize exactly as before — no "shard" key — while
 // nonzero shards carry it, so existing JSONL consumers keep working.

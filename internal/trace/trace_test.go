@@ -116,9 +116,6 @@ func TestReplayEquivalentToLive(t *testing.T) {
 		{"spatial-EO", func() buffer.Policy { return core.NewSpatial(page.CritEO) }},
 		{"SLRU", func() buffer.Policy { return core.NewSLRU(page.CritA, 12) }},
 		{"ASB", func() buffer.Policy { return core.NewASB(capacity, core.DefaultASBOptions()) }},
-		{"ASB-probe", func() buffer.Policy {
-			return core.NewASBProbe(capacity, page.CritA, core.DefaultASBOptions().InitialCandFrac)
-		}},
 	}
 	trc, err := Record(tr, qs)
 	if err != nil {
