@@ -186,7 +186,7 @@ func run(cfg *config) error {
 		return err
 	}
 	defer cli.Close(pool)
-	shards := cli.Shards(pool) // may have been clamped for tiny buffers
+	shards := pool.Shards() // may have been clamped for tiny buffers
 	if ap, ok := pool.(*buffer.AsyncPool); ok {
 		svc.AddGauge("spatialbuf_writeback_queue_depth", "Pages waiting in the background write-back queue.",
 			func() float64 { return float64(ap.Writeback().Depth) })
@@ -207,46 +207,17 @@ func run(cfg *config) error {
 		svc.AddGauge("spatialbuf_inflight_reads", "Physical reads currently in flight across all shards (singleflight leaders).",
 			func() float64 { return float64(ap.InflightReads()) })
 	}
-	if sp, ok := pool.(interface {
-		Shards() int
-		ShardLen(i int) int
-		ShardPolicy(i int) buffer.Policy
-	}); ok {
-		var asbParts []live.ASBGauges
-		for i := 0; i < sp.Shards(); i++ {
-			svc.AddLabeledGauge("spatialbuf_shard_resident_pages",
-				fmt.Sprintf("shard=%q", fmt.Sprint(i)),
-				"Pages currently resident in this buffer shard.",
-				func() float64 { return float64(sp.ShardLen(i)) })
-			if asb, ok := sp.ShardPolicy(i).(live.ASBGauges); ok {
-				asbParts = append(asbParts, asb)
-				svc.AddShardASBGauges(i, asb)
-			}
-		}
-		if len(asbParts) > 0 {
-			// Pool-level aggregate under the standard names: candidate
-			// frames and overflow pages summed across the shards.
-			svc.AddASBGauges(live.SumASBGauges(asbParts...))
-		}
-	} else if pp, ok := pool.(interface{ Policy() buffer.Policy }); ok {
-		if asb, ok := pp.Policy().(live.ASBGauges); ok {
-			svc.AddASBGauges(asb)
-		}
-	}
+	svc.AddPoolGauges(pool)
 	if tracer != nil {
 		cont := tracing.NewContention(shards)
 		cli.Trace(pool, tracer, cont)
 		svc.AddContentionGauges(cont)
 		svc.AddTracerGauges(tracer)
 	}
-	svc.AddGauge("spatialbuf_resident_pages", "Pages currently held in buffer frames.",
-		func() float64 { return float64(pool.Len()) })
 	svc.AddGauge("spatialbuf_capacity_pages", "Total buffer capacity in frames.",
 		func() float64 { return float64(frames) })
 	svc.AddGauge("spatialbuf_workers", "Replay worker goroutines.",
 		func() float64 { return float64(cfg.workers) })
-	svc.AddGauge("spatialbuf_shards", "Buffer pool shards (1 = single mutex-protected pool).",
-		func() float64 { return float64(shards) })
 
 	sinks := []obs.Sink{svc.Sink()}
 	var async *live.AsyncSink

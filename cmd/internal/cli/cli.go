@@ -131,15 +131,6 @@ func (s *Shadow) Bank(real string, frames, window int) (*shadow.Bank, error) {
 // request path.
 func (s *Shadow) Sampled(next obs.Sink) obs.Sink { return obs.NewSamplingSink(next, s.Sample) }
 
-// Shards returns the pool's shard count after clamping (1 for the
-// unsharded layouts).
-func Shards(p buffer.Pool) int {
-	if sp, ok := p.(interface{ Shards() int }); ok {
-		return sp.Shards()
-	}
-	return 1
-}
-
 // Trace attaches the tracer and, where the layout has a latch to
 // profile, the contention profiler; either may be nil.
 func Trace(p buffer.Pool, t *tracing.Tracer, c *tracing.Contention) {

@@ -157,7 +157,7 @@ func TestPoolHelpers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := Shards(pool); got != tc.shards {
+			if got := pool.Shards(); got != tc.shards {
 				t.Errorf("Shards = %d, want %d", got, tc.shards)
 			}
 			tracer := tracing.NewTracer(1, comp.ShardCount(), 64)

@@ -41,15 +41,14 @@ func declare(fs *flag.FlagSet) (*obs.ProfileFlags, func() error) {
 	setName := fs.String("set", "U-P", "query set to trace")
 	queries := fs.Int("queries", 0, "query count (0 = calibrated)")
 	refs := fs.Bool("refs", false, "dump the raw reference string")
-	out := fs.String("out", "", "save the trace to a file (gob) for later replay")
 	mrc := fs.String("mrc", "", "write a miss-ratio-curve CSV (shadow-cache replay) to this file")
 	mrcPols := fs.String("mrc-policies", "LRU,SLRU 50%,ASB", "with -mrc: comma-separated policies to curve")
 	mrcCaps := fs.String("mrc-capacities", "", "with -mrc: comma-separated buffer sizes in frames (empty = powers of two up to the distinct page count)")
 	prof.Register(fs)
-	return &prof, func() error { return run(&db, *setName, *queries, *refs, *out, *mrc, *mrcPols, *mrcCaps) }
+	return &prof, func() error { return run(&db, *setName, *queries, *refs, *mrc, *mrcPols, *mrcCaps) }
 }
 
-func run(sel *cli.DB, setName string, queries int, dumpRefs bool, out, mrc, mrcPols, mrcCaps string) error {
+func run(sel *cli.DB, setName string, queries int, dumpRefs bool, mrc, mrcPols, mrcCaps string) error {
 	var capacities []int
 	for _, f := range cli.Split(mrcCaps) {
 		v, err := strconv.Atoi(f)
@@ -134,12 +133,6 @@ func run(sel *cli.DB, setName string, queries int, dumpRefs bool, out, mrc, mrcP
 	fmt.Printf("hottest page: %d references; 80%% of references hit %d pages (%.1f%% of touched)\n",
 		counts[0], covered, float64(covered)/float64(len(touch))*100)
 
-	if out != "" {
-		if err := tr.Save(out); err != nil {
-			return err
-		}
-		fmt.Printf("trace saved to %s\n", out)
-	}
 	if mrc != "" {
 		if err := writeMRC(tr, db, mrc, cli.Split(mrcPols), capacities, len(touch)); err != nil {
 			return err

@@ -260,12 +260,9 @@ func (s *asyncShard) readmit(pg *page.Page, now uint64, ctx AccessContext) (*Fra
 // per-shard flight tables. The shards are counted one after another, so
 // under churn the sum is an instantaneous estimate, not an atomic
 // snapshot — the usual multi-counter scrape contract.
-func (p *AsyncPool) InflightReads() int {
-	n := 0
-	for _, sh := range p.shards {
-		sh.lock()
-		n += len(sh.e.async.flight)
-		sh.mu.Unlock()
+func (p *AsyncPool) InflightReads() (n int) {
+	for i := range p.shards {
+		p.View(i, func(e *Engine) { n += len(e.async.flight) })
 	}
 	return n
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -284,8 +283,7 @@ func TestAsyncSingleShardSeedEquivalence(t *testing.T) {
 	if sr, ar := seedStore.Stats().Reads, asyncStore.Stats().Reads; sr != ar {
 		t.Errorf("physical reads diverge: seed %d, async %d", sr, ar)
 	}
-	seedIDs, asyncIDs := seed.ResidentIDs(), sp.ResidentIDs()
-	sort.Slice(seedIDs, func(i, j int) bool { return seedIDs[i] < seedIDs[j] })
+	seedIDs, asyncIDs := residentIDs(seed), residentIDs(sp)
 	if len(seedIDs) != len(asyncIDs) {
 		t.Fatalf("resident sets diverge: %d vs %d pages", len(seedIDs), len(asyncIDs))
 	}

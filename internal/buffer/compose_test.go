@@ -3,6 +3,7 @@ package buffer
 import (
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -265,18 +266,7 @@ func TestCompositionMatrixEquivalence(t *testing.T) {
 		if uint64(len(rec.evictions)) != st.Evictions {
 			t.Errorf("%s: %d eviction events for %d evictions", spec, len(rec.evictions), st.Evictions)
 		}
-		var ids []page.ID
-		switch p := pool.(type) {
-		case *Engine:
-			ids = p.ResidentIDs()
-		case *LockedEngine:
-			ids = p.ResidentIDs()
-		case *Router:
-			ids = p.ResidentIDs()
-		case *AsyncPool:
-			ids = p.ResidentIDs()
-		}
-		sortIDs(ids)
+		ids := residentIDs(pool)
 		if cl, ok := pool.(interface{ Close() error }); ok {
 			if err := cl.Close(); err != nil {
 				t.Fatal(err)
@@ -355,12 +345,23 @@ func TestCompositionMatrixEquivalence(t *testing.T) {
 	})
 }
 
-func sortIDs(ids []page.ID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
+// residentIDs is the pool-wide resident set, sorted: every shard's,
+// read through the door.
+func residentIDs(p Pool) []page.ID {
+	var ids []page.ID
+	for i := 0; i < p.Shards(); i++ {
+		p.View(i, func(e *Engine) { ids = append(ids, e.ResidentIDs()...) })
 	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
+// contains reports whether any shard holds the page.
+func contains(p Pool, id page.ID) (ok bool) {
+	for i := 0; i < p.Shards() && !ok; i++ {
+		p.View(i, func(e *Engine) { ok = e.Contains(id) })
+	}
+	return ok
 }
 
 // TestCompositionConcurrentSmoke hammers every concurrency-safe

@@ -150,6 +150,46 @@ func TestDeferredHitOfEvictedPage(t *testing.T) {
 	}
 }
 
+// TestViewSeesDeferredHits: View is a barrier like every other latch
+// acquisition. While a shard defers, hits sit in its ring and its engine
+// has not heard of them; what f reads inside View has them all, on every
+// layout that has a latch to forward to.
+func TestViewSeesDeferredHits(t *testing.T) {
+	const hits = hitRingHalf - 7 // they fit one half: nothing drains them on the way
+	for _, spec := range []string{"locked", "sharded,shards=1", "async,shards=1"} {
+		t.Run(spec, func(t *testing.T) {
+			comp, err := ParseComposition(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool, err := comp.Build(newStore(t, 2), testFactory, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cl, ok := pool.(interface{ Close() error }); ok {
+				defer cl.Close()
+			}
+			if _, err := pool.Get(1, AccessContext{}); err != nil {
+				t.Fatal(err)
+			}
+			forceDeferral(t, pool)
+			for i := 0; i < hits; i++ {
+				if _, err := pool.Get(1, AccessContext{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := lockLayers(t, pool)[0].e.stats; st.Hits != 0 {
+				t.Fatalf("the engine has accounted %d hits before any barrier, want them in the ring", st.Hits)
+			}
+			var st Stats
+			pool.View(0, func(e *Engine) { st = e.Stats() })
+			if st.Hits != hits || st.Requests != hits+1 {
+				t.Errorf("inside View: %+v, want %d hits of %d requests", st, hits, hits+1)
+			}
+		})
+	}
+}
+
 // TestDeferredHitsKeepLatencyWeights: a replayed hit goes through the
 // same one-in-hitSample timing as a direct one, so the weights a latency
 // recorder receives still sum to the requests, short of the last

@@ -136,6 +136,13 @@ func (e *Engine) Policy() Policy { return e.policy }
 // Stats returns the logical access counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
+// Shards implements Pool: a bare engine is its own only shard.
+func (e *Engine) Shards() int { return 1 }
+
+// View implements Pool: the caller of a bare engine is its
+// serialization, so f simply runs.
+func (e *Engine) View(_ int, f func(*Engine)) { f(e) }
+
 // Get requests the page without pinning it. The returned page must be
 // treated as read-only and may be evicted by any later request.
 func (e *Engine) Get(id page.ID, ctx AccessContext) (*page.Page, error) {

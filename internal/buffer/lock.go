@@ -259,13 +259,6 @@ func (l *LockedEngine) MarkDirty(id page.ID) error {
 	return l.e.MarkDirty(id)
 }
 
-// Contains reports whether the page is resident (see Engine.Contains).
-func (l *LockedEngine) Contains(id page.ID) bool {
-	l.lock()
-	defer l.mu.Unlock()
-	return l.e.Contains(id)
-}
-
 // Flush writes back all dirty pages (see Engine.Flush).
 func (l *LockedEngine) Flush() error {
 	l.lock()
@@ -294,21 +287,15 @@ func (l *LockedEngine) Len() int {
 	return l.e.Len()
 }
 
-// Capacity returns the buffer capacity in frames.
-func (l *LockedEngine) Capacity() int { return l.e.Capacity() }
+// Shards implements Pool: one engine.
+func (l *LockedEngine) Shards() int { return 1 }
 
-// Policy returns the replacement-policy instance. The policy is driven
-// under the mutex, so while the pool is serving, only accessors
-// documented as concurrency-safe (e.g. core.ASB's atomic gauge mirrors)
-// may be called on it.
-func (l *LockedEngine) Policy() Policy { return l.e.Policy() }
-
-// ResidentIDs returns the IDs of all resident pages (see
-// Engine.ResidentIDs).
-func (l *LockedEngine) ResidentIDs() []page.ID {
+// View implements Pool: f runs on the engine under the mutex, after the
+// hits served without it have been replayed.
+func (l *LockedEngine) View(_ int, f func(*Engine)) {
 	l.lock()
 	defer l.mu.Unlock()
-	return l.e.ResidentIDs()
+	f(l.e)
 }
 
 // SetSink attaches an observability sink (see Engine.SetSink). Events

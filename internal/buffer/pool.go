@@ -7,8 +7,9 @@ import (
 
 // Pool is the buffer abstraction every consumer programs against: the
 // read path (Get/Fix/Unfix), the write path (Put/MarkDirty/Flush), the
-// lifecycle (Clear), and introspection (Stats/Len/SetSink). One engine
-// and three stackable layers cover the concurrency spectrum:
+// lifecycle (Clear), introspection (Stats/Len/SetSink) and the one door
+// to everything else an engine knows (Shards/View). One engine and three
+// stackable layers cover the concurrency spectrum:
 //
 //   - Engine — the bare single-threaded core the paper's experiments
 //     use; fastest when one goroutine owns the buffer.
@@ -51,6 +52,19 @@ type Pool interface {
 	// policies (nil detaches). Sinks attached to concurrent pools must
 	// be safe for concurrent use.
 	SetSink(s obs.Sink)
+	// Shards returns the number of engines behind the pool: 1 unless a
+	// Router partitions it, and then what the router settled on, which a
+	// tiny buffer makes fewer than the composition asked for.
+	Shards() int
+	// View calls f with shard i's engine (0 ≤ i < Shards()) under that
+	// shard's serialization — on a shared pool its latch, taken after the
+	// hits served latch-free have been replayed — so whatever f reads of
+	// the engine, its frames and its policy (Stats, Len, Contains,
+	// ResidentIDs, Capacity, Policy and the policy's own accessors) is one
+	// consistent state. f is for reading: it must not call the pool, which
+	// would wait for the latch f runs under, and must not keep the engine
+	// or its policy past its return.
+	View(i int, f func(*Engine))
 }
 
 // PolicyFactory constructs a fresh replacement policy sized for a buffer

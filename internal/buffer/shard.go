@@ -3,7 +3,6 @@ package buffer
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/obs/tracing"
@@ -44,8 +43,7 @@ import (
 // sinks/tracers/profilers, and stats merging — the request path itself
 // stays in the engines.
 type Router struct {
-	shards   []*LockedEngine
-	capacity int
+	shards []*LockedEngine
 
 	// store is the shared page store all shards read and write; kept for
 	// the async layer, which hands it to the write-back queue.
@@ -75,7 +73,7 @@ func NewRouter(store storage.Store, factory PolicyFactory, capacity, shards int)
 			shards = 1
 		}
 	}
-	r := &Router{shards: make([]*LockedEngine, shards), capacity: capacity, store: store}
+	r := &Router{shards: make([]*LockedEngine, shards), store: store}
 	base, extra := capacity/shards, capacity%shards
 	for i := range r.shards {
 		shardCap := base
@@ -116,21 +114,9 @@ func (r *Router) shardFor(id page.ID) *LockedEngine {
 // at construction when the capacity could not feed that many shards).
 func (r *Router) Shards() int { return len(r.shards) }
 
-// Capacity returns the total buffer capacity in frames (the sum of the
-// shard capacities).
-func (r *Router) Capacity() int { return r.capacity }
-
-// ShardPolicy returns shard i's replacement-policy instance. The policy
-// is driven under the shard's mutex, so while the pool is serving, only
-// accessors documented as concurrency-safe (e.g. core.ASB's atomic
-// gauge mirrors) may be called on it.
-func (r *Router) ShardPolicy(i int) Policy { return r.shards[i].Policy() }
-
-// ShardLen returns the number of pages resident in shard i.
-func (r *Router) ShardLen(i int) int { return r.shards[i].Len() }
-
-// ShardStats returns a snapshot of shard i's counters.
-func (r *Router) ShardStats(i int) Stats { return r.shards[i].Stats() }
+// View implements Pool: f runs on shard i's engine under that shard's
+// mutex.
+func (r *Router) View(i int, f func(*Engine)) { r.shards[i].View(0, f) }
 
 // Get implements Pool (and rtree.Reader): the request is served by the
 // page's shard.
@@ -163,12 +149,6 @@ func (r *Router) Unfix(id page.ID) error {
 // MarkDirty implements Pool.
 func (r *Router) MarkDirty(id page.ID) error {
 	return r.shardFor(id).MarkDirty(id)
-}
-
-// Contains reports whether the page is resident in its shard, without
-// counting a request.
-func (r *Router) Contains(id page.ID) bool {
-	return r.shardFor(id).Contains(id)
 }
 
 // Flush writes back all dirty resident pages, shard by shard.
@@ -217,18 +197,6 @@ func (r *Router) Len() int {
 		n += sh.Len()
 	}
 	return n
-}
-
-// ResidentIDs returns the IDs of all resident pages across all shards,
-// sorted (the per-shard order is unspecified, so sorting makes the
-// result deterministic for tests and diffing).
-func (r *Router) ResidentIDs() []page.ID {
-	var ids []page.ID
-	for _, sh := range r.shards {
-		ids = append(ids, sh.ResidentIDs()...)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // SetSink attaches one observability sink to every shard; each shard's

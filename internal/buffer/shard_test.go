@@ -130,7 +130,7 @@ func TestRouterSingleShardEquivalence(t *testing.T) {
 		if _, err := sp.Get(id, ctx); err != nil {
 			t.Fatal(err)
 		}
-		if m.Contains(id) != sp.Contains(id) {
+		if m.Contains(id) != contains(sp, id) {
 			t.Fatalf("residency diverged at access %d (page %d)", i, id)
 		}
 	}
@@ -138,7 +138,7 @@ func TestRouterSingleShardEquivalence(t *testing.T) {
 		t.Fatalf("stats diverged:\nmanager %+v\nsharded %+v", m.Stats(), sp.Stats())
 	}
 	want := m.ResidentIDs()
-	got := sp.ResidentIDs()
+	got := residentIDs(sp)
 	wantSet := make(map[page.ID]bool, len(want))
 	for _, id := range want {
 		wantSet[id] = true
@@ -179,13 +179,15 @@ func TestRouterShardStatsMerge(t *testing.T) {
 	}
 	capSum := 0
 	for i := 0; i < sp.Shards(); i++ {
-		if sp.shards[i].Capacity() < 1 {
-			t.Fatalf("shard %d has capacity %d", i, sp.shards[i].Capacity())
-		}
-		capSum += sp.shards[i].Capacity()
+		sp.View(i, func(e *Engine) {
+			if e.Capacity() < 1 {
+				t.Fatalf("shard %d has capacity %d", i, e.Capacity())
+			}
+			capSum += e.Capacity()
+		})
 	}
-	if capSum != capacity || sp.Capacity() != capacity {
-		t.Fatalf("capacity split: shards sum to %d, Capacity() = %d, want %d", capSum, sp.Capacity(), capacity)
+	if capSum != capacity {
+		t.Fatalf("capacity split: shards sum to %d, want %d", capSum, capacity)
 	}
 
 	rng := rand.New(rand.NewSource(13))
@@ -199,8 +201,10 @@ func TestRouterShardStatsMerge(t *testing.T) {
 	var merged Stats
 	lenSum := 0
 	for i := 0; i < sp.Shards(); i++ {
-		merged.Add(sp.ShardStats(i))
-		lenSum += sp.ShardLen(i)
+		sp.View(i, func(e *Engine) {
+			merged.Add(e.Stats())
+			lenSum += e.Len()
+		})
 	}
 	if total := sp.Stats(); total != merged {
 		t.Fatalf("Stats() %+v != merged per-shard %+v", total, merged)
@@ -217,8 +221,8 @@ func TestRouterShardStatsMerge(t *testing.T) {
 	if got := s.Stats().Reads; got != merged.Misses {
 		t.Fatalf("physical reads %d != misses %d", got, merged.Misses)
 	}
-	if len(sp.ResidentIDs()) != sp.Len() {
-		t.Fatalf("ResidentIDs length %d != Len %d", len(sp.ResidentIDs()), sp.Len())
+	if n := len(residentIDs(sp)); n != sp.Len() {
+		t.Fatalf("%d resident IDs != Len %d", n, sp.Len())
 	}
 }
 
@@ -439,8 +443,8 @@ func TestMissReadFailureKeepsResidentPages(t *testing.T) {
 	if _, err := sp.Get(4, ctx); !errors.Is(err, errInjectedRead) {
 		t.Fatalf("sharded err = %v, want injected read failure", err)
 	}
-	if sp.Stats().Evictions != 0 || !sp.Contains(1) || !sp.Contains(2) {
-		t.Fatalf("sharded pool evicted on failed read: %+v, resident %v", sp.Stats(), sp.ResidentIDs())
+	if sp.Stats().Evictions != 0 || !contains(sp, 1) || !contains(sp, 2) {
+		t.Fatalf("sharded pool evicted on failed read: %+v, resident %v", sp.Stats(), residentIDs(sp))
 	}
 }
 
@@ -468,8 +472,8 @@ func TestRouterDeterministicRouting(t *testing.T) {
 	}
 	var a, b []int
 	for i := 0; i < 4; i++ {
-		a = append(a, sp1.ShardLen(i))
-		b = append(b, sp2.ShardLen(i))
+		sp1.View(i, func(e *Engine) { a = append(a, e.Len()) })
+		sp2.View(i, func(e *Engine) { b = append(b, e.Len()) })
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("routing not deterministic: %v vs %v", a, b)

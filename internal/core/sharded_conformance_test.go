@@ -85,12 +85,6 @@ func closePool(t *testing.T, p buffer.Pool) {
 	}
 }
 
-type containsPool interface {
-	buffer.Pool
-	Contains(id page.ID) bool
-	ResidentIDs() []page.ID
-}
-
 // TestRouterConformance runs every standard policy inside the
 // multi-shard compositions — sharded and async — against the invariants
 // of the single-manager conformance suite: capacity respected, resident
@@ -111,10 +105,10 @@ func TestRouterConformance(t *testing.T) {
 			capacity := 16
 			t.Run(f.Name+"/"+spec, func(t *testing.T) {
 				s := buildStore(t, specs)
-				p := buildComposition(t, spec, s, f, capacity).(containsPool)
+				p := buildComposition(t, spec, s, f, capacity)
 				defer closePool(t, p)
 				for _, a := range seq {
-					wasResident := p.Contains(a.id)
+					wasResident := poolContains(p, a.id)
 					hitsBefore := p.Stats().Hits
 					if _, err := p.Get(a.id, buffer.AccessContext{QueryID: a.query}); err != nil {
 						t.Fatalf("get %d: %v", a.id, err)
@@ -172,7 +166,7 @@ func TestRouterSingleShardMatchesEngine(t *testing.T) {
 			t.Run(f.Name+"/"+spec, func(t *testing.T) {
 				sm := buildStore(t, specs)
 				m := mustEngine(t, sm, f.New(capacity), capacity)
-				sp := buildComposition(t, spec, buildStore(t, specs), f, capacity).(containsPool)
+				sp := buildComposition(t, spec, buildStore(t, specs), f, capacity)
 				defer closePool(t, sp)
 				for i, a := range seq {
 					ctx := buffer.AccessContext{QueryID: a.query}
@@ -182,7 +176,7 @@ func TestRouterSingleShardMatchesEngine(t *testing.T) {
 					if _, err := sp.Get(a.id, ctx); err != nil {
 						t.Fatal(err)
 					}
-					if m.Contains(a.id) != sp.Contains(a.id) {
+					if m.Contains(a.id) != poolContains(sp, a.id) {
 						t.Fatalf("residency diverged at access %d (page %d)", i, a.id)
 					}
 					if m.Stats() != sp.Stats() {
@@ -194,7 +188,7 @@ func TestRouterSingleShardMatchesEngine(t *testing.T) {
 				for _, id := range m.ResidentIDs() {
 					wantSet[id] = true
 				}
-				got := sp.ResidentIDs()
+				got := poolResidentIDs(sp)
 				if len(got) != len(wantSet) {
 					t.Fatalf("resident count: composition %d, engine %d", len(got), len(wantSet))
 				}

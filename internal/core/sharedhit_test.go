@@ -127,10 +127,7 @@ func TestSharedHitPathInvariants(t *testing.T) {
 // shardedPool is what the order test needs of a multi-shard composition.
 type shardedPool interface {
 	buffer.Pool
-	Shards() int
-	ShardStats(i int) buffer.Stats
 	EnableContention(c *tracing.Contention)
-	Contains(id page.ID) bool
 }
 
 // shardDigests hashes every event into the digest of the shard it is
@@ -209,13 +206,13 @@ func replayShardedInto(t *testing.T, layout string, f core.Factory, capacity int
 		}
 		before := make([]uint64, pool.Shards())
 		for i := range before {
-			before[i] = pool.ShardStats(i).Requests
+			before[i] = shardStats(pool, i).Requests
 		}
 		if _, err := pool.Get(id, buffer.AccessContext{}); err != nil {
 			t.Fatal(err)
 		}
 		for i := range before {
-			if pool.ShardStats(i).Requests != before[i] && len(pages[i]) < 2 {
+			if shardStats(pool, i).Requests != before[i] && len(pages[i]) < 2 {
 				pages[i] = append(pages[i], id)
 				found++
 			}
@@ -223,7 +220,7 @@ func replayShardedInto(t *testing.T, layout string, f core.Factory, capacity int
 	}
 	for _, xy := range pages {
 		x, y := xy[0], xy[1]
-		if !pool.Contains(x) || !pool.Contains(y) {
+		if !poolContains(pool, x) || !poolContains(pool, y) {
 			t.Fatalf("pages %d and %d should still be resident", x, y) // else the Get of y would queue behind the hold
 		}
 		done := make(chan error, 1)
@@ -259,7 +256,7 @@ func replayShardedInto(t *testing.T, layout string, f core.Factory, capacity int
 	goldenReplay(t, pool, store)
 	out := make([]shardReplay, pool.Shards())
 	for i := range out {
-		out[i].stats = pool.ShardStats(i) // the barrier that reports the shard's last deferred hits
+		out[i].stats = shardStats(pool, i) // the barrier that reports the shard's last deferred hits
 		out[i].acquisitions = cont.Acquisitions(i)
 	}
 	return out

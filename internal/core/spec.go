@@ -10,11 +10,14 @@ import (
 	"repro/internal/page"
 )
 
+// maxSpecK bounds the history depth a spec may ask of LRU-K.
+const maxSpecK = 64
+
 // ParseSpec resolves a parameterized policy spec to a Factory. A spec is
 // a colon-separated list whose head names the policy family
 // (case-insensitive) and whose tail supplies parameters:
 //
-//	LRU-K:<k>                              history depth k ≥ 1, e.g. LRU-K:4
+//	LRU-K:<k>                              history depth 1 ≤ k ≤ 64, e.g. LRU-K:4
 //	SLRU:<crit>:<size>                     spatial criterion (A, EA, M, EM, EO)
 //	                                       and candidate-set size: values < 1
 //	                                       are a fraction of the buffer
@@ -41,9 +44,11 @@ func ParseSpec(spec string) (Factory, error) {
 		if len(args) != 1 {
 			return bad("want LRU-K:<k>")
 		}
+		// LRU-K keeps k words per history record from the first admission
+		// on; the paper uses 2, 3 and 5.
 		k, err := strconv.Atoi(args[0])
-		if err != nil || k < 1 {
-			return bad("k must be an integer ≥ 1, got %q", args[0])
+		if err != nil || k < 1 || k > maxSpecK {
+			return bad("k must be an integer in [1, %d], got %q", maxSpecK, args[0])
 		}
 		return Factory{Name: spec, New: func(int) buffer.Policy { return NewLRUK(k) }}, nil
 

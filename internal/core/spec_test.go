@@ -98,7 +98,7 @@ func TestParseSpec(t *testing.T) {
 		}
 	})
 	for _, bad := range []string{
-		"LRU-K:0", "LRU-K:x", "LRU-K:", "LRU-K:2:3",
+		"LRU-K:0", "LRU-K:x", "LRU-K:", "LRU-K:2:3", "LRU-K:65", "LRU-K:2000000000",
 		"SLRU:A", "SLRU:Q:0.5", "SLRU:A:0", "SLRU:A:-1",
 		"SLRU:A:NaN", "SLRU:A:Inf", "SLRU:A:1e30", "SLRU:A:2147483648",
 		"SPATIAL:", "SPATIAL:XX",
@@ -121,7 +121,7 @@ func FuzzParseSpec(f *testing.F) {
 	for _, seed := range []string{
 		"LRU-K:4", "SLRU:EA:0.25", "SLRU:A:12", "SLRU:A:2147483647", "SPATIAL:em", "ASB:A:0.2:0.25:0.01", "PIN:2",
 		"SLRU:A:NaN", "SLRU:A:Inf", "SLRU:A:1e30", "ASB:A:NaN",
-		"", ":", "ASB", "asb:a:1e-300", "SLRU:A:0x1p-2", "LRU-K:-0",
+		"", ":", "ASB", "asb:a:1e-300", "SLRU:A:0x1p-2", "LRU-K:-0", "LRU-K:64", "LRU-K:2000000000",
 	} {
 		f.Add(seed)
 	}

@@ -115,6 +115,27 @@ func resident(m *buffer.Engine, ids ...page.ID) bool {
 	return true
 }
 
+// poolContains, poolResidentIDs and shardStats read a composition of any
+// layout through its door, shard by shard under each one's latch.
+func poolContains(p buffer.Pool, id page.ID) (ok bool) {
+	for i := 0; i < p.Shards() && !ok; i++ {
+		p.View(i, func(e *buffer.Engine) { ok = e.Contains(id) })
+	}
+	return ok
+}
+
+func poolResidentIDs(p buffer.Pool) (ids []page.ID) {
+	for i := 0; i < p.Shards(); i++ {
+		p.View(i, func(e *buffer.Engine) { ids = append(ids, e.ResidentIDs()...) })
+	}
+	return ids
+}
+
+func shardStats(p buffer.Pool, i int) (st buffer.Stats) {
+	p.View(i, func(e *buffer.Engine) { st = e.Stats() })
+	return st
+}
+
 // mustEngine builds a manager or fails the test.
 func mustEngine(t *testing.T, s storage.Store, pol buffer.Policy, capacity int) *buffer.Engine {
 	t.Helper()

@@ -9,12 +9,6 @@ import (
 	"repro/internal/trace"
 )
 
-// residentLister is the introspection surface every pool composition
-// exposes for the equivalence checks.
-type residentLister interface {
-	ResidentIDs() []page.ID
-}
-
 // TestShardedReplayEquivalence replays a recorded reference string of a
 // real query set through every composition that routes like a bare
 // engine — locked, single-shard sharded, single-shard async — and
@@ -66,7 +60,8 @@ func TestShardedReplayEquivalence(t *testing.T) {
 				if got != want {
 					t.Errorf("%s: stats diverged:\nbare engine %+v\ncomposition %+v", spec, want, got)
 				}
-				resident := pool.(residentLister).ResidentIDs()
+				var resident []page.ID
+				pool.View(0, func(e *buffer.Engine) { resident = e.ResidentIDs() }) // one shard each
 				if len(resident) != len(wantSet) {
 					t.Fatalf("%s: resident count %d, bare engine %d", spec, len(resident), len(wantSet))
 				}
@@ -123,13 +118,9 @@ func TestShardedReplayPartitioned(t *testing.T) {
 		if st.Hits+st.Misses != st.Requests {
 			t.Errorf("%s: stats inconsistent: %+v", spec, st)
 		}
-		sh := pool.(interface {
-			Shards() int
-			ShardStats(i int) buffer.Stats
-		})
 		var merged buffer.Stats
-		for i := 0; i < sh.Shards(); i++ {
-			merged.Add(sh.ShardStats(i))
+		for i := 0; i < pool.Shards(); i++ {
+			pool.View(i, func(e *buffer.Engine) { merged.Add(e.Stats()) })
 		}
 		if merged != st {
 			t.Errorf("%s: per-shard merge %+v != Stats() %+v", spec, merged, st)

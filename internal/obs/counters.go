@@ -71,9 +71,6 @@ type Counters struct {
 	evictions   atomic.Uint64
 	promotions  atomic.Uint64
 	adaptations atomic.Uint64
-	// candLast is the most recent ASB candidate-set size observed via
-	// Adapt events (0 until the first event).
-	candLast atomic.Uint64
 
 	// byReason counts evictions per reason slot.
 	byReason [numReasonSlots]atomic.Uint64
@@ -111,7 +108,6 @@ func (c *Counters) OverflowPromotion(OverflowPromotionEvent) { c.promotions.Add(
 // Adapt implements Sink.
 func (c *Counters) Adapt(e AdaptEvent) {
 	c.adaptations.Add(1)
-	c.candLast.Store(uint64(e.NewC))
 	switch {
 	case e.NewC > e.OldC:
 		c.adaptGrow.Add(1)
@@ -169,7 +165,6 @@ type Snapshot struct {
 	Evictions   uint64 `json:"evictions"`
 	Promotions  uint64 `json:"overflow_promotions"`
 	Adaptations uint64 `json:"adaptations"`
-	Candidate   uint64 `json:"candidate_size"`
 
 	ByReason    EvictionsByReason `json:"evictions_by_reason"`
 	AdaptGrow   uint64            `json:"adapt_grow"`
@@ -198,7 +193,6 @@ func (c *Counters) Snapshot() Snapshot {
 		Evictions:   c.evictions.Load(),
 		Promotions:  c.promotions.Load(),
 		Adaptations: c.adaptations.Load(),
-		Candidate:   c.candLast.Load(),
 		AdaptGrow:   c.adaptGrow.Load(),
 		AdaptShrink: c.adaptShrink.Load(),
 		AdaptHold:   c.adaptHold.Load(),

@@ -3,8 +3,83 @@ package live
 import (
 	"strconv"
 
+	"repro/internal/buffer"
 	"repro/internal/obs/tracing"
 )
+
+// ASBGauges is the slice of core.ASB the live layer reads for gauges:
+// the candidate-set size, the overflow occupancy and the two part
+// capacities. Defined here (not in core) so the live layer stays
+// policy-agnostic — any adaptive policy with these is scrapeable. They
+// are plain reads of state the policy changes on the request path, which
+// is why AddPoolGauges calls them inside Pool.View and nowhere else.
+type ASBGauges interface {
+	CandidateSize() int
+	OverflowLen() int
+	OverflowCapacity() int
+	MainCapacity() int
+}
+
+// AddPoolGauges registers what a pool says about itself, every value
+// read through Pool.View — under the latch of the shard it belongs to,
+// a few times a second, instead of the request path publishing it:
+// spatialbuf_resident_pages and spatialbuf_shards; with more than one
+// shard the spatialbuf_shard_*{shard="i"} families; and, when the policy
+// is an adaptable spatial buffer, the spatialbuf_asb_* families, summed
+// over the shards (each value counts frames exactly one shard owns) so a
+// sharded pool serves the names a single ASB does.
+func (s *Service) AddPoolGauges(pool buffer.Pool) {
+	shards := pool.Shards()
+	// on reads f off shard i's engine; total sums it over all shards,
+	// one latch after the other — the usual multi-counter scrape contract.
+	on := func(i int, f func(*buffer.Engine) int) func() float64 {
+		return func() (v float64) {
+			pool.View(i, func(e *buffer.Engine) { v = float64(f(e)) })
+			return v
+		}
+	}
+	total := func(f func(*buffer.Engine) int) func() float64 {
+		return func() (v float64) {
+			for i := 0; i < shards; i++ {
+				pool.View(i, func(e *buffer.Engine) { v += float64(f(e)) })
+			}
+			return v
+		}
+	}
+	asb := func(get func(ASBGauges) int) func(*buffer.Engine) int {
+		return func(e *buffer.Engine) int { return get(e.Policy().(ASBGauges)) }
+	}
+	// Every shard's policy comes from the one factory, so shard 0 tells
+	// whether the pool is an ASB.
+	isASB := false
+	pool.View(0, func(e *buffer.Engine) { _, isASB = e.Policy().(ASBGauges) })
+
+	s.AddGauge("spatialbuf_resident_pages", "Pages currently held in buffer frames.",
+		total((*buffer.Engine).Len))
+	s.AddGauge("spatialbuf_shards", "Buffer pool shards (1 = single mutex-protected pool).",
+		func() float64 { return float64(shards) })
+	for i := 0; shards > 1 && i < shards; i++ { // one shard: the pool gauges say it all
+		labels := `shard="` + strconv.Itoa(i) + `"`
+		s.AddLabeledGauge("spatialbuf_shard_resident_pages", labels,
+			"Pages currently resident in this buffer shard.", on(i, (*buffer.Engine).Len))
+		if isASB {
+			s.AddLabeledGauge("spatialbuf_shard_asb_candidate_size", labels,
+				"Per-shard ASB candidate-set size c.", on(i, asb(ASBGauges.CandidateSize)))
+			s.AddLabeledGauge("spatialbuf_shard_asb_overflow_pages", labels,
+				"Per-shard pages in the ASB overflow buffer.", on(i, asb(ASBGauges.OverflowLen)))
+		}
+	}
+	if isASB {
+		s.AddGauge("spatialbuf_asb_candidate_size", "Current ASB candidate-set size c.",
+			total(asb(ASBGauges.CandidateSize)))
+		s.AddGauge("spatialbuf_asb_overflow_pages", "Pages currently in the ASB overflow buffer.",
+			total(asb(ASBGauges.OverflowLen)))
+		s.AddGauge("spatialbuf_asb_overflow_capacity_pages", "Capacity of the ASB overflow buffer.",
+			total(asb(ASBGauges.OverflowCapacity)))
+		s.AddGauge("spatialbuf_asb_main_capacity_pages", "Capacity of the ASB main part.",
+			total(asb(ASBGauges.MainCapacity)))
+	}
+}
 
 // AddContentionGauges registers shard-labeled lock-contention gauges fed
 // by a tracing.Contention profiler (attach the profiler to the pool with

@@ -16,18 +16,6 @@ import (
 // JSONL export carries).
 const critScale = 1e9
 
-// ASBGauges is the slice of core.ASB the live layer reads for gauges:
-// the atomic mirrors of the candidate-set size and overflow occupancy
-// plus the static part capacities. Defined here (not in core) so the
-// live layer stays policy-agnostic — any adaptive policy exposing these
-// becomes scrapeable.
-type ASBGauges interface {
-	LiveCandidateSize() int
-	LiveOverflowLen() int
-	OverflowCapacity() int
-	MainCapacity() int
-}
-
 // Gauge is a named instantaneous value scraped at request time. Value
 // must be safe to call from any goroutine. Labels is an optional
 // Prometheus label set rendered inside the braces (e.g. `shard="3"`);
@@ -140,74 +128,6 @@ func (s *Service) AddLabeledGauge(name, labels, help string, value func() float6
 	s.gauges = append(s.gauges, g)
 }
 
-// summedASB aggregates the gauges of several per-shard adaptive policy
-// instances by summation: the total candidate frames, overflow pages
-// and part capacities across the pool. Summing is the right merge for
-// all four gauges because each underlying value counts frames owned by
-// exactly one shard.
-type summedASB []ASBGauges
-
-func (a summedASB) LiveCandidateSize() (n int) {
-	for _, p := range a {
-		n += p.LiveCandidateSize()
-	}
-	return n
-}
-
-func (a summedASB) LiveOverflowLen() (n int) {
-	for _, p := range a {
-		n += p.LiveOverflowLen()
-	}
-	return n
-}
-
-func (a summedASB) OverflowCapacity() (n int) {
-	for _, p := range a {
-		n += p.OverflowCapacity()
-	}
-	return n
-}
-
-func (a summedASB) MainCapacity() (n int) {
-	for _, p := range a {
-		n += p.MainCapacity()
-	}
-	return n
-}
-
-// SumASBGauges merges the gauges of several per-shard adaptive policy
-// instances into one pool-level ASBGauges by summing each value; pass
-// the result to AddASBGauges so a sharded pool exposes the same
-// aggregate metric names a single ASB does.
-func SumASBGauges(parts ...ASBGauges) ASBGauges { return summedASB(parts) }
-
-// AddShardASBGauges registers shard-labeled gauges for one shard's
-// adaptive policy: the live candidate size and overflow occupancy under
-// shard-qualified metric names (`spatialbuf_shard_asb_*{shard="i"}`),
-// so dashboards can watch the per-shard c trajectories diverge.
-func (s *Service) AddShardASBGauges(shard int, p ASBGauges) {
-	labels := `shard="` + strconv.Itoa(shard) + `"`
-	s.AddLabeledGauge("spatialbuf_shard_asb_candidate_size", labels,
-		"Per-shard ASB candidate-set size c.",
-		func() float64 { return float64(p.LiveCandidateSize()) })
-	s.AddLabeledGauge("spatialbuf_shard_asb_overflow_pages", labels,
-		"Per-shard pages in the ASB overflow buffer.",
-		func() float64 { return float64(p.LiveOverflowLen()) })
-}
-
-// AddASBGauges registers the standard gauge set of an adaptable spatial
-// buffer (candidate size, overflow occupancy and capacities).
-func (s *Service) AddASBGauges(p ASBGauges) {
-	s.AddGauge("spatialbuf_asb_candidate_size", "Current ASB candidate-set size c.",
-		func() float64 { return float64(p.LiveCandidateSize()) })
-	s.AddGauge("spatialbuf_asb_overflow_pages", "Pages currently in the ASB overflow buffer.",
-		func() float64 { return float64(p.LiveOverflowLen()) })
-	s.AddGauge("spatialbuf_asb_overflow_capacity_pages", "Capacity of the ASB overflow buffer.",
-		func() float64 { return float64(p.OverflowCapacity()) })
-	s.AddGauge("spatialbuf_asb_main_capacity_pages", "Capacity of the ASB main part.",
-		func() float64 { return float64(p.MainCapacity()) })
-}
-
 // gaugeSample is one scraped gauge value.
 type gaugeSample struct {
 	Name, Labels, Help string
@@ -228,8 +148,8 @@ func (g gaugeSample) Key() string {
 // Prometheus exposition format requires for labeled families.
 //
 // The scrape handlers sample the gauges before they read the counters: a
-// gauge that asks the pool a question under its latches (bufserve's
-// spatialbuf_resident_pages calls Pool.Len) is a barrier that makes the
+// gauge that asks the pool a question under its latches (those of
+// AddPoolGauges all do, through Pool.View) is a barrier that makes the
 // pool report the hits it served latch-free (DESIGN.md §5c), so the
 // counters of an idle pool are exact.
 func (s *Service) gaugeSnapshot() []gaugeSample {
@@ -252,12 +172,6 @@ func (s *Service) gaugeSnapshot() []gaugeSample {
 		}
 	}
 	return out
-}
-
-func (s *Service) hasGauge(name string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.named[name]
 }
 
 // Handler returns the HTTP handler serving all endpoints.
@@ -344,10 +258,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	count("spatialbuf_adaptations_total", `direction="hold"`, c.AdaptHold)
 	metric("spatialbuf_events_dropped_total", "Observability events dropped by the async ring sink.", "counter")
 	count("spatialbuf_events_dropped_total", "", c.Dropped)
-	if !s.hasGauge("spatialbuf_asb_candidate_size") {
-		metric("spatialbuf_asb_candidate_size", "ASB candidate-set size after the most recent adaptation event.", "gauge")
-		count("spatialbuf_asb_candidate_size", "", c.Candidate)
-	}
 
 	metric("spatialbuf_request_latency_seconds", "Per-request buffer latency.", "histogram")
 	for _, bound := range latencyBounds {

@@ -70,7 +70,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"spatialbuf_overflow_promotions_total 1",
 		`spatialbuf_adaptations_total{direction="grow"} 1`,
 		"spatialbuf_events_dropped_total 0",
-		"spatialbuf_asb_candidate_size 4",
 		`spatialbuf_request_latency_seconds_bucket{le="+Inf"} 10`,
 		"spatialbuf_request_latency_seconds_count 10",
 		`spatialbuf_request_latency_quantile_seconds{quantile="0.5"}`,
@@ -111,44 +110,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 }
-
-func TestMetricsPrefersLiveASBGauge(t *testing.T) {
-	svc := live.NewService()
-	feedService(t, svc)
-	svc.AddASBGauges(stubASB{cand: 9, over: 2, overCap: 5, mainCap: 20})
-
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	body := get(t, ts.URL+"/metrics")
-
-	// The live gauge (9) wins over the counters-derived value (4), and
-	// the series must not be emitted twice.
-	if !strings.Contains(body, "spatialbuf_asb_candidate_size 9") {
-		t.Error("live candidate gauge not exposed")
-	}
-	if strings.Contains(body, "spatialbuf_asb_candidate_size 4") {
-		t.Error("counters-derived candidate gauge duplicates the live one")
-	}
-	if n := strings.Count(body, "# TYPE spatialbuf_asb_candidate_size gauge"); n != 1 {
-		t.Errorf("candidate_size TYPE emitted %d times", n)
-	}
-	for _, want := range []string{
-		"spatialbuf_asb_overflow_pages 2",
-		"spatialbuf_asb_overflow_capacity_pages 5",
-		"spatialbuf_asb_main_capacity_pages 20",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
-}
-
-type stubASB struct{ cand, over, overCap, mainCap int }
-
-func (s stubASB) LiveCandidateSize() int { return s.cand }
-func (s stubASB) LiveOverflowLen() int   { return s.over }
-func (s stubASB) OverflowCapacity() int  { return s.overCap }
-func (s stubASB) MainCapacity() int      { return s.mainCap }
 
 func get(t *testing.T, url string) string {
 	t.Helper()

@@ -134,7 +134,7 @@ type Sink interface {
 // = the hits since the last timed hit, itself included. A call counts as
 // weight samples of nanos each, so counts follow the requests (at most
 // 63 hits late) and sums and quantiles stay consistent estimators.
-// Histogram and WindowTracker implement it; Tee propagates it.
+// Histogram implements it; Tee propagates it.
 type LatencyRecorder interface {
 	RecordLatency(nanos int64, weight uint64)
 }

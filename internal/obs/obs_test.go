@@ -58,8 +58,7 @@ func TestCountersAggregate(t *testing.T) {
 	s := c.Snapshot()
 	want := Snapshot{
 		Requests: 3, Hits: 2, Misses: 1, Evictions: 3, Promotions: 1,
-		Adaptations: 3, Candidate: 6,
-		AdaptGrow: 1, AdaptShrink: 1, AdaptHold: 1, Dropped: 4,
+		Adaptations: 3, AdaptGrow: 1, AdaptShrink: 1, AdaptHold: 1, Dropped: 4,
 	}
 	want.ByReason[reasonSlot(ReasonSLRU)] = 1
 	want.ByReason[reasonSlot(ReasonASBOverflow)] = 1

@@ -269,5 +269,33 @@ func TestBankSkipsTinyAndDuplicateSpecs(t *testing.T) {
 	}
 }
 
+// TestShadowDisabledHitPathZeroAllocs pins the disabled-profiler cost
+// from outside the buffer package: with no sink attached, a buffer hit
+// allocates nothing — shadow support (the Meta field on RequestEvent)
+// must not have put the event on the heap.
+func TestShadowDisabledHitPathZeroAllocs(t *testing.T) {
+	store := newStore(t, 8)
+	lru, err := core.Resolver("LRU")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := buffer.NewEngine(store, lru(4), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := buffer.AccessContext{QueryID: 1}
+	if _, err := m.Get(1, ctx); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := m.Get(1, ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("hit path with shadows disabled allocates %.1f objects per request, want 0", allocs)
+	}
+}
+
 // Spec aliased for brevity in table literals.
 type Spec = shadow.Spec

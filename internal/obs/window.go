@@ -8,10 +8,6 @@ package obs
 // shows up as a windowed-ratio transient that the cumulative ratio
 // smears out.
 //
-// The tracker also accepts request latencies via RecordLatency (the
-// weighted samples of LatencyRecorder) from callers that time their
-// requests, as the buffer engine does for a sink that asks.
-//
 // WindowTracker implements Sink; non-Request events are ignored. It is
 // not safe for concurrent use.
 type WindowTracker struct {
@@ -27,11 +23,6 @@ type WindowTracker struct {
 type WindowStats struct {
 	Requests uint64
 	Hits     uint64
-	// LatencyNanos is the weighted sum of latencies recorded during the
-	// window; LatencySamples the sum of their weights (0 if the caller
-	// does not time requests).
-	LatencyNanos   int64
-	LatencySamples uint64
 }
 
 // HitRatio returns Hits/Requests for the window, or 0 for an empty one.
@@ -62,13 +53,6 @@ func (t *WindowTracker) Request(e RequestEvent) {
 	if t.cur.Requests >= t.perWindow {
 		t.close()
 	}
-}
-
-// RecordLatency adds one timed request standing for weight requests to
-// the current window.
-func (t *WindowTracker) RecordLatency(nanos int64, weight uint64) {
-	t.cur.LatencyNanos += nanos * int64(weight)
-	t.cur.LatencySamples += weight
 }
 
 // close pushes the current window into the ring, overwriting the oldest

@@ -92,21 +92,6 @@ func TestWindowTrackerExactRingBoundary(t *testing.T) {
 	}
 }
 
-func TestWindowTrackerLatency(t *testing.T) {
-	w := NewWindowTracker(2, 2)
-	w.Request(RequestEvent{Hit: true})
-	w.RecordLatency(100, 3) // a timed hit standing for three
-	w.RecordLatency(500, 1)
-	w.Request(RequestEvent{})
-	ws := w.Windows()
-	if len(ws) != 1 {
-		t.Fatalf("windows = %+v", ws)
-	}
-	if ws[0].LatencySamples != 4 || ws[0].LatencyNanos != 800 {
-		t.Errorf("latency agg = %+v", ws[0])
-	}
-}
-
 func TestWindowTrackerClampsArguments(t *testing.T) {
 	w := NewWindowTracker(0, -1)
 	w.Request(RequestEvent{Hit: true})

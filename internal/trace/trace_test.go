@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"path/filepath"
 	"testing"
 
 	"repro/internal/buffer"
@@ -212,31 +211,4 @@ func TestPointQueryTraceShorterThanWindows(t *testing.T) {
 			tp.Len(), tw.Len())
 	}
 	_ = geom.Rect{}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	tr, _, qs := buildFixture(t)
-	trc, err := Record(tr, qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "trace.gob")
-	if err := trc.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != trc.Name || got.Len() != trc.Len() {
-		t.Fatalf("loaded %q/%d, want %q/%d", got.Name, got.Len(), trc.Name, trc.Len())
-	}
-	for i := range trc.Refs {
-		if got.Refs[i] != trc.Refs[i] {
-			t.Fatalf("ref %d differs", i)
-		}
-	}
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.gob")); err == nil {
-		t.Error("loading a missing file should fail")
-	}
 }
