@@ -327,6 +327,8 @@ func run(cfg *config) error {
 	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	fmt.Printf("bufserve: final counters: %s\n", svc.Counters.String())
+	st := pool.Stats()
+	fmt.Printf("bufserve: final counters: %d requests, %d hits (hit ratio %.4f), %d misses (%d coalesced), %d evictions; events %s\n",
+		st.Requests, st.Hits, st.HitRatio(), st.Misses, st.Coalesced, st.Evictions, svc.Counters.String())
 	return nil
 }

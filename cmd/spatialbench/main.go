@@ -30,11 +30,6 @@
 // trajectory as CSV (render it with asbviz -in FILE). The standard
 // -cpuprofile, -memprofile and -trace flags profile the whole run.
 //
-// Live monitoring: -serve ADDR starts the metrics HTTP server of
-// internal/obs/live (Prometheus /metrics, JSON /vars, /healthz, SSE
-// /events/ctraj, dashboard at /) and feeds it every replay the run
-// performs, so long sweeps can be watched while they execute.
-//
 // Request tracing: -trace-out FILE attaches a sampling span recorder
 // (1 in -trace-sample requests) to every replay the run performs and
 // writes the retained traces as Chrome trace-event JSON — load the
@@ -47,8 +42,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 
@@ -57,7 +50,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/obs"
-	"repro/internal/obs/live"
 	"repro/internal/obs/shadow"
 	"repro/internal/obs/tracing"
 	"repro/internal/trace"
@@ -75,7 +67,6 @@ type config struct {
 	events     string
 	window     int
 	ctraj      string
-	serve      string
 	pool       string
 
 	traceOut    string
@@ -100,7 +91,6 @@ func declare(fs *flag.FlagSet) (*obs.ProfileFlags, func() error) {
 	fs.StringVar(&cfg.events, "events", "", "with -sets: write the sweep's event stream as JSONL to this file")
 	fs.IntVar(&cfg.window, "window", 0, "with -sets: print hit ratios over windows of N requests")
 	fs.StringVar(&cfg.ctraj, "ctraj", "", "run the Fig. 14 adaptation workload and write the c-trajectory CSV to this file")
-	fs.StringVar(&cfg.serve, "serve", "", "serve live metrics on this address (e.g. :8080) while the run executes")
 	fs.StringVar(&cfg.pool, "pool", "bare", "with -events/-window/-shadow: pool composition spec for instrumented replays, layout[,shards=N][,wbworkers=N][,wbqueue=N] with layout bare|locked|sharded|async (per-shard policy instances when sharded)")
 	fs.StringVar(&cfg.traceOut, "trace-out", "", "write request span traces as Chrome trace-event JSON to this file")
 	fs.IntVar(&cfg.traceSample, "trace-sample", 1024, "with -trace-out: trace 1 in N buffer requests")
@@ -160,22 +150,6 @@ func run(cfg *config) error {
 		tracer = tracing.NewTracer(sample, comp.ShardCount(), 4096)
 		experiment.SetTracer(tracer)
 		defer experiment.SetTracer(nil)
-	}
-
-	if cfg.serve != "" {
-		// The listener is opened synchronously so a bad address fails the
-		// run instead of a background goroutine. Every replay the
-		// experiment package performs then feeds the service's sink; the
-		// server is torn down with the process (benchmark runs exit when
-		// done, so there is no separate shutdown path).
-		svc := live.NewService()
-		ln, err := net.Listen("tcp", cfg.serve)
-		if err != nil {
-			return fmt.Errorf("-serve %s: %w", cfg.serve, err)
-		}
-		experiment.SetObserver(svc.Sink())
-		go http.Serve(ln, svc.Handler())
-		fmt.Printf("serving live metrics on http://%s/\n", ln.Addr())
 	}
 
 	emit := func(tables []*experiment.Table) error {

@@ -32,9 +32,6 @@ func NewArena(capacity int) *Arena {
 	return a
 }
 
-// Live returns the number of frames currently allocated.
-func (a *Arena) Live() int { return len(a.frames) - len(a.free) }
-
 // Alloc pops a scrubbed frame off the free-list, or returns nil when the
 // arena is exhausted. The returned frame is zero-valued apart from its
 // arena slot tag.

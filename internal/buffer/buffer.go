@@ -82,7 +82,7 @@ func (c AccessContext) OverflowPromotion(e obs.OverflowPromotionEvent) {
 // Adapt reports a candidate-size adaptation (see OverflowPromotion).
 func (c AccessContext) Adapt(e obs.AdaptEvent) {
 	if c.engine != nil {
-		e.Shard = c.engine.shard
+		e.Shard, e.Ref = c.engine.shard, c.engine.stats.Requests
 		c.engine.sink.Adapt(e)
 	}
 }

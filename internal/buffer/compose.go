@@ -42,6 +42,19 @@ type Composition struct {
 	WritebackQueue   int
 }
 
+// The largest numbers a spec may give: each is allocated or started up
+// front (bufserve sizes its tracer by the shard count before it builds the
+// database), so a typo must fail here. A shard is an engine, a latch, a
+// hit ring, a trace ring and a contention slot — 1024 is far above any core
+// count a latch per shard pays off at; a write-back worker is a goroutine,
+// useless beyond the store's own concurrency; the queue is a channel of
+// page IDs made at full size — 8 MiB, more pages than any buffer here has.
+const (
+	maxShards           = 1024
+	maxWritebackWorkers = 256
+	maxWritebackQueue   = 1 << 20
+)
+
 // ParseComposition parses a pool composition spec of the form
 //
 //	layout[,key=value]...
@@ -50,7 +63,8 @@ type Composition struct {
 // keys are "shards" (sharded/async only), "wbworkers" and "wbqueue"
 // (async only). Examples: "locked", "sharded,shards=4",
 // "async,shards=8,wbworkers=2,wbqueue=256". Layout and keys are
-// case-insensitive; "shards=0" means one shard per CPU.
+// case-insensitive; "shards=0" means one shard per CPU. Values above
+// maxShards, maxWritebackWorkers and maxWritebackQueue are rejected.
 func ParseComposition(spec string) (Composition, error) {
 	parts := strings.Split(spec, ",")
 	var c Composition
@@ -72,24 +86,28 @@ func ParseComposition(spec string) (Composition, error) {
 		if err != nil || n < 0 {
 			return Composition{}, fmt.Errorf("buffer: pool composition parameter %q: want a non-negative integer", part)
 		}
+		var limit int
 		switch key {
 		case "shards":
 			if c.Layout != LayoutSharded && c.Layout != LayoutAsync {
 				return Composition{}, fmt.Errorf("buffer: shards= applies to sharded and async layouts, not %q", c.Layout)
 			}
-			c.Shards = n
+			c.Shards, limit = n, maxShards
 		case "wbworkers":
 			if c.Layout != LayoutAsync {
 				return Composition{}, fmt.Errorf("buffer: wbworkers= applies to the async layout, not %q", c.Layout)
 			}
-			c.WritebackWorkers = n
+			c.WritebackWorkers, limit = n, maxWritebackWorkers
 		case "wbqueue":
 			if c.Layout != LayoutAsync {
 				return Composition{}, fmt.Errorf("buffer: wbqueue= applies to the async layout, not %q", c.Layout)
 			}
-			c.WritebackQueue = n
+			c.WritebackQueue, limit = n, maxWritebackQueue
 		default:
 			return Composition{}, fmt.Errorf("buffer: unknown pool composition parameter %q", key)
+		}
+		if n > limit {
+			return Composition{}, fmt.Errorf("buffer: pool composition parameter %q: at most %d", part, limit)
 		}
 	}
 	return c, nil
@@ -116,10 +134,10 @@ func (c Composition) String() string {
 
 // ShardCount returns the number of shards the composition asks for: 1
 // for the bare and locked layouts, Shards for sharded and async, or one
-// per available CPU (GOMAXPROCS) when Shards is left at 0. Build passes
-// it to NewRouter, which may still clamp it for a tiny buffer; the
-// commands size their tracer's rings by it before the pool exists (a
-// clamped pool leaves the trailing rings empty).
+// per available CPU (GOMAXPROCS, at most maxShards) when Shards is left
+// at 0. Build passes it to NewRouter, which may still clamp it for a tiny
+// buffer; the commands size their tracer's rings by it before the pool
+// exists (a clamped pool leaves the trailing rings empty).
 func (c Composition) ShardCount() int {
 	if c.Layout != LayoutSharded && c.Layout != LayoutAsync {
 		return 1
@@ -127,7 +145,7 @@ func (c Composition) ShardCount() int {
 	if c.Shards > 0 {
 		return c.Shards
 	}
-	return runtime.GOMAXPROCS(0)
+	return min(runtime.GOMAXPROCS(0), maxShards)
 }
 
 // Build constructs the described pool of the given total capacity (in

@@ -26,6 +26,7 @@ func TestParseComposition(t *testing.T) {
 		{"async,shards=8,wbworkers=2,wbqueue=256", Composition{Layout: LayoutAsync, Shards: 8, WritebackWorkers: 2, WritebackQueue: 256}, 8},
 		{" Async , Shards=2 ", Composition{Layout: LayoutAsync, Shards: 2}, 2},
 		{"sharded,shards=0", Composition{Layout: LayoutSharded}, 0},
+		{"async,shards=1024,wbworkers=256,wbqueue=1048576", Composition{Layout: LayoutAsync, Shards: maxShards, WritebackWorkers: maxWritebackWorkers, WritebackQueue: maxWritebackQueue}, maxShards},
 	}
 	for _, c := range cases {
 		got, err := ParseComposition(c.spec)
@@ -55,6 +56,12 @@ func TestParseComposition(t *testing.T) {
 		"sharded,shards=-1",
 		"sharded,shards=two",
 		"async,wbunknown=1",
+		"async,shards=2000000000",
+		"sharded,shards=1025",
+		"async,wbworkers=2000000000",
+		"async,wbworkers=257",
+		"async,wbqueue=2000000000",
+		"async,wbqueue=1048577",
 	}
 	for _, spec := range bad {
 		if got, err := ParseComposition(spec); err == nil {
@@ -87,8 +94,9 @@ func testFactoryFIFO(int) Policy { return newTestPolicy() }
 
 // FuzzParseComposition: -pool is the only way to choose a pool, so the
 // parser takes arbitrary command-line text. It must never panic, and a
-// spec it accepts must render (String) to one it parses to the same
-// Composition.
+// spec it accepts must ask for a bounded pool — ShardCount and the
+// write-back numbers within their limits — and render (String) to one it
+// parses to the same Composition.
 func FuzzParseComposition(f *testing.F) {
 	for _, spec := range []string{
 		// TestParseComposition's good and bad specs.
@@ -98,6 +106,9 @@ func FuzzParseComposition(f *testing.F) {
 		"sharded,shards", "sharded,shards=-1", "sharded,shards=two", "async,wbunknown=1",
 		// The pool specs of the six workloads in bench/workload.go.
 		"sharded,shards=2", "async,shards=2", "async,shards=2,wbworkers=1",
+		// Numbers that used to be accepted and allocated before any request.
+		"async,shards=2000000000", "async,wbworkers=2000000000", "async,wbqueue=2000000000",
+		"async,shards=1024,wbworkers=256,wbqueue=1048576", "sharded,shards=1025",
 	} {
 		f.Add(spec)
 	}
@@ -105,6 +116,9 @@ func FuzzParseComposition(f *testing.F) {
 		c, err := ParseComposition(spec)
 		if err != nil {
 			return
+		}
+		if n := c.ShardCount(); n < 1 || n > maxShards || c.WritebackWorkers > maxWritebackWorkers || c.WritebackQueue > maxWritebackQueue {
+			t.Errorf("ParseComposition(%q) accepted %+v with %d shards", spec, c, n)
 		}
 		again, err := ParseComposition(c.String())
 		if err != nil || again != c {

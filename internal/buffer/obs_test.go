@@ -152,17 +152,16 @@ func TestLockedEngineSetSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	sm := Lock(m)
-	var counters obs.Counters
-	sm.SetSink(&counters)
+	rec := &recordingSink{}
+	sm.SetSink(rec)
 	if _, err := sm.Get(1, AccessContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sm.Get(1, AccessContext{}); err != nil {
 		t.Fatal(err)
 	}
-	snap := counters.Snapshot()
-	if snap.Requests != 2 || snap.Hits != 1 || snap.Misses != 1 {
-		t.Errorf("counters = %+v", snap)
+	if len(rec.requests) != 2 || rec.requests[0].Hit || !rec.requests[1].Hit {
+		t.Errorf("sink saw %+v, want a miss then a hit", rec.requests)
 	}
 }
 

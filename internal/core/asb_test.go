@@ -204,8 +204,8 @@ func TestASBAdaptEvents(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if rec.Len() != 1 || rec.Cand[0] != p.CandidateSize() {
-		t.Errorf("recorder saw %v, candidate = %d", rec.Cand, p.CandidateSize())
+	if rec.Len() != 1 || rec.Cand[0] != p.CandidateSize() || rec.Ref[0] != 11 {
+		t.Errorf("recorder saw %v at %v, candidate = %d at request 11", rec.Cand, rec.Ref, p.CandidateSize())
 	}
 	s := counters.Snapshot()
 	if s.Promotions != 1 || s.Adaptations != 1 {

@@ -34,7 +34,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/events.golden fr
 const goldenPath = "testdata/events.golden"
 
 // digestSink hashes every event of all four kinds, every field, in
-// arrival order.
+// arrival order — of an Adapt the fields it had when the digests were
+// taken (Ref came later; TestAdaptRefCountsRequests pins it).
 type digestSink struct{ h hash.Hash64 }
 
 func (d digestSink) Request(e obs.RequestEvent)   { fmt.Fprintf(d.h, "R %+v\n", e) }
@@ -42,7 +43,9 @@ func (d digestSink) Eviction(e obs.EvictionEvent) { fmt.Fprintf(d.h, "E %+v\n", 
 func (d digestSink) OverflowPromotion(e obs.OverflowPromotionEvent) {
 	fmt.Fprintf(d.h, "P %+v\n", e)
 }
-func (d digestSink) Adapt(e obs.AdaptEvent) { fmt.Fprintf(d.h, "A %+v\n", e) }
+func (d digestSink) Adapt(e obs.AdaptEvent) {
+	fmt.Fprintf(d.h, "A {OldC:%d NewC:%d Shard:%d}\n", e.OldC, e.NewC, e.Shard)
+}
 
 // goldenReplay drives a fixed-seed mix of Gets, Puts and Fix/Unfix pairs
 // (held pins make victim scans skip frames, so ranks above 0 occur)

@@ -39,9 +39,9 @@ func factoriesNamed(t *testing.T, names ...string) []core.Factory {
 // and Puts over 60 pages in 12 frames, so hits served latch-free race
 // with evictions, in-place replacements and (async) out-of-latch reads of
 // their shard. At quiescence the engine's identities hold exactly, the
-// store saw the reads the pool claims, a counters sink agrees with Stats
-// once Stats has been asked (the barrier that reports deferred hits), no
-// pin is left, and every Get returned the page it asked for.
+// store saw the reads the pool claims, a sink tallying the events agrees
+// with Stats once Stats has been asked (the barrier that reports deferred
+// hits), no pin is left, and every Get returned the page it asked for.
 func TestSharedHitPathInvariants(t *testing.T) {
 	const numPages, capacity, workers, perWorker = 60, 12, 4, 3000
 	for _, layout := range []string{"locked", "sharded,shards=2", "async,shards=2"} {
@@ -49,8 +49,8 @@ func TestSharedHitPathInvariants(t *testing.T) {
 			t.Run(f.Name+"/"+layout, func(t *testing.T) {
 				store := buildStore(t, conformanceSpecs(numPages, 7))
 				pool := buildComposition(t, layout, store, f, capacity)
-				counters := &obs.Counters{}
-				pool.SetSink(counters)
+				events := &tally{}
+				pool.SetSink(events)
 
 				var reads, puts atomic.Uint64
 				var wg sync.WaitGroup
@@ -106,9 +106,9 @@ func TestSharedHitPathInvariants(t *testing.T) {
 				if got := store.Stats().Reads; got != st.DiskReads() {
 					t.Errorf("store saw %d reads, pool reports %d", got, st.DiskReads())
 				}
-				if c := counters.Snapshot(); c.Requests != st.Requests || c.Hits != st.Hits || c.Evictions != st.Evictions {
-					t.Errorf("counters sink %d/%d/%d requests/hits/evictions, stats %d/%d/%d",
-						c.Requests, c.Hits, c.Evictions, st.Requests, st.Hits, st.Evictions)
+				if r, h, e := events.requests.Load(), events.hits.Load(), events.evictions.Load(); r != st.Requests || h != st.Hits || e != st.Evictions {
+					t.Errorf("sink saw %d/%d/%d requests/hits/evictions, stats %d/%d/%d",
+						r, h, e, st.Requests, st.Hits, st.Evictions)
 				}
 				for id := page.ID(1); id <= numPages; id++ {
 					if pool.Unfix(id) == nil {
@@ -123,6 +123,21 @@ func TestSharedHitPathInvariants(t *testing.T) {
 		}
 	}
 }
+
+// tally counts the events a concurrent pool emits.
+type tally struct {
+	obs.NopSink
+	requests, hits, evictions atomic.Uint64
+}
+
+func (c *tally) Request(e obs.RequestEvent) {
+	c.requests.Add(1)
+	if e.Hit {
+		c.hits.Add(1)
+	}
+}
+
+func (c *tally) Eviction(obs.EvictionEvent) { c.evictions.Add(1) }
 
 // shardedPool is what the order test needs of a multi-shard composition.
 type shardedPool interface {
@@ -367,6 +382,74 @@ func TestEventsCarryTheirShard(t *testing.T) {
 				if promotions == 0 {
 					t.Error("the replay was meant to hit ASB's overflow buffer")
 				}
+			})
+		}
+	}
+}
+
+// refCheck counts the Request events of every shard and holds each Adapt
+// against them. The replay it listens to runs on one goroutine.
+type refCheck struct {
+	obs.NopSink
+	requests      []uint64
+	adapts, wrong int
+	first         string
+}
+
+func (c *refCheck) Request(e obs.RequestEvent) { c.requests[e.Shard]++ }
+
+func (c *refCheck) Adapt(e obs.AdaptEvent) {
+	c.adapts++
+	if e.Ref == c.requests[e.Shard] {
+		return
+	}
+	if c.wrong++; c.wrong == 1 {
+		c.first = fmt.Sprintf("%+v after %d requests on its shard", e, c.requests[e.Shard])
+	}
+}
+
+// TestAdaptRefCountsRequests: the engine stamps every Adapt with its own
+// request count, so Ref is the number of Request events its shard has
+// emitted so far, the request that adapted included — the reference index
+// of Fig. 14, without anybody counting Request events to learn it. On a
+// bare engine, and per shard on a sharded and an async pool, with hits
+// served under the latch and with their bookkeeping deferred.
+func TestAdaptRefCountsRequests(t *testing.T) {
+	asb := factoriesNamed(t, "ASB")[0]
+	check := func(t *testing.T, c *refCheck) {
+		t.Helper()
+		if c.adapts == 0 {
+			t.Fatal("the replay was meant to adapt c")
+		}
+		if c.wrong > 0 {
+			t.Errorf("%d of %d adaptations carry another Ref than their shard's request count; first: %s", c.wrong, c.adapts, c.first)
+		}
+	}
+	t.Run("bare", func(t *testing.T) {
+		store := buildStore(t, conformanceSpecs(60, 7))
+		pool := buildComposition(t, "bare", store, asb, 12)
+		c := &refCheck{requests: make([]uint64, 1)}
+		pool.SetSink(c)
+		goldenReplay(t, pool, store)
+		check(t, c)
+	})
+	for _, layout := range []string{"sharded,shards=4", "async,shards=4"} {
+		for _, hold := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/hold=%t", layout, hold), func(t *testing.T) {
+				c := &refCheck{}
+				shards := replayShardedInto(t, layout, asb, 24, hold, func(n int) obs.Sink {
+					c.requests = make([]uint64, n)
+					return c
+				})
+				for i, sh := range shards {
+					if hold && sh.acquisitions >= sh.stats.Requests {
+						t.Errorf("shard %d: %d latch acquisitions for %d requests: no hit was deferred", i, sh.acquisitions, sh.stats.Requests)
+					}
+					if c.requests[i] != sh.stats.Requests {
+						t.Errorf("shard %d: %d Request events, %d counted", i, c.requests[i], sh.stats.Requests)
+					}
+				}
+				check(t, c)
 			})
 		}
 	}

@@ -104,7 +104,6 @@ func Run(db *Database, setNames []string, factories []core.Factory, fracs []floa
 				var stats buffer.Stats
 				m, err := buffer.NewEngine(db.Store, j.f.New(j.frames), j.frames)
 				if err == nil {
-					m.SetSink(currentObserver())
 					m.SetTracer(currentTracer())
 					stats, err = trace.ReplayOn(j.tr, m)
 				}
@@ -240,14 +239,10 @@ func RunAdaptation(db *Database, frac float64, seed int64) (*AdaptationTrace, er
 	// harness measures policies, not a concrete pool flavour.
 	var pool buffer.Pool = m
 	// The candidate-set trajectory is captured from the event stream: the
-	// recorder counts Request events for the reference index and samples
-	// the size at every Adapt event.
+	// recorder samples the size at every Adapt event, at the request count
+	// the engine stamped on it.
 	rec := obs.NewTrajectoryRecorder()
-	if o := currentObserver(); o != nil {
-		pool.SetSink(obs.Tee(rec, o))
-	} else {
-		pool.SetSink(rec)
-	}
+	pool.SetSink(rec)
 	// One continuous run over the three phases (no clearing in between:
 	// the point is to watch the buffer adapt to the changing profile).
 	queryOffset := uint64(0)
@@ -262,7 +257,7 @@ func RunAdaptation(db *Database, frac float64, seed int64) (*AdaptationTrace, er
 			}
 		}
 		queryOffset += maxQ
-		out.PhaseEnds[pi] = rec.Refs()
+		out.PhaseEnds[pi] = int(pool.Stats().Requests)
 	}
 	out.RefAt = rec.Ref
 	out.Sizes = rec.Cand

@@ -43,14 +43,3 @@ func BenchmarkEnlargement(b *testing.B) {
 	}
 	_ = sum
 }
-
-func BenchmarkMinDist(b *testing.B) {
-	rs := benchRects(1024)
-	p := Point{X: 3, Y: -4}
-	b.ResetTimer()
-	var sum float64
-	for i := 0; i < b.N; i++ {
-		sum += rs[i%len(rs)].MinDist(p)
-	}
-	_ = sum
-}

@@ -183,18 +183,6 @@ func (r Rect) Enlargement(s Rect) float64 {
 	return r.Union(s).Area() - r.Area()
 }
 
-// MinDist returns the minimum Euclidean distance from p to any point of r,
-// 0 if p lies inside r. It is the standard lower bound used by best-first
-// nearest-neighbour search on R-trees.
-func (r Rect) MinDist(p Point) float64 {
-	if r.IsEmpty() {
-		return math.Inf(1)
-	}
-	dx := math.Max(0, math.Max(r.MinX-p.X, p.X-r.MaxX))
-	dy := math.Max(0, math.Max(r.MinY-p.Y, p.Y-r.MaxY))
-	return math.Hypot(dx, dy)
-}
-
 // Equal reports whether r and s describe the same point set. All empty
 // rectangles are equal to each other.
 func (r Rect) Equal(s Rect) bool {

@@ -186,30 +186,6 @@ func TestEnlargement(t *testing.T) {
 	}
 }
 
-func TestMinDist(t *testing.T) {
-	r := NewRect(0, 0, 2, 2)
-	tests := []struct {
-		p    Point
-		want float64
-	}{
-		{Point{X: 1, Y: 1}, 0},   // inside
-		{Point{X: 2, Y: 2}, 0},   // corner
-		{Point{X: 5, Y: 1}, 3},   // right of
-		{Point{X: 1, Y: -2}, 2},  // below
-		{Point{X: 5, Y: 6}, 5},   // diagonal 3-4-5
-		{Point{X: -3, Y: -4}, 5}, // diagonal other side
-		{Point{X: -1, Y: 1}, 1},  // left of
-	}
-	for _, tt := range tests {
-		if got := r.MinDist(tt.p); math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("MinDist(%v) = %g, want %g", tt.p, got, tt.want)
-		}
-	}
-	if !math.IsInf(EmptyRect().MinDist(Point{}), 1) {
-		t.Error("MinDist to empty should be +Inf")
-	}
-}
-
 func TestFlipX(t *testing.T) {
 	space := NewRect(0, 0, 100, 50)
 	r := NewRect(10, 5, 20, 15)
@@ -349,21 +325,6 @@ func TestQuickFlipXInvolution(t *testing.T) {
 			ff.MinY == r.MinY && ff.MaxY == r.MaxY
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickMinDistZeroInside(t *testing.T) {
-	f := func(cx, cy float64) bool {
-		cx = math.Mod(cx, 10)
-		cy = math.Mod(cy, 10)
-		if math.IsNaN(cx + cy) {
-			return true
-		}
-		r := NewRect(-10, -10, 10, 10)
-		return r.MinDist(Point{X: cx, Y: cy}) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

@@ -56,22 +56,17 @@ func reasonSlot(r string) int {
 }
 
 // Counters is a concurrency-safe event aggregator: plain atomic
-// counters, cheap enough to leave attached in production. It implements
-// Sink and may be shared by several producers (e.g. one Counters behind
-// a buffer.LockedEngine serving many goroutines, or one per shard summed
-// at scrape time). Its Snapshot is the single source of truth for both
-// the expvar-style JSON (String, /vars) and the Prometheus exposition
-// (/metrics): everything either exporter publishes about the event
-// stream lives here.
+// counters, cheap enough to leave attached in production, and shared by
+// every producer of a pool. It counts only what the events alone can
+// say — evictions by reason, overflow promotions, adaptations by
+// direction, dropped events. How many requests, hits, misses, coalesced
+// reads and evictions there were the engine keeps in its Stats under its
+// latch, and the exporters read them there; a Request event carries
+// nothing for Counters to count.
 type Counters struct {
-	requests    atomic.Uint64
-	hits        atomic.Uint64
-	misses      atomic.Uint64
-	coalesced   atomic.Uint64
-	evictions   atomic.Uint64
-	promotions  atomic.Uint64
-	adaptations atomic.Uint64
+	NopSink
 
+	promotions atomic.Uint64
 	// byReason counts evictions per reason slot.
 	byReason [numReasonSlots]atomic.Uint64
 	// Adapt events split by direction of the candidate-size change.
@@ -83,31 +78,14 @@ type Counters struct {
 	dropped atomic.Uint64
 }
 
-// Request implements Sink.
-func (c *Counters) Request(e RequestEvent) {
-	c.requests.Add(1)
-	if e.Hit {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-		if e.Coalesced {
-			c.coalesced.Add(1)
-		}
-	}
-}
-
 // Eviction implements Sink.
-func (c *Counters) Eviction(e EvictionEvent) {
-	c.evictions.Add(1)
-	c.byReason[reasonSlot(e.Reason)].Add(1)
-}
+func (c *Counters) Eviction(e EvictionEvent) { c.byReason[reasonSlot(e.Reason)].Add(1) }
 
 // OverflowPromotion implements Sink.
 func (c *Counters) OverflowPromotion(OverflowPromotionEvent) { c.promotions.Add(1) }
 
 // Adapt implements Sink.
 func (c *Counters) Adapt(e AdaptEvent) {
-	c.adaptations.Add(1)
 	switch {
 	case e.NewC > e.OldC:
 		c.adaptGrow.Add(1)
@@ -158,11 +136,6 @@ func (e EvictionsByReason) MarshalJSON() ([]byte, error) {
 // Snapshot is a point-in-time copy of the counters, JSON-marshalable in
 // the expvar style. It stays a comparable value type.
 type Snapshot struct {
-	Requests    uint64 `json:"requests"`
-	Hits        uint64 `json:"hits"`
-	Misses      uint64 `json:"misses"`
-	Coalesced   uint64 `json:"coalesced_reads"`
-	Evictions   uint64 `json:"evictions"`
 	Promotions  uint64 `json:"overflow_promotions"`
 	Adaptations uint64 `json:"adaptations"`
 
@@ -173,31 +146,18 @@ type Snapshot struct {
 	Dropped     uint64            `json:"dropped_events"`
 }
 
-// HitRatio returns Hits/Requests, or 0 for an unused buffer.
-func (s Snapshot) HitRatio() float64 {
-	if s.Requests == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Requests)
-}
-
 // Snapshot returns a point-in-time copy of the counters. Under
 // concurrent producers the fields are individually, not mutually,
 // consistent — the usual expvar contract.
 func (c *Counters) Snapshot() Snapshot {
 	s := Snapshot{
-		Requests:    c.requests.Load(),
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Coalesced:   c.coalesced.Load(),
-		Evictions:   c.evictions.Load(),
 		Promotions:  c.promotions.Load(),
-		Adaptations: c.adaptations.Load(),
 		AdaptGrow:   c.adaptGrow.Load(),
 		AdaptShrink: c.adaptShrink.Load(),
 		AdaptHold:   c.adaptHold.Load(),
 		Dropped:     c.dropped.Load(),
 	}
+	s.Adaptations = s.AdaptGrow + s.AdaptShrink + s.AdaptHold
 	for i := range c.byReason {
 		s.ByReason[i] = c.byReason[i].Load()
 	}
@@ -205,14 +165,9 @@ func (c *Counters) Snapshot() Snapshot {
 }
 
 // String renders the snapshot as a single JSON object (expvar.Var
-// compatible), so a Counters can be published with expvar.Publish. The
-// fields match /vars and /metrics exactly — one source of truth.
+// compatible), so a Counters can be published with expvar.Publish.
 func (c *Counters) String() string {
-	s := c.Snapshot()
-	b, err := json.Marshal(struct {
-		Snapshot
-		HitRatio float64 `json:"hit_ratio"`
-	}{s, s.HitRatio()})
+	b, err := json.Marshal(c.Snapshot())
 	if err != nil {
 		// Snapshot contains only integers and a fixed-size array; Marshal
 		// cannot fail. Keep the expvar contract anyway.

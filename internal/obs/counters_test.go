@@ -7,14 +7,11 @@ import (
 )
 
 // TestCountersSnapshotPopulatesEveryField feeds one event of each kind
-// (including the PR-5 additions: coalesced misses, ring drops) and
-// checks by reflection that no Snapshot field stays zero — a field
-// added to Snapshot but never wired to an event or accumulator fails
-// here.
+// Counters counts (and ring drops) and checks by reflection that no
+// Snapshot field stays zero — a field added to Snapshot but never wired
+// to an event or accumulator fails here.
 func TestCountersSnapshotPopulatesEveryField(t *testing.T) {
 	var c Counters
-	c.Request(RequestEvent{Page: 1, Hit: true})
-	c.Request(RequestEvent{Page: 2, Hit: false, Coalesced: true})
 	c.Eviction(EvictionEvent{Page: 3, Reason: ReasonSLRU, Criterion: 0.5})
 	c.OverflowPromotion(OverflowPromotionEvent{Page: 4})
 	c.Adapt(AdaptEvent{OldC: 1, NewC: 2})

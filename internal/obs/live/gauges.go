@@ -20,15 +20,20 @@ type ASBGauges interface {
 	MainCapacity() int
 }
 
-// AddPoolGauges registers what a pool says about itself, every value
-// read through Pool.View — under the latch of the shard it belongs to,
-// a few times a second, instead of the request path publishing it:
+// AddPoolGauges makes pool the one the service reports on: its Stats
+// become the request counters of /metrics and /vars, and what it says
+// about itself is registered as gauges, every value read through
+// Pool.View — under the latch of the shard it belongs to, a few times a
+// second, instead of the request path publishing it:
 // spatialbuf_resident_pages and spatialbuf_shards; with more than one
 // shard the spatialbuf_shard_*{shard="i"} families; and, when the policy
 // is an adaptable spatial buffer, the spatialbuf_asb_* families, summed
 // over the shards (each value counts frames exactly one shard owns) so a
 // sharded pool serves the names a single ASB does.
 func (s *Service) AddPoolGauges(pool buffer.Pool) {
+	s.mu.Lock()
+	s.pool = pool
+	s.mu.Unlock()
 	shards := pool.Shards()
 	// on reads f off shard i's engine; total sums it over all shards,
 	// one latch after the other — the usual multi-counter scrape contract.

@@ -1,6 +1,7 @@
 package live_test
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http/httptest"
@@ -85,13 +86,21 @@ func TestPoolGaugeNamesGolden(t *testing.T) {
 }
 
 // TestScrapeWhileServing is the door under load: four goroutines Get on
-// an async four-shard ASB pool while a fifth scrapes /metrics and /vars
-// in a loop — every gauge reads its shard through Pool.View, so the race
-// detector has nothing to report — and at quiescence each shard's
-// candidate-size gauge equals that shard's CandidateSize read through
-// the same door, the pool-level gauge their sum.
+// an ASB pool while a fifth scrapes /metrics and /vars in a loop — every
+// gauge reads its shard through Pool.View and the counters come from
+// Pool.Stats, so the race detector has nothing to report. Once the
+// workers stop, the four request counters on /metrics and /vars equal
+// Stats exactly, each shard's candidate-size gauge equals that shard's
+// CandidateSize read through the same door, and the pool-level gauge is
+// their sum.
 func TestScrapeWhileServing(t *testing.T) {
-	pool, svc := asbPool(t, "async,shards=4")
+	for _, spec := range []string{"locked", "sharded,shards=4", "async,shards=4"} {
+		t.Run(spec, func(t *testing.T) { scrapeWhileServing(t, spec) })
+	}
+}
+
+func scrapeWhileServing(t *testing.T, spec string) {
+	pool, svc := asbPool(t, spec)
 	const workers, perWorker = 4, 20000
 	stop := make(chan struct{})
 	var scraper, wg sync.WaitGroup
@@ -134,12 +143,44 @@ func TestScrapeWhileServing(t *testing.T) {
 		t.Fatal("no adaptation event: the run was meant to move c")
 	}
 	body := scrape(svc, "/metrics")
+	st := pool.Stats()
+	if st.Requests != workers*perWorker {
+		t.Fatalf("stats %+v after %d requests", st, workers*perWorker)
+	}
+	for name, want := range map[string]uint64{
+		"spatialbuf_requests_total":        st.Requests,
+		"spatialbuf_hits_total":            st.Hits,
+		"spatialbuf_misses_total":          st.Misses,
+		"spatialbuf_coalesced_reads_total": st.Coalesced,
+	} {
+		if got := metricSample(t, body, name); got != want {
+			t.Errorf("%s = %d, Stats say %d", name, got, want)
+		}
+	}
+	var v struct {
+		Counters struct {
+			Requests  uint64 `json:"requests"`
+			Hits      uint64 `json:"hits"`
+			Misses    uint64 `json:"misses"`
+			Coalesced uint64 `json:"coalesced_reads"`
+			Evictions uint64 `json:"evictions"`
+		}
+	}
+	if err := json.Unmarshal([]byte(scrape(svc, "/vars")), &v); err != nil {
+		t.Fatal(err)
+	}
+	if c := v.Counters; c.Requests != st.Requests || c.Hits != st.Hits || c.Misses != st.Misses ||
+		c.Coalesced != st.Coalesced || c.Evictions != st.Evictions {
+		t.Errorf("/vars counters %+v, Stats %+v", c, st)
+	}
 	sum := uint64(0)
 	for i := 0; i < pool.Shards(); i++ {
 		var c int
 		pool.View(i, func(e *buffer.Engine) { c = e.Policy().(*core.ASB).CandidateSize() })
-		if got := metricSample(t, body, fmt.Sprintf(`spatialbuf_shard_asb_candidate_size{shard="%d"}`, i)); got != uint64(c) {
-			t.Errorf("shard %d: gauge says c = %d, the policy %d", i, got, c)
+		if pool.Shards() > 1 {
+			if got := metricSample(t, body, fmt.Sprintf(`spatialbuf_shard_asb_candidate_size{shard="%d"}`, i)); got != uint64(c) {
+				t.Errorf("shard %d: gauge says c = %d, the policy %d", i, got, c)
+			}
 		}
 		sum += uint64(c)
 	}

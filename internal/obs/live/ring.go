@@ -47,7 +47,7 @@ type record struct {
 	kind           eventKind
 	hit, coalesced bool    // Request
 	shard          int32   // all four
-	page           page.ID // all but Adapt
+	page           page.ID // all but Adapt; Adapt.Ref
 	a              uint64  // Request.QueryID, Eviction.LRURank, Promotion.BetterSpatial, Adapt.OldC
 	b              uint64  // Eviction.Criterion (bits), Promotion.BetterLRU, Adapt.NewC
 	reason         string  // Eviction
@@ -183,7 +183,7 @@ func (s *AsyncSink) dispatch(r *record) {
 	case kindPromotion:
 		s.down.OverflowPromotion(obs.OverflowPromotionEvent{Page: r.page, BetterSpatial: int(r.a), BetterLRU: int(r.b), Shard: shard})
 	case kindAdapt:
-		s.down.Adapt(obs.AdaptEvent{OldC: int(r.a), NewC: int(r.b), Shard: shard})
+		s.down.Adapt(obs.AdaptEvent{OldC: int(r.a), NewC: int(r.b), Shard: shard, Ref: uint64(r.page)})
 	}
 }
 
@@ -229,7 +229,7 @@ func (s *AsyncSink) OverflowPromotion(e obs.OverflowPromotionEvent) {
 
 // Adapt implements obs.Sink.
 func (s *AsyncSink) Adapt(e obs.AdaptEvent) {
-	s.put(&record{kind: kindAdapt, shard: int32(e.Shard), a: uint64(e.OldC), b: uint64(e.NewC)})
+	s.put(&record{kind: kindAdapt, shard: int32(e.Shard), page: page.ID(e.Ref), a: uint64(e.OldC), b: uint64(e.NewC)})
 }
 
 // Delivered returns how many events reached the downstream sink; it

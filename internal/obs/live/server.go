@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/buffer"
 	"repro/internal/obs"
 	"repro/internal/obs/shadow"
 )
@@ -36,9 +37,10 @@ func (g Gauge) key() string {
 	return g.Name + "{" + g.Labels + "}"
 }
 
-// Service aggregates the live metrics of one buffer stack — exact
-// counters, a request-latency histogram, an eviction-criterion histogram
-// and an Adapt-event broadcaster — and serves them over HTTP:
+// Service aggregates the live metrics of one buffer stack — the request
+// counters of the pool AddPoolGauges registered, the event counters, a
+// request-latency histogram, an eviction-criterion histogram and an
+// Adapt-event broadcaster — and serves them over HTTP:
 //
 //	/metrics       Prometheus text exposition format
 //	/vars          expvar-style JSON snapshot (same numbers as /metrics)
@@ -47,9 +49,11 @@ func (g Gauge) key() string {
 //	/events/shadow server-sent events: shadow-cache what-if snapshots
 //	/              minimal self-contained HTML dashboard
 //
-// Attach Sink() to a manager (or tee it with capture sinks); the sink is
-// concurrency-safe and implements obs.LatencyRecorder, so the manager
-// times requests into the latency histogram.
+// Attach Sink() to the pool (or tee it with capture sinks); the sink is
+// concurrency-safe and implements obs.LatencyRecorder, so the engines
+// time requests into the latency histogram. How many requests, hits,
+// misses and evictions there were is not counted from events: the
+// handlers read it from the pool's Stats, which the engines keep anyway.
 type Service struct {
 	Counters  *obs.Counters
 	Latency   *obs.Histogram
@@ -60,6 +64,7 @@ type Service struct {
 	gauges     []Gauge
 	named      map[string]bool
 	shadowBank *shadow.Bank
+	pool       buffer.Pool // set by AddPoolGauges; nil until then
 }
 
 // NewService returns a Service with fresh aggregators.
@@ -77,10 +82,9 @@ func NewService() *Service {
 // attaching it costs one interface allocation once, never per event.
 type serviceSink struct{ s *Service }
 
-func (ss serviceSink) Request(e obs.RequestEvent) {
-	ss.s.Counters.Request(e)
-	ss.s.Traj.Request(e)
-}
+// Request implements obs.Sink: a request is counted by the engine that
+// serves it, in its Stats, and nowhere else.
+func (serviceSink) Request(obs.RequestEvent) {}
 
 func (ss serviceSink) Eviction(e obs.EvictionEvent) {
 	ss.s.Counters.Eviction(e)
@@ -142,16 +146,24 @@ func (g gaugeSample) Key() string {
 	return g.Name + "{" + g.Labels + "}"
 }
 
+// stats returns the request counters of the pool AddPoolGauges
+// registered, zero before that. Pool.Stats takes every shard's latch,
+// which first replays the hits served latch-free (DESIGN.md §5c), so the
+// counters of an idle pool are exact.
+func (s *Service) stats() buffer.Stats {
+	s.mu.Lock()
+	pool := s.pool
+	s.mu.Unlock()
+	if pool == nil {
+		return buffer.Stats{}
+	}
+	return pool.Stats()
+}
+
 // gaugeSnapshot copies the registered gauges under the lock and samples
 // their values outside it. Gauges sharing a name are grouped adjacently
 // (first-registration order within and across groups), as the
 // Prometheus exposition format requires for labeled families.
-//
-// The scrape handlers sample the gauges before they read the counters: a
-// gauge that asks the pool a question under its latches (those of
-// AddPoolGauges all do, through Pool.View) is a barrier that makes the
-// pool report the hits it served latch-free (DESIGN.md §5c), so the
-// counters of an idle pool are exact.
 func (s *Service) gaugeSnapshot() []gaugeSample {
 	s.mu.Lock()
 	gs := make([]Gauge, len(s.gauges))
@@ -205,8 +217,9 @@ var summaryQs = []float64{0.5, 0.9, 0.95, 0.99}
 
 func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	gauges := s.gaugeSnapshot() // before the counters: see gaugeSnapshot
+	st := s.stats()
 	c := s.Counters.Snapshot()
+	gauges := s.gaugeSnapshot()
 	lat := s.Latency.Snapshot()
 	crit := s.Criterion.Snapshot()
 
@@ -236,15 +249,15 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	count := func(name, labels string, v uint64) { sample(name, labels, float64(v)) }
 
 	metric("spatialbuf_requests_total", "Read-path buffer requests.", "counter")
-	count("spatialbuf_requests_total", "", c.Requests)
+	count("spatialbuf_requests_total", "", st.Requests)
 	metric("spatialbuf_hits_total", "Buffer hits.", "counter")
-	count("spatialbuf_hits_total", "", c.Hits)
+	count("spatialbuf_hits_total", "", st.Hits)
 	metric("spatialbuf_misses_total", "Buffer misses (physical reads).", "counter")
-	count("spatialbuf_misses_total", "", c.Misses)
+	count("spatialbuf_misses_total", "", st.Misses)
 	metric("spatialbuf_coalesced_reads_total", "Misses served without their own physical read (singleflight or write-back queue).", "counter")
-	count("spatialbuf_coalesced_reads_total", "", c.Coalesced)
+	count("spatialbuf_coalesced_reads_total", "", st.Coalesced)
 	metric("spatialbuf_hit_ratio", "Cumulative hit ratio.", "gauge")
-	sample("spatialbuf_hit_ratio", "", c.HitRatio())
+	sample("spatialbuf_hit_ratio", "", st.HitRatio())
 
 	metric("spatialbuf_evictions_total", "Pages evicted, by policy reason.", "counter")
 	c.ByReason.Each(func(reason string, n uint64) {
@@ -296,11 +309,22 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 // varsPayload is the /vars JSON document.
 type varsPayload struct {
-	Counters obs.Snapshot       `json:"counters"`
+	Counters varsCounters       `json:"counters"`
 	HitRatio float64            `json:"hit_ratio"`
 	Latency  histVars           `json:"latency_ns"`
 	Crit     histVars           `json:"eviction_criterion"`
 	Gauges   map[string]float64 `json:"gauges"`
+}
+
+// varsCounters is the /vars counters object: the pool's request
+// counters, then the event counters.
+type varsCounters struct {
+	Requests  uint64 `json:"requests"`
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Coalesced uint64 `json:"coalesced_reads"`
+	Evictions uint64 `json:"evictions"`
+	obs.Snapshot
 }
 
 type histVars struct {
@@ -324,16 +348,15 @@ func histVarsOf(s obs.HistSnapshot, scale float64) histVars {
 }
 
 func (s *Service) handleVars(w http.ResponseWriter, _ *http.Request) {
-	gauges := s.gaugeSnapshot() // before the counters: see gaugeSnapshot
-	c := s.Counters.Snapshot()
+	st := s.stats()
 	p := varsPayload{
-		Counters: c,
-		HitRatio: c.HitRatio(),
+		Counters: varsCounters{st.Requests, st.Hits, st.Misses, st.Coalesced, st.Evictions, s.Counters.Snapshot()},
+		HitRatio: st.HitRatio(),
 		Latency:  histVarsOf(s.Latency.Snapshot(), 1),
 		Crit:     histVarsOf(s.Criterion.Snapshot(), critScale),
 		Gauges:   make(map[string]float64),
 	}
-	for _, g := range gauges {
+	for _, g := range s.gaugeSnapshot() {
 		p.Gauges[g.Key()] = g.Value
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -453,7 +476,7 @@ es.onmessage = (m) => {
   document.getElementById("ctraj").innerHTML =
     '<path d="' + path + '" fill="none" stroke="#06c" stroke-width="1.5"/>';
   document.getElementById("ctrajinfo").textContent =
-    "c = " + s.new + " after " + s.ref + " requests (" + pts.length + " samples shown, max " + max + ")";
+    "c = " + s.new + " on shard " + s.shard + " after its " + s.ref + " requests (" + pts.length + " samples shown, max " + max + ")";
 };
 
 const shadowEs = new EventSource("/events/shadow");

@@ -6,9 +6,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/buffer"
@@ -18,16 +20,29 @@ import (
 	"repro/internal/page"
 )
 
-// feedService pushes a small, known event mix through the service sink.
+// feedService registers a pool that has served ten requests, five of
+// them hits, and pushes a small, known event mix through the service
+// sink. The sink is not attached to the pool, so the latency samples are
+// exactly the ten fed here — and the Request events fed alongside move no
+// counter: the requests are the pool's to count.
 func feedService(t *testing.T, svc *live.Service) {
 	t.Helper()
+	e, err := buffer.NewEngine(newStore(t, 8), core.NewLRU(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := buffer.Lock(e)
+	svc.AddPoolGauges(pool)
 	sink := svc.Sink()
 	lr, ok := sink.(obs.LatencyRecorder)
 	if !ok {
 		t.Fatal("service sink must implement obs.LatencyRecorder")
 	}
 	for i := 0; i < 10; i++ {
-		sink.Request(obs.RequestEvent{Page: 1, Hit: i%2 == 0})
+		if _, err := pool.Get(page.ID(1+i/2), buffer.AccessContext{}); err != nil { // a miss, then a hit
+			t.Fatal(err)
+		}
+		sink.Request(obs.RequestEvent{Page: 1, Hit: true})
 		lr.RecordLatency(int64(1000*(i+1)), 1)
 	}
 	sink.Eviction(obs.EvictionEvent{Page: 2, Reason: obs.ReasonSLRU, Criterion: 0.25})
@@ -144,6 +159,7 @@ func TestVarsAndHealthz(t *testing.T) {
 		Counters struct {
 			Requests uint64 `json:"requests"`
 			Hits     uint64 `json:"hits"`
+			Misses   uint64 `json:"misses"`
 		} `json:"counters"`
 		HitRatio float64 `json:"hit_ratio"`
 		Latency  struct {
@@ -153,11 +169,26 @@ func TestVarsAndHealthz(t *testing.T) {
 		} `json:"latency_ns"`
 		Gauges map[string]float64 `json:"gauges"`
 	}
-	if err := json.Unmarshal([]byte(get(t, ts.URL+"/vars")), &v); err != nil {
+	body := get(t, ts.URL+"/vars")
+	if err := json.Unmarshal([]byte(body), &v); err != nil {
 		t.Fatalf("/vars is not valid JSON: %v", err)
 	}
-	if v.Counters.Requests != 10 || v.Counters.Hits != 5 {
+	if v.Counters.Requests != 10 || v.Counters.Hits != 5 || v.Counters.Misses != 5 {
 		t.Errorf("counters = %+v", v.Counters)
+	}
+	// The counters object keeps its keys, wherever each number comes from.
+	var keys struct{ Counters map[string]json.RawMessage }
+	if err := json.Unmarshal([]byte(body), &keys); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"adapt_grow", "adapt_hold", "adapt_shrink", "adaptations", "coalesced_reads", "dropped_events",
+		"evictions", "evictions_by_reason", "hits", "misses", "overflow_promotions", "requests"}
+	var got []string
+	for k := range keys.Counters {
+		got = append(got, k)
+	}
+	if slices.Sort(got); !slices.Equal(got, want) {
+		t.Errorf("/vars counters keys = %v, want %v", got, want)
 	}
 	if v.HitRatio != 0.5 {
 		t.Errorf("hit_ratio = %g", v.HitRatio)
@@ -206,11 +237,7 @@ func TestCTrajSSEStreamsAdaptEvents(t *testing.T) {
 
 	// The handler subscribes before it sends the headers http.Get just
 	// returned with, so nothing emitted from here on is missed.
-	sink := svc.Sink()
-	for i := 0; i < 3; i++ {
-		sink.Request(obs.RequestEvent{Page: 1})
-	}
-	sink.Adapt(obs.AdaptEvent{OldC: 3, NewC: 5})
+	svc.Sink().Adapt(obs.AdaptEvent{OldC: 3, NewC: 5, Shard: 2, Ref: 3})
 
 	scanner := bufio.NewScanner(resp.Body)
 	var sample live.CTrajSample
@@ -227,7 +254,7 @@ func TestCTrajSSEStreamsAdaptEvents(t *testing.T) {
 	if err := scanner.Err(); err != nil {
 		t.Fatal(err)
 	}
-	want := live.CTrajSample{Ref: 3, OldC: 3, NewC: 5}
+	want := live.CTrajSample{Ref: 3, Shard: 2, OldC: 3, NewC: 5}
 	if sample != want {
 		t.Errorf("SSE sample = %+v, want %+v", sample, want)
 	}
@@ -261,6 +288,7 @@ func TestLatencyCountTracksRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := buffer.Lock(e)
+	svc.AddPoolGauges(pool)
 	pool.SetSink(svc.Sink())
 	for i := 0; i < 5000; i++ {
 		id := page.ID(1 + i%8) // a resident hot set …
@@ -310,16 +338,17 @@ func metricSample(t *testing.T, body, name string) uint64 {
 	return 0
 }
 
-// gateSink passes events on and parks the request for one page inside
-// its Request event — that is, under the pool's latch — until released.
+// gateSink counts the Request events and parks the request for one page
+// inside its event — that is, under the pool's latch — until released.
 type gateSink struct {
-	obs.Sink
+	obs.NopSink
+	requests         *atomic.Uint64
 	page             page.ID
 	entered, release chan struct{}
 }
 
 func (g gateSink) Request(e obs.RequestEvent) {
-	g.Sink.Request(e)
+	g.requests.Add(1)
 	if e.Page == g.page {
 		close(g.entered)
 		<-g.release
@@ -330,8 +359,7 @@ func (g gateSink) Request(e obs.RequestEvent) {
 // contract (DESIGN.md §5c). Two workers burst on one pool; then a request
 // finds the latch held by a second goroutine and is served latch-free, so
 // the idle pool has served one hit more than its sink has seen. A scrape
-// evaluates the resident-pages gauge — a pool barrier, registered as
-// cmd/bufserve registers it — before it reads the counters, so
+// reads the counters through Pool.Stats — a barrier — so
 // spatialbuf_requests_total is exact without anyone touching the pool in
 // between.
 func TestScrapeOfIdlePoolIsExact(t *testing.T) {
@@ -342,10 +370,9 @@ func TestScrapeOfIdlePoolIsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := buffer.Lock(e)
-	gate := gateSink{Sink: svc.Sink(), page: cold, entered: make(chan struct{}), release: make(chan struct{})}
+	gate := gateSink{requests: new(atomic.Uint64), page: cold, entered: make(chan struct{}), release: make(chan struct{})}
 	pool.SetSink(gate)
-	svc.AddGauge("spatialbuf_resident_pages", "Pages currently held in buffer frames.",
-		func() float64 { return float64(pool.Len()) })
+	svc.AddPoolGauges(pool)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -376,7 +403,7 @@ func TestScrapeOfIdlePoolIsExact(t *testing.T) {
 	wg.Wait()
 
 	const issued = workers*perWorker + 2
-	if got := svc.Counters.Snapshot().Requests; got != issued-1 {
+	if got := gate.requests.Load(); got != issued-1 {
 		t.Fatalf("the sink has seen %d of %d requests before any barrier, want all but the latch-free one", got, issued)
 	}
 	ts := httptest.NewServer(svc.Handler())

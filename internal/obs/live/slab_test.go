@@ -84,7 +84,7 @@ func TestAsyncSinkRoundTripsEveryFieldInOrder(t *testing.T) {
 		case 2:
 			want = append(want, obs.OverflowPromotionEvent{Page: id, BetterSpatial: i, BetterLRU: -i, Shard: i % 5})
 		case 3:
-			want = append(want, obs.AdaptEvent{OldC: i, NewC: i - 9, Shard: i % 5})
+			want = append(want, obs.AdaptEvent{OldC: i, NewC: i - 9, Shard: i % 5, Ref: uint64(7 * i)})
 		}
 	}
 	log := newEventLog()

@@ -2,31 +2,29 @@ package live
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 )
 
 // CTrajSample is one point of the live candidate-size trajectory (the
-// Fig. 14 series): the ASB candidate-set size before and after one
-// adaptation event, stamped with the request index at which it happened.
+// Fig. 14 series): the ASB candidate-set size of one shard before and
+// after one adaptation event, stamped with that shard's request count at
+// the time (AdaptEvent.Ref — on a one-shard pool, the pool's).
 type CTrajSample struct {
-	Ref  uint64 `json:"ref"`
-	OldC int    `json:"old"`
-	NewC int    `json:"new"`
+	Ref   uint64 `json:"ref"`
+	Shard int    `json:"shard"`
+	OldC  int    `json:"old"`
+	NewC  int    `json:"new"`
 }
 
 // Broadcaster fans Adapt events out to any number of subscribers (SSE
-// handlers), tagging each with the current request index. It implements
-// obs.Sink via the embedded NopSink; Request only bumps an atomic
-// reference counter, so the hot path stays constant-time, and Adapt
+// handlers). It implements obs.Sink via the embedded NopSink; Adapt
 // (rare — one per overflow hit) takes a short mutex to walk the
 // subscriber list. Slow subscribers lose samples instead of stalling the
 // producer: sends into a subscriber's buffered channel never block.
 type Broadcaster struct {
 	obs.NopSink
 
-	refs   atomic.Uint64
 	mu     sync.Mutex
 	subs   map[uint64]chan CTrajSample
 	nextID uint64
@@ -37,16 +35,10 @@ func NewBroadcaster() *Broadcaster {
 	return &Broadcaster{subs: make(map[uint64]chan CTrajSample)}
 }
 
-// Request implements obs.Sink: it only advances the reference index.
-func (b *Broadcaster) Request(obs.RequestEvent) { b.refs.Add(1) }
-
-// Refs returns the number of Request events seen.
-func (b *Broadcaster) Refs() uint64 { return b.refs.Load() }
-
 // Adapt implements obs.Sink: the sample is offered to every subscriber,
 // dropping it for subscribers whose buffer is full.
 func (b *Broadcaster) Adapt(e obs.AdaptEvent) {
-	s := CTrajSample{Ref: b.refs.Load(), OldC: e.OldC, NewC: e.NewC}
+	s := CTrajSample{Ref: e.Ref, Shard: e.Shard, OldC: e.OldC, NewC: e.NewC}
 	b.mu.Lock()
 	for _, ch := range b.subs {
 		select {

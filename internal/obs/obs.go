@@ -110,6 +110,9 @@ type AdaptEvent struct {
 	// Shard is the pool shard whose candidate size adapted (0 when
 	// unsharded). Each shard's ASB instance tunes its own c.
 	Shard int
+	// Ref is the shard's request count at the adaptation, the request
+	// that caused it included — the x axis of Fig. 14.
+	Ref uint64
 }
 
 // Sink receives buffer and policy events. Implementations must treat the

@@ -43,9 +43,7 @@ func TestTeeFansOutAndCollapses(t *testing.T) {
 
 func TestCountersAggregate(t *testing.T) {
 	var c Counters
-	c.Request(RequestEvent{Hit: true})
-	c.Request(RequestEvent{Hit: true})
-	c.Request(RequestEvent{Hit: false})
+	c.Request(RequestEvent{Hit: true}) // counted by the engine, not here
 	c.Eviction(EvictionEvent{Reason: ReasonSLRU})
 	c.Eviction(EvictionEvent{Reason: ReasonASBOverflow})
 	c.Eviction(EvictionEvent{Reason: "made-up"})
@@ -56,21 +54,12 @@ func TestCountersAggregate(t *testing.T) {
 	c.AddDropped(4)
 
 	s := c.Snapshot()
-	want := Snapshot{
-		Requests: 3, Hits: 2, Misses: 1, Evictions: 3, Promotions: 1,
-		Adaptations: 3, AdaptGrow: 1, AdaptShrink: 1, AdaptHold: 1, Dropped: 4,
-	}
+	want := Snapshot{Promotions: 1, Adaptations: 3, AdaptGrow: 1, AdaptShrink: 1, AdaptHold: 1, Dropped: 4}
 	want.ByReason[reasonSlot(ReasonSLRU)] = 1
 	want.ByReason[reasonSlot(ReasonASBOverflow)] = 1
 	want.ByReason[reasonSlotOther] = 1
 	if s != want {
 		t.Errorf("snapshot = %+v, want %+v", s, want)
-	}
-	if r := s.HitRatio(); r < 0.66 || r > 0.67 {
-		t.Errorf("hit ratio = %f, want 2/3", r)
-	}
-	if (Snapshot{}).HitRatio() != 0 {
-		t.Error("empty snapshot hit ratio should be 0")
 	}
 
 	// String must be valid JSON (expvar contract) and carry the same
@@ -78,9 +67,6 @@ func TestCountersAggregate(t *testing.T) {
 	var decoded map[string]any
 	if err := json.Unmarshal([]byte(c.String()), &decoded); err != nil {
 		t.Fatalf("String() is not valid JSON: %v\n%s", err, c.String())
-	}
-	if decoded["requests"].(float64) != 3 {
-		t.Errorf("String() requests = %v, want 3", decoded["requests"])
 	}
 	if decoded["dropped_events"].(float64) != 4 {
 		t.Errorf("String() dropped_events = %v, want 4", decoded["dropped_events"])
@@ -149,17 +135,12 @@ func TestJSONLSinkLines(t *testing.T) {
 
 func TestTrajectoryRecorderAndCSVRoundTrip(t *testing.T) {
 	r := NewTrajectoryRecorder()
-	for i := 0; i < 10; i++ {
-		r.Request(RequestEvent{Page: 1, Hit: i%2 == 0})
-	}
-	r.Adapt(AdaptEvent{OldC: 4, NewC: 5})
-	for i := 0; i < 5; i++ {
-		r.Request(RequestEvent{Page: 2})
-	}
-	r.Adapt(AdaptEvent{OldC: 5, NewC: 5})
+	r.Request(RequestEvent{Page: 1})
+	r.Adapt(AdaptEvent{OldC: 4, NewC: 5, Ref: 10})
+	r.Adapt(AdaptEvent{OldC: 5, NewC: 5, Ref: 15})
 
-	if r.Len() != 2 || r.Refs() != 15 {
-		t.Fatalf("len = %d refs = %d, want 2/15", r.Len(), r.Refs())
+	if r.Len() != 2 {
+		t.Fatalf("len = %d, want 2", r.Len())
 	}
 	if r.Ref[0] != 10 || r.Cand[0] != 5 || r.Ref[1] != 15 || r.Cand[1] != 5 {
 		t.Errorf("samples = %v / %v", r.Ref, r.Cand)

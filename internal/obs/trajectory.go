@@ -9,18 +9,17 @@ import (
 )
 
 // TrajectoryRecorder captures the ASB candidate-set trajectory (the
-// Fig. 14 series) from the event stream: it counts Request events to
-// know the current reference index and appends one (ref, candidate)
-// sample per Adapt event. It replaces the bespoke OnAdapt callback
-// plumbing that experiment.RunAdaptation and cmd/asbviz used to carry.
+// Fig. 14 series) from the event stream: one (ref, candidate) sample per
+// Adapt event, ref being the request count the engine stamped on it. It
+// replaces the bespoke OnAdapt callback plumbing that
+// experiment.RunAdaptation and cmd/asbviz used to carry.
 //
-// TrajectoryRecorder implements Sink; Eviction and OverflowPromotion
-// events are ignored. Not safe for concurrent use.
+// TrajectoryRecorder implements Sink; every other event is ignored. Not
+// safe for concurrent use.
 type TrajectoryRecorder struct {
 	NopSink
 
-	refs int
-	// Ref[i] is the 0-based reference index at which sample i was taken;
+	// Ref[i] is the request count at which sample i was taken (AdaptEvent.Ref);
 	// Cand[i] the candidate-set size after that adaptation event.
 	Ref  []int
 	Cand []int
@@ -29,17 +28,11 @@ type TrajectoryRecorder struct {
 // NewTrajectoryRecorder returns an empty recorder.
 func NewTrajectoryRecorder() *TrajectoryRecorder { return &TrajectoryRecorder{} }
 
-// Request implements Sink: it only advances the reference index.
-func (r *TrajectoryRecorder) Request(RequestEvent) { r.refs++ }
-
 // Adapt implements Sink.
 func (r *TrajectoryRecorder) Adapt(e AdaptEvent) {
-	r.Ref = append(r.Ref, r.refs)
+	r.Ref = append(r.Ref, int(e.Ref))
 	r.Cand = append(r.Cand, e.NewC)
 }
-
-// Refs returns the number of Request events seen.
-func (r *TrajectoryRecorder) Refs() int { return r.refs }
 
 // Len returns the number of recorded samples.
 func (r *TrajectoryRecorder) Len() int { return len(r.Ref) }
