@@ -48,9 +48,10 @@ type asyncShard struct {
 	// flight has one entry per page whose physical read is in progress
 	// outside mu, shared by every concurrent miss for that page.
 	flight map[page.ID]*inflight
-	// spare is a flight record no waiter saw, for the next leader.
-	spare *inflight
-	wb    *writeback
+	// spares are flight records no waiter saw, for the next leaders: as
+	// many as have read this shard's store at once.
+	spares []*inflight
+	wb     *writeback
 }
 
 // Async stacks the asynchronous-I/O layer on a router, with wbWorkers
@@ -107,6 +108,9 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 			if fl.done == nil {
 				fl.done = make(chan struct{})
 			}
+			if !pin {
+				fl.gets++
+			}
 			done := fl.done
 			s.l.mu.Unlock()
 
@@ -126,7 +130,7 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 			}
 			if !pin {
 				// Get needs only the bytes; the leader admitted (or
-				// resolved) the page.
+				// resolved) the page and took this waiter's reference.
 				return fl.page, nil
 			}
 			// Fix must pin a resident frame. It may already be evicted
@@ -134,6 +138,7 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 			// — without recounting.
 			if fr := e.frames.get(id); fr != nil {
 				fr.pins++
+				fr.Page.Acquire()
 				return fr.Page, nil
 			}
 			continue
@@ -157,6 +162,7 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 			if pin {
 				fr.pins++
 			}
+			fr.Page.Acquire()
 			return fr.Page, nil
 		}
 
@@ -175,8 +181,10 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 			e.stats.Coalesced--
 			now = e.tick()
 		}
-		fl := s.spare
-		if s.spare = nil; fl == nil {
+		var fl *inflight
+		if n := len(s.spares); n > 0 {
+			fl, s.spares = s.spares[n-1], s.spares[:n-1]
+		} else {
 			fl = &inflight{}
 		}
 		s.flight[id] = fl
@@ -213,23 +221,32 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 			}
 			fr, aerr = e.admit(rpg, now, ctx)
 		}
+		if rerr == nil {
+			// The leader's reference moves from its read, which may have been
+			// thrown away, to the page it resolved to; each waiting Get's too.
+			for range fl.gets + 1 {
+				published.Acquire()
+			}
+			rpg.Release()
+		}
 		// Publish: fields first, then unregister, then close — all under
 		// the lock, so the close happens-before any waiter's field read
 		// and a failed read leaves no residue for later misses. Waiters
 		// get the resolved bytes even when only admission failed
 		// (ErrAllPinned is the leader's error, not theirs). No channel
-		// means no waiter ever found the entry: it becomes the spare.
+		// means no waiter ever found the entry: it becomes a spare.
 		delete(s.flight, id)
 		if fl.done != nil {
 			fl.page, fl.err = published, rerr
 			close(fl.done)
 		} else {
-			s.spare = fl
+			s.spares = append(s.spares, fl)
 		}
 		if rerr != nil {
 			return nil, rerr
 		}
 		if aerr != nil {
+			published.Release()
 			return nil, aerr
 		}
 		if pin {

@@ -580,8 +580,8 @@ func (p *soleFramePolicy) Reset()                                      { p.f = n
 
 // TestAsyncLeaderMissAllocs pins the cost of the common async miss — a
 // leader nobody waits for: nothing. The done channel is the first
-// waiter's to create, and a flight-table entry no waiter saw is the
-// shard's spare for the next leader.
+// waiter's to create, and a flight-table entry no waiter saw is one of
+// the shard's spares for the next leaders.
 func TestAsyncLeaderMissAllocs(t *testing.T) {
 	comp, err := ParseComposition("async,shards=1")
 	if err != nil {

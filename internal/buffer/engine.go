@@ -34,6 +34,9 @@ type Engine struct {
 	store    storage.Store
 	policy   Policy
 	capacity int
+	// recycler is store when it takes back the pages evicted clean
+	// (storage.FileStore), nil otherwise.
+	recycler interface{ Recycle(*page.Page) }
 
 	frames frameTable
 	arena  *Arena
@@ -79,14 +82,16 @@ func NewEngine(store storage.Store, policy Policy, capacity int) (*Engine, error
 	if store == nil || policy == nil {
 		return nil, errors.New("buffer: nil store or policy")
 	}
-	return &Engine{
+	e := &Engine{
 		store:    store,
 		policy:   policy,
 		capacity: capacity,
 		frames:   newFrameTable(capacity),
 		arena:    NewArena(capacity),
 		sink:     obs.NopSink{},
-	}, nil
+	}
+	e.recycler, _ = store.(interface{ Recycle(*page.Page) })
+	return e, nil
 }
 
 // SetSink attaches an observability sink to the engine. A nil sink
@@ -144,13 +149,15 @@ func (e *Engine) Shards() int { return 1 }
 func (e *Engine) View(_ int, f func(*Engine)) { f(e) }
 
 // Get requests the page without pinning it. The returned page must be
-// treated as read-only and may be evicted by any later request.
+// treated as read-only and may be evicted by any later request. It holds
+// one reference for the caller, who may page.Release it when done (see
+// rtree.Reader); a page never released is never reused.
 func (e *Engine) Get(id page.ID, ctx AccessContext) (*page.Page, error) {
 	return e.request(tracing.KindGet, id, ctx, false)
 }
 
 // Fix requests the page and pins its frame; the caller must Unfix it.
-// Pinned frames are never evicted.
+// Pinned frames are never evicted. The page holds a reference like Get's.
 func (e *Engine) Fix(id page.ID, ctx AccessContext) (*page.Page, error) {
 	return e.request(tracing.KindFix, id, ctx, true)
 }
@@ -189,6 +196,7 @@ func (e *Engine) request(kind tracing.SpanKind, id page.ID, ctx AccessContext, p
 	if pin {
 		f.pins++
 	}
+	f.Page.Acquire()
 	e.finish(ctx.trace, start, weight, true, false)
 	return f.Page, nil
 }
@@ -259,12 +267,13 @@ func (e *Engine) fetch(id page.ID, ctx AccessContext, pin bool) (*page.Page, err
 	e.emitMiss(id, ctx, false, p.Meta)
 	f, err := e.admit(p, now, ctx)
 	if err != nil {
+		p.Release()
 		return nil, err
 	}
 	if pin {
 		f.pins++
 	}
-	return f.Page, nil
+	return f.Page, nil // with the reference the store read handed out
 }
 
 // hit accounts one read request served by the resident frame f: clock
@@ -455,6 +464,9 @@ func (e *Engine) evictOne(ctx AccessContext) error {
 	e.stats.Evictions++
 	e.policy.OnEvict(v)
 	e.sink.Eviction(obs.EvictionEvent{Page: v.Meta.ID, Reason: c.Reason, Criterion: c.Win, LRURank: c.Rank, Shard: e.shard})
+	if !v.Dirty && e.recycler != nil { // a dirty page may be queued for its write
+		e.recycler.Recycle(v.Page)
+	}
 	// The policy has unlinked the frame and nothing above holds a *Frame
 	// (callers only ever see *page.Page), so the slot recycles to the
 	// free-list for the admission that triggered this eviction.

@@ -69,7 +69,9 @@ func (t *frameTable) get(id page.ID) *Frame {
 }
 
 // page returns the resident page id without the engine's serialization,
-// or nil when it is not resident or a concurrent writer hid it.
+// or nil when it is not resident or a concurrent writer hid it. It takes
+// two references, the caller's and its hit record's, before it reads the
+// ID: a page evicted meanwhile may be under a store's decode (claimed).
 func (t *frameTable) page(id page.ID) *page.Page {
 	mask := len(t.slots) - 1
 	i := t.home(id)
@@ -79,10 +81,16 @@ func (t *frameTable) page(id page.ID) *page.Page {
 		case page.InvalidID:
 			return nil
 		case id:
-			if p := s.pg.Load(); p != nil && p.ID == id {
-				return p
+			p := s.pg.Load()
+			if p == nil || !p.TryAcquire(2) {
+				return nil
 			}
-			return nil
+			if p.ID != id {
+				p.Release()
+				p.Release()
+				return nil
+			}
+			return p
 		}
 		i = (i + 1) & mask
 	}

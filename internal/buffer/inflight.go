@@ -17,8 +17,10 @@ import "repro/internal/page"
 // when there is none — the common case (a few reads in a hundred have a
 // waiter on the benchmark's two-worker miss workload). A record that
 // leaves the table without one was seen by its leader alone, who parks
-// it, still zero, as the shard's spare for the next leader: the common
-// case allocates nothing. A record a waiter saw is left to the GC.
+// it, still zero, among the shard's spares for the next leaders (one per
+// leader that read at once): the common case allocates nothing. A record
+// a waiter saw is left to the GC. gets counts the waiting Gets, for each
+// of which the leader takes a reference on page.
 //
 // The error path leaves no residue: a failed read publishes err, and
 // because the entry is already unregistered, the next miss for the page
@@ -27,4 +29,5 @@ type inflight struct {
 	done chan struct{}
 	page *page.Page
 	err  error
+	gets int
 }

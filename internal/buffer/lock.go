@@ -113,6 +113,7 @@ func (l *LockedEngine) drain() {
 		rec.pg = nil // do not keep an evicted page alive
 		rec.ready.Store(false)
 		l.replay(p, ctx)
+		p.Release() // the record's reference
 	}
 }
 
@@ -214,6 +215,8 @@ func (l *LockedEngine) Get(id page.ID, ctx AccessContext) (*page.Page, error) {
 			if l.hits.push(p, ctx.QueryID) {
 				return p, nil
 			}
+			p.Release()
+			p.Release()
 			full = true
 		}
 		if locked = l.tryLockRequest(); !locked && full {

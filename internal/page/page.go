@@ -16,6 +16,7 @@ package page
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/geom"
 )
@@ -82,9 +83,65 @@ type Meta struct {
 
 // Page is an in-memory page: its descriptor plus the entry list.
 type Page struct {
+	// refs, the lease, counts the references to a page whose memory its
+	// store reuses (Leased), or is −1 while the store refills it (Claim);
+	// nil on every other page. 64 bits: a caller that never releases may
+	// take a page billions of times. First: beside the ID a hit reads.
+	refs *atomic.Int64
+
 	Meta
 	Entries []Entry
 }
+
+// Leased returns an empty page whose memory a store may reuse, claimed by
+// the caller (see Claim): page and count are one allocation.
+func Leased() *Page {
+	l := &struct {
+		p Page
+		n atomic.Int64
+	}{}
+	l.p.refs = &l.n
+	l.n.Store(-1)
+	return &l.p
+}
+
+// Acquire takes one reference on p. The caller must know that p cannot be
+// claimed meanwhile: it holds a reference, or p is resident in a buffer
+// whose latch it holds.
+func (p *Page) Acquire() {
+	if p.refs != nil {
+		p.refs.Add(1)
+	}
+}
+
+// TryAcquire takes n references on p unless a store has claimed it.
+func (p *Page) TryAcquire(n int64) bool {
+	for p.refs != nil {
+		c := p.refs.Load()
+		if c < 0 {
+			return false
+		}
+		if p.refs.CompareAndSwap(c, c+n) {
+			break
+		}
+	}
+	return true
+}
+
+// Release drops one reference; the caller must not touch p afterwards.
+// It is a no-op on a page without a lease.
+func (p *Page) Release() {
+	if p.refs != nil && p.refs.Add(-1) < 0 {
+		panic("page: Release of a page that holds no reference") // constant: Release inlines
+	}
+}
+
+// Claim makes a leased page that nobody references the caller's to
+// refill; it fails on a referenced page or one without a lease.
+func (p *Page) Claim() bool { return p.refs != nil && p.refs.CompareAndSwap(0, -1) }
+
+// Unclaim ends a claim, handing the page out with refs references.
+func (p *Page) Unclaim(refs int64) { p.refs.Store(refs) }
 
 // New returns an empty page of the given type and level with capacity for
 // cap entries.
@@ -220,9 +277,11 @@ func (c Criterion) Value(m Meta) float64 {
 	}
 }
 
-// Clone returns a deep copy of p (the entry slice is copied).
+// Clone returns a deep copy of p (the entry slice is copied), without a
+// lease.
 func (p *Page) Clone() *Page {
 	q := *p
+	q.refs = nil
 	q.Entries = make([]Entry, len(p.Entries))
 	copy(q.Entries, p.Entries)
 	return &q

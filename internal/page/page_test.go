@@ -3,6 +3,8 @@ package page
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -38,6 +40,25 @@ func TestCriterionString(t *testing.T) {
 	if Criterion(99).Value(Meta{}) != 0 {
 		t.Error("unknown criterion value should be 0")
 	}
+}
+
+// FuzzParseCriterion: ParseCriterion takes a name from a command line.
+// Whatever it accepts names itself — String gives the input back up to
+// case — and it accepts the paper's five abbreviations and nothing else.
+func FuzzParseCriterion(f *testing.F) {
+	for _, s := range []string{"A", "ea", "eM", "EO", "m", "", "E", "AA", " A", "unknown"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		c, err := ParseCriterion(s)
+		if err == nil && !strings.EqualFold(c.String(), s) {
+			t.Fatalf("ParseCriterion(%q) = %v", s, c)
+		}
+		abbreviation := slices.ContainsFunc([]string{"A", "EA", "M", "EM", "EO"}, func(a string) bool { return strings.EqualFold(a, s) })
+		if (err == nil) != abbreviation {
+			t.Fatalf("ParseCriterion(%q): err = %v", s, err)
+		}
+	})
 }
 
 func TestNewPage(t *testing.T) {
@@ -141,6 +162,45 @@ func TestClone(t *testing.T) {
 	}
 	if q.ID != p.ID || q.Type != p.Type {
 		t.Error("clone lost meta")
+	}
+}
+
+// TestLease: a leased page is claimable only while nobody references it,
+// cannot be acquired while claimed, and panics when released once too
+// often; a page without a lease — a clone of a leased one included —
+// counts nothing.
+func TestLease(t *testing.T) {
+	p := Leased()
+	if p.Claim() || p.TryAcquire(2) {
+		t.Fatal("a new leased page is its maker's until Unclaim")
+	}
+	p.Unclaim(1)
+	if !p.TryAcquire(2) || p.Claim() {
+		t.Fatal("an unclaimed page with references: TryAcquire must succeed, Claim must fail")
+	}
+	p.Acquire()
+	for range 4 {
+		p.Release()
+	}
+	if !p.Claim() {
+		t.Fatal("a page whose references were all released must be claimable")
+	}
+	p.Unclaim(0)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Release of an unreferenced page did not panic")
+			}
+		}()
+		p.Release()
+	}()
+	q := Leased()
+	q.Unclaim(0)
+	for _, free := range []*Page{New(1, TypeData, 0, 0), q.Clone()} {
+		free.Release() // no-op, no panic
+		if free.Claim() || !free.TryAcquire(2) {
+			t.Error("a page without a lease is never claimed and always acquired")
+		}
 	}
 }
 

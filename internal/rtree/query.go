@@ -14,6 +14,11 @@ import (
 // through a buffer whose replacement policy is under study — including
 // a shared concurrent pool serving many query goroutines; StoreReader
 // bypasses buffering.
+//
+// A page from Get (or a pool's Fix) carries one reference for the caller.
+// Search releases each node once it has scanned it, so a FileStore may
+// decode into the node's memory once the pool evicted it clean; a caller
+// that never releases — Join, the mutation path — keeps its pages intact.
 type Reader interface {
 	Get(id page.ID, ctx buffer.AccessContext) (*page.Page, error)
 }
@@ -55,16 +60,18 @@ func (t *Tree) Search(rd Reader, ctx buffer.AccessContext, query geom.Rect, fn V
 		if node.Level == 0 {
 			for _, e := range node.Entries {
 				if query.Intersects(e.MBR) && !fn(e) {
-					return nil
+					stack = stack[:0] // fn stopped the query
+					break
 				}
 			}
-			continue
-		}
-		for _, e := range node.Entries {
-			if query.Intersects(e.MBR) {
-				stack = append(stack, e.Child)
+		} else {
+			for _, e := range node.Entries {
+				if query.Intersects(e.MBR) {
+					stack = append(stack, e.Child)
+				}
 			}
 		}
+		node.Release()
 	}
 	return nil
 }

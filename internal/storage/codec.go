@@ -121,35 +121,63 @@ func EncodePage(p *page.Page, buf []byte) error {
 // copies it out: one exact-size entry slice, Meta as stored. Validation
 // failures wrap ErrCorruptPage.
 func DecodePage(buf []byte) (*page.Page, error) {
+	p := &page.Page{}
+	if err := decode(p, buf); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// decodeInto decodes buf into p, a page of recycled memory or nil, and
+// returns the page holding one reference. It claims p first; a nil p,
+// or one somebody still references, is left alone for a new leased page.
+// A rejected buffer leaves the page it claimed unclaimed and unreferenced.
+func decodeInto(p *page.Page, buf []byte) (*page.Page, error) {
+	if p == nil || !p.Claim() {
+		p = page.Leased()
+	}
+	if err := decode(p, buf); err != nil {
+		p.Unclaim(0)
+		return nil, err
+	}
+	p.Unclaim(1)
+	return p, nil
+}
+
+// decode is DecodePage into p's memory: its Meta, and its entry slice
+// when that is long enough. It writes no other field of p, so a reader
+// that reaches p's lease concurrently races with nothing.
+func decode(p *page.Page, buf []byte) error {
 	if len(buf) < PageSize {
-		return nil, fmt.Errorf("storage: decode buffer too small: %d < %d", len(buf), PageSize)
+		return fmt.Errorf("storage: decode buffer too small: %d < %d", len(buf), PageSize)
 	}
 	buf = buf[:PageSize]
 	le := binary.LittleEndian
 	if m, v := le.Uint32(buf[4:]), buf[8]; m != pageMagic || v != pageVersion {
-		return nil, fmt.Errorf("%w: magic %#x version %d, want %#x version %d", ErrCorruptPage, m, v, uint32(pageMagic), pageVersion)
+		return fmt.Errorf("%w: magic %#x version %d, want %#x version %d", ErrCorruptPage, m, v, uint32(pageMagic), pageVersion)
 	}
 	n := int(le.Uint32(buf[12:]))
 	if n > MaxEntries {
-		return nil, fmt.Errorf("%w: %d entries, max %d", ErrCorruptPage, n, MaxEntries)
+		return fmt.Errorf("%w: %d entries, max %d", ErrCorruptPage, n, MaxEntries)
 	}
 	used := headerSize + n*entrySize
 	if want, got := le.Uint32(buf[0:]), crc32.Checksum(buf[4:used], castagnoli); got != want {
-		return nil, fmt.Errorf("%w: checksum %#08x, header says %#08x", ErrCorruptPage, got, want)
+		return fmt.Errorf("%w: checksum %#08x, header says %#08x", ErrCorruptPage, got, want)
 	}
-	p := &page.Page{
-		Meta: page.Meta{
-			ID:             page.ID(le.Uint64(buf[16:])),
-			Type:           page.Type(buf[9]),
-			Level:          int(le.Uint16(buf[10:])),
-			MBR:            getRect(buf[24:]),
-			NumEntries:     n,
-			EntryAreaSum:   math.Float64frombits(le.Uint64(buf[56:])),
-			EntryMarginSum: math.Float64frombits(le.Uint64(buf[64:])),
-			EntryOverlap:   math.Float64frombits(le.Uint64(buf[72:])),
-		},
-		Entries: make([]page.Entry, n),
+	p.Meta = page.Meta{
+		ID:             page.ID(le.Uint64(buf[16:])),
+		Type:           page.Type(buf[9]),
+		Level:          int(le.Uint16(buf[10:])),
+		MBR:            getRect(buf[24:]),
+		NumEntries:     n,
+		EntryAreaSum:   math.Float64frombits(le.Uint64(buf[56:])),
+		EntryMarginSum: math.Float64frombits(le.Uint64(buf[64:])),
+		EntryOverlap:   math.Float64frombits(le.Uint64(buf[72:])),
 	}
+	if cap(p.Entries) < n {
+		p.Entries = make([]page.Entry, n)
+	}
+	p.Entries = p.Entries[:n]
 	src := buf[headerSize:used]
 	for i := range p.Entries {
 		b := src[i*entrySize:][:entrySize]
@@ -159,7 +187,7 @@ func DecodePage(buf []byte) (*page.Page, error) {
 			ObjID: le.Uint64(b[40:]),
 		}
 	}
-	return p, nil
+	return nil
 }
 
 func putRect(b []byte, r geom.Rect) {

@@ -31,7 +31,10 @@ var zeroPage [PageSize]byte
 // format v2 of codec.go. A read costs one pread and one checked copy; it
 // returns the same Meta and Entries a MemStore holding the written page
 // would. Bytes that fail validation surface as ErrCorruptPage, a slot
-// that was allocated but never written as ErrPageNotFound.
+// that was allocated but never written as ErrPageNotFound. Every page
+// Read returns is leased (page.Leased) and holds one reference, its
+// caller's; Read decodes into the memory of pages handed back through
+// Recycle once nobody references them (DESIGN.md §5h).
 //
 // FileStore is safe for concurrent use without any internal lock: I/O
 // goes through positioned ReadAt/WriteAt (independent pread/pwrite
@@ -39,8 +42,9 @@ var zeroPage [PageSize]byte
 // the counters are atomics — so concurrent misses of an async buffer
 // pool really do overlap in the kernel instead of serializing here.
 type FileStore struct {
-	f    *os.File
-	next atomic.Uint64
+	f        *os.File
+	next     atomic.Uint64
+	recycled sync.Pool // of *page.Page
 
 	reads      atomic.Uint64
 	writes     atomic.Uint64
@@ -149,7 +153,8 @@ func (s *FileStore) load(id page.ID) (*page.Page, error) {
 	} else if err != nil {
 		return nil, fmt.Errorf("storage: read page %d: %w", id, err)
 	}
-	p, err := DecodePage(buf)
+	reuse, _ := s.recycled.Get().(*page.Page)
+	p, err := decodeInto(reuse, buf)
 	if err != nil {
 		if bytes.Equal(buf, zeroPage[:]) {
 			return nil, fmt.Errorf("storage: read page %d: never written: %w", id, ErrPageNotFound)
@@ -161,6 +166,10 @@ func (s *FileStore) load(id page.ID) (*page.Page, error) {
 	}
 	return p, nil
 }
+
+// Recycle takes back a page that Read returned — a buffer pool's page it
+// evicted clean — for a Read to decode into once nobody references it.
+func (s *FileStore) Recycle(p *page.Page) { s.recycled.Put(p) }
 
 // NumPages implements Store.
 func (s *FileStore) NumPages() int {

@@ -38,7 +38,8 @@ type Stats struct {
 // Store is a page container with I/O accounting.
 //
 // Read returns the stored page. Callers must not mutate the returned page;
-// the buffer manager clones pages it intends to modify.
+// the buffer manager clones pages it intends to modify. A FileStore page
+// holds a reference for the caller, who may page.Release it when done.
 type Store interface {
 	// Allocate reserves a fresh page ID. IDs are dense and start at 1.
 	Allocate() page.ID

@@ -450,14 +450,38 @@ func TestDecodeRejectsDamage(t *testing.T) {
 
 // FuzzDecodePage: arbitrary bytes never panic the decoder, and whatever
 // it accepts it accepts exactly — re-encoding the decoded page gives
-// back the used prefix byte for byte.
+// back the used prefix byte for byte. Decoding into recycled memory — a
+// page that last held a full 51-entry directory page, and one whose entry
+// slice is too short — gives what a fresh decode does, and a rejected
+// input leaves the page unclaimed and unreferenced.
 func FuzzDecodePage(f *testing.F) {
 	valid, invalid := codecCorpus(f)
 	for _, buf := range append(valid, invalid...) {
 		f.Add(buf)
 	}
+	full, short := valid[0], valid[2] // 51 entries; none
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		p, err := DecodePage(buf)
+		for _, last := range [][]byte{full, short} {
+			used, uerr := decodeInto(nil, last)
+			if uerr != nil {
+				t.Fatal(uerr)
+			}
+			used.Release()
+			got, gerr := decodeInto(used, buf)
+			switch {
+			case (gerr == nil) != (err == nil):
+				t.Fatalf("decoding into used memory: err %v, a fresh decode: err %v", gerr, err)
+			case gerr != nil:
+				if !used.Claim() {
+					t.Fatal("a rejected input left its page claimed or referenced")
+				}
+			case got != used:
+				t.Fatal("the input was not decoded into the unreferenced page it was given")
+			case got.Meta != p.Meta || len(got.Entries) != got.NumEntries || !slices.Equal(got.Entries, p.Entries):
+				t.Fatalf("decoded into used memory: %+v with %d entries, fresh: %+v", got.Meta, len(got.Entries), p.Meta)
+			}
+		}
 		if err != nil {
 			return
 		}
@@ -472,6 +496,45 @@ func FuzzDecodePage(f *testing.F) {
 			t.Fatalf("re-encoded page differs from the %d bytes it was decoded from", used)
 		}
 	})
+}
+
+// TestHeldPageIsNeverClaimed: Recycle takes a page back while its reader
+// still holds it, and no later Read decodes into it — even with every
+// other page read released and recycled at once — until the reader lets
+// go; the reader still finds its page intact.
+func TestHeldPageIsNeverClaimed(t *testing.T) {
+	fs, err := CreateFileStore(filepath.Join(t.TempDir(), "pages.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 3; i++ {
+		if err := fs.Write(makePage(fs.Allocate(), page.TypeData, 0, 20, rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held, err := fs.Read(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(held.Entries)
+	fs.Recycle(held)
+	for i := 0; i < 200; i++ {
+		p, err := fs.Read(page.ID(2 + i%2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p == held {
+			t.Fatalf("read %d decoded page %d into the memory of held page 1", i, p.ID)
+		}
+		p.Release()
+		fs.Recycle(p)
+	}
+	if held.ID != 1 || !slices.Equal(held.Entries, want) {
+		t.Errorf("held page now reads as page %d", held.ID)
+	}
+	held.Release()
 }
 
 func TestMaxEntriesFitsPaperFanout(t *testing.T) {
