@@ -1,99 +1,17 @@
 package repro
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/experiment"
-	"repro/internal/page"
 	"repro/internal/trace"
 )
 
-// benchOpts scale the databases down so the full figure suite runs in
-// minutes. experiment.Get memoizes builds, so the database cost is paid
-// once per process; each benchmark iteration measures the experiment
-// itself (trace recording and policy replays).
+// benchOpts scale the database down so the benchmarks run in seconds.
+// experiment.Get memoizes builds, so the database cost is paid once per
+// process.
 var benchOpts = experiment.Options{Objects: 24_000, Places: 600, Seed: 1}
-
-// benchFigure runs one paper figure end to end per iteration and reports
-// the mean absolute gain across its cells as a metric.
-func benchFigure(b *testing.B, id string) {
-	b.Helper()
-	fn := experiment.Figures()[id]
-	if fn == nil {
-		b.Fatalf("unknown figure %q", id)
-	}
-	// Prime the database cache outside the timer.
-	if _, err := experiment.Get(1, benchOpts); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := experiment.Get(2, benchOpts); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var tables []*experiment.Table
-	for i := 0; i < b.N; i++ {
-		var err error
-		tables, err = fn(benchOpts, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	sum, n := 0.0, 0
-	for _, t := range tables {
-		for _, row := range t.Cells {
-			for _, v := range row {
-				if v < 0 {
-					v = -v
-				}
-				sum += v
-				n++
-			}
-		}
-	}
-	if n > 0 {
-		b.ReportMetric(sum/float64(n), "mean|gain|%")
-	}
-	b.ReportMetric(float64(len(tables)), "tables")
-}
-
-// BenchmarkFig04LRUPvsLRU regenerates Figure 4: type/priority-based LRU
-// against plain LRU over all buffer sizes on both databases.
-func BenchmarkFig04LRUPvsLRU(b *testing.B) { benchFigure(b, "4") }
-
-// BenchmarkFig05LRUK regenerates Figure 5: LRU-2/3/5 against LRU.
-func BenchmarkFig05LRUK(b *testing.B) { benchFigure(b, "5") }
-
-// BenchmarkFig06SpatialVariants regenerates Figure 6: the five spatial
-// strategies relative to A.
-func BenchmarkFig06SpatialVariants(b *testing.B) { benchFigure(b, "6") }
-
-// BenchmarkFig07Uniform regenerates Figure 7: the uniform-distribution
-// comparison of LRU-P, A and LRU-2.
-func BenchmarkFig07Uniform(b *testing.B) { benchFigure(b, "7") }
-
-// BenchmarkFig08IdenticalSimilar regenerates Figure 8.
-func BenchmarkFig08IdenticalSimilar(b *testing.B) { benchFigure(b, "8") }
-
-// BenchmarkFig09IndependentIntensified regenerates Figure 9.
-func BenchmarkFig09IndependentIntensified(b *testing.B) { benchFigure(b, "9") }
-
-// BenchmarkFig12StaticCandidate regenerates Figure 12: SLRU with static
-// candidate-set sizes against the pure spatial strategy.
-func BenchmarkFig12StaticCandidate(b *testing.B) { benchFigure(b, "12") }
-
-// BenchmarkFig13ASB regenerates Figure 13 — the headline comparison of
-// A, SLRU, ASB and LRU-2 against LRU.
-func BenchmarkFig13ASB(b *testing.B) { benchFigure(b, "13") }
-
-// BenchmarkFig14Adaptation regenerates Figure 14: the candidate-set size
-// of the ASB over the mixed INT/U/S workload.
-func BenchmarkFig14Adaptation(b *testing.B) { benchFigure(b, "14") }
-
-// BenchmarkLRUTvsLRUP regenerates the §3.2 LRU-T/LRU-P comparison.
-func BenchmarkLRUTvsLRUP(b *testing.B) { benchFigure(b, "lrut") }
 
 // BenchmarkPolicyReplay measures raw replacement-policy throughput: one
 // recorded reference string replayed through each policy at a fixed
@@ -117,75 +35,6 @@ func BenchmarkPolicyReplay(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkAblationASBCriteria measures the ASB with each spatial
-// criterion on a mixed workload — the design-choice ablation called out
-// in DESIGN.md §6.
-func BenchmarkAblationASBCriteria(b *testing.B) {
-	db, err := experiment.Get(1, benchOpts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr, err := db.Trace("U-W-100", 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	frames := db.Frames(0.047)
-	lruStats, err := trace.Replay(tr, db.Store, core.NewLRU(), frames)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, crit := range page.Criteria() {
-		crit := crit
-		b.Run(crit.String(), func(b *testing.B) {
-			var gain float64
-			for i := 0; i < b.N; i++ {
-				opts := core.DefaultASBOptions()
-				opts.Criterion = crit
-				st, err := trace.Replay(tr, db.Store, core.NewASB(frames, opts), frames)
-				if err != nil {
-					b.Fatal(err)
-				}
-				gain = (float64(lruStats.DiskReads())/float64(st.DiskReads()) - 1) * 100
-			}
-			b.ReportMetric(gain, "gain%")
-		})
-	}
-}
-
-// BenchmarkAblationOverflowSize sweeps the ASB overflow-buffer share —
-// the paper's future-work item 1.
-func BenchmarkAblationOverflowSize(b *testing.B) {
-	db, err := experiment.Get(1, benchOpts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr, err := db.Trace("U-W-100", 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	frames := db.Frames(0.047)
-	lruStats, err := trace.Replay(tr, db.Store, core.NewLRU(), frames)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, frac := range []float64{0.05, 0.10, 0.20, 0.30, 0.40} {
-		frac := frac
-		b.Run(fmt.Sprintf("overflow=%.0f%%", frac*100), func(b *testing.B) {
-			var gain float64
-			for i := 0; i < b.N; i++ {
-				opts := core.DefaultASBOptions()
-				opts.OverflowFrac = frac
-				st, err := trace.Replay(tr, db.Store, core.NewASB(frames, opts), frames)
-				if err != nil {
-					b.Fatal(err)
-				}
-				gain = (float64(lruStats.DiskReads())/float64(st.DiskReads()) - 1) * 100
-			}
-			b.ReportMetric(gain, "gain%")
 		})
 	}
 }

@@ -30,7 +30,7 @@
 // (-trace-sample, 0 disables): sampled requests record a span tree
 // (Get → victim-select / asb-adapt / store.Read ...) into per-shard
 // rings of -trace-buf completed traces, served as Chrome trace-event
-// JSON (load in Perfetto) or JSONL at /debug/trace?n=100&format=chrome.
+// JSON (load in Perfetto) at /debug/trace?n=100.
 // Tracing also enables the shard-contention profiler: per-shard lock
 // wait, queue depth and acquisition counts under
 // spatialbuf_shard_lock_* on /metrics.

@@ -3,7 +3,9 @@
 // replacement policies and buffer sizes, and prints the figures as tables
 // of relative performance gains.
 //
-// Reproduce one figure (4, 5, 6, 7, 8, 9, 12, 13, 14 or "lrut"):
+// Reproduce one figure (4, 5, 6, 7, 8, 9, 12, 13, 14 or "lrut") or one
+// extension (crosssam, updates, join, filterrefine, ablation-overflow,
+// ablation-criteria):
 //
 //	spatialbench -figure 13
 //
@@ -81,7 +83,7 @@ func main() { cli.Main("spatialbench", declare) }
 // declare declares spatialbench's flags on fs.
 func declare(fs *flag.FlagSet) (*obs.ProfileFlags, func() error) {
 	cfg := new(config)
-	fs.StringVar(&cfg.figure, "figure", "", "figure to reproduce: 4..9, 12..14, lrut, the extensions crosssam/updates, or 'all'")
+	fs.StringVar(&cfg.figure, "figure", "", "figure to reproduce: 4..9, 12..14, lrut, the extensions crosssam/updates/join/filterrefine/ablation-overflow/ablation-criteria, or 'all'")
 	cfg.db.Register(fs, "database number for ad-hoc sweeps (1 or 2)", "objects per database (0 = default scale)")
 	fs.StringVar(&cfg.sets, "sets", "", "comma-separated query sets for an ad-hoc sweep (e.g. U-P,INT-W-33)")
 	fs.StringVar(&cfg.policies, "policies", "LRU,A,LRU-2,ASB", "comma-separated policies for an ad-hoc sweep: registry names or parameterized specs like LRU-K:4, SLRU:EA:0.25")

@@ -21,10 +21,13 @@
 //     paper's proprietary data and its five query distributions;
 //   - internal/trace — page-reference recording and exact replay;
 //   - internal/experiment — the evaluation harness reproducing every
-//     figure of the paper (Figs. 4–9, 12–14).
+//     figure of the paper (Figs. 4–9, 12–14) and the extensions beyond
+//     it (spatialbench -figure crosssam|updates|join|filterrefine|
+//     ablation-overflow|ablation-criteria).
 //
 // Command-line tools live under cmd/ (spatialbench, datagen, tracedump,
-// asbviz); runnable examples under examples/. The benchmarks in
-// bench_test.go regenerate one figure each; EXPERIMENTS.md records
-// paper-versus-measured results. See README.md and DESIGN.md.
+// asbviz, bufserve). Example shows the library surface end to end;
+// EXPERIMENTS.md records paper-versus-measured results, and go test
+// checks every number it quotes against results/. See README.md and
+// DESIGN.md.
 package repro

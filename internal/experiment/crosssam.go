@@ -146,7 +146,7 @@ func figCrossSAM(opts Options, seed int64) ([]*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("experiment: crosssam %s/%s: %w", sam.name, pn, err)
 			}
-			if err := t.Set(sam.name, pn, (float64(lru)/float64(io)-1)*100); err != nil {
+			if err := t.Set(sam.name, pn, gainPct(lru, io)); err != nil {
 				return nil, err
 			}
 		}
@@ -188,11 +188,7 @@ func figUpdates(opts Options, seed int64) ([]*Table, error) {
 		}
 	}
 	for _, r := range results {
-		gain := 0.0
-		if r.IO > 0 {
-			gain = (float64(lruIO)/float64(r.IO) - 1) * 100
-		}
-		if err := t.Set(r.Policy, "gain", gain); err != nil {
+		if err := t.Set(r.Policy, "gain", gainPct(lruIO, r.IO)); err != nil {
 			return nil, err
 		}
 		if err := t.Set(r.Policy, "reads", float64(r.Reads)); err != nil {

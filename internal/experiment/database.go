@@ -87,24 +87,10 @@ func Build(number int, opts Options) (*Database, error) {
 	objs := gen.Objects(seed+1, n)
 	places := gen.Places(seed+2, nPlaces)
 
-	store := storage.NewMemStore()
-	tree, err := rtree.New(store, rtree.DefaultParams())
+	tree, store, st, err := buildTree(objs)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiment: build db%d: %w", number, err)
 	}
-	for _, o := range objs {
-		if err := tree.Insert(o.ID, o.MBR); err != nil {
-			return nil, fmt.Errorf("experiment: build db%d: %w", number, err)
-		}
-	}
-	if err := tree.FinalizeStats(); err != nil {
-		return nil, err
-	}
-	st, err := tree.Stats()
-	if err != nil {
-		return nil, err
-	}
-	store.ResetStats()
 	return &Database{
 		traces:    make(map[string]*trace.Trace),
 		Number:    number,
@@ -116,6 +102,31 @@ func Build(number int, opts Options) (*Database, error) {
 		Store:     store,
 		Stats:     st,
 	}, nil
+}
+
+// buildTree indexes objs into a fresh R*-tree over its own memory store
+// with the paper's parameters, finalizes the page statistics the spatial
+// criteria read, and resets the store's counters.
+func buildTree(objs []dataset.Object) (*rtree.Tree, *storage.MemStore, rtree.TreeStats, error) {
+	store := storage.NewMemStore()
+	tree, err := rtree.New(store, rtree.DefaultParams())
+	if err != nil {
+		return nil, nil, rtree.TreeStats{}, err
+	}
+	for _, o := range objs {
+		if err := tree.Insert(o.ID, o.MBR); err != nil {
+			return nil, nil, rtree.TreeStats{}, err
+		}
+	}
+	if err := tree.FinalizeStats(); err != nil {
+		return nil, nil, rtree.TreeStats{}, err
+	}
+	st, err := tree.Stats()
+	if err != nil {
+		return nil, nil, rtree.TreeStats{}, err
+	}
+	store.ResetStats()
+	return tree, store, st, nil
 }
 
 // dbCache memoizes default-scale databases within one process (figures

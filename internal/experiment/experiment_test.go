@@ -251,7 +251,8 @@ func TestTableRenderAndCSV(t *testing.T) {
 
 func TestFigureRegistry(t *testing.T) {
 	figs := Figures()
-	want := []string{"4", "5", "6", "7", "8", "9", "12", "13", "14", "lrut", "crosssam", "updates"}
+	want := []string{"4", "5", "6", "7", "8", "9", "12", "13", "14", "lrut", "crosssam", "updates",
+		"join", "filterrefine", "ablation-overflow", "ablation-criteria"}
 	for _, id := range want {
 		if figs[id] == nil {
 			t.Errorf("figure %q missing", id)
@@ -262,7 +263,7 @@ func TestFigureRegistry(t *testing.T) {
 		t.Errorf("FigureIDs returned %d of %d", len(ids), len(figs))
 	}
 	// Numeric order first, names after.
-	if ids[0] != "4" || ids[len(ids)-1] != "updates" {
+	if ids[0] != "4" || ids[len(ids)-1] != "ablation-criteria" {
 		t.Errorf("order: %v", ids)
 	}
 }

@@ -50,11 +50,14 @@ var (
 	usualFracs   = []float64{0.006, 0.047}         // the pair most of the paper's figures show
 	extremeFracs = []float64{0.003, 0.047}         // the smallest and the largest buffer
 	comparison   = []string{"LRU-P", "A", "LRU-2"} // §3.5's three, against LRU
+	// ablationSets are the representative sets plus the medium uniform
+	// window set U-W-100.
+	ablationSets = slices.Insert(slices.Clone(RepresentativeSets), 2, "U-W-100")
 )
 
 // figures is the registry in display order: the paper's figures by
-// number, then the named ones ("crosssam" and "updates" are extensions
-// beyond the paper).
+// number, then the named ones (all but "lrut" are extensions beyond the
+// paper).
 var figures = []struct {
 	id string
 	fn FigureFunc
@@ -88,10 +91,20 @@ var figures = []struct {
 	{"lrut", gainFigure{"lrut", "LRU-T vs LRU-P", db1, extremeFracs,
 		RepresentativeSets, []string{"LRU-T", "LRU-P"}}.tables},
 	{"updates", figUpdates},
+	{"join", figJoin},
+	{"filterrefine", figFilterRefine},
+	// The paper's future-work item 1, the overflow-buffer share, swept
+	// around its 20% default; and ASB with each spatial criterion in
+	// place of A. ASB:A:0.2 and ASB:A are the "ASB" of Fig. 13.
+	{"ablation-overflow", gainFigure{"ablation-overflow", "ASB overflow share", db1, []float64{LargestFrac},
+		ablationSets, []string{"ASB:A:0.05", "ASB:A:0.1", "ASB:A:0.2", "ASB:A:0.3", "ASB:A:0.4"}}.tables},
+	{"ablation-criteria", gainFigure{"ablation-criteria", "ASB spatial criterion", db1, []float64{LargestFrac},
+		ablationSets, []string{"ASB:A", "ASB:M", "ASB:EA", "ASB:EM", "ASB:EO"}}.tables},
 }
 
 // Figures maps figure identifiers ("4".."9", "12".."14", "lrut",
-// "crosssam", "updates") to their reproduction functions.
+// "crosssam", "updates", "join", "filterrefine", "ablation-overflow",
+// "ablation-criteria") to their reproduction functions.
 func Figures() map[string]FigureFunc {
 	m := make(map[string]FigureFunc, len(figures))
 	for _, f := range figures {

@@ -142,6 +142,15 @@ func (s *Sweep) Gain(set, policy string, frac float64) (float64, error) {
 	return float64(lru)/float64(pol) - 1, nil
 }
 
+// gainPct is Gain's formula in percent for raw I/O counts: the gain of a
+// policy that needed io accesses over a baseline that needed base.
+func gainPct(base, io uint64) float64 {
+	if io == 0 {
+		return 0
+	}
+	return (float64(base)/float64(io) - 1) * 100
+}
+
 // Relative returns accesses(policy) / accesses(base) × 100% for one cell
 // (the metric of Fig. 6, where base is the spatial strategy A).
 func (s *Sweep) Relative(set, policy, base string, frac float64) (float64, error) {

@@ -117,66 +117,3 @@ func WriteChromeTrace(w io.Writer, traces [][]Span) error {
 	}
 	return bw.Flush()
 }
-
-// jsonlSpan is the flat JSONL export schema of one span.
-type jsonlSpan struct {
-	Trace   uint64 `json:"trace"`
-	Span    int    `json:"span"`
-	Parent  int32  `json:"parent"`
-	Kind    string `json:"kind"`
-	Shard   int32  `json:"shard"`
-	StartNs int64  `json:"start_ns"`
-	DurNs   int64  `json:"dur_ns"`
-
-	Page     uint64  `json:"page,omitempty"`
-	Query    uint64  `json:"query,omitempty"`
-	Hit      *bool   `json:"hit,omitempty"`
-	Err      bool    `json:"err,omitempty"`
-	LockWait int64   `json:"lock_wait_ns,omitempty"`
-	Reason   string  `json:"reason,omitempty"`
-	CritKind string  `json:"criterion,omitempty"`
-	CritWin  float64 `json:"crit_win,omitempty"`
-	CritLose float64 `json:"crit_lose,omitempty"`
-	Rank     int32   `json:"lru_rank,omitempty"`
-	Slot     *int32  `json:"arena_slot,omitempty"`
-	OldC     int32   `json:"old_c,omitempty"`
-	NewC     int32   `json:"new_c,omitempty"`
-	BSpatial int32   `json:"better_spatial,omitempty"`
-	BLRU     int32   `json:"better_lru,omitempty"`
-	Bytes    int32   `json:"bytes,omitempty"`
-}
-
-// WriteSpansJSONL writes every span as one JSON object per line, for
-// post-hoc analysis with jq/pandas (the span sibling of obs.JSONLSink).
-func WriteSpansJSONL(w io.Writer, traces [][]Span) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, tr := range traces {
-		for i, sp := range tr {
-			row := jsonlSpan{
-				Trace: sp.Trace, Span: i, Parent: sp.Parent,
-				Kind: sp.Kind.String(), Shard: sp.Shard,
-				StartNs: sp.Start, DurNs: sp.Dur,
-				Page: uint64(sp.Page), Query: sp.QueryID, Err: sp.Err,
-				LockWait: sp.LockWait, Reason: sp.Reason,
-				CritKind: sp.CritKind, CritWin: sp.CritWin, CritLose: sp.CritLose,
-				Rank: sp.Rank, OldC: sp.OldC, NewC: sp.NewC,
-				BSpatial: sp.BetterSpatial, BLRU: sp.BetterLRU, Bytes: sp.Bytes,
-			}
-			if sp.Parent == -1 && (sp.Kind == KindGet || sp.Kind == KindPut || sp.Kind == KindFix ||
-				sp.Kind == KindUnfix || sp.Kind == KindMarkDirty) {
-				hit := sp.Hit
-				row.Hit = &hit
-			}
-			if sp.Kind == KindVictim {
-				// Pointer so slot 0 (a valid arena index) survives omitempty.
-				slot := sp.Slot
-				row.Slot = &slot
-			}
-			if err := enc.Encode(row); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}

@@ -9,7 +9,6 @@ import (
 //
 //	GET /debug/trace            last 64 traces, Chrome trace_event JSON
 //	GET /debug/trace?n=200      last 200 traces
-//	GET /debug/trace?format=jsonl   one span per line instead
 //
 // Chrome output loads directly in chrome://tracing or Perfetto. A nil
 // tracer yields 404 (tracing disabled), so commands can mount the
@@ -37,14 +36,8 @@ func Handler(t *Tracer) http.Handler {
 			if err := WriteChromeTrace(w, traces); err != nil {
 				return // client gone; nothing useful to do
 			}
-		case "jsonl":
-			w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
-			w.Header().Set("Content-Disposition", `attachment; filename="buffer-trace.jsonl"`)
-			if err := WriteSpansJSONL(w, traces); err != nil {
-				return
-			}
 		default:
-			http.Error(w, "bad format (want chrome or jsonl)", http.StatusBadRequest)
+			http.Error(w, "bad format (want chrome)", http.StatusBadRequest)
 		}
 	})
 }

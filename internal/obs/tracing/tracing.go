@@ -17,7 +17,7 @@
 // increment and no allocations. Only sampled requests (1 in N) build a
 // span tree, from a sync.Pool, and publish it into a fixed-size
 // lock-free per-shard ring of completed traces. Export the rings with
-// WriteChromeTrace (chrome://tracing / Perfetto) or WriteSpansJSONL,
+// WriteChromeTrace (chrome://tracing / Perfetto),
 // or serve them over HTTP with Handler.
 //
 // A sampled request's Active trace travels with the request: the buffer

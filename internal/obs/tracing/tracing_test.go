@@ -3,7 +3,8 @@ package tracing
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 )
@@ -209,28 +210,23 @@ func TestChromeExportValidJSON(t *testing.T) {
 	}
 }
 
-func TestJSONLExport(t *testing.T) {
+// TestHandlerFormats: Chrome JSON is the one span export; any other
+// format is refused.
+func TestHandlerFormats(t *testing.T) {
 	tr := NewTracer(1, 1, 8)
 	record(tr, 0, true)
-	var buf bytes.Buffer
-	if err := WriteSpansJSONL(&buf, tr.Traces(0)); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want 3", len(lines))
-	}
-	for _, ln := range lines {
-		var m map[string]any
-		if err := json.Unmarshal([]byte(ln), &m); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", ln, err)
+	for _, c := range []struct {
+		query string
+		code  int
+	}{{"", http.StatusOK}, {"?format=chrome", http.StatusOK}, {"?format=jsonl", http.StatusBadRequest}} {
+		rec := httptest.NewRecorder()
+		Handler(tr).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace"+c.query, nil))
+		if rec.Code != c.code {
+			t.Fatalf("%q: status %d, want %d: %s", c.query, rec.Code, c.code, rec.Body)
 		}
-	}
-	if !strings.Contains(lines[0], `"hit":true`) {
-		t.Fatalf("root line misses hit flag: %s", lines[0])
-	}
-	if !strings.Contains(lines[1], `"crit_lose":0.75`) {
-		t.Fatalf("victim line misses criterion payload: %s", lines[1])
+		if c.code == http.StatusOK && !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("%q: body is not JSON", c.query)
+		}
 	}
 }
 
