@@ -4,7 +4,7 @@
 // replays that trace in a loop from several worker goroutines through a
 // shared buffer pool — by default an async page-hashed sharded pool
 // with one shard per CPU — a steady-state workload to watch through
-// /metrics, /vars and the dashboard. The pool is selected by the -pool
+// /metrics and the dashboard. The pool is selected by the -pool
 // composition spec (e.g. "locked", "sharded,shards=4",
 // "async,shards=8,wbworkers=2"). With a sharded layout, /metrics
 // additionally exposes per-shard residency and ASB gauges labeled
@@ -49,13 +49,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -66,7 +66,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/obs"
 	"repro/internal/obs/live"
-	"repro/internal/obs/shadow"
 	"repro/internal/obs/tracing"
 )
 
@@ -111,14 +110,19 @@ func declare(fs *flag.FlagSet) (*obs.ProfileFlags, func() error) {
 	fs.IntVar(&cfg.ring, "ring", live.DefaultRingCapacity, "with -events: async ring capacity in events")
 	fs.IntVar(&cfg.traceSample, "trace-sample", 1024, "record a span trace for 1 in N requests, served at /debug/trace (0 = tracing off)")
 	fs.IntVar(&cfg.traceBuf, "trace-buf", 256, "completed traces retained per shard ring")
-	cfg.shadow.Register(fs, strings.Join(shadow.DefaultPolicies(), ","),
-		"comma-separated what-if policies (names or parameterized specs like LRU-K:4) simulated by shadow caches at the real capacity (empty disables shadow profiling)",
-		"capacity multipliers the real policy is shadow-simulated at (the online miss-ratio curve)",
-		"feed the shadow bank 1 in N request events")
+	cfg.shadow.Register(fs)
 	return nil, func() error { return run(cfg) }
 }
 
 func run(cfg *config) error {
+	// Everything the flags can get wrong fails here, before the listener
+	// opens or any database is built.
+	if cfg.workers < 1 {
+		return fmt.Errorf("bad -workers value %d (want an integer ≥ 1)", cfg.workers)
+	}
+	if !(cfg.frac > 0) || math.IsInf(cfg.frac, 0) {
+		return fmt.Errorf("bad -frac value %v (want a number > 0)", cfg.frac)
+	}
 	if err := cfg.shadow.Parse(); err != nil {
 		return err
 	}
@@ -237,7 +241,7 @@ func run(cfg *config) error {
 	}
 	var shadowAsync *live.AsyncSink
 	if cfg.shadow.Enabled() {
-		bank, err := cfg.shadow.Bank(cfg.policy, frames, 0)
+		bank, err := cfg.shadow.Bank(cfg.policy, frames)
 		if err != nil {
 			return err
 		}
@@ -327,8 +331,11 @@ func run(cfg *config) error {
 	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	st := pool.Stats()
-	fmt.Printf("bufserve: final counters: %d requests, %d hits (hit ratio %.4f), %d misses (%d coalesced), %d evictions; events %s\n",
-		st.Requests, st.Hits, st.HitRatio(), st.Misses, st.Coalesced, st.Evictions, svc.Counters.String())
+	st, c := pool.Stats(), svc.Counters.Snapshot()
+	byReason := ""
+	c.ByReason.Each(func(reason string, n uint64) { byReason += fmt.Sprintf(" %s=%d", reason, n) })
+	fmt.Printf("bufserve: final counters: %d requests, %d hits (hit ratio %.4f), %d misses (%d coalesced), %d evictions (by reason:%s); %d overflow promotions, %d adaptations (grow %d, shrink %d, hold %d), %d events dropped\n",
+		st.Requests, st.Hits, st.HitRatio(), st.Misses, st.Coalesced, st.Evictions, byReason,
+		c.Promotions, c.Adaptations, c.AdaptGrow, c.AdaptShrink, c.AdaptHold, c.Dropped)
 	return nil
 }

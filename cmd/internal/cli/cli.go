@@ -87,9 +87,11 @@ func FormatFloats(vs []float64) string {
 	return strings.Join(parts, ",")
 }
 
-// Shadow is the -shadow / -shadow-ladder / -shadow-sample group: the
-// what-if policies and capacity rungs simulated by ghost caches beside a
-// real pool, and how much of the event stream they are fed.
+// Shadow is bufserve's -shadow / -shadow-ladder / -shadow-sample group:
+// the what-if policies and capacity rungs simulated by ghost caches
+// beside the live pool, and how much of the event stream they are fed.
+// Offline, the same simulators run over a recorded trace as
+// tracedump -mrc.
 type Shadow struct {
 	Policies string
 	Ladder   string
@@ -99,12 +101,13 @@ type Shadow struct {
 	ladder   []float64
 }
 
-// Register declares the group on fs with the command's default policy
-// list and wording.
-func (s *Shadow) Register(fs *flag.FlagSet, defPolicies, policiesUsage, ladderUsage, sampleUsage string) {
-	fs.StringVar(&s.Policies, "shadow", defPolicies, policiesUsage)
-	fs.StringVar(&s.Ladder, "shadow-ladder", FormatFloats(shadow.DefaultLadder()), ladderUsage)
-	fs.IntVar(&s.Sample, "shadow-sample", 1, sampleUsage)
+// Register declares the group on fs.
+func (s *Shadow) Register(fs *flag.FlagSet) {
+	fs.StringVar(&s.Policies, "shadow", strings.Join(shadow.DefaultPolicies(), ","),
+		"comma-separated what-if policies (names or parameterized specs like LRU-K:4) simulated by shadow caches at the real capacity (empty disables shadow profiling)")
+	fs.StringVar(&s.Ladder, "shadow-ladder", FormatFloats(shadow.DefaultLadder()),
+		"capacity multipliers the real policy is shadow-simulated at (the online miss-ratio curve)")
+	fs.IntVar(&s.Sample, "shadow-sample", 1, "feed the shadow bank 1 in N request events")
 }
 
 // Parse validates the group after flag parsing; call it before any
@@ -120,10 +123,9 @@ func (s *Shadow) Enabled() bool { return len(s.policies) > 0 }
 
 // Bank builds the ghost caches for a pool running the real policy at
 // frames: every -shadow policy at that capacity and the real policy at
-// every -shadow-ladder rung. window ≤ 0 selects the default rolling
-// window.
-func (s *Shadow) Bank(real string, frames, window int) (*shadow.Bank, error) {
-	return shadow.NewBank(shadow.Specs(real, frames, s.policies, s.ladder), core.Resolver, window)
+// every -shadow-ladder rung, over the default rolling window.
+func (s *Shadow) Bank(real string, frames int) (*shadow.Bank, error) {
+	return shadow.NewBank(shadow.Specs(real, frames, s.policies, s.ladder), core.Resolver, 0)
 }
 
 // Sampled puts the -shadow-sample 1-in-N request filter in front of

@@ -94,7 +94,7 @@ func TestShadowGroup(t *testing.T) {
 		var s Shadow
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
 		fs.SetOutput(new(bytes.Buffer))
-		s.Register(fs, "LRU,ASB", "p", "l", "s")
+		s.Register(fs)
 		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
 		}
@@ -104,11 +104,11 @@ func TestShadowGroup(t *testing.T) {
 	if err != nil || !s.Enabled() {
 		t.Fatalf("defaults: enabled %v, err %v", s.Enabled(), err)
 	}
-	bank, err := s.Bank("SLRU 50%", 100, 0)
+	bank, err := s.Bank("SLRU 50%", 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bank.Len() != 6 { // LRU, ASB at 100; SLRU 50% at 50, 100, 200, 400
+	if bank.Len() != 6 { // LRU, ASB at 100; SLRU 50% at 50, 100 (once), 200, 400
 		t.Errorf("default bank has %d ghost caches, want 6", bank.Len())
 	}
 	if s, err := parse("-shadow", " , "); err != nil || s.Enabled() {

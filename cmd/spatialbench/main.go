@@ -24,13 +24,12 @@
 //
 // Observability: -events FILE re-replays an ad-hoc sweep sequentially
 // with a JSONL event sink attached (one "mark" line per combination);
-// -window N prints windowed hit ratios per combination; -shadow lists
-// what-if policies simulated by metadata-only shadow caches during the
-// replays (with the -shadow-ladder capacity rungs of the replayed
-// policy), printing per-combination hit ratios and regret; -ctraj FILE runs
-// the Fig. 14 adaptation workload and writes the ASB candidate-size
-// trajectory as CSV (render it with asbviz -in FILE). The standard
-// -cpuprofile, -memprofile and -trace flags profile the whole run.
+// -window N prints each combination's hit ratio over every N references,
+// read off the pool's Stats; -ctraj FILE runs the Fig. 14 adaptation
+// workload and writes the ASB candidate-size trajectory as CSV (render
+// it with asbviz -in FILE). The standard -cpuprofile, -memprofile and
+// -trace flags profile the whole run. What-if policies and capacities
+// over the same trace are tracedump -mrc.
 //
 // Request tracing: -trace-out FILE attaches a sampling span recorder
 // (1 in -trace-sample requests) to every replay the run performs and
@@ -52,7 +51,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/obs"
-	"repro/internal/obs/shadow"
 	"repro/internal/obs/tracing"
 	"repro/internal/trace"
 )
@@ -74,8 +72,7 @@ type config struct {
 	traceOut    string
 	traceSample int
 
-	shadow cli.Shadow
-	prof   obs.ProfileFlags
+	prof obs.ProfileFlags
 }
 
 func main() { cli.Main("spatialbench", declare) }
@@ -93,13 +90,9 @@ func declare(fs *flag.FlagSet) (*obs.ProfileFlags, func() error) {
 	fs.StringVar(&cfg.events, "events", "", "with -sets: write the sweep's event stream as JSONL to this file")
 	fs.IntVar(&cfg.window, "window", 0, "with -sets: print hit ratios over windows of N requests")
 	fs.StringVar(&cfg.ctraj, "ctraj", "", "run the Fig. 14 adaptation workload and write the c-trajectory CSV to this file")
-	fs.StringVar(&cfg.pool, "pool", "bare", "with -events/-window/-shadow: pool composition spec for instrumented replays, layout[,shards=N][,wbworkers=N][,wbqueue=N] with layout bare|locked|sharded|async (per-shard policy instances when sharded)")
+	fs.StringVar(&cfg.pool, "pool", "bare", "with -events/-window: pool composition spec for instrumented replays, layout[,shards=N][,wbworkers=N][,wbqueue=N] with layout bare|locked|sharded|async (per-shard policy instances when sharded)")
 	fs.StringVar(&cfg.traceOut, "trace-out", "", "write request span traces as Chrome trace-event JSON to this file")
 	fs.IntVar(&cfg.traceSample, "trace-sample", 1024, "with -trace-out: trace 1 in N buffer requests")
-	cfg.shadow.Register(fs, "",
-		"with -sets: comma-separated what-if policies shadow-simulated during instrumented replays (names or specs, e.g. LRU,SLRU 50%,LRU-K:4,ASB)",
-		"with -shadow: capacity multipliers the replayed policy is shadow-simulated at",
-		"with -shadow: feed the shadow bank 1 in N request events")
 	cfg.prof.Register(fs)
 	return &cfg.prof, func() error { return run(cfg) }
 }
@@ -117,9 +110,6 @@ func run(cfg *config) error {
 	}
 	fracs, err := cli.Floats("fracs", cfg.fracs)
 	if err != nil {
-		return err
-	}
-	if err := cfg.shadow.Parse(); err != nil {
 		return err
 	}
 	figs := experiment.Figures()
@@ -235,7 +225,7 @@ func writeCTrajectory(sel *cli.DB, path string) error {
 
 // adHoc runs a custom sweep and prints one gain table per buffer
 // fraction. With -events or -window it additionally re-replays every
-// combination sequentially with observability sinks attached.
+// combination sequentially, observed.
 func adHoc(cfg *config, fracList []float64, comp buffer.Composition, tracer *tracing.Tracer, emit func([]*experiment.Table) error) error {
 	db, err := cfg.db.Get()
 	if err != nil {
@@ -262,16 +252,15 @@ func adHoc(cfg *config, fracList []float64, comp buffer.Composition, tracer *tra
 	if err := emit(tables); err != nil {
 		return err
 	}
-	if cfg.events != "" || cfg.window > 0 || cfg.shadow.Enabled() {
-		return instrumentedReplays(db, setNames, polNames, fracList, cfg.db.Seed, cfg.events, cfg.window, comp, tracer, &cfg.shadow)
+	if cfg.events != "" || cfg.window > 0 {
+		return instrumentedReplays(db, setNames, polNames, fracList, cfg.db.Seed, cfg.events, cfg.window, comp, tracer)
 	}
 	return nil
 }
 
 // instrumentedReplays re-runs each (set, policy, fraction) combination of
-// an ad-hoc sweep sequentially with observability sinks attached: a JSONL
-// event stream separated by "mark" lines, and/or a windowed hit-ratio
-// report. Kept separate from the parallel sweep so the measured tables
+// an ad-hoc sweep sequentially, observed: a JSONL event stream separated
+// by "mark" lines, and/or a windowed hit-ratio report. Kept separate from the parallel sweep so the measured tables
 // stay unperturbed and the event file has a deterministic order.
 //
 // The replays program against buffer.Pool: each combination runs
@@ -281,7 +270,7 @@ func adHoc(cfg *config, fracList []float64, comp buffer.Composition, tracer *tra
 // monolithic one. The replay itself is single-threaded, where the async
 // pool is stat-for-stat identical to the synchronous one, so the tables
 // stay comparable.
-func instrumentedReplays(db *experiment.Database, setNames, polNames []string, fracs []float64, seed int64, eventsPath string, window int, comp buffer.Composition, tracer *tracing.Tracer, sh *cli.Shadow) error {
+func instrumentedReplays(db *experiment.Database, setNames, polNames []string, fracs []float64, seed int64, eventsPath string, window int, comp buffer.Composition, tracer *tracing.Tracer) error {
 	var jsonl *obs.JSONLSink
 	if eventsPath != "" {
 		f, err := os.Create(eventsPath)
@@ -304,53 +293,29 @@ func instrumentedReplays(db *experiment.Database, setNames, polNames []string, f
 					return err
 				}
 				label := fmt.Sprintf("%s/%s/%.4f", set, polName, frac)
-				var sinks []obs.Sink
-				if jsonl != nil {
-					jsonl.Mark(label)
-					sinks = append(sinks, jsonl)
-				}
-				var wt *obs.WindowTracker
-				if window > 0 {
-					wt = obs.NewWindowTracker(window, 1<<16)
-					sinks = append(sinks, wt)
-				}
-				var bank *shadow.Bank
-				if sh.Enabled() {
-					bank, err = sh.Bank(polName, frames, window)
-					if err != nil {
-						return fmt.Errorf("instrumented replay %s: %w", label, err)
-					}
-					// The replay is single-threaded and offline, so the bank
-					// hangs directly off the tee — no async ring needed.
-					sinks = append(sinks, sh.Sampled(bank))
-				}
 				pool, err := comp.Build(db.Store, fac.New, frames)
 				if err != nil {
 					return fmt.Errorf("instrumented replay %s: %w", label, err)
 				}
-				pool.SetSink(obs.Tee(sinks...))
+				if jsonl != nil {
+					jsonl.Mark(label)
+					pool.SetSink(jsonl)
+				}
 				cli.Trace(pool, tracer, nil)
-				if _, err := trace.ReplayOn(tr, pool); err != nil {
+				windows, tail, err := windowedReplay(tr, pool, window)
+				if err != nil {
 					return fmt.Errorf("instrumented replay %s: %w", label, err)
 				}
 				if err := cli.Close(pool); err != nil {
 					return fmt.Errorf("instrumented replay %s: close: %w", label, err)
 				}
-				if bank != nil {
-					fmt.Printf("%-24s shadow regret %+.4f (real hit ratio %.3f over %d events):\n",
-						label, bank.Regret(), bank.RealHitRatio(), bank.RealRequests())
-					for _, st := range bank.Stats() {
-						fmt.Printf("    %-10s %6d frames  hit ratio %.3f  window %.3f\n",
-							st.Policy, st.Capacity, st.HitRatio, st.WindowHitRatio)
-					}
-				}
-				if wt != nil {
-					fmt.Printf("%-24s windowed hit ratio (n=%d):", label, wt.WindowSize())
-					for _, r := range wt.HitRatios() {
+				if window > 0 {
+					fmt.Printf("%-24s windowed hit ratio (n=%d):", label, window)
+					for _, r := range windows {
 						fmt.Printf(" %.3f", r)
 					}
-					if cur := wt.Current(); cur.Requests > 0 {
-						fmt.Printf(" [%.3f]", cur.HitRatio())
+					if tail.Requests > 0 {
+						fmt.Printf(" [%.3f]", tail.HitRatio())
 					}
 					fmt.Println()
 				}
@@ -364,4 +329,30 @@ func instrumentedReplays(db *experiment.Database, setNames, polNames []string, f
 		fmt.Printf("wrote event stream to %s\n", eventsPath)
 	}
 	return nil
+}
+
+// windowedReplay replays tr through pool from a cleared pool, as
+// trace.ReplayOn does, and reads the pool's Stats after every n
+// references (n ≤ 0: never): it returns the hit ratio of each complete
+// window of n references and the requests and hits of the trailing
+// partial one.
+func windowedReplay(tr *trace.Trace, pool buffer.Pool, n int) (ratios []float64, tail buffer.Stats, err error) {
+	if err := pool.Clear(); err != nil {
+		return nil, tail, err
+	}
+	var last buffer.Stats
+	since := func(st buffer.Stats) buffer.Stats {
+		return buffer.Stats{Requests: st.Requests - last.Requests, Hits: st.Hits - last.Hits}
+	}
+	for i, ref := range tr.Refs {
+		if _, err := pool.Get(ref.Page, buffer.AccessContext{QueryID: ref.Query}); err != nil {
+			return nil, tail, fmt.Errorf("page %d: %w", ref.Page, err)
+		}
+		if n > 0 && (i+1)%n == 0 {
+			st := pool.Stats()
+			ratios = append(ratios, since(st).HitRatio())
+			last = st
+		}
+	}
+	return ratios, since(pool.Stats()), nil
 }

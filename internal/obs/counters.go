@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"strconv"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Eviction-reason counter slots. The reasons are a closed set of
 // constants (see obs.go); unknown strings share the trailing "other"
@@ -107,7 +103,7 @@ func (c *Counters) AddDropped(n uint64) { c.dropped.Add(n) }
 type EvictionsByReason [numReasonSlots]uint64
 
 // Each calls f for every reason with a nonzero count, in the fixed slot
-// order — the deterministic iteration both exporters rely on.
+// order — the deterministic iteration the exporters rely on.
 func (e EvictionsByReason) Each(f func(reason string, count uint64)) {
 	for i, n := range e {
 		if n > 0 {
@@ -116,39 +112,22 @@ func (e EvictionsByReason) Each(f func(reason string, count uint64)) {
 	}
 }
 
-// MarshalJSON renders the nonzero counts as an object keyed by reason,
-// in slot order.
-func (e EvictionsByReason) MarshalJSON() ([]byte, error) {
-	buf := []byte{'{'}
-	first := true
-	e.Each(func(reason string, count uint64) {
-		if !first {
-			buf = append(buf, ',')
-		}
-		first = false
-		buf = strconv.AppendQuote(buf, reason)
-		buf = append(buf, ':')
-		buf = strconv.AppendUint(buf, count, 10)
-	})
-	return append(buf, '}'), nil
-}
-
-// Snapshot is a point-in-time copy of the counters, JSON-marshalable in
-// the expvar style. It stays a comparable value type.
+// Snapshot is a point-in-time copy of the counters. It stays a
+// comparable value type.
 type Snapshot struct {
-	Promotions  uint64 `json:"overflow_promotions"`
-	Adaptations uint64 `json:"adaptations"`
+	Promotions  uint64
+	Adaptations uint64
 
-	ByReason    EvictionsByReason `json:"evictions_by_reason"`
-	AdaptGrow   uint64            `json:"adapt_grow"`
-	AdaptShrink uint64            `json:"adapt_shrink"`
-	AdaptHold   uint64            `json:"adapt_hold"`
-	Dropped     uint64            `json:"dropped_events"`
+	ByReason    EvictionsByReason
+	AdaptGrow   uint64
+	AdaptShrink uint64
+	AdaptHold   uint64
+	Dropped     uint64
 }
 
 // Snapshot returns a point-in-time copy of the counters. Under
 // concurrent producers the fields are individually, not mutually,
-// consistent — the usual expvar contract.
+// consistent.
 func (c *Counters) Snapshot() Snapshot {
 	s := Snapshot{
 		Promotions:  c.promotions.Load(),
@@ -162,16 +141,4 @@ func (c *Counters) Snapshot() Snapshot {
 		s.ByReason[i] = c.byReason[i].Load()
 	}
 	return s
-}
-
-// String renders the snapshot as a single JSON object (expvar.Var
-// compatible), so a Counters can be published with expvar.Publish.
-func (c *Counters) String() string {
-	b, err := json.Marshal(c.Snapshot())
-	if err != nil {
-		// Snapshot contains only integers and a fixed-size array; Marshal
-		// cannot fail. Keep the expvar contract anyway.
-		return "{}"
-	}
-	return string(b)
 }

@@ -21,10 +21,10 @@ type ASBGauges interface {
 }
 
 // AddPoolGauges makes pool the one the service reports on: its Stats
-// become the request counters of /metrics and /vars, and what it says
-// about itself is registered as gauges, every value read through
-// Pool.View — under the latch of the shard it belongs to, a few times a
-// second, instead of the request path publishing it:
+// become the request counters of /metrics, and what it says about
+// itself is registered as gauges, every value read through Pool.View —
+// under the latch of the shard it belongs to, a few times a second,
+// instead of the request path publishing it:
 // spatialbuf_resident_pages and spatialbuf_shards; with more than one
 // shard the spatialbuf_shard_*{shard="i"} families; and, when the policy
 // is an adaptable spatial buffer, the spatialbuf_asb_* families, summed

@@ -1,7 +1,6 @@
 package live_test
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http/httptest"
@@ -86,11 +85,11 @@ func TestPoolGaugeNamesGolden(t *testing.T) {
 }
 
 // TestScrapeWhileServing is the door under load: four goroutines Get on
-// an ASB pool while a fifth scrapes /metrics and /vars in a loop — every
-// gauge reads its shard through Pool.View and the counters come from
+// an ASB pool while a fifth scrapes /metrics in a loop — every gauge
+// reads its shard through Pool.View and the counters come from
 // Pool.Stats, so the race detector has nothing to report. Once the
-// workers stop, the four request counters on /metrics and /vars equal
-// Stats exactly, each shard's candidate-size gauge equals that shard's
+// workers stop, the four request counters on /metrics equal Stats
+// exactly, each shard's candidate-size gauge equals that shard's
 // CandidateSize read through the same door, and the pool-level gauge is
 // their sum.
 func TestScrapeWhileServing(t *testing.T) {
@@ -113,7 +112,6 @@ func scrapeWhileServing(t *testing.T, spec string) {
 				return
 			default:
 				scrape(svc, "/metrics")
-				scrape(svc, "/vars")
 			}
 		}
 	}()
@@ -156,22 +154,6 @@ func scrapeWhileServing(t *testing.T, spec string) {
 		if got := metricSample(t, body, name); got != want {
 			t.Errorf("%s = %d, Stats say %d", name, got, want)
 		}
-	}
-	var v struct {
-		Counters struct {
-			Requests  uint64 `json:"requests"`
-			Hits      uint64 `json:"hits"`
-			Misses    uint64 `json:"misses"`
-			Coalesced uint64 `json:"coalesced_reads"`
-			Evictions uint64 `json:"evictions"`
-		}
-	}
-	if err := json.Unmarshal([]byte(scrape(svc, "/vars")), &v); err != nil {
-		t.Fatal(err)
-	}
-	if c := v.Counters; c.Requests != st.Requests || c.Hits != st.Hits || c.Misses != st.Misses ||
-		c.Coalesced != st.Coalesced || c.Evictions != st.Evictions {
-		t.Errorf("/vars counters %+v, Stats %+v", c, st)
 	}
 	sum := uint64(0)
 	for i := 0; i < pool.Shards(); i++ {

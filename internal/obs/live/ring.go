@@ -71,7 +71,7 @@ type slab struct {
 // partly filled one every flushTick. Producers never block or allocate:
 // when no slab is free, the newest event is dropped and counted. Only
 // the drainer goroutine touches the downstream sink, so single-goroutine
-// sinks (JSONLSink, WindowTracker) become safe behind an AsyncSink.
+// sinks (JSONLSink) become safe behind an AsyncSink.
 //
 // Close drains the ring, stops the goroutine and flushes/closes the
 // downstream sink if it supports it. Producers must stop emitting before

@@ -43,7 +43,6 @@ func (g Gauge) key() string {
 // Adapt-event broadcaster — and serves them over HTTP:
 //
 //	/metrics       Prometheus text exposition format
-//	/vars          expvar-style JSON snapshot (same numbers as /metrics)
 //	/healthz       liveness probe
 //	/events/ctraj  server-sent events: live ASB candidate-size trajectory
 //	/events/shadow server-sent events: shadow-cache what-if snapshots
@@ -106,7 +105,7 @@ func (ss serviceSink) RecordLatency(ns int64, weight uint64) { ss.s.Latency.Obse
 // Sink returns the concurrency-safe sink feeding this service.
 func (s *Service) Sink() obs.Sink { return serviceSink{s} }
 
-// AddGauge registers an instantaneous value for /metrics and /vars.
+// AddGauge registers an instantaneous value for /metrics.
 // Registering a name twice replaces the earlier gauge.
 func (s *Service) AddGauge(name, help string, value func() float64) {
 	s.AddLabeledGauge(name, "", help, value)
@@ -136,14 +135,6 @@ func (s *Service) AddLabeledGauge(name, labels, help string, value func() float6
 type gaugeSample struct {
 	Name, Labels, Help string
 	Value              float64
-}
-
-// Key returns the exposition identity (name plus label set).
-func (g gaugeSample) Key() string {
-	if g.Labels == "" {
-		return g.Name
-	}
-	return g.Name + "{" + g.Labels + "}"
 }
 
 // stats returns the request counters of the pool AddPoolGauges
@@ -190,7 +181,6 @@ func (s *Service) gaugeSnapshot() []gaugeSample {
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/vars", s.handleVars)
 	mux.HandleFunc("/healthz", handleHealthz)
 	mux.HandleFunc("/events/ctraj", s.handleCTraj)
 	mux.HandleFunc("/events/shadow", s.handleShadow)
@@ -307,64 +297,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Write(b)
 }
 
-// varsPayload is the /vars JSON document.
-type varsPayload struct {
-	Counters varsCounters       `json:"counters"`
-	HitRatio float64            `json:"hit_ratio"`
-	Latency  histVars           `json:"latency_ns"`
-	Crit     histVars           `json:"eviction_criterion"`
-	Gauges   map[string]float64 `json:"gauges"`
-}
-
-// varsCounters is the /vars counters object: the pool's request
-// counters, then the event counters.
-type varsCounters struct {
-	Requests  uint64 `json:"requests"`
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Coalesced uint64 `json:"coalesced_reads"`
-	Evictions uint64 `json:"evictions"`
-	obs.Snapshot
-}
-
-type histVars struct {
-	Count uint64  `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-}
-
-func histVarsOf(s obs.HistSnapshot, scale float64) histVars {
-	return histVars{
-		Count: s.Count,
-		Mean:  s.Mean() / scale,
-		P50:   s.Quantile(0.5) / scale,
-		P90:   s.Quantile(0.9) / scale,
-		P95:   s.Quantile(0.95) / scale,
-		P99:   s.Quantile(0.99) / scale,
-	}
-}
-
-func (s *Service) handleVars(w http.ResponseWriter, _ *http.Request) {
-	st := s.stats()
-	p := varsPayload{
-		Counters: varsCounters{st.Requests, st.Hits, st.Misses, st.Coalesced, st.Evictions, s.Counters.Snapshot()},
-		HitRatio: st.HitRatio(),
-		Latency:  histVarsOf(s.Latency.Snapshot(), 1),
-		Crit:     histVarsOf(s.Criterion.Snapshot(), critScale),
-		Gauges:   make(map[string]float64),
-	}
-	for _, g := range s.gaugeSnapshot() {
-		p.Gauges[g.Key()] = g.Value
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(p)
-}
-
 // handleCTraj streams Adapt events as server-sent events, one JSON
 // sample per event, until the client disconnects.
 func (s *Service) handleCTraj(w http.ResponseWriter, r *http.Request) {
@@ -412,8 +344,9 @@ func (s *Service) handleDashboard(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, dashboardHTML)
 }
 
-// dashboardHTML is the self-contained live dashboard: it polls /vars for
-// the counter table and follows /events/ctraj for the candidate-size
+// dashboardHTML is the self-contained live dashboard: it polls /metrics
+// for the counter and latency tables (every spatialbuf_* sample but the
+// histogram buckets) and follows /events/ctraj for the candidate-size
 // sparkline. No external assets, so it works on an air-gapped bench box.
 const dashboardHTML = `<!DOCTYPE html>
 <html lang="en">
@@ -432,10 +365,10 @@ code { background: #f0f0f0; padding: 0 .3em; }
 </head>
 <body>
 <h1>spatial-buffer live metrics</h1>
-<p>Endpoints: <code>/metrics</code> (Prometheus), <code>/vars</code> (JSON), <code>/healthz</code>, <code>/events/ctraj</code> (SSE), <code>/events/shadow</code> (SSE).</p>
+<p>Endpoints: <code>/metrics</code> (Prometheus), <code>/healthz</code>, <code>/events/ctraj</code> (SSE), <code>/events/shadow</code> (SSE).</p>
 <h2>Counters</h2>
 <table id="counters"></table>
-<h2>Request latency</h2>
+<h2>Request latency (seconds)</h2>
 <table id="latency"></table>
 <h2>ASB candidate-size trajectory (live)</h2>
 <svg id="ctraj" width="640" height="160" viewBox="0 0 640 160" preserveAspectRatio="none"></svg>
@@ -444,20 +377,26 @@ code { background: #f0f0f0; padding: 0 .3em; }
 <table id="shadows"><tr><td>waiting for shadow samples…</td></tr></table>
 <p id="shadowinfo"></p>
 <script>
-const fmt = (v) => typeof v === "number" && !Number.isInteger(v) ? v.toPrecision(5) : v;
+const fmt = (v) => Number.isInteger(v) ? v : v.toPrecision(5);
 function renderTable(el, obj) {
   el.innerHTML = Object.entries(obj)
-    .map(([k, v]) => "<tr><th>" + k + "</th><td>" +
-      (typeof v === "object" && v !== null ? JSON.stringify(v) : fmt(v)) + "</td></tr>")
+    .map(([k, v]) => "<tr><th>" + k + "</th><td>" + fmt(v) + "</td></tr>")
     .join("");
 }
+// Each exposition line is "name{labels} value"; a label value may hold a
+// space, the value never does.
 async function poll() {
   try {
-    const r = await fetch("/vars");
-    const v = await r.json();
-    renderTable(document.getElementById("counters"),
-      Object.assign({}, v.counters, {hit_ratio: v.hit_ratio}, v.gauges));
-    renderTable(document.getElementById("latency"), v.latency_ns);
+    const r = await fetch("/metrics");
+    const counters = {}, latency = {};
+    for (const line of (await r.text()).split("\n")) {
+      const i = line.lastIndexOf(" ");
+      const name = line.slice(0, i);
+      if (!name.startsWith("spatialbuf_") || name.includes("_bucket")) continue;
+      (name.startsWith("spatialbuf_request_latency") ? latency : counters)[name] = Number(line.slice(i + 1));
+    }
+    renderTable(document.getElementById("counters"), counters);
+    renderTable(document.getElementById("latency"), latency);
   } catch (e) { /* server restarting; keep polling */ }
 }
 setInterval(poll, 1000); poll();

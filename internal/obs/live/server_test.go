@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -143,61 +142,23 @@ func get(t *testing.T, url string) string {
 	return string(raw)
 }
 
-func TestVarsAndHealthz(t *testing.T) {
+// TestHealthz: the liveness probe answers, and /vars — a JSON copy of
+// the /metrics numbers — is not served.
+func TestHealthz(t *testing.T) {
 	svc := live.NewService()
-	feedService(t, svc)
-	svc.AddGauge("spatialbuf_resident_pages", "Frames in use.", func() float64 { return 7 })
-
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
 	if body := get(t, ts.URL+"/healthz"); strings.TrimSpace(body) != "ok" {
 		t.Errorf("/healthz body = %q", body)
 	}
-
-	var v struct {
-		Counters struct {
-			Requests uint64 `json:"requests"`
-			Hits     uint64 `json:"hits"`
-			Misses   uint64 `json:"misses"`
-		} `json:"counters"`
-		HitRatio float64 `json:"hit_ratio"`
-		Latency  struct {
-			Count uint64  `json:"count"`
-			P50   float64 `json:"p50"`
-			P99   float64 `json:"p99"`
-		} `json:"latency_ns"`
-		Gauges map[string]float64 `json:"gauges"`
-	}
-	body := get(t, ts.URL+"/vars")
-	if err := json.Unmarshal([]byte(body), &v); err != nil {
-		t.Fatalf("/vars is not valid JSON: %v", err)
-	}
-	if v.Counters.Requests != 10 || v.Counters.Hits != 5 || v.Counters.Misses != 5 {
-		t.Errorf("counters = %+v", v.Counters)
-	}
-	// The counters object keeps its keys, wherever each number comes from.
-	var keys struct{ Counters map[string]json.RawMessage }
-	if err := json.Unmarshal([]byte(body), &keys); err != nil {
+	resp, err := http.Get(ts.URL + "/vars")
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"adapt_grow", "adapt_hold", "adapt_shrink", "adaptations", "coalesced_reads", "dropped_events",
-		"evictions", "evictions_by_reason", "hits", "misses", "overflow_promotions", "requests"}
-	var got []string
-	for k := range keys.Counters {
-		got = append(got, k)
-	}
-	if slices.Sort(got); !slices.Equal(got, want) {
-		t.Errorf("/vars counters keys = %v, want %v", got, want)
-	}
-	if v.HitRatio != 0.5 {
-		t.Errorf("hit_ratio = %g", v.HitRatio)
-	}
-	if v.Latency.Count != 10 || v.Latency.P50 <= 0 || v.Latency.P99 < v.Latency.P50 {
-		t.Errorf("latency vars = %+v", v.Latency)
-	}
-	if v.Gauges["spatialbuf_resident_pages"] != 7 {
-		t.Errorf("gauges = %v", v.Gauges)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/vars status = %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -210,6 +171,9 @@ func TestDashboardServed(t *testing.T) {
 	if !strings.Contains(body, "<title>spatial-buffer live</title>") ||
 		!strings.Contains(body, "/events/ctraj") {
 		t.Error("dashboard HTML incomplete")
+	}
+	if !strings.Contains(body, `fetch("/metrics")`) || strings.Contains(body, "/vars") {
+		t.Error("the dashboard must poll /metrics, the one live export, and never /vars")
 	}
 	resp, err := http.Get(ts.URL + "/nope")
 	if err != nil {

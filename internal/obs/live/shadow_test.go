@@ -53,10 +53,6 @@ func TestShadowGaugesExposed(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	vars := get(t, ts.URL+"/vars")
-	if !strings.Contains(vars, "spatialbuf_shadow_regret") {
-		t.Error("/vars missing shadow regret gauge")
-	}
 }
 
 // TestShadowSSE checks /events/shadow: 404 without a bank, an immediate

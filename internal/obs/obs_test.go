@@ -62,25 +62,6 @@ func TestCountersAggregate(t *testing.T) {
 		t.Errorf("snapshot = %+v, want %+v", s, want)
 	}
 
-	// String must be valid JSON (expvar contract) and carry the same
-	// fields as the /vars and /metrics exporters.
-	var decoded map[string]any
-	if err := json.Unmarshal([]byte(c.String()), &decoded); err != nil {
-		t.Fatalf("String() is not valid JSON: %v\n%s", err, c.String())
-	}
-	if decoded["dropped_events"].(float64) != 4 {
-		t.Errorf("String() dropped_events = %v, want 4", decoded["dropped_events"])
-	}
-	if decoded["adapt_shrink"].(float64) != 1 {
-		t.Errorf("String() adapt_shrink = %v, want 1", decoded["adapt_shrink"])
-	}
-	byReason, ok := decoded["evictions_by_reason"].(map[string]any)
-	if !ok || byReason[ReasonSLRU].(float64) != 1 || byReason["other"].(float64) != 1 {
-		t.Errorf("String() evictions_by_reason = %v", decoded["evictions_by_reason"])
-	}
-	if _, present := byReason[ReasonLRU]; present {
-		t.Error("zero-count reasons should be omitted from the JSON object")
-	}
 }
 
 func TestJSONLSinkLines(t *testing.T) {
