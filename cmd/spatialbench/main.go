@@ -112,6 +112,12 @@ func run(cfg *config) error {
 	if err != nil {
 		return err
 	}
+	if cfg.window < 0 {
+		return fmt.Errorf("-window %d: want a number of requests ≥ 0", cfg.window)
+	}
+	if cfg.sets == "" && (cfg.window > 0 || cfg.events != "") {
+		return fmt.Errorf("-window and -events act on ad-hoc sweeps only: give -sets")
+	}
 	figs := experiment.Figures()
 	var figIDs []string
 	switch {

@@ -34,7 +34,7 @@ func NewArena(capacity int) *Arena {
 
 // Alloc pops a scrubbed frame off the free-list, or returns nil when the
 // arena is exhausted. The returned frame is zero-valued apart from its
-// arena slot tag.
+// arena slot tag and its Slot, −1 (in no heap).
 func (a *Arena) Alloc() *Frame {
 	n := len(a.free)
 	if n == 0 {
@@ -43,7 +43,7 @@ func (a *Arena) Alloc() *Frame {
 	i := a.free[n-1]
 	a.free = a.free[:n-1]
 	f := &a.frames[i]
-	*f = Frame{arena: i + 1}
+	*f = Frame{arena: i + 1, Slot: -1}
 	return f
 }
 
@@ -60,7 +60,7 @@ func (a *Arena) Free(f *Frame) {
 	if int(i) >= len(a.frames) || &a.frames[i] != f {
 		return // not ours
 	}
-	*f = Frame{arena: f.arena}
+	*f = Frame{arena: f.arena, Slot: -1}
 	a.free = append(a.free, i)
 }
 
@@ -69,7 +69,7 @@ func (a *Arena) Free(f *Frame) {
 // deterministic order.
 func (a *Arena) Reset() {
 	for i := range a.frames {
-		a.frames[i] = Frame{arena: int32(i) + 1}
+		a.frames[i] = Frame{arena: int32(i) + 1, Slot: -1}
 	}
 	a.free = a.free[:0]
 	for i := len(a.frames) - 1; i >= 0; i-- {

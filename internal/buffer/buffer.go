@@ -37,7 +37,6 @@ package buffer
 import (
 	"errors"
 
-	"repro/internal/core/intrusive"
 	"repro/internal/obs"
 	"repro/internal/obs/tracing"
 	"repro/internal/page"
@@ -90,8 +89,8 @@ func (c AccessContext) Adapt(e obs.AdaptEvent) {
 // Frame is one buffer slot: a cached page, its descriptor, and the
 // bookkeeping the engine and policy need.
 //
-// Beyond the engine-owned fields, a frame embeds the intrusive words the
-// replacement policies link it with: list hooks, a heap slot, a scratch
+// Beyond the engine-owned fields, a frame carries the words the
+// replacement policies link it with: List links, a Heap slot, a scratch
 // tag, a cached criterion and a recency stamp. Exactly one policy owns a
 // frame per residence (OnAdmit to OnEvict), so the words are shared
 // across policies without conflict; the arena scrubs them on every
@@ -109,19 +108,20 @@ type Frame struct {
 	// Dirty marks the page for write-back on eviction.
 	Dirty bool
 
+	// listed, prev and next are the frame's List links (LRU, FIFO,
+	// LRU-T/P, LRU-K residency, SLRU, ASB, CLOCK); listed says it is on one.
+	listed     bool
+	prev, next *Frame
+
 	pins int
 
 	// arena is 1+slot index in the owning Arena, 0 for frames constructed
 	// outside an arena.
 	arena int32
 
-	// Links are the intrusive list hooks of the owning policy's recency /
-	// FIFO / ring order (LRU, FIFO, LRU-T/P, LRU-K residency, SLRU, ASB,
-	// CLOCK).
-	Links intrusive.Hooks[*Frame]
-
-	// Slot is the frame's position in the owning policy's min-heap
-	// (Spatial), maintained by the heap's move callback; -1 when absent.
+	// Slot is the frame's position in the owning policy's Heap (Spatial,
+	// ASB's candidate window), kept by the heap; −1 when absent. The arena
+	// hands out and scrubs frames with −1.
 	Slot int32
 
 	// Tag is small per-policy scratch: the ASB region (main/overflow), the
@@ -134,8 +134,9 @@ type Frame struct {
 	// geometry.
 	Crit float64
 
-	// Stamp is a policy-owned recency shadow of LastUse (Spatial updates
-	// it in OnHit, before the engine bumps LastUse).
+	// Stamp is the policy's recency key, the Heap's tie-break: Spatial's
+	// shadow of LastUse (updated in OnHit, before the engine bumps
+	// LastUse), ASB's count of insertions at the front of its main part.
 	Stamp uint64
 }
 

@@ -361,7 +361,7 @@ func (e *Engine) allocFrame() *Frame {
 	if f := e.arena.Alloc(); f != nil {
 		return f
 	}
-	return &Frame{}
+	return &Frame{Slot: -1}
 }
 
 // writeOut writes one dirty page to the store. Under the async layer

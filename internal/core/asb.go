@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/buffer"
-	"repro/internal/core/intrusive"
 	"repro/internal/obs"
 	"repro/internal/obs/tracing"
 	"repro/internal/page"
@@ -63,10 +62,12 @@ const (
 // Both parts together never exceed the buffer capacity, so — unlike
 // LRU-K — ASB needs no state for pages that have left the buffer.
 //
-// Both regions are intrusive lists over the frames' embedded link words;
-// a frame's region lives in Frame.Tag and its criterion is cached in
-// Frame.Crit at admission, so candidate scans and the §4.2 adaptation
-// votes never recompute MBR geometry and never allocate.
+// Both regions are buffer.Lists over the frames' own link words; a
+// frame's region lives in Frame.Tag and its criterion is cached in
+// Frame.Crit at admission, so demotions and the §4.2 adaptation votes
+// never recompute MBR geometry and never allocate. The candidate set
+// itself is a buffer.Heap (the window, see win), so a demotion costs
+// O(log cand) instead of a scan of cand frames.
 //
 // ASB reports its adaptation through the context of the request it is
 // serving (buffer.AccessContext), which hands the events to the engine's
@@ -82,15 +83,28 @@ type ASB struct {
 	cand int // current candidate-set size, in [1, mainCap]
 
 	// main is the SLRU part, front = most recently used.
-	main intrusive.List[*buffer.Frame]
+	main buffer.List
 	// over is the overflow FIFO, front = oldest (next FIFO victim).
-	over intrusive.List[*buffer.Frame]
+	over buffer.List
+
+	// win is the candidate window: the min(cand, |main|) least recently
+	// used frames of main in a heap ordered by (Crit, Stamp). Stamp is
+	// seq at the frame's latest insertion at main's front, so it grows
+	// from main's LRU end to its MRU end, and the heap's minimum is the
+	// frame slruVictim(&main, cand) picks when it is unpinned: the
+	// smallest criterion, ties to the LRU end. edge is the window's most
+	// recently used frame. Both are built at the first demotion after
+	// Reset and kept from then on; edge is nil (and win empty) until then,
+	// and again whenever main runs empty.
+	win  buffer.Heap
+	edge *buffer.Frame
+	seq  uint64
 
 	adaptations uint64
 	// Rounds the struct up to three whole cache lines, which the allocator
 	// puts on a line boundary: sharing lines with whatever heap neighbour
 	// another core writes (136 bytes), serve-observed ran 7–15 % slower.
-	_ [56]byte
+	_ [48]byte
 }
 
 // NewASB returns an adaptable spatial buffer for a buffer of the given
@@ -124,8 +138,6 @@ func NewASB(capacity int, opts ASBOptions) *ASB {
 		overCap:  overCap,
 		initCand: clamp(int(opts.InitialCandFrac*float64(mainCap)+0.5), 1, mainCap),
 		step:     clamp(int(opts.StepFrac*float64(mainCap)+0.5), 1, mainCap),
-		main:     intrusive.NewList(frameHooks),
-		over:     intrusive.NewList(frameHooks),
 	}
 	a.cand = a.initCand
 	return a
@@ -167,7 +179,7 @@ func (p *ASB) Adaptations() uint64 { return p.adaptations }
 func (p *ASB) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 	f.Crit = p.crit.Value(f.Meta)
 	f.Tag = asbMain
-	p.main.PushFront(f)
+	p.pushFront(f)
 	p.rebalance()
 }
 
@@ -176,13 +188,14 @@ func (p *ASB) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 // (§4.2, cases 1–3) and promotes the page back into the main part.
 func (p *ASB) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 	if f.Tag != asbOver {
-		p.main.MoveToFront(f)
+		p.unlink(f)
+		p.pushFront(f)
 		return
 	}
 	p.adapt(f, ctx)
 	p.over.Remove(f)
 	f.Tag = asbMain
-	p.main.PushFront(f)
+	p.pushFront(f)
 	p.rebalance()
 }
 
@@ -244,11 +257,11 @@ func (p *ASB) adapt(f *buffer.Frame, ctx buffer.AccessContext) {
 		// twice as fast as growing: robustness (never losing badly to
 		// LRU) is the design goal, and the deflated better-spatial count
 		// means each shrink signal is strong evidence.
-		p.cand = clamp(p.cand-2*p.step, 1, p.mainCap)
+		p.resize(clamp(p.cand-2*p.step, 1, p.mainCap))
 	case betterLRU > betterSpatial+margin:
 		// LRU would have kept clearly more pages ahead of the
 		// re-requested page: the spatial strategy judged better.
-		p.cand = clamp(p.cand+p.step, 1, p.mainCap)
+		p.resize(clamp(p.cand+p.step, 1, p.mainCap))
 	}
 	p.adaptations++
 	// One Adapt event per adaptation event, even when the size is
@@ -257,18 +270,81 @@ func (p *ASB) adapt(f *buffer.Frame, ctx buffer.AccessContext) {
 	ctx.Adapt(obs.AdaptEvent{OldC: oldC, NewC: p.cand})
 }
 
+// pushFront links f at main's front with the next insertion number as
+// its Stamp. While the window spans all of main, f joins it.
+func (p *ASB) pushFront(f *buffer.Frame) {
+	p.seq++
+	f.Stamp = p.seq
+	p.main.PushFront(f)
+	if p.edge != nil && p.win.Len() < p.cand {
+		p.win.Push(f)
+		p.edge = f
+	}
+}
+
+// unlink removes f from main. A window frame that leaves is replaced by
+// the frame in front of the window, if main has one.
+func (p *ASB) unlink(f *buffer.Frame) {
+	if f.Slot >= 0 {
+		if p.win.Len() < p.main.Len() {
+			p.edge = p.main.Prev(p.edge)
+			p.win.Replace(f.Slot, p.edge)
+		} else {
+			if f == p.edge {
+				p.edge = p.main.Next(f)
+			}
+			p.win.Remove(f.Slot)
+		}
+	}
+	p.main.Remove(f)
+}
+
+// resize sets the candidate-set size and moves the window's edge to match.
+func (p *ASB) resize(c int) {
+	p.cand = c
+	if p.edge == nil {
+		return
+	}
+	for p.win.Len() < c && p.win.Len() < p.main.Len() {
+		p.edge = p.main.Prev(p.edge)
+		p.win.Push(p.edge)
+	}
+	for p.win.Len() > c {
+		f := p.edge
+		p.edge = p.main.Next(f)
+		p.win.Remove(f.Slot)
+	}
+}
+
 // rebalance demotes main-part SLRU victims into the overflow buffer until
 // the main part is within its share. Pinned pages are never demoted.
 func (p *ASB) rebalance() {
 	for p.main.Len() > p.mainCap {
-		v, _, _ := slruVictim(&p.main, p.cand)
+		v := p.demotee()
 		if v == nil {
 			return // everything pinned; tolerate a temporarily oversized main part
 		}
-		p.main.Remove(v)
+		p.unlink(v)
 		v.Tag = asbOver
 		p.over.PushBack(v)
 	}
+}
+
+// demotee is the main part's SLRU victim: the window's minimum, built
+// here if it is not kept yet. Pins are invisible to the window, so when
+// its minimum is pinned, slruVictim's scan decides.
+func (p *ASB) demotee() *buffer.Frame {
+	if p.edge == nil {
+		for f := p.main.Back(); f != nil && p.win.Len() < p.cand; f = p.main.Prev(f) {
+			p.win.Push(f)
+			p.edge = f
+		}
+	}
+	if v := p.win.Min(); !v.Pinned() {
+		return v
+	}
+	v, _, _ := slruVictim(&p.main, p.cand)
+	return v
 }
 
 // Victim implements buffer.Policy: the FIFO head of the overflow buffer.
@@ -293,7 +369,7 @@ func (p *ASB) OnEvict(f *buffer.Frame) {
 	if f.Tag == asbOver {
 		p.over.Remove(f)
 	} else {
-		p.main.Remove(f)
+		p.unlink(f)
 	}
 }
 
@@ -302,6 +378,8 @@ func (p *ASB) OnEvict(f *buffer.Frame) {
 func (p *ASB) Reset() {
 	p.main.Clear()
 	p.over.Clear()
+	p.win.Clear()
+	p.edge = nil
 	p.cand = p.initCand
 	p.adaptations = 0
 }
@@ -312,13 +390,16 @@ func (p *ASB) Reset() {
 // adaptation signal is defined for re-*references*, and an update is not
 // evidence about which read strategy judged the page correctly.
 func (p *ASB) OnUpdate(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	f.Crit = p.crit.Value(f.Meta)
-	if f.Tag != asbOver {
-		p.main.MoveToFront(f)
-		return
+	over := f.Tag == asbOver
+	if over {
+		p.over.Remove(f)
+	} else {
+		p.unlink(f)
 	}
-	p.over.Remove(f)
+	f.Crit = p.crit.Value(f.Meta)
 	f.Tag = asbMain
-	p.main.PushFront(f)
-	p.rebalance()
+	p.pushFront(f)
+	if over {
+		p.rebalance()
+	}
 }

@@ -67,7 +67,7 @@ func asbFrame(id page.ID, area float64, now uint64) *buffer.Frame {
 	side := math.Sqrt(area)
 	p.Append(page.Entry{MBR: geom.NewRect(0, 0, side, side)})
 	p.Recompute()
-	return &buffer.Frame{Meta: p.Meta, Page: p, LastUse: now}
+	return &buffer.Frame{Meta: p.Meta, Page: p, LastUse: now, Slot: -1}
 }
 
 // driveASB admits frames with areas[i] at times 1..n and returns the

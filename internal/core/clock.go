@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/buffer"
-	"repro/internal/core/intrusive"
 	"repro/internal/obs"
 )
 
@@ -12,19 +11,19 @@ import (
 // policy most disk-based DBMS actually ship and serves as an additional
 // baseline beyond the paper's set.
 //
-// The ring is the intrusive list closed logically: the hand is a frame
+// The ring is a buffer.List closed logically: the hand is a frame
 // pointer and advancing past the list tail wraps to its head. The
 // reference bit lives in Frame.Tag, so admission, hits and sweeps
 // allocate nothing.
 type Clock struct {
 	// ring holds the frames in hand order; traversal wraps front↔back.
-	ring intrusive.List[*buffer.Frame]
+	ring buffer.List
 	// hand is the current clock hand; nil when the ring is empty.
 	hand *buffer.Frame
 }
 
 // NewClock returns a CLOCK policy.
-func NewClock() *Clock { return &Clock{ring: intrusive.NewList(frameHooks)} }
+func NewClock() *Clock { return &Clock{} }
 
 // Name implements buffer.Policy.
 func (p *Clock) Name() string { return "CLOCK" }

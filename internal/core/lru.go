@@ -2,27 +2,20 @@ package core
 
 import (
 	"repro/internal/buffer"
-	"repro/internal/core/intrusive"
 	"repro/internal/obs"
 )
 
-// frameHooks resolves the intrusive link words embedded in a frame — the
-// accessor every policy list in this package shares. A frame is on at
-// most one policy list at a time (one policy owns it per residence), so
-// one set of hooks suffices for all of them.
-func frameHooks(f *buffer.Frame) *intrusive.Hooks[*buffer.Frame] { return &f.Links }
-
 // LRU is the least-recently-used baseline policy: the victim is the
 // unpinned page that has not been accessed for the longest time. Frames
-// are threaded onto an intrusive recency list through their embedded link
-// words, so admission, hits and eviction allocate nothing.
+// are threaded onto a buffer.List through their own link words, so
+// admission, hits and eviction allocate nothing.
 type LRU struct {
 	// order is the recency list, front = most recently used.
-	order intrusive.List[*buffer.Frame]
+	order buffer.List
 }
 
 // NewLRU returns an LRU policy.
-func NewLRU() *LRU { return &LRU{order: intrusive.NewList(frameHooks)} }
+func NewLRU() *LRU { return &LRU{} }
 
 // Name implements buffer.Policy.
 func (p *LRU) Name() string { return "LRU" }
@@ -55,11 +48,11 @@ func (p *LRU) Reset() { p.order.Clear() }
 // standalone baseline.
 type FIFO struct {
 	// order is the admission queue, front = oldest admission.
-	order intrusive.List[*buffer.Frame]
+	order buffer.List
 }
 
 // NewFIFO returns a FIFO policy.
-func NewFIFO() *FIFO { return &FIFO{order: intrusive.NewList(frameHooks)} }
+func NewFIFO() *FIFO { return &FIFO{} }
 
 // Name implements buffer.Policy.
 func (p *FIFO) Name() string { return "FIFO" }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/buffer"
-	"repro/internal/core/intrusive"
 	"repro/internal/obs"
 	"repro/internal/page"
 )
@@ -28,11 +27,11 @@ import (
 //
 // Layout: histories live in a flat record table plus one contiguous
 // time-stamp slab (K stamps per record); resident frames carry their
-// record index in Frame.Tag and are threaded onto an intrusive residency
-// list. Steady-state touches and victim scans allocate nothing.
+// record index in Frame.Tag and are threaded onto a residency
+// buffer.List. Steady-state touches and victim scans allocate nothing.
 type LRUK struct {
 	k        int
-	resident intrusive.List[*buffer.Frame]
+	resident buffer.List
 
 	// hist maps a page to its record index in recs.
 	hist map[page.ID]int32
@@ -78,9 +77,8 @@ func NewLRUK(k int) *LRUK {
 		panic(fmt.Sprintf("core: LRU-K needs K ≥ 1, got %d", k))
 	}
 	return &LRUK{
-		k:        k,
-		resident: intrusive.NewList(frameHooks),
-		hist:     make(map[page.ID]int32),
+		k:    k,
+		hist: make(map[page.ID]int32),
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/buffer"
-	"repro/internal/core/intrusive"
 	"repro/internal/obs"
 	"repro/internal/page"
 )
@@ -41,7 +40,7 @@ func LevelPriority(m page.Meta) int {
 // from the lowest-priority non-empty class. With TypePriority it is the
 // paper's LRU-T, with LevelPriority its LRU-P.
 //
-// Each class chain is an intrusive list; a frame's class is stashed in
+// Each class chain is a buffer.List; a frame's class is stashed in
 // Frame.Tag so eviction finds its chain without recomputing the priority.
 // The set of class IDs is maintained sorted as classes appear (a handful
 // of cold-path insertions for any real priority function), so victim
@@ -53,7 +52,7 @@ type PriorityLRU struct {
 	prio PriorityFunc
 	// classes maps priority → LRU chain (front = MRU). Chains persist
 	// across Reset so steady-state replays reuse them.
-	classes map[int]*intrusive.List[*buffer.Frame]
+	classes map[int]*buffer.List
 	// classIDs is the sorted key set of classes.
 	classIDs []int
 }
@@ -74,7 +73,7 @@ func NewPriorityLRU(name string, prio PriorityFunc) *PriorityLRU {
 	return &PriorityLRU{
 		name:    name,
 		prio:    prio,
-		classes: make(map[int]*intrusive.List[*buffer.Frame]),
+		classes: make(map[int]*buffer.List),
 	}
 }
 
@@ -83,12 +82,11 @@ func (p *PriorityLRU) Name() string { return p.name }
 
 // class returns the chain for the given priority, creating it (and
 // inserting the ID into the sorted key set) on first sight.
-func (p *PriorityLRU) class(c int) *intrusive.List[*buffer.Frame] {
+func (p *PriorityLRU) class(c int) *buffer.List {
 	if l, ok := p.classes[c]; ok {
 		return l
 	}
-	l := new(intrusive.List[*buffer.Frame])
-	*l = intrusive.NewList(frameHooks)
+	l := new(buffer.List)
 	p.classes[c] = l
 	i := sort.SearchInts(p.classIDs, c)
 	p.classIDs = append(p.classIDs, 0)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/buffer"
-	"repro/internal/core/intrusive"
 	"repro/internal/obs"
 	"repro/internal/page"
 )
@@ -15,15 +14,15 @@ import (
 // criterion, LRU tie-break). candSize interpolates between pure LRU
 // (candSize = 1) and the pure spatial policy (candSize = buffer size).
 //
-// Frames ride the intrusive recency list through their embedded link
-// words; the criterion is cached in Frame.Crit at admission, so the
-// candidate scan reads one float per inspected frame and nothing on the
-// request path allocates.
+// Frames ride a recency buffer.List through their own link words; the
+// criterion is cached in Frame.Crit at admission, so the candidate scan
+// reads one float per inspected frame and nothing on the request path
+// allocates.
 type SLRU struct {
 	crit     page.Criterion
 	candSize int
 	// order is the recency list, front = most recently used.
-	order intrusive.List[*buffer.Frame]
+	order buffer.List
 }
 
 // NewSLRU returns an SLRU policy with a fixed candidate-set size of
@@ -32,7 +31,7 @@ func NewSLRU(crit page.Criterion, candSize int) *SLRU {
 	if candSize < 1 {
 		panic(fmt.Sprintf("core: SLRU candidate size must be ≥ 1, got %d", candSize))
 	}
-	return &SLRU{crit: crit, candSize: candSize, order: intrusive.NewList(frameHooks)}
+	return &SLRU{crit: crit, candSize: candSize}
 }
 
 // Name implements buffer.Policy.
@@ -56,7 +55,7 @@ func (p *SLRU) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 // a recency list, the front of an admission queue (fromFront) — for the
 // first unpinned frame. It returns the frame with its rank, the number
 // of pinned frames skipped, or (nil, -1) when every frame is pinned.
-func firstUnpinned(l *intrusive.List[*buffer.Frame], fromFront bool) (*buffer.Frame, int) {
+func firstUnpinned(l *buffer.List, fromFront bool) (*buffer.Frame, int) {
 	f := l.Back()
 	if fromFront {
 		f = l.Front()
@@ -84,7 +83,7 @@ func firstUnpinned(l *intrusive.List[*buffer.Frame], fromFront bool) (*buffer.Fr
 // criterion among the scanned unpinned candidates — the value the victim
 // "won" against in its buffer.Choice. SLRU evicts this frame; ASB, whose
 // main part is an SLRU (§4.2), demotes it.
-func slruVictim(order *intrusive.List[*buffer.Frame], cand int) (*buffer.Frame, int, float64) {
+func slruVictim(order *buffer.List, cand int) (*buffer.Frame, int, float64) {
 	var best *buffer.Frame
 	var bestCrit, worstCrit float64
 	bestRank := -1

@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/buffer"
-	"repro/internal/core/intrusive"
 	"repro/internal/obs"
 	"repro/internal/page"
 )
@@ -14,35 +13,23 @@ import (
 // two-step selection rule of the paper.
 //
 // The criterion of a page never changes while it is resident (pages are
-// read-only during queries), so frames live in an intrusive indexed
-// min-heap ordered by (criterion, last use): the criterion is cached in
+// read-only during queries), so frames live in a buffer.Heap, which
+// orders them by (criterion, last use): the criterion is cached in
 // Frame.Crit, the recency shadow in Frame.Stamp and the heap position in
 // Frame.Slot, so hits only need a heap fix for the recency component,
 // eviction is O(log n), and no step allocates.
 type Spatial struct {
 	crit page.Criterion
-	h    intrusive.Heap[*buffer.Frame]
+	h    buffer.Heap
 	// parked is reusable scratch for pinned frames popped aside during
 	// victim selection.
 	parked []*buffer.Frame
 }
 
-// spatialLess orders frames by (criterion, last use) ascending — the
-// paper's two-step selection rule as one comparator.
-func spatialLess(a, b *buffer.Frame) bool {
-	if a.Crit != b.Crit {
-		return a.Crit < b.Crit
-	}
-	return a.Stamp < b.Stamp
-}
-
-// frameMove caches a frame's heap position in its Slot word.
-func frameMove(f *buffer.Frame, i int32) { f.Slot = i }
-
 // NewSpatial returns the spatial policy for the given criterion; paper
 // names: A, EA, M, EM, EO.
 func NewSpatial(crit page.Criterion) *Spatial {
-	return &Spatial{crit: crit, h: intrusive.NewHeap(spatialLess, frameMove)}
+	return &Spatial{crit: crit}
 }
 
 // Name implements buffer.Policy: the paper's abbreviation of the

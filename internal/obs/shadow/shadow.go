@@ -129,7 +129,7 @@ func (c *Cache) Ref(id page.ID, meta page.Meta, queryID uint64) bool {
 			meta.ID = id
 			f := c.arena.Alloc()
 			if f == nil {
-				f = &buffer.Frame{} // defensive; capacity bounds residency
+				f = &buffer.Frame{Slot: -1} // defensive; capacity bounds residency
 			}
 			f.Meta = meta
 			f.LastUse = now
