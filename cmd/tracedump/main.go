@@ -19,8 +19,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"repro/cmd/internal/cli"
 	"repro/internal/core"
@@ -45,15 +47,33 @@ func declare(fs *flag.FlagSet) (*obs.ProfileFlags, func() error) {
 	mrcPols := fs.String("mrc-policies", "LRU,SLRU 50%,ASB", "with -mrc: comma-separated policies to curve")
 	mrcCaps := fs.String("mrc-capacities", "", "with -mrc: comma-separated buffer sizes in frames (empty = powers of two up to the distinct page count)")
 	prof.Register(fs)
-	return &prof, func() error { return run(&db, *setName, *queries, *refs, *mrc, *mrcPols, *mrcCaps) }
+	return &prof, func() error {
+		given := false
+		fs.Visit(func(f *flag.Flag) { given = given || strings.HasPrefix(f.Name, "mrc-") })
+		if given && *mrc == "" {
+			return fmt.Errorf("-mrc-policies and -mrc-capacities act on -mrc only: give -mrc")
+		}
+		return run(&db, *setName, *queries, *refs, *mrc, *mrcPols, *mrcCaps)
+	}
 }
 
 func run(sel *cli.DB, setName string, queries int, dumpRefs bool, mrc, mrcPols, mrcCaps string) error {
+	pols := cli.Split(mrcPols)
+	if len(pols) == 0 {
+		return fmt.Errorf("-mrc-policies is empty")
+	}
+	for i, p := range pols {
+		if _, err := core.Resolver(p); err != nil {
+			return fmt.Errorf("bad -mrc-policies entry %q: %w", p, err)
+		} else if slices.Contains(pols[:i], p) {
+			return fmt.Errorf("-mrc-policies names %q twice", p)
+		}
+	}
 	var capacities []int
 	for _, f := range cli.Split(mrcCaps) {
 		v, err := strconv.Atoi(f)
-		if err != nil || v < 2 {
-			return fmt.Errorf("bad -mrc-capacities entry %q (want integer ≥ 2)", f)
+		if err != nil || v < 2 || slices.Contains(capacities, v) {
+			return fmt.Errorf("bad -mrc-capacities entry %q (want distinct integers ≥ 2)", f)
 		}
 		capacities = append(capacities, v)
 	}
@@ -83,9 +103,7 @@ func run(sel *cli.DB, setName string, queries int, dumpRefs bool, mrc, mrcPols, 
 	numQueries := uint64(0)
 	for _, r := range tr.Refs {
 		touch[r.Page]++
-		if r.Query > numQueries {
-			numQueries = r.Query
-		}
+		numQueries = max(numQueries, r.Query)
 	}
 	for id, n := range touch {
 		p, err := db.Store.Read(id)
@@ -118,14 +136,10 @@ func run(sel *cli.DB, setName string, queries int, dumpRefs bool, mrc, mrcPols, 
 		counts = append(counts, c)
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
-	sum := 0
-	for _, c := range counts {
-		sum += c
-	}
 	cum, covered := 0, len(counts)
 	for i, c := range counts {
 		cum += c
-		if cum*10 >= sum*8 { // 80% of references
+		if cum*10 >= tr.Len()*8 { // 80% of references (one page each)
 			covered = i + 1
 			break
 		}
@@ -134,7 +148,7 @@ func run(sel *cli.DB, setName string, queries int, dumpRefs bool, mrc, mrcPols, 
 		counts[0], covered, float64(covered)/float64(len(touch))*100)
 
 	if mrc != "" {
-		if err := writeMRC(tr, db, mrc, cli.Split(mrcPols), capacities, len(touch)); err != nil {
+		if err := writeMRC(tr, db, mrc, pols, capacities, len(touch)); err != nil {
 			return err
 		}
 	}
@@ -152,9 +166,6 @@ func run(sel *cli.DB, setName string, queries int, dumpRefs bool, mrc, mrcPols, 
 // policy. Page descriptors are read from the store once (PageMetas), so
 // the replay itself is pure in-memory simulation.
 func writeMRC(tr *trace.Trace, db *experiment.Database, path string, pols []string, capacities []int, distinct int) error {
-	if len(pols) == 0 {
-		return fmt.Errorf("-mrc-policies is empty")
-	}
 	if len(capacities) == 0 {
 		for c := 2; ; c *= 2 {
 			capacities = append(capacities, c)

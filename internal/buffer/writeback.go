@@ -62,6 +62,10 @@ type writeback struct {
 	err     error
 	queue   chan page.ID
 	wg      sync.WaitGroup
+	// n is len(pending), updated under mu beside every insert and delete.
+	// At 0, take and coalesce skip mu: their callers hold the shard lock
+	// that every enqueue of their page holds too (DESIGN.md §5e).
+	n atomic.Int64
 
 	workers   int
 	queued    atomic.Uint64
@@ -119,7 +123,6 @@ func (w *writeback) enqueue(p *page.Page, shard int) bool {
 		// This comes before the closed check: while an older version is
 		// mid-write, a synchronous write by the caller could land first.
 		w.mu.Unlock()
-		w.coalesced.Add(1)
 		return true
 	}
 	if w.closed {
@@ -134,6 +137,7 @@ func (w *writeback) enqueue(p *page.Page, shard int) bool {
 		return false
 	}
 	w.pending[p.ID] = &wbEntry{page: p, gen: 1, shard: shard}
+	w.n.Add(1)
 	w.mu.Unlock()
 	w.queued.Add(1)
 	return true
@@ -144,12 +148,12 @@ func (w *writeback) enqueue(p *page.Page, shard int) bool {
 // busy with — and reports whether it did. It never takes a queue slot:
 // with no write of the page in flight the caller writes synchronously.
 func (w *writeback) coalesce(p *page.Page) bool {
+	if w.n.Load() == 0 {
+		return false
+	}
 	w.mu.Lock()
 	ok := w.replacePending(p)
 	w.mu.Unlock()
-	if ok {
-		w.coalesced.Add(1)
-	}
 	return ok
 }
 
@@ -162,6 +166,7 @@ func (w *writeback) replacePending(p *page.Page) bool {
 	if ok {
 		e.page = p
 		e.gen++
+		w.coalesced.Add(1)
 	}
 	return ok
 }
@@ -174,6 +179,9 @@ func (w *writeback) replacePending(p *page.Page) bool {
 // already in progress cannot be canceled: its entry is emptied and left
 // in place, so that the page's next enqueue waits its turn behind it.
 func (w *writeback) take(id page.ID) (*page.Page, bool) {
+	if w.n.Load() == 0 {
+		return nil, false
+	}
 	w.mu.Lock()
 	e, ok := w.pending[id]
 	if !ok || e.page == nil {
@@ -185,10 +193,7 @@ func (w *writeback) take(id page.ID) (*page.Page, bool) {
 		e.page = nil
 		e.gen++
 	} else {
-		delete(w.pending, id)
-		if len(w.pending) == 0 {
-			w.cond.Broadcast()
-		}
+		w.remove(id)
 	}
 	w.mu.Unlock()
 	w.canceled.Add(1)
@@ -240,11 +245,16 @@ func (w *writeback) write(id page.ID) {
 			break
 		}
 	}
+	w.remove(id)
+	w.mu.Unlock()
+}
+
+// remove deletes id's entry, under w.mu, and wakes drain once none is left.
+func (w *writeback) remove(id page.ID) {
 	delete(w.pending, id)
-	if len(w.pending) == 0 {
+	if w.n.Add(-1) == 0 {
 		w.cond.Broadcast()
 	}
-	w.mu.Unlock()
 }
 
 // drain blocks until every queued page has been written (or canceled by
@@ -307,14 +317,11 @@ type WritebackMetrics struct {
 
 // metrics returns a point-in-time snapshot of the queue counters.
 func (w *writeback) metrics() WritebackMetrics {
-	w.mu.Lock()
-	pending := len(w.pending)
-	w.mu.Unlock()
 	return WritebackMetrics{
 		Workers:   w.workers,
 		QueueCap:  cap(w.queue),
 		Depth:     len(w.queue),
-		Pending:   pending,
+		Pending:   int(w.n.Load()),
 		Queued:    w.queued.Load(),
 		Written:   w.written.Load(),
 		Coalesced: w.coalesced.Load(),

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"unsafe"
 
 	"repro/internal/geom"
 	"repro/internal/page"
@@ -42,6 +43,9 @@ import (
 // O(n) fields on every write and the overlap in FinalizeStats), exactly
 // as on MemStore, which keeps the page object itself. Only
 // Meta.NumEntries is not taken from the header: it is the decoded n.
+// On a little-endian host the entry region is the memory of a
+// []page.Entry (TestEntryLayout pins it) and moves in one copy; the
+// per-field loops serve a big-endian host, and the tests as an oracle.
 const (
 	// PageSize is the on-disk size of one page in bytes. 4 KiB holds the
 	// paper's maximum fan-out (51 directory entries = 80+51·48 = 2528 B)
@@ -65,6 +69,8 @@ var ErrCorruptPage = errors.New("storage: corrupt page")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+var littleEndianHost = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
 // PageBytes returns the encoded size of p in bytes — the header plus its
 // entries, i.e. the payload a FileStore write would occupy before padding
 // to PageSize. Trace spans report this instead of the padded size so that
@@ -82,7 +88,7 @@ func EncodePage(p *page.Page, buf []byte) error {
 	if len(buf) < PageSize {
 		return fmt.Errorf("storage: encode buffer too small: %d < %d", len(buf), PageSize)
 	}
-	// One read of the slice header, so that count, loop and checksum
+	// One read of the slice header, so that count, copy and checksum
 	// range agree even on a page its owner is (wrongly) still changing:
 	// the bytes may be torn, but they decode.
 	entries := p.Entries
@@ -104,13 +110,11 @@ func EncodePage(p *page.Page, buf []byte) error {
 	le.PutUint64(buf[56:], math.Float64bits(p.EntryAreaSum))
 	le.PutUint64(buf[64:], math.Float64bits(p.EntryMarginSum))
 	le.PutUint64(buf[72:], math.Float64bits(p.EntryOverlap))
-	off := headerSize
-	for i := range entries {
-		e := &entries[i]
-		putRect(buf[off:], e.MBR)
-		le.PutUint64(buf[off+32:], uint64(e.Child))
-		le.PutUint64(buf[off+40:], e.ObjID)
-		off += entrySize
+	off := headerSize + len(entries)*entrySize
+	if littleEndianHost {
+		copy(buf[headerSize:off], entryBytes(entries))
+	} else {
+		putEntries(buf[headerSize:off], entries)
 	}
 	le.PutUint32(buf[0:], crc32.Checksum(buf[4:off], castagnoli))
 	clear(buf[off:])
@@ -178,16 +182,34 @@ func decode(p *page.Page, buf []byte) error {
 		p.Entries = make([]page.Entry, n)
 	}
 	p.Entries = p.Entries[:n]
-	src := buf[headerSize:used]
-	for i := range p.Entries {
-		b := src[i*entrySize:][:entrySize]
-		p.Entries[i] = page.Entry{
-			MBR:   getRect(b),
-			Child: page.ID(le.Uint64(b[32:])),
-			ObjID: le.Uint64(b[40:]),
-		}
+	if littleEndianHost {
+		copy(entryBytes(p.Entries), buf[headerSize:used])
+	} else {
+		getEntries(p.Entries, buf[headerSize:used])
 	}
 	return nil
+}
+
+// entryBytes is the memory of es as bytes: an Entry holds no pointer.
+func entryBytes(es []page.Entry) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(es))), len(es)*entrySize)
+}
+
+// putEntries and getEntries are the per-field codec of the entry region b.
+func putEntries(b []byte, es []page.Entry) {
+	for i, e := range es {
+		b := b[i*entrySize:]
+		putRect(b, e.MBR)
+		binary.LittleEndian.PutUint64(b[32:], uint64(e.Child))
+		binary.LittleEndian.PutUint64(b[40:], e.ObjID)
+	}
+}
+
+func getEntries(es []page.Entry, b []byte) {
+	for i := range es {
+		b := b[i*entrySize:]
+		es[i] = page.Entry{MBR: getRect(b), Child: page.ID(binary.LittleEndian.Uint64(b[32:])), ObjID: binary.LittleEndian.Uint64(b[40:])}
+	}
 }
 
 func putRect(b []byte, r geom.Rect) {

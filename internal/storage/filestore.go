@@ -28,13 +28,13 @@ var zeroPage [PageSize]byte
 
 // FileStore is a Store persisting pages in a single file of fixed-size
 // slots: page ID n lives at byte offset (n−1)·PageSize, in the page
-// format v2 of codec.go. A read costs one pread and one checked copy; it
-// returns the same Meta and Entries a MemStore holding the written page
-// would. Bytes that fail validation surface as ErrCorruptPage, a slot
-// that was allocated but never written as ErrPageNotFound. Every page
-// Read returns is leased (page.Leased) and holds one reference, its
-// caller's; Read decodes into the memory of pages handed back through
-// Recycle once nobody references them (DESIGN.md §5h).
+// format v2 of codec.go. A read costs one pread and one checked copy —
+// the CRC, then one copy of the entries' bytes — and returns the Meta and
+// Entries a MemStore holding the written page would. Bytes that fail
+// validation surface as ErrCorruptPage, a slot allocated but never
+// written as ErrPageNotFound. Every page Read returns is leased
+// (page.Leased) and holds one reference, its caller's; Read decodes into
+// pages Recycle handed back once nobody references them (DESIGN.md §5h).
 //
 // FileStore is safe for concurrent use without any internal lock: I/O
 // goes through positioned ReadAt/WriteAt (independent pread/pwrite

@@ -5,8 +5,8 @@
 // Store increments its Stats. Two implementations are provided:
 //
 //   - MemStore keeps pages in memory (used by the experiment harness),
-//   - FileStore persists fixed-size, checksummed binary pages (format v2,
-//     see codec.go) in a single file.
+//   - FileStore persists checksummed 4 KiB pages (format v2, codec.go) in
+//     one file: a read is one pread, the checks and one copy of the entries.
 //
 // Both distinguish random from sequential reads (the paper's future-work
 // item 1).

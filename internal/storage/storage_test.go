@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/geom"
 	"repro/internal/page"
@@ -314,12 +315,80 @@ func TestStoresReturnEqualPages(t *testing.T) {
 	}
 }
 
+// TestEntryLayout pins what the one-copy entry codec relies on: an
+// Entry is the format's 48-byte entry, MinX MinY MaxX MaxY Child ObjID
+// at offsets 0, 8, …, 40.
+func TestEntryLayout(t *testing.T) {
+	var e page.Entry
+	if size := unsafe.Sizeof(e); size != entrySize {
+		t.Errorf("page.Entry is %d bytes, the format's entry %d", size, entrySize)
+	}
+	for i, off := range []uintptr{
+		unsafe.Offsetof(e.MBR) + unsafe.Offsetof(e.MBR.MinX),
+		unsafe.Offsetof(e.MBR) + unsafe.Offsetof(e.MBR.MinY),
+		unsafe.Offsetof(e.MBR) + unsafe.Offsetof(e.MBR.MaxX),
+		unsafe.Offsetof(e.MBR) + unsafe.Offsetof(e.MBR.MaxY),
+		unsafe.Offsetof(e.Child),
+		unsafe.Offsetof(e.ObjID),
+	} {
+		if off != uintptr(8*i) {
+			t.Errorf("field %d of page.Entry at offset %d, want %d", i, off, 8*i)
+		}
+	}
+}
+
+// loopImage is the entry region of es as the per-field loop encodes it.
+func loopImage(es []page.Entry) []byte {
+	b := make([]byte, len(es)*entrySize)
+	putEntries(b, es)
+	return b
+}
+
+// loopDecode is DecodePage with the entries decoded by the per-field loop.
+func loopDecode(buf []byte) (*page.Page, error) {
+	p, err := DecodePage(buf)
+	if err == nil {
+		getEntries(p.Entries, buf[headerSize:PageBytes(p)])
+	}
+	return p, err
+}
+
+// oddPage has NaNs with payloads of both signs, −0 and ±Inf in its Meta
+// and its entries, which == cannot compare and a float conversion could
+// canonicalize.
+func oddPage(id page.ID) *page.Page {
+	odd := []float64{
+		math.Float64frombits(0x7FF8_0000_DEAD_BEEF), // quiet NaN, payload
+		math.Float64frombits(0x7FF0_0000_0000_0001), // signaling NaN
+		math.Float64frombits(0xFFF8_0000_0000_0042), // negative NaN
+		math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 0, math.MaxFloat64,
+	}
+	p := page.New(id, page.TypeData, 0, 10)
+	p.MBR = geom.Rect{MinX: odd[0], MinY: odd[3], MaxX: odd[4], MaxY: odd[1]}
+	p.EntryAreaSum, p.EntryMarginSum, p.EntryOverlap = odd[2], odd[5], odd[3]
+	for i := 0; i < 10; i++ {
+		p.Entries = append(p.Entries, page.Entry{
+			MBR:   geom.Rect{MinX: odd[i%8], MinY: odd[(i+1)%8], MaxX: odd[(i+3)%8], MaxY: odd[(i+6)%8]},
+			Child: page.ID(math.MaxUint64 - uint64(i)),
+			ObjID: uint64(1) << (i * 6),
+		})
+	}
+	p.NumEntries = len(p.Entries)
+	return p
+}
+
+// TestCodecRoundTrip: a page decodes to the Meta and entries it was
+// encoded from, bit for bit, and both entry paths — the one copy and the
+// per-field loop — give the same bytes either way.
 func TestCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	buf := make([]byte, PageSize)
-	for trial := 0; trial < 100; trial++ {
+	again := make([]byte, PageSize)
+	for trial := 0; trial < 104; trial++ {
 		p := makePage(page.ID(trial+1), page.Type(trial%3), trial%5, rng.Intn(MaxEntries+1), rng)
-		if trial%2 == 1 {
+		if trial >= 100 {
+			p = oddPage(page.ID(trial + 1))
+		} else if trial%2 == 1 {
 			// What rtree writes between FinalizeStats passes: no overlap.
 			// The codec stores it as given, it does not "heal" it.
 			p.RecomputeFast()
@@ -327,16 +396,26 @@ func TestCodecRoundTrip(t *testing.T) {
 		if err := EncodePage(p, buf); err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		got, err := DecodePage(buf)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
+		used := buf[headerSize:PageBytes(p)]
+		if !bytes.Equal(used, loopImage(p.Entries)) {
+			t.Fatalf("page %d: EncodePage and the loop encode the entries differently", p.ID)
 		}
-		if got.Meta != p.Meta {
-			t.Fatalf("meta mismatch:\n got %+v\nwant %+v", got.Meta, p.Meta)
-		}
-		for i := range p.Entries {
-			if got.Entries[i] != p.Entries[i] {
-				t.Fatalf("entry %d mismatch", i)
+		for _, decode := range []func([]byte) (*page.Page, error){DecodePage, loopDecode} {
+			got, err := decode(buf)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if got.NumEntries != len(p.Entries) {
+				t.Fatalf("decoded %d entries, want %d", got.NumEntries, len(p.Entries))
+			}
+			if err := EncodePage(got, again); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, buf) {
+				t.Fatalf("page %d: decoded page re-encodes to other bytes", p.ID)
+			}
+			if !bytes.Equal(loopImage(got.Entries), used) {
+				t.Fatalf("page %d: decoded entries differ from the encoded ones", p.ID)
 			}
 		}
 	}
@@ -450,7 +529,8 @@ func TestDecodeRejectsDamage(t *testing.T) {
 
 // FuzzDecodePage: arbitrary bytes never panic the decoder, and whatever
 // it accepts it accepts exactly — re-encoding the decoded page gives
-// back the used prefix byte for byte. Decoding into recycled memory — a
+// back the used prefix byte for byte, and the per-field loop decodes the
+// same entries, bit for bit (NaNs included). Decoding into recycled memory — a
 // page that last held a full 51-entry directory page, and one whose entry
 // slice is too short — gives what a fresh decode does, and a rejected
 // input leaves the page unclaimed and unreferenced.
@@ -487,6 +567,13 @@ func FuzzDecodePage(f *testing.F) {
 		}
 		if p.NumEntries != len(p.Entries) || cap(p.Entries) != len(p.Entries) {
 			t.Fatalf("decoded %d entries (cap %d), Meta says %d", len(p.Entries), cap(p.Entries), p.NumEntries)
+		}
+		loop, err := loopDecode(buf)
+		if err != nil {
+			t.Fatalf("the loop rejects what DecodePage accepts: %v", err)
+		}
+		if !bytes.Equal(loopImage(loop.Entries), loopImage(p.Entries)) {
+			t.Fatal("the copy and the loop decode different entries")
 		}
 		again := make([]byte, PageSize)
 		if err := EncodePage(p, again); err != nil {
