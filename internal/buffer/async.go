@@ -144,7 +144,7 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 			continue
 		}
 
-		if pg, ok := s.wb.take(id); ok {
+		if pg, ok := s.wb.take(id, true); ok {
 			// The page sits in the write-back queue: the store still holds
 			// stale bytes, so the queued version is re-admitted directly —
 			// no I/O.
@@ -200,34 +200,34 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 			if emitPending {
 				e.emitMiss(id, ctx, false, page.Meta{})
 			}
-		} else if fr = e.frames.get(id); fr != nil {
-			// A Put raced the page in while we read: its version is
-			// newer — serve it and discard the read.
-			published = fr.Page
-			if emitPending {
-				e.emitMiss(id, ctx, false, fr.Meta)
-			}
-		} else if pg, ok := s.wb.take(id); ok {
-			// Re-admitted dirty (by a Put) and evicted again while we
-			// read: the queued version is newer than our read.
-			published = pg
-			if emitPending {
-				e.emitMiss(id, ctx, false, pg.Meta)
-			}
-			fr, aerr = s.readmit(pg, now, ctx)
 		} else {
-			if emitPending {
-				e.emitMiss(id, ctx, false, rpg.Meta)
+			queued, meta := false, &rpg.Meta
+			if fr = e.frames.get(id); fr != nil {
+				// A Put raced the page in while we read: its version is
+				// newer — serve it and discard the read.
+				published, meta = fr.Page, &fr.Meta
+			} else if pg, ok := s.wb.take(id, true); ok {
+				// Re-admitted dirty (by a Put) and evicted again while we
+				// read: the queued version is newer than our read.
+				published, queued, meta = pg, true, &pg.Meta
 			}
-			fr, aerr = e.admit(rpg, now, ctx)
-		}
-		if rerr == nil {
-			// The leader's reference moves from its read, which may have been
-			// thrown away, to the page it resolved to; each waiting Get's too.
+			if emitPending {
+				e.emitMiss(id, ctx, false, *meta)
+			}
+			// The leader's and each waiting Get's reference, on the page the
+			// read resolved to, before admission may requeue a taken one.
 			for range fl.gets + 1 {
 				published.Acquire()
 			}
-			rpg.Release()
+			if published == rpg {
+				fr, aerr = e.admit(rpg, now, ctx)
+				rpg.Release()
+			} else {
+				if queued {
+					fr, aerr = s.readmit(published, now, ctx)
+				}
+				drop(e.recycler, rpg, nil) // thrown away
+			}
 		}
 		// Publish: fields first, then unregister, then close — all under
 		// the lock, so the close happens-before any waiter's field read
@@ -256,10 +256,10 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 	}
 }
 
-// readmit admits a page taken back from the write-back queue. It stays
-// dirty: its canceled write must eventually happen via a later eviction
-// or Flush. When it cannot be admitted (all frames pinned) the dirty
-// page must not be lost — its write is put back in motion.
+// readmit admits a page taken back from the write-back queue, with take's
+// reference. It stays dirty: its canceled write must happen via a later
+// eviction or Flush. When it cannot be admitted (all frames pinned) the
+// dirty page must not be lost — its write and reference go back.
 func (s *asyncShard) readmit(pg *page.Page, now uint64, ctx AccessContext) (*Frame, error) {
 	fr, err := s.e.admit(pg, now, ctx)
 	if err != nil {
@@ -268,6 +268,7 @@ func (s *asyncShard) readmit(pg *page.Page, now uint64, ctx AccessContext) (*Fra
 		}
 		return nil, err
 	}
+	pg.Release()
 	fr.Dirty = true
 	return fr, nil
 }

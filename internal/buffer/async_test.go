@@ -729,7 +729,7 @@ func TestWritebackOrderStress(t *testing.T) {
 	for v := uint64(1); v <= 5000; v++ {
 		id := page.ID(rng.Intn(pages) + 1)
 		if rng.Intn(4) == 0 {
-			if _, ok := w.take(id); ok {
+			if _, ok := w.take(id, true); ok {
 				delete(want, id)
 			}
 			continue

@@ -34,9 +34,8 @@ type Engine struct {
 	store    storage.Store
 	policy   Policy
 	capacity int
-	// recycler is store when it takes back the pages evicted clean
-	// (storage.FileStore), nil otherwise.
-	recycler interface{ Recycle(*page.Page) }
+	// recycler is store when it takes back pages (storage.FileStore).
+	recycler recycler
 
 	frames frameTable
 	arena  *Arena
@@ -90,8 +89,20 @@ func NewEngine(store storage.Store, policy Policy, capacity int) (*Engine, error
 		arena:    NewArena(capacity),
 		sink:     obs.NopSink{},
 	}
-	e.recycler, _ = store.(interface{ Recycle(*page.Page) })
+	e.recycler, _ = store.(recycler)
 	return e, nil
+}
+
+// recycler is a store that decodes into the pages a pool lets go of.
+type recycler interface{ Recycle(*page.Page) }
+
+// drop releases the pool's reference on p and, unless the pool keeps p as
+// keep, offers it to r, which claims it once unreferenced (DESIGN.md §5h).
+func drop(r recycler, p, keep *page.Page) {
+	p.Release()
+	if r != nil && p != keep && p.HasLease() {
+		r.Recycle(p)
+	}
 }
 
 // SetSink attaches an observability sink to the engine. A nil sink
@@ -347,6 +358,7 @@ func (e *Engine) admit(p *page.Page, now uint64, ctx AccessContext) (*Frame, err
 	f := e.allocFrame()
 	f.Meta = p.Meta
 	f.Page = p
+	p.Acquire() // the pool's reference, held while p is resident
 	f.LastUse = now
 	e.frames.put(f)
 	e.policy.OnAdmit(f, now, ctx)
@@ -364,16 +376,16 @@ func (e *Engine) allocFrame() *Frame {
 	return &Frame{Slot: -1}
 }
 
-// writeOut writes one dirty page to the store. Under the async layer
-// the page's background writer takes it: an evicted page is queued
-// (until its write lands, misses on it are served from the queue, never
-// from the stale store), a page that stays resident only joins a write
-// of that page already in flight, so the two cannot overlap or land out
-// of order. Otherwise — no layer, queue full or closed, or nothing in
-// flight — the write happens in place; that is safe because a page is
-// only ever queued under this engine's serialization, which the caller
-// holds — and is recorded as a store.Write child span of a, the trace of
-// the request or Flush that caused it (nil when unsampled).
+// writeOut writes one dirty page to the store. Under the async layer the
+// page's background writer takes it: an evicted page is queued with the
+// pool's reference, which a write drops (misses on it read the queue, not
+// the stale store, until it lands), a page that stays resident only joins
+// a write of that page already in flight, so the two cannot overlap or
+// land out of order. Otherwise — no layer, queue full or closed, or
+// nothing in flight — the write happens in place; that is safe because a
+// page is only ever queued under this engine's serialization, which the
+// caller holds — and is recorded as a store.Write child span of a, the
+// trace of the request or Flush that caused it (nil when unsampled).
 func (e *Engine) writeOut(p *page.Page, evicted bool, a *tracing.Active) error {
 	if e.async != nil {
 		var taken bool
@@ -386,7 +398,11 @@ func (e *Engine) writeOut(p *page.Page, evicted bool, a *tracing.Active) error {
 			return nil
 		}
 	}
-	return writePage(e.store, a, p)
+	err := writePage(e.store, a, p)
+	if evicted && err == nil {
+		drop(e.recycler, p, nil)
+	}
+	return err
 }
 
 // readPage and writePage are the package's two store calls: every
@@ -455,7 +471,7 @@ func (e *Engine) evictOne(ctx AccessContext) error {
 		return fmt.Errorf("buffer: policy %s returned non-resident victim %d", e.policy.Name(), v.Meta.ID)
 	}
 	if v.Dirty {
-		if err := e.writeOut(v.Page, true, ctx.trace); err != nil {
+		if err := e.writeOut(v.Page, true, ctx.trace); err != nil { // the pool's reference goes along
 			return fmt.Errorf("buffer: write-back of page %d: %w", v.Meta.ID, err)
 		}
 		e.stats.WriteBacks++
@@ -464,8 +480,8 @@ func (e *Engine) evictOne(ctx AccessContext) error {
 	e.stats.Evictions++
 	e.policy.OnEvict(v)
 	e.sink.Eviction(obs.EvictionEvent{Page: v.Meta.ID, Reason: c.Reason, Criterion: c.Win, LRURank: c.Rank, Shard: e.shard})
-	if !v.Dirty && e.recycler != nil { // a dirty page may be queued for its write
-		e.recycler.Recycle(v.Page)
+	if !v.Dirty {
+		drop(e.recycler, v.Page, nil)
 	}
 	// The policy has unlinked the frame and nothing above holds a *Frame
 	// (callers only ever see *page.Page), so the slot recycles to the
@@ -554,10 +570,13 @@ func (e *Engine) put(p *page.Page, ctx AccessContext) error {
 	e.stats.Puts++
 
 	if f := e.frames.get(p.ID); f != nil {
+		old := f.Page
+		p.Acquire()
 		f.Page = p
 		f.Meta = p.Meta
 		f.Dirty = true
 		e.frames.put(f)
+		drop(e.recycler, old, p) // once the frame table shows p
 		if u, ok := e.policy.(Updater); ok {
 			u.OnUpdate(f, now, ctx)
 		} else {
@@ -570,7 +589,9 @@ func (e *Engine) put(p *page.Page, ctx AccessContext) error {
 	if e.async != nil {
 		// A queued write-back of an older version is superseded by this
 		// content; cancel it so the stale write can never land after ours.
-		e.async.wb.take(p.ID)
+		if old, ok := e.async.wb.take(p.ID, false); ok {
+			drop(e.recycler, old, p)
+		}
 	}
 	f, err := e.admit(p, now, ctx)
 	if err == nil {
@@ -613,6 +634,11 @@ func (e *Engine) Clear() error {
 		return err
 	}
 	e.frames.clear()
+	for i := range e.arena.frames {
+		if p := e.arena.frames[i].Page; p != nil {
+			drop(e.recycler, p, nil)
+		}
+	}
 	// Reset the policy while the frame links are still intact (its Clear
 	// walks them), then scrub and refill the arena.
 	e.policy.Reset()

@@ -1,7 +1,35 @@
 package buffer
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/page"
+)
 
 // ForceDeferral is forceDeferral for the external tests, which build
 // R*-trees and so cannot live in this package.
 func ForceDeferral(t testing.TB, pool Pool) { forceDeferral(t, pool) }
+
+// Kept calls f on every page pool keeps: each shard's resident pages
+// under the shard's latch, then the pages queued for write-back under
+// the queue's mutex, so that the pool cannot let go of one meanwhile.
+func Kept(pool Pool, f func(p *page.Page, queued bool)) {
+	for i := range pool.Shards() {
+		pool.View(i, func(e *Engine) {
+			for i := range e.frames.slots {
+				if fr := e.frames.slots[i].f; fr != nil {
+					f(fr.Page, false)
+				}
+			}
+		})
+	}
+	if a, ok := pool.(*AsyncPool); ok {
+		a.wb.mu.Lock()
+		defer a.wb.mu.Unlock()
+		for _, en := range a.wb.pending {
+			if en.page != nil {
+				f(en.page, true)
+			}
+		}
+	}
+}

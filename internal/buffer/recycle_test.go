@@ -189,3 +189,183 @@ func fileCopy(t *testing.T, src storage.Store) *storage.FileStore {
 	}
 	return fs
 }
+
+// leaseStore is a FileStore that remembers every page its Read handed
+// out: the leased pages, whatever became of them.
+type leaseStore struct {
+	*storage.FileStore
+	mu   sync.Mutex
+	seen map[*page.Page]bool
+}
+
+func (s *leaseStore) Read(id page.ID) (*page.Page, error) {
+	p, err := s.FileStore.Read(id)
+	if err == nil {
+		s.mu.Lock()
+		s.seen[p] = true
+		s.mu.Unlock()
+	}
+	return p, err
+}
+
+// referenced reports whether the leased page p holds a reference. It
+// claims p if it can, and undoes that: call it where nothing reads the
+// store.
+func referenced(p *page.Page) bool {
+	if p.Claim() {
+		p.Unclaim(0)
+		return false
+	}
+	return p.TryAcquire(0) // false: somebody has claimed it
+}
+
+// TestPoolReferencesWhatItKeeps: a pool holds a reference of its own on
+// every leased page it keeps, resident or queued for write-back, so a
+// store decodes into a page only after the pool let go of it and nobody
+// else holds it. Random histories of Get, Put (of a page a caller holds,
+// or of a changed copy), Release, Flush and Clear run on three goroutines
+// (one on bare) over a FileStore. At every quiescent point each leased
+// page the pool keeps is referenced, no page object is resident twice,
+// and every page a caller holds still reads as what it got. After Clear,
+// Close and the callers' releases, no leased page the store ever handed
+// out holds a reference. On bare, locked and async,shards=2, the last
+// two with the latch-free hit path forced on and left to itself.
+func TestPoolReferencesWhatItKeeps(t *testing.T) {
+	const pages, frames, rounds, steps, holds = 48, 8, 20, 150, 4
+	src := storage.NewMemStore()
+	for range pages {
+		id := src.Allocate()
+		p := page.New(id, page.TypeData, 0, 8)
+		for k := range 1 + int(id)%7 {
+			p.Append(page.Entry{MBR: geom.NewRect(0, 0, float64(id), float64(k+1)), ObjID: uint64(id)<<8 | uint64(k)})
+		}
+		p.Recompute()
+		if err := src.Write(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	asb, err := core.FactoryByName("ASB")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{"bare", "locked", "async,shards=2"} {
+		for _, forced := range []bool{false, true} {
+			if spec == "bare" && forced {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s/deferred=%t", spec, forced), func(t *testing.T) {
+				ls := &leaseStore{FileStore: fileCopy(t, src), seen: map[*page.Page]bool{}}
+				comp, err := buffer.ParseComposition(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pool, err := comp.Build(ls, asb.New, frames)
+				if err != nil {
+					t.Fatal(err)
+				}
+				workers := 3
+				if spec == "bare" {
+					workers = 1
+				} else if forced {
+					buffer.ForceDeferral(t, pool)
+				}
+				type held struct {
+					p   *page.Page
+					id  page.ID
+					sum uint64
+				}
+				// check releases h, after checking it still reads as what
+				// the caller got.
+				check := func(h held) {
+					if h.p.ID != h.id || entrySum(h.p) != h.sum {
+						t.Errorf("a held page %d now reads as page %d (entries %#x, were %#x)", h.id, h.p.ID, entrySum(h.p), h.sum)
+					}
+					h.p.Release()
+				}
+				hold := make([][]held, workers)
+				for round := range rounds {
+					var wg sync.WaitGroup
+					for w := range workers {
+						wg.Add(1)
+						go func(w int) {
+							defer wg.Done()
+							rng := rand.New(rand.NewSource(int64(round*workers + w)))
+							ctx := buffer.AccessContext{QueryID: uint64(w)}
+							for range steps {
+								h := hold[w]
+								var err error
+								switch r := rng.Intn(100); {
+								case r < 45:
+									id := page.ID(1 + rng.Intn(pages))
+									var p *page.Page
+									if p, err = pool.Get(id, ctx); err == nil {
+										if len(h) == holds {
+											check(h[0])
+											h = h[1:]
+										}
+										h = append(h, held{p, id, entrySum(p)})
+									}
+								case r < 55 && len(h) > 0:
+									err = pool.Put(h[rng.Intn(len(h))].p, ctx)
+								case r < 65 && len(h) > 0:
+									c := h[rng.Intn(len(h))].p.Clone()
+									c.Entries[0].ObjID ^= 1 << 40
+									err = pool.Put(c, ctx)
+								case r < 92 && len(h) > 0:
+									check(h[0])
+									h = h[1:]
+								case r < 97:
+									err = pool.Flush()
+								default:
+									err = pool.Clear()
+								}
+								hold[w] = h
+								if err != nil {
+									t.Error(err)
+									return
+								}
+							}
+						}(w)
+					}
+					wg.Wait()
+					resident := map[*page.Page]bool{}
+					buffer.Kept(pool, func(p *page.Page, queued bool) {
+						if !queued {
+							if resident[p] {
+								t.Errorf("round %d: page object of page %d is resident twice", round, p.ID)
+							}
+							resident[p] = true
+						}
+						ls.mu.Lock()
+						leased := ls.seen[p]
+						ls.mu.Unlock()
+						if leased && !referenced(p) {
+							t.Errorf("round %d: page %d (queued %t) is kept without a reference", round, p.ID, queued)
+						}
+					})
+					if t.Failed() {
+						return
+					}
+				}
+				if err := pool.Clear(); err != nil {
+					t.Fatal(err)
+				}
+				if cl, ok := pool.(interface{ Close() error }); ok {
+					if err := cl.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, h := range hold {
+					for _, x := range h {
+						check(x)
+					}
+				}
+				for p := range ls.seen {
+					if referenced(p) {
+						t.Errorf("page %d holds a reference after Clear, Close and every caller's release", p.ID)
+					}
+				}
+			})
+		}
+	}
+}

@@ -49,7 +49,8 @@ const (
 // drain/close (the erroring page is dropped after being counted, so a
 // broken store cannot wedge the queue).
 type writeback struct {
-	store storage.Store
+	store    storage.Store
+	recycler recycler // as Engine.recycler
 	// tracer, when non-nil, records one sampled root span per physical
 	// background write (KindWriteback), so Perfetto timelines show the
 	// write landing after the eviction that queued it.
@@ -58,6 +59,7 @@ type writeback struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	pending map[page.ID]*wbEntry
+	spares  []*wbEntry // removed from pending, for the next enqueue
 	closed  bool
 	err     error
 	queue   chan page.ID
@@ -76,13 +78,13 @@ type writeback struct {
 	errors    atomic.Uint64
 }
 
-// wbEntry is one pending page. page is its newest unwritten version,
-// nil once take has canceled it while a writer was busy with it; gen is
-// bumped whenever page changes, so that writer can tell, when its store
-// call returns, whether there is newer work; writing marks the entry as
-// owned by a writer. shard is the index of the shard that evicted the
-// page (a page always hashes to the same one); its writeback spans are
-// filed there.
+// wbEntry is one pending page. page is its newest unwritten version, with
+// the pool's reference, nil once take has canceled it while a writer was
+// busy with it; gen is bumped whenever page changes, so that writer can
+// tell, when its store call returns, whether there is newer work; writing
+// marks the entry as owned by a writer. shard is the index of the shard
+// that evicted the page (a page always hashes to the same one); its
+// writeback spans are filed there.
 type wbEntry struct {
 	page    *page.Page
 	gen     uint64
@@ -105,6 +107,7 @@ func newWriteback(store storage.Store, workers, queueCap int) *writeback {
 		queue:   make(chan page.ID, queueCap),
 		workers: workers,
 	}
+	w.recycler, _ = store.(recycler)
 	w.cond = sync.NewCond(&w.mu)
 	w.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -113,13 +116,14 @@ func newWriteback(store storage.Store, workers, queueCap int) *writeback {
 	return w
 }
 
-// enqueue hands over a dirty page evicted by the given shard and reports
-// whether the queue accepted it. Called under that shard's lock, so it
-// must never block: a full or closed queue returns false and the caller
-// writes synchronously (backpressure).
+// enqueue hands over a dirty page evicted by the given shard, with the
+// pool's reference, and reports whether the queue accepted it. Called
+// under that shard's lock, so it must never block: a full or closed queue
+// returns false and the caller writes synchronously (backpressure).
 func (w *writeback) enqueue(p *page.Page, shard int) bool {
 	w.mu.Lock()
-	if w.replacePending(p) {
+	if e, ok := w.pending[p.ID]; ok {
+		w.replace(e, p)
 		// This comes before the closed check: while an older version is
 		// mid-write, a synchronous write by the caller could land first.
 		w.mu.Unlock()
@@ -136,7 +140,14 @@ func (w *writeback) enqueue(p *page.Page, shard int) bool {
 		w.fallbacks.Add(1)
 		return false
 	}
-	w.pending[p.ID] = &wbEntry{page: p, gen: 1, shard: shard}
+	n := len(w.spares)
+	if n == 0 {
+		w.spares, n = append(w.spares, new(wbEntry)), 1
+	}
+	e := w.spares[n-1]
+	w.spares = w.spares[:n-1]
+	*e = wbEntry{page: p, gen: 1, shard: shard}
+	w.pending[p.ID] = e
 	w.n.Add(1)
 	w.mu.Unlock()
 	w.queued.Add(1)
@@ -152,33 +163,35 @@ func (w *writeback) coalesce(p *page.Page) bool {
 		return false
 	}
 	w.mu.Lock()
-	ok := w.replacePending(p)
+	e, ok := w.pending[p.ID]
+	if ok {
+		p.Acquire() // the entry's own: p stays resident
+		w.replace(e, p)
+	}
 	w.mu.Unlock()
 	return ok
 }
 
-// replacePending makes p the newest unwritten version of its page if
-// the page is already queued (or mid-write): the entry is replaced in
-// place, and the writer re-checks the generation after its write and
-// redoes it. The caller holds w.mu.
-func (w *writeback) replacePending(p *page.Page) bool {
-	e, ok := w.pending[p.ID]
-	if ok {
-		e.page = p
-		e.gen++
-		w.coalesced.Add(1)
+// replace makes p, under a reference the entry owns, e's newest version
+// in place of the one it drops; the writer re-checks the generation after
+// its write and redoes it. The caller holds w.mu.
+func (w *writeback) replace(e *wbEntry, p *page.Page) {
+	if e.page != nil {
+		drop(w.recycler, e.page, p)
 	}
-	return ok
+	e.page = p
+	e.gen++
+	w.coalesced.Add(1)
 }
 
-// take removes and returns the pending version of id, if any — the
-// read-your-writes path of the miss protocol: a miss on a page whose
-// write-back has not landed yet must get the queued bytes, not the
-// stale store, and re-admitting the page as dirty cancels the queued
-// write (the next eviction or flush writes the newer version). A write
-// already in progress cannot be canceled: its entry is emptied and left
-// in place, so that the page's next enqueue waits its turn behind it.
-func (w *writeback) take(id page.ID) (*page.Page, bool) {
+// take removes and returns the pending version of id, if any, with the
+// entry's reference — the read-your-writes path of the miss protocol: a
+// miss on a page whose write-back has not landed yet must get the queued
+// bytes, not the stale store, and re-admitting the page as dirty cancels
+// the queued write (the next eviction or flush writes the newer version).
+// A write in progress cannot be canceled: its entry is emptied and left,
+// so the page's next enqueue waits behind it, and clone gets a copy.
+func (w *writeback) take(id page.ID, clone bool) (*page.Page, bool) {
 	if w.n.Load() == 0 {
 		return nil, false
 	}
@@ -189,11 +202,16 @@ func (w *writeback) take(id page.ID) (*page.Page, bool) {
 		return nil, false
 	}
 	p := e.page
-	if e.writing {
+	if !e.writing {
+		w.remove(id)
+	} else {
 		e.page = nil
 		e.gen++
-	} else {
-		w.remove(id)
+		if clone {
+			q := p.Clone()
+			drop(w.recycler, p, nil) // the writer holds its own reference
+			p = q
+		}
 	}
 	w.mu.Unlock()
 	w.canceled.Add(1)
@@ -226,6 +244,7 @@ func (w *writeback) write(id page.ID) {
 	// and nothing was enqueued since.
 	for e.page != nil {
 		p, gen := e.page, e.gen
+		p.Acquire() // the writer's own: take or replace may drop the entry's
 		w.mu.Unlock()
 
 		a := w.tracer.Load().StartRequest(tracing.KindWriteback, p.ID, 0, e.shard, 0)
@@ -236,6 +255,7 @@ func (w *writeback) write(id page.ID) {
 		} else {
 			w.written.Add(1)
 		}
+		p.Release()
 
 		w.mu.Lock()
 		if err != nil && w.err == nil {
@@ -245,12 +265,19 @@ func (w *writeback) write(id page.ID) {
 			break
 		}
 	}
+	if e.page != nil {
+		drop(w.recycler, e.page, nil) // landed, or failed and given up
+	}
 	w.remove(id)
 	w.mu.Unlock()
 }
 
 // remove deletes id's entry, under w.mu, and wakes drain once none is left.
 func (w *writeback) remove(id page.ID) {
+	if e := w.pending[id]; len(w.spares) < 64 { // no burst of evictions stays in memory
+		e.page = nil // keep no page alive
+		w.spares = append(w.spares, e)
+	}
 	delete(w.pending, id)
 	if w.n.Add(-1) == 0 {
 		w.cond.Broadcast()

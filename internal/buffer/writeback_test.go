@@ -89,7 +89,7 @@ func TestWritebackPendingCount(t *testing.T) {
 					owed[id] = v
 					continue
 				}
-				p, ok := w.take(id)
+				p, ok := w.take(id, true)
 				switch v, isOwed := owed[id]; {
 				case ok && p.Entries[0].ObjID != v:
 					fail("page %d: took version %d back, last handed over %d", id, p.Entries[0].ObjID, v)
@@ -112,5 +112,97 @@ func TestWritebackPendingCount(t *testing.T) {
 	}
 	if n := w.metrics().Pending; n != 0 {
 		t.Errorf("Pending = %d after close, want 0", n)
+	}
+}
+
+// encodingStore holds every Write inside the encode: it encodes the page
+// over and over, as a slow store reads it, until stop is set. entered is
+// closed once a write is in there.
+type encodingStore struct {
+	storage.Store
+	entered chan struct{}
+	once    sync.Once
+	stop    atomic.Bool
+}
+
+func (s *encodingStore) Write(p *page.Page) error {
+	buf := make([]byte, storage.PageSize)
+	s.once.Do(func() { close(s.entered) })
+	for !s.stop.Load() {
+		if err := storage.EncodePage(p, buf); err != nil {
+			return err
+		}
+		runtime.Gosched()
+	}
+	return s.Store.Write(p)
+}
+
+// TestWritebackTakeCopiesPageMidWrite: a miss on a page whose write-back
+// is inside the store gets the queued version, and changes it, as an
+// R*-tree mutation changes the nodes it reads before it puts them back.
+// The writer is still encoding its page meanwhile, so the miss must get
+// a copy: handing out the writer's own page object fails the identity
+// check here, and under -race it is a reported race as well.
+func TestWritebackTakeCopiesPageMidWrite(t *testing.T) {
+	es := &encodingStore{Store: newStore(t, 8), entered: make(chan struct{})}
+	r, err := NewRouter(es, testFactory, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := Async(r, 1, 4)
+	ctx := AccessContext{}
+	const x = page.ID(1)
+	queued := testPage(x, 1)
+	if err := sp.Put(queued, ctx); err != nil {
+		t.Fatal(err)
+	}
+	for id := page.ID(2); id <= 3; id++ { // FIFO: the second admission evicts x
+		if _, err := sp.Get(id, ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-es.entered // x's write-back is inside the store
+	p, err := sp.Get(x, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p == queued {
+		t.Error("a miss mid-write was handed the page object the writer is encoding")
+	}
+	p.Entries[0].ObjID = 2
+	if err := sp.Put(p, ctx); err != nil {
+		t.Fatal(err)
+	}
+	es.stop.Store(true)
+	if err := sp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := es.Store.Read(x); err != nil || got.Entries[0].ObjID != 2 {
+		t.Errorf("store holds %v, %v for page %d after Close, want version 2", got, err, x)
+	}
+	if queued.Entries[0].ObjID != 1 {
+		t.Errorf("the queued version changed to %d under its writer", queued.Entries[0].ObjID)
+	}
+}
+
+// recycleLog is a recycler that records the pages offered to it.
+type recycleLog []*page.Page
+
+func (l *recycleLog) Recycle(p *page.Page) { *l = append(*l, p) }
+
+// TestDropRecyclesOnlyLeasedPages: a page without a lease — a clone, a
+// node the tree built, a caller's page given to Put — can never be
+// claimed, so offering it to the store would only cost the Read that
+// draws it an allocation; a page the pool keeps is not offered either.
+func TestDropRecyclesOnlyLeasedPages(t *testing.T) {
+	var log recycleLog
+	leased := page.Leased()
+	leased.Unclaim(2)
+	drop(&log, testPage(1, 1), nil)
+	drop(&log, leased.Clone(), nil)
+	drop(&log, leased, leased)
+	drop(&log, leased, nil)
+	if len(log) != 1 || log[0] != leased {
+		t.Errorf("offered %d pages to the store, want only the leased one it may drop", len(log))
 	}
 }

@@ -245,7 +245,7 @@ func (p *ASB) adapt(f *buffer.Frame, ctx buffer.AccessContext) {
 	// the better-LRU count. Growing the candidate set therefore requires
 	// a margin (a quarter of the overflow occupancy); shrinking is taken
 	// at face value. This keeps the adaptation of §4.2 stable on
-	// workloads hostile to the spatial strategy — see DESIGN.md §5.
+	// workloads hostile to the spatial strategy — see DESIGN.md §5a.1.
 	margin := p.over.Len() / 4
 	if margin < 1 {
 		margin = 1

@@ -136,6 +136,9 @@ func (p *Page) Release() {
 	}
 }
 
+// HasLease reports whether p is a leased page (see Leased).
+func (p *Page) HasLease() bool { return p.refs != nil }
+
 // Claim makes a leased page that nobody references the caller's to
 // refill; it fails on a referenced page or one without a lease.
 func (p *Page) Claim() bool { return p.refs != nil && p.refs.CompareAndSwap(0, -1) }

@@ -7,9 +7,11 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/experiment"
 	"repro/internal/geom"
 	"repro/internal/page"
+	"repro/internal/rtree"
 	"repro/internal/storage"
 )
 
@@ -118,5 +120,101 @@ func TestFileMissAllocatesNothing(t *testing.T) {
 	}
 	if found == 0 {
 		t.Error("the window queries found nothing")
+	}
+}
+
+// TestUpdatePathAllocs: Inserts and Deletes through the update-mix
+// configuration — an async,shards=2 pool holding 4.7 % of the tree over a
+// FileStore — allocate at most once in two operations after warm-up. An
+// operation releases the nodes it read when it returns, so every page
+// the pool lets go of, clean or written back, is decoded into again, and
+// the paths, splits and reinsertions work in the tree's own scratch. What
+// still allocates is a split's new page and its group, a write-back's
+// copy of a page mid-write, and an entry slice too short for the page
+// decoded into it.
+func TestUpdatePathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts need a build without the race detector")
+	}
+	objs := dataset.USMainland(101).Objects(2, 6_000)
+	fs, err := storage.CreateFileStore(filepath.Join(t.TempDir(), "pages"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	tree, err := rtree.New(fs, rtree.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Load through a pool that never evicts, as bench's update-mix does.
+	load, err := buffer.NewEngine(fs, core.NewLRU(), 1<<16)
+	if err == nil {
+		err = tree.UseBuffer(load, buffer.AccessContext{})
+	}
+	for _, o := range objs {
+		if err == nil {
+			err = tree.Insert(o.ID, o.MBR)
+		}
+	}
+	if err == nil {
+		err = load.Flush()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree.UnbufferedIO()
+	st, err := tree.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	asb, err := core.FactoryByName("ASB")
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := buffer.ParseComposition("async,shards=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := comp.Build(fs, asb.New, int(experiment.LargestFrac*float64(st.TotalPages())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.UseBuffer(pool, buffer.AccessContext{}); err != nil {
+		t.Fatal(err)
+	}
+	const pairs = 1_000 // a Delete and an Insert each
+	next := 0
+	ops := func() {
+		for range pairs {
+			o := objs[next%len(objs)]
+			next++
+			if ok, err := tree.Delete(o.ID, o.MBR); err != nil || !ok {
+				t.Fatalf("Delete(%d) = %t, %v", o.ID, ok, err)
+			}
+			if err := tree.Insert(o.ID, o.MBR); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ops()                                  // warm-up
+	allocs := testing.AllocsPerRun(1, ops) // one more warm-up pass, one measured
+	st2 := pool.Stats()
+	if perOp := allocs / (2 * pairs); perOp > 0.5 {
+		t.Errorf("%d Deletes and Inserts: %v allocations, %.3f per operation, want ≤ 0.5", pairs, allocs, perOp)
+	} else {
+		t.Logf("%v allocations in %d operations (%.3f each)", allocs, 2*pairs, perOp)
+	}
+	if st2.Evictions == 0 || st2.WriteBacks == 0 {
+		t.Errorf("stats %+v: the run was meant to evict and write back", st2)
+	}
+	if err := pool.(interface{ Close() error }).Close(); err != nil {
+		t.Fatal(err)
+	}
+	tree.UnbufferedIO()
+	if err := tree.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if tree.NumObjects() != len(objs) {
+		t.Errorf("%d objects after the run, want %d", tree.NumObjects(), len(objs))
 	}
 }

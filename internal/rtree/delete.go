@@ -12,6 +12,7 @@ import (
 // entries reinserted at their original level (Guttman's CondenseTree); a
 // directory root with a single child is collapsed.
 func (t *Tree) Delete(objID uint64, mbr geom.Rect) (bool, error) {
+	defer t.release()
 	path, err := t.findLeaf(objID, mbr)
 	if err != nil {
 		return false, err
@@ -43,59 +44,63 @@ func (t *Tree) Delete(objID uint64, mbr geom.Rect) (bool, error) {
 }
 
 // findLeaf locates a leaf containing the object and returns the
-// root-to-leaf path, or nil if the object is not stored.
+// root-to-leaf path (t.path), or nil if the object is not stored: depth
+// first through every entry whose MBR contains the object's, in order.
 func (t *Tree) findLeaf(objID uint64, mbr geom.Rect) ([]pathStep, error) {
-	var dfs func(id page.ID, parentIdx int) ([]pathStep, error)
-	dfs = func(id page.ID, parentIdx int) ([]pathStep, error) {
-		node, err := t.read(id)
+	path := t.path[:0]
+	id, idx := t.root, -1
+	for {
+		node, err := t.hold(id)
 		if err != nil {
 			return nil, err
 		}
-		step := pathStep{node: node, parentIdx: parentIdx}
+		path = append(path, pathStep{node: node, parentIdx: idx})
+		t.path = path
 		if node.Level == 0 {
 			for _, e := range node.Entries {
 				if e.ObjID == objID && e.MBR.Equal(mbr) {
-					return []pathStep{step}, nil
+					return path, nil
 				}
 			}
-			return nil, nil
 		}
-		for i, e := range node.Entries {
-			if !e.MBR.Contains(mbr) {
-				continue
+		next := 0
+	backtrack:
+		for {
+			if n := path[len(path)-1].node; n.Level > 0 {
+				for i := next; i < len(n.Entries); i++ {
+					if n.Entries[i].MBR.Contains(mbr) {
+						id, idx = n.Entries[i].Child, i
+						break backtrack
+					}
+				}
 			}
-			sub, err := dfs(e.Child, i)
-			if err != nil {
-				return nil, err
-			}
-			if sub != nil {
-				return append([]pathStep{step}, sub...), nil
+			next = path[len(path)-1].parentIdx + 1
+			if path = path[:len(path)-1]; len(path) == 0 {
+				return nil, nil
 			}
 		}
-		return nil, nil
 	}
-	return dfs(t.root, -1)
+}
+
+// orphan is an entry of a dissolved node and the node's level.
+type orphan struct {
+	e     page.Entry
+	level int
 }
 
 // condense walks the deletion path bottom-up, dissolving underfull
 // non-root nodes and reinserting their entries afterwards.
 func (t *Tree) condense(path []pathStep) error {
-	type orphan struct {
-		entries []page.Entry
-		level   int
-	}
-	var orphans []orphan
-
+	t.orphans = t.orphans[:0]
 	for depth := len(path) - 1; depth > 0; depth-- {
 		node := path[depth].node
 		parent := path[depth-1].node
 		idx := path[depth].parentIdx
 		if len(node.Entries) < t.params.minEntries(node.Level) {
 			// Dissolve: detach from parent, queue entries for reinsertion.
-			orphans = append(orphans, orphan{
-				entries: append([]page.Entry(nil), node.Entries...),
-				level:   node.Level,
-			})
+			for j := len(node.Entries) - 1; j >= 0; j-- { // reversed, as read below
+				t.orphans = append(t.orphans, orphan{node.Entries[j], node.Level})
+			}
 			parent.Entries = append(parent.Entries[:idx], parent.Entries[idx+1:]...)
 			// Later steps' parentIdx values may shift; fix the sibling
 			// index bookkeeping by recomputing nothing — only path[depth]
@@ -112,12 +117,10 @@ func (t *Tree) condense(path []pathStep) error {
 	}
 
 	// Reinsert orphaned entries at their original levels, deepest first.
-	for i := len(orphans) - 1; i >= 0; i-- {
-		for _, e := range orphans[i].entries {
-			t.reinsertDone = 0
-			if err := t.insertEntry(e, orphans[i].level); err != nil {
-				return err
-			}
+	for i := len(t.orphans) - 1; i >= 0; i-- {
+		t.reinsertDone = 0
+		if err := t.insertEntry(t.orphans[i].e, t.orphans[i].level); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -127,7 +130,7 @@ func (t *Tree) condense(path []pathStep) error {
 // empty directory root to an empty leaf.
 func (t *Tree) shrinkRoot() error {
 	for {
-		root, err := t.read(t.root)
+		root, err := t.hold(t.root)
 		if err != nil {
 			return err
 		}

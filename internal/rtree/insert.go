@@ -1,8 +1,9 @@
 package rtree
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/page"
@@ -16,6 +17,7 @@ func (t *Tree) Insert(objID uint64, mbr geom.Rect) error {
 	if !mbr.Valid() {
 		return fmt.Errorf("rtree: insert object %d: invalid MBR %v", objID, mbr)
 	}
+	defer t.release()
 	t.reinsertDone = 0
 	if err := t.insertEntry(page.Entry{MBR: mbr, ObjID: objID}, 0); err != nil {
 		return err
@@ -41,7 +43,7 @@ func (t *Tree) insertEntry(e page.Entry, level int) error {
 	}
 	leafDepth := len(path) - 1
 	node := path[leafDepth].node
-	node.Entries = append(node.Entries, e)
+	t.appendEntry(node, e)
 	if len(node.Entries) > t.params.maxEntries(node.Level) {
 		return t.overflowTreatment(path, leafDepth)
 	}
@@ -49,23 +51,23 @@ func (t *Tree) insertEntry(e page.Entry, level int) error {
 }
 
 // choosePath descends from the root to a node at the target level,
-// applying the R* ChooseSubtree criteria, and returns the full path.
+// applying the R* ChooseSubtree criteria, and returns the path (t.path).
 func (t *Tree) choosePath(r geom.Rect, level int) ([]pathStep, error) {
-	node, err := t.read(t.root)
+	node, err := t.hold(t.root)
 	if err != nil {
 		return nil, err
 	}
-	path := make([]pathStep, 1, t.height)
-	path[0] = pathStep{node: node, parentIdx: -1}
+	path := append(t.path[:0], pathStep{node: node, parentIdx: -1})
 	for node.Level > level {
 		idx := chooseSubtree(node, r)
-		child, err := t.read(node.Entries[idx].Child)
+		child, err := t.hold(node.Entries[idx].Child)
 		if err != nil {
 			return nil, err
 		}
 		path = append(path, pathStep{node: child, parentIdx: idx})
 		node = child
 	}
+	t.path = path
 	if node.Level != level {
 		return nil, fmt.Errorf("rtree: no node at level %d (tree height %d)", level, t.height)
 	}
@@ -178,23 +180,27 @@ func (t *Tree) overflowTreatment(path []pathStep, depth int) error {
 // the variant the R*-tree authors found best).
 func (t *Tree) reinsert(path []pathStep, depth int) error {
 	node := path[depth].node
-	center := geom.MBR(entryMBRs(node.Entries)...).Center()
-
-	type distEntry struct {
-		e page.Entry
-		d float64
+	box := geom.EmptyRect()
+	for _, e := range node.Entries {
+		box = box.Union(e.MBR)
 	}
-	des := make([]distEntry, len(node.Entries))
-	for i, e := range node.Entries {
+	center := box.Center()
+
+	base := len(t.des)
+	for _, e := range node.Entries {
 		c := e.MBR.Center()
 		dx, dy := c.X-center.X, c.Y-center.Y
-		des[i] = distEntry{e: e, d: dx*dx + dy*dy}
+		t.des = append(t.des, distEntry{e: e, d: dx*dx + dy*dy})
 	}
+	defer func() { t.des = t.des[:base] }()
 	// Not stable, on purpose left alone: which of two entries at equal
 	// distance goes first decides where they end up, so the permutation
 	// this sort happens to produce is part of the tree's shape (and of
-	// every figure). Another algorithm, even a stable one, would move them.
-	sort.Slice(des, func(i, j int) bool { return des[i].d > des[j].d })
+	// every figure). Another algorithm, even a stable one, would move them;
+	// slices.SortFunc is sort.Slice's, generated from one source, and on
+	// the finite numbers a tree holds (Insert checks) cmp.Compare is <.
+	des := t.des[base:]
+	slices.SortFunc(des, func(a, b distEntry) int { return cmp.Compare(b.d, a.d) })
 
 	p := int(t.params.ReinsertFrac * float64(len(des)))
 	if p < 1 {
@@ -205,6 +211,7 @@ func (t *Tree) reinsert(path []pathStep, depth int) error {
 	for _, de := range des[p:] {
 		node.Entries = append(node.Entries, de.e)
 	}
+	t.des = t.des[:base+p] // the nested ones need only what goes back in
 	if err := t.writeAndAdjust(path, depth); err != nil {
 		return err
 	}
@@ -222,12 +229,18 @@ func (t *Tree) reinsert(path []pathStep, depth int) error {
 func (t *Tree) split(path []pathStep, depth int) error {
 	node := path[depth].node
 	m := t.params.minEntries(node.Level)
-	group1, group2 := rstarSplit(node.Entries, m)
+	order, k := t.splitBuf.rstarSplit(node.Entries, m)
 
-	node.Entries = group1
+	entries := node.Entries
+	node.Entries = slices.Grow([]page.Entry(nil), k) // sized as append(nil, …) sizes it
+	for _, i := range order[:k] {
+		node.Entries = append(node.Entries, entries[i])
+	}
 	sibID := t.io.Allocate()
-	sib := page.New(sibID, node.Type, node.Level, len(group2))
-	sib.Entries = append(sib.Entries, group2...)
+	sib := page.New(sibID, node.Type, node.Level, len(order)-k)
+	for _, i := range order[k:] {
+		sib.Entries = append(sib.Entries, entries[i])
+	}
 
 	if err := t.write(node); err != nil {
 		return err
@@ -242,7 +255,7 @@ func (t *Tree) split(path []pathStep, depth int) error {
 
 	parent := path[depth-1].node
 	parent.Entries[path[depth].parentIdx].MBR = node.MBR
-	parent.Entries = append(parent.Entries, page.Entry{MBR: sib.MBR, Child: sib.ID})
+	t.appendEntry(parent, page.Entry{MBR: sib.MBR, Child: sib.ID})
 	if len(parent.Entries) > t.params.maxEntries(parent.Level) {
 		return t.overflowTreatment(path, depth-1)
 	}
@@ -269,54 +282,66 @@ func (t *Tree) growRoot(left, right *page.Page) error {
 	return nil
 }
 
-// entryMBRs extracts the MBRs of a slice of entries.
-func entryMBRs(entries []page.Entry) []geom.Rect {
-	rs := make([]geom.Rect, len(entries))
-	for i, e := range entries {
-		rs[i] = e.MBR
+// appendEntry adds e to node. A full node grows by room for M+1 entries,
+// not append's doubling: a page's memory lasts as long as it recycles.
+func (t *Tree) appendEntry(node *page.Page, e page.Entry) {
+	if n := len(node.Entries); n == cap(node.Entries) {
+		grown := make([]page.Entry, n, max(n, t.params.maxEntries(node.Level))+1)
+		copy(grown, node.Entries)
+		node.Entries = grown
 	}
-	return rs
+	node.Entries = append(node.Entries, e)
+}
+
+// distEntry is a forced-reinsertion candidate and its squared distance
+// from the node's centre.
+type distEntry struct {
+	e page.Entry
+	d float64
+}
+
+// splitScratch is every split's memory: the entries' orders by each
+// bound on each axis, prefix and suffix MBRs. Nothing nests in its use.
+type splitScratch struct {
+	orders   [2][2][]int // [axis][lower, upper]
+	pre, suf []geom.Rect
 }
 
 // rstarSplit partitions M+1 entries into two groups following the R*
 // topological split: the split axis minimizes the margin sum over all
 // distributions; the distribution on that axis minimizes the overlap
-// between the groups, then their total area. Both groups have at least m
-// entries.
-func rstarSplit(entries []page.Entry, m int) (group1, group2 []page.Entry) {
-	lower, upper := chooseSplitAxis(entries, m)
+// between the groups, then their total area. The groups are the entries
+// at order[:k] and at order[k:] (order is in s), both at least m.
+func (s *splitScratch) rstarSplit(entries []page.Entry, m int) (order []int, k int) {
+	lower, upper := s.chooseSplitAxis(entries, m)
 
-	var best []page.Entry
-	bestK := 0
 	bestOvl, bestArea := 0.0, 0.0
 	first := true
-	for _, sorted := range [][]page.Entry{lower, upper} {
-		pre, suf := prefixSuffixMBRs(sorted)
-		for k := m; k <= len(sorted)-m; k++ {
-			bb1, bb2 := pre[k-1], suf[k]
+	for _, sorted := range [2][]int{lower, upper} {
+		pre, suf := s.prefixSuffixMBRs(entries, sorted)
+		for i := m; i <= len(sorted)-m; i++ {
+			bb1, bb2 := pre[i-1], suf[i]
 			ovl := bb1.OverlapArea(bb2)
 			area := bb1.Area() + bb2.Area()
 			if first || ovl < bestOvl || (ovl == bestOvl && area < bestArea) {
-				best, bestK, bestOvl, bestArea = sorted, k, ovl, area
+				order, k, bestOvl, bestArea = sorted, i, ovl, area
 				first = false
 			}
 		}
 	}
-	group1 = append([]page.Entry(nil), best[:bestK]...)
-	group2 = append([]page.Entry(nil), best[bestK:]...)
-	return group1, group2
+	return order, k
 }
 
 // chooseSplitAxis picks the axis (x, then y) whose distributions have the
-// smaller total margin and returns the entries sorted by lower and by
+// smaller total margin and returns the entries' orders by lower and by
 // upper value along it.
-func chooseSplitAxis(entries []page.Entry, m int) (byLower, byUpper []page.Entry) {
+func (s *splitScratch) chooseSplitAxis(entries []page.Entry, m int) (byLower, byUpper []int) {
 	bestMargin := 0.0
 	for axis := 0; axis < 2; axis++ {
-		lower, upper := axisSortings(entries, axis)
+		lower, upper := s.axisSortings(entries, axis)
 		margin := 0.0
-		for _, sorted := range [][]page.Entry{lower, upper} {
-			pre, suf := prefixSuffixMBRs(sorted)
+		for _, sorted := range [2][]int{lower, upper} {
+			pre, suf := s.prefixSuffixMBRs(entries, sorted)
 			for k := m; k <= len(sorted)-m; k++ {
 				margin += pre[k-1].Margin() + suf[k].Margin()
 			}
@@ -328,36 +353,43 @@ func chooseSplitAxis(entries []page.Entry, m int) (byLower, byUpper []page.Entry
 	return byLower, byUpper
 }
 
-// axisSortings returns the entries sorted by lower and by upper value
-// along the axis (0 = x, 1 = y).
-func axisSortings(entries []page.Entry, axis int) (byLower, byUpper []page.Entry) {
-	byLower = append([]page.Entry(nil), entries...)
-	byUpper = append([]page.Entry(nil), entries...)
+// axisSortings returns the entries' orders by lower and by upper value
+// along the axis (0 = x, 1 = y): the swaps sort.SliceStable made on the
+// entries, as reinsert's sort explains.
+func (s *splitScratch) axisSortings(entries []page.Entry, axis int) (byLower, byUpper []int) {
+	for k, o := range s.orders[axis] {
+		s.orders[axis][k] = slices.Grow(o[:0], len(entries))[:len(entries)]
+		for i := range entries {
+			s.orders[axis][k][i] = i
+		}
+	}
+	byLower, byUpper = s.orders[axis][0], s.orders[axis][1]
 	if axis == 0 {
-		sort.SliceStable(byLower, func(i, j int) bool { return byLower[i].MBR.MinX < byLower[j].MBR.MinX })
-		sort.SliceStable(byUpper, func(i, j int) bool { return byUpper[i].MBR.MaxX < byUpper[j].MBR.MaxX })
+		slices.SortStableFunc(byLower, func(a, b int) int { return cmp.Compare(entries[a].MBR.MinX, entries[b].MBR.MinX) })
+		slices.SortStableFunc(byUpper, func(a, b int) int { return cmp.Compare(entries[a].MBR.MaxX, entries[b].MBR.MaxX) })
 	} else {
-		sort.SliceStable(byLower, func(i, j int) bool { return byLower[i].MBR.MinY < byLower[j].MBR.MinY })
-		sort.SliceStable(byUpper, func(i, j int) bool { return byUpper[i].MBR.MaxY < byUpper[j].MBR.MaxY })
+		slices.SortStableFunc(byLower, func(a, b int) int { return cmp.Compare(entries[a].MBR.MinY, entries[b].MBR.MinY) })
+		slices.SortStableFunc(byUpper, func(a, b int) int { return cmp.Compare(entries[a].MBR.MaxY, entries[b].MBR.MaxY) })
 	}
 	return byLower, byUpper
 }
 
-// prefixSuffixMBRs returns pre[i] = MBR(sorted[0..i]) and
-// suf[i] = MBR(sorted[i..]).
-func prefixSuffixMBRs(sorted []page.Entry) (pre, suf []geom.Rect) {
-	n := len(sorted)
-	pre = make([]geom.Rect, n)
-	suf = make([]geom.Rect, n+1)
+// prefixSuffixMBRs returns, for the entries in the given order,
+// pre[i] = MBR(entries[order[0..i]]) and suf[i] = MBR(entries[order[i..]]),
+// in s until its next call.
+func (s *splitScratch) prefixSuffixMBRs(entries []page.Entry, order []int) (pre, suf []geom.Rect) {
+	n := len(order)
+	s.pre, s.suf = slices.Grow(s.pre[:0], n)[:n], slices.Grow(s.suf[:0], n+1)[:n+1]
+	pre, suf = s.pre, s.suf
 	acc := geom.EmptyRect()
 	for i := 0; i < n; i++ {
-		acc = acc.Union(sorted[i].MBR)
+		acc = acc.Union(entries[order[i]].MBR)
 		pre[i] = acc
 	}
 	suf[n] = geom.EmptyRect()
 	acc = geom.EmptyRect()
 	for i := n - 1; i >= 0; i-- {
-		acc = acc.Union(sorted[i].MBR)
+		acc = acc.Union(entries[order[i]].MBR)
 		suf[i] = acc
 	}
 	return pre, suf

@@ -93,6 +93,15 @@ type Tree struct {
 	// during the current insertion (OverflowTreatment is allowed once per
 	// level per inserted entry).
 	reinsertDone uint64
+
+	// held are the nodes the running Insert or Delete read and changes in
+	// place, released when it returns; the rest is its scratch (des stacks
+	// nested reinsertions' candidates; no path is read once one nests).
+	held     []*page.Page
+	path     []pathStep
+	des      []distEntry
+	orphans  []orphan
+	splitBuf splitScratch
 }
 
 // maxHeight bounds the tree so that every level has a bit in
@@ -137,6 +146,25 @@ func (t *Tree) read(id page.ID) (*page.Page, error) {
 		return nil, fmt.Errorf("rtree: read node %d: %w", id, err)
 	}
 	return p, nil
+}
+
+// hold is read for the mutation paths, which release the node (release).
+func (t *Tree) hold(id page.ID) (*page.Page, error) {
+	p, err := t.read(id)
+	if err == nil {
+		t.held = append(t.held, p)
+	}
+	return p, err
+}
+
+// release drops the reference of every node the operation held.
+func (t *Tree) release() {
+	for _, p := range t.held {
+		p.Release()
+	}
+	clear(t.held)
+	t.held = t.held[:0]
+	clear(t.path[:cap(t.path)])
 }
 
 // write persists a node after refreshing its O(n) statistics.

@@ -167,8 +167,8 @@ func (s *FileStore) load(id page.ID) (*page.Page, error) {
 	return p, nil
 }
 
-// Recycle takes back a page that Read returned — a buffer pool's page it
-// evicted clean — for a Read to decode into once nobody references it.
+// Recycle takes back a page that Read returned — one a buffer pool let go
+// of — for a Read to decode into once nobody references it.
 func (s *FileStore) Recycle(p *page.Page) { s.recycled.Put(p) }
 
 // NumPages implements Store.

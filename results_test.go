@@ -2,9 +2,11 @@ package repro
 
 import (
 	"encoding/csv"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -259,4 +261,85 @@ func printedAs(printed, csvCell string) bool {
 		decimals = len(frac)
 	}
 	return math.Abs(got-want) <= 0.5*math.Pow(10, -float64(decimals))+1e-9
+}
+
+// TestDocsNameWhatExists: every Test, Benchmark and Fuzz function that
+// DESIGN.md, README.md or the verify skill names exists (a name ending in
+// * names a prefix), and every section of DESIGN.md that a Go comment
+// cites is a heading there (§5h) or a numbered item under one (§5a.4).
+// Go files under bench/ define names but are not searched for citations.
+func TestDocsNameWhatExists(t *testing.T) {
+	funcRE := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	citeRE := regexp.MustCompile(`DESIGN(?:\.md)? §([0-9]+[a-z]?(?:\.[0-9]+)?)`)
+	defined := map[string]bool{}
+	var cites [][2]string // file, section
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			if err == nil && path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return err
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range funcRE.FindAllSubmatch(src, -1) {
+			defined[string(m[1])] = true
+		}
+		if !strings.HasPrefix(path, "bench"+string(filepath.Separator)) {
+			for _, m := range citeRE.FindAllSubmatch(src, -1) {
+				cites = append(cites, [2]string{path, string(m[1])})
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	nameRE := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z]\w*\*?`)
+	for _, doc := range []string{"DESIGN.md", "README.md", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range nameRE.FindAllString(string(text), -1) {
+			prefix, wild := strings.CutSuffix(name, "*")
+			found := defined[name]
+			for d := range defined {
+				found = found || wild && strings.HasPrefix(d, prefix)
+			}
+			if !found {
+				t.Errorf("%s names %s, which no Go file defines", doc, name)
+			}
+		}
+	}
+
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	headRE := regexp.MustCompile(`^## ([0-9]+[a-z]?)\. `)
+	itemRE := regexp.MustCompile(`^([0-9]+)\. `)
+	sections, under := map[string]bool{}, ""
+	for _, ln := range strings.Split(string(design), "\n") {
+		if m := headRE.FindStringSubmatch(ln); m != nil {
+			under = m[1]
+			sections[under] = true
+		} else if m := itemRE.FindStringSubmatch(ln); m != nil && under != "" {
+			sections[under+"."+m[1]] = true
+		}
+	}
+	for _, c := range cites {
+		if !sections[c[1]] {
+			t.Errorf("%s cites DESIGN.md §%s, which is neither a heading nor a numbered item there", c[0], c[1])
+		}
+	}
+	if len(cites) == 0 {
+		t.Error("no Go comment cites DESIGN.md: the citation pattern is broken")
+	}
 }
