@@ -191,7 +191,7 @@ func run(cfg *config) error {
 	}
 	defer cli.Close(pool)
 	shards := pool.Shards() // may have been clamped for tiny buffers
-	if ap, ok := pool.(*buffer.AsyncPool); ok {
+	if ap, ok := pool.(*buffer.Shared); ok && comp.Layout == buffer.LayoutAsync {
 		svc.AddGauge("spatialbuf_writeback_queue_depth", "Pages waiting in the background write-back queue.",
 			func() float64 { return float64(ap.Writeback().Depth) })
 		svc.AddGauge("spatialbuf_writeback_pending_pages", "Pages queued or mid-write in the write-back machinery.",

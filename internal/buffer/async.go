@@ -2,49 +2,23 @@ package buffer
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/obs/tracing"
 	"repro/internal/page"
 )
 
-// AsyncPool is the asynchronous-I/O layer over a Router: it serves
-// every shard engine's misses with the non-blocking protocol — the
-// shard lock protects only in-memory state, the physical read happens
-// outside it (with per-shard singleflight coalescing of concurrent
-// misses for the same page) — and dirty evicted pages drain through one
-// shared bounded background write-back queue. See the "I/O concurrency
-// contract" section of DESIGN.md for the protocol.
-//
-// Semantics relative to the synchronous router:
-//
-//   - Logical counters (Stats) are identical for single-threaded
-//     read-only workloads; under concurrency, coalesced misses are
-//     additionally counted in Stats.Coalesced, so DiskReads stays the
-//     physical read count.
-//   - Dirty write-backs are asynchronous. Flush, Clear and Close drain
-//     the queue before returning; until then the pool itself serves the
-//     queued versions on a miss (read-your-writes), never the stale
-//     store.
-//
-// Call Close when done with the pool to stop the writer goroutines; an
-// un-Closed pool leaks them but is otherwise harmless (they idle on an
-// empty queue).
-type AsyncPool struct {
-	*Router
-	wb *writeback
-}
-
-// asyncShard is the async layer's state for one shard engine, which
-// reaches it through Engine.async: the flight table of the non-blocking
-// miss protocol, the shard lock the protocol drops around a physical
-// read, and the pool's write-back queue.
+// asyncShard is the asynchronous-I/O state of one shard engine of a
+// Shared pool with a write-back queue, which the engine reaches through
+// Engine.async: the flight table of the non-blocking miss protocol, the
+// shard whose latch the protocol drops around a physical read, and the
+// pool's write-back queue. See the "I/O concurrency contract" section of
+// DESIGN.md for the protocol.
 type asyncShard struct {
 	e *Engine
-	// l is the shard's lock layer. Requests arrive holding its mutex; miss
+	// l is the engine's shard. Requests arrive holding its mutex; miss
 	// releases it around reads and waits and re-acquires it with l.lock,
 	// which replays the hits served meanwhile.
-	l *LockedEngine
+	l *shard
 	// flight has one entry per page whose physical read is in progress
 	// outside mu, shared by every concurrent miss for that page.
 	flight map[page.ID]*inflight
@@ -52,20 +26,6 @@ type asyncShard struct {
 	// many as have read this shard's store at once.
 	spares []*inflight
 	wb     *writeback
-}
-
-// Async stacks the asynchronous-I/O layer on a router, with wbWorkers
-// background goroutines writing dirty evicted pages to the store from a
-// queue of wbQueue pages (Composition.WritebackWorkers/WritebackQueue;
-// < 1 selects the defaults). The router must not be used directly
-// afterwards (the layer overrides its barrier operations); it must not
-// already carry an async layer.
-func Async(r *Router, wbWorkers, wbQueue int) *AsyncPool {
-	p := &AsyncPool{Router: r, wb: newWriteback(r.store, wbWorkers, wbQueue)}
-	for _, sh := range r.shards {
-		sh.e.async = &asyncShard{e: sh.e, l: sh, flight: make(map[page.ID]*inflight), wb: p.wb}
-	}
-	return p
 }
 
 // miss is the non-blocking miss protocol for a page the engine found
@@ -271,73 +231,4 @@ func (s *asyncShard) readmit(pg *page.Page, now uint64, ctx AccessContext) (*Fra
 	pg.Release()
 	fr.Dirty = true
 	return fr, nil
-}
-
-// InflightReads returns the number of physical reads currently in
-// progress outside the shard locks — the summed occupancy of the
-// per-shard flight tables. The shards are counted one after another, so
-// under churn the sum is an instantaneous estimate, not an atomic
-// snapshot — the usual multi-counter scrape contract.
-func (p *AsyncPool) InflightReads() (n int) {
-	for i := range p.shards {
-		p.View(i, func(e *Engine) { n += len(e.async.flight) })
-	}
-	return n
-}
-
-// Writeback returns a snapshot of the background write-back queue
-// counters.
-func (p *AsyncPool) Writeback() WritebackMetrics { return p.wb.metrics() }
-
-// Flush writes back all dirty resident pages, shard by shard, between
-// two drains of the background write-back queue — so when Flush returns
-// every write-back decided before the call is durable. The first drain
-// leaves the per-shard flushes few writers to run behind. A write-back
-// that starts after it can still be in flight when its page — put again
-// meanwhile — is flushed; that version then joins the page's writer
-// instead of being written alongside (see Engine.writeOut), and the
-// second drain waits for it.
-func (p *AsyncPool) Flush() error {
-	if err := p.wb.drain(); err != nil {
-		return fmt.Errorf("buffer: write-back drain: %w", err)
-	}
-	if err := p.Router.Flush(); err != nil {
-		return err
-	}
-	if err := p.wb.drain(); err != nil {
-		return fmt.Errorf("buffer: write-back drain: %w", err)
-	}
-	return nil
-}
-
-// Close flushes the pool (draining the write-back queue) and stops the
-// background writer goroutines. The pool remains usable afterwards —
-// with the queue closed, dirty evictions fall back to synchronous
-// writes.
-func (p *AsyncPool) Close() error {
-	err := p.Flush()
-	if cerr := p.wb.close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// Clear evicts everything, resets every shard's policy and zeroes all
-// counters, draining the write-back queue first (and clearing its
-// sticky error either way — Clear zeroes all accounting).
-func (p *AsyncPool) Clear() error {
-	err := p.wb.drain()
-	p.wb.resetErr()
-	if err != nil {
-		return fmt.Errorf("buffer: write-back drain: %w", err)
-	}
-	return p.Router.Clear()
-}
-
-// SetTracer attaches a tracer to every shard (see Router.SetTracer) and
-// to the background write-back workers, whose store writes record
-// KindWriteback spans. A nil tracer detaches.
-func (p *AsyncPool) SetTracer(t *tracing.Tracer) {
-	p.Router.SetTracer(t)
-	p.wb.tracer.Store(t)
 }

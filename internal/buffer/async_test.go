@@ -81,7 +81,7 @@ func testPage(id page.ID, obj uint64) *page.Page {
 // waitForRequests polls until the pool has accounted n requests — i.e.
 // the leader is mid-read and every other goroutine is registered as a
 // coalesced waiter — or the deadline passes.
-func waitForRequests(t *testing.T, sp *AsyncPool, n uint64) {
+func waitForRequests(t *testing.T, sp *Shared, n uint64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for sp.Stats().Requests < n {
@@ -98,11 +98,10 @@ func waitForRequests(t *testing.T, sp *AsyncPool, n uint64) {
 // Coalesced holds exactly.
 func TestAsyncSingleflightOneRead(t *testing.T) {
 	gs := &gatedStore{Store: newStore(t, 8), gate: make(chan struct{})}
-	r, err := NewRouter(gs, testFactory, 4, 1)
+	sp, err := newAsync(gs, testFactory, 4, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := Async(r, 0, 0)
 	defer sp.Close()
 
 	const n = 16
@@ -153,11 +152,10 @@ func TestAsyncSingleflightOneRead(t *testing.T) {
 func TestAsyncSingleflightSharedError(t *testing.T) {
 	gs := &gatedStore{Store: newStore(t, 8), gate: make(chan struct{})}
 	gs.fail.Store(true)
-	r, err := NewRouter(gs, testFactory, 4, 1)
+	sp, err := newAsync(gs, testFactory, 4, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := Async(r, 0, 0)
 	defer sp.Close()
 
 	const n = 8
@@ -196,11 +194,10 @@ func TestAsyncSingleflightSharedError(t *testing.T) {
 // real pin afterwards (each Unfix releases exactly one).
 func TestAsyncFixCoalesce(t *testing.T) {
 	gs := &gatedStore{Store: newStore(t, 8), gate: make(chan struct{})}
-	r, err := NewRouter(gs, testFactory, 4, 1)
+	sp, err := newAsync(gs, testFactory, 4, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := Async(r, 0, 0)
 	defer sp.Close()
 
 	const n = 8
@@ -253,11 +250,10 @@ func TestAsyncSingleShardSeedEquivalence(t *testing.T) {
 	seed.SetSink(seedSink)
 
 	asyncStore := newStore(t, numPages)
-	r, err := NewRouter(asyncStore, testFactory, capacity, 1)
+	sp, err := newAsync(asyncStore, testFactory, capacity, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := Async(r, 0, 0)
 	defer sp.Close()
 	var asyncLog bytes.Buffer
 	asyncSink := obs.NewJSONLSink(&asyncLog)
@@ -310,11 +306,10 @@ func TestAsyncSingleShardSeedEquivalence(t *testing.T) {
 func TestAsyncConcurrentGetStress(t *testing.T) {
 	const numPages, capacity, workers, perWorker = 256, 64, 8, 1500
 	cs := &countingStore{Store: newStore(t, numPages)}
-	r, err := NewRouter(cs, testFactory, capacity, 4)
+	sp, err := newAsync(cs, testFactory, capacity, 4, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := Async(r, 0, 0)
 	defer sp.Close()
 
 	var wg sync.WaitGroup
@@ -354,11 +349,10 @@ func TestAsyncConcurrentGetStress(t *testing.T) {
 // write eventually happens.
 func TestAsyncWritebackReadYourWrites(t *testing.T) {
 	bw := &blockWriteStore{Store: newStore(t, 32), gate: make(chan struct{})}
-	r, err := NewRouter(bw, testFactory, 2, 1)
+	sp, err := newAsync(bw, testFactory, 2, 1, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := Async(r, 1, 4)
 
 	ctx := AccessContext{}
 	if _, err := sp.Get(1, ctx); err != nil {
@@ -412,11 +406,10 @@ func TestAsyncWritebackReadYourWrites(t *testing.T) {
 // is empty.
 func TestAsyncFlushDrainsWriteback(t *testing.T) {
 	st := newStore(t, 32)
-	r, err := NewRouter(st, testFactory, 4, 1)
+	sp, err := newAsync(st, testFactory, 4, 1, 2, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := Async(r, 2, 16)
 	defer sp.Close()
 
 	ctx := AccessContext{}
@@ -502,11 +495,10 @@ func (s *failWriteStore) Write(*page.Page) error { return errFailedWrite }
 // sticky error along with the rest of the accounting.
 func TestWritebackStickyError(t *testing.T) {
 	fs := &failWriteStore{Store: newStore(t, 8)}
-	r, err := NewRouter(fs, testFactory, 2, 1)
+	sp, err := newAsync(fs, testFactory, 2, 1, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := Async(r, 1, 4)
 	defer sp.Close()
 
 	ctx := AccessContext{}
@@ -591,7 +583,7 @@ func TestAsyncLeaderMissAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pool.(*AsyncPool).Close()
+	defer pool.(*Shared).Close()
 	ctx := AccessContext{QueryID: 1}
 	id := page.ID(1)
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -662,11 +654,10 @@ func (s *orderStore) Write(p *page.Page) error {
 func TestWritebackNeverReordersOnePage(t *testing.T) {
 	st := newOrderStore(newStore(t, 16))
 	st.gated, st.entered, st.gate = 9, make(chan struct{}), make(chan struct{})
-	r, err := NewRouter(st, testFactory, 2, 1)
+	sp, err := newAsync(st, testFactory, 2, 1, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := Async(r, 2, 4)
 	ctx := AccessContext{}
 	get := func(ids ...page.ID) {
 		t.Helper()
@@ -793,11 +784,10 @@ func (s *holdStore) Write(p *page.Page) error {
 func TestAsyncFlushJoinsInflightWriteback(t *testing.T) {
 	hs := &holdStore{Store: newStore(t, 32), hold: map[page.ID]heldWrite{}}
 	st := newOrderStore(hs)
-	r, err := NewRouter(st, testFactory, 4, 2) // two frames per shard
+	sp, err := newAsync(st, testFactory, 4, 2, 1, 4) // two frames per shard
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := Async(r, 1, 4)
 
 	// y lives on shard 0, which Flush visits first; x and two fillers on
 	// shard 1.
@@ -805,11 +795,11 @@ func TestAsyncFlushJoinsInflightWriteback(t *testing.T) {
 	var fill []page.ID
 	for id := page.ID(1); id <= 32; id++ {
 		switch {
-		case r.shardIndex(id) == 0 && y == 0:
+		case sp.shardFor(id) == sp.shards[0] && y == 0:
 			y = id
-		case r.shardIndex(id) == 1 && x == 0:
+		case sp.shardFor(id) == sp.shards[1] && x == 0:
 			x = id
-		case r.shardIndex(id) == 1 && len(fill) < 2:
+		case sp.shardFor(id) == sp.shards[1] && len(fill) < 2:
 			fill = append(fill, id)
 		}
 	}

@@ -1,26 +1,22 @@
 // Package buffer implements the buffer manager in front of a page store:
 // the component whose replacement policy the paper studies.
 //
-// The package is organized as one core engine plus three orthogonal,
-// stackable layers:
+// The package has one engine and one shared pool:
 //
 //   - Engine — the unlocked, single-threaded core that owns the entire
 //     request path: frame arena lifecycle, hit/miss accounting,
 //     read-before-evict ordering, pin counts, dirty tracking, policy
 //     callbacks, and the only code that emits observability events,
 //     shadow metadata and request-scoped tracing spans.
-//   - LockedEngine — a mutex around an Engine, with lock-contention and
-//     lock-wait profiling (Lock); once it is contended, hits are served
-//     latch-free and accounted by the next mutex holder.
-//   - Router — a page-hash sharding layer over locked engines, with
-//     per-shard policy instances, shard-tagged events and exact stats
-//     merging (NewRouter).
-//   - AsyncPool — an asynchronous-I/O layer: per-shard singleflight
-//     read coalescing and a bounded background write-back queue
-//     (Async).
+//   - Shared — page-hash shards, each an engine behind a latch with
+//     lock-contention and lock-wait profiling, with per-shard policy
+//     instances and exact stats merging; once a latch is contended, hits
+//     are served latch-free and accounted by its next holder. An async
+//     pool adds per-shard singleflight read coalescing and a bounded
+//     background write-back queue.
 //
 // Compositions are described by a Composition spec (ParseComposition /
-// Composition.Build). See DESIGN.md, "Engine layering".
+// Composition.Build). See DESIGN.md §5c.
 //
 // A page request is a hit (served from memory, no physical I/O) or a
 // miss (one physical read through the store, possibly preceded by an
@@ -47,7 +43,7 @@ import (
 var ErrAllPinned = errors.New("buffer: all frames pinned")
 
 // AccessContext describes one page request and travels with it through
-// the pool layers, every engine step and every policy callback. QueryID
+// the pool, every engine step and every policy callback. QueryID
 // identifies the query on whose behalf the request is made; the paper
 // defines two accesses to be correlated iff they share a query (§2.2).
 // Callers fill in QueryID only. The context is also the one place where
@@ -234,7 +230,7 @@ type Stats struct {
 }
 
 // Add accumulates o into s, field by field. It is the merge operation
-// behind Router.Stats: counters are additive, so the merge of the
+// behind Shared.Stats: counters are additive, so the merge of the
 // per-shard snapshots equals the counters of the whole run.
 func (s *Stats) Add(o Stats) {
 	s.Requests += o.Requests

@@ -9,13 +9,13 @@ import (
 	"repro/internal/storage"
 )
 
-// Layout names the layer stack of a pool composition.
+// Layout names the shape of a pool composition.
 type Layout string
 
-// The four layer stacks a Composition can build. Each adds one layer
-// over the previous: bare is a lone Engine, locked adds the mutex
-// layer, sharded adds the page-hash router over locked engines, async
-// adds singleflight miss I/O and background write-back over the router.
+// The four layouts a Composition can build: bare is a lone Engine;
+// locked is a Shared pool of one shard, sharded one of Shards shards,
+// and async the same with a background write-back queue (and with it
+// singleflight miss I/O outside the shard latch).
 const (
 	LayoutBare    Layout = "bare"
 	LayoutLocked  Layout = "locked"
@@ -23,12 +23,12 @@ const (
 	LayoutAsync   Layout = "async"
 )
 
-// Composition describes a pool as a layer stack plus its parameters —
+// Composition describes a pool as a layout plus its parameters —
 // the single construction path behind the -pool flag of cmd/bufserve
 // and cmd/spatialbench and the matrix tests. The zero value is not
 // valid; start from ParseComposition or set Layout explicitly.
 type Composition struct {
-	// Layout selects the layer stack.
+	// Layout selects the pool's shape.
 	Layout Layout
 	// Shards is the shard count for the sharded and async layouts; ≤ 0
 	// means one shard per available CPU (GOMAXPROCS). Ignored (and
@@ -63,8 +63,9 @@ const (
 // keys are "shards" (sharded/async only), "wbworkers" and "wbqueue"
 // (async only). Examples: "locked", "sharded,shards=4",
 // "async,shards=8,wbworkers=2,wbqueue=256". Layout and keys are
-// case-insensitive; "shards=0" means one shard per CPU. Values above
-// maxShards, maxWritebackWorkers and maxWritebackQueue are rejected.
+// case-insensitive; "shards=0" means one shard per CPU. A key given twice
+// and values above maxShards, maxWritebackWorkers and maxWritebackQueue
+// are rejected.
 func ParseComposition(spec string) (Composition, error) {
 	parts := strings.Split(spec, ",")
 	var c Composition
@@ -76,12 +77,17 @@ func ParseComposition(spec string) (Composition, error) {
 	default:
 		return Composition{}, fmt.Errorf("buffer: unknown pool layout %q (want bare, locked, sharded or async)", parts[0])
 	}
+	seen := make(map[string]bool, len(parts)-1)
 	for _, part := range parts[1:] {
 		key, val, ok := strings.Cut(part, "=")
 		key = strings.ToLower(strings.TrimSpace(key))
 		if !ok {
 			return Composition{}, fmt.Errorf("buffer: pool composition parameter %q: want key=value", part)
 		}
+		if seen[key] {
+			return Composition{}, fmt.Errorf("buffer: pool composition parameter %q given twice", key)
+		}
+		seen[key] = true
 		n, err := strconv.Atoi(strings.TrimSpace(val))
 		if err != nil || n < 0 {
 			return Composition{}, fmt.Errorf("buffer: pool composition parameter %q: want a non-negative integer", part)
@@ -135,7 +141,7 @@ func (c Composition) String() string {
 // ShardCount returns the number of shards the composition asks for: 1
 // for the bare and locked layouts, Shards for sharded and async, or one
 // per available CPU (GOMAXPROCS, at most maxShards) when Shards is left
-// at 0. Build passes it to NewRouter, which may still clamp it for a tiny
+// at 0. Build passes it to the pool, which may still clamp it for a tiny
 // buffer; the commands size their tracer's rings by it before the pool
 // exists (a clamped pool leaves the trailing rings empty).
 func (c Composition) ShardCount() int {
@@ -150,15 +156,15 @@ func (c Composition) ShardCount() int {
 
 // Build constructs the described pool of the given total capacity (in
 // frames) over the store, with policy instances from the factory (one
-// for bare/locked, one per shard for sharded/async). The concrete type
-// behind the returned Pool is *Engine, *LockedEngine, *Router or
-// *AsyncPool according to the layout; async pools implement
-// interface{ Close() error } and should be closed to stop their writer
-// goroutines (Router does too, as a flush, so callers can close any
-// composition uniformly).
+// per shard). The concrete type behind the returned Pool is *Engine for
+// the bare layout and *Shared for the others; a Shared pool implements
+// interface{ Close() error } (for sharded and locked pools a flush, for
+// async ones also the end of the writer goroutines), so callers can
+// close any shared composition uniformly.
 func (c Composition) Build(store storage.Store, factory PolicyFactory, capacity int) (Pool, error) {
+	var wb *writeback
 	switch c.Layout {
-	case LayoutBare, LayoutLocked:
+	case LayoutBare:
 		if factory == nil {
 			return nil, fmt.Errorf("buffer: nil policy factory")
 		}
@@ -170,20 +176,19 @@ func (c Composition) Build(store storage.Store, factory PolicyFactory, capacity 
 		if err != nil {
 			return nil, err
 		}
-		if c.Layout == LayoutBare {
-			return e, nil
-		}
-		return Lock(e), nil
-	case LayoutSharded, LayoutAsync:
-		r, err := NewRouter(store, factory, capacity, c.ShardCount())
-		if err != nil {
-			return nil, err
-		}
-		if c.Layout == LayoutSharded {
-			return r, nil
-		}
-		return Async(r, c.WritebackWorkers, c.WritebackQueue), nil
+		return e, nil
+	case LayoutLocked, LayoutSharded:
+	case LayoutAsync:
+		wb = newWriteback(store, c.WritebackWorkers, c.WritebackQueue)
 	default:
 		return nil, fmt.Errorf("buffer: unknown pool layout %q", c.Layout)
 	}
+	s, err := newShared(store, factory, capacity, c.ShardCount(), wb)
+	if err != nil {
+		if wb != nil {
+			wb.close()
+		}
+		return nil, err
+	}
+	return s, nil
 }

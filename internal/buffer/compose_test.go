@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/page"
+	"repro/internal/storage"
 )
 
 func TestParseComposition(t *testing.T) {
@@ -62,6 +64,9 @@ func TestParseComposition(t *testing.T) {
 		"async,wbworkers=257",
 		"async,wbqueue=2000000000",
 		"async,wbqueue=1048577",
+		"async,shards=2,shards=8",
+		"async,wbworkers=1,wbworkers=2",
+		"sharded,shards=2,SHARDS=4",
 	}
 	for _, spec := range bad {
 		if got, err := ParseComposition(spec); err == nil {
@@ -133,9 +138,9 @@ func TestCompositionBuildTypes(t *testing.T) {
 		want string
 	}{
 		{"bare", "*buffer.Engine"},
-		{"locked", "*buffer.LockedEngine"},
-		{"sharded,shards=2", "*buffer.Router"},
-		{"async,shards=2", "*buffer.AsyncPool"},
+		{"locked", "*buffer.Shared"},
+		{"sharded,shards=2", "*buffer.Shared"},
+		{"async,shards=2", "*buffer.Shared"},
 	}
 	for _, c := range cases {
 		comp, err := ParseComposition(c.spec)
@@ -162,8 +167,70 @@ func TestCompositionBuildTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := pool.(*Router).Shards(); s < 1 || s > 4 {
+	if s := pool.Shards(); s < 1 || s > 4 {
 		t.Errorf("defaulted shard count %d outside [1, capacity/2]", s)
+	}
+}
+
+// TestClosedPoolStaysUsable is the Close contract of every shared
+// layout: closing twice is fine, and a closed pool still serves. Once the
+// write-back queue (if any) is closed, the dirty pages that Puts beyond
+// the capacity evict are written synchronously, and a Flush leaves the
+// newest version of every page in the store.
+func TestClosedPoolStaysUsable(t *testing.T) {
+	const capacity, pages = 4, 12
+	for _, spec := range []string{"locked", "sharded,shards=2", "async,shards=2"} {
+		t.Run(spec, func(t *testing.T) {
+			fs, err := storage.CreateFileStore(filepath.Join(t.TempDir(), "pages"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fs.Close()
+			for id := page.ID(1); id <= pages; id++ {
+				if fs.Allocate() != id || fs.Write(testPage(id, 0)) != nil {
+					t.Fatalf("cannot set up page %d", id)
+				}
+			}
+			comp, err := ParseComposition(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			built, err := comp.Build(fs, testFactory, capacity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool := built.(*Shared)
+			if err := pool.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := pool.Close(); err != nil {
+				t.Fatalf("second Close: %v", err)
+			}
+			queued := pool.Writeback().Queued
+			version := func(round int, id page.ID) uint64 { return uint64(round*100) + uint64(id) }
+			for round := 1; round <= 2; round++ {
+				for id := page.ID(1); id <= pages; id++ {
+					if err := pool.Put(testPage(id, version(round, id)), AccessContext{}); err != nil {
+						t.Fatalf("Put(%d) after Close: %v", id, err)
+					}
+				}
+			}
+			if err := pool.Flush(); err != nil {
+				t.Fatalf("Flush after Close: %v", err)
+			}
+			if q := pool.Writeback().Queued; q != queued {
+				t.Errorf("a closed queue accepted %d write-backs", q-queued)
+			}
+			for id := page.ID(1); id <= pages; id++ {
+				p, err := fs.Read(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := p.Entries[0].ObjID, version(2, id); got != want {
+					t.Errorf("store holds version %d of page %d, want %d", got, id, want)
+				}
+			}
+		})
 	}
 }
 
@@ -242,11 +309,11 @@ func applyOp(t *testing.T, p Pool, op matrixOp) {
 	}
 }
 
-// TestCompositionMatrixEquivalence is the layering acceptance test:
-// every composition that shares the bare engine's routing (locked,
-// sharded at one shard, async at one shard) must replay a mixed
-// single-threaded workload stat-for-stat, event-for-event and
-// residency-identical to the bare engine, and the async layer must not
+// TestCompositionMatrixEquivalence is the composition acceptance test:
+// every one-shard shared pool (locked, sharded at one shard, async at one
+// shard) must replay a mixed single-threaded workload stat-for-stat,
+// event-for-event and residency-identical to the bare engine, and the
+// write-back queue must not
 // change sharded routing either (sharded(N) ≡ async(N)). Determinism
 // holds because the replay is single-threaded: no coalescing, no
 // contention, write-back drained at the barriers.
@@ -289,7 +356,7 @@ func TestCompositionMatrixEquivalence(t *testing.T) {
 		return replay{stats: st, resident: ids, events: rec.requests}
 	}
 
-	// The async layer's write-back queue has one documented divergence
+	// The write-back queue has one documented divergence
 	// on dirty workloads: a queue-served miss is flagged Coalesced and
 	// re-admits the page still dirty, so WriteBacks counts one logical
 	// decision per queue round-trip where the synchronous path wrote
@@ -344,7 +411,7 @@ func TestCompositionMatrixEquivalence(t *testing.T) {
 		compare(t, "async,shards=3", as, sh)
 	})
 
-	// On a read-only workload the async layer has nothing to queue, so
+	// On a read-only workload the write-back queue has nothing to hold, so
 	// the equivalence is unconditional — the full seed contract.
 	readOnly := ops[:0:0]
 	for _, op := range ops {
@@ -380,8 +447,8 @@ func contains(p Pool, id page.ID) (ok bool) {
 
 // TestCompositionConcurrentSmoke hammers every concurrency-safe
 // composition from several goroutines; under -race this checks the
-// layer stack's serialization (lock layer, router fan-out, async flight
-// table) with no request lost.
+// shared pool's serialization (shard latches, latch-free hits, async
+// flight table) with no request lost.
 func TestCompositionConcurrentSmoke(t *testing.T) {
 	const numPages, capacity, workers, perWorker = 60, 12, 4, 800
 	for _, spec := range []string{"locked", "sharded,shards=4", "async,shards=4", "async,shards=4,wbworkers=1,wbqueue=4"} {
@@ -440,7 +507,7 @@ func TestCompositionConcurrentSmoke(t *testing.T) {
 
 // TestComposedHitPathZeroAllocs extends the engine's zero-alloc gate to
 // every composition: with the default no-op sink, a buffer hit through
-// the full layer stack (lock, router, async flight check) must not
+// the shared pool (shard hash, latch, async flight check) must not
 // allocate — neither taking the latch nor, on the layouts that have one,
 // served latch-free with the bookkeeping deferred (1000 runs of 4 hits
 // fill and drain each shard's ring some thirty times).

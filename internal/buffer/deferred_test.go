@@ -10,25 +10,20 @@ import (
 	"repro/internal/page"
 )
 
-// lockLayers returns the lock layer of every shard of a composition.
-func lockLayers(t testing.TB, pool Pool) []*LockedEngine {
+// shardsOf returns every shard of a shared pool.
+func shardsOf(t testing.TB, pool Pool) []*shard {
 	t.Helper()
-	switch p := pool.(type) {
-	case *LockedEngine:
-		return []*LockedEngine{p}
-	case *Router:
-		return p.shards
-	case *AsyncPool:
-		return p.shards
+	s, ok := pool.(*Shared)
+	if !ok {
+		t.Fatalf("%T has no shards", pool)
 	}
-	t.Fatalf("%T has no lock layer", pool)
-	return nil
+	return s.shards
 }
 
 // forceDeferral makes every shard serve resident pages latch-free for
 // good, as if each of its latch acquisitions from here on collided.
 func forceDeferral(t testing.TB, pool Pool) {
-	for _, l := range lockLayers(t, pool) {
+	for _, l := range shardsOf(t, pool) {
 		l.deferLeft.Store(1 << 30)
 	}
 }
@@ -114,7 +109,7 @@ func TestDeferredHitOfEvictedPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := Lock(e)
+	l := lockEngine(e)
 	rec := &recordingSink{}
 	l.SetSink(rec)
 	want, err := l.Get(1, AccessContext{})
@@ -122,7 +117,7 @@ func TestDeferredHitOfEvictedPage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l.mu.Lock() // a second goroutine's request, already past its drain
+	l.shards[0].mu.Lock() // a second goroutine's request, already past its drain
 	got, err := l.Get(1, AccessContext{QueryID: 7})
 	if err != nil || got != want {
 		t.Fatalf("latch-free Get(1) = %p, %v; want the resident page %p", got, err, want)
@@ -133,7 +128,7 @@ func TestDeferredHitOfEvictedPage(t *testing.T) {
 	if _, err := e.Get(2, AccessContext{}); err != nil { // evicts page 1
 		t.Fatal(err)
 	}
-	l.mu.Unlock()
+	l.shards[0].mu.Unlock()
 
 	st := l.Stats() // the barrier replays the hit
 	if st.Requests != 3 || st.Hits != 1 || st.Misses != 2 || st.Evictions != 1 {
@@ -178,7 +173,7 @@ func TestViewSeesDeferredHits(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if st := lockLayers(t, pool)[0].e.stats; st.Hits != 0 {
+			if st := shardsOf(t, pool)[0].e.stats; st.Hits != 0 {
 				t.Fatalf("the engine has accounted %d hits before any barrier, want them in the ring", st.Hits)
 			}
 			var st Stats
@@ -200,7 +195,7 @@ func TestDeferredHitsKeepLatencyWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := Lock(e)
+	l := lockEngine(e)
 	log := &latencyLog{}
 	l.SetSink(log)
 	if _, err := l.Get(1, AccessContext{}); err != nil {
@@ -232,7 +227,7 @@ func TestDeferredHitsOnOneP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := Lock(e)
+	l := lockEngine(e)
 	for id := page.ID(1); id <= resident; id++ {
 		if _, err := l.Get(id, AccessContext{}); err != nil {
 			t.Fatal(err)
@@ -263,12 +258,12 @@ func TestDeferredHitsOnOneP(t *testing.T) {
 		wg.Wait()
 
 		l.Stats() // empty the ring, so the next claim is record 0
-		c := l.hits.cursor.Add(1)
-		rec := &l.hits.halves[c>>32&1][uint32(c)-1]
+		c := l.shards[0].hits.cursor.Add(1)
+		rec := &l.shards[0].hits.halves[c>>32&1][uint32(c)-1]
 		drained := make(chan Stats)
 		go func() { drained <- l.Stats() }()
-		for l.mu.TryLock() { // until the drainer holds the latch and waits
-			l.mu.Unlock()
+		for l.shards[0].mu.TryLock() { // until the drainer holds the latch and waits
+			l.shards[0].mu.Unlock()
 			runtime.Gosched()
 		}
 		rec.pg, rec.query = e.frames.get(1).Page, 99

@@ -17,15 +17,14 @@ import (
 // counts, dirty tracking and policy callbacks. It is also the only code
 // in the package that emits request-path observability events (and the
 // shadow page metadata they carry) and starts request-scoped tracing
-// spans; the layers above add concurrency, never semantics. A sampled
+// spans; a Shared pool adds concurrency, never semantics. A sampled
 // request's trace rides in the request's AccessContext — the engine
 // keeps no per-request state of its own, so nothing has to be put away
 // when a request leaves the latch and another one enters.
 //
-// An Engine on its own is not safe for concurrent use — that is the
-// locking layer's job (Lock / LockedEngine). The sharding layer
-// (NewRouter) routes page IDs across many locked engines, and the
-// async-I/O layer (Async) takes over each engine's misses — singleflight
+// An Engine on its own is not safe for concurrent use — that is the job
+// of a Shared pool, which routes page IDs across latched engines and,
+// with a write-back queue, takes over each engine's misses — singleflight
 // reads outside the latch — and its dirty write-outs.
 //
 // The experiment harness runs one bare engine per goroutine, exactly as
@@ -60,20 +59,20 @@ type Engine struct {
 	tracer *tracing.Tracer
 	shard  int
 	// pendingLockWait is the latch wait of the request about to run,
-	// deposited by the enclosing locking layer after it acquired the
+	// deposited by the engine's shard after it acquired the
 	// latch and consumed (and cleared) by the next traced request.
 	pendingLockWait int64
 
-	// async is this engine's share of the async-I/O layer, nil on
-	// synchronous engines. The engine refers to the layer in three places:
+	// async is this engine's share of an async pool, nil on synchronous
+	// engines. The engine refers to it in three places:
 	// fetch hands it every miss, writeOut hands it dirty pages, and put
 	// tells it that a newer version supersedes a queued one.
 	async *asyncShard
 }
 
 // NewEngine creates a bare core engine of the given capacity (in
-// frames, ≥ 1) over store, managed by policy. Wrap it with Lock for
-// concurrent use, or build a full composition with Composition.Build.
+// frames, ≥ 1) over store, managed by policy. For concurrent use build a
+// shared pool with Composition.Build instead.
 func NewEngine(store storage.Store, policy Policy, capacity int) (*Engine, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("buffer: capacity %d, need ≥ 1", capacity)
@@ -123,9 +122,9 @@ func (e *Engine) SetSink(s obs.Sink) {
 // is forwarded to the policy or the store: a sampled request carries its
 // trace in its AccessContext, so the engine's victim selections and store
 // calls and ASB's adaptations appear as child spans of whichever request
-// they serve. Every span is stamped with the pool
-// shard this engine serves (0 unless a Router owns it), which also
-// selects the tracer's trace ring. A nil tracer detaches.
+// they serve. Every span is stamped with the index of the pool shard this
+// engine serves (0 for a bare engine), which also selects the tracer's
+// trace ring. A nil tracer detaches.
 func (e *Engine) SetTracer(t *tracing.Tracer) {
 	e.tracer = t
 	e.pendingLockWait = 0
@@ -256,7 +255,7 @@ func (e *Engine) finish(a *tracing.Active, start time.Time, weight uint64, hit, 
 
 // fetch serves a request that found its page non-resident; it is entered
 // and left under the caller's serialization. On an engine under the
-// async layer the miss is handed to it; otherwise the physical read
+// async pool the miss is handed to it; otherwise the physical read
 // happens in place. Read before evicting: a failed read must not discard
 // a perfectly good cached page (or count an eviction) for a request that
 // errored.
@@ -376,12 +375,12 @@ func (e *Engine) allocFrame() *Frame {
 	return &Frame{Slot: -1}
 }
 
-// writeOut writes one dirty page to the store. Under the async layer the
+// writeOut writes one dirty page to the store. In an async pool the
 // page's background writer takes it: an evicted page is queued with the
 // pool's reference, which a write drops (misses on it read the queue, not
 // the stale store, until it lands), a page that stays resident only joins
 // a write of that page already in flight, so the two cannot overlap or
-// land out of order. Otherwise — no layer, queue full or closed, or
+// land out of order. Otherwise — no queue, queue full or closed, or
 // nothing in flight — the write happens in place; that is safe because a
 // page is only ever queued under this engine's serialization, which the
 // caller holds — and is recorded as a store.Write child span of a, the

@@ -4,11 +4,22 @@ import (
 	"testing"
 
 	"repro/internal/page"
+	"repro/internal/storage"
 )
 
 // ForceDeferral is forceDeferral for the external tests, which build
 // R*-trees and so cannot live in this package.
 func ForceDeferral(t testing.TB, pool Pool) { forceDeferral(t, pool) }
+
+// lockEngine is the locked layout around an engine the test built and
+// may still read directly.
+func lockEngine(e *Engine) *Shared { return &Shared{shards: []*shard{{e: e}}} }
+
+// newAsync builds the async layout as Composition.Build does, from
+// explicit shard and write-back numbers.
+func newAsync(store storage.Store, factory PolicyFactory, capacity, shards, wbWorkers, wbQueue int) (*Shared, error) {
+	return newShared(store, factory, capacity, shards, newWriteback(store, wbWorkers, wbQueue))
+}
 
 // Kept calls f on every page pool keeps: each shard's resident pages
 // under the shard's latch, then the pages queued for write-back under
@@ -23,7 +34,7 @@ func Kept(pool Pool, f func(p *page.Page, queued bool)) {
 			}
 		})
 	}
-	if a, ok := pool.(*AsyncPool); ok {
+	if a, ok := pool.(*Shared); ok && a.wb != nil {
 		a.wb.mu.Lock()
 		defer a.wb.mu.Unlock()
 		for _, en := range a.wb.pending {

@@ -14,7 +14,7 @@ func TestLockedEngineConcurrentGets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := Lock(m)
+	sm := lockEngine(m)
 
 	const goroutines = 8
 	const perG = 800
@@ -60,7 +60,7 @@ func TestLockedEngineMixedOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := Lock(m)
+	sm := lockEngine(m)
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
 	for g := 0; g < 4; g++ {

@@ -151,7 +151,7 @@ func TestLockedEngineSetSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := Lock(m)
+	sm := lockEngine(m)
 	rec := &recordingSink{}
 	sm.SetSink(rec)
 	if _, err := sm.Get(1, AccessContext{}); err != nil {

@@ -8,25 +8,20 @@ import (
 // Pool is the buffer abstraction every consumer programs against: the
 // read path (Get/Fix/Unfix), the write path (Put/MarkDirty/Flush), the
 // lifecycle (Clear), introspection (Stats/Len/SetSink) and the one door
-// to everything else an engine knows (Shards/View). One engine and three
-// stackable layers cover the concurrency spectrum:
+// to everything else an engine knows (Shards/View). It has two
+// implementations:
 //
 //   - Engine — the bare single-threaded core the paper's experiments
 //     use; fastest when one goroutine owns the buffer.
-//   - LockedEngine (Lock) — one mutex around an Engine; strict global
-//     accounting shared by many goroutines. Misses and writes serialize
-//     on the lock; hits stop doing so once it is contended.
-//   - Router (NewRouter) — page.ID-hashed shards, each an independent
-//     locked engine with its own policy instance; scales with cores at
-//     the cost of partitioned (per-shard) policy state.
-//   - AsyncPool (Async) — a router whose engines read outside the shard
-//     lock (singleflight-coalesced) and write back dirty victims in the
-//     background; for miss-heavy workloads on slow stores.
+//   - Shared — page.ID-hashed shards, each an engine behind its own
+//     latch, for many goroutines: one shard is a single-latch pool, more
+//     partition the policy state; with a write-back queue, misses read
+//     outside the latch and dirty victims are written in the background.
 //
-// Composition.Build constructs any of the four from a spec string.
-// rtree queries, the trace replayer and the serving commands all accept
-// a Pool, so swapping the concurrency model is a constructor change, not
-// a call-site change.
+// Composition.Build constructs either from a spec string. rtree queries,
+// the trace replayer and the serving commands all accept a Pool, so
+// swapping the concurrency model is a constructor change, not a
+// call-site change.
 type Pool interface {
 	// Get requests the page without pinning it (read path).
 	Get(id page.ID, ctx AccessContext) (*page.Page, error)
@@ -52,9 +47,9 @@ type Pool interface {
 	// policies (nil detaches). Sinks attached to concurrent pools must
 	// be safe for concurrent use.
 	SetSink(s obs.Sink)
-	// Shards returns the number of engines behind the pool: 1 unless a
-	// Router partitions it, and then what the router settled on, which a
-	// tiny buffer makes fewer than the composition asked for.
+	// Shards returns the number of engines behind the pool: 1 for an
+	// Engine, and for a Shared pool what it settled on, which a tiny
+	// buffer makes fewer than the composition asked for.
 	Shards() int
 	// View calls f with shard i's engine (0 ≤ i < Shards()) under that
 	// shard's serialization — on a shared pool its latch, taken after the
@@ -75,11 +70,8 @@ type Pool interface {
 // instances. core.Factory.New is of this type.
 type PolicyFactory func(capacity int) Policy
 
-// Compile-time interface checks: the engine and every layer stack
-// implement Pool.
+// Compile-time interface checks: the two implementations of Pool.
 var (
 	_ Pool = (*Engine)(nil)
-	_ Pool = (*LockedEngine)(nil)
-	_ Pool = (*Router)(nil)
-	_ Pool = (*AsyncPool)(nil)
+	_ Pool = (*Shared)(nil)
 )

@@ -48,7 +48,7 @@ func TestStatsFieldSet(t *testing.T) {
 	}
 }
 
-// TestStatsAddProperty checks the algebra Router.Stats relies on:
+// TestStatsAddProperty checks the algebra Shared.Stats relies on:
 // Add is the componentwise sum, merging per-shard snapshots in any
 // order yields the same total, and the merged value survives a JSON
 // round-trip unchanged.
@@ -100,7 +100,7 @@ func TestStatsAddProperty(t *testing.T) {
 }
 
 // TestRouterSingleShardEquivalence replays a recorded reference
-// string through a Router with one shard and through a bare
+// string through a shared pool of one shard and through a bare
 // Engine with the same policy type: identical Stats and identical
 // resident sets, access for access.
 func TestRouterSingleShardEquivalence(t *testing.T) {
@@ -113,7 +113,7 @@ func TestRouterSingleShardEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := NewRouter(s2, testFactory, capacity, 1)
+	sp, err := newShared(s2, testFactory, capacity, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestRouterSingleShardEquivalence(t *testing.T) {
 func TestRouterShardStatsMerge(t *testing.T) {
 	const numPages, capacity, shards, ops = 60, 16, 4, 5000
 	s := newStore(t, numPages)
-	sp, err := NewRouter(s, testFactory, capacity, shards)
+	sp, err := newShared(s, testFactory, capacity, shards, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestRouterShardStatsMerge(t *testing.T) {
 func TestRouterWritePath(t *testing.T) {
 	const numPages = 12
 	s := newStore(t, numPages)
-	sp, err := NewRouter(s, testFactory, 6, 3)
+	sp, err := newShared(s, testFactory, 6, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,30 +290,30 @@ func TestRouterWritePath(t *testing.T) {
 // invalid inputs error.
 func TestRouterClamping(t *testing.T) {
 	s := newStore(t, 4)
-	sp, err := NewRouter(s, testFactory, 5, 64)
+	sp, err := newShared(s, testFactory, 5, 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sp.Shards() != 2 {
 		t.Errorf("Shards() = %d, want 2 (clamped to capacity/2)", sp.Shards())
 	}
-	sp, err = NewRouter(s, testFactory, 1, 8)
+	sp, err = newShared(s, testFactory, 1, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sp.Shards() != 1 {
 		t.Errorf("Shards() = %d, want 1", sp.Shards())
 	}
-	if _, err := NewRouter(nil, testFactory, 4, 2); err == nil {
+	if _, err := newShared(nil, testFactory, 4, 2, nil); err == nil {
 		t.Error("nil store should fail")
 	}
-	if _, err := NewRouter(s, nil, 4, 2); err == nil {
+	if _, err := newShared(s, nil, 4, 2, nil); err == nil {
 		t.Error("nil factory should fail")
 	}
-	if _, err := NewRouter(s, testFactory, 0, 2); err == nil {
+	if _, err := newShared(s, testFactory, 0, 2, nil); err == nil {
 		t.Error("zero capacity should fail")
 	}
-	if _, err := NewRouter(s, func(int) Policy { return nil }, 4, 2); err == nil {
+	if _, err := newShared(s, func(int) Policy { return nil }, 4, 2, nil); err == nil {
 		t.Error("nil-returning factory should fail")
 	}
 }
@@ -324,7 +324,7 @@ func TestRouterClamping(t *testing.T) {
 func TestRouterConcurrent(t *testing.T) {
 	const numPages, capacity, shards, workers, perWorker = 64, 16, 4, 8, 2000
 	s := newStore(t, numPages)
-	sp, err := NewRouter(s, testFactory, capacity, shards)
+	sp, err := newShared(s, testFactory, capacity, shards, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestMissReadFailureKeepsResidentPages(t *testing.T) {
 	// The same contract holds through a sharded pool (the path every
 	// concurrent consumer takes).
 	fsp := &failingStore{Store: newStore(t, 5), failRead: map[page.ID]bool{4: true}}
-	sp, err := NewRouter(fsp, testFactory, 2, 1)
+	sp, err := newShared(fsp, testFactory, 2, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,11 +453,11 @@ func TestMissReadFailureKeepsResidentPages(t *testing.T) {
 // placement).
 func TestRouterDeterministicRouting(t *testing.T) {
 	s := newStore(t, 32)
-	sp1, err := NewRouter(s, testFactory, 16, 4)
+	sp1, err := newShared(s, testFactory, 16, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp2, err := NewRouter(newStore(t, 32), testFactory, 16, 4)
+	sp2, err := newShared(newStore(t, 32), testFactory, 16, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,7 +165,7 @@ func TestTracingDisabledHitAllocFree(t *testing.T) {
 func TestRouterTracing(t *testing.T) {
 	const shards = 4
 	s := newStore(t, 64)
-	pool, err := NewRouter(s, func(capacity int) Policy { return newTestPolicy() }, 32, shards)
+	pool, err := newShared(s, func(capacity int) Policy { return newTestPolicy() }, 32, shards, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestRouterTracing(t *testing.T) {
 	}
 }
 
-// TestLockedEngineTracing checks the single-mutex wrapper: spans carry
+// TestLockedEngineTracing checks the one-shard shared pool: spans carry
 // shard 0 and the contention profiler counts every request acquisition.
 func TestLockedEngineTracing(t *testing.T) {
 	s := newStore(t, 8)
@@ -225,7 +225,7 @@ func TestLockedEngineTracing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := Lock(m)
+	sm := lockEngine(m)
 	tr := tracing.NewTracer(1, 1, 32)
 	sm.SetTracer(tr)
 	c := tracing.NewContention(1)
@@ -242,7 +242,7 @@ func TestLockedEngineTracing(t *testing.T) {
 	}
 	for _, trc := range traces {
 		if trc[0].Shard != 0 {
-			t.Fatalf("LockedEngine span on shard %d", trc[0].Shard)
+			t.Fatalf("locked pool span on shard %d", trc[0].Shard)
 		}
 	}
 	if c.Acquisitions(0) != 10 {
@@ -268,11 +268,10 @@ func TestLockedEngineTracing(t *testing.T) {
 func TestAsyncTracedMissIsolation(t *testing.T) {
 	const shards = 2
 	gs := &gatedStore{Store: newStore(t, 64), gate: make(chan struct{})}
-	r, err := NewRouter(gs, testFactoryFIFO, 2*shards, shards)
+	sp, err := newAsync(gs, testFactoryFIFO, 2*shards, shards, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := Async(r, 0, 0)
 	defer sp.Close()
 	tr := tracing.NewTracer(1, shards, 64)
 	sp.SetTracer(tr)
@@ -282,7 +281,7 @@ func TestAsyncTracedMissIsolation(t *testing.T) {
 	const shard = shards - 1
 	var ids []page.ID
 	for id := page.ID(1); len(ids) < 4; id++ {
-		if r.shardIndex(id) == shard {
+		if sp.shardFor(id) == sp.shards[shard] {
 			ids = append(ids, id)
 		}
 	}
@@ -475,7 +474,7 @@ func TestContendedLatchMeasuresWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	le := Lock(e)
+	le := lockEngine(e)
 	c := tracing.NewContention(1)
 	tr := tracing.NewTracer(1, 1, 8)
 	le.SetTracer(tr)

@@ -145,11 +145,10 @@ func (s *encodingStore) Write(p *page.Page) error {
 // check here, and under -race it is a reported race as well.
 func TestWritebackTakeCopiesPageMidWrite(t *testing.T) {
 	es := &encodingStore{Store: newStore(t, 8), entered: make(chan struct{})}
-	r, err := NewRouter(es, testFactory, 2, 1)
+	sp, err := newAsync(es, testFactory, 2, 1, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := Async(r, 1, 4)
 	ctx := AccessContext{}
 	const x = page.ID(1)
 	queued := testPage(x, 1)

@@ -34,7 +34,7 @@ import (
 // PolicyFactory constructs a fresh policy sized for a buffer of the
 // given capacity (in frames). It is buffer.PolicyFactory re-exported
 // under the registry that populates it: every Factory.New is one, and
-// buffer.NewRouter calls it once per shard with the shard's
+// a shared buffer.Pool calls it once per shard with the shard's
 // capacity so each shard gets a correctly scaled policy instance.
 type PolicyFactory = buffer.PolicyFactory
 

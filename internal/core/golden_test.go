@@ -2,8 +2,8 @@ package core_test
 
 // Committed golden digests of what the buffer reports about a fixed
 // replay: the ordered event stream of every named policy on a bare
-// engine and on a two-shard router, and the victim-select spans of every
-// policy on a bare engine with every request sampled. The reference
+// engine and on a two-shard shared pool, and the victim-select spans of
+// every policy on a bare engine with every request sampled. The reference
 // oracle (refpolicy_test.go) checks which pages a policy evicts; this
 // file pins what is said about each eviction — reason, criterion, rank,
 // shard — so a change to the reporting path shows up as a changed line

@@ -12,7 +12,7 @@ import (
 )
 
 // shardableFactories returns every standard policy factory plus FIFO, as
-// factories (the sharding layer needs one instance per shard).
+// factories (a shared pool needs one instance per shard).
 func shardableFactories() []core.Factory {
 	fs := core.StandardFactories()
 	fs = append(fs, core.Factory{Name: "FIFO", New: func(int) buffer.Policy { return core.NewFIFO() }})
@@ -74,8 +74,8 @@ func buildComposition(t *testing.T, spec string, s *storage.MemStore, f core.Fac
 	return p
 }
 
-// closePool closes compositions that hold background resources (the
-// async layer's write-back workers); the others have no Close.
+// closePool closes a shared pool, which stops an async pool's write-back
+// workers; a bare engine has no Close.
 func closePool(t *testing.T, p buffer.Pool) {
 	t.Helper()
 	if c, ok := p.(interface{ Close() error }); ok {
@@ -89,7 +89,7 @@ func closePool(t *testing.T, p buffer.Pool) {
 // multi-shard compositions — sharded and async — against the invariants
 // of the single-manager conformance suite: capacity respected, resident
 // pages always hit, hits+misses = requests, physical reads = misses
-// (single-threaded and read-only, so the async layer coalesces nothing),
+// (single-threaded and read-only, so the async pool coalesces nothing),
 // Clear cold-starts.
 func TestRouterConformance(t *testing.T) {
 	const numPages = 80
@@ -204,7 +204,7 @@ func TestRouterSingleShardMatchesEngine(t *testing.T) {
 
 // TestRouterConcurrentPolicies drives every standard policy inside
 // the concurrent compositions from several goroutines at once. Run under
-// -race this checks that the locking layer fully serializes policy
+// -race this checks that the shard latch fully serializes policy
 // state per shard; the final accounting checks no request was lost.
 func TestRouterConcurrentPolicies(t *testing.T) {
 	const numPages, capacity, workers, perWorker = 80, 16, 4, 1500

@@ -1,6 +1,6 @@
 package core_test
 
-// Tests of the lock layer's latch-free hit path (DESIGN.md §5c) under
+// Tests of the shared pool's latch-free hit path (DESIGN.md §5c) under
 // the real policies: what every shared composition must still add up to
 // when four goroutines race on it, and that deferring the bookkeeping of
 // hits changes nothing a shard's policy or sink can see.

@@ -88,7 +88,7 @@ func (s *Service) AddPoolGauges(pool buffer.Pool) {
 
 // AddContentionGauges registers shard-labeled lock-contention gauges fed
 // by a tracing.Contention profiler (attach the profiler to the pool with
-// Router.EnableContention or LockedEngine.EnableContention). Each
+// buffer.Shared.EnableContention). Each
 // shard exposes its cumulative lock-wait time, the instantaneous queue
 // depth on its lock, and its completed acquisitions — the aggregate view
 // of the per-request LockWait field of trace spans, answering "which

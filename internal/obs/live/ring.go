@@ -62,7 +62,7 @@ type slab struct {
 
 // AsyncSink is a fixed-capacity multi-producer, single-consumer ring
 // between event producers (the buffer manager and its policy, possibly
-// many goroutines behind a LockedEngine) and one downstream sink drained
+// many goroutines behind a buffer.Shared) and one downstream sink drained
 // by a dedicated goroutine. The ring moves slabs, not events: producers
 // append to the slab being filled under one short mutex — which puts all
 // producers' events in one total order, the order the drainer replays —

@@ -33,6 +33,16 @@ func newStore(t testing.TB, n int) *storage.MemStore {
 	return s
 }
 
+// lockedPool builds the locked layout over store, with pol its one policy.
+func lockedPool(t testing.TB, store storage.Store, pol buffer.Policy, frames int) buffer.Pool {
+	t.Helper()
+	pool, err := buffer.Composition{Layout: buffer.LayoutLocked}.Build(store, func(int) buffer.Policy { return pol }, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pool
+}
+
 // tally counts events by kind. Its callers are serialized by whoever
 // feeds it: a ring's one drainer, or a pool's latch.
 type tally struct {
@@ -136,7 +146,7 @@ func TestAsyncSinkDropAccountingUnderSaturation(t *testing.T) {
 }
 
 // TestLockedEngineWithAsyncRingSink is the satellite race test: several
-// goroutines drive one LockedEngine with the ring sink attached (run
+// goroutines drive one locked pool with the ring sink attached (run
 // under -race in CI). With a ring at least as large as the event volume
 // there must be no drops and the downstream counters must agree exactly
 // with the manager's stats.
@@ -146,11 +156,7 @@ func TestLockedEngineWithAsyncRingSink(t *testing.T) {
 
 	store := newStore(t, pages)
 	pol := core.NewASB(frames, core.DefaultASBOptions())
-	m, err := buffer.NewEngine(store, pol, frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm := buffer.Lock(m)
+	sm := lockedPool(t, store, pol, frames)
 
 	var down tally
 	// Capacity comfortably above the worst-case event volume (each

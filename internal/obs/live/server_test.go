@@ -26,11 +26,7 @@ import (
 // counter: the requests are the pool's to count.
 func feedService(t *testing.T, svc *live.Service) {
 	t.Helper()
-	e, err := buffer.NewEngine(newStore(t, 8), core.NewLRU(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := buffer.Lock(e)
+	pool := lockedPool(t, newStore(t, 8), core.NewLRU(), 8)
 	svc.AddPoolGauges(pool)
 	sink := svc.Sink()
 	lr, ok := sink.(obs.LatencyRecorder)
@@ -247,11 +243,7 @@ func TestAddGaugeReplaces(t *testing.T) {
 // request counter by fewer than 64 and never leads it.
 func TestLatencyCountTracksRequests(t *testing.T) {
 	svc := live.NewService()
-	e, err := buffer.NewEngine(newStore(t, 64), core.NewASB(16, core.DefaultASBOptions()), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := buffer.Lock(e)
+	pool := lockedPool(t, newStore(t, 64), core.NewASB(16, core.DefaultASBOptions()), 16)
 	svc.AddPoolGauges(pool)
 	pool.SetSink(svc.Sink())
 	for i := 0; i < 5000; i++ {
@@ -329,11 +321,7 @@ func (g gateSink) Request(e obs.RequestEvent) {
 func TestScrapeOfIdlePoolIsExact(t *testing.T) {
 	const workers, perWorker, hot, cold = 2, 20000, 8, 9
 	svc := live.NewService()
-	e, err := buffer.NewEngine(newStore(t, 64), core.NewLRU(), 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := buffer.Lock(e)
+	pool := lockedPool(t, newStore(t, 64), core.NewLRU(), 32)
 	gate := gateSink{requests: new(atomic.Uint64), page: cold, entered: make(chan struct{}), release: make(chan struct{})}
 	pool.SetSink(gate)
 	svc.AddPoolGauges(pool)

@@ -119,7 +119,7 @@ type AdaptEvent struct {
 // calls as hot-path: no locking beyond what the caller's concurrency
 // model requires, no retention of pointers into policy state (events are
 // self-contained values). A sink used with a concurrent composition
-// (buffer.LockedEngine and above) must be safe for concurrent use
+// (buffer.Shared) must be safe for concurrent use
 // (Counters is; the file-writing sinks are not).
 type Sink interface {
 	Request(e RequestEvent)

@@ -8,12 +8,10 @@ import (
 	"repro/internal/page"
 )
 
-// Reader supplies tree pages to queries. Every buffer.Pool composition
-// (Engine, LockedEngine, Router, AsyncPool) implements it, so queries
-// can be routed
-// through a buffer whose replacement policy is under study — including
-// a shared concurrent pool serving many query goroutines; StoreReader
-// bypasses buffering.
+// Reader supplies tree pages to queries. Every buffer.Pool (Engine,
+// Shared) implements it, so queries can be routed through a buffer whose
+// replacement policy is under study — including a shared concurrent pool
+// serving many query goroutines; StoreReader bypasses buffering.
 //
 // A page from Get (or a pool's Fix) carries one reference for the caller.
 // Search releases each node once it has scanned it, so a FileStore may
