@@ -3,6 +3,7 @@ package repro
 import (
 	"testing"
 
+	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/trace"
@@ -31,40 +32,14 @@ func BenchmarkPolicyReplay(b *testing.B) {
 		b.Run(f.Name, func(b *testing.B) {
 			b.ReportMetric(float64(tr.Len()), "refs/op")
 			for i := 0; i < b.N; i++ {
-				if _, err := trace.Replay(tr, db.Store, f.New(frames), frames); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkUpdateWorkload runs the mixed query/insert/delete workload
-// (the paper's future-work item 2) under each policy, reporting physical
-// reads + write-backs as the io/op metric.
-func BenchmarkUpdateWorkload(b *testing.B) {
-	factories := make([]core.Factory, 0, 4)
-	for _, n := range []string{"LRU", "LRU-2", "A", "ASB"} {
-		f, err := core.FactoryByName(n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		factories = append(factories, f)
-	}
-	mix := experiment.DefaultUpdateMix()
-	for _, f := range factories {
-		f := f
-		b.Run(f.Name, func(b *testing.B) {
-			var io uint64
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.RunUpdateWorkload(1, 12_000, 0.03,
-					[]core.Factory{f}, mix, 1)
+				m, err := buffer.NewEngine(db.Store, f.New(frames), frames)
 				if err != nil {
 					b.Fatal(err)
 				}
-				io = res[0].IO
+				if _, err := trace.ReplayOn(tr, m); err != nil {
+					b.Fatal(err)
+				}
 			}
-			b.ReportMetric(float64(io), "io/op")
 		})
 	}
 }

@@ -45,6 +45,9 @@ func declare(fs *flag.FlagSet) (*obs.ProfileFlags, func() error) {
 }
 
 func run(sel *cli.DB, frac float64, csvPath string, width, height int) error {
+	if err := sel.Parse(); err != nil {
+		return err
+	}
 	db, err := sel.Get()
 	if err != nil {
 		return err

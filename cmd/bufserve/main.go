@@ -101,7 +101,7 @@ func declare(fs *flag.FlagSet) (*obs.ProfileFlags, func() error) {
 	fs.StringVar(&cfg.policy, "policy", "ASB", "replacement policy: a registry name (LRU, ASB, ...) or a parameterized spec like LRU-K:4, SLRU:EA:0.25, SPATIAL:EM, ASB:A:0.3, PIN:2")
 	fs.Float64Var(&cfg.frac, "frac", experiment.LargestFrac, "buffer size as a fraction of the database")
 	fs.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "concurrent replay goroutines")
-	fs.StringVar(&cfg.pool, "pool", "async", "pool composition spec: layout[,shards=N][,wbworkers=N][,wbqueue=N] with layout bare|locked|sharded|async (shards=0 or omitted = one per CPU)")
+	fs.StringVar(&cfg.pool, "pool", "async", "pool composition spec: layout[,shards=N][,wbworkers=N] with layout bare|locked|sharded|async (shards=0 or omitted = one per CPU)")
 	fs.DurationVar(&cfg.duration, "duration", 0, "stop after this long (0 = run until signalled)")
 	fs.IntVar(&cfg.loops, "loops", 0, "trace replays per worker (0 = unbounded)")
 	fs.IntVar(&cfg.rate, "rate", 0, "approximate total requests/second across workers (0 = unthrottled)")
@@ -122,6 +122,23 @@ func run(cfg *config) error {
 	}
 	if !(cfg.frac > 0) || math.IsInf(cfg.frac, 0) {
 		return fmt.Errorf("bad -frac value %v (want a number > 0)", cfg.frac)
+	}
+	if cfg.duration < 0 {
+		return fmt.Errorf("bad -duration value %v (want a duration ≥ 0)", cfg.duration)
+	}
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{
+		{"loops", cfg.loops, 0}, {"rate", cfg.rate, 0}, {"trace-sample", cfg.traceSample, 0},
+		{"ring", cfg.ring, 0}, {"trace-buf", cfg.traceBuf, 1}, {"sample", cfg.sample, 1},
+	} {
+		if f.val < f.min {
+			return fmt.Errorf("bad -%s value %d (want an integer ≥ %d)", f.name, f.val, f.min)
+		}
+	}
+	if err := cfg.db.Parse(); err != nil {
+		return err
 	}
 	if err := cfg.shadow.Parse(); err != nil {
 		return err

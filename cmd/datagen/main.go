@@ -33,6 +33,9 @@ func declare(fs *flag.FlagSet) (*obs.ProfileFlags, func() error) {
 }
 
 func run(sel *cli.DB, out, sets string, queries int) error {
+	if err := sel.Parse(); err != nil {
+		return err
+	}
 	db, err := sel.Get()
 	if err != nil {
 		return err

@@ -40,6 +40,15 @@ func (d *DB) Register(fs *flag.FlagSet, dbUsage, objectsUsage string) {
 	fs.Int64Var(&d.Seed, "seed", 1, "generation seed")
 }
 
+// Parse validates the group after flag parsing; call it before any
+// expensive work so that a bad -objects fails the command up front.
+func (d *DB) Parse() error {
+	if d.Objects < 0 {
+		return fmt.Errorf("bad -objects value %d (want an integer ≥ 0)", d.Objects)
+	}
+	return nil
+}
+
 // Options returns the experiment options the group selects.
 func (d *DB) Options() experiment.Options {
 	return experiment.Options{Objects: d.Objects, Seed: d.Seed}
@@ -77,9 +86,9 @@ func Floats(name, s string) ([]float64, error) {
 	return out, nil
 }
 
-// FormatFloats renders numbers in the form Floats reads back; flag
+// formatFloats renders numbers in the form Floats reads back; flag
 // defaults that are lists (shadow.DefaultLadder) go through it.
-func FormatFloats(vs []float64) string {
+func formatFloats(vs []float64) string {
 	parts := make([]string, len(vs))
 	for i, v := range vs {
 		parts[i] = strconv.FormatFloat(v, 'g', -1, 64)
@@ -105,7 +114,7 @@ type Shadow struct {
 func (s *Shadow) Register(fs *flag.FlagSet) {
 	fs.StringVar(&s.Policies, "shadow", strings.Join(shadow.DefaultPolicies(), ","),
 		"comma-separated what-if policies (names or parameterized specs like LRU-K:4) simulated by shadow caches at the real capacity (empty disables shadow profiling)")
-	fs.StringVar(&s.Ladder, "shadow-ladder", FormatFloats(shadow.DefaultLadder()),
+	fs.StringVar(&s.Ladder, "shadow-ladder", formatFloats(shadow.DefaultLadder()),
 		"capacity multipliers the real policy is shadow-simulated at (the online miss-ratio curve)")
 	fs.IntVar(&s.Sample, "shadow-sample", 1, "feed the shadow bank 1 in N request events")
 }
@@ -113,6 +122,9 @@ func (s *Shadow) Register(fs *flag.FlagSet) {
 // Parse validates the group after flag parsing; call it before any
 // expensive work so a bad ladder fails the command up front.
 func (s *Shadow) Parse() (err error) {
+	if s.Sample < 1 {
+		return fmt.Errorf("bad -shadow-sample value %d (want an integer ≥ 1)", s.Sample)
+	}
 	s.policies = Split(s.Policies)
 	s.ladder, err = Floats("shadow-ladder", s.Ladder)
 	return err

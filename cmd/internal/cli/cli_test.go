@@ -75,20 +75,20 @@ func TestFloats(t *testing.T) {
 
 func TestFormatFloatsRoundTrips(t *testing.T) {
 	for _, vs := range [][]float64{nil, {1}, shadow.DefaultLadder(), {0.003, 0.006, 0.012, 0.024, 0.047}, {1e-9, 12345678.5}} {
-		s := FormatFloats(vs)
+		s := formatFloats(vs)
 		back, err := Floats("x", s)
 		if err != nil || !reflect.DeepEqual(back, vs) {
-			t.Errorf("Floats(FormatFloats(%v) = %q) = %v, %v", vs, s, back, err)
+			t.Errorf("Floats(formatFloats(%v) = %q) = %v, %v", vs, s, back, err)
 		}
 	}
-	if got := FormatFloats(shadow.DefaultLadder()); got != "0.5,1,2,4" {
+	if got := formatFloats(shadow.DefaultLadder()); got != "0.5,1,2,4" {
 		t.Errorf("default ladder renders as %q", got)
 	}
 }
 
 // TestShadowGroup: the group's three flags parse into a bank of the
-// expected ghost caches, a bad ladder is rejected by Parse, and an empty
-// -shadow disables the group.
+// expected ghost caches, a bad ladder or sample rate is rejected by
+// Parse, and an empty -shadow disables the group.
 func TestShadowGroup(t *testing.T) {
 	parse := func(args ...string) (*Shadow, error) {
 		var s Shadow
@@ -113,6 +113,11 @@ func TestShadowGroup(t *testing.T) {
 	}
 	if s, err := parse("-shadow", " , "); err != nil || s.Enabled() {
 		t.Errorf("blank -shadow: enabled %v, err %v", s.Enabled(), err)
+	}
+	for _, n := range []string{"0", "-3"} {
+		if _, err := parse("-shadow-sample", n); err == nil || !strings.Contains(err.Error(), "-shadow-sample") {
+			t.Errorf("-shadow-sample %s: err = %v, want one naming the flag", n, err)
+		}
 	}
 	for _, ladder := range []string{"1,zwei", "1,0", "-2"} {
 		if _, err := parse("-shadow-ladder", ladder); err == nil || !strings.Contains(err.Error(), "-shadow-ladder") {
@@ -206,6 +211,12 @@ func TestDBGroup(t *testing.T) {
 	}
 	if _, err := (&DB{Num: 3}).Get(); err == nil {
 		t.Error("database 3 should not exist")
+	}
+	if err := d.Parse(); err != nil {
+		t.Errorf("Parse(%+v): %v", d, err)
+	}
+	if err := (&DB{Num: 1, Objects: -1}).Parse(); err == nil || !strings.Contains(err.Error(), "-objects") {
+		t.Errorf("-objects -1: err = %v, want one naming the flag", err)
 	}
 }
 

@@ -90,7 +90,7 @@ func declare(fs *flag.FlagSet) (*obs.ProfileFlags, func() error) {
 	fs.StringVar(&cfg.events, "events", "", "with -sets: write the sweep's event stream as JSONL to this file")
 	fs.IntVar(&cfg.window, "window", 0, "with -sets: print hit ratios over windows of N requests")
 	fs.StringVar(&cfg.ctraj, "ctraj", "", "run the Fig. 14 adaptation workload and write the c-trajectory CSV to this file")
-	fs.StringVar(&cfg.pool, "pool", "bare", "with -events/-window: pool composition spec for instrumented replays, layout[,shards=N][,wbworkers=N][,wbqueue=N] with layout bare|locked|sharded|async (per-shard policy instances when sharded)")
+	fs.StringVar(&cfg.pool, "pool", "bare", "with -events/-window: pool composition spec for instrumented replays, layout[,shards=N][,wbworkers=N] with layout bare|locked|sharded|async (per-shard policy instances when sharded)")
 	fs.StringVar(&cfg.traceOut, "trace-out", "", "write request span traces as Chrome trace-event JSON to this file")
 	fs.IntVar(&cfg.traceSample, "trace-sample", 1024, "with -trace-out: trace 1 in N buffer requests")
 	cfg.prof.Register(fs)
@@ -114,6 +114,12 @@ func run(cfg *config) error {
 	}
 	if cfg.window < 0 {
 		return fmt.Errorf("-window %d: want a number of requests ≥ 0", cfg.window)
+	}
+	if cfg.traceSample < 1 {
+		return fmt.Errorf("bad -trace-sample value %d (want an integer ≥ 1)", cfg.traceSample)
+	}
+	if err := cfg.db.Parse(); err != nil {
+		return err
 	}
 	if cfg.sets == "" && (cfg.window > 0 || cfg.events != "") {
 		return fmt.Errorf("-window and -events act on ad-hoc sweeps only: give -sets")
@@ -139,13 +145,9 @@ func run(cfg *config) error {
 
 	var tracer *tracing.Tracer
 	if cfg.traceOut != "" {
-		sample := cfg.traceSample
-		if sample < 1 {
-			sample = 1
-		}
 		// Offline runs keep a deep ring: the file is written once at the
 		// end, so retention is the only thing bounding what it can show.
-		tracer = tracing.NewTracer(sample, comp.ShardCount(), 4096)
+		tracer = tracing.NewTracer(cfg.traceSample, comp.ShardCount(), 4096)
 		experiment.SetTracer(tracer)
 		defer experiment.SetTracer(nil)
 	}

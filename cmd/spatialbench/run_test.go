@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// TestRunRejectsIgnoredFlags: a negative -window, and -window or -events
-// without the -sets they act on, fail run with an error naming the flag,
-// before any database is built — the unknown -db 3 would fail it
-// otherwise.
+// TestRunRejectsIgnoredFlags: a negative -window or -objects, a
+// -trace-sample below one, and -window or -events without the -sets they
+// act on, fail run with an error naming the flag, before any database is
+// built — the unknown -db 3 would fail it otherwise.
 func TestRunRejectsIgnoredFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -18,6 +18,8 @@ func TestRunRejectsIgnoredFlags(t *testing.T) {
 		{[]string{"-sets", "U-P", "-window", "-1"}, "-window"},
 		{[]string{"-ctraj", "c.csv", "-window", "100"}, "-window"},
 		{[]string{"-ctraj", "c.csv", "-events", "e.jsonl"}, "-events"},
+		{[]string{"-sets", "U-P", "-trace-sample", "0"}, "-trace-sample"},
+		{[]string{"-sets", "U-P", "-objects", "-5"}, "-objects"},
 	} {
 		fs := flag.NewFlagSet("spatialbench", flag.ContinueOnError)
 		_, run := declare(fs)

@@ -58,6 +58,9 @@ func declare(fs *flag.FlagSet) (*obs.ProfileFlags, func() error) {
 }
 
 func run(sel *cli.DB, setName string, queries int, dumpRefs bool, mrc, mrcPols, mrcCaps string) error {
+	if err := sel.Parse(); err != nil {
+		return err
+	}
 	pols := cli.Split(mrcPols)
 	if len(pols) == 0 {
 		return fmt.Errorf("-mrc-policies is empty")

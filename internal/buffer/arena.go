@@ -12,7 +12,7 @@ package buffer
 // never *Frame, and every frame access (policy callbacks, write-back
 // enqueue) happens under the shard's lock before the frame is freed.
 //
-// An arena frame carries its own slot index (ArenaIndex), which the
+// An arena frame carries its own slot index (arenaIndex), which the
 // tracing layer reports on victim-select spans. Frames constructed
 // outside an arena (tests drive policies with hand-made frames) report
 // index -1 and are ignored by Free, so policies never need to know where
@@ -28,7 +28,7 @@ func NewArena(capacity int) *Arena {
 		frames: make([]Frame, capacity),
 		free:   make([]int32, 0, capacity),
 	}
-	a.Reset()
+	a.reset()
 	return a
 }
 
@@ -64,10 +64,10 @@ func (a *Arena) Free(f *Frame) {
 	a.free = append(a.free, i)
 }
 
-// Reset scrubs every frame and rebuilds the free-list (all frames free).
+// reset scrubs every frame and rebuilds the free-list (all frames free).
 // Slot 0 is allocated first, so a cleared manager refills its arena in
 // deterministic order.
-func (a *Arena) Reset() {
+func (a *Arena) reset() {
 	for i := range a.frames {
 		a.frames[i] = Frame{arena: int32(i) + 1, Slot: -1}
 	}

@@ -38,8 +38,8 @@ func TestArenaAllocFreeRecycle(t *testing.T) {
 	if live(a) != 3 {
 		t.Fatalf("live = %d", live(a))
 	}
-	if f0.ArenaIndex() != 0 || f1.ArenaIndex() != 1 || f2.ArenaIndex() != 2 {
-		t.Fatalf("slot order: %d %d %d", f0.ArenaIndex(), f1.ArenaIndex(), f2.ArenaIndex())
+	if f0.arenaIndex() != 0 || f1.arenaIndex() != 1 || f2.arenaIndex() != 2 {
+		t.Fatalf("slot order: %d %d %d", f0.arenaIndex(), f1.arenaIndex(), f2.arenaIndex())
 	}
 
 	// Dirty a frame, free it, and check the next alloc of the slot is
@@ -60,8 +60,8 @@ func TestArenaAllocFreeRecycle(t *testing.T) {
 	if g.Meta.ID != 0 || g.Dirty || g.Tag != 0 || g.Crit != 0 || g.Pinned() {
 		t.Fatalf("recycled frame not scrubbed: %+v", g)
 	}
-	if g.ArenaIndex() != 1 {
-		t.Fatalf("recycled frame lost its slot: %d", g.ArenaIndex())
+	if g.arenaIndex() != 1 {
+		t.Fatalf("recycled frame lost its slot: %d", g.arenaIndex())
 	}
 }
 
@@ -71,8 +71,8 @@ func TestArenaIgnoresForeignFrames(t *testing.T) {
 
 	// Hand-made frames report -1 and are ignored by Free.
 	hand := &Frame{Meta: page.Meta{ID: 9}}
-	if hand.ArenaIndex() != -1 {
-		t.Fatalf("hand-made ArenaIndex = %d", hand.ArenaIndex())
+	if hand.arenaIndex() != -1 {
+		t.Fatalf("hand-made arenaIndex = %d", hand.arenaIndex())
 	}
 	a.Free(hand)
 	a.Free(nil)
@@ -97,15 +97,15 @@ func TestArenaReset(t *testing.T) {
 		f := a.Alloc()
 		f.Meta.ID = page.ID(i + 1)
 	}
-	a.Reset()
+	a.reset()
 	if live(a) != 0 {
 		t.Fatalf("live after reset = %d", live(a))
 	}
 	// Deterministic refill order: slot 0 first.
 	for i := 0; i < 4; i++ {
 		f := a.Alloc()
-		if f == nil || f.ArenaIndex() != int32(i) {
-			t.Fatalf("post-reset alloc %d returned slot %v", i, f.ArenaIndex())
+		if f == nil || f.arenaIndex() != int32(i) {
+			t.Fatalf("post-reset alloc %d returned slot %v", i, f.arenaIndex())
 		}
 		if f.Meta.ID != 0 {
 			t.Fatalf("post-reset frame not scrubbed: %+v", f)

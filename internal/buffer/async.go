@@ -193,7 +193,7 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 		// the lock, so the close happens-before any waiter's field read
 		// and a failed read leaves no residue for later misses. Waiters
 		// get the resolved bytes even when only admission failed
-		// (ErrAllPinned is the leader's error, not theirs). No channel
+		// (errAllPinned is the leader's error, not theirs). No channel
 		// means no waiter ever found the entry: it becomes a spare.
 		delete(s.flight, id)
 		if fl.done != nil {

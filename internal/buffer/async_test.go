@@ -1,10 +1,10 @@
 package buffer
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/geom"
-	"repro/internal/obs"
 	"repro/internal/page"
 	"repro/internal/storage"
 )
@@ -245,8 +244,7 @@ func TestAsyncSingleShardSeedEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seedLog bytes.Buffer
-	seedSink := obs.NewJSONLSink(&seedLog)
+	seedSink := &recordingSink{}
 	seed.SetSink(seedSink)
 
 	asyncStore := newStore(t, numPages)
@@ -255,8 +253,7 @@ func TestAsyncSingleShardSeedEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sp.Close()
-	var asyncLog bytes.Buffer
-	asyncSink := obs.NewJSONLSink(&asyncLog)
+	asyncSink := &recordingSink{}
 	sp.SetSink(asyncSink)
 
 	// A deterministic LCG reference string with rereference locality.
@@ -288,13 +285,7 @@ func TestAsyncSingleShardSeedEquivalence(t *testing.T) {
 			t.Fatalf("resident sets diverge at %d: %d vs %d", i, seedIDs[i], asyncIDs[i])
 		}
 	}
-	if err := seedSink.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := asyncSink.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(seedLog.Bytes(), asyncLog.Bytes()) {
+	if !reflect.DeepEqual(seedSink, asyncSink) {
 		t.Error("event streams diverge between seed Engine and 1-shard async pool")
 	}
 }

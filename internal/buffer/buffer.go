@@ -38,9 +38,9 @@ import (
 	"repro/internal/page"
 )
 
-// ErrAllPinned is returned when a miss cannot evict because every frame is
+// errAllPinned is returned when a miss cannot evict because every frame is
 // pinned.
-var ErrAllPinned = errors.New("buffer: all frames pinned")
+var errAllPinned = errors.New("buffer: all frames pinned")
 
 // AccessContext describes one page request and travels with it through
 // the pool, every engine step and every policy callback. QueryID
@@ -140,9 +140,9 @@ type Frame struct {
 // evictable.
 func (f *Frame) Pinned() bool { return f.pins > 0 }
 
-// ArenaIndex returns the frame's slot in its engine's arena, or -1 for
+// arenaIndex returns the frame's slot in its engine's arena, or -1 for
 // frames constructed outside an arena (hand-made test frames).
-func (f *Frame) ArenaIndex() int32 { return f.arena - 1 }
+func (f *Frame) arenaIndex() int32 { return f.arena - 1 }
 
 // Choice is a policy's answer to Victim, returned by value: the frame it
 // picked and why (the strings hold constants). The engine fills the
@@ -173,7 +173,7 @@ type Choice struct {
 // The engine guarantees: OnAdmit is called exactly once per residence of a
 // page; OnHit only for admitted frames; Victim only when at least one frame
 // exists; OnEvict exactly once for the frame most recently returned by
-// Victim (a nil Choice.Frame the engine surfaces as ErrAllPinned).
+// Victim (a nil Choice.Frame the engine surfaces as errAllPinned).
 //
 // Reporting is the engine's: the Choice fills the victim-select span of a
 // sampled request, and the eviction's one obs.EvictionEvent follows
@@ -198,10 +198,10 @@ type Policy interface {
 	Reset()
 }
 
-// Updater is an optional Policy extension for policies that cache
+// updater is an optional Policy extension for policies that cache
 // page-derived state (e.g. spatial criteria): OnUpdate is invoked instead
 // of OnHit when a resident page's content changes via Put.
-type Updater interface {
+type updater interface {
 	OnUpdate(f *Frame, now uint64, ctx AccessContext)
 }
 

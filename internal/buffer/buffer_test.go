@@ -224,8 +224,8 @@ func TestAllPinned(t *testing.T) {
 	if _, err := m.Fix(2, ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Get(3, ctx); !errors.Is(err, ErrAllPinned) {
-		t.Errorf("err = %v, want ErrAllPinned", err)
+	if _, err := m.Get(3, ctx); !errors.Is(err, errAllPinned) {
+		t.Errorf("err = %v, want errAllPinned", err)
 	}
 }
 

@@ -18,8 +18,8 @@ type Layout string
 // singleflight miss I/O outside the shard latch).
 const (
 	LayoutBare    Layout = "bare"
-	LayoutLocked  Layout = "locked"
-	LayoutSharded Layout = "sharded"
+	layoutLocked  Layout = "locked"
+	layoutSharded Layout = "sharded"
 	LayoutAsync   Layout = "async"
 )
 
@@ -34,12 +34,10 @@ type Composition struct {
 	// means one shard per available CPU (GOMAXPROCS). Ignored (and
 	// rejected by ParseComposition) for bare and locked layouts.
 	Shards int
-	// WritebackWorkers and WritebackQueue tune the async layout's
-	// background write-back; zero selects DefaultWritebackWorkers and
-	// DefaultWritebackQueue. Rejected by ParseComposition for other
-	// layouts.
+	// WritebackWorkers is the async layout's number of background
+	// writers; zero selects defaultWritebackWorkers. Rejected by
+	// ParseComposition for other layouts.
 	WritebackWorkers int
-	WritebackQueue   int
 }
 
 // The largest numbers a spec may give: each is allocated or started up
@@ -47,12 +45,10 @@ type Composition struct {
 // database), so a typo must fail here. A shard is an engine, a latch, a
 // hit ring, a trace ring and a contention slot — 1024 is far above any core
 // count a latch per shard pays off at; a write-back worker is a goroutine,
-// useless beyond the store's own concurrency; the queue is a channel of
-// page IDs made at full size — 8 MiB, more pages than any buffer here has.
+// useless beyond the store's own concurrency.
 const (
 	maxShards           = 1024
 	maxWritebackWorkers = 256
-	maxWritebackQueue   = 1 << 20
 )
 
 // ParseComposition parses a pool composition spec of the form
@@ -60,17 +56,16 @@ const (
 //	layout[,key=value]...
 //
 // where layout is one of "bare", "locked", "sharded" or "async" and the
-// keys are "shards" (sharded/async only), "wbworkers" and "wbqueue"
-// (async only). Examples: "locked", "sharded,shards=4",
-// "async,shards=8,wbworkers=2,wbqueue=256". Layout and keys are
-// case-insensitive; "shards=0" means one shard per CPU. A key given twice
-// and values above maxShards, maxWritebackWorkers and maxWritebackQueue
-// are rejected.
+// keys are "shards" (sharded/async only) and "wbworkers" (async only).
+// Examples: "locked", "sharded,shards=4", "async,shards=8,wbworkers=2".
+// Layout and keys are case-insensitive; "shards=0" means one shard per
+// CPU. A key given twice and values above maxShards and
+// maxWritebackWorkers are rejected.
 func ParseComposition(spec string) (Composition, error) {
 	parts := strings.Split(spec, ",")
 	var c Composition
 	switch l := Layout(strings.ToLower(strings.TrimSpace(parts[0]))); l {
-	case LayoutBare, LayoutLocked, LayoutSharded, LayoutAsync:
+	case LayoutBare, layoutLocked, layoutSharded, LayoutAsync:
 		c.Layout = l
 	case "":
 		return Composition{}, fmt.Errorf("buffer: empty pool composition spec")
@@ -95,7 +90,7 @@ func ParseComposition(spec string) (Composition, error) {
 		var limit int
 		switch key {
 		case "shards":
-			if c.Layout != LayoutSharded && c.Layout != LayoutAsync {
+			if c.Layout != layoutSharded && c.Layout != LayoutAsync {
 				return Composition{}, fmt.Errorf("buffer: shards= applies to sharded and async layouts, not %q", c.Layout)
 			}
 			c.Shards, limit = n, maxShards
@@ -104,11 +99,6 @@ func ParseComposition(spec string) (Composition, error) {
 				return Composition{}, fmt.Errorf("buffer: wbworkers= applies to the async layout, not %q", c.Layout)
 			}
 			c.WritebackWorkers, limit = n, maxWritebackWorkers
-		case "wbqueue":
-			if c.Layout != LayoutAsync {
-				return Composition{}, fmt.Errorf("buffer: wbqueue= applies to the async layout, not %q", c.Layout)
-			}
-			c.WritebackQueue, limit = n, maxWritebackQueue
 		default:
 			return Composition{}, fmt.Errorf("buffer: unknown pool composition parameter %q", key)
 		}
@@ -124,16 +114,11 @@ func ParseComposition(spec string) (Composition, error) {
 func (c Composition) String() string {
 	var b strings.Builder
 	b.WriteString(string(c.Layout))
-	if (c.Layout == LayoutSharded || c.Layout == LayoutAsync) && c.Shards > 0 {
+	if (c.Layout == layoutSharded || c.Layout == LayoutAsync) && c.Shards > 0 {
 		fmt.Fprintf(&b, ",shards=%d", c.Shards)
 	}
-	if c.Layout == LayoutAsync {
-		if c.WritebackWorkers > 0 {
-			fmt.Fprintf(&b, ",wbworkers=%d", c.WritebackWorkers)
-		}
-		if c.WritebackQueue > 0 {
-			fmt.Fprintf(&b, ",wbqueue=%d", c.WritebackQueue)
-		}
+	if c.Layout == LayoutAsync && c.WritebackWorkers > 0 {
+		fmt.Fprintf(&b, ",wbworkers=%d", c.WritebackWorkers)
 	}
 	return b.String()
 }
@@ -145,7 +130,7 @@ func (c Composition) String() string {
 // buffer; the commands size their tracer's rings by it before the pool
 // exists (a clamped pool leaves the trailing rings empty).
 func (c Composition) ShardCount() int {
-	if c.Layout != LayoutSharded && c.Layout != LayoutAsync {
+	if c.Layout != layoutSharded && c.Layout != LayoutAsync {
 		return 1
 	}
 	if c.Shards > 0 {
@@ -177,9 +162,9 @@ func (c Composition) Build(store storage.Store, factory PolicyFactory, capacity 
 			return nil, err
 		}
 		return e, nil
-	case LayoutLocked, LayoutSharded:
+	case layoutLocked, layoutSharded:
 	case LayoutAsync:
-		wb = newWriteback(store, c.WritebackWorkers, c.WritebackQueue)
+		wb = newWriteback(store, c.WritebackWorkers, defaultWritebackQueue)
 	default:
 		return nil, fmt.Errorf("buffer: unknown pool layout %q", c.Layout)
 	}

@@ -21,14 +21,14 @@ func TestParseComposition(t *testing.T) {
 		shards int
 	}{
 		{"bare", Composition{Layout: LayoutBare}, 1},
-		{"locked", Composition{Layout: LayoutLocked}, 1},
-		{"sharded", Composition{Layout: LayoutSharded}, 0},
-		{"sharded,shards=4", Composition{Layout: LayoutSharded, Shards: 4}, 4},
+		{"locked", Composition{Layout: layoutLocked}, 1},
+		{"sharded", Composition{Layout: layoutSharded}, 0},
+		{"sharded,shards=4", Composition{Layout: layoutSharded, Shards: 4}, 4},
 		{"async", Composition{Layout: LayoutAsync}, 0},
-		{"async,shards=8,wbworkers=2,wbqueue=256", Composition{Layout: LayoutAsync, Shards: 8, WritebackWorkers: 2, WritebackQueue: 256}, 8},
+		{"async,shards=8,wbworkers=2", Composition{Layout: LayoutAsync, Shards: 8, WritebackWorkers: 2}, 8},
 		{" Async , Shards=2 ", Composition{Layout: LayoutAsync, Shards: 2}, 2},
-		{"sharded,shards=0", Composition{Layout: LayoutSharded}, 0},
-		{"async,shards=1024,wbworkers=256,wbqueue=1048576", Composition{Layout: LayoutAsync, Shards: maxShards, WritebackWorkers: maxWritebackWorkers, WritebackQueue: maxWritebackQueue}, maxShards},
+		{"sharded,shards=0", Composition{Layout: layoutSharded}, 0},
+		{"async,shards=1024,wbworkers=256", Composition{Layout: LayoutAsync, Shards: maxShards, WritebackWorkers: maxWritebackWorkers}, maxShards},
 	}
 	for _, c := range cases {
 		got, err := ParseComposition(c.spec)
@@ -64,6 +64,8 @@ func TestParseComposition(t *testing.T) {
 		"async,wbworkers=257",
 		"async,wbqueue=2000000000",
 		"async,wbqueue=1048577",
+		"async,shards=8,wbworkers=2,wbqueue=256",
+		"async,shards=1024,wbworkers=256,wbqueue=1048576",
 		"async,shards=2,shards=8",
 		"async,wbworkers=1,wbworkers=2",
 		"sharded,shards=2,SHARDS=4",
@@ -78,7 +80,7 @@ func TestParseComposition(t *testing.T) {
 func TestCompositionStringRoundTrip(t *testing.T) {
 	for _, spec := range []string{
 		"bare", "locked", "sharded", "sharded,shards=4",
-		"async", "async,shards=8", "async,shards=8,wbworkers=2,wbqueue=256",
+		"async", "async,shards=8", "async,shards=8,wbworkers=2",
 	} {
 		c, err := ParseComposition(spec)
 		if err != nil {
@@ -106,14 +108,15 @@ func FuzzParseComposition(f *testing.F) {
 	for _, spec := range []string{
 		// TestParseComposition's good and bad specs.
 		"bare", "locked", "sharded", "sharded,shards=4", "async",
-		"async,shards=8,wbworkers=2,wbqueue=256", " Async , Shards=2 ", "sharded,shards=0",
+		"async,shards=8,wbworkers=2", " Async , Shards=2 ", "sharded,shards=0",
 		"", "turbo", "bare,shards=2", "locked,shards=2", "sharded,wbworkers=2",
+		"async,shards=8,wbworkers=2,wbqueue=256",
 		"sharded,shards", "sharded,shards=-1", "sharded,shards=two", "async,wbunknown=1",
 		// The pool specs of the six workloads in bench/workload.go.
 		"sharded,shards=2", "async,shards=2", "async,shards=2,wbworkers=1",
 		// Numbers that used to be accepted and allocated before any request.
 		"async,shards=2000000000", "async,wbworkers=2000000000", "async,wbqueue=2000000000",
-		"async,shards=1024,wbworkers=256,wbqueue=1048576", "sharded,shards=1025",
+		"async,shards=1024,wbworkers=256", "sharded,shards=1025",
 	} {
 		f.Add(spec)
 	}
@@ -122,7 +125,7 @@ func FuzzParseComposition(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if n := c.ShardCount(); n < 1 || n > maxShards || c.WritebackWorkers > maxWritebackWorkers || c.WritebackQueue > maxWritebackQueue {
+		if n := c.ShardCount(); n < 1 || n > maxShards || c.WritebackWorkers > maxWritebackWorkers {
 			t.Errorf("ParseComposition(%q) accepted %+v with %d shards", spec, c, n)
 		}
 		again, err := ParseComposition(c.String())
@@ -162,7 +165,7 @@ func TestCompositionBuildTypes(t *testing.T) {
 	}
 
 	// Defaulted shard count: one per CPU, clamped by capacity.
-	comp := Composition{Layout: LayoutSharded}
+	comp := Composition{Layout: layoutSharded}
 	pool, err := comp.Build(newStore(t, 16), testFactoryFIFO, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -451,13 +454,20 @@ func contains(p Pool, id page.ID) (ok bool) {
 // flight table) with no request lost.
 func TestCompositionConcurrentSmoke(t *testing.T) {
 	const numPages, capacity, workers, perWorker = 60, 12, 4, 800
-	for _, spec := range []string{"locked", "sharded,shards=4", "async,shards=4", "async,shards=4,wbworkers=1,wbqueue=4"} {
+	// The last layout has a four-page write-back queue, so that dirty
+	// evictions also take the full-queue fallback; no spec sets the
+	// queue, so it is built by hand.
+	const smallQueue = "async,shards=4,wbworkers=1,wbqueue=4"
+	for _, spec := range []string{"locked", "sharded,shards=4", "async,shards=4", smallQueue} {
 		t.Run(spec, func(t *testing.T) {
+			store := newStore(t, numPages)
+			var pool Pool
 			comp, err := ParseComposition(spec)
-			if err != nil {
-				t.Fatal(err)
+			if spec == smallQueue {
+				pool, err = newAsync(store, testFactoryFIFO, capacity, 4, 1, 4)
+			} else if err == nil {
+				pool, err = comp.Build(store, testFactoryFIFO, capacity)
 			}
-			pool, err := comp.Build(newStore(t, numPages), testFactoryFIFO, capacity)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -130,12 +130,6 @@ func (e *Engine) SetTracer(t *tracing.Tracer) {
 	e.pendingLockWait = 0
 }
 
-// Tracer returns the attached tracer, or nil when tracing is disabled.
-func (e *Engine) Tracer() *tracing.Tracer { return e.tracer }
-
-// Capacity returns the buffer capacity in frames.
-func (e *Engine) Capacity() int { return e.capacity }
-
 // Len returns the number of resident pages.
 func (e *Engine) Len() int { return e.frames.n }
 
@@ -456,12 +450,12 @@ func (e *Engine) evictOne(ctx AccessContext) error {
 		sp.Rank, sp.Slot = int32(c.Rank), -1
 		sp.Err = v == nil // every frame pinned
 		if v != nil {
-			sp.Page, sp.Slot = v.Meta.ID, v.ArenaIndex()
+			sp.Page, sp.Slot = v.Meta.ID, v.arenaIndex()
 		}
 		a.End(span)
 	}
 	if v == nil {
-		return ErrAllPinned
+		return errAllPinned
 	}
 	if v.Pinned() {
 		return fmt.Errorf("buffer: policy %s returned pinned victim %d", e.policy.Name(), v.Meta.ID)
@@ -576,7 +570,7 @@ func (e *Engine) put(p *page.Page, ctx AccessContext) error {
 		f.Dirty = true
 		e.frames.put(f)
 		drop(e.recycler, old, p) // once the frame table shows p
-		if u, ok := e.policy.(Updater); ok {
+		if u, ok := e.policy.(updater); ok {
 			u.OnUpdate(f, now, ctx)
 		} else {
 			e.policy.OnHit(f, now, ctx)
@@ -641,7 +635,7 @@ func (e *Engine) Clear() error {
 	// Reset the policy while the frame links are still intact (its Clear
 	// walks them), then scrub and refill the arena.
 	e.policy.Reset()
-	e.arena.Reset()
+	e.arena.reset()
 	e.clock = 0
 	e.stats = Stats{}
 	return nil

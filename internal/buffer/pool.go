@@ -55,7 +55,7 @@ type Pool interface {
 	// shard's serialization — on a shared pool its latch, taken after the
 	// hits served latch-free have been replayed — so whatever f reads of
 	// the engine, its frames and its policy (Stats, Len, Contains,
-	// ResidentIDs, Capacity, Policy and the policy's own accessors) is one
+	// ResidentIDs, Policy and the policy's own accessors) is one
 	// consistent state. f is for reading: it must not call the pool, which
 	// would wait for the latch f runs under, and must not keep the engine
 	// or its policy past its return.

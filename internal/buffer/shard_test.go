@@ -180,10 +180,10 @@ func TestRouterShardStatsMerge(t *testing.T) {
 	capSum := 0
 	for i := 0; i < sp.Shards(); i++ {
 		sp.View(i, func(e *Engine) {
-			if e.Capacity() < 1 {
-				t.Fatalf("shard %d has capacity %d", i, e.Capacity())
+			if e.capacity < 1 {
+				t.Fatalf("shard %d has capacity %d", i, e.capacity)
 			}
-			capSum += e.Capacity()
+			capSum += e.capacity
 		})
 	}
 	if capSum != capacity {

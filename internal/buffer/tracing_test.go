@@ -121,8 +121,8 @@ func TestEngineDetachTracer(t *testing.T) {
 	if got := len(tr.Traces(0)); got != 0 {
 		t.Fatalf("detached tracer recorded %d traces", got)
 	}
-	if m.Tracer() != nil {
-		t.Fatal("Tracer() non-nil after detach")
+	if m.tracer != nil {
+		t.Fatal("tracer still attached after detach")
 	}
 }
 

@@ -9,14 +9,13 @@ import (
 	"repro/internal/storage"
 )
 
-// The write-back defaults, used for a Composition that leaves
-// WritebackWorkers or WritebackQueue zero: the number of background
-// writer goroutines, and the queue capacity in pages. When the queue is
-// full, evictions fall back to a synchronous under-lock write — the
-// backpressure path.
+// The write-back defaults: the number of background writer goroutines,
+// used for a Composition that leaves WritebackWorkers zero, and the queue
+// capacity in pages. When the queue is full, evictions fall back to a
+// synchronous under-lock write — the backpressure path.
 const (
-	DefaultWritebackWorkers = 2
-	DefaultWritebackQueue   = 1024
+	defaultWritebackWorkers = 2
+	defaultWritebackQueue   = 1024
 )
 
 // writeback is the background write-back machinery of an async pool:
@@ -96,10 +95,10 @@ type wbEntry struct {
 // queueCap page slots; values < 1 select the defaults.
 func newWriteback(store storage.Store, workers, queueCap int) *writeback {
 	if workers < 1 {
-		workers = DefaultWritebackWorkers
+		workers = defaultWritebackWorkers
 	}
 	if queueCap < 1 {
-		queueCap = DefaultWritebackQueue
+		queueCap = defaultWritebackQueue
 	}
 	w := &writeback{
 		store:   store,

@@ -384,9 +384,10 @@ func (p *ASB) Reset() {
 	p.adaptations = 0
 }
 
-// OnUpdate implements buffer.Updater: the cached criterion is refreshed
-// and the page treated as used. A write to an overflow page promotes it
-// back to the main part WITHOUT adapting the candidate size — §4.2's
+// OnUpdate implements the buffer's optional updater hook: the cached
+// criterion is refreshed and the page treated as used. A write to an
+// overflow page promotes it back to the main part WITHOUT adapting the
+// candidate size — §4.2's
 // adaptation signal is defined for re-*references*, and an update is not
 // evidence about which read strategy judged the page correctly.
 func (p *ASB) OnUpdate(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {

@@ -204,7 +204,7 @@ func TestASBAdaptEvents(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if rec.Len() != 1 || rec.Cand[0] != p.CandidateSize() || rec.Ref[0] != 11 {
+	if len(rec.Ref) != 1 || rec.Cand[0] != p.CandidateSize() || rec.Ref[0] != 11 {
 		t.Errorf("recorder saw %v at %v, candidate = %d at request 11", rec.Cand, rec.Ref, p.CandidateSize())
 	}
 	s := counters.Snapshot()

@@ -31,21 +31,15 @@ import (
 	"repro/internal/page"
 )
 
-// PolicyFactory constructs a fresh policy sized for a buffer of the
-// given capacity (in frames). It is buffer.PolicyFactory re-exported
-// under the registry that populates it: every Factory.New is one, and
-// a shared buffer.Pool calls it once per shard with the shard's
-// capacity so each shard gets a correctly scaled policy instance.
-type PolicyFactory = buffer.PolicyFactory
-
 // Factory constructs a fresh policy sized for a buffer of the given
 // capacity (in frames). Policies with capacity-relative parameters (SLRU's
 // candidate set, ASB's overflow buffer) derive them here.
 type Factory struct {
 	// Name of the produced policy, e.g. "LRU-2" or "ASB".
 	Name string
-	// New builds a policy instance for a buffer of capacity frames.
-	New PolicyFactory
+	// New builds a policy instance for a buffer of capacity frames; a
+	// shared pool calls it once per shard, with the shard's capacity.
+	New buffer.PolicyFactory
 }
 
 // StandardFactories returns the policies compared in the paper's
@@ -98,10 +92,10 @@ func FactoryByName(name string) (Factory, error) {
 		name, "LRU-K:4", "SLRU:EA:0.25", "ASB:A:0.2")
 }
 
-// Resolver maps a standard policy name to its PolicyFactory — the
+// Resolver maps a standard policy name to its buffer.PolicyFactory — the
 // name-to-constructor hook consumers that must stay decoupled from this
 // registry (obs/shadow's Bank) accept as a function value.
-func Resolver(name string) (PolicyFactory, error) {
+func Resolver(name string) (buffer.PolicyFactory, error) {
 	f, err := FactoryByName(name)
 	if err != nil {
 		return nil, err

@@ -19,11 +19,11 @@ import (
 // number of retained records grows with the number of distinct pages ever
 // buffered, not with the buffer size. Following the Retained Information
 // Period of the original LRU-K paper, retention is bounded: once the
-// record table reaches RetentionBound() (a multiple of the peak resident
+// record table reaches retentionBound() (a multiple of the peak resident
 // set), the history of the longest-unrefreshed non-resident page is
 // recycled instead of growing the table, so long replays stop growing
-// memory monotonically. HistRecords and HistBytes expose the retained
-// cost for the memory comparison against ASB in the evaluation.
+// memory monotonically. HistRecords exposes the retained record count
+// for the memory comparison against ASB in the evaluation.
 //
 // Layout: histories live in a flat record table plus one contiguous
 // time-stamp slab (K stamps per record); resident frames carry their
@@ -85,9 +85,9 @@ func NewLRUK(k int) *LRUK {
 // Name implements buffer.Policy.
 func (p *LRUK) Name() string { return fmt.Sprintf("LRU-%d", p.k) }
 
-// RetentionBound returns the maximum number of history records retained
+// retentionBound returns the maximum number of history records retained
 // before the oldest non-resident history is recycled.
-func (p *LRUK) RetentionBound() int {
+func (p *LRUK) retentionBound() int {
 	b := lrukRetentionFactor * p.peak
 	if b < lrukMinRetention {
 		b = lrukMinRetention
@@ -125,7 +125,7 @@ func (p *LRUK) record(id page.ID) int32 {
 // retained history, since records are created and refreshed in table
 // order only on first touch).
 func (p *LRUK) allocRec() int32 {
-	if len(p.recs) < p.RetentionBound() {
+	if len(p.recs) < p.retentionBound() {
 		p.recs = append(p.recs, histRec{})
 		for i := 0; i < p.k; i++ {
 			p.times = append(p.times, 0)
@@ -253,11 +253,3 @@ func (p *LRUK) Reset() {
 // of distinct pages ever buffered since the last Reset, capped by the
 // retention bound.
 func (p *LRUK) HistRecords() int { return len(p.hist) }
-
-// HistBytes estimates the memory held by the retained histories: per
-// record K time stamps, the record header (page ID, correlation query,
-// residency) and the map entry.
-func (p *LRUK) HistBytes() int {
-	const perRecordOverhead = 8 /* map key */ + 4 /* map value */ + 24 /* record */
-	return len(p.hist) * (perRecordOverhead + 8*p.k)
-}

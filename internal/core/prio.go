@@ -8,9 +8,9 @@ import (
 	"repro/internal/page"
 )
 
-// PriorityFunc assigns a replacement priority to a page: the higher the
+// priorityFunc assigns a replacement priority to a page: the higher the
 // priority, the longer the page should stay in the buffer (paper §2.1).
-type PriorityFunc func(m page.Meta) int
+type priorityFunc func(m page.Meta) int
 
 // TypePriority is the LRU-T assignment: object pages are dropped first,
 // then data pages; directory pages stay longest.
@@ -49,7 +49,7 @@ func LevelPriority(m page.Meta) int {
 // steady-state path.
 type PriorityLRU struct {
 	name string
-	prio PriorityFunc
+	prio priorityFunc
 	// classes maps priority → LRU chain (front = MRU). Chains persist
 	// across Reset so steady-state replays reuse them.
 	classes map[int]*buffer.List
@@ -59,17 +59,17 @@ type PriorityLRU struct {
 
 // NewLRUT returns the type-based LRU policy (paper §2.1).
 func NewLRUT() *PriorityLRU {
-	return NewPriorityLRU("LRU-T", TypePriority)
+	return newPriorityLRU("LRU-T", TypePriority)
 }
 
 // NewLRUP returns the priority-based (tree-level) LRU policy (paper §2.1).
 func NewLRUP() *PriorityLRU {
-	return NewPriorityLRU("LRU-P", LevelPriority)
+	return newPriorityLRU("LRU-P", LevelPriority)
 }
 
-// NewPriorityLRU returns an LRU policy stratified by the given priority
+// newPriorityLRU returns an LRU policy stratified by the given priority
 // function.
-func NewPriorityLRU(name string, prio PriorityFunc) *PriorityLRU {
+func newPriorityLRU(name string, prio priorityFunc) *PriorityLRU {
 	return &PriorityLRU{
 		name:    name,
 		prio:    prio,

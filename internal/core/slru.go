@@ -37,9 +37,6 @@ func NewSLRU(crit page.Criterion, candSize int) *SLRU {
 // Name implements buffer.Policy.
 func (p *SLRU) Name() string { return fmt.Sprintf("SLRU(%s,%d)", p.crit, p.candSize) }
 
-// CandidateSize returns the fixed candidate-set size.
-func (p *SLRU) CandidateSize() int { return p.candSize }
-
 // OnAdmit implements buffer.Policy.
 func (p *SLRU) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 	f.Crit = p.crit.Value(f.Meta)
@@ -122,8 +119,8 @@ func (p *SLRU) OnEvict(f *buffer.Frame) { p.order.Remove(f) }
 // Reset implements buffer.Policy.
 func (p *SLRU) Reset() { p.order.Clear() }
 
-// OnUpdate implements buffer.Updater: refresh the cached criterion and
-// the recency position.
+// OnUpdate implements the buffer's optional updater hook: refresh the
+// cached criterion and the recency position.
 func (p *SLRU) OnUpdate(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 	f.Crit = p.crit.Value(f.Meta)
 	p.order.MoveToFront(f)

@@ -36,9 +36,6 @@ func NewSpatial(crit page.Criterion) *Spatial {
 // criterion.
 func (p *Spatial) Name() string { return p.crit.String() }
 
-// Criterion returns the spatial criterion this policy ranks by.
-func (p *Spatial) Criterion() page.Criterion { return p.crit }
-
 // OnAdmit implements buffer.Policy.
 func (p *Spatial) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 	f.Crit = p.crit.Value(f.Meta)
@@ -87,11 +84,9 @@ func (p *Spatial) OnEvict(f *buffer.Frame) {
 // cleared policy refills without reallocating.
 func (p *Spatial) Reset() { p.h.Clear() }
 
-// Len returns the number of tracked frames (for tests).
-func (p *Spatial) Len() int { return p.h.Len() }
-
-// OnUpdate implements buffer.Updater: the page content changed, so the
-// cached criterion is recomputed and the heap reordered.
+// OnUpdate implements the buffer's optional updater hook: the page
+// content changed, so the cached criterion is recomputed and the heap
+// reordered.
 func (p *Spatial) OnUpdate(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 	f.Crit = p.crit.Value(f.Meta)
 	f.Stamp = now

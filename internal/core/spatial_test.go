@@ -11,13 +11,9 @@ import (
 )
 
 func TestSpatialNamesAndCriterion(t *testing.T) {
-	for _, c := range page.Criteria() {
-		p := core.NewSpatial(c)
-		if p.Name() != c.String() {
+	for _, c := range criteria {
+		if p := core.NewSpatial(c); p.Name() != c.String() {
 			t.Errorf("name = %q, want %q", p.Name(), c.String())
-		}
-		if p.Criterion() != c {
-			t.Errorf("criterion = %v", p.Criterion())
 		}
 	}
 }

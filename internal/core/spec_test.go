@@ -74,8 +74,8 @@ func TestParseSpec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c := f.New(8).(*core.Spatial).Criterion(); c != page.CritEM {
-			t.Fatalf("criterion = %v, want EM", c)
+		if name := f.New(8).Name(); name != page.CritEM.String() {
+			t.Fatalf("policy = %s, want EM", name)
 		}
 	})
 	t.Run("ASB", func(t *testing.T) {
@@ -177,7 +177,7 @@ func TestSpecEquivalence(t *testing.T) {
 // TestParseCriterion covers the page-level criterion parser the spec
 // grammar builds on.
 func TestParseCriterion(t *testing.T) {
-	for _, c := range page.Criteria() {
+	for _, c := range criteria {
 		got, err := page.ParseCriterion(c.String())
 		if err != nil || got != c {
 			t.Errorf("ParseCriterion(%q) = %v, %v", c.String(), got, err)

@@ -11,6 +11,9 @@ import (
 	"repro/internal/storage"
 )
 
+// criteria are the paper's five spatial criteria.
+var criteria = []page.Criterion{page.CritA, page.CritEA, page.CritM, page.CritEM, page.CritEO}
+
 // rect abbreviates geom.NewRect in tests.
 func rect(x1, y1, x2, y2 float64) geom.Rect {
 	return geom.NewRect(x1, y1, x2, y2)

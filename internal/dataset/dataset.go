@@ -24,7 +24,6 @@
 package dataset
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -222,20 +221,6 @@ func (g *Generator) pickCluster(rng *rand.Rand) int {
 	return len(g.Clusters) - 1
 }
 
-// landAt reports whether p lies on land (always true without Land
-// regions).
-func (g *Generator) landAt(p geom.Point) bool {
-	if len(g.Land) == 0 {
-		return true
-	}
-	for _, l := range g.Land {
-		if l.ContainsPoint(p) {
-			return true
-		}
-	}
-	return false
-}
-
 // samplePoint draws an object location: from a weighted cluster, or
 // uniformly from the land with probability BackgroundFrac.
 func (g *Generator) samplePoint(rng *rand.Rand) geom.Point {
@@ -364,30 +349,6 @@ func (g *Generator) Places(seed int64, n int) []Place {
 		places[i] = Place{Loc: loc, Population: pop}
 	}
 	return places
-}
-
-// Validate checks generator sanity (used by tests and the CLI).
-func (g *Generator) Validate() error {
-	if g.Space.IsEmpty() || !g.Space.Valid() {
-		return fmt.Errorf("dataset %s: invalid space", g.Name)
-	}
-	if len(g.Clusters) == 0 {
-		return fmt.Errorf("dataset %s: no clusters", g.Name)
-	}
-	for i, c := range g.Clusters {
-		if !g.Space.ContainsPoint(c.Center) {
-			return fmt.Errorf("dataset %s: cluster %d centre outside space", g.Name, i)
-		}
-		if c.Weight <= 0 || c.StdX <= 0 || c.StdY <= 0 {
-			return fmt.Errorf("dataset %s: cluster %d has non-positive parameters", g.Name, i)
-		}
-	}
-	for i, l := range g.Land {
-		if !g.Space.Contains(l) {
-			return fmt.Errorf("dataset %s: land region %d outside space", g.Name, i)
-		}
-	}
-	return nil
 }
 
 // ShapedObject pairs an indexable object (ID + MBR) with its exact

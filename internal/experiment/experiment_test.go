@@ -9,6 +9,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/rtree"
 	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // tinyOpts builds fast test databases (seconds, not minutes).
@@ -82,8 +83,8 @@ func TestQuerySetNames(t *testing.T) {
 		if qs.Name != name {
 			t.Errorf("set name %q != requested %q", qs.Name, name)
 		}
-		if qs.Len() != 50 {
-			t.Errorf("%s: %d queries", name, qs.Len())
+		if len(qs.Queries) != 50 {
+			t.Errorf("%s: %d queries", name, len(qs.Queries))
 		}
 	}
 	if _, err := db.QuerySet("NOPE", 10, 1); err == nil {
@@ -96,7 +97,7 @@ func TestQuerySetNames(t *testing.T) {
 
 func TestQueryCountCalibration(t *testing.T) {
 	db := tinyDB(t, 1)
-	n, err := db.QueryCount("U-P", 1)
+	n, err := db.queryCount("U-P", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestQueryCountCalibration(t *testing.T) {
 		t.Errorf("calibrated count %d out of range", n)
 	}
 	// Large windows need fewer queries than points for the same budget.
-	nw, err := db.QueryCount("U-W-33", 1)
+	nw, err := db.queryCount("U-W-33", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestRunAndGains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := Run(db, []string{"U-P", "INT-P"}, factories, []float64{0.01, 0.047}, 1)
+	sw, err := run(db, []string{"U-P", "INT-P"}, factories, []float64{0.01, 0.047}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,14 +129,14 @@ func TestRunAndGains(t *testing.T) {
 			t.Errorf("%s: no refs", set)
 		}
 		for _, frac := range []float64{0.01, 0.047} {
-			lru := sw.Accesses[Cell{Set: set, Policy: "LRU", Frac: frac}]
+			lru := sw.Accesses[cell{Set: set, Policy: "LRU", Frac: frac}]
 			if lru == 0 {
 				t.Fatalf("%s: no LRU accesses", set)
 			}
-			if _, err := sw.Gain(set, "A", frac); err != nil {
+			if _, err := sw.gain(set, "A", frac); err != nil {
 				t.Errorf("Gain: %v", err)
 			}
-			rel, err := sw.Relative(set, "LRU-2", "A", frac)
+			rel, err := sw.relative(set, "LRU-2", "A", frac)
 			if err != nil {
 				t.Errorf("Relative: %v", err)
 			}
@@ -146,7 +147,7 @@ func TestRunAndGains(t *testing.T) {
 	}
 	// A beats LRU on uniform queries even on the tiny database (the
 	// paper's most robust effect).
-	g, err := sw.Gain("U-P", "A", 0.047)
+	g, err := sw.gain("U-P", "A", 0.047)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,13 +155,13 @@ func TestRunAndGains(t *testing.T) {
 		t.Errorf("A gain on U-P = %.3f, expected positive", g)
 	}
 	// Errors for unknown cells.
-	if _, err := sw.Gain("U-P", "A", 0.5); err == nil {
+	if _, err := sw.gain("U-P", "A", 0.5); err == nil {
 		t.Error("missing frac should fail")
 	}
-	if _, err := sw.Gain("U-P", "NOPE", 0.01); err == nil {
+	if _, err := sw.gain("U-P", "NOPE", 0.01); err == nil {
 		t.Error("missing policy should fail")
 	}
-	if _, err := sw.Relative("U-P", "A", "NOPE", 0.01); err == nil {
+	if _, err := sw.relative("U-P", "A", "NOPE", 0.01); err == nil {
 		t.Error("missing base should fail")
 	}
 }
@@ -212,6 +213,27 @@ func TestRunAdaptation(t *testing.T) {
 	}
 }
 
+// HistMemory reports the LRU-K memory drawback for a query set: the
+// number of retained history records after replaying it, versus the
+// buffer capacity (paper §2.2 and §4.3: ASB needs no state for pages that
+// left the buffer).
+func HistMemory(db *Database, setName string, frac float64, k int, seed int64) (histRecords, frames int, err error) {
+	tr, err := db.Trace(setName, seed)
+	if err != nil {
+		return 0, 0, err
+	}
+	frames = db.Frames(frac)
+	pol := core.NewLRUK(k)
+	m, err := buffer.NewEngine(db.Store, pol, frames)
+	if err != nil {
+		return 0, 0, err
+	}
+	if _, err := trace.ReplayOn(tr, m); err != nil {
+		return 0, 0, err
+	}
+	return pol.HistRecords(), frames, nil
+}
+
 func TestHistMemory(t *testing.T) {
 	db := tinyDB(t, 1)
 	records, frames, err := HistMemory(db, "U-P", 0.047, 2, 1)
@@ -226,17 +248,16 @@ func TestHistMemory(t *testing.T) {
 
 func TestTableRenderAndCSV(t *testing.T) {
 	tab := NewTable("t1", "demo", "gain [%]", []string{"r1", "r2"}, []string{"c1", "c2"})
-	if err := tab.Set("r1", "c2", 12.5); err != nil {
+	if err := tab.set("r1", "c2", 12.5); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Set("zz", "c1", 1); err == nil {
+	if err := tab.set("zz", "c1", 1); err == nil {
 		t.Error("unknown row should fail")
 	}
-	v, err := tab.Get("r1", "c2")
-	if err != nil || v != 12.5 {
-		t.Errorf("Get = %v, %v", v, err)
+	if v := tab.Cells[0][1]; v != 12.5 {
+		t.Errorf("cell (r1, c2) = %v", v)
 	}
-	if _, err := tab.Get("r1", "zz"); err == nil {
+	if err := tab.set("r1", "zz", 1); err == nil {
 		t.Error("unknown col should fail")
 	}
 	text := tab.Render()
@@ -311,8 +332,8 @@ func TestRunUpdateWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mix := UpdateMix{Ops: 600, QueryFrac: 0.6, InsertFrac: 0.25, WindowExt: 100}
-	results, err := RunUpdateWorkload(1, 5000, 0.03, factories, mix, 1)
+	mix := updateMix{Ops: 600, QueryFrac: 0.6, InsertFrac: 0.25, WindowExt: 100}
+	results, err := runUpdateWorkload(1, 5000, 0.03, factories, mix, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +351,7 @@ func TestRunUpdateWorkload(t *testing.T) {
 			t.Errorf("%s: IO %d != %d + %d", r.Policy, r.IO, r.Reads, r.WriteBacks)
 		}
 	}
-	if _, err := RunUpdateWorkload(9, 100, 0.03, factories, mix, 1); err == nil {
+	if _, err := runUpdateWorkload(9, 100, 0.03, factories, mix, 1); err == nil {
 		t.Error("unknown database should fail")
 	}
 }
@@ -401,11 +422,11 @@ func TestRunDeterministicUnderParallelism(t *testing.T) {
 	}
 	sets := []string{"U-P", "INT-P", "S-W-33"}
 	fracs := []float64{0.006, 0.047}
-	a, err := Run(db, sets, factories, fracs, 1)
+	a, err := run(db, sets, factories, fracs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(db, sets, factories, fracs, 1)
+	b, err := run(db, sets, factories, fracs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,5 +437,35 @@ func TestRunDeterministicUnderParallelism(t *testing.T) {
 		if bv := b.Accesses[cell]; av != bv {
 			t.Errorf("%+v: %d vs %d", cell, av, bv)
 		}
+	}
+}
+
+// BenchmarkUpdateWorkload runs the mixed query/insert/delete workload
+// (the paper's future-work item 2) under each policy, reporting physical
+// reads + write-backs as the io/op metric.
+func BenchmarkUpdateWorkload(b *testing.B) {
+	factories := make([]core.Factory, 0, 4)
+	for _, n := range []string{"LRU", "LRU-2", "A", "ASB"} {
+		f, err := core.FactoryByName(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		factories = append(factories, f)
+	}
+	mix := defaultUpdateMix()
+	for _, f := range factories {
+		f := f
+		b.Run(f.Name, func(b *testing.B) {
+			var io uint64
+			for i := 0; i < b.N; i++ {
+				res, err := runUpdateWorkload(1, 12_000, 0.03,
+					[]core.Factory{f}, mix, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				io = res[0].IO
+			}
+			b.ReportMetric(float64(io), "io/op")
+		})
 	}
 }

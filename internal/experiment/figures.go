@@ -7,17 +7,17 @@ import (
 
 // Query-set groups used by the paper's figures.
 var (
-	// UniformSets are U-P and the window sets from small to large windows.
-	UniformSets = []string{"U-P", "U-W-1000", "U-W-333", "U-W-100", "U-W-33"}
-	// IdenticalSimilarSets cover §3.5.2.
-	IdenticalSimilarSets = []string{"ID-P", "ID-W", "S-P", "S-W-1000", "S-W-333", "S-W-100", "S-W-33"}
-	// IndependentSets cover the flipped distribution of §3.5.3.
-	IndependentSets = []string{"IND-P", "IND-W-1000", "IND-W-333", "IND-W-100", "IND-W-33"}
-	// IntensifiedSets cover the √population-weighted distribution.
-	IntensifiedSets = []string{"INT-P", "INT-W-1000", "INT-W-333", "INT-W-100", "INT-W-33"}
-	// RepresentativeSets is the cross-family selection used where the
+	// uniformSets are U-P and the window sets from small to large windows.
+	uniformSets = []string{"U-P", "U-W-1000", "U-W-333", "U-W-100", "U-W-33"}
+	// identicalSimilarSets cover §3.5.2.
+	identicalSimilarSets = []string{"ID-P", "ID-W", "S-P", "S-W-1000", "S-W-333", "S-W-100", "S-W-33"}
+	// independentSets cover the flipped distribution of §3.5.3.
+	independentSets = []string{"IND-P", "IND-W-1000", "IND-W-333", "IND-W-100", "IND-W-33"}
+	// intensifiedSets cover the √population-weighted distribution.
+	intensifiedSets = []string{"INT-P", "INT-W-1000", "INT-W-333", "INT-W-100", "INT-W-33"}
+	// representativeSets is the cross-family selection used where the
 	// paper plots one bar group per distribution family.
-	RepresentativeSets = []string{
+	representativeSets = []string{
 		"U-P", "U-W-333", "U-W-33",
 		"ID-P", "ID-W",
 		"S-P", "S-W-33",
@@ -52,7 +52,7 @@ var (
 	comparison   = []string{"LRU-P", "A", "LRU-2"} // §3.5's three, against LRU
 	// ablationSets are the representative sets plus the medium uniform
 	// window set U-W-100.
-	ablationSets = slices.Insert(slices.Clone(RepresentativeSets), 2, "U-W-100")
+	ablationSets = slices.Insert(slices.Clone(representativeSets), 2, "U-W-100")
 )
 
 // figures is the registry in display order: the paper's figures by
@@ -66,30 +66,30 @@ var figures = []struct {
 	// Figure 5: LRU-K (K = 2, 3, 5) against LRU on the primary database
 	// across all distribution families.
 	{"5", gainFigure{"fig5", "LRU-K vs LRU", db1, usualFracs,
-		RepresentativeSets, []string{"LRU-2", "LRU-3", "LRU-5"}}.tables},
+		representativeSets, []string{"LRU-2", "LRU-3", "LRU-5"}}.tables},
 	{"6", fig6},
 	// Figures 7–9: the uniform, the identical and similar, the independent
 	// and intensified distributions.
 	{"7", gainFigure{"fig7", "LRU-P / A / LRU-2 vs LRU", bothDBs, usualFracs,
-		UniformSets, comparison}.tables},
+		uniformSets, comparison}.tables},
 	{"8", gainFigure{"fig8", "LRU-P / A / LRU-2 vs LRU", bothDBs, usualFracs,
-		IdenticalSimilarSets, comparison}.tables},
+		identicalSimilarSets, comparison}.tables},
 	{"9", gainFigure{"fig9", "LRU-P / A / LRU-2 vs LRU", bothDBs, usualFracs,
-		slices.Concat(IndependentSets, IntensifiedSets), comparison}.tables},
+		slices.Concat(independentSets, intensifiedSets), comparison}.tables},
 	// Figure 12: SLRU with static candidate sets of 50% and 25% against
 	// the pure spatial strategy A.
 	{"12", gainFigure{"fig12", "static candidate sets", db1, usualFracs,
-		RepresentativeSets, []string{"A", "SLRU 50%", "SLRU 25%"}}.tables},
+		representativeSets, []string{"A", "SLRU 50%", "SLRU 25%"}}.tables},
 	// Figure 13, the headline comparison: A, SLRU 25%, ASB and LRU-2
 	// against LRU on both databases.
 	{"13", gainFigure{"fig13", "A / SLRU / ASB / LRU-2 vs LRU", bothDBs, usualFracs,
-		RepresentativeSets, []string{"A", "SLRU 25%", "ASB", "LRU-2"}}.tables},
+		representativeSets, []string{"A", "SLRU 25%", "ASB", "LRU-2"}}.tables},
 	{"14", fig14},
 	{"crosssam", figCrossSAM},
 	// The §3.2 observation: LRU-P beats LRU-T for small buffers and
 	// matches it for large ones.
 	{"lrut", gainFigure{"lrut", "LRU-T vs LRU-P", db1, extremeFracs,
-		RepresentativeSets, []string{"LRU-T", "LRU-P"}}.tables},
+		representativeSets, []string{"LRU-T", "LRU-P"}}.tables},
 	{"updates", figUpdates},
 	{"join", figJoin},
 	{"filterrefine", figFilterRefine},
@@ -135,18 +135,18 @@ func GainTable(db *Database, id, title string, sets, policies []string, frac flo
 	if err != nil {
 		return nil, err
 	}
-	sw, err := Run(db, sets, factories, []float64{frac}, seed)
+	sw, err := run(db, sets, factories, []float64{frac}, seed)
 	if err != nil {
 		return nil, err
 	}
 	t := NewTable(id, title, "gain vs LRU [%]", sets, policies)
 	for _, set := range sets {
 		for _, pol := range policies {
-			g, err := sw.Gain(set, pol, frac)
+			g, err := sw.gain(set, pol, frac)
 			if err != nil {
 				return nil, err
 			}
-			if err := t.Set(set, pol, g*100); err != nil {
+			if err := t.set(set, pol, g*100); err != nil {
 				return nil, err
 			}
 		}
@@ -189,8 +189,8 @@ func fig4(opts Options, seed int64) ([]*Table, error) {
 		label string
 		sets  []string
 	}{
-		{"uniform", UniformSets},
-		{"intensified", IntensifiedSets},
+		{"uniform", uniformSets},
+		{"intensified", intensifiedSets},
 	}
 	factories, err := factoriesByName("LRU", "LRU-P")
 	if err != nil {
@@ -202,12 +202,12 @@ func fig4(opts Options, seed int64) ([]*Table, error) {
 			return nil, err
 		}
 		for _, g := range groups {
-			sw, err := Run(db, g.sets, factories, BufferFracs, seed)
+			sw, err := run(db, g.sets, factories, bufferFracs, seed)
 			if err != nil {
 				return nil, err
 			}
-			cols := make([]string, len(BufferFracs))
-			for i, f := range BufferFracs {
+			cols := make([]string, len(bufferFracs))
+			for i, f := range bufferFracs {
 				cols[i] = fracLabel(f)
 			}
 			t := NewTable(
@@ -215,12 +215,12 @@ func fig4(opts Options, seed int64) ([]*Table, error) {
 				fmt.Sprintf("LRU-P vs LRU, %s distribution, %s", g.label, db.Name),
 				"gain vs LRU [%]", g.sets, cols)
 			for _, set := range g.sets {
-				for i, f := range BufferFracs {
-					gain, err := sw.Gain(set, "LRU-P", f)
+				for i, f := range bufferFracs {
+					gain, err := sw.gain(set, "LRU-P", f)
 					if err != nil {
 						return nil, err
 					}
-					if err := t.Set(set, cols[i], gain*100); err != nil {
+					if err := t.set(set, cols[i], gain*100); err != nil {
 						return nil, err
 					}
 				}
@@ -245,21 +245,21 @@ func fig6(opts Options, seed int64) ([]*Table, error) {
 	}
 	var tables []*Table
 	for _, frac := range []float64{0.003, 0.047} {
-		sw, err := Run(db, RepresentativeSets, factories, []float64{frac}, seed)
+		sw, err := run(db, representativeSets, factories, []float64{frac}, seed)
 		if err != nil {
 			return nil, err
 		}
 		t := NewTable(
 			fmt.Sprintf("fig6-%s", fracLabel(frac)),
 			fmt.Sprintf("spatial strategies relative to A, DB1, buffer %s", fracLabel(frac)),
-			"% of A accesses", RepresentativeSets, policies)
-		for _, set := range RepresentativeSets {
+			"% of A accesses", representativeSets, policies)
+		for _, set := range representativeSets {
 			for _, pol := range policies {
-				rel, err := sw.Relative(set, pol, "A", frac)
+				rel, err := sw.relative(set, pol, "A", frac)
 				if err != nil {
 					return nil, err
 				}
-				if err := t.Set(set, pol, rel); err != nil {
+				if err := t.set(set, pol, rel); err != nil {
 					return nil, err
 				}
 			}
@@ -286,8 +286,8 @@ func fig14(opts Options, seed int64) ([]*Table, error) {
 	t := NewTable("fig14", "ASB candidate-set size over the mixed workload, DB1",
 		"avg candidate size [frames]", rows, []string{"candidate size", "of main part [%]"})
 	set := func(row string, v float64) {
-		_ = t.Set(row, "candidate size", v)
-		_ = t.Set(row, "of main part [%]", v/float64(at.MainCap)*100)
+		_ = t.set(row, "candidate size", v)
+		_ = t.set(row, "of main part [%]", v/float64(at.MainCap)*100)
 	}
 	set("initial", float64(at.Initial))
 	for p := 0; p < 3; p++ {

@@ -17,7 +17,7 @@ func extensionObjects(opts Options) int {
 	if opts.Objects > 0 {
 		return opts.Objects
 	}
-	return DefaultObjects[1]
+	return defaultObjects[1]
 }
 
 // figJoin is an extension beyond the paper (its future-work item 2): two
@@ -75,11 +75,11 @@ func figJoin(opts Options, seed int64) ([]*Table, error) {
 		if pairs != lruPairs {
 			return nil, fmt.Errorf("experiment: join with %s found %d pairs, LRU %d", f.Name, pairs, lruPairs)
 		}
-		if err := t.Set(row, f.Name, gainPct(lruIO, io)); err != nil {
+		if err := t.set(row, f.Name, gainPct(lruIO, io)); err != nil {
 			return nil, err
 		}
 	}
-	if err := t.Set(row, "pairs", float64(lruPairs)); err != nil {
+	if err := t.set(row, "pairs", float64(lruPairs)); err != nil {
 		return nil, err
 	}
 	return []*Table{t}, nil
@@ -156,7 +156,7 @@ func figFilterRefine(opts Options, seed int64) ([]*Table, error) {
 			lruIO = io
 			continue
 		}
-		if err := t.Set(row, f.Name, gainPct(lruIO, io)); err != nil {
+		if err := t.set(row, f.Name, gainPct(lruIO, io)); err != nil {
 			return nil, err
 		}
 	}

@@ -24,37 +24,37 @@ func countRefs(t *rtree.Tree, qs queryset.Set) (int, error) {
 	return tr.Len(), nil
 }
 
-// Cell identifies one measurement: a query set run under a policy with a
+// cell identifies one measurement: a query set run under a policy with a
 // relative buffer size.
-type Cell struct {
+type cell struct {
 	Set    string
 	Policy string
 	Frac   float64
 }
 
-// Sweep holds the disk-access counts of a policy × buffer-size ×
+// sweep holds the disk-access counts of a policy × buffer-size ×
 // query-set sweep over one database.
-type Sweep struct {
+type sweep struct {
 	DB       *Database
-	Accesses map[Cell]uint64
+	Accesses map[cell]uint64
 	Refs     map[string]int // references per query set (policy-independent)
 }
 
-// Run records one trace per query set and replays it through every
+// run records one trace per query set and replays it through every
 // (policy, buffer size) combination. Query sets are resolved by name with
 // calibrated sizes; seed controls query generation. Replays are
 // independent of each other (each gets its own buffer manager and policy
 // instance over the shared, thread-safe page store), so they run in
 // parallel across the available CPUs.
-func Run(db *Database, setNames []string, factories []core.Factory, fracs []float64, seed int64) (*Sweep, error) {
-	sw := &Sweep{
+func run(db *Database, setNames []string, factories []core.Factory, fracs []float64, seed int64) (*sweep, error) {
+	sw := &sweep{
 		DB:       db,
-		Accesses: make(map[Cell]uint64),
+		Accesses: make(map[cell]uint64),
 		Refs:     make(map[string]int),
 	}
 	type job struct {
 		tr     *trace.Trace
-		cell   Cell
+		cell   cell
 		frames int
 		f      core.Factory
 	}
@@ -70,7 +70,7 @@ func Run(db *Database, setNames []string, factories []core.Factory, fracs []floa
 			for _, f := range factories {
 				jobs = append(jobs, job{
 					tr:     tr,
-					cell:   Cell{Set: name, Policy: f.Name, Frac: frac},
+					cell:   cell{Set: name, Policy: f.Name, Frac: frac},
 					frames: frames,
 					f:      f,
 				})
@@ -124,15 +124,15 @@ func Run(db *Database, setNames []string, factories []core.Factory, fracs []floa
 	return sw, nil
 }
 
-// Gain returns the paper's relative performance gain of a policy over LRU
+// gain returns the paper's relative performance gain of a policy over LRU
 // for one cell: |accesses(LRU)| / |accesses(policy)| − 1. The sweep must
 // include the "LRU" policy.
-func (s *Sweep) Gain(set, policy string, frac float64) (float64, error) {
-	lru, ok := s.Accesses[Cell{Set: set, Policy: "LRU", Frac: frac}]
+func (s *sweep) gain(set, policy string, frac float64) (float64, error) {
+	lru, ok := s.Accesses[cell{Set: set, Policy: "LRU", Frac: frac}]
 	if !ok {
 		return 0, fmt.Errorf("experiment: no LRU baseline for %s at %.3f", set, frac)
 	}
-	pol, ok := s.Accesses[Cell{Set: set, Policy: policy, Frac: frac}]
+	pol, ok := s.Accesses[cell{Set: set, Policy: policy, Frac: frac}]
 	if !ok {
 		return 0, fmt.Errorf("experiment: no measurement for %s/%s at %.3f", set, policy, frac)
 	}
@@ -151,14 +151,14 @@ func gainPct(base, io uint64) float64 {
 	return (float64(base)/float64(io) - 1) * 100
 }
 
-// Relative returns accesses(policy) / accesses(base) × 100% for one cell
+// relative returns accesses(policy) / accesses(base) × 100% for one cell
 // (the metric of Fig. 6, where base is the spatial strategy A).
-func (s *Sweep) Relative(set, policy, base string, frac float64) (float64, error) {
-	b, ok := s.Accesses[Cell{Set: set, Policy: base, Frac: frac}]
+func (s *sweep) relative(set, policy, base string, frac float64) (float64, error) {
+	b, ok := s.Accesses[cell{Set: set, Policy: base, Frac: frac}]
 	if !ok {
 		return 0, fmt.Errorf("experiment: no base %s for %s at %.3f", base, set, frac)
 	}
-	p, ok := s.Accesses[Cell{Set: set, Policy: policy, Frac: frac}]
+	p, ok := s.Accesses[cell{Set: set, Policy: policy, Frac: frac}]
 	if !ok {
 		return 0, fmt.Errorf("experiment: no measurement for %s/%s at %.3f", set, policy, frac)
 	}
@@ -271,21 +271,4 @@ func RunAdaptation(db *Database, frac float64, seed int64) (*AdaptationTrace, er
 	out.RefAt = rec.Ref
 	out.Sizes = rec.Cand
 	return out, nil
-}
-
-// HistMemory reports the LRU-K memory drawback for a query set: the
-// number of retained history records after replaying it, versus the
-// buffer capacity (paper §2.2 and §4.3: ASB needs no state for pages that
-// left the buffer).
-func HistMemory(db *Database, setName string, frac float64, k int, seed int64) (histRecords, frames int, err error) {
-	tr, err := db.Trace(setName, seed)
-	if err != nil {
-		return 0, 0, err
-	}
-	frames = db.Frames(frac)
-	pol := core.NewLRUK(k)
-	if _, err := trace.Replay(tr, db.Store, pol, frames); err != nil {
-		return 0, 0, err
-	}
-	return pol.HistRecords(), frames, nil
 }

@@ -29,8 +29,8 @@ func NewTable(id, title, unit string, rows, cols []string) *Table {
 	return &Table{ID: id, Title: title, Unit: unit, Rows: rows, Cols: cols, Cells: cells}
 }
 
-// Set stores a value by row and column label.
-func (t *Table) Set(row, col string, v float64) error {
+// set stores a value by row and column label.
+func (t *Table) set(row, col string, v float64) error {
 	ri, ci := -1, -1
 	for i, r := range t.Rows {
 		if r == row {
@@ -49,21 +49,6 @@ func (t *Table) Set(row, col string, v float64) error {
 	}
 	t.Cells[ri][ci] = v
 	return nil
-}
-
-// Get returns a cell by labels.
-func (t *Table) Get(row, col string) (float64, error) {
-	for ri, r := range t.Rows {
-		if r != row {
-			continue
-		}
-		for ci, c := range t.Cols {
-			if c == col {
-				return t.Cells[ri][ci], nil
-			}
-		}
-	}
-	return 0, fmt.Errorf("experiment: table %s has no cell (%q, %q)", t.ID, row, col)
 }
 
 // Render formats the table as aligned text.

@@ -13,11 +13,11 @@ import (
 	"repro/internal/storage"
 )
 
-// UpdateMix describes an update workload: a deterministic interleaving of
+// updateMix describes an update workload: a deterministic interleaving of
 // window queries, insertions of new objects and deletions of existing
 // ones, all running through one buffer (the paper's future-work item 2:
 // "to study the influence of the strategies on updates").
-type UpdateMix struct {
+type updateMix struct {
 	// Ops is the total number of operations.
 	Ops int
 	// QueryFrac, InsertFrac and the remainder (deletes) partition Ops.
@@ -27,25 +27,25 @@ type UpdateMix struct {
 	WindowExt int
 }
 
-// DefaultUpdateMix returns a read-mostly OLTP-ish mix.
-func DefaultUpdateMix() UpdateMix {
-	return UpdateMix{Ops: 4000, QueryFrac: 0.6, InsertFrac: 0.25, WindowExt: 100}
+// defaultUpdateMix returns a read-mostly OLTP-ish mix.
+func defaultUpdateMix() updateMix {
+	return updateMix{Ops: 4000, QueryFrac: 0.6, InsertFrac: 0.25, WindowExt: 100}
 }
 
-// UpdateResult is the cost of one policy under the update workload.
-type UpdateResult struct {
+// updateResult is the cost of one policy under the update workload.
+type updateResult struct {
 	Policy     string
 	Reads      uint64 // physical reads (buffer misses)
 	WriteBacks uint64 // dirty pages written back
 	IO         uint64 // Reads + WriteBacks
 }
 
-// RunUpdateWorkload executes the mix against database dbNum rebuilt
+// runUpdateWorkload executes the mix against database dbNum rebuilt
 // freshly per policy (mutations change the tree, so policies cannot share
 // one instance), with all tree I/O — queries *and* updates — routed
 // through a buffer of the given relative size. Results come back in
 // factory order.
-func RunUpdateWorkload(dbNum, objects int, frac float64, factories []core.Factory, mix UpdateMix, seed int64) ([]UpdateResult, error) {
+func runUpdateWorkload(dbNum, objects int, frac float64, factories []core.Factory, mix updateMix, seed int64) ([]updateResult, error) {
 	if objects <= 0 {
 		objects = 24_000
 	}
@@ -59,7 +59,7 @@ func RunUpdateWorkload(dbNum, objects int, frac float64, factories []core.Factor
 		return nil, fmt.Errorf("experiment: unknown database %d", dbNum)
 	}
 
-	var out []UpdateResult
+	var out []updateResult
 	for _, f := range factories {
 		res, err := runUpdateOnce(gen, objects, frac, f, mix, seed)
 		if err != nil {
@@ -71,21 +71,21 @@ func RunUpdateWorkload(dbNum, objects int, frac float64, factories []core.Factor
 }
 
 // runUpdateOnce builds a fresh tree and runs the mix under one policy.
-func runUpdateOnce(gen *dataset.Generator, objects int, frac float64, f core.Factory, mix UpdateMix, seed int64) (UpdateResult, error) {
+func runUpdateOnce(gen *dataset.Generator, objects int, frac float64, f core.Factory, mix updateMix, seed int64) (updateResult, error) {
 	objs := gen.Objects(seed+1, objects)
 	store := storage.NewMemStore()
 	tree, err := rtree.New(store, rtree.DefaultParams())
 	if err != nil {
-		return UpdateResult{}, err
+		return updateResult{}, err
 	}
 	for _, o := range objs {
 		if err := tree.Insert(o.ID, o.MBR); err != nil {
-			return UpdateResult{}, err
+			return updateResult{}, err
 		}
 	}
 	st, err := tree.Stats()
 	if err != nil {
-		return UpdateResult{}, err
+		return updateResult{}, err
 	}
 	store.ResetStats()
 
@@ -95,10 +95,10 @@ func runUpdateOnce(gen *dataset.Generator, objects int, frac float64, f core.Fac
 	}
 	m, err := buffer.NewEngine(store, f.New(frames), frames)
 	if err != nil {
-		return UpdateResult{}, err
+		return updateResult{}, err
 	}
 	if err := tree.UseBuffer(m, buffer.AccessContext{QueryID: 1}); err != nil {
-		return UpdateResult{}, err
+		return updateResult{}, err
 	}
 	defer tree.UnbufferedIO()
 
@@ -112,7 +112,7 @@ func runUpdateOnce(gen *dataset.Generator, objects int, frac float64, f core.Fac
 	for op := 1; op <= mix.Ops; op++ {
 		ctx := buffer.AccessContext{QueryID: uint64(op)}
 		if err := tree.UseBufferContext(ctx); err != nil {
-			return UpdateResult{}, err
+			return updateResult{}, err
 		}
 		r := rng.Float64()
 		switch {
@@ -129,14 +129,14 @@ func runUpdateOnce(gen *dataset.Generator, objects int, frac float64, f core.Fac
 			}
 			err := tree.Search(m, ctx, w, func(page.Entry) bool { return true })
 			if err != nil {
-				return UpdateResult{}, err
+				return updateResult{}, err
 			}
 		case r < mix.QueryFrac+mix.InsertFrac:
 			o := gen.Objects(seed+int64(op)*13, 1)[0]
 			o.ID = nextID
 			nextID++
 			if err := tree.Insert(o.ID, o.MBR); err != nil {
-				return UpdateResult{}, err
+				return updateResult{}, err
 			}
 			live = append(live, o)
 		default:
@@ -149,18 +149,18 @@ func runUpdateOnce(gen *dataset.Generator, objects int, frac float64, f core.Fac
 			live = live[:len(live)-1]
 			found, err := tree.Delete(o.ID, o.MBR)
 			if err != nil {
-				return UpdateResult{}, err
+				return updateResult{}, err
 			}
 			if !found {
-				return UpdateResult{}, fmt.Errorf("live object %d not found", o.ID)
+				return updateResult{}, fmt.Errorf("live object %d not found", o.ID)
 			}
 		}
 	}
 	if err := m.Flush(); err != nil {
-		return UpdateResult{}, err
+		return updateResult{}, err
 	}
 	bs := m.Stats()
-	return UpdateResult{
+	return updateResult{
 		Policy:     f.Name,
 		Reads:      bs.DiskReads(),
 		WriteBacks: bs.WriteBacks,

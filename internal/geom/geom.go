@@ -230,13 +230,3 @@ func (r Rect) String() string {
 func (p Point) String() string {
 	return fmt.Sprintf("(%g, %g)", p.X, p.Y)
 }
-
-// MBR returns the minimum bounding rectangle of the given rectangles.
-// MBR of no rectangles is the empty rectangle.
-func MBR(rects ...Rect) Rect {
-	out := EmptyRect()
-	for _, r := range rects {
-		out = out.Union(r)
-	}
-	return out
-}

@@ -207,17 +207,6 @@ func TestFlipX(t *testing.T) {
 	}
 }
 
-func TestMBR(t *testing.T) {
-	if !MBR().IsEmpty() {
-		t.Error("MBR of nothing should be empty")
-	}
-	got := MBR(NewRect(0, 0, 1, 1), NewRect(5, -2, 6, 0), EmptyRect())
-	want := NewRect(0, -2, 6, 1)
-	if got != want {
-		t.Errorf("MBR = %v, want %v", got, want)
-	}
-}
-
 func TestEqual(t *testing.T) {
 	a := NewRect(0, 0, 1, 1)
 	if !a.Equal(a) {

@@ -39,7 +39,7 @@ func FilterRefine(
 	var ferr error
 	err := t.Search(treeRd, ctx, window, func(e page.Entry) bool {
 		res.Candidates++
-		hit, err := objs.Refine(objRd, ctx, e.ObjID, window, shapes[e.ObjID])
+		hit, err := objs.refine(objRd, ctx, e.ObjID, window, shapes[e.ObjID])
 		if err != nil {
 			ferr = err
 			return false

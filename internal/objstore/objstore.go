@@ -27,18 +27,15 @@ import (
 	"repro/internal/storage"
 )
 
-// ErrUnknownObject is returned when fetching an object that was never
+// errUnknownObject is returned when fetching an object that was never
 // stored.
-var ErrUnknownObject = errors.New("objstore: unknown object")
+var errUnknownObject = errors.New("objstore: unknown object")
 
 // ExactObject is an object with its exact representation.
 type ExactObject struct {
 	ID    uint64
 	Shape geom.Polyline
 }
-
-// MBR returns the bounding rectangle of the object's shape.
-func (o ExactObject) MBR() geom.Rect { return o.Shape.MBR() }
 
 // Store maps object IDs to the object pages holding their segments.
 // Objects are packed in ID order; one object may span several pages if it
@@ -49,9 +46,6 @@ type Store struct {
 	// order). This directory is small (a few words per object) and lives
 	// in memory, like a clustering index.
 	locs map[uint64][]page.ID
-	// vertices maps (objID, pageID) reconstruction: segments are stored
-	// as entries; the polyline is rebuilt from segment order.
-	count int
 }
 
 // Build packs the objects into object pages on the given page store and
@@ -118,16 +112,12 @@ func Build(pages storage.Store, objs []ExactObject, maxEntries int) (*Store, err
 				s.locs[o.ID] = append(ids, cur.ID)
 			}
 		}
-		s.count++
 	}
 	if err := flush(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
-
-// NumObjects returns the number of stored objects.
-func (s *Store) NumObjects() int { return s.count }
 
 // NumPages returns the number of object pages referenced by the
 // directory.
@@ -141,15 +131,12 @@ func (s *Store) NumPages() int {
 	return len(seen)
 }
 
-// Pages returns the object-page IDs an object occupies (nil if unknown).
-func (s *Store) Pages(objID uint64) []page.ID { return s.locs[objID] }
-
-// FetchSegments reads the object's segment MBRs through rd (so a buffer
+// fetchSegments reads the object's segment MBRs through rd (so a buffer
 // policy pays the I/O) and returns them in storage order.
-func (s *Store) FetchSegments(rd rtree.Reader, ctx buffer.AccessContext, objID uint64) ([]geom.Rect, error) {
+func (s *Store) fetchSegments(rd rtree.Reader, ctx buffer.AccessContext, objID uint64) ([]geom.Rect, error) {
 	ids, ok := s.locs[objID]
 	if !ok {
-		return nil, fmt.Errorf("objstore: fetch %d: %w", objID, ErrUnknownObject)
+		return nil, fmt.Errorf("objstore: fetch %d: %w", objID, errUnknownObject)
 	}
 	var segs []geom.Rect
 	for _, id := range ids {
@@ -166,14 +153,14 @@ func (s *Store) FetchSegments(rd rtree.Reader, ctx buffer.AccessContext, objID u
 	return segs, nil
 }
 
-// Refine reports whether the object's exact representation intersects the
+// refine reports whether the object's exact representation intersects the
 // window, fetching object pages through rd. The per-segment test uses the
 // segment MBR, which for a straight segment equals the segment's own hull
 // intersected test — exact for axis-aligned windows up to the segment's
 // diagonal direction; to stay fully exact the caller keeps shapes, so
-// Refine additionally verifies with the polyline when provided.
-func (s *Store) Refine(rd rtree.Reader, ctx buffer.AccessContext, objID uint64, window geom.Rect, shape geom.Polyline) (bool, error) {
-	segs, err := s.FetchSegments(rd, ctx, objID)
+// refine additionally verifies with the polyline when provided.
+func (s *Store) refine(rd rtree.Reader, ctx buffer.AccessContext, objID uint64, window geom.Rect, shape geom.Polyline) (bool, error) {
+	segs, err := s.fetchSegments(rd, ctx, objID)
 	if err != nil {
 		return false, err
 	}

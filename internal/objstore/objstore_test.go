@@ -36,15 +36,15 @@ func TestBuildAndFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.NumObjects() != 500 {
-		t.Errorf("NumObjects = %d", st.NumObjects())
+	if len(st.locs) != 500 {
+		t.Errorf("%d objects stored", len(st.locs))
 	}
 	if st.NumPages() == 0 || st.NumPages() != pages.NumPages() {
 		t.Errorf("NumPages = %d, store has %d", st.NumPages(), pages.NumPages())
 	}
 	rd := rtree.StoreReader{Store: pages}
 	for _, s := range shaped {
-		segs, err := st.FetchSegments(rd, buffer.AccessContext{}, s.ID)
+		segs, err := st.fetchSegments(rd, buffer.AccessContext{}, s.ID)
 		if err != nil {
 			t.Fatalf("fetch %d: %v", s.ID, err)
 		}
@@ -56,7 +56,11 @@ func TestBuildAndFetch(t *testing.T) {
 			t.Fatalf("object %d: %d segments, want %d", s.ID, len(segs), wantSegs)
 		}
 		// Union of segment MBRs is the object MBR.
-		if got := geom.MBR(segs...); !got.Equal(s.MBR) {
+		got := geom.EmptyRect()
+		for _, r := range segs {
+			got = got.Union(r)
+		}
+		if !got.Equal(s.MBR) {
 			t.Fatalf("object %d: segment union %v != MBR %v", s.ID, got, s.MBR)
 		}
 	}
@@ -88,7 +92,7 @@ func TestFetchUnknownObject(t *testing.T) {
 		t.Fatal(err)
 	}
 	rd := rtree.StoreReader{Store: pages}
-	if _, err := st.FetchSegments(rd, buffer.AccessContext{}, 999); !errors.Is(err, ErrUnknownObject) {
+	if _, err := st.fetchSegments(rd, buffer.AccessContext{}, 999); !errors.Is(err, errUnknownObject) {
 		t.Errorf("err = %v, want ErrUnknownObject", err)
 	}
 }
@@ -101,7 +105,7 @@ func TestObjectPagesHaveObjectType(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, obj := range objs {
-		for _, pid := range st.Pages(obj.ID) {
+		for _, pid := range st.locs[obj.ID] {
 			p, err := pages.Read(pid)
 			if err != nil {
 				t.Fatal(err)
@@ -128,11 +132,11 @@ func TestLargeObjectSpansPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(st.Pages(7)); got < 4 {
+	if got := len(st.locs[7]); got < 4 {
 		t.Errorf("object spans %d pages, want ≥ 4", got)
 	}
 	rd := rtree.StoreReader{Store: pages}
-	segs, err := st.FetchSegments(rd, buffer.AccessContext{}, 7)
+	segs, err := st.fetchSegments(rd, buffer.AccessContext{}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,9 +85,6 @@ func (h *Histogram) ObserveN(v int64, n uint64) {
 // RecordLatency implements LatencyRecorder.
 func (h *Histogram) RecordLatency(nanos int64, weight uint64) { h.ObserveN(nanos, weight) }
 
-// Count returns the number of recorded values.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Snapshot returns a point-in-time copy of the histogram. Under
 // concurrent writers the copy is per-bucket, not mutually, consistent
 // (the expvar contract); quantiles computed from it are approximate by
@@ -108,14 +105,6 @@ type HistSnapshot struct {
 	Count  uint64
 	Sum    int64
 	counts [histBuckets]uint64
-}
-
-// Mean returns the mean recorded value, or 0 for an empty snapshot.
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
 }
 
 // Quantile returns an estimate of the q-quantile (q in [0,1]) of the
@@ -176,15 +165,4 @@ func (s HistSnapshot) CountAtMost(v int64) uint64 {
 		cum += c
 	}
 	return cum
-}
-
-// Max returns the upper edge of the highest occupied bucket (an upper
-// bound on the largest recorded value), or 0 for an empty snapshot.
-func (s HistSnapshot) Max() int64 {
-	for i := histBuckets - 1; i >= 0; i-- {
-		if s.counts[i] > 0 {
-			return histBucketHigh(i)
-		}
-	}
-	return 0
 }

@@ -50,12 +50,6 @@ func TestHistogramQuantiles(t *testing.T) {
 			t.Errorf("q%.2f = %.0f, want within 15%% of %.0f", tc.q, got, tc.want)
 		}
 	}
-	if s.Mean() < 480 || s.Mean() > 520 {
-		t.Errorf("mean = %f, want ≈500.5", s.Mean())
-	}
-	if max := s.Max(); max < 1000 {
-		t.Errorf("max = %d, want ≥ 1000", max)
-	}
 
 	// CountAtMost is monotone and bracketed by the true CDF at bucket
 	// edges.
@@ -78,7 +72,7 @@ func TestHistogramQuantiles(t *testing.T) {
 func TestHistogramEmptyAndNegative(t *testing.T) {
 	var h Histogram
 	s := h.Snapshot()
-	if s.Quantile(0.5) != 0 || s.Mean() != 0 || s.Max() != 0 {
+	if s.Quantile(0.5) != 0 {
 		t.Error("empty snapshot should report zeros")
 	}
 	h.Observe(-5) // clamped to 0
@@ -104,7 +98,7 @@ func TestHistogramObserveN(t *testing.T) {
 	if w != s {
 		t.Fatalf("weighted snapshot differs from the one-by-one snapshot:\n%+v\n%+v", w, s)
 	}
-	if w.Count != 134 || w.Sum != 128*100+5000+3*90000 || weighted.Count() != 134 {
+	if w.Count != 134 || w.Sum != 128*100+5000+3*90000 || weighted.count.Load() != 134 {
 		t.Errorf("count/sum = %d/%d, want 134/%d", w.Count, w.Sum, 128*100+5000+3*90000)
 	}
 	if got := w.CountAtMost(histBucketHigh(histBucketIndex(100))); got != 130 {
@@ -150,7 +144,7 @@ func TestHistogramImplementsLatencyRecorder(t *testing.T) {
 	var h Histogram
 	var lr LatencyRecorder = &h
 	lr.RecordLatency(42, 1)
-	if h.Count() != 1 {
+	if h.count.Load() != 1 {
 		t.Error("RecordLatency did not observe")
 	}
 }

@@ -33,24 +33,19 @@ type JSONLSink struct {
 	err error
 }
 
-// NewJSONLSink returns a sink writing to w. The caller owns w; call
+// newJSONLSink returns a sink writing to w. The caller owns w; call
 // Flush before using its contents.
-func NewJSONLSink(w io.Writer) *JSONLSink {
+func newJSONLSink(w io.Writer) *JSONLSink {
 	return &JSONLSink{w: bufio.NewWriterSize(w, 1<<16), buf: make([]byte, 0, 128)}
 }
 
-// NewJSONLSinkCloser is NewJSONLSink for writers the sink should close
+// NewJSONLSinkCloser is newJSONLSink for writers the sink should close
 // (files): Close flushes and closes.
 func NewJSONLSinkCloser(wc io.WriteCloser) *JSONLSink {
-	s := NewJSONLSink(wc)
+	s := newJSONLSink(wc)
 	s.c = wc
 	return s
 }
-
-// Err returns the first write error, if any. Event methods cannot return
-// errors (the Sink interface is hot-path); errors are sticky and
-// surfaced here and by Flush/Close.
-func (s *JSONLSink) Err() error { return s.err }
 
 // Flush writes buffered lines through to the underlying writer.
 func (s *JSONLSink) Flush() error {

@@ -7,13 +7,13 @@ import (
 	"repro/internal/obs/tracing"
 )
 
-// ASBGauges is the slice of core.ASB the live layer reads for gauges:
+// asbGauges is the slice of core.ASB the live layer reads for gauges:
 // the candidate-set size, the overflow occupancy and the two part
 // capacities. Defined here (not in core) so the live layer stays
 // policy-agnostic — any adaptive policy with these is scrapeable. They
 // are plain reads of state the policy changes on the request path, which
 // is why AddPoolGauges calls them inside Pool.View and nowhere else.
-type ASBGauges interface {
+type asbGauges interface {
 	CandidateSize() int
 	OverflowLen() int
 	OverflowCapacity() int
@@ -51,13 +51,13 @@ func (s *Service) AddPoolGauges(pool buffer.Pool) {
 			return v
 		}
 	}
-	asb := func(get func(ASBGauges) int) func(*buffer.Engine) int {
-		return func(e *buffer.Engine) int { return get(e.Policy().(ASBGauges)) }
+	asb := func(get func(asbGauges) int) func(*buffer.Engine) int {
+		return func(e *buffer.Engine) int { return get(e.Policy().(asbGauges)) }
 	}
 	// Every shard's policy comes from the one factory, so shard 0 tells
 	// whether the pool is an ASB.
 	isASB := false
-	pool.View(0, func(e *buffer.Engine) { _, isASB = e.Policy().(ASBGauges) })
+	pool.View(0, func(e *buffer.Engine) { _, isASB = e.Policy().(asbGauges) })
 
 	s.AddGauge("spatialbuf_resident_pages", "Pages currently held in buffer frames.",
 		total((*buffer.Engine).Len))
@@ -65,24 +65,24 @@ func (s *Service) AddPoolGauges(pool buffer.Pool) {
 		func() float64 { return float64(shards) })
 	for i := 0; shards > 1 && i < shards; i++ { // one shard: the pool gauges say it all
 		labels := `shard="` + strconv.Itoa(i) + `"`
-		s.AddLabeledGauge("spatialbuf_shard_resident_pages", labels,
+		s.addLabeledGauge("spatialbuf_shard_resident_pages", labels,
 			"Pages currently resident in this buffer shard.", on(i, (*buffer.Engine).Len))
 		if isASB {
-			s.AddLabeledGauge("spatialbuf_shard_asb_candidate_size", labels,
-				"Per-shard ASB candidate-set size c.", on(i, asb(ASBGauges.CandidateSize)))
-			s.AddLabeledGauge("spatialbuf_shard_asb_overflow_pages", labels,
-				"Per-shard pages in the ASB overflow buffer.", on(i, asb(ASBGauges.OverflowLen)))
+			s.addLabeledGauge("spatialbuf_shard_asb_candidate_size", labels,
+				"Per-shard ASB candidate-set size c.", on(i, asb(asbGauges.CandidateSize)))
+			s.addLabeledGauge("spatialbuf_shard_asb_overflow_pages", labels,
+				"Per-shard pages in the ASB overflow buffer.", on(i, asb(asbGauges.OverflowLen)))
 		}
 	}
 	if isASB {
 		s.AddGauge("spatialbuf_asb_candidate_size", "Current ASB candidate-set size c.",
-			total(asb(ASBGauges.CandidateSize)))
+			total(asb(asbGauges.CandidateSize)))
 		s.AddGauge("spatialbuf_asb_overflow_pages", "Pages currently in the ASB overflow buffer.",
-			total(asb(ASBGauges.OverflowLen)))
+			total(asb(asbGauges.OverflowLen)))
 		s.AddGauge("spatialbuf_asb_overflow_capacity_pages", "Capacity of the ASB overflow buffer.",
-			total(asb(ASBGauges.OverflowCapacity)))
+			total(asb(asbGauges.OverflowCapacity)))
 		s.AddGauge("spatialbuf_asb_main_capacity_pages", "Capacity of the ASB main part.",
-			total(asb(ASBGauges.MainCapacity)))
+			total(asb(asbGauges.MainCapacity)))
 	}
 }
 
@@ -96,13 +96,13 @@ func (s *Service) AddPoolGauges(pool buffer.Pool) {
 func (s *Service) AddContentionGauges(c *tracing.Contention) {
 	for i := 0; i < c.Shards(); i++ {
 		labels := `shard="` + strconv.Itoa(i) + `"`
-		s.AddLabeledGauge("spatialbuf_shard_lock_wait_seconds_total", labels,
+		s.addLabeledGauge("spatialbuf_shard_lock_wait_seconds_total", labels,
 			"Cumulative shard-lock wait time of buffer requests.",
 			func() float64 { return float64(c.WaitNanos(i)) / 1e9 })
-		s.AddLabeledGauge("spatialbuf_shard_lock_waiters", labels,
+		s.addLabeledGauge("spatialbuf_shard_lock_waiters", labels,
 			"Goroutines currently acquiring (queue depth of) the shard lock.",
 			func() float64 { return float64(c.Waiters(i)) })
-		s.AddLabeledGauge("spatialbuf_shard_lock_acquisitions_total", labels,
+		s.addLabeledGauge("spatialbuf_shard_lock_acquisitions_total", labels,
 			"Completed shard-lock acquisitions on the buffer request path.",
 			func() float64 { return float64(c.Acquisitions(i)) })
 	}
@@ -134,8 +134,8 @@ func (s *Service) AddAsyncSinkGauges(a *AsyncSink) {
 		func() float64 { return float64(a.Dropped()) })
 	s.AddGauge("spatialbuf_async_ring_depth_events",
 		"Events currently queued in the async ring.",
-		func() float64 { return float64(a.Depth()) })
+		func() float64 { return float64(a.depth()) })
 	s.AddGauge("spatialbuf_async_ring_capacity_events",
 		"Capacity of the async ring.",
-		func() float64 { return float64(a.Capacity()) })
+		func() float64 { return float64(a.capacity()) })
 }

@@ -240,17 +240,17 @@ func (s *AsyncSink) Delivered() uint64 { return s.delivered.Load() }
 // free (or the sink closed).
 func (s *AsyncSink) Dropped() uint64 { return s.dropped.Load() }
 
-// Depth returns the number of events accepted and not yet delivered —
+// depth returns the number of events accepted and not yet delivered —
 // the instantaneous backlog. A depth pinned near Capacity means the
 // downstream sink cannot keep up.
-func (s *AsyncSink) Depth() int {
+func (s *AsyncSink) depth() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return int(s.accepted - s.delivered.Load())
 }
 
-// Capacity returns the ring capacity in events.
-func (s *AsyncSink) Capacity() int { return cap(s.full) * slabRecords }
+// capacity returns the ring capacity in events.
+func (s *AsyncSink) capacity() int { return cap(s.full) * slabRecords }
 
 // Close drains remaining events, stops the drainer and flushes (and, if
 // owned, closes) the downstream sink. Idempotent; returns the first

@@ -36,7 +36,11 @@ func newStore(t testing.TB, n int) *storage.MemStore {
 // lockedPool builds the locked layout over store, with pol its one policy.
 func lockedPool(t testing.TB, store storage.Store, pol buffer.Policy, frames int) buffer.Pool {
 	t.Helper()
-	pool, err := buffer.Composition{Layout: buffer.LayoutLocked}.Build(store, func(int) buffer.Policy { return pol }, frames)
+	comp, err := buffer.ParseComposition("locked")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := comp.Build(store, func(int) buffer.Policy { return pol }, frames)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,12 +17,12 @@ import (
 // JSONL export carries).
 const critScale = 1e9
 
-// Gauge is a named instantaneous value scraped at request time. Value
+// gauge is a named instantaneous value scraped at request time. Value
 // must be safe to call from any goroutine. Labels is an optional
 // Prometheus label set rendered inside the braces (e.g. `shard="3"`);
 // several gauges may share a Name with distinct Labels, forming one
 // labeled metric family (the per-shard gauges of a sharded pool).
-type Gauge struct {
+type gauge struct {
 	Name   string
 	Labels string
 	Help   string
@@ -30,7 +30,7 @@ type Gauge struct {
 }
 
 // key is the registry identity: one gauge per (name, label set).
-func (g Gauge) key() string {
+func (g gauge) key() string {
 	if g.Labels == "" {
 		return g.Name
 	}
@@ -60,7 +60,7 @@ type Service struct {
 	Traj      *Broadcaster
 
 	mu         sync.Mutex
-	gauges     []Gauge
+	gauges     []gauge
 	named      map[string]bool
 	shadowBank *shadow.Bank
 	pool       buffer.Pool // set by AddPoolGauges; nil until then
@@ -72,7 +72,7 @@ func NewService() *Service {
 		Counters:  &obs.Counters{},
 		Latency:   &obs.Histogram{},
 		Criterion: &obs.Histogram{},
-		Traj:      NewBroadcaster(),
+		Traj:      newBroadcaster(),
 		named:     make(map[string]bool),
 	}
 }
@@ -108,15 +108,15 @@ func (s *Service) Sink() obs.Sink { return serviceSink{s} }
 // AddGauge registers an instantaneous value for /metrics.
 // Registering a name twice replaces the earlier gauge.
 func (s *Service) AddGauge(name, help string, value func() float64) {
-	s.AddLabeledGauge(name, "", help, value)
+	s.addLabeledGauge(name, "", help, value)
 }
 
-// AddLabeledGauge registers a gauge carrying a Prometheus label set
+// addLabeledGauge registers a gauge carrying a Prometheus label set
 // (e.g. `shard="0"`). Gauges sharing a name but differing in labels
 // coexist as one metric family; registering the same (name, labels)
 // pair twice replaces the earlier gauge.
-func (s *Service) AddLabeledGauge(name, labels, help string, value func() float64) {
-	g := Gauge{Name: name, Labels: labels, Help: help, Value: value}
+func (s *Service) addLabeledGauge(name, labels, help string, value func() float64) {
+	g := gauge{Name: name, Labels: labels, Help: help, Value: value}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.named[g.key()] {
@@ -157,10 +157,10 @@ func (s *Service) stats() buffer.Stats {
 // Prometheus exposition format requires for labeled families.
 func (s *Service) gaugeSnapshot() []gaugeSample {
 	s.mu.Lock()
-	gs := make([]Gauge, len(s.gauges))
+	gs := make([]gauge, len(s.gauges))
 	copy(gs, s.gauges)
 	s.mu.Unlock()
-	byName := make(map[string][]Gauge, len(gs))
+	byName := make(map[string][]gauge, len(gs))
 	var order []string
 	for _, g := range gs {
 		if _, seen := byName[g.Name]; !seen {
@@ -310,7 +310,7 @@ func (s *Service) handleCTraj(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Connection", "keep-alive")
 	// Subscribed before the headers go out: a client that has seen the
 	// response misses no event emitted afterwards.
-	ch, cancel := s.Traj.Subscribe(256)
+	ch, cancel := s.Traj.subscribe(256)
 	defer cancel()
 	fmt.Fprintf(w, "retry: 2000\n\n")
 	fl.Flush()

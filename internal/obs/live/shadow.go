@@ -29,16 +29,16 @@ func (s *Service) AddShadowGauges(b *shadow.Bank) {
 	for _, c := range b.Shadows() {
 		c := c
 		labels := `policy="` + c.PolicyName() + `",capacity="` + strconv.Itoa(c.Capacity()) + `"`
-		s.AddLabeledGauge("spatialbuf_shadow_hit_ratio", labels,
+		s.addLabeledGauge("spatialbuf_shadow_hit_ratio", labels,
 			"Cumulative hit ratio of a shadow (ghost) cache simulating an alternative configuration.",
 			func() float64 { return c.HitRatio() })
-		s.AddLabeledGauge("spatialbuf_shadow_window_hit_ratio", labels,
+		s.addLabeledGauge("spatialbuf_shadow_window_hit_ratio", labels,
 			"Hit ratio of the shadow cache's last completed rolling window.",
 			func() float64 { return c.WindowHitRatio() })
-		s.AddLabeledGauge("spatialbuf_shadow_hits_total", labels,
+		s.addLabeledGauge("spatialbuf_shadow_hits_total", labels,
 			"Cumulative shadow-cache hits.",
 			func() float64 { return float64(c.Hits()) })
-		s.AddLabeledGauge("spatialbuf_shadow_misses_total", labels,
+		s.addLabeledGauge("spatialbuf_shadow_misses_total", labels,
 			"Cumulative shadow-cache misses.",
 			func() float64 { return float64(c.Misses()) })
 	}

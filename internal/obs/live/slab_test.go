@@ -140,28 +140,28 @@ func TestAsyncSinkFlushesPartialSlab(t *testing.T) {
 func TestAsyncSinkDepthAndCapacityCountEvents(t *testing.T) {
 	def := NewAsyncSink(nil, 0, nil)
 	defer def.Close()
-	if def.Capacity() != DefaultRingCapacity {
-		t.Errorf("default capacity = %d events, want %d", def.Capacity(), DefaultRingCapacity)
+	if def.capacity() != DefaultRingCapacity {
+		t.Errorf("default capacity = %d events, want %d", def.capacity(), DefaultRingCapacity)
 	}
 	log := newEventLog()
 	log.gate = make(chan struct{})
 	s := NewAsyncSink(log, slabRecords+1, nil)
-	if got, want := s.Capacity(), 2*slabRecords; got != want {
+	if got, want := s.capacity(), 2*slabRecords; got != want {
 		t.Errorf("capacity = %d events, want %d (whole slabs)", got, want)
 	}
 	const emitted = slabRecords + 10 // one slab handed over, one partly filled
 	for i := 0; i < emitted; i++ {
 		s.Request(obs.RequestEvent{Page: 1})
 	}
-	if got := s.Depth(); got != emitted {
+	if got := s.depth(); got != emitted {
 		t.Errorf("depth = %d with the downstream sink stalled, want %d", got, emitted)
 	}
 	close(log.gate)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Depth() != 0 || s.Delivered() != emitted {
-		t.Errorf("after Close: depth %d, delivered %d, want 0 and %d", s.Depth(), s.Delivered(), emitted)
+	if s.depth() != 0 || s.Delivered() != emitted {
+		t.Errorf("after Close: depth %d, delivered %d, want 0 and %d", s.depth(), s.Delivered(), emitted)
 	}
 }
 

@@ -30,8 +30,8 @@ type Broadcaster struct {
 	nextID uint64
 }
 
-// NewBroadcaster returns an empty broadcaster.
-func NewBroadcaster() *Broadcaster {
+// newBroadcaster returns an empty broadcaster.
+func newBroadcaster() *Broadcaster {
 	return &Broadcaster{subs: make(map[uint64]chan CTrajSample)}
 }
 
@@ -49,10 +49,10 @@ func (b *Broadcaster) Adapt(e obs.AdaptEvent) {
 	b.mu.Unlock()
 }
 
-// Subscribe registers a subscriber with the given channel buffer
+// subscribe registers a subscriber with the given channel buffer
 // (≤ 0 selects 64) and returns its receive channel plus a cancel
 // function. Cancel closes the channel; it is safe to call once.
-func (b *Broadcaster) Subscribe(buf int) (<-chan CTrajSample, func()) {
+func (b *Broadcaster) subscribe(buf int) (<-chan CTrajSample, func()) {
 	if buf <= 0 {
 		buf = 64
 	}

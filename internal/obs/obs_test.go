@@ -66,7 +66,7 @@ func TestCountersAggregate(t *testing.T) {
 
 func TestJSONLSinkLines(t *testing.T) {
 	var buf bytes.Buffer
-	s := NewJSONLSink(&buf)
+	s := newJSONLSink(&buf)
 	s.Request(RequestEvent{Page: 12, QueryID: 3, Hit: true})
 	s.Eviction(EvictionEvent{Page: 9, Reason: ReasonSLRU, Criterion: 0.0125, LRURank: 4})
 	s.OverflowPromotion(OverflowPromotionEvent{Page: 7, BetterSpatial: 2, BetterLRU: 5})
@@ -120,8 +120,8 @@ func TestTrajectoryRecorderAndCSVRoundTrip(t *testing.T) {
 	r.Adapt(AdaptEvent{OldC: 4, NewC: 5, Ref: 10})
 	r.Adapt(AdaptEvent{OldC: 5, NewC: 5, Ref: 15})
 
-	if r.Len() != 2 {
-		t.Fatalf("len = %d, want 2", r.Len())
+	if len(r.Ref) != 2 {
+		t.Fatalf("len = %d, want 2", len(r.Ref))
 	}
 	if r.Ref[0] != 10 || r.Cand[0] != 5 || r.Ref[1] != 15 || r.Cand[1] != 5 {
 		t.Errorf("samples = %v / %v", r.Ref, r.Cand)

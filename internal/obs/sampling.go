@@ -2,10 +2,10 @@ package obs
 
 import "sync/atomic"
 
-// SamplingSink forwards one in every N Request events to the wrapped
+// samplingSink forwards one in every N Request events to the wrapped
 // sink and passes Eviction, OverflowPromotion and Adapt events through
 // unchanged. It decouples exact accounting from bulk capture: a JSONL
-// file behind a SamplingSink stays small under heavy load while the
+// file behind a samplingSink stays small under heavy load while the
 // rare, decision-carrying events remain complete (exact request counters
 // come from a Counters attached alongside, not from the sampled file).
 //
@@ -13,7 +13,7 @@ import "sync/atomic"
 // are forwarded, counted by an atomic counter — so the sink is safe for
 // concurrent producers and two runs over the same serialized stream
 // select the same events.
-type SamplingSink struct {
+type samplingSink struct {
 	down  Sink
 	every uint64
 	seen  atomic.Uint64
@@ -29,24 +29,21 @@ func NewSamplingSink(down Sink, every int) Sink {
 	if every <= 1 {
 		return down
 	}
-	return &SamplingSink{down: down, every: uint64(every)}
+	return &samplingSink{down: down, every: uint64(every)}
 }
 
-// Seen returns how many Request events were offered (forwarded or not).
-func (s *SamplingSink) Seen() uint64 { return s.seen.Load() }
-
 // Request implements Sink: every s.every-th event is forwarded.
-func (s *SamplingSink) Request(e RequestEvent) {
+func (s *samplingSink) Request(e RequestEvent) {
 	if (s.seen.Add(1)-1)%s.every == 0 {
 		s.down.Request(e)
 	}
 }
 
 // Eviction implements Sink (pass-through).
-func (s *SamplingSink) Eviction(e EvictionEvent) { s.down.Eviction(e) }
+func (s *samplingSink) Eviction(e EvictionEvent) { s.down.Eviction(e) }
 
 // OverflowPromotion implements Sink (pass-through).
-func (s *SamplingSink) OverflowPromotion(e OverflowPromotionEvent) { s.down.OverflowPromotion(e) }
+func (s *samplingSink) OverflowPromotion(e OverflowPromotionEvent) { s.down.OverflowPromotion(e) }
 
 // Adapt implements Sink (pass-through).
-func (s *SamplingSink) Adapt(e AdaptEvent) { s.down.Adapt(e) }
+func (s *samplingSink) Adapt(e AdaptEvent) { s.down.Adapt(e) }

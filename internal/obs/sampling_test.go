@@ -23,8 +23,8 @@ func TestSamplingSinkDeterministic(t *testing.T) {
 	if rec.evict != 1 || rec.promote != 1 || rec.adapt != 1 {
 		t.Errorf("pass-through events: %+v", *rec)
 	}
-	if seen := s.(*SamplingSink).Seen(); seen != 10 {
-		t.Errorf("Seen() = %d, want 10", seen)
+	if seen := s.(*samplingSink).seen.Load(); seen != 10 {
+		t.Errorf("seen = %d, want 10", seen)
 	}
 }
 
@@ -46,7 +46,7 @@ func TestSamplingSinkDegenerateRates(t *testing.T) {
 // before it) immediately after Mark returns, without an explicit Flush.
 func TestMarkFlushes(t *testing.T) {
 	var buf bytes.Buffer
-	s := NewJSONLSink(&buf)
+	s := newJSONLSink(&buf)
 	s.Request(RequestEvent{Page: 1, Hit: true})
 	if buf.Len() != 0 {
 		t.Fatal("request line should still be buffered (precondition)")
@@ -56,7 +56,7 @@ func TestMarkFlushes(t *testing.T) {
 	if !strings.Contains(out, `"t":"req"`) || !strings.Contains(out, `"label":"combination 1"`) {
 		t.Errorf("post-Mark read missed lines:\n%s", out)
 	}
-	if err := s.Err(); err != nil {
+	if err := s.err; err != nil {
 		t.Fatal(err)
 	}
 }

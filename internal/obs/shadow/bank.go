@@ -88,7 +88,7 @@ type Bank struct {
 // (policy, capacity) and specs with a capacity below 2 frames are
 // skipped (the minimum every standard policy constructor accepts);
 // resolving a policy name can fail, which is the only error path.
-// window ≤ 0 selects DefaultWindow for every cache's rolling hit-ratio
+// window ≤ 0 selects defaultWindow for every cache's rolling hit-ratio
 // window.
 func NewBank(specs []Spec, resolve Resolver, window int) (*Bank, error) {
 	b := &Bank{}

@@ -38,9 +38,9 @@ import (
 	"repro/internal/page"
 )
 
-// DefaultWindow is the rolling hit-ratio window size, in requests, used
+// defaultWindow is the rolling hit-ratio window size, in requests, used
 // when a Bank or Cache is built with window ≤ 0.
-const DefaultWindow = 4096
+const defaultWindow = 4096
 
 // Cache is one ghost cache: a replacement policy simulated over
 // metadata-only frames. It is not safe for concurrent use — Bank drives
@@ -63,7 +63,6 @@ type Cache struct {
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
-	len    atomic.Int64
 
 	winSize  uint64
 	winReqs  uint64
@@ -76,10 +75,10 @@ type Cache struct {
 // every standard policy constructor accepts it) around a fresh policy
 // instance. policyName is the display/label name (the factory name, not
 // policy.Name(), so "SLRU 50%" and "SLRU 25%" stay distinguishable).
-// window ≤ 0 selects DefaultWindow.
+// window ≤ 0 selects defaultWindow.
 func NewCache(policyName string, policy buffer.Policy, capacity, window int) *Cache {
 	if window <= 0 {
-		window = DefaultWindow
+		window = defaultWindow
 	}
 	return &Cache{
 		policyName: policyName,
@@ -136,7 +135,6 @@ func (c *Cache) Ref(id page.ID, meta page.Meta, queryID uint64) bool {
 			c.frames[id] = f
 			c.policy.OnAdmit(f, now, ctx)
 		}
-		c.len.Store(int64(len(c.frames)))
 	}
 	c.winReqs++
 	if c.winReqs >= c.winSize {
@@ -161,13 +159,6 @@ func (c *Cache) Hits() uint64 { return c.hits.Load() }
 // with Ref.
 func (c *Cache) Misses() uint64 { return c.misses.Load() }
 
-// Requests returns Hits+Misses. Safe to call concurrently with Ref.
-func (c *Cache) Requests() uint64 { return c.hits.Load() + c.misses.Load() }
-
-// Len returns the number of ghost-resident pages. Safe to call
-// concurrently with Ref.
-func (c *Cache) Len() int { return int(c.len.Load()) }
-
 // HitRatio returns the cumulative hit ratio, 0 before any reference.
 // Safe to call concurrently with Ref.
 func (c *Cache) HitRatio() float64 {
@@ -186,16 +177,4 @@ func (c *Cache) WindowHitRatio() float64 {
 		return math.Float64frombits(c.winRatio.Load())
 	}
 	return c.HitRatio()
-}
-
-// ResidentIDs returns the ghost-resident page IDs in unspecified order.
-// Unlike the counter accessors it reads the frame table, so it must not
-// race with Ref — call it only while the cache (or its Bank) is
-// quiescent. For tests and offline replay.
-func (c *Cache) ResidentIDs() []page.ID {
-	ids := make([]page.ID, 0, len(c.frames))
-	for id := range c.frames {
-		ids = append(ids, id)
-	}
-	return ids
 }

@@ -12,7 +12,7 @@ import (
 // nonzero shards carry it, so existing JSONL consumers keep working.
 func TestJSONLShardField(t *testing.T) {
 	var buf bytes.Buffer
-	s := NewJSONLSink(&buf)
+	s := newJSONLSink(&buf)
 	s.Request(RequestEvent{Page: 12, QueryID: 3, Hit: true})
 	s.Request(RequestEvent{Page: 12, QueryID: 3, Hit: true, Shard: 2})
 	s.Eviction(EvictionEvent{Page: 9, Reason: ReasonLRU, Shard: 5})

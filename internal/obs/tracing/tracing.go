@@ -148,11 +148,11 @@ type Span struct {
 	Bytes int32
 }
 
-// MaxSpansPerTrace bounds one trace's span count; Start calls beyond the
+// maxSpansPerTrace bounds one trace's span count; Start calls beyond the
 // bound are dropped (the trace stays valid, just truncated). A buffer
 // request produces a handful of spans; only a Flush over a huge dirty
 // set approaches the bound.
-const MaxSpansPerTrace = 512
+const maxSpansPerTrace = 512
 
 // Tracer is the sampling span recorder shared by a buffer stack. One
 // Tracer serves any number of producer goroutines: the sampling counter
@@ -294,7 +294,7 @@ type Active struct {
 // Start opens a child span of the innermost open span and returns its
 // index. Returns -1 (a no-op index) when the trace is full or a is nil.
 func (a *Active) Start(kind SpanKind) int32 {
-	if a == nil || len(a.spans) >= MaxSpansPerTrace {
+	if a == nil || len(a.spans) >= maxSpansPerTrace {
 		return -1
 	}
 	parent := int32(-1)

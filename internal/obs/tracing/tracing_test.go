@@ -130,15 +130,15 @@ func TestRingWraps(t *testing.T) {
 func TestTraceSpanCap(t *testing.T) {
 	tr := NewTracer(1, 1, 2)
 	a := tr.StartRequest(KindFlush, 0, 0, 0, 0)
-	for i := 0; i < MaxSpansPerTrace+100; i++ {
+	for i := 0; i < maxSpansPerTrace+100; i++ {
 		idx := a.Start(KindStoreWrite)
 		a.At(idx).Bytes = 1 // must not panic for dropped spans
 		a.End(idx)
 	}
 	a.Finish(false, false)
 	spans := tr.Traces(0)[0]
-	if len(spans) != MaxSpansPerTrace {
-		t.Fatalf("trace holds %d spans, want cap %d", len(spans), MaxSpansPerTrace)
+	if len(spans) != maxSpansPerTrace {
+		t.Fatalf("trace holds %d spans, want cap %d", len(spans), maxSpansPerTrace)
 	}
 }
 

@@ -34,9 +34,6 @@ func (r *TrajectoryRecorder) Adapt(e AdaptEvent) {
 	r.Cand = append(r.Cand, e.NewC)
 }
 
-// Len returns the number of recorded samples.
-func (r *TrajectoryRecorder) Len() int { return len(r.Ref) }
-
 // WriteTrajectoryCSV writes a candidate-set trajectory as CSV with the
 // header "ref,candidate" — the interchange format between spatialbench
 // (producer) and asbviz (consumer).

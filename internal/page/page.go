@@ -246,15 +246,15 @@ func (c Criterion) String() string {
 	}
 }
 
-// Criteria lists all five spatial criteria in paper order.
-func Criteria() []Criterion {
+// criteria lists all five spatial criteria in paper order.
+func criteria() []Criterion {
 	return []Criterion{CritA, CritEA, CritM, CritEM, CritEO}
 }
 
 // ParseCriterion resolves a paper abbreviation ("A", "EA", "M", "EM",
 // "EO", case-insensitive) to its Criterion.
 func ParseCriterion(s string) (Criterion, error) {
-	for _, c := range Criteria() {
+	for _, c := range criteria() {
 		if strings.EqualFold(s, c.String()) {
 			return c, nil
 		}

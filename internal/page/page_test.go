@@ -29,7 +29,7 @@ func TestTypeString(t *testing.T) {
 
 func TestCriterionString(t *testing.T) {
 	want := []string{"A", "EA", "M", "EM", "EO"}
-	for i, c := range Criteria() {
+	for i, c := range criteria() {
 		if c.String() != want[i] {
 			t.Errorf("criterion %d = %q, want %q", i, c.String(), want[i])
 		}
@@ -227,7 +227,7 @@ func TestPropertyRecomputeInvariants(t *testing.T) {
 			t.Fatalf("EntryAreaSum %g exceeds n·MBR area", p.EntryAreaSum)
 		}
 		// All criteria non-negative.
-		for _, c := range Criteria() {
+		for _, c := range criteria() {
 			if v := c.Value(p.Meta); v < 0 || math.IsNaN(v) {
 				t.Fatalf("criterion %v = %g", c, v)
 			}

@@ -67,15 +67,6 @@ func New(store storage.Store, space geom.Rect, params Params) (*Tree, error) {
 	return &Tree{store: store, params: params, space: space, root: rootID}, nil
 }
 
-// NumObjects returns the number of stored objects.
-func (t *Tree) NumObjects() int { return t.count }
-
-// Store returns the backing page store.
-func (t *Tree) Store() storage.Store { return t.store }
-
-// Space returns the data space.
-func (t *Tree) Space() geom.Rect { return t.space }
-
 // quadrant returns the cell of child i (0 = SW, 1 = SE, 2 = NW, 3 = NE).
 func quadrant(cell geom.Rect, i int) geom.Rect {
 	cx := (cell.MinX + cell.MaxX) / 2
@@ -200,51 +191,6 @@ func (t *Tree) split(node *page.Page, cell geom.Rect, level int) error {
 		node.Entries = append(node.Entries, page.Entry{MBR: child.MBR, Child: child.ID})
 	}
 	return nil
-}
-
-// Delete removes an object, returning whether it was found. Empty nodes
-// are not merged (standard for non-compacting quadtrees).
-func (t *Tree) Delete(objID uint64, mbr geom.Rect) (bool, error) {
-	found, err := t.delete(t.root, t.space, objID, mbr)
-	if err != nil {
-		return false, err
-	}
-	if found {
-		t.count--
-	}
-	return found, nil
-}
-
-func (t *Tree) delete(id page.ID, cell geom.Rect, objID uint64, mbr geom.Rect) (bool, error) {
-	node, err := t.store.Read(id)
-	if err != nil {
-		return false, err
-	}
-	for i, e := range node.Entries {
-		if e.Child == page.InvalidID && e.ObjID == objID && e.MBR.Equal(mbr) {
-			node.Entries = append(node.Entries[:i], node.Entries[i+1:]...)
-			node.RecomputeFast()
-			return true, t.store.Write(node)
-		}
-	}
-	for qi, ei := range childEntries(node) {
-		q := quadrant(cell, qi)
-		if !q.Contains(mbr) {
-			continue
-		}
-		found, err := t.delete(node.Entries[ei].Child, q, objID, mbr)
-		if err != nil || !found {
-			return found, err
-		}
-		child, err := t.store.Read(node.Entries[ei].Child)
-		if err != nil {
-			return false, err
-		}
-		node.Entries[ei].MBR = child.MBR
-		node.RecomputeFast()
-		return true, t.store.Write(node)
-	}
-	return false, nil
 }
 
 // Search reports all object entries whose MBR intersects the query

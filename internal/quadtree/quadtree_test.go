@@ -55,7 +55,7 @@ func build(t *testing.T, objs []obj) *Tree {
 func search(t *testing.T, tr *Tree, query geom.Rect) []uint64 {
 	t.Helper()
 	var ids []uint64
-	err := tr.Search(rtree.StoreReader{Store: tr.Store()}, buffer.AccessContext{}, query,
+	err := tr.Search(rtree.StoreReader{Store: tr.store}, buffer.AccessContext{}, query,
 		func(e page.Entry) bool { ids = append(ids, e.ObjID); return true })
 	if err != nil {
 		t.Fatal(err)
@@ -118,8 +118,8 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	objs := randObjs(rng, 3000)
 	tr := build(t, objs)
-	if tr.NumObjects() != 3000 {
-		t.Fatalf("NumObjects = %d", tr.NumObjects())
+	if tr.count != 3000 {
+		t.Fatalf("NumObjects = %d", tr.count)
 	}
 	for trial := 0; trial < 100; trial++ {
 		c := geom.Point{X: rng.Float64() * 1024, Y: rng.Float64() * 512}
@@ -181,40 +181,6 @@ func TestTreeSplitsAndStats(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	objs := randObjs(rng, 800)
-	tr := build(t, objs)
-	deleted := map[uint64]bool{}
-	for _, idx := range rng.Perm(len(objs))[:400] {
-		o := objs[idx]
-		found, err := tr.Delete(o.id, o.mbr)
-		if err != nil || !found {
-			t.Fatalf("delete %d: %v %v", o.id, found, err)
-		}
-		deleted[o.id] = true
-	}
-	if tr.NumObjects() != 400 {
-		t.Errorf("NumObjects = %d", tr.NumObjects())
-	}
-	var rest []obj
-	for _, o := range objs {
-		if !deleted[o.id] {
-			rest = append(rest, o)
-		}
-	}
-	for trial := 0; trial < 40; trial++ {
-		c := geom.Point{X: rng.Float64() * 1024, Y: rng.Float64() * 512}
-		q := geom.RectFromCenter(c, 100, 80).Intersection(space)
-		if got, want := search(t, tr, q), brute(rest, q); !equalIDs(got, want) {
-			t.Fatalf("post-delete trial %d: got %d, want %d", trial, len(got), len(want))
-		}
-	}
-	if found, err := tr.Delete(9999, geom.NewRect(1, 1, 2, 2)); err != nil || found {
-		t.Errorf("missing delete: %v %v", found, err)
-	}
-}
-
 func TestSearchThroughBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	objs := randObjs(rng, 2500)
@@ -222,7 +188,7 @@ func TestSearchThroughBuffer(t *testing.T) {
 	if err := tr.FinalizeStats(); err != nil {
 		t.Fatal(err)
 	}
-	ms := tr.Store().(*storage.MemStore)
+	ms := tr.store.(*storage.MemStore)
 	ms.ResetStats()
 	pol := &fifoStub{}
 	m, err := buffer.NewEngine(ms, pol, 16)

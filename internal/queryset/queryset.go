@@ -33,9 +33,6 @@ type Set struct {
 	Queries []Query
 }
 
-// Len returns the number of queries.
-func (s Set) Len() int { return len(s.Queries) }
-
 // window returns a query window of the set's extension centred at p,
 // clipped to the data space.
 func window(space geom.Rect, p geom.Point, ex int) geom.Rect {
@@ -214,18 +211,4 @@ func IndependentWindows(places []dataset.Place, space geom.Rect, n, ex int, seed
 		rects[i] = window(space, p, ex).FlipX(space)
 	}
 	return numbered(fmt.Sprintf("IND-W-%d", ex), rects)
-}
-
-// Concat concatenates sets into one (the mixed workload of Fig. 14),
-// renumbering query IDs so correlation stays per original query.
-func Concat(name string, sets ...Set) Set {
-	out := Set{Name: name}
-	next := uint64(1)
-	for _, s := range sets {
-		for _, q := range s.Queries {
-			out.Queries = append(out.Queries, Query{ID: next, Rect: q.Rect})
-			next++
-		}
-	}
-	return out
 }

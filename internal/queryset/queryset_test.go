@@ -25,8 +25,8 @@ func checkSet(t *testing.T, s Set, wantName string, n int, wantPoints bool) {
 	if s.Name != wantName {
 		t.Errorf("name = %q, want %q", s.Name, wantName)
 	}
-	if s.Len() != n {
-		t.Fatalf("%s: %d queries, want %d", s.Name, s.Len(), n)
+	if len(s.Queries) != n {
+		t.Fatalf("%s: %d queries, want %d", s.Name, len(s.Queries), n)
 	}
 	for i, q := range s.Queries {
 		if q.ID != uint64(i+1) {
@@ -143,7 +143,7 @@ func TestIntensifiedWeighting(t *testing.T) {
 			big++
 		}
 	}
-	frac := float64(big) / float64(s.Len())
+	frac := float64(big) / float64(len(s.Queries))
 	want := math.Sqrt(1_000_000) / (math.Sqrt(1_000_000) + math.Sqrt(100))
 	if math.Abs(frac-want) > 0.02 {
 		t.Errorf("big-place fraction = %.3f, want ≈ %.3f", frac, want)
@@ -168,25 +168,4 @@ func TestIndependentIsFlippedSimilar(t *testing.T) {
 	}
 	sw := IndependentWindows(places, space, 300, 333, 10)
 	checkSet(t, sw, "IND-W-333", 300, false)
-}
-
-func TestConcat(t *testing.T) {
-	a := Uniform(space, 50, 1)
-	b := UniformWindows(space, 70, 33, 2)
-	c := Concat("mixed", a, b)
-	if c.Name != "mixed" {
-		t.Errorf("name = %q", c.Name)
-	}
-	if c.Len() != 120 {
-		t.Fatalf("len = %d", c.Len())
-	}
-	for i, q := range c.Queries {
-		if q.ID != uint64(i+1) {
-			t.Fatalf("query %d has ID %d (renumbering broken)", i, q.ID)
-		}
-	}
-	// Rects preserved in order.
-	if c.Queries[0].Rect != a.Queries[0].Rect || c.Queries[50].Rect != b.Queries[0].Rect {
-		t.Error("concat did not preserve query order")
-	}
 }

@@ -6,3 +6,6 @@ import "repro/internal/page"
 // external shape test (which imports experiment and so cannot live in
 // this package).
 func (t *Tree) Walk(fn func(*page.Page) error) error { return t.walk(t.root, fn) }
+
+// Height returns the number of levels (1 = root is a leaf).
+func (t *Tree) Height() int { return t.height }

@@ -126,14 +126,8 @@ func New(store storage.Store, params Params) (*Tree, error) {
 	return t, nil
 }
 
-// Height returns the number of levels (1 = root is a leaf).
-func (t *Tree) Height() int { return t.height }
-
 // NumObjects returns the number of stored objects.
 func (t *Tree) NumObjects() int { return t.numObjects }
-
-// Params returns the tree parameters.
-func (t *Tree) Params() Params { return t.params }
 
 // Store returns the underlying page store.
 func (t *Tree) Store() storage.Store { return t.store }

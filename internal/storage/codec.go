@@ -62,10 +62,10 @@ const (
 	pageVersion = 2
 )
 
-// ErrCorruptPage is returned (wrapped) when page bytes fail validation:
+// errCorruptPage is returned (wrapped) when page bytes fail validation:
 // wrong magic or format version, entry count out of range, checksum
 // mismatch, or a slot holding another page's ID.
-var ErrCorruptPage = errors.New("storage: corrupt page")
+var errCorruptPage = errors.New("storage: corrupt page")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -123,7 +123,7 @@ func EncodePage(p *page.Page, buf []byte) error {
 
 // DecodePage validates buf (at least PageSize bytes) as a v2 page and
 // copies it out: one exact-size entry slice, Meta as stored. Validation
-// failures wrap ErrCorruptPage.
+// failures wrap errCorruptPage.
 func DecodePage(buf []byte) (*page.Page, error) {
 	p := &page.Page{}
 	if err := decode(p, buf); err != nil {
@@ -158,15 +158,15 @@ func decode(p *page.Page, buf []byte) error {
 	buf = buf[:PageSize]
 	le := binary.LittleEndian
 	if m, v := le.Uint32(buf[4:]), buf[8]; m != pageMagic || v != pageVersion {
-		return fmt.Errorf("%w: magic %#x version %d, want %#x version %d", ErrCorruptPage, m, v, uint32(pageMagic), pageVersion)
+		return fmt.Errorf("%w: magic %#x version %d, want %#x version %d", errCorruptPage, m, v, uint32(pageMagic), pageVersion)
 	}
 	n := int(le.Uint32(buf[12:]))
 	if n > MaxEntries {
-		return fmt.Errorf("%w: %d entries, max %d", ErrCorruptPage, n, MaxEntries)
+		return fmt.Errorf("%w: %d entries, max %d", errCorruptPage, n, MaxEntries)
 	}
 	used := headerSize + n*entrySize
 	if want, got := le.Uint32(buf[0:]), crc32.Checksum(buf[4:used], castagnoli); got != want {
-		return fmt.Errorf("%w: checksum %#08x, header says %#08x", ErrCorruptPage, got, want)
+		return fmt.Errorf("%w: checksum %#08x, header says %#08x", errCorruptPage, got, want)
 	}
 	p.Meta = page.Meta{
 		ID:             page.ID(le.Uint64(buf[16:])),

@@ -31,7 +31,7 @@ var zeroPage [PageSize]byte
 // format v2 of codec.go. A read costs one pread and one checked copy —
 // the CRC, then one copy of the entries' bytes — and returns the Meta and
 // Entries a MemStore holding the written page would. Bytes that fail
-// validation surface as ErrCorruptPage, a slot allocated but never
+// validation surface as errCorruptPage, a slot allocated but never
 // written as ErrPageNotFound. Every page Read returns is leased
 // (page.Leased) and holds one reference, its caller's; Read decodes into
 // pages Recycle handed back once nobody references them (DESIGN.md §5h).
@@ -72,7 +72,7 @@ func CreateFileStore(path string) (*FileStore, error) {
 
 // OpenFileStore opens an existing page file created by CreateFileStore.
 // A file whose first page is not a valid v2 page — another format, or
-// damaged — is rejected with ErrCorruptPage.
+// damaged — is rejected with errCorruptPage.
 func OpenFileStore(path string) (*FileStore, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
@@ -162,7 +162,7 @@ func (s *FileStore) load(id page.ID) (*page.Page, error) {
 		return nil, fmt.Errorf("storage: read page %d: %w", id, err)
 	}
 	if p.ID != id {
-		return nil, fmt.Errorf("storage: read page %d: %w: slot holds page %d", id, ErrCorruptPage, p.ID)
+		return nil, fmt.Errorf("storage: read page %d: %w: slot holds page %d", id, errCorruptPage, p.ID)
 	}
 	return p, nil
 }

@@ -189,7 +189,7 @@ func TestOpenFileStoreErrors(t *testing.T) {
 	if err := os.WriteFile(v1, encodeV1(makePage(1, page.TypeData, 0, 5, rng)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFileStore(v1); !errors.Is(err, ErrCorruptPage) {
+	if _, err := OpenFileStore(v1); !errors.Is(err, errCorruptPage) {
 		t.Errorf("opening a v1 page file: err = %v, want ErrCorruptPage", err)
 	}
 	// A file that is not whole pages.
@@ -204,7 +204,7 @@ func TestOpenFileStoreErrors(t *testing.T) {
 
 // TestFileStoreTypedErrors: a slot that was allocated but never written
 // reads as ErrPageNotFound — inside the file (a hole) and past its end —
-// while damaged or misplaced bytes read as ErrCorruptPage; neither
+// while damaged or misplaced bytes read as errCorruptPage; neither
 // counts as a read.
 func TestFileStoreTypedErrors(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.db")
@@ -244,8 +244,8 @@ func TestFileStoreTypedErrors(t *testing.T) {
 		{"hole", hole, ErrPageNotFound},
 		{"past the end of the file", beyond, ErrPageNotFound},
 		{"never allocated", beyond + 1, ErrPageNotFound},
-		{"damaged", damaged, ErrCorruptPage},
-		{"another page's bytes", misplaced, ErrCorruptPage},
+		{"damaged", damaged, errCorruptPage},
+		{"another page's bytes", misplaced, errCorruptPage},
 	} {
 		if _, err := fs.Read(c.id); !errors.Is(err, c.want) {
 			t.Errorf("read of %s slot: err = %v, want %v", c.name, err, c.want)
@@ -449,7 +449,7 @@ func TestCodecErrors(t *testing.T) {
 	buf[13] = 0xFF
 	buf[14] = 0xFF
 	buf[15] = 0x7F
-	if _, err := DecodePage(buf); !errors.Is(err, ErrCorruptPage) {
+	if _, err := DecodePage(buf); !errors.Is(err, errCorruptPage) {
 		t.Errorf("decode of corrupt entry count: err = %v, want ErrCorruptPage", err)
 	}
 	// A level the 2-byte field cannot hold.
@@ -503,7 +503,7 @@ func codecCorpus(tb testing.TB) (valid, invalid [][]byte) {
 func TestDecodeRejectsDamage(t *testing.T) {
 	valid, invalid := codecCorpus(t)
 	for _, buf := range invalid {
-		if _, err := DecodePage(buf); !errors.Is(err, ErrCorruptPage) {
+		if _, err := DecodePage(buf); !errors.Is(err, errCorruptPage) {
 			t.Errorf("decode of a non-v2 buffer: err = %v, want ErrCorruptPage", err)
 		}
 	}
@@ -518,7 +518,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		for i := 0; i < PageBytes(p); i++ {
 			for _, mask := range []byte{0x01, 0x80, 0xFF} {
 				buf[i] ^= mask
-				if _, err := DecodePage(buf); !errors.Is(err, ErrCorruptPage) {
+				if _, err := DecodePage(buf); !errors.Is(err, errCorruptPage) {
 					t.Fatalf("page %d, byte %d ^ %#02x: err = %v, want ErrCorruptPage", p.ID, i, mask, err)
 				}
 				buf[i] ^= mask

@@ -63,17 +63,6 @@ func Record(t *rtree.Tree, qs queryset.Set) (*Trace, error) {
 	return &Trace{Name: qs.Name, Refs: rec.refs}, nil
 }
 
-// Replay pushes the reference string through a fresh buffer of the given
-// capacity and policy, returning the buffer statistics (DiskReads is the
-// paper's cost metric).
-func Replay(tr *Trace, store storage.Store, pol buffer.Policy, capacity int) (buffer.Stats, error) {
-	m, err := buffer.NewEngine(store, pol, capacity)
-	if err != nil {
-		return buffer.Stats{}, err
-	}
-	return ReplayOn(tr, m)
-}
-
 // ReplayOn replays the trace on an existing buffer pool (which is
 // cleared first, as the paper clears the buffer before each query set).
 // Any buffer.Pool works: a bare Engine for the single-threaded
@@ -109,21 +98,4 @@ func PageMetas(tr *Trace, store storage.Store) (map[page.ID]page.Meta, error) {
 		metas[ref.Page] = p.Meta
 	}
 	return metas, nil
-}
-
-// RunLive executes the query set against the tree reading through the
-// given buffer pool — the non-trace path, used to validate replay
-// equivalence and by the example programs.
-func RunLive(t *rtree.Tree, qs queryset.Set, p buffer.Pool) (buffer.Stats, error) {
-	if err := p.Clear(); err != nil {
-		return buffer.Stats{}, err
-	}
-	for _, q := range qs.Queries {
-		ctx := buffer.AccessContext{QueryID: q.ID}
-		err := t.Search(p, ctx, q.Rect, func(page.Entry) bool { return true })
-		if err != nil {
-			return buffer.Stats{}, fmt.Errorf("trace: live %s query %d: %w", qs.Name, q.ID, err)
-		}
-	}
-	return p.Stats(), nil
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/buffer"
@@ -48,8 +49,8 @@ func TestRecordProducesRefs(t *testing.T) {
 	if trc.Name != qs.Name {
 		t.Errorf("trace name = %q", trc.Name)
 	}
-	if trc.Len() < qs.Len() {
-		t.Fatalf("trace has %d refs for %d queries", trc.Len(), qs.Len())
+	if trc.Len() < len(qs.Queries) {
+		t.Fatalf("trace has %d refs for %d queries", trc.Len(), len(qs.Queries))
 	}
 	// Every query contributes at least the root access, in query order;
 	// the root is the one page every query starts at.
@@ -68,8 +69,8 @@ func TestRecordProducesRefs(t *testing.T) {
 		}
 		seen[ref.Query] = true
 	}
-	if len(seen) != qs.Len() {
-		t.Errorf("%d distinct queries in trace, want %d", len(seen), qs.Len())
+	if len(seen) != len(qs.Queries) {
+		t.Errorf("%d distinct queries in trace, want %d", len(seen), len(qs.Queries))
 	}
 }
 
@@ -91,6 +92,31 @@ func TestRecordDeterministic(t *testing.T) {
 			t.Fatalf("ref %d differs", i)
 		}
 	}
+}
+
+// runLive executes the query set against the tree reading through the
+// given buffer pool: the non-trace path, the oracle replay must equal.
+func runLive(t *rtree.Tree, qs queryset.Set, p buffer.Pool) (buffer.Stats, error) {
+	if err := p.Clear(); err != nil {
+		return buffer.Stats{}, err
+	}
+	for _, q := range qs.Queries {
+		ctx := buffer.AccessContext{QueryID: q.ID}
+		err := t.Search(p, ctx, q.Rect, func(page.Entry) bool { return true })
+		if err != nil {
+			return buffer.Stats{}, fmt.Errorf("trace: live %s query %d: %w", qs.Name, q.ID, err)
+		}
+	}
+	return p.Stats(), nil
+}
+
+// replay is ReplayOn through a fresh engine of the given capacity.
+func replay(tr *Trace, store storage.Store, pol buffer.Policy, capacity int) (buffer.Stats, error) {
+	m, err := buffer.NewEngine(store, pol, capacity)
+	if err != nil {
+		return buffer.Stats{}, err
+	}
+	return ReplayOn(tr, m)
 }
 
 // TestReplayEquivalentToLive is the correctness anchor of the experiment
@@ -126,11 +152,11 @@ func TestReplayEquivalentToLive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			live, err := RunLive(tr, qs, mLive)
+			live, err := runLive(tr, qs, mLive)
 			if err != nil {
 				t.Fatal(err)
 			}
-			replayed, err := Replay(trc, store, tc.mk(), capacity)
+			replayed, err := replay(trc, store, tc.mk(), capacity)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +227,7 @@ func TestReplayOnClearsEngine(t *testing.T) {
 func TestReplayUnknownPageFails(t *testing.T) {
 	_, store, _ := buildFixture(t)
 	bad := &Trace{Name: "bad", Refs: []Ref{{Query: 1, Page: 99999}}}
-	if _, err := Replay(bad, store, core.NewLRU(), 8); err == nil {
+	if _, err := replay(bad, store, core.NewLRU(), 8); err == nil {
 		t.Error("replay of unknown page should fail")
 	}
 }

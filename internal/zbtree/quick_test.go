@@ -35,7 +35,7 @@ func TestQuickDecompositionSound(t *testing.T) {
 		if q.IsEmpty() {
 			return true
 		}
-		ranges := DecomposeWindow(q, space, 8)
+		ranges := decomposeWindow(q, space, 8)
 		if len(ranges) == 0 {
 			return false
 		}
@@ -49,7 +49,7 @@ func TestQuickDecompositionSound(t *testing.T) {
 				X: q.MinX + rng.Float64()*q.Width(),
 				Y: q.MinY + rng.Float64()*q.Height(),
 			}
-			z := Encode(p, space)
+			z := encode(p, space)
 			covered := false
 			for _, r := range ranges {
 				if z >= r.Lo && z <= r.Hi {
@@ -82,7 +82,7 @@ func TestQuickEncodeMonotoneInCells(t *testing.T) {
 		a := geom.Point{X: clampTo(ax, 0, 1000), Y: clampTo(ay, 0, 249)}
 		b := geom.Point{X: clampTo(bx, 0, 1000), Y: clampTo(by, 251, 500)}
 		// a is in the lower-y half, b in the upper-y half: z(a) < z(b).
-		return Encode(a, space) < Encode(b, space)
+		return encode(a, space) < encode(b, space)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

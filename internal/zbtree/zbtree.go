@@ -32,9 +32,9 @@ import (
 // interleaved into a 32-bit z-value.
 const zBits = 16
 
-// Encode maps a point to its z-value by bit interleaving the quantized
+// encode maps a point to its z-value by bit interleaving the quantized
 // coordinates (x in the even bits, y in the odd bits).
-func Encode(p geom.Point, space geom.Rect) uint32 {
+func encode(p geom.Point, space geom.Rect) uint32 {
 	qx := quantize(p.X, space.MinX, space.MaxX)
 	qy := quantize(p.Y, space.MinY, space.MaxY)
 	return interleave(qx) | interleave(qy)<<1
@@ -109,23 +109,11 @@ func New(store storage.Store, space geom.Rect, params Params) (*Tree, error) {
 	return &Tree{store: store, params: params, space: space, root: rootID, height: 1}, nil
 }
 
-// Height returns the number of levels.
-func (t *Tree) Height() int { return t.height }
-
-// NumObjects returns the number of stored objects.
-func (t *Tree) NumObjects() int { return t.count }
-
-// Store returns the backing store.
-func (t *Tree) Store() storage.Store { return t.store }
-
-// Space returns the data space of the z-curve.
-func (t *Tree) Space() geom.Rect { return t.space }
-
 // zOf returns the z-value of an entry: leaf entries are keyed by the
 // z-value of their MBR centre; directory entries carry their separator in
 // ObjID.
 func (t *Tree) zOfLeaf(e page.Entry) uint32 {
-	return Encode(e.MBR.Center(), t.space)
+	return encode(e.MBR.Center(), t.space)
 }
 
 // maxEntries returns the fan-out at a level.
@@ -141,7 +129,7 @@ func (t *Tree) Insert(objID uint64, mbr geom.Rect) error {
 	if !mbr.Valid() {
 		return fmt.Errorf("zbtree: insert object %d: invalid MBR %v", objID, mbr)
 	}
-	z := Encode(mbr.Center(), t.space)
+	z := encode(mbr.Center(), t.space)
 
 	// Descend, remembering the path.
 	type step struct {
@@ -262,9 +250,9 @@ func (t *Tree) childIndex(node *page.Page, z uint32) int {
 	return idx
 }
 
-// RangeSearch reports all leaf entries with z-value in [zlo, zhi], reading
+// rangeSearch reports all leaf entries with z-value in [zlo, zhi], reading
 // pages through rd.
-func (t *Tree) RangeSearch(rd rtree.Reader, ctx buffer.AccessContext, zlo, zhi uint32, fn rtree.Visit) error {
+func (t *Tree) rangeSearch(rd rtree.Reader, ctx buffer.AccessContext, zlo, zhi uint32, fn rtree.Visit) error {
 	var walk func(id page.ID) (bool, error)
 	walk = func(id page.ID) (bool, error) {
 		node, err := rd.Get(id, ctx)
@@ -307,10 +295,10 @@ func (t *Tree) RangeSearch(rd rtree.Reader, ctx buffer.AccessContext, zlo, zhi u
 // window is decomposed into z-ranges by recursive quadrant splitting;
 // each range is scanned and filtered by exact MBR intersection.
 func (t *Tree) WindowQuery(rd rtree.Reader, ctx buffer.AccessContext, window geom.Rect, fn rtree.Visit) error {
-	ranges := DecomposeWindow(window, t.space, 8)
+	ranges := decomposeWindow(window, t.space, 8)
 	for _, r := range ranges {
 		stop := false
-		err := t.RangeSearch(rd, ctx, r.Lo, r.Hi, func(e page.Entry) bool {
+		err := t.rangeSearch(rd, ctx, r.Lo, r.Hi, func(e page.Entry) bool {
 			if e.MBR.Intersects(window) {
 				if !fn(e) {
 					stop = true
@@ -329,25 +317,25 @@ func (t *Tree) WindowQuery(rd rtree.Reader, ctx buffer.AccessContext, window geo
 	return nil
 }
 
-// ZRange is a closed interval of z-values.
-type ZRange struct {
+// zRange is a closed interval of z-values.
+type zRange struct {
 	Lo, Hi uint32
 }
 
-// DecomposeWindow covers the window with z-ranges by recursively
+// decomposeWindow covers the window with z-ranges by recursively
 // splitting the space into quadrants down to maxDepth levels: a quadrant
 // fully inside the window contributes its whole (contiguous) z-range; a
 // partially overlapping quadrant is split further, or emitted whole at
 // the depth limit. Adjacent ranges are merged.
-func DecomposeWindow(window, space geom.Rect, maxDepth int) []ZRange {
-	var out []ZRange
+func decomposeWindow(window, space geom.Rect, maxDepth int) []zRange {
+	var out []zRange
 	var rec func(cell geom.Rect, zlo, zhi uint64, depth int)
 	rec = func(cell geom.Rect, zlo, zhi uint64, depth int) {
 		if !cell.Intersects(window) {
 			return
 		}
 		if window.Contains(cell) || depth >= maxDepth || zhi-zlo < 4 {
-			out = append(out, ZRange{Lo: uint32(zlo), Hi: uint32(zhi)})
+			out = append(out, zRange{Lo: uint32(zlo), Hi: uint32(zhi)})
 			return
 		}
 		cx := (cell.MinX + cell.MaxX) / 2

@@ -17,28 +17,28 @@ var space = geom.NewRect(0, 0, 1000, 500)
 func TestEncodeQuadrantOrder(t *testing.T) {
 	// The four quadrants of the space must map to increasing z prefixes
 	// in the order LL, LR, UL, UR (x in the even bits).
-	ll := Encode(geom.Point{X: 100, Y: 100}, space)
-	lr := Encode(geom.Point{X: 900, Y: 100}, space)
-	ul := Encode(geom.Point{X: 100, Y: 400}, space)
-	ur := Encode(geom.Point{X: 900, Y: 400}, space)
+	ll := encode(geom.Point{X: 100, Y: 100}, space)
+	lr := encode(geom.Point{X: 900, Y: 100}, space)
+	ul := encode(geom.Point{X: 100, Y: 400}, space)
+	ur := encode(geom.Point{X: 900, Y: 400}, space)
 	if !(ll < lr && lr < ul && ul < ur) {
 		t.Errorf("quadrant z order violated: LL=%x LR=%x UL=%x UR=%x", ll, lr, ul, ur)
 	}
 }
 
 func TestEncodeBounds(t *testing.T) {
-	if z := Encode(geom.Point{X: 0, Y: 0}, space); z != 0 {
+	if z := encode(geom.Point{X: 0, Y: 0}, space); z != 0 {
 		t.Errorf("min corner z = %x, want 0", z)
 	}
-	if z := Encode(geom.Point{X: 1000, Y: 500}, space); z != 0xFFFFFFFF {
+	if z := encode(geom.Point{X: 1000, Y: 500}, space); z != 0xFFFFFFFF {
 		t.Errorf("max corner z = %x, want FFFFFFFF", z)
 	}
 	// Out-of-space points clamp.
-	if z := Encode(geom.Point{X: -50, Y: -50}, space); z != 0 {
+	if z := encode(geom.Point{X: -50, Y: -50}, space); z != 0 {
 		t.Errorf("clamped z = %x", z)
 	}
 	// Degenerate space.
-	if z := Encode(geom.Point{X: 1, Y: 1}, geom.RectFromPoint(geom.Point{})); z != 0 {
+	if z := encode(geom.Point{X: 1, Y: 1}, geom.RectFromPoint(geom.Point{})); z != 0 {
 		t.Errorf("degenerate space z = %x", z)
 	}
 }
@@ -56,8 +56,8 @@ func TestEncodeLocality(t *testing.T) {
 	if qx1/64 != qx2/64 || qy1/64 != qy2/64 {
 		t.Fatalf("test premise broken: points not in the same cell")
 	}
-	a := Encode(p1, space)
-	b := Encode(p2, space)
+	a := encode(p1, space)
+	b := encode(p2, space)
 	if (a^b)>>12 != 0 {
 		t.Errorf("same-cell points differ above the cell bits: %x vs %x", a, b)
 	}
@@ -138,16 +138,16 @@ func validateZ(t *testing.T, tr *Tree) {
 		return uint32(node.Entries[0].ObjID)
 	}
 	walk(tr.root, tr.height-1)
-	if objects != tr.NumObjects() {
-		t.Fatalf("%d reachable objects, NumObjects() = %d", objects, tr.NumObjects())
+	if objects != tr.count {
+		t.Fatalf("%d reachable objects, count = %d", objects, tr.count)
 	}
 }
 
 func TestInsertAndValidate(t *testing.T) {
 	for _, n := range []int{1, 6, 7, 50, 500, 3000} {
 		tr, _ := buildZ(t, n, int64(n))
-		if tr.NumObjects() != n {
-			t.Errorf("n=%d: NumObjects = %d", n, tr.NumObjects())
+		if tr.count != n {
+			t.Errorf("n=%d: NumObjects = %d", n, tr.count)
 		}
 		validateZ(t, tr)
 	}
@@ -155,8 +155,8 @@ func TestInsertAndValidate(t *testing.T) {
 
 func TestTreeGrows(t *testing.T) {
 	tr, _ := buildZ(t, 3000, 1)
-	if tr.Height() < 3 {
-		t.Errorf("height = %d for 3000 objects at fan-out 6", tr.Height())
+	if tr.height < 3 {
+		t.Errorf("height = %d for 3000 objects at fan-out 6", tr.height)
 	}
 	st, err := tr.Stats()
 	if err != nil {
@@ -172,7 +172,7 @@ func TestTreeGrows(t *testing.T) {
 
 func TestRangeSearchMatchesBruteForce(t *testing.T) {
 	tr, mbrs := buildZ(t, 1200, 2)
-	rd := rtree.StoreReader{Store: tr.Store()}
+	rd := rtree.StoreReader{Store: tr.store}
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
 		a := rng.Uint32()
@@ -181,7 +181,7 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 			a, b = b, a
 		}
 		var got []uint64
-		err := tr.RangeSearch(rd, buffer.AccessContext{}, a, b, func(e page.Entry) bool {
+		err := tr.rangeSearch(rd, buffer.AccessContext{}, a, b, func(e page.Entry) bool {
 			got = append(got, e.ObjID)
 			return true
 		})
@@ -190,7 +190,7 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 		}
 		var want []uint64
 		for i, m := range mbrs {
-			z := Encode(m.Center(), space)
+			z := encode(m.Center(), space)
 			if z >= a && z <= b {
 				want = append(want, uint64(i+1))
 			}
@@ -210,7 +210,7 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 
 func TestWindowQueryMatchesBruteForce(t *testing.T) {
 	tr, mbrs := buildZ(t, 1500, 4)
-	rd := rtree.StoreReader{Store: tr.Store()}
+	rd := rtree.StoreReader{Store: tr.store}
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 60; trial++ {
 		c := geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 500}
@@ -236,9 +236,9 @@ func TestWindowQueryMatchesBruteForce(t *testing.T) {
 			// centre-in-window OR intersecting-with-scanned-cell; the
 			// brute force below mirrors the implementable contract:
 			// intersecting MBRs whose centres fall in scanned ranges.
-			z := Encode(m.Center(), space)
+			z := encode(m.Center(), space)
 			inRange := false
-			for _, r := range DecomposeWindow(w, space, 8) {
+			for _, r := range decomposeWindow(w, space, 8) {
 				if z >= r.Lo && z <= r.Hi {
 					inRange = true
 					break
@@ -265,7 +265,7 @@ func TestWindowQueryFindsAllCenteredObjects(t *testing.T) {
 	// Completeness guarantee: every object whose CENTRE lies in the
 	// window must be reported (the decomposition covers the window).
 	tr, mbrs := buildZ(t, 1500, 6)
-	rd := rtree.StoreReader{Store: tr.Store()}
+	rd := rtree.StoreReader{Store: tr.store}
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 40; trial++ {
 		c := geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 500}
@@ -295,7 +295,7 @@ func TestDecomposeWindowCoversWindow(t *testing.T) {
 		if w.IsEmpty() {
 			continue
 		}
-		ranges := DecomposeWindow(w, space, 8)
+		ranges := decomposeWindow(w, space, 8)
 		if len(ranges) == 0 {
 			t.Fatal("no ranges for non-empty window")
 		}
@@ -311,7 +311,7 @@ func TestDecomposeWindowCoversWindow(t *testing.T) {
 				X: w.MinX + rng.Float64()*w.Width(),
 				Y: w.MinY + rng.Float64()*w.Height(),
 			}
-			z := Encode(p, space)
+			z := encode(p, space)
 			covered := false
 			for _, r := range ranges {
 				if z >= r.Lo && z <= r.Hi {
@@ -328,12 +328,12 @@ func TestDecomposeWindowCoversWindow(t *testing.T) {
 
 func TestQueriesThroughBufferManager(t *testing.T) {
 	tr, _ := buildZ(t, 2000, 9)
-	tr.Store().(*storage.MemStore).ResetStats()
+	tr.store.(*storage.MemStore).ResetStats()
 	if err := tr.FinalizeStats(); err != nil {
 		t.Fatal(err)
 	}
 	pol := &countingPolicy{}
-	m, err := buffer.NewEngine(tr.Store(), pol, 24)
+	m, err := buffer.NewEngine(tr.store, pol, 24)
 	if err != nil {
 		t.Fatal(err)
 	}

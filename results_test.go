@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -341,5 +342,80 @@ func TestDocsNameWhatExists(t *testing.T) {
 	}
 	if len(cites) == 0 {
 		t.Error("no Go comment cites DESIGN.md: the citation pattern is broken")
+	}
+}
+
+// unusedAllowed are the names TestNoUnusedExports lets stand without a
+// production caller outside their package: test accessors that another
+// package's tests need, which an export_test.go cannot give them.
+var unusedAllowed = map[string]string{
+	"repro/internal/buffer.Engine.ResidentIDs": "core's, experiment's and obs/shadow's tests compare resident sets",
+	"repro/internal/buffer.Engine.Contains":    "core's policy tests check that one page is resident",
+	"repro/internal/buffer.Stats.Add":          "experiment's sharded-equivalence test merges per-shard stats",
+	"repro/internal/core.LRUK.HistRecords":     "experiment's TestHistMemory counts LRU-2's retained history records",
+	"repro/internal/storage.ErrPageNotFound":   "buffer's TestGetUnknownPage checks that a miss on a missing page wraps it",
+}
+
+// TestNoUnusedExports keeps code with no caller out of the tree. It
+// type-checks the non-test files of both modules (this one and bench/)
+// with go/types, fed by `go list -export -deps -json`, and fails on:
+//
+//   - dead code: a top-level function, method, type, constant or
+//     variable, exported or not, that nothing counted below references.
+//     Delete it, or move it into a _test.go or export_test.go file if it
+//     is a test oracle or helper;
+//   - package-local exports: an exported name only its own package
+//     references, unless that package's black-box tests (package x_test)
+//     use it. Unexport it.
+//
+// What counts as a reference:
+//
+//   - Callers: the non-test files of either module, reached from a main
+//     or init function, a blank variable, or the root package's Example
+//     (the README quickstart, whose output is checked). bench/ counts:
+//     it is the only caller of some of the storage API.
+//   - Methods: one is referenced if it is selected, or if it implements
+//     a method of an interface a production file names, converts to or
+//     calls through (named or literal, of either module or the standard
+//     library), or is one the standard library finds by a dynamic
+//     assertion: String, Error, ServeHTTP, MarshalJSON.
+//   - Types: one is referenced if it is named, if one of its methods or
+//     fields is referenced, or, for the package-local rule, if it can be
+//     reached from the signature or exported fields of a name referenced
+//     from outside (rtree.Params through rtree.DefaultParams()).
+//
+// A reference from a declaration to itself does not count. Exceptions
+// are in unusedAllowed, each with its reason; an entry the checker no
+// longer reports fails too, so that the list cannot outlive its reason.
+func TestNoUnusedExports(t *testing.T) {
+	t.Run("fixture", func(t *testing.T) {
+		u := findUnusedNames(t, filepath.Join("testdata", "unusedexports"))
+		want := unusedNames{
+			dead:  []string{"fixture/lib.TestOnly", "fixture/lib.Unused"},
+			local: []string{"fixture/lib.Scale"},
+		}
+		if !reflect.DeepEqual(u, want) {
+			t.Errorf("fixture: dead %v, local %v; want dead %v, local %v", u.dead, u.local, want.dead, want.local)
+		}
+	})
+
+	u := findUnusedNames(t, ".", "bench")
+	reported := map[string]bool{}
+	for _, name := range u.dead {
+		reported[name] = true
+		if unusedAllowed[name] == "" {
+			t.Errorf("%s has no non-test caller: delete it, or move it into a _test.go file", name)
+		}
+	}
+	for _, name := range u.local {
+		reported[name] = true
+		if unusedAllowed[name] == "" {
+			t.Errorf("%s is used only inside its own package: unexport it", name)
+		}
+	}
+	for name := range unusedAllowed {
+		if !reported[name] {
+			t.Errorf("unusedAllowed names %s, which the check no longer reports: remove the entry", name)
+		}
 	}
 }
