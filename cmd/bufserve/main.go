@@ -8,15 +8,14 @@
 // composition spec (e.g. "locked", "sharded,shards=4",
 // "async,shards=8,wbworkers=2"). With a sharded layout, /metrics
 // additionally exposes per-shard residency and ASB gauges labeled
-// shard="i".
+// shard="i"; with the async layout, the write-back queue's gauges.
 //
 // Start it and look around:
 //
 //	bufserve -addr :8080 -objects 20000 -set U-P -policy ASB
 //	curl -s localhost:8080/healthz
 //	curl -s localhost:8080/metrics | grep spatialbuf_
-//	curl -N localhost:8080/events/ctraj       # SSE: live c-trajectory
-//	open http://localhost:8080/               # dashboard
+//	open http://localhost:8080/               # dashboard polling /metrics
 //
 // The HTTP server (including /debug/pprof) comes up before the database
 // build starts, so /healthz answers immediately; /metrics serves zeros
@@ -39,8 +38,8 @@
 // caches replay the live request stream against the -shadow what-if
 // policies at the real capacity and against the real policy at the
 // -shadow-ladder capacity multipliers (the online miss-ratio curve),
-// exported as spatialbuf_shadow_* gauges, streamed at /events/shadow
-// (SSE) and rendered as a dashboard panel. -shadow "" turns it off;
+// exported as spatialbuf_shadow_* gauges on /metrics, which the
+// dashboard's counters table lists. -shadow "" turns it off;
 // -shadow-sample N trades fidelity for event-rate headroom.
 package main
 
@@ -208,26 +207,6 @@ func run(cfg *config) error {
 	}
 	defer cli.Close(pool)
 	shards := pool.Shards() // may have been clamped for tiny buffers
-	if ap, ok := pool.(*buffer.Shared); ok && comp.Layout == buffer.LayoutAsync {
-		svc.AddGauge("spatialbuf_writeback_queue_depth", "Pages waiting in the background write-back queue.",
-			func() float64 { return float64(ap.Writeback().Depth) })
-		svc.AddGauge("spatialbuf_writeback_pending_pages", "Pages queued or mid-write in the write-back machinery.",
-			func() float64 { return float64(ap.Writeback().Pending) })
-		svc.AddGauge("spatialbuf_writeback_written_total", "Completed background page writes.",
-			func() float64 { return float64(ap.Writeback().Written) })
-		svc.AddGauge("spatialbuf_writeback_coalesced_total", "Write-backs absorbed by an already-queued entry for the same page.",
-			func() float64 { return float64(ap.Writeback().Coalesced) })
-		svc.AddGauge("spatialbuf_writeback_fallbacks_total", "Evictions written synchronously because the queue was full.",
-			func() float64 { return float64(ap.Writeback().Fallbacks) })
-		svc.AddGauge("spatialbuf_writeback_queue_capacity", "Write-back queue capacity in pages.",
-			func() float64 { return float64(ap.Writeback().QueueCap) })
-		svc.AddGauge("spatialbuf_writeback_canceled_total", "Queued write-backs canceled because the page was re-admitted before its write ran.",
-			func() float64 { return float64(ap.Writeback().Canceled) })
-		svc.AddGauge("spatialbuf_writeback_errors_total", "Background page writes that failed.",
-			func() float64 { return float64(ap.Writeback().Errors) })
-		svc.AddGauge("spatialbuf_inflight_reads", "Physical reads currently in flight across all shards (singleflight leaders).",
-			func() float64 { return float64(ap.InflightReads()) })
-	}
 	svc.AddPoolGauges(pool)
 	if tracer != nil {
 		cont := tracing.NewContention(shards)
@@ -351,8 +330,8 @@ func run(cfg *config) error {
 	st, c := pool.Stats(), svc.Counters.Snapshot()
 	byReason := ""
 	c.ByReason.Each(func(reason string, n uint64) { byReason += fmt.Sprintf(" %s=%d", reason, n) })
-	fmt.Printf("bufserve: final counters: %d requests, %d hits (hit ratio %.4f), %d misses (%d coalesced), %d evictions (by reason:%s); %d overflow promotions, %d adaptations (grow %d, shrink %d, hold %d), %d events dropped\n",
+	fmt.Printf("bufserve: final counters: %d requests, %d hits (hit ratio %.4f), %d misses (%d coalesced), %d evictions (by reason:%s); %d adaptations (grow %d, shrink %d, hold %d), %d events dropped\n",
 		st.Requests, st.Hits, st.HitRatio(), st.Misses, st.Coalesced, st.Evictions, byReason,
-		c.Promotions, c.Adaptations, c.AdaptGrow, c.AdaptShrink, c.AdaptHold, c.Dropped)
+		c.Adaptations, c.AdaptGrow, c.AdaptShrink, c.AdaptHold, c.Dropped)
 	return nil
 }

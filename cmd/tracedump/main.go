@@ -198,8 +198,8 @@ func writeMRC(tr *trace.Trace, db *experiment.Database, path string, pols []stri
 	}
 
 	missAt := make(map[shadow.Spec]float64, bank.Len())
-	for _, st := range bank.Stats() {
-		missAt[shadow.Spec{Policy: st.Policy, Capacity: st.Capacity}] = 1 - st.HitRatio
+	for _, c := range bank.Shadows() {
+		missAt[shadow.Spec{Policy: c.PolicyName(), Capacity: c.Capacity()}] = 1 - c.HitRatio()
 	}
 	t := experiment.NewTable("mrc", "", "", make([]string, len(capacities)), pols)
 	for ri, c := range capacities {

@@ -64,17 +64,10 @@ type AccessContext struct {
 // sampled it. ASB attaches its asb-adapt child spans to it.
 func (c AccessContext) Trace() *tracing.Active { return c.trace }
 
-// OverflowPromotion and Adapt are how a policy reports while it serves
-// the request: the event gets the shard of the request's engine and goes
-// to the sink that engine holds now. A context no engine made discards it.
-func (c AccessContext) OverflowPromotion(e obs.OverflowPromotionEvent) {
-	if c.engine != nil {
-		e.Shard = c.engine.shard
-		c.engine.sink.OverflowPromotion(e)
-	}
-}
-
-// Adapt reports a candidate-size adaptation (see OverflowPromotion).
+// Adapt is how a policy reports an adaptation event while it serves the
+// request: the event gets the shard of the request's engine and its
+// request count, and goes to the sink that engine holds now. A context no
+// engine made discards it.
 func (c AccessContext) Adapt(e obs.AdaptEvent) {
 	if c.engine != nil {
 		e.Shard, e.Ref = c.engine.shard, c.engine.stats.Requests

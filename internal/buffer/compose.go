@@ -20,7 +20,7 @@ const (
 	LayoutBare    Layout = "bare"
 	layoutLocked  Layout = "locked"
 	layoutSharded Layout = "sharded"
-	LayoutAsync   Layout = "async"
+	layoutAsync   Layout = "async"
 )
 
 // Composition describes a pool as a layout plus its parameters —
@@ -65,7 +65,7 @@ func ParseComposition(spec string) (Composition, error) {
 	parts := strings.Split(spec, ",")
 	var c Composition
 	switch l := Layout(strings.ToLower(strings.TrimSpace(parts[0]))); l {
-	case LayoutBare, layoutLocked, layoutSharded, LayoutAsync:
+	case LayoutBare, layoutLocked, layoutSharded, layoutAsync:
 		c.Layout = l
 	case "":
 		return Composition{}, fmt.Errorf("buffer: empty pool composition spec")
@@ -90,12 +90,12 @@ func ParseComposition(spec string) (Composition, error) {
 		var limit int
 		switch key {
 		case "shards":
-			if c.Layout != layoutSharded && c.Layout != LayoutAsync {
+			if c.Layout != layoutSharded && c.Layout != layoutAsync {
 				return Composition{}, fmt.Errorf("buffer: shards= applies to sharded and async layouts, not %q", c.Layout)
 			}
 			c.Shards, limit = n, maxShards
 		case "wbworkers":
-			if c.Layout != LayoutAsync {
+			if c.Layout != layoutAsync {
 				return Composition{}, fmt.Errorf("buffer: wbworkers= applies to the async layout, not %q", c.Layout)
 			}
 			c.WritebackWorkers, limit = n, maxWritebackWorkers
@@ -114,10 +114,10 @@ func ParseComposition(spec string) (Composition, error) {
 func (c Composition) String() string {
 	var b strings.Builder
 	b.WriteString(string(c.Layout))
-	if (c.Layout == layoutSharded || c.Layout == LayoutAsync) && c.Shards > 0 {
+	if (c.Layout == layoutSharded || c.Layout == layoutAsync) && c.Shards > 0 {
 		fmt.Fprintf(&b, ",shards=%d", c.Shards)
 	}
-	if c.Layout == LayoutAsync && c.WritebackWorkers > 0 {
+	if c.Layout == layoutAsync && c.WritebackWorkers > 0 {
 		fmt.Fprintf(&b, ",wbworkers=%d", c.WritebackWorkers)
 	}
 	return b.String()
@@ -130,7 +130,7 @@ func (c Composition) String() string {
 // buffer; the commands size their tracer's rings by it before the pool
 // exists (a clamped pool leaves the trailing rings empty).
 func (c Composition) ShardCount() int {
-	if c.Layout != layoutSharded && c.Layout != LayoutAsync {
+	if c.Layout != layoutSharded && c.Layout != layoutAsync {
 		return 1
 	}
 	if c.Shards > 0 {
@@ -163,7 +163,7 @@ func (c Composition) Build(store storage.Store, factory PolicyFactory, capacity 
 		}
 		return e, nil
 	case layoutLocked, layoutSharded:
-	case LayoutAsync:
+	case layoutAsync:
 		wb = newWriteback(store, c.WritebackWorkers, defaultWritebackQueue)
 	default:
 		return nil, fmt.Errorf("buffer: unknown pool layout %q", c.Layout)

@@ -24,11 +24,11 @@ func TestParseComposition(t *testing.T) {
 		{"locked", Composition{Layout: layoutLocked}, 1},
 		{"sharded", Composition{Layout: layoutSharded}, 0},
 		{"sharded,shards=4", Composition{Layout: layoutSharded, Shards: 4}, 4},
-		{"async", Composition{Layout: LayoutAsync}, 0},
-		{"async,shards=8,wbworkers=2", Composition{Layout: LayoutAsync, Shards: 8, WritebackWorkers: 2}, 8},
-		{" Async , Shards=2 ", Composition{Layout: LayoutAsync, Shards: 2}, 2},
+		{"async", Composition{Layout: layoutAsync}, 0},
+		{"async,shards=8,wbworkers=2", Composition{Layout: layoutAsync, Shards: 8, WritebackWorkers: 2}, 8},
+		{" Async , Shards=2 ", Composition{Layout: layoutAsync, Shards: 2}, 2},
 		{"sharded,shards=0", Composition{Layout: layoutSharded}, 0},
-		{"async,shards=1024,wbworkers=256", Composition{Layout: LayoutAsync, Shards: maxShards, WritebackWorkers: maxWritebackWorkers}, maxShards},
+		{"async,shards=1024,wbworkers=256", Composition{Layout: layoutAsync, Shards: maxShards, WritebackWorkers: maxWritebackWorkers}, maxShards},
 	}
 	for _, c := range cases {
 		got, err := ParseComposition(c.spec)

@@ -107,8 +107,8 @@ func drop(r recycler, p, keep *page.Page) {
 // SetSink attaches an observability sink to the engine. A nil sink
 // detaches (back to NopSink). Request and Eviction events are the
 // engine's, for any policy; what a policy reports of its own (ASB's
-// OverflowPromotion and Adapt) comes through the request's AccessContext
-// and reaches the same sink.
+// Adapt) comes through the request's AccessContext and reaches the same
+// sink.
 func (e *Engine) SetSink(s obs.Sink) {
 	if s == nil {
 		s = obs.NopSink{}

@@ -11,29 +11,24 @@ import (
 // recordingSink tallies events for assertions.
 type recordingSink struct {
 	obs.NopSink
-	requests   []obs.RequestEvent
-	evictions  []obs.EvictionEvent
-	promotions int
-	adapts     int
+	requests  []obs.RequestEvent
+	evictions []obs.EvictionEvent
+	adapts    int
 }
 
 func (r *recordingSink) Request(e obs.RequestEvent)   { r.requests = append(r.requests, e) }
 func (r *recordingSink) Eviction(e obs.EvictionEvent) { r.evictions = append(r.evictions, e) }
-func (r *recordingSink) OverflowPromotion(obs.OverflowPromotionEvent) {
-	r.promotions++
-}
-func (r *recordingSink) Adapt(obs.AdaptEvent) { r.adapts++ }
+func (r *recordingSink) Adapt(obs.AdaptEvent)         { r.adapts++ }
 
 // reportingPolicy is a testPolicy with events of its own, as ASB has: it
-// reports a promotion and an adaptation through the context of every hit.
+// reports an adaptation through the context of every hit.
 type reportingPolicy struct {
 	testPolicy
 }
 
 func (p *reportingPolicy) OnHit(f *Frame, now uint64, ctx AccessContext) {
 	p.testPolicy.OnHit(f, now, ctx)
-	ctx.OverflowPromotion(obs.OverflowPromotionEvent{Page: f.Meta.ID})
-	ctx.Adapt(obs.AdaptEvent{})
+	ctx.Adapt(obs.AdaptEvent{Page: f.Meta.ID})
 }
 
 func TestEngineEmitsRequestEvents(t *testing.T) {
@@ -129,18 +124,17 @@ func TestContextEventsReachCurrentSink(t *testing.T) {
 	if !reflect.DeepEqual(a.evictions, want) {
 		t.Errorf("evictions = %+v, want %+v", a.evictions, want)
 	}
-	if a.promotions != 1 || a.adapts != 1 || len(a.requests) != 4 {
-		t.Errorf("first sink saw %d promotions, %d adapts, %d requests, want 1, 1, 4",
-			a.promotions, a.adapts, len(a.requests))
+	if a.adapts != 1 || len(a.requests) != 4 {
+		t.Errorf("first sink saw %d adapts, %d requests, want 1, 4", a.adapts, len(a.requests))
 	}
-	if b.promotions != 1 || b.adapts != 1 || len(b.requests) != 1 || len(b.evictions) != 0 {
-		t.Errorf("second sink saw %d promotions, %d adapts, %d requests, %d evictions, want 1, 1, 1, 0",
-			b.promotions, b.adapts, len(b.requests), len(b.evictions))
+	if b.adapts != 1 || len(b.requests) != 1 || len(b.evictions) != 0 {
+		t.Errorf("second sink saw %d adapts, %d requests, %d evictions, want 1, 1, 0",
+			b.adapts, len(b.requests), len(b.evictions))
 	}
 
 	// Outside any engine the policy's reports go nowhere.
 	pol.OnHit(m.frames.get(3), 9, AccessContext{})
-	if a.promotions+b.promotions != 2 || a.adapts+b.adapts != 2 {
+	if a.adapts+b.adapts != 2 {
 		t.Error("a context no engine made delivered an event")
 	}
 }

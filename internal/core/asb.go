@@ -71,8 +71,8 @@ const (
 //
 // ASB reports its adaptation through the context of the request it is
 // serving (buffer.AccessContext), which hands the events to the engine's
-// sink: an OverflowPromotion per overflow hit carrying the §4.2 signal
-// and an Adapt per adaptation event (the Fig. 14 series).
+// sink: one Adapt per overflow hit, carrying the promoted page, the §4.2
+// signal and the resulting candidate size (the Fig. 14 series).
 type ASB struct {
 	crit     page.Criterion
 	mainCap  int
@@ -202,10 +202,9 @@ func (p *ASB) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 // adapt applies the self-tuning rule on an overflow hit. f.LastUse still
 // holds the promoted page's previous access time (the manager updates it
 // after OnHit), so the LRU comparison sees the state that led to the
-// demotion. The raw signal is reported as an OverflowPromotion event and
-// the resulting size as an Adapt event, both through ctx. On sampled
-// requests (ctx carries a trace) the adaptation is recorded as an
-// asb-adapt span.
+// demotion. The raw signal and the resulting size are reported as one
+// Adapt event through ctx. On sampled requests (ctx carries a trace) the
+// adaptation is recorded as an asb-adapt span.
 func (p *ASB) adapt(f *buffer.Frame, ctx buffer.AccessContext) {
 	act := ctx.Trace()
 	var span int32
@@ -234,11 +233,6 @@ func (p *ASB) adapt(f *buffer.Frame, ctx buffer.AccessContext) {
 			betterLRU++
 		}
 	}
-	ctx.OverflowPromotion(obs.OverflowPromotionEvent{
-		Page:          f.Meta.ID,
-		BetterSpatial: betterSpatial,
-		BetterLRU:     betterLRU,
-	})
 	// The overflow population is not a neutral sample: every page in it
 	// was *selected* for a small spatial criterion by the main part's
 	// victim choice, which deflates the better-spatial count relative to
@@ -267,7 +261,13 @@ func (p *ASB) adapt(f *buffer.Frame, ctx buffer.AccessContext) {
 	// One Adapt event per adaptation event, even when the size is
 	// unchanged: the paper counts overflow hits as adaptation events, and
 	// Fig. 14 plots one sample per event.
-	ctx.Adapt(obs.AdaptEvent{OldC: oldC, NewC: p.cand})
+	ctx.Adapt(obs.AdaptEvent{
+		Page:          f.Meta.ID,
+		BetterSpatial: betterSpatial,
+		BetterLRU:     betterLRU,
+		OldC:          oldC,
+		NewC:          p.cand,
+	})
 }
 
 // pushFront links f at main's front with the next insertion number as

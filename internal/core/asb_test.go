@@ -1,8 +1,12 @@
 package core_test
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -181,8 +185,8 @@ func TestASBCandidateClamped(t *testing.T) {
 }
 
 func TestASBAdaptEvents(t *testing.T) {
-	// An overflow hit emits one OverflowPromotion (the §4.2 signal) and
-	// one Adapt event, through the request's context, to the sink the
+	// An overflow hit emits one Adapt event (the §4.2 signal and the
+	// resulting size), through the request's context, to the sink the
 	// engine holds.
 	rec := obs.NewTrajectoryRecorder()
 	var counters obs.Counters
@@ -208,8 +212,78 @@ func TestASBAdaptEvents(t *testing.T) {
 		t.Errorf("recorder saw %v at %v, candidate = %d at request 11", rec.Cand, rec.Ref, p.CandidateSize())
 	}
 	s := counters.Snapshot()
-	if s.Promotions != 1 || s.Adaptations != 1 {
-		t.Errorf("counters = %+v, want 1 promotion and 1 adaptation", s)
+	if s.Adaptations != 1 {
+		t.Errorf("counters = %+v, want 1 adaptation", s)
+	}
+}
+
+// TestASBJSONLOneAdaptLinePerOverflowHit: under random churn on a
+// two-shard pool, each shard's JSONL stream has exactly one adapt line
+// per overflow hit its ASB counted, carrying the promoted page, the §4.2
+// signal, both sizes and (off shard 0) the shard, and no other kind of
+// line reports the hit.
+func TestASBJSONLOneAdaptLinePerOverflowHit(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	const numPages = 60
+	specs := make([]pageSpec, numPages)
+	for i := range specs {
+		specs[i] = dataPage(float64(rng.Intn(200) + 1))
+	}
+	comp, err := buffer.ParseComposition("sharded,shards=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	asb := func(c int) buffer.Policy { return core.NewASB(c, core.DefaultASBOptions()) }
+	pool, err := comp.Build(buildStore(t, specs), asb, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonl := obs.NewJSONLSinkCloser(f)
+	pool.SetSink(jsonl)
+	for i := 0; i < 5000; i++ {
+		if _, err := pool.Get(page.ID(rng.Intn(numPages)+1), buffer.AccessContext{QueryID: uint64(i / 3)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var hits [2]uint64
+	for i := range hits {
+		pool.View(i, func(e *buffer.Engine) { hits[i] = e.Policy().(*core.ASB).Adaptations() })
+	}
+	pool.SetSink(nil)
+	if err := jsonl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines [2]uint64
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		var m map[string]any
+		if err := json.Unmarshal([]byte(line), &m); err != nil {
+			t.Fatalf("not JSON: %v\n%s", err, line)
+		}
+		switch m["t"] {
+		case "req", "evict":
+		case "adapt":
+			for _, k := range []string{"page", "bs", "bl", "old", "new"} {
+				if _, ok := m[k]; !ok {
+					t.Fatalf("adapt line without %q: %s", k, line)
+				}
+			}
+			shard, _ := m["shard"].(float64)
+			lines[int(shard)]++
+		default:
+			t.Fatalf("unexpected line kind %v: %s", m["t"], line)
+		}
+	}
+	if lines != hits || hits[0] == 0 || hits[1] == 0 {
+		t.Errorf("adapt lines per shard = %v, overflow hits per shard = %v (both nonzero)", lines, hits)
 	}
 }
 

@@ -17,9 +17,9 @@
 // for the experiment harness. A policy only decides: Victim returns a
 // buffer.Choice — the frame plus reason, deciding value and rank — and
 // the engine turns it into the victim-select span and the Eviction
-// event. No policy holds a sink: what ASB reports of its own, its
-// OverflowPromotion and Adapt events, goes through the AccessContext of
-// the request it is serving, to the engine's sink.
+// event. No policy holds a sink: what ASB reports of its own, one Adapt
+// event per overflow hit, goes through the AccessContext of the request
+// it is serving, to the engine's sink.
 package core
 
 import (

@@ -33,17 +33,22 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/events.golden fr
 
 const goldenPath = "testdata/events.golden"
 
-// digestSink hashes every event of all four kinds, every field, in
-// arrival order — of an Adapt the fields it had when the digests were
-// taken (Ref came later; TestAdaptRefCountsRequests pins it).
+// digestSink hashes every event, every field, in arrival order. The
+// digests were taken when an overflow hit was reported as two events, a
+// promotion carrying the page and the §4.2 signal and then the
+// adaptation, before Ref existed (TestAdaptRefCountsRequests pins it); an
+// Adapt still hashes as that pair of lines, byte for byte, so the
+// digests show that the one event says all the two did, in their order.
 type digestSink struct{ h hash.Hash64 }
 
 func (d digestSink) Request(e obs.RequestEvent)   { fmt.Fprintf(d.h, "R %+v\n", e) }
 func (d digestSink) Eviction(e obs.EvictionEvent) { fmt.Fprintf(d.h, "E %+v\n", e) }
-func (d digestSink) OverflowPromotion(e obs.OverflowPromotionEvent) {
-	fmt.Fprintf(d.h, "P %+v\n", e)
-}
 func (d digestSink) Adapt(e obs.AdaptEvent) {
+	fmt.Fprintf(d.h, "P %+v\n", struct {
+		Page                     page.ID
+		BetterSpatial, BetterLRU int
+		Shard                    int
+	}{e.Page, e.BetterSpatial, e.BetterLRU, e.Shard})
 	fmt.Fprintf(d.h, "A {OldC:%d NewC:%d Shard:%d}\n", e.OldC, e.NewC, e.Shard)
 }
 

@@ -151,10 +151,7 @@ type shardDigests []hash.Hash64
 
 func (d shardDigests) Request(e obs.RequestEvent)   { fmt.Fprintf(d[e.Shard], "R %+v\n", e) }
 func (d shardDigests) Eviction(e obs.EvictionEvent) { fmt.Fprintf(d[e.Shard], "E %+v\n", e) }
-func (d shardDigests) OverflowPromotion(e obs.OverflowPromotionEvent) {
-	fmt.Fprintf(d[e.Shard], "P %+v\n", e)
-}
-func (d shardDigests) Adapt(e obs.AdaptEvent) { fmt.Fprintf(d[e.Shard], "A %+v\n", e) }
+func (d shardDigests) Adapt(e obs.AdaptEvent)       { fmt.Fprintf(d[e.Shard], "A %+v\n", e) }
 
 // latchHold parks the request for one page inside its Request event,
 // which the engine emits under the shard's latch.
@@ -312,8 +309,8 @@ func TestDeferredReplayKeepsShardOrder(t *testing.T) {
 	}
 }
 
-// stamped is one event as stampLog saw it: kind, page (0 for an Adapt)
-// and the shard it was stamped with.
+// stamped is one event as stampLog saw it: kind, page and the shard it
+// was stamped with.
 type stamped struct {
 	kind  byte
 	page  page.ID
@@ -326,18 +323,15 @@ type stampLog []stamped
 
 func (l *stampLog) Request(e obs.RequestEvent)   { *l = append(*l, stamped{'R', e.Page, e.Shard}) }
 func (l *stampLog) Eviction(e obs.EvictionEvent) { *l = append(*l, stamped{'E', e.Page, e.Shard}) }
-func (l *stampLog) OverflowPromotion(e obs.OverflowPromotionEvent) {
-	*l = append(*l, stamped{'P', e.Page, e.Shard})
-}
-func (l *stampLog) Adapt(e obs.AdaptEvent) { *l = append(*l, stamped{'A', 0, e.Shard}) }
+func (l *stampLog) Adapt(e obs.AdaptEvent)       { *l = append(*l, stamped{'A', e.Page, e.Shard}) }
 
 // TestEventsCarryTheirShard: one sink, handed unwrapped to every shard,
 // sees each event under the index of the shard that emitted it, whether
 // the engine emitted it for itself (Request, Eviction — as many per shard
 // as the shard counted) or for its policy through the request's context
-// (ASB's OverflowPromotion follows the Request of the same page, its
-// Adapt follows that promotion, both on that request's shard) — and a
-// hit replayed from the ring is stamped like one served under the latch.
+// (ASB's Adapt follows the Request of the same page, on that request's
+// shard) — and a hit replayed from the ring is stamped like one served
+// under the latch.
 func TestEventsCarryTheirShard(t *testing.T) {
 	asb := factoriesNamed(t, "ASB")[0]
 	for _, layout := range []string{"sharded,shards=4", "async,shards=4"} {
@@ -349,20 +343,16 @@ func TestEventsCarryTheirShard(t *testing.T) {
 					t.Fatalf("%d shards, want 4", len(shards))
 				}
 				requests, evictions := make([]uint64, len(shards)), make([]uint64, len(shards))
-				promotions := 0
+				adapts := 0
 				for i, e := range *log {
 					switch e.kind {
 					case 'R':
 						requests[e.shard]++
 					case 'E':
 						evictions[e.shard]++
-					case 'P':
-						promotions++
-						if prev := (*log)[i-1]; prev.kind != 'R' || prev.page != e.page || prev.shard != e.shard {
-							t.Fatalf("event %d: promotion %+v follows %+v", i, e, prev)
-						}
 					case 'A':
-						if prev := (*log)[i-1]; prev.kind != 'P' || prev.shard != e.shard {
+						adapts++
+						if prev := (*log)[i-1]; prev.kind != 'R' || prev.page != e.page || prev.shard != e.shard {
 							t.Fatalf("event %d: adapt %+v follows %+v", i, e, prev)
 						}
 					}
@@ -379,7 +369,7 @@ func TestEventsCarryTheirShard(t *testing.T) {
 							i, requests[i], evictions[i], sh.stats.Requests, sh.stats.Evictions)
 					}
 				}
-				if promotions == 0 {
+				if adapts == 0 {
 					t.Error("the replay was meant to hit ASB's overflow buffer")
 				}
 			})

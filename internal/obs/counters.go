@@ -54,15 +54,14 @@ func reasonSlot(r string) int {
 // Counters is a concurrency-safe event aggregator: plain atomic
 // counters, cheap enough to leave attached in production, and shared by
 // every producer of a pool. It counts only what the events alone can
-// say — evictions by reason, overflow promotions, adaptations by
-// direction, dropped events. How many requests, hits, misses, coalesced
-// reads and evictions there were the engine keeps in its Stats under its
-// latch, and the exporters read them there; a Request event carries
-// nothing for Counters to count.
+// say — evictions by reason, adaptations by direction, dropped events.
+// How many requests, hits, misses, coalesced reads and evictions there
+// were the engine keeps in its Stats under its latch, and the exporters
+// read them there; a Request event carries nothing for Counters to
+// count.
 type Counters struct {
 	NopSink
 
-	promotions atomic.Uint64
 	// byReason counts evictions per reason slot.
 	byReason [numReasonSlots]atomic.Uint64
 	// Adapt events split by direction of the candidate-size change.
@@ -76,9 +75,6 @@ type Counters struct {
 
 // Eviction implements Sink.
 func (c *Counters) Eviction(e EvictionEvent) { c.byReason[reasonSlot(e.Reason)].Add(1) }
-
-// OverflowPromotion implements Sink.
-func (c *Counters) OverflowPromotion(OverflowPromotionEvent) { c.promotions.Add(1) }
 
 // Adapt implements Sink.
 func (c *Counters) Adapt(e AdaptEvent) {
@@ -115,7 +111,6 @@ func (e EvictionsByReason) Each(f func(reason string, count uint64)) {
 // Snapshot is a point-in-time copy of the counters. It stays a
 // comparable value type.
 type Snapshot struct {
-	Promotions  uint64
 	Adaptations uint64
 
 	ByReason    EvictionsByReason
@@ -130,7 +125,6 @@ type Snapshot struct {
 // consistent.
 func (c *Counters) Snapshot() Snapshot {
 	s := Snapshot{
-		Promotions:  c.promotions.Load(),
 		AdaptGrow:   c.adaptGrow.Load(),
 		AdaptShrink: c.adaptShrink.Load(),
 		AdaptHold:   c.adaptHold.Load(),

@@ -12,7 +12,6 @@ import (
 func TestCountersSnapshotPopulatesEveryField(t *testing.T) {
 	var c Counters
 	c.Eviction(EvictionEvent{Page: 3, Reason: ReasonSLRU, Criterion: 0.5})
-	c.OverflowPromotion(OverflowPromotionEvent{Page: 4})
 	c.Adapt(AdaptEvent{OldC: 1, NewC: 2})
 	c.Adapt(AdaptEvent{OldC: 2, NewC: 1})
 	c.Adapt(AdaptEvent{OldC: 1, NewC: 1})

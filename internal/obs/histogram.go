@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 )
@@ -26,8 +27,11 @@ import (
 type Histogram struct {
 	NopSink
 
-	count   atomic.Uint64
-	sum     atomic.Int64
+	count atomic.Uint64
+	// sum holds the bits of the float64 sum of the recorded values. A
+	// float cannot wrap where an int64 would: 2^63 fixed-point units are
+	// only 18 447 criteria of 5e5 at nano-unit scale.
+	sum     atomic.Uint64
 	buckets [histBuckets]atomic.Uint64
 }
 
@@ -78,7 +82,13 @@ func (h *Histogram) ObserveN(v int64, n uint64) {
 		v = 0
 	}
 	h.count.Add(n)
-	h.sum.Add(v * int64(n))
+	add := float64(v) * float64(n)
+	for {
+		old := h.sum.Load()
+		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+add)) {
+			break
+		}
+	}
 	h.buckets[histBucketIndex(v)].Add(n)
 }
 
@@ -92,7 +102,7 @@ func (h *Histogram) RecordLatency(nanos int64, weight uint64) { h.ObserveN(nanos
 func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot
 	s.Count = h.count.Load()
-	s.Sum = h.sum.Load()
+	s.Sum = math.Float64frombits(h.sum.Load())
 	for i := range h.buckets {
 		s.counts[i] = h.buckets[i].Load()
 	}
@@ -103,7 +113,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 // any goroutine and to merge with other snapshots.
 type HistSnapshot struct {
 	Count  uint64
-	Sum    int64
+	Sum    float64
 	counts [histBuckets]uint64
 }
 

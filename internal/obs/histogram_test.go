@@ -40,7 +40,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 	s := h.Snapshot()
 	if s.Count != 1000 || s.Sum != 500500 {
-		t.Fatalf("count/sum = %d/%d", s.Count, s.Sum)
+		t.Fatalf("count/sum = %d/%g", s.Count, s.Sum)
 	}
 	for _, tc := range []struct{ q, want float64 }{
 		{0.5, 500}, {0.95, 950}, {0.99, 990}, {1.0, 1000},
@@ -99,7 +99,7 @@ func TestHistogramObserveN(t *testing.T) {
 		t.Fatalf("weighted snapshot differs from the one-by-one snapshot:\n%+v\n%+v", w, s)
 	}
 	if w.Count != 134 || w.Sum != 128*100+5000+3*90000 || weighted.count.Load() != 134 {
-		t.Errorf("count/sum = %d/%d, want 134/%d", w.Count, w.Sum, 128*100+5000+3*90000)
+		t.Errorf("count/sum = %d/%g, want 134/%d", w.Count, w.Sum, 128*100+5000+3*90000)
 	}
 	if got := w.CountAtMost(histBucketHigh(histBucketIndex(100))); got != 130 {
 		t.Errorf("values ≤ 100's bucket = %d, want 130 (128 weighted + 2 clamped)", got)

@@ -16,8 +16,7 @@ import (
 //
 //	{"t":"req","page":12,"q":3,"hit":true}
 //	{"t":"evict","page":9,"reason":"slru","crit":0.01250,"rank":4}
-//	{"t":"promote","page":7,"bs":2,"bl":5}
-//	{"t":"adapt","old":12,"new":13}
+//	{"t":"adapt","page":7,"bs":2,"bl":5,"old":12,"new":13}
 //	{"t":"mark","label":"phase 2"}
 //
 // Misses that shared another request's physical read (singleflight or
@@ -121,25 +120,16 @@ func (s *JSONLSink) Eviction(e EvictionEvent) {
 	s.emit()
 }
 
-// OverflowPromotion implements Sink.
-func (s *JSONLSink) OverflowPromotion(e OverflowPromotionEvent) {
+// Adapt implements Sink.
+func (s *JSONLSink) Adapt(e AdaptEvent) {
 	b := s.buf[:0]
-	b = append(b, `{"t":"promote","page":`...)
+	b = append(b, `{"t":"adapt","page":`...)
 	b = strconv.AppendUint(b, uint64(e.Page), 10)
 	b = append(b, `,"bs":`...)
 	b = strconv.AppendInt(b, int64(e.BetterSpatial), 10)
 	b = append(b, `,"bl":`...)
 	b = strconv.AppendInt(b, int64(e.BetterLRU), 10)
-	b = appendShard(b, e.Shard)
-	b = append(b, '}')
-	s.buf = b
-	s.emit()
-}
-
-// Adapt implements Sink.
-func (s *JSONLSink) Adapt(e AdaptEvent) {
-	b := s.buf[:0]
-	b = append(b, `{"t":"adapt","old":`...)
+	b = append(b, `,"old":`...)
 	b = strconv.AppendInt(b, int64(e.OldC), 10)
 	b = append(b, `,"new":`...)
 	b = strconv.AppendInt(b, int64(e.NewC), 10)

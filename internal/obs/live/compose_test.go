@@ -17,10 +17,9 @@ type composeCollector struct {
 	evicts []obs.EvictionEvent
 }
 
-func (c *composeCollector) Request(e obs.RequestEvent)                   { c.reqs = append(c.reqs, e) }
-func (c *composeCollector) Eviction(e obs.EvictionEvent)                 { c.evicts = append(c.evicts, e) }
-func (c *composeCollector) OverflowPromotion(obs.OverflowPromotionEvent) {}
-func (c *composeCollector) Adapt(obs.AdaptEvent)                         {}
+func (c *composeCollector) Request(e obs.RequestEvent)   { c.reqs = append(c.reqs, e) }
+func (c *composeCollector) Eviction(e obs.EvictionEvent) { c.evicts = append(c.evicts, e) }
+func (c *composeCollector) Adapt(obs.AdaptEvent)         {}
 
 // TestComposedSinkShardsAndSampling drives the production composition
 // SamplingSink(AsyncSink(collector)) from one goroutine per shard, each

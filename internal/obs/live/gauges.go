@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"repro/internal/buffer"
+	"repro/internal/obs/shadow"
 	"repro/internal/obs/tracing"
 )
 
@@ -29,7 +30,10 @@ type asbGauges interface {
 // shard the spatialbuf_shard_*{shard="i"} families; and, when the policy
 // is an adaptable spatial buffer, the spatialbuf_asb_* families, summed
 // over the shards (each value counts frames exactly one shard owns) so a
-// sharded pool serves the names a single ASB does.
+// sharded pool serves the names a single ASB does. A shared pool with a
+// write-back queue (the async layout; without one, it reports no
+// writers) adds the spatialbuf_writeback_* families and
+// spatialbuf_inflight_reads, read off the queue's own atomics.
 func (s *Service) AddPoolGauges(pool buffer.Pool) {
 	s.mu.Lock()
 	s.pool = pool
@@ -83,6 +87,26 @@ func (s *Service) AddPoolGauges(pool buffer.Pool) {
 			total(asb(asbGauges.OverflowCapacity)))
 		s.AddGauge("spatialbuf_asb_main_capacity_pages", "Capacity of the ASB main part.",
 			total(asb(asbGauges.MainCapacity)))
+	}
+	if sp, ok := pool.(*buffer.Shared); ok && sp.Writeback().Workers > 0 {
+		s.AddGauge("spatialbuf_writeback_queue_depth", "Pages waiting in the background write-back queue.",
+			func() float64 { return float64(sp.Writeback().Depth) })
+		s.AddGauge("spatialbuf_writeback_pending_pages", "Pages queued or mid-write in the write-back machinery.",
+			func() float64 { return float64(sp.Writeback().Pending) })
+		s.AddGauge("spatialbuf_writeback_written_total", "Completed background page writes.",
+			func() float64 { return float64(sp.Writeback().Written) })
+		s.AddGauge("spatialbuf_writeback_coalesced_total", "Write-backs absorbed by an already-queued entry for the same page.",
+			func() float64 { return float64(sp.Writeback().Coalesced) })
+		s.AddGauge("spatialbuf_writeback_fallbacks_total", "Evictions written synchronously because the queue was full.",
+			func() float64 { return float64(sp.Writeback().Fallbacks) })
+		s.AddGauge("spatialbuf_writeback_queue_capacity", "Write-back queue capacity in pages.",
+			func() float64 { return float64(sp.Writeback().QueueCap) })
+		s.AddGauge("spatialbuf_writeback_canceled_total", "Queued write-backs canceled because the page was re-admitted before its write ran.",
+			func() float64 { return float64(sp.Writeback().Canceled) })
+		s.AddGauge("spatialbuf_writeback_errors_total", "Background page writes that failed.",
+			func() float64 { return float64(sp.Writeback().Errors) })
+		s.AddGauge("spatialbuf_inflight_reads", "Physical reads currently in flight across all shards (singleflight leaders).",
+			func() float64 { return float64(sp.InflightReads()) })
 	}
 }
 
@@ -138,4 +162,42 @@ func (s *Service) AddAsyncSinkGauges(a *AsyncSink) {
 	s.AddGauge("spatialbuf_async_ring_capacity_events",
 		"Capacity of the async ring.",
 		func() float64 { return float64(a.capacity()) })
+}
+
+// AddShadowGauges registers the shadow-cache profiler's metric families.
+// Per shadow cache (labeled policy + simulated capacity):
+//
+//	spatialbuf_shadow_hit_ratio         cumulative hit ratio
+//	spatialbuf_shadow_window_hit_ratio  last completed rolling window
+//	spatialbuf_shadow_hits_total        cumulative hits
+//	spatialbuf_shadow_misses_total      cumulative misses
+//
+// plus the unlabeled pool-level pair:
+//
+//	spatialbuf_shadow_regret          real hit ratio − best shadow's
+//	spatialbuf_shadow_requests_total  events observed by the bank
+//
+// All values read atomics; scraping never touches the bank's mutex.
+func (s *Service) AddShadowGauges(b *shadow.Bank) {
+	for _, c := range b.Shadows() {
+		labels := `policy="` + c.PolicyName() + `",capacity="` + strconv.Itoa(c.Capacity()) + `"`
+		s.addLabeledGauge("spatialbuf_shadow_hit_ratio", labels,
+			"Cumulative hit ratio of a shadow (ghost) cache simulating an alternative configuration.",
+			func() float64 { return c.HitRatio() })
+		s.addLabeledGauge("spatialbuf_shadow_window_hit_ratio", labels,
+			"Hit ratio of the shadow cache's last completed rolling window.",
+			func() float64 { return c.WindowHitRatio() })
+		s.addLabeledGauge("spatialbuf_shadow_hits_total", labels,
+			"Cumulative shadow-cache hits.",
+			func() float64 { return float64(c.Hits()) })
+		s.addLabeledGauge("spatialbuf_shadow_misses_total", labels,
+			"Cumulative shadow-cache misses.",
+			func() float64 { return float64(c.Misses()) })
+	}
+	s.AddGauge("spatialbuf_shadow_regret",
+		"Real policy's hit ratio minus the best same-capacity shadow's; negative means a simulated configuration is winning.",
+		func() float64 { return b.Regret() })
+	s.AddGauge("spatialbuf_shadow_requests_total",
+		"Request events observed by the shadow bank (after any sampling).",
+		func() float64 { return float64(b.RealRequests()) })
 }

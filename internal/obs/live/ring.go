@@ -1,8 +1,8 @@
 // Package live turns the offline event stream of package obs into a
 // serving-grade metrics layer: an asynchronous bounded sink that
 // decouples event consumers from the request path, and an HTTP service
-// exposing Prometheus metrics, an expvar-style JSON snapshot, a health
-// probe, an SSE stream of ASB adaptation events and a minimal dashboard.
+// exposing Prometheus metrics, a health probe and a minimal dashboard
+// that polls them.
 //
 // The overhead contract extends the one in package obs: with NopSink the
 // hot path stays allocation-free; with an AsyncSink in front of an
@@ -28,7 +28,6 @@ type eventKind uint8
 const (
 	kindRequest eventKind = iota
 	kindEviction
-	kindPromotion
 	kindAdapt
 )
 
@@ -41,17 +40,18 @@ const (
 )
 
 // record is one event in a slab, by value: the kind plus the fields of
-// the largest event (Request), 136 bytes. The three small events borrow
-// its integer slots.
+// the largest event (Request), 136 bytes. The two smaller events borrow
+// its slots; Adapt, with more integers than there are slots, parks three
+// of them in Meta's integer fields.
 type record struct {
 	kind           eventKind
-	hit, coalesced bool    // Request
-	shard          int32   // all four
-	page           page.ID // all but Adapt; Adapt.Ref
-	a              uint64  // Request.QueryID, Eviction.LRURank, Promotion.BetterSpatial, Adapt.OldC
-	b              uint64  // Eviction.Criterion (bits), Promotion.BetterLRU, Adapt.NewC
-	reason         string  // Eviction
-	meta           page.Meta
+	hit, coalesced bool      // Request
+	shard          int32     // all three
+	page           page.ID   // all three
+	a              uint64    // Request.QueryID, Eviction.LRURank, Adapt.OldC
+	b              uint64    // Eviction.Criterion (bits), Adapt.NewC
+	reason         string    // Eviction
+	meta           page.Meta // Request.Meta; Adapt.Ref, BetterSpatial, BetterLRU as ID, Level, NumEntries
 }
 
 // slab is a run of consecutive events.
@@ -180,10 +180,9 @@ func (s *AsyncSink) dispatch(r *record) {
 		s.down.Request(obs.RequestEvent{Page: r.page, QueryID: r.a, Hit: r.hit, Shard: shard, Coalesced: r.coalesced, Meta: r.meta})
 	case kindEviction:
 		s.down.Eviction(obs.EvictionEvent{Page: r.page, Reason: r.reason, Criterion: math.Float64frombits(r.b), LRURank: int(r.a), Shard: shard})
-	case kindPromotion:
-		s.down.OverflowPromotion(obs.OverflowPromotionEvent{Page: r.page, BetterSpatial: int(r.a), BetterLRU: int(r.b), Shard: shard})
 	case kindAdapt:
-		s.down.Adapt(obs.AdaptEvent{OldC: int(r.a), NewC: int(r.b), Shard: shard, Ref: uint64(r.page)})
+		s.down.Adapt(obs.AdaptEvent{Page: r.page, BetterSpatial: r.meta.Level, BetterLRU: r.meta.NumEntries,
+			OldC: int(r.a), NewC: int(r.b), Shard: shard, Ref: uint64(r.meta.ID)})
 	}
 }
 
@@ -222,14 +221,10 @@ func (s *AsyncSink) Eviction(e obs.EvictionEvent) {
 	s.put(&record{kind: kindEviction, shard: int32(e.Shard), page: e.Page, a: uint64(e.LRURank), b: math.Float64bits(e.Criterion), reason: e.Reason})
 }
 
-// OverflowPromotion implements obs.Sink.
-func (s *AsyncSink) OverflowPromotion(e obs.OverflowPromotionEvent) {
-	s.put(&record{kind: kindPromotion, shard: int32(e.Shard), page: e.Page, a: uint64(e.BetterSpatial), b: uint64(e.BetterLRU)})
-}
-
 // Adapt implements obs.Sink.
 func (s *AsyncSink) Adapt(e obs.AdaptEvent) {
-	s.put(&record{kind: kindAdapt, shard: int32(e.Shard), page: page.ID(e.Ref), a: uint64(e.OldC), b: uint64(e.NewC)})
+	s.put(&record{kind: kindAdapt, shard: int32(e.Shard), page: e.Page, a: uint64(e.OldC), b: uint64(e.NewC),
+		meta: page.Meta{ID: page.ID(e.Ref), Level: e.BetterSpatial, NumEntries: e.BetterLRU}})
 }
 
 // Delivered returns how many events reached the downstream sink; it

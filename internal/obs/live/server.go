@@ -1,7 +1,6 @@
 package live
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -9,12 +8,12 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/obs"
-	"repro/internal/obs/shadow"
 )
 
 // critScale converts the float64 spatial criterion into the fixed-point
-// int64 domain of obs.Histogram (nano-units, matching the precision the
-// JSONL export carries).
+// int64 domain of obs.Histogram: nano-units. Quantiles keep the
+// histogram's 12.5 % bound for criteria from 8e-9 (8 units) up to 9.2e9
+// (the int64 limit); the sum is a float and does not wrap.
 const critScale = 1e9
 
 // gauge is a named instantaneous value scraped at request time. Value
@@ -39,14 +38,12 @@ func (g gauge) key() string {
 
 // Service aggregates the live metrics of one buffer stack — the request
 // counters of the pool AddPoolGauges registered, the event counters, a
-// request-latency histogram, an eviction-criterion histogram and an
-// Adapt-event broadcaster — and serves them over HTTP:
+// request-latency histogram, an eviction-criterion histogram and the
+// registered gauges — and serves them over HTTP:
 //
-//	/metrics       Prometheus text exposition format
-//	/healthz       liveness probe
-//	/events/ctraj  server-sent events: live ASB candidate-size trajectory
-//	/events/shadow server-sent events: shadow-cache what-if snapshots
-//	/              minimal self-contained HTML dashboard
+//	/metrics  Prometheus text exposition format, the one live export
+//	/healthz  liveness probe
+//	/         minimal self-contained HTML dashboard polling /metrics
 //
 // Attach Sink() to the pool (or tee it with capture sinks); the sink is
 // concurrency-safe and implements obs.LatencyRecorder, so the engines
@@ -57,13 +54,11 @@ type Service struct {
 	Counters  *obs.Counters
 	Latency   *obs.Histogram
 	Criterion *obs.Histogram
-	Traj      *Broadcaster
 
-	mu         sync.Mutex
-	gauges     []gauge
-	named      map[string]bool
-	shadowBank *shadow.Bank
-	pool       buffer.Pool // set by AddPoolGauges; nil until then
+	mu     sync.Mutex
+	gauges []gauge
+	named  map[string]bool
+	pool   buffer.Pool // set by AddPoolGauges; nil until then
 }
 
 // NewService returns a Service with fresh aggregators.
@@ -72,7 +67,6 @@ func NewService() *Service {
 		Counters:  &obs.Counters{},
 		Latency:   &obs.Histogram{},
 		Criterion: &obs.Histogram{},
-		Traj:      newBroadcaster(),
 		named:     make(map[string]bool),
 	}
 }
@@ -90,14 +84,7 @@ func (ss serviceSink) Eviction(e obs.EvictionEvent) {
 	ss.s.Criterion.Observe(int64(e.Criterion*critScale + 0.5))
 }
 
-func (ss serviceSink) OverflowPromotion(e obs.OverflowPromotionEvent) {
-	ss.s.Counters.OverflowPromotion(e)
-}
-
-func (ss serviceSink) Adapt(e obs.AdaptEvent) {
-	ss.s.Counters.Adapt(e)
-	ss.s.Traj.Adapt(e)
-}
+func (ss serviceSink) Adapt(e obs.AdaptEvent) { ss.s.Counters.Adapt(e) }
 
 // RecordLatency implements obs.LatencyRecorder.
 func (ss serviceSink) RecordLatency(ns int64, weight uint64) { ss.s.Latency.ObserveN(ns, weight) }
@@ -182,8 +169,6 @@ func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", handleHealthz)
-	mux.HandleFunc("/events/ctraj", s.handleCTraj)
-	mux.HandleFunc("/events/shadow", s.handleShadow)
 	mux.HandleFunc("/", s.handleDashboard)
 	return mux
 }
@@ -253,8 +238,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	c.ByReason.Each(func(reason string, n uint64) {
 		count("spatialbuf_evictions_total", `reason="`+reason+`"`, n)
 	})
-	metric("spatialbuf_overflow_promotions_total", "ASB overflow hits promoted back to the main part.", "counter")
-	count("spatialbuf_overflow_promotions_total", "", c.Promotions)
 	metric("spatialbuf_adaptations_total", "ASB adaptation events, by direction of the candidate-size change.", "counter")
 	count("spatialbuf_adaptations_total", `direction="grow"`, c.AdaptGrow)
 	count("spatialbuf_adaptations_total", `direction="shrink"`, c.AdaptShrink)
@@ -269,7 +252,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			float64(lat.CountAtMost(bound)))
 	}
 	count("spatialbuf_request_latency_seconds_bucket", `le="+Inf"`, lat.Count)
-	sample("spatialbuf_request_latency_seconds_sum", "", float64(lat.Sum)/1e9)
+	sample("spatialbuf_request_latency_seconds_sum", "", lat.Sum/1e9)
 	count("spatialbuf_request_latency_seconds_count", "", lat.Count)
 
 	metric("spatialbuf_request_latency_quantile_seconds", "Request-latency quantiles estimated from the log-bucketed histogram.", "gauge")
@@ -283,7 +266,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		sample("spatialbuf_eviction_criterion",
 			`quantile="`+strconv.FormatFloat(q, 'g', -1, 64)+`"`, crit.Quantile(q)/critScale)
 	}
-	sample("spatialbuf_eviction_criterion_sum", "", float64(crit.Sum)/critScale)
+	sample("spatialbuf_eviction_criterion_sum", "", crit.Sum/critScale)
 	count("spatialbuf_eviction_criterion_count", "", crit.Count)
 
 	lastName := ""
@@ -297,44 +280,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Write(b)
 }
 
-// handleCTraj streams Adapt events as server-sent events, one JSON
-// sample per event, until the client disconnects.
-func (s *Service) handleCTraj(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	// Subscribed before the headers go out: a client that has seen the
-	// response misses no event emitted afterwards.
-	ch, cancel := s.Traj.subscribe(256)
-	defer cancel()
-	fmt.Fprintf(w, "retry: 2000\n\n")
-	fl.Flush()
-
-	for {
-		select {
-		case sample, ok := <-ch:
-			if !ok {
-				return
-			}
-			data, err := json.Marshal(sample)
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "data: %s\n\n", data); err != nil {
-				return
-			}
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
 func (s *Service) handleDashboard(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/" {
 		http.NotFound(w, r)
@@ -345,9 +290,10 @@ func (s *Service) handleDashboard(w http.ResponseWriter, r *http.Request) {
 }
 
 // dashboardHTML is the self-contained live dashboard: it polls /metrics
-// for the counter and latency tables (every spatialbuf_* sample but the
-// histogram buckets) and follows /events/ctraj for the candidate-size
-// sparkline. No external assets, so it works on an air-gapped bench box.
+// once a second for the counter and latency tables (every spatialbuf_*
+// sample but the histogram buckets) and plots the polled
+// spatialbuf_asb_candidate_size as the candidate-size sparkline. No
+// external assets, so it works on an air-gapped bench box.
 const dashboardHTML = `<!DOCTYPE html>
 <html lang="en">
 <head>
@@ -360,28 +306,37 @@ table { border-collapse: collapse; }
 td, th { padding: .15rem .8rem .15rem 0; text-align: left; font-variant-numeric: tabular-nums; }
 svg { border: 1px solid #ccc; background: #fafafa; }
 code { background: #f0f0f0; padding: 0 .3em; }
-#drops { color: #b00; }
 </style>
 </head>
 <body>
 <h1>spatial-buffer live metrics</h1>
-<p>Endpoints: <code>/metrics</code> (Prometheus), <code>/healthz</code>, <code>/events/ctraj</code> (SSE), <code>/events/shadow</code> (SSE).</p>
+<p>Polled from <code>/metrics</code> (Prometheus) once a second; <code>/healthz</code> is the liveness probe.</p>
+<h2>ASB candidate-set size c</h2>
+<svg id="ctraj" width="640" height="160" viewBox="0 0 640 160" preserveAspectRatio="none"></svg>
+<p id="ctrajinfo">no spatialbuf_asb_candidate_size sample yet…</p>
 <h2>Counters</h2>
 <table id="counters"></table>
 <h2>Request latency (seconds)</h2>
 <table id="latency"></table>
-<h2>ASB candidate-size trajectory (live)</h2>
-<svg id="ctraj" width="640" height="160" viewBox="0 0 640 160" preserveAspectRatio="none"></svg>
-<p id="ctrajinfo">waiting for adaptation events…</p>
-<h2>Shadow caches (what-if policies &amp; miss-ratio curve)</h2>
-<table id="shadows"><tr><td>waiting for shadow samples…</td></tr></table>
-<p id="shadowinfo"></p>
 <script>
 const fmt = (v) => Number.isInteger(v) ? v : v.toPrecision(5);
 function renderTable(el, obj) {
   el.innerHTML = Object.entries(obj)
     .map(([k, v]) => "<tr><th>" + k + "</th><td>" + fmt(v) + "</td></tr>")
     .join("");
+}
+const pts = [];
+function plot(c) {
+  pts.push(c);
+  if (pts.length > 640) pts.shift();
+  const max = Math.max(...pts, 1);
+  const path = pts.map((y, i) =>
+    (i ? "L" : "M") + (i * 640 / Math.max(pts.length - 1, 1)).toFixed(1) +
+    " " + (150 - 140 * y / max).toFixed(1)).join(" ");
+  document.getElementById("ctraj").innerHTML =
+    '<path d="' + path + '" fill="none" stroke="#06c" stroke-width="1.5"/>';
+  document.getElementById("ctrajinfo").textContent =
+    "c = " + c + " (" + pts.length + " samples shown, max " + max + ")";
 }
 // Each exposition line is "name{labels} value"; a label value may hold a
 // space, the value never does.
@@ -397,49 +352,10 @@ async function poll() {
     }
     renderTable(document.getElementById("counters"), counters);
     renderTable(document.getElementById("latency"), latency);
+    if ("spatialbuf_asb_candidate_size" in counters) plot(counters["spatialbuf_asb_candidate_size"]);
   } catch (e) { /* server restarting; keep polling */ }
 }
 setInterval(poll, 1000); poll();
-
-const pts = [];
-const es = new EventSource("/events/ctraj");
-es.onmessage = (m) => {
-  const s = JSON.parse(m.data);
-  pts.push(s);
-  if (pts.length > 640) pts.shift();
-  const ys = pts.map(p => p.new);
-  const max = Math.max(...ys, 1);
-  const path = ys.map((y, i) =>
-    (i ? "L" : "M") + (i * 640 / Math.max(pts.length - 1, 1)).toFixed(1) +
-    " " + (150 - 140 * y / max).toFixed(1)).join(" ");
-  document.getElementById("ctraj").innerHTML =
-    '<path d="' + path + '" fill="none" stroke="#06c" stroke-width="1.5"/>';
-  document.getElementById("ctrajinfo").textContent =
-    "c = " + s.new + " on shard " + s.shard + " after its " + s.ref + " requests (" + pts.length + " samples shown, max " + max + ")";
-};
-
-const shadowEs = new EventSource("/events/shadow");
-shadowEs.onerror = () => {
-  // 404 (shadow profiling disabled) or server restart: stop retrying
-  // only when the panel never received data.
-  if (!document.getElementById("shadowinfo").textContent) {
-    document.getElementById("shadows").innerHTML =
-      "<tr><td>shadow profiling disabled</td></tr>";
-    shadowEs.close();
-  }
-};
-shadowEs.onmessage = (m) => {
-  const s = JSON.parse(m.data);
-  const rows = s.shadows.map(c =>
-    "<tr><td>" + c.policy + "</td><td>" + c.capacity + "</td><td>" +
-    c.hit_ratio.toPrecision(4) + "</td><td>" + c.window_hit_ratio.toPrecision(4) +
-    "</td><td>" + c.hits + "</td><td>" + c.misses + "</td></tr>").join("");
-  document.getElementById("shadows").innerHTML =
-    "<tr><th>policy</th><th>frames</th><th>hit ratio</th><th>window</th><th>hits</th><th>misses</th></tr>" + rows;
-  document.getElementById("shadowinfo").textContent =
-    "regret " + s.regret.toPrecision(4) + " (real hit ratio " +
-    s.real_hit_ratio.toPrecision(4) + " over " + s.real_requests + " observed requests)";
-};
 </script>
 </body>
 </html>

@@ -1,9 +1,8 @@
 package live_test
 
 import (
-	"bufio"
-	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -42,8 +41,7 @@ func feedService(t *testing.T, svc *live.Service) {
 	}
 	sink.Eviction(obs.EvictionEvent{Page: 2, Reason: obs.ReasonSLRU, Criterion: 0.25})
 	sink.Eviction(obs.EvictionEvent{Page: 3, Reason: obs.ReasonASBOverflow, Criterion: 0.75})
-	sink.OverflowPromotion(obs.OverflowPromotionEvent{Page: 4})
-	sink.Adapt(obs.AdaptEvent{OldC: 3, NewC: 4})
+	sink.Adapt(obs.AdaptEvent{Page: 4, OldC: 3, NewC: 4})
 }
 
 func TestMetricsEndpoint(t *testing.T) {
@@ -77,7 +75,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"spatialbuf_hit_ratio 0.5",
 		`spatialbuf_evictions_total{reason="slru"} 1`,
 		`spatialbuf_evictions_total{reason="asb-overflow"} 1`,
-		"spatialbuf_overflow_promotions_total 1",
 		`spatialbuf_adaptations_total{direction="grow"} 1`,
 		"spatialbuf_events_dropped_total 0",
 		`spatialbuf_request_latency_seconds_bucket{le="+Inf"} 10`,
@@ -158,6 +155,9 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// TestDashboardServed: the dashboard fetches /metrics, the one live
+// export, and no other URL — no event stream, no JSON copy — and the
+// server answers 404 for the streams it no longer has.
 func TestDashboardServed(t *testing.T) {
 	svc := live.NewService()
 	ts := httptest.NewServer(svc.Handler())
@@ -165,58 +165,48 @@ func TestDashboardServed(t *testing.T) {
 
 	body := get(t, ts.URL+"/")
 	if !strings.Contains(body, "<title>spatial-buffer live</title>") ||
-		!strings.Contains(body, "/events/ctraj") {
+		!strings.Contains(body, "spatialbuf_asb_candidate_size") {
 		t.Error("dashboard HTML incomplete")
 	}
-	if !strings.Contains(body, `fetch("/metrics")`) || strings.Contains(body, "/vars") {
-		t.Error("the dashboard must poll /metrics, the one live export, and never /vars")
+	if strings.Count(body, "fetch(") != 1 || !strings.Contains(body, `fetch("/metrics")`) ||
+		strings.Contains(body, "EventSource") || strings.Contains(body, "/events/") || strings.Contains(body, "/vars") {
+		t.Error("the dashboard must fetch /metrics and no other URL")
 	}
-	resp, err := http.Get(ts.URL + "/nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown path status = %d, want 404", resp.StatusCode)
+	for _, path := range []string{"/nope", "/events/" + "ctraj", "/events/" + "shadow"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s status = %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 
-func TestCTrajSSEStreamsAdaptEvents(t *testing.T) {
+// TestEvictionCriterionSum: 20 000 evictions of criterion 5e5 — each a
+// page as large as DB1's data space — sum to 1e10 on /metrics, where an
+// int64 of nano-units wraps after 18 447 of them; and the median keeps
+// the histogram's 12.5 % bound from the smallest criterion the
+// fixed-point scale resolves to the largest of DB1.
+func TestEvictionCriterionSum(t *testing.T) {
 	svc := live.NewService()
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + "/events/ctraj")
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 20000; i++ {
+		svc.Sink().Eviction(obs.EvictionEvent{Page: page.ID(i), Reason: obs.ReasonSLRU, Criterion: 5e5})
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type = %q", ct)
+	body := scrape(svc, "/metrics")
+	if got := metricFloat(t, body, "spatialbuf_eviction_criterion_sum"); math.Abs(got-1e10) > 20000*1e-9 {
+		t.Errorf("spatialbuf_eviction_criterion_sum = %g, want 1e10", got)
 	}
-
-	// The handler subscribes before it sends the headers http.Get just
-	// returned with, so nothing emitted from here on is missed.
-	svc.Sink().Adapt(obs.AdaptEvent{OldC: 3, NewC: 5, Shard: 2, Ref: 3})
-
-	scanner := bufio.NewScanner(resp.Body)
-	var sample live.CTrajSample
-	for scanner.Scan() {
-		line := scanner.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
+	for _, crit := range []float64{8e-9, 3.3e-7, 0.0125, 526, 5e5} {
+		svc := live.NewService()
+		for i := 0; i < 100; i++ {
+			svc.Sink().Eviction(obs.EvictionEvent{Page: page.ID(i), Reason: obs.ReasonSLRU, Criterion: crit})
 		}
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &sample); err != nil {
-			t.Fatalf("bad SSE payload %q: %v", line, err)
+		got := metricFloat(t, scrape(svc, "/metrics"), `spatialbuf_eviction_criterion{quantile="0.5"}`)
+		if math.Abs(got-crit) > 0.125*crit {
+			t.Errorf("median of criterion %g served as %g, beyond 12.5 %%", crit, got)
 		}
-		break
-	}
-	if err := scanner.Err(); err != nil {
-		t.Fatal(err)
-	}
-	want := live.CTrajSample{Ref: 3, Shard: 2, OldC: 3, NewC: 5}
-	if sample != want {
-		t.Errorf("SSE sample = %+v, want %+v", sample, want)
 	}
 }
 
@@ -275,6 +265,23 @@ func TestLatencyCountTracksRequests(t *testing.T) {
 	if got := sample(`spatialbuf_request_latency_seconds_bucket{le="+Inf"}`); got != timed {
 		t.Errorf("+Inf bucket = %d, count = %d", got, timed)
 	}
+}
+
+// metricFloat returns the sample of an unlabeled-or-exact metric line off
+// a /metrics body.
+func metricFloat(t *testing.T, body, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("unparseable sample %q: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no sample %s", name)
+	return 0
 }
 
 // metricSample returns the integer sample of an unlabeled-or-exact

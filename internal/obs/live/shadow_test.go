@@ -1,9 +1,6 @@
 package live_test
 
 import (
-	"bufio"
-	"encoding/json"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -52,67 +49,5 @@ func TestShadowGaugesExposed(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
-	}
-}
-
-// TestShadowSSE checks /events/shadow: 404 without a bank, an immediate
-// well-formed snapshot with one.
-func TestShadowSSE(t *testing.T) {
-	svc := live.NewService()
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/events/shadow")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("no-bank status = %d, want 404", resp.StatusCode)
-	}
-
-	bank := testBank(t)
-	svc.AddShadowGauges(bank)
-	bank.Request(obs.RequestEvent{Page: 1, Hit: true, Meta: page.Meta{}})
-	resp, err = http.Get(ts.URL + "/events/shadow")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type = %q", ct)
-	}
-	scanner := bufio.NewScanner(resp.Body)
-	var payload struct {
-		Regret       float64       `json:"regret"`
-		RealRequests uint64        `json:"real_requests"`
-		Shadows      []shadow.Stat `json:"shadows"`
-	}
-	for scanner.Scan() {
-		line := scanner.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &payload); err != nil {
-			t.Fatalf("bad SSE payload %q: %v", line, err)
-		}
-		break
-	}
-	if err := scanner.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if payload.RealRequests != 1 || len(payload.Shadows) != 3 {
-		t.Errorf("SSE snapshot = %+v, want 1 request over 3 shadows", payload)
-	}
-}
-
-// TestShadowDashboardPanel checks the dashboard carries the shadow
-// table wired to the SSE stream.
-func TestShadowDashboardPanel(t *testing.T) {
-	svc := live.NewService()
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	body := get(t, ts.URL+"/")
-	if !strings.Contains(body, "/events/shadow") || !strings.Contains(body, `id="shadows"`) {
-		t.Error("dashboard missing the shadow-cache panel")
 	}
 }

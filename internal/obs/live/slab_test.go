@@ -33,10 +33,9 @@ func (l *eventLog) add(e any) {
 	l.once.Do(func() { close(l.first) })
 }
 
-func (l *eventLog) Request(e obs.RequestEvent)                     { l.add(e) }
-func (l *eventLog) Eviction(e obs.EvictionEvent)                   { l.add(e) }
-func (l *eventLog) OverflowPromotion(e obs.OverflowPromotionEvent) { l.add(e) }
-func (l *eventLog) Adapt(e obs.AdaptEvent)                         { l.add(e) }
+func (l *eventLog) Request(e obs.RequestEvent)   { l.add(e) }
+func (l *eventLog) Eviction(e obs.EvictionEvent) { l.add(e) }
+func (l *eventLog) Adapt(e obs.AdaptEvent)       { l.add(e) }
 
 // emit sends an event of whichever kind it is.
 func emit(s obs.Sink, e any) {
@@ -45,8 +44,6 @@ func emit(s obs.Sink, e any) {
 		s.Request(e)
 	case obs.EvictionEvent:
 		s.Eviction(e)
-	case obs.OverflowPromotionEvent:
-		s.OverflowPromotion(e)
 	case obs.AdaptEvent:
 		s.Adapt(e)
 	}
@@ -60,7 +57,7 @@ func TestSlabRecordIsCompact(t *testing.T) {
 	}
 }
 
-// TestAsyncSinkRoundTripsEveryFieldInOrder interleaves the four event
+// TestAsyncSinkRoundTripsEveryFieldInOrder interleaves the three event
 // kinds over several slab boundaries, every field set to a value of its
 // own — negative ranks and counts, fractional criteria, a reason string
 // built at run time — and wants the downstream sink to see exactly the
@@ -70,7 +67,7 @@ func TestAsyncSinkRoundTripsEveryFieldInOrder(t *testing.T) {
 	var want []any
 	for i := 0; i < n; i++ {
 		id := page.ID(1000 + i)
-		switch i % 4 {
+		switch i % 3 {
 		case 0:
 			want = append(want, obs.RequestEvent{
 				Page: id, QueryID: uint64(i) << 33, Hit: i%8 == 0, Shard: i % 5, Coalesced: i%8 != 0,
@@ -82,9 +79,7 @@ func TestAsyncSinkRoundTripsEveryFieldInOrder(t *testing.T) {
 		case 1:
 			want = append(want, obs.EvictionEvent{Page: id, Reason: fmt.Sprintf("custom-reason-%d", i), Criterion: float64(i) / 3, LRURank: i%7 - 1, Shard: i % 5})
 		case 2:
-			want = append(want, obs.OverflowPromotionEvent{Page: id, BetterSpatial: i, BetterLRU: -i, Shard: i % 5})
-		case 3:
-			want = append(want, obs.AdaptEvent{OldC: i, NewC: i - 9, Shard: i % 5, Ref: uint64(7 * i)})
+			want = append(want, obs.AdaptEvent{Page: id, BetterSpatial: i, BetterLRU: -i, OldC: i, NewC: i - 9, Shard: i % 5, Ref: uint64(7*i) << 40})
 		}
 	}
 	log := newEventLog()

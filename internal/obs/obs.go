@@ -1,7 +1,7 @@
 // Package obs is the observability layer of the buffer system: a
 // structured event stream emitted by the buffer engine (and, for its
-// adaptation, by ASB), plus cheap aggregators (atomic counters, a
-// windowed hit-ratio tracker), exporters (JSONL, CSV c-trajectory) and
+// adaptation, by ASB), plus cheap aggregators (atomic counters,
+// log-bucketed histograms), exporters (JSONL, CSV c-trajectory) and
 // profiling helpers shared by the commands.
 //
 // The design constraint is that observability must be free when unused:
@@ -17,16 +17,16 @@
 //   - Eviction — a page leaving the buffer, with the policy's reason,
 //     the criterion value that condemned it and its LRU rank, emitted by
 //     the engine, once per eviction, from the policy's buffer.Choice;
-//   - OverflowPromotion — an ASB overflow hit with the §4.2 adaptation
-//     signal (better-spatial vs better-LRU counts);
-//   - Adapt — a change (or re-confirmation) of the ASB candidate-set
-//     size, the series plotted in Fig. 14.
+//   - Adapt — an ASB overflow hit, the paper's adaptation event: the
+//     promoted page, the §4.2 signal (better-spatial vs better-LRU
+//     counts) and the candidate-set size before and after, the series
+//     plotted in Fig. 14.
 //
 // Only buffer.Engine holds a Sink (attached through a pool's SetSink)
 // and only it stamps an event's Shard. A policy reports through the
-// AccessContext of the request it is serving (ASB's OverflowPromotion
-// and Adapt), which reaches whichever sink the engine holds at that
-// moment; a context no engine made discards the event.
+// AccessContext of the request it is serving (ASB's Adapt), which
+// reaches whichever sink the engine holds at that moment; a context no
+// engine made discards the event.
 package obs
 
 import "repro/internal/page"
@@ -87,26 +87,19 @@ type EvictionEvent struct {
 	Shard int
 }
 
-// OverflowPromotionEvent describes an ASB overflow hit: the page is
-// promoted back into the main part and the §4.2 signal is computed.
-// BetterSpatial counts overflow pages with a larger spatial criterion
-// than the promoted page; BetterLRU counts those with a more recent use.
-type OverflowPromotionEvent struct {
+// AdaptEvent describes one adaptation event: an ASB overflow hit, which
+// promotes Page back into the main part and tunes the candidate-set size
+// by the §4.2 signal. BetterSpatial counts overflow pages with a larger
+// spatial criterion than the promoted page; BetterLRU counts those with a
+// more recent use. One event is emitted per overflow hit even when the
+// size is unchanged (OldC == NewC), matching the paper's definition of an
+// adaptation event, so the event count equals the overflow-hit count.
+type AdaptEvent struct {
 	Page          page.ID
 	BetterSpatial int
 	BetterLRU     int
-	// Shard is the pool shard whose overflow buffer hit (0 when
-	// unsharded).
-	Shard int
-}
-
-// AdaptEvent describes one adaptation event of the ASB candidate-set
-// size. One event is emitted per overflow hit even when the size is
-// unchanged (OldC == NewC), matching the paper's definition of an
-// adaptation event, so the event count equals the overflow-hit count.
-type AdaptEvent struct {
-	OldC int
-	NewC int
+	OldC          int
+	NewC          int
 	// Shard is the pool shard whose candidate size adapted (0 when
 	// unsharded). Each shard's ASB instance tunes its own c.
 	Shard int
@@ -124,7 +117,6 @@ type AdaptEvent struct {
 type Sink interface {
 	Request(e RequestEvent)
 	Eviction(e EvictionEvent)
-	OverflowPromotion(e OverflowPromotionEvent)
 	Adapt(e AdaptEvent)
 }
 
@@ -152,9 +144,6 @@ func (NopSink) Request(RequestEvent) {}
 // Eviction implements Sink.
 func (NopSink) Eviction(EvictionEvent) {}
 
-// OverflowPromotion implements Sink.
-func (NopSink) OverflowPromotion(OverflowPromotionEvent) {}
-
 // Adapt implements Sink.
 func (NopSink) Adapt(AdaptEvent) {}
 
@@ -170,12 +159,6 @@ func (m multiSink) Request(e RequestEvent) {
 func (m multiSink) Eviction(e EvictionEvent) {
 	for _, s := range m {
 		s.Eviction(e)
-	}
-}
-
-func (m multiSink) OverflowPromotion(e OverflowPromotionEvent) {
-	for _, s := range m {
-		s.OverflowPromotion(e)
 	}
 }
 

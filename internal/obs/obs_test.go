@@ -9,8 +9,8 @@ import (
 
 // recordingSink counts events per kind for assertions.
 type recordingSink struct {
-	req, evict, promote, adapt int
-	last                       any
+	req, evict, adapt int
+	last              any
 }
 
 func (r *recordingSink) Request(e RequestEvent) { r.req++; r.last = e }
@@ -18,18 +18,16 @@ func (r *recordingSink) Eviction(e EvictionEvent) {
 	r.evict++
 	r.last = e
 }
-func (r *recordingSink) OverflowPromotion(e OverflowPromotionEvent) { r.promote++; r.last = e }
-func (r *recordingSink) Adapt(e AdaptEvent)                         { r.adapt++; r.last = e }
+func (r *recordingSink) Adapt(e AdaptEvent) { r.adapt++; r.last = e }
 
 func TestTeeFansOutAndCollapses(t *testing.T) {
 	a, b := &recordingSink{}, &recordingSink{}
 	s := Tee(a, nil, NopSink{}, b)
 	s.Request(RequestEvent{})
 	s.Eviction(EvictionEvent{})
-	s.OverflowPromotion(OverflowPromotionEvent{})
 	s.Adapt(AdaptEvent{})
 	for _, r := range []*recordingSink{a, b} {
-		if r.req != 1 || r.evict != 1 || r.promote != 1 || r.adapt != 1 {
+		if r.req != 1 || r.evict != 1 || r.adapt != 1 {
 			t.Errorf("sink saw %+v, want one of each", *r)
 		}
 	}
@@ -47,14 +45,13 @@ func TestCountersAggregate(t *testing.T) {
 	c.Eviction(EvictionEvent{Reason: ReasonSLRU})
 	c.Eviction(EvictionEvent{Reason: ReasonASBOverflow})
 	c.Eviction(EvictionEvent{Reason: "made-up"})
-	c.OverflowPromotion(OverflowPromotionEvent{})
 	c.Adapt(AdaptEvent{OldC: 5, NewC: 7})
 	c.Adapt(AdaptEvent{OldC: 7, NewC: 6})
 	c.Adapt(AdaptEvent{OldC: 6, NewC: 6})
 	c.AddDropped(4)
 
 	s := c.Snapshot()
-	want := Snapshot{Promotions: 1, Adaptations: 3, AdaptGrow: 1, AdaptShrink: 1, AdaptHold: 1, Dropped: 4}
+	want := Snapshot{Adaptations: 3, AdaptGrow: 1, AdaptShrink: 1, AdaptHold: 1, Dropped: 4}
 	want.ByReason[reasonSlot(ReasonSLRU)] = 1
 	want.ByReason[reasonSlot(ReasonASBOverflow)] = 1
 	want.ByReason[reasonSlotOther] = 1
@@ -69,18 +66,17 @@ func TestJSONLSinkLines(t *testing.T) {
 	s := newJSONLSink(&buf)
 	s.Request(RequestEvent{Page: 12, QueryID: 3, Hit: true})
 	s.Eviction(EvictionEvent{Page: 9, Reason: ReasonSLRU, Criterion: 0.0125, LRURank: 4})
-	s.OverflowPromotion(OverflowPromotionEvent{Page: 7, BetterSpatial: 2, BetterLRU: 5})
-	s.Adapt(AdaptEvent{OldC: 12, NewC: 13})
+	s.Adapt(AdaptEvent{Page: 7, BetterSpatial: 2, BetterLRU: 5, OldC: 12, NewC: 13, Shard: 3})
 	s.Mark(`phase "2"`)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("got %d lines, want 5:\n%s", len(lines), buf.String())
+	if len(lines) != 4 {
+		t.Fatalf("got %d lines, want 4:\n%s", len(lines), buf.String())
 	}
-	wantKinds := []string{"req", "evict", "promote", "adapt", "mark"}
+	wantKinds := []string{"req", "evict", "adapt", "mark"}
 	for i, line := range lines {
 		var m map[string]any
 		if err := json.Unmarshal([]byte(line), &m); err != nil {
@@ -103,10 +99,19 @@ func TestJSONLSinkLines(t *testing.T) {
 	if evict.Page != 9 || evict.Reason != ReasonSLRU || evict.Crit != 0.0125 || evict.Rank != 4 {
 		t.Errorf("evict line decoded to %+v", evict)
 	}
+	// The adapt line is the whole overflow hit: the promoted page, the
+	// §4.2 signal and both sizes.
+	var adapt struct{ Page, BS, BL, Old, New, Shard int }
+	if err := json.Unmarshal([]byte(lines[2]), &adapt); err != nil {
+		t.Fatal(err)
+	}
+	if want := (struct{ Page, BS, BL, Old, New, Shard int }{7, 2, 5, 12, 13, 3}); adapt != want {
+		t.Errorf("adapt line %s decoded to %+v, want %+v", lines[2], adapt, want)
+	}
 	var mark struct {
 		Label string `json:"label"`
 	}
-	if err := json.Unmarshal([]byte(lines[4]), &mark); err != nil {
+	if err := json.Unmarshal([]byte(lines[3]), &mark); err != nil {
 		t.Fatal(err)
 	}
 	if mark.Label != `phase "2"` {

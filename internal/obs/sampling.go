@@ -3,8 +3,7 @@ package obs
 import "sync/atomic"
 
 // samplingSink forwards one in every N Request events to the wrapped
-// sink and passes Eviction, OverflowPromotion and Adapt events through
-// unchanged. It decouples exact accounting from bulk capture: a JSONL
+// sink and passes Eviction and Adapt events through unchanged. It decouples exact accounting from bulk capture: a JSONL
 // file behind a samplingSink stays small under heavy load while the
 // rare, decision-carrying events remain complete (exact request counters
 // come from a Counters attached alongside, not from the sampled file).
@@ -41,9 +40,6 @@ func (s *samplingSink) Request(e RequestEvent) {
 
 // Eviction implements Sink (pass-through).
 func (s *samplingSink) Eviction(e EvictionEvent) { s.down.Eviction(e) }
-
-// OverflowPromotion implements Sink (pass-through).
-func (s *samplingSink) OverflowPromotion(e OverflowPromotionEvent) { s.down.OverflowPromotion(e) }
 
 // Adapt implements Sink (pass-through).
 func (s *samplingSink) Adapt(e AdaptEvent) { s.down.Adapt(e) }

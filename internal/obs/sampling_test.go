@@ -18,9 +18,8 @@ func TestSamplingSinkDeterministic(t *testing.T) {
 	}
 	// Non-request events pass through unconditionally.
 	s.Eviction(EvictionEvent{})
-	s.OverflowPromotion(OverflowPromotionEvent{})
 	s.Adapt(AdaptEvent{})
-	if rec.evict != 1 || rec.promote != 1 || rec.adapt != 1 {
+	if rec.evict != 1 || rec.adapt != 1 {
 		t.Errorf("pass-through events: %+v", *rec)
 	}
 	if seen := s.(*samplingSink).seen.Load(); seen != 10 {
@@ -71,7 +70,7 @@ func TestTeePropagatesLatency(t *testing.T) {
 	}
 	lr.RecordLatency(123, 5)
 	if snap := h.Snapshot(); snap.Count != 5 || snap.Sum != 5*123 {
-		t.Errorf("histogram behind the tee: count %d sum %d, want the weighted sample 5 × 123", snap.Count, snap.Sum)
+		t.Errorf("histogram behind the tee: count %d sum %g, want the weighted sample 5 × 123", snap.Count, snap.Sum)
 	}
 	// A tee of latency-blind sinks must NOT advertise the interface, or
 	// the manager would time requests for nothing.

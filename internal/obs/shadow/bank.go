@@ -49,17 +49,6 @@ func Specs(realPolicy string, capacity int, policies []string, ladder []float64)
 	return specs
 }
 
-// Stat is the scrape snapshot of one shadow cache, JSON-shaped for the
-// /events/shadow SSE stream and the offline CSV writer.
-type Stat struct {
-	Policy         string  `json:"policy"`
-	Capacity       int     `json:"capacity"`
-	Hits           uint64  `json:"hits"`
-	Misses         uint64  `json:"misses"`
-	HitRatio       float64 `json:"hit_ratio"`
-	WindowHitRatio float64 `json:"window_hit_ratio"`
-}
-
 // Bank drives a set of shadow caches from one obs event stream and
 // tracks the real pool's hit ratio alongside, deriving the regret gauge:
 // real hit ratio minus the best shadow's hit ratio. A negative regret
@@ -108,7 +97,7 @@ func NewBank(specs []Spec, resolve Resolver, window int) (*Bank, error) {
 		}
 		b.caches = append(b.caches, NewCache(sp.Policy, pol, sp.Capacity, window))
 	}
-	// Deterministic order for gauges, SSE payloads and CSV columns:
+	// Deterministic order for gauges and CSV columns:
 	// by policy name, then capacity.
 	sort.Slice(b.caches, func(i, j int) bool {
 		if b.caches[i].policyName != b.caches[j].policyName {
@@ -143,10 +132,10 @@ func (b *Bank) Len() int { return len(b.caches) }
 // RealRequests returns the number of Request events observed.
 func (b *Bank) RealRequests() uint64 { return b.realReqs.Load() }
 
-// RealHitRatio returns the real pool's cumulative hit ratio as seen
+// realHitRatio returns the real pool's cumulative hit ratio as seen
 // through the event stream (which, behind a SamplingSink, is the sampled
 // stream's ratio).
-func (b *Bank) RealHitRatio() float64 {
+func (b *Bank) realHitRatio() float64 {
 	r := b.realReqs.Load()
 	if r == 0 {
 		return 0
@@ -161,7 +150,7 @@ func (b *Bank) RealHitRatio() float64 {
 // 1× are excluded — regret compares configurations the deployed pool
 // could have had at its actual size.
 func (b *Bank) Regret() float64 {
-	real := b.RealHitRatio()
+	real := b.realHitRatio()
 	best := 0.0
 	found := false
 	for _, c := range b.caches {
@@ -194,21 +183,4 @@ func (b *Bank) referenceCapacity() int {
 		}
 	}
 	return ref
-}
-
-// Stats returns a snapshot of every shadow cache, in the bank's
-// deterministic order. Reads only atomics; safe during serving.
-func (b *Bank) Stats() []Stat {
-	out := make([]Stat, len(b.caches))
-	for i, c := range b.caches {
-		out[i] = Stat{
-			Policy:         c.policyName,
-			Capacity:       c.capacity,
-			Hits:           c.Hits(),
-			Misses:         c.Misses(),
-			HitRatio:       c.HitRatio(),
-			WindowHitRatio: c.WindowHitRatio(),
-		}
-	}
-	return out
 }

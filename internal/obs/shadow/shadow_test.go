@@ -169,7 +169,7 @@ func TestBankReplayedTrace(t *testing.T) {
 	// 3 what-if policies at 1× plus ladder rungs 0.5×/2×/4× (the 1× rung
 	// duplicates LRU@capacity and is dropped).
 	if bank.Len() != 6 {
-		t.Fatalf("bank has %d shadows, want 6: %+v", bank.Len(), bank.Stats())
+		t.Fatalf("bank has %d shadows, want 6", bank.Len())
 	}
 
 	tr := lcgTrace(refs, numPages)
@@ -209,9 +209,9 @@ func TestBankReplayedTrace(t *testing.T) {
 	// The capacity ladder must be monotone: more frames never hit less
 	// on the same policy (LRU has no Belady anomaly).
 	ratioAt := make(map[int]float64)
-	for _, s := range bank.Stats() {
-		if s.Policy == "LRU" {
-			ratioAt[s.Capacity] = s.HitRatio
+	for _, c := range bank.Shadows() {
+		if c.PolicyName() == "LRU" {
+			ratioAt[c.Capacity()] = c.HitRatio()
 		}
 	}
 	if !(ratioAt[capacity/2] <= ratioAt[capacity] && ratioAt[capacity] <= ratioAt[2*capacity] && ratioAt[2*capacity] <= ratioAt[4*capacity]) {

@@ -16,25 +16,24 @@ func TestJSONLShardField(t *testing.T) {
 	s.Request(RequestEvent{Page: 12, QueryID: 3, Hit: true})
 	s.Request(RequestEvent{Page: 12, QueryID: 3, Hit: true, Shard: 2})
 	s.Eviction(EvictionEvent{Page: 9, Reason: ReasonLRU, Shard: 5})
-	s.OverflowPromotion(OverflowPromotionEvent{Page: 7, Shard: 1})
-	s.Adapt(AdaptEvent{OldC: 3, NewC: 4, Shard: 7})
+	s.Adapt(AdaptEvent{Page: 7, OldC: 3, NewC: 4, Shard: 7})
 	s.Eviction(EvictionEvent{Page: 8, Reason: ReasonLRU})
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 6 {
-		t.Fatalf("got %d lines, want 6:\n%s", len(lines), buf.String())
+	if len(lines) != 5 {
+		t.Fatalf("got %d lines, want 5:\n%s", len(lines), buf.String())
 	}
 	if strings.Contains(lines[0], "shard") {
 		t.Errorf("shard-0 request must omit the shard key: %s", lines[0])
 	}
-	if strings.Contains(lines[5], "shard") {
-		t.Errorf("shard-0 eviction must omit the shard key: %s", lines[5])
+	if strings.Contains(lines[4], "shard") {
+		t.Errorf("shard-0 eviction must omit the shard key: %s", lines[4])
 	}
-	wantShards := []int{2, 5, 1, 7}
-	for i, line := range lines[1:5] {
+	wantShards := []int{2, 5, 7}
+	for i, line := range lines[1:4] {
 		var m struct {
 			Shard int `json:"shard"`
 		}

@@ -8,8 +8,8 @@
 //
 // Aggregates answer "how is the buffer doing"; spans answer "why did
 // *this* request take 2 ms" and "what exactly did the policy decide".
-// The paper's adaptation rule (§4.2) acts on individual overflow
-// promotions, so debugging it needs per-request history, not counters.
+// The paper's adaptation rule (§4.2) acts on individual overflow hits,
+// so debugging it needs per-request history, not counters.
 //
 // The overhead contract mirrors package obs: producers hold a *Tracer
 // that may be nil (tracing disabled — the hot path pays one pointer
