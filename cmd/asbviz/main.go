@@ -7,7 +7,7 @@
 //	asbviz -csv trajectory.csv
 //
 // Instead of recomputing, -in renders a previously captured trajectory
-// (written by asbviz -csv or spatialbench -ctraj):
+// (written by asbviz -csv):
 //
 //	asbviz -in trajectory.csv
 package main
@@ -37,6 +37,16 @@ func declare(fs *flag.FlagSet) (*obs.ProfileFlags, func() error) {
 	width := fs.Int("width", 100, "plot width in columns")
 	height := fs.Int("height", 20, "plot height in rows")
 	return nil, func() error {
+		// A plot smaller than one cell fails here, before any database is
+		// built, rather than after the whole run.
+		for _, f := range []struct {
+			name string
+			val  int
+		}{{"width", *width}, {"height", *height}} {
+			if f.val < 1 {
+				return fmt.Errorf("bad -%s value %d (want an integer ≥ 1)", f.name, f.val)
+			}
+		}
 		if *inPath != "" {
 			return runFromFile(*inPath, *width, *height)
 		}

@@ -25,10 +25,10 @@
 // Observability: -events FILE re-replays an ad-hoc sweep sequentially
 // with a JSONL event sink attached (one "mark" line per combination);
 // -window N prints each combination's hit ratio over every N references,
-// read off the pool's Stats; -ctraj FILE runs the Fig. 14 adaptation
-// workload and writes the ASB candidate-size trajectory as CSV (render
-// it with asbviz -in FILE). The standard -cpuprofile, -memprofile and
-// -trace flags profile the whole run. What-if policies and capacities
+// read off the pool's Stats. The Fig. 14 candidate-size trajectory is
+// asbviz's: asbviz -csv FILE writes it, asbviz -in FILE renders it. The
+// standard -cpuprofile, -memprofile and -trace flags profile the whole
+// run. What-if policies and capacities
 // over the same trace are tracedump -mrc.
 //
 // Request tracing: -trace-out FILE attaches a sampling span recorder
@@ -66,7 +66,6 @@ type config struct {
 	csvDir     string
 	events     string
 	window     int
-	ctraj      string
 	pool       string
 
 	traceOut    string
@@ -89,7 +88,6 @@ func declare(fs *flag.FlagSet) (*obs.ProfileFlags, func() error) {
 	fs.StringVar(&cfg.csvDir, "csv", "", "directory to additionally write tables as CSV")
 	fs.StringVar(&cfg.events, "events", "", "with -sets: write the sweep's event stream as JSONL to this file")
 	fs.IntVar(&cfg.window, "window", 0, "with -sets: print hit ratios over windows of N requests")
-	fs.StringVar(&cfg.ctraj, "ctraj", "", "run the Fig. 14 adaptation workload and write the c-trajectory CSV to this file")
 	fs.StringVar(&cfg.pool, "pool", "bare", "with -events/-window: pool composition spec for instrumented replays, layout[,shards=N][,wbworkers=N] with layout bare|locked|sharded|async (per-shard policy instances when sharded)")
 	fs.StringVar(&cfg.traceOut, "trace-out", "", "write request span traces as Chrome trace-event JSON to this file")
 	fs.IntVar(&cfg.traceSample, "trace-sample", 1024, "with -trace-out: trace 1 in N buffer requests")
@@ -98,7 +96,7 @@ func declare(fs *flag.FlagSet) (*obs.ProfileFlags, func() error) {
 }
 
 func run(cfg *config) error {
-	if cfg.figure == "" && cfg.sets == "" && cfg.ctraj == "" {
+	if cfg.figure == "" && cfg.sets == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -185,12 +183,6 @@ func run(cfg *config) error {
 		}
 	}
 
-	if cfg.ctraj != "" {
-		if err := writeCTrajectory(&cfg.db, cfg.ctraj); err != nil {
-			return err
-		}
-	}
-
 	if tracer != nil {
 		return writeTraces(tracer, cfg.traceOut)
 	}
@@ -207,27 +199,6 @@ func writeTraces(tracer *tracing.Tracer, path string) error {
 	}
 	fmt.Printf("wrote %d request traces (1 in %d of %d requests) to %s\n",
 		len(traces), tracer.SampleEvery(), tracer.Seen(), path)
-	return nil
-}
-
-// writeCTrajectory runs the Fig. 14 mixed workload (INT-W-33 + U-W-33 +
-// S-W-33 through an ASB buffer) and writes the candidate-size trajectory
-// captured from the event stream as "ref,candidate" CSV.
-func writeCTrajectory(sel *cli.DB, path string) error {
-	db, err := sel.Get()
-	if err != nil {
-		return err
-	}
-	at, err := experiment.RunAdaptation(db, experiment.LargestFrac, sel.Seed)
-	if err != nil {
-		return err
-	}
-	err = cli.WriteFile(path, func(w io.Writer) error { return obs.WriteTrajectoryCSV(w, at.RefAt, at.Sizes) })
-	if err != nil {
-		return err
-	}
-	fmt.Printf("wrote c-trajectory (%d samples over %d references) to %s\n",
-		len(at.Sizes), at.PhaseEnds[2], path)
 	return nil
 }
 

@@ -16,8 +16,8 @@ func TestRunRejectsIgnoredFlags(t *testing.T) {
 		flag string
 	}{
 		{[]string{"-sets", "U-P", "-window", "-1"}, "-window"},
-		{[]string{"-ctraj", "c.csv", "-window", "100"}, "-window"},
-		{[]string{"-ctraj", "c.csv", "-events", "e.jsonl"}, "-events"},
+		{[]string{"-figure", "4", "-window", "100"}, "-window"},
+		{[]string{"-figure", "4", "-events", "e.jsonl"}, "-events"},
 		{[]string{"-sets", "U-P", "-trace-sample", "0"}, "-trace-sample"},
 		{[]string{"-sets", "U-P", "-objects", "-5"}, "-objects"},
 	} {

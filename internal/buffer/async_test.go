@@ -232,6 +232,104 @@ func TestAsyncFixCoalesce(t *testing.T) {
 	}
 }
 
+// TestAsyncFixWaitersShareOneRead mixes Fixes and Gets on one in-flight
+// read of a one-shard pool with two frames: every flight is one store
+// read, the leader pins the frame for each waiting Fix, and every waiter
+// is counted once, as the coalesced Request event it emitted says.
+// With both frames pinned only admission fails: the waiting Fixes get
+// errAllPinned and hold nothing, the waiting Gets still get the bytes.
+func TestAsyncFixWaitersShareOneRead(t *testing.T) {
+	const target, fixes, gets = 5, 3, 3
+	for _, full := range []bool{true, false} {
+		t.Run(fmt.Sprintf("framesPinned=%v", full), func(t *testing.T) {
+			gs := &gatedStore{Store: newStore(t, 8), gate: make(chan struct{}), only: target}
+			sp, err := newAsync(gs, testFactory, 2, 1, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sp.Close()
+			rec := &recordingSink{}
+			sp.SetSink(rec)
+			var before uint64
+			if full {
+				for _, id := range []page.ID{1, 2} {
+					if _, err := sp.Fix(id, AccessContext{}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				before = 2
+			}
+
+			var wg sync.WaitGroup
+			errs := make([]error, fixes+gets)
+			pages := make([]*page.Page, fixes+gets)
+			for i := range errs {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					if i < fixes {
+						pages[i], errs[i] = sp.Fix(target, AccessContext{})
+					} else {
+						pages[i], errs[i] = sp.Get(target, AccessContext{})
+					}
+				}(i)
+			}
+			waitForRequests(t, sp, before+fixes+gets)
+			close(gs.gate)
+			wg.Wait()
+
+			if got := gs.reads.Load(); got != 1 {
+				t.Errorf("store reads = %d, want 1", got)
+			}
+			st := sp.Stats()
+			coalesced := 0
+			for _, ev := range rec.requests {
+				if ev.Coalesced {
+					coalesced++
+				}
+			}
+			if st.Coalesced != fixes+gets-1 || uint64(coalesced) != st.Coalesced {
+				t.Errorf("Stats.Coalesced = %d, coalesced Request events = %d, want both %d",
+					st.Coalesced, coalesced, fixes+gets-1)
+			}
+			if st.DiskReads() != before+1 {
+				t.Errorf("DiskReads = %d, want %d", st.DiskReads(), before+1)
+			}
+
+			failedGets := 0
+			for i, err := range errs {
+				switch {
+				case full && i < fixes:
+					if !errors.Is(err, errAllPinned) {
+						t.Errorf("fix %d: err = %v, want %v", i, err, errAllPinned)
+					}
+				case full && errors.Is(err, errAllPinned):
+					failedGets++ // the leader, if a Get led
+				case err != nil:
+					t.Errorf("request %d: %v", i, err)
+				case pages[i] == nil || pages[i].ID != target:
+					t.Errorf("request %d returned wrong page: %+v", i, pages[i])
+				}
+			}
+			if failedGets > 1 {
+				t.Errorf("%d Gets failed, want at most the leader", failedGets)
+			}
+			pins := 0
+			if !full {
+				pins = fixes
+			}
+			for i := range pins {
+				if err := sp.Unfix(target); err != nil {
+					t.Fatalf("unfix %d: %v", i, err)
+				}
+			}
+			if err := sp.Unfix(target); err == nil {
+				t.Errorf("unfix beyond %d pins should fail", pins)
+			}
+		})
+	}
+}
+
 // TestAsyncSingleShardSeedEquivalence pins the tentpole's compatibility
 // promise: a single-threaded read-only replay through a 1-shard async
 // pool is stat-for-stat — and event-for-event — identical to the seed

@@ -331,17 +331,9 @@ func (e *Engine) emitRequest(ev obs.RequestEvent) {
 	e.sink.Request(ev)
 }
 
-// tick advances the logical clock for a request that was already
-// accounted (a coalesced waiter retrying as a fresh reader). Must run
-// under the engine's serialization.
-func (e *Engine) tick() uint64 {
-	e.clock++
-	return e.clock
-}
-
 // admit installs the freshly read page at logical time now, evicting
 // first when the buffer is full. Must run under the engine's
-// serialization; now must come from miss/tick.
+// serialization; now must come from miss.
 func (e *Engine) admit(p *page.Page, now uint64, ctx AccessContext) (*Frame, error) {
 	if e.frames.n >= e.capacity {
 		if err := e.evictOne(ctx); err != nil {

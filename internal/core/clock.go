@@ -96,64 +96,3 @@ func (p *Clock) Reset() {
 	p.ring.Clear()
 	p.hand = nil
 }
-
-// PinLevels is the buffer of Leutenegger & Lopez (ICDE 1998), which the
-// paper cites as the special case its LRU-P generalizes: pages at tree
-// level ≥ MinLevel are pinned in the buffer (never evicted as long as an
-// alternative exists); the rest is plain LRU.
-type PinLevels struct {
-	// MinLevel is the lowest tree level that is pinned (e.g. 1 pins all
-	// directory levels of an R-tree).
-	MinLevel int
-	lru      *LRU
-}
-
-// NewPinLevels returns a policy pinning pages at level ≥ minLevel.
-func NewPinLevels(minLevel int) *PinLevels {
-	return &PinLevels{MinLevel: minLevel, lru: NewLRU()}
-}
-
-// Name implements buffer.Policy.
-func (p *PinLevels) Name() string { return "PIN" }
-
-// OnAdmit implements buffer.Policy.
-func (p *PinLevels) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	p.lru.OnAdmit(f, now, ctx)
-}
-
-// OnHit implements buffer.Policy.
-func (p *PinLevels) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	p.lru.OnHit(f, now, ctx)
-}
-
-// pinned reports whether the frame belongs to a pinned level.
-func (p *PinLevels) pinnedLevel(f *buffer.Frame) bool {
-	return f.Meta.Level >= p.MinLevel
-}
-
-// Victim implements buffer.Policy: the LRU frame among non-pinned levels;
-// if only pinned-level frames remain, the LRU of those (the buffer must
-// stay functional). The rank is the victim's place in the underlying LRU
-// order, counting every frame passed over.
-func (p *PinLevels) Victim(ctx buffer.AccessContext) buffer.Choice {
-	c := buffer.Choice{Reason: obs.ReasonLRU, Rank: -1}
-	for f, rank := p.lru.order.Back(), 0; f != nil; f, rank = p.lru.order.Prev(f), rank+1 {
-		if f.Pinned() {
-			continue
-		}
-		if !p.pinnedLevel(f) {
-			c.Frame, c.Rank = f, rank
-			break
-		}
-		if c.Frame == nil {
-			c.Frame, c.Rank = f, rank
-		}
-	}
-	return c
-}
-
-// OnEvict implements buffer.Policy.
-func (p *PinLevels) OnEvict(f *buffer.Frame) { p.lru.OnEvict(f) }
-
-// Reset implements buffer.Policy.
-func (p *PinLevels) Reset() { p.lru.Reset() }

@@ -74,7 +74,7 @@ func TestInstrumentedPoliciesEmitEvictionEvents(t *testing.T) {
 		specs[i] = dataPage(float64(i + 1))
 	}
 	reasons := map[string][]string{
-		"LRU": {obs.ReasonLRU}, "PIN": {obs.ReasonLRU}, "FIFO": {obs.ReasonFIFO},
+		"LRU": {obs.ReasonLRU}, "PIN": {obs.ReasonPriority}, "FIFO": {obs.ReasonFIFO},
 		"LRU-T": {obs.ReasonPriority}, "LRU-P": {obs.ReasonPriority},
 		"LRU-2": {obs.ReasonLRUK}, "LRU-3": {obs.ReasonLRUK}, "LRU-5": {obs.ReasonLRUK},
 		"A": {obs.ReasonSpatial}, "EA": {obs.ReasonSpatial}, "M": {obs.ReasonSpatial},

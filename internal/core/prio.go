@@ -38,7 +38,7 @@ func LevelPriority(m page.Meta) int {
 
 // PriorityLRU keeps one LRU chain per priority class and always evicts
 // from the lowest-priority non-empty class. With TypePriority it is the
-// paper's LRU-T, with LevelPriority its LRU-P.
+// paper's LRU-T, with LevelPriority its LRU-P, with two classes PIN.
 //
 // Each class chain is a buffer.List; a frame's class is stashed in
 // Frame.Tag so eviction finds its chain without recomputing the priority.
@@ -65,6 +65,20 @@ func NewLRUT() *PriorityLRU {
 // NewLRUP returns the priority-based (tree-level) LRU policy (paper §2.1).
 func NewLRUP() *PriorityLRU {
 	return newPriorityLRU("LRU-P", LevelPriority)
+}
+
+// NewPinLevels returns the buffer of Leutenegger & Lopez (ICDE 1998),
+// which the paper cites as the special case its LRU-P generalizes: pages
+// at tree level ≥ minLevel (1 pins all directory levels of an R-tree)
+// stay in the buffer as long as an alternative exists; the rest is plain
+// LRU. It is a two-class PriorityLRU named PIN.
+func NewPinLevels(minLevel int) *PriorityLRU {
+	return newPriorityLRU("PIN", func(m page.Meta) int {
+		if m.Level >= minLevel {
+			return 1
+		}
+		return 0
+	})
 }
 
 // newPriorityLRU returns an LRU policy stratified by the given priority

@@ -93,8 +93,17 @@ func TestParseSpec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lvl := f.New(8).(*core.PinLevels).MinLevel; lvl != 2 {
-			t.Fatalf("MinLevel = %d, want 2", lvl)
+		// Root (level 2) first, then a level-1 page and two leaves: at
+		// level ≥ 2 only the root outlives the pages after it.
+		s := buildStore(t, []pageSpec{
+			{typ: page.TypeDirectory, level: 2, area: 1},
+			{typ: page.TypeDirectory, level: 1, area: 1},
+			dataPage(1), dataPage(1),
+		})
+		m := mustEngine(t, s, f.New(2), 2)
+		runOn(t, m, seqOf(1, 2, 3, 4))
+		if !resident(m, 1, 4) || resident(m, 2) {
+			t.Fatalf("resident %v, want the level-2 page 1 and the newest leaf 4", m.ResidentIDs())
 		}
 	})
 	for _, bad := range []string{

@@ -58,12 +58,7 @@ func figCrossSAM(opts Options, seed int64) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, o := range objs {
-			if err := zt.Insert(o.ID, o.MBR); err != nil {
-				return nil, err
-			}
-		}
-		if err := zt.FinalizeStats(); err != nil {
+		if err := fill(zt, objs); err != nil {
 			return nil, err
 		}
 		st, err := zt.Stats()
@@ -87,12 +82,7 @@ func figCrossSAM(opts Options, seed int64) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, o := range objs {
-			if err := qt.Insert(o.ID, o.MBR); err != nil {
-				return nil, err
-			}
-		}
-		if err := qt.FinalizeStats(); err != nil {
+		if err := fill(qt, objs); err != nil {
 			return nil, err
 		}
 		st, err := qt.Stats()

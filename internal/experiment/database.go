@@ -59,14 +59,9 @@ func (db *Database) Space() geom.Rect { return db.Generator.Space }
 // Build constructs database 1 or 2 with the paper's tree parameters
 // (fan-outs 51/42), finalizing page statistics for the spatial criteria.
 func Build(number int, opts Options) (*Database, error) {
-	var gen *dataset.Generator
-	switch number {
-	case 1:
-		gen = dataset.USMainland(opts.Seed + 100)
-	case 2:
-		gen = dataset.WorldAtlas(opts.Seed + 200)
-	default:
-		return nil, fmt.Errorf("experiment: unknown database %d", number)
+	gen, err := generator(number, opts.Seed)
+	if err != nil {
+		return nil, err
 	}
 	n := opts.Objects
 	if n <= 0 {
@@ -104,6 +99,34 @@ func Build(number int, opts Options) (*Database, error) {
 	}, nil
 }
 
+// generator returns the object generator of database 1 or 2.
+func generator(number int, seed int64) (*dataset.Generator, error) {
+	switch number {
+	case 1:
+		return dataset.USMainland(seed + 100), nil
+	case 2:
+		return dataset.WorldAtlas(seed + 200), nil
+	}
+	return nil, fmt.Errorf("experiment: unknown database %d", number)
+}
+
+// index is what fill needs of a spatial access method.
+type index interface {
+	Insert(objID uint64, mbr geom.Rect) error
+	FinalizeStats() error
+}
+
+// fill inserts objs into ix and finalizes the page statistics the
+// spatial criteria read.
+func fill(ix index, objs []dataset.Object) error {
+	for _, o := range objs {
+		if err := ix.Insert(o.ID, o.MBR); err != nil {
+			return err
+		}
+	}
+	return ix.FinalizeStats()
+}
+
 // buildTree indexes objs into a fresh R*-tree over its own memory store
 // with the paper's parameters, finalizes the page statistics the spatial
 // criteria read, and resets the store's counters.
@@ -113,12 +136,7 @@ func buildTree(objs []dataset.Object) (*rtree.Tree, *storage.MemStore, rtree.Tre
 	if err != nil {
 		return nil, nil, rtree.TreeStats{}, err
 	}
-	for _, o := range objs {
-		if err := tree.Insert(o.ID, o.MBR); err != nil {
-			return nil, nil, rtree.TreeStats{}, err
-		}
-	}
-	if err := tree.FinalizeStats(); err != nil {
+	if err := fill(tree, objs); err != nil {
 		return nil, nil, rtree.TreeStats{}, err
 	}
 	st, err := tree.Stats()

@@ -9,8 +9,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/page"
-	"repro/internal/rtree"
-	"repro/internal/storage"
 )
 
 // updateMix describes an update workload: a deterministic interleaving of
@@ -49,14 +47,9 @@ func runUpdateWorkload(dbNum, objects int, frac float64, factories []core.Factor
 	if objects <= 0 {
 		objects = 24_000
 	}
-	var gen *dataset.Generator
-	switch dbNum {
-	case 1:
-		gen = dataset.USMainland(seed + 100)
-	case 2:
-		gen = dataset.WorldAtlas(seed + 200)
-	default:
-		return nil, fmt.Errorf("experiment: unknown database %d", dbNum)
+	gen, err := generator(dbNum, seed)
+	if err != nil {
+		return nil, err
 	}
 
 	var out []updateResult
@@ -73,21 +66,10 @@ func runUpdateWorkload(dbNum, objects int, frac float64, factories []core.Factor
 // runUpdateOnce builds a fresh tree and runs the mix under one policy.
 func runUpdateOnce(gen *dataset.Generator, objects int, frac float64, f core.Factory, mix updateMix, seed int64) (updateResult, error) {
 	objs := gen.Objects(seed+1, objects)
-	store := storage.NewMemStore()
-	tree, err := rtree.New(store, rtree.DefaultParams())
+	tree, store, st, err := buildTree(objs)
 	if err != nil {
 		return updateResult{}, err
 	}
-	for _, o := range objs {
-		if err := tree.Insert(o.ID, o.MBR); err != nil {
-			return updateResult{}, err
-		}
-	}
-	st, err := tree.Stats()
-	if err != nil {
-		return updateResult{}, err
-	}
-	store.ResetStats()
 
 	frames := int(frac * float64(st.TotalPages()))
 	if frames < 2 {

@@ -62,7 +62,7 @@ type RequestEvent struct {
 const (
 	ReasonLRU         = "lru"          // least recently used
 	ReasonFIFO        = "fifo"         // oldest admission
-	ReasonPriority    = "priority-lru" // LRU within the lowest non-empty priority class (LRU-T/LRU-P)
+	ReasonPriority    = "priority-lru" // LRU within the lowest non-empty priority class (LRU-T/LRU-P/PIN)
 	ReasonSLRU        = "slru"         // spatial choice from the LRU candidate set
 	ReasonSpatial     = "spatial"      // pure spatial minimum-criterion choice
 	ReasonLRUK        = "lru-k"        // oldest HIST(q,K)

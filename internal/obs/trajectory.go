@@ -59,7 +59,7 @@ func WriteTrajectoryCSV(w io.Writer, refs, cands []int) error {
 }
 
 // ReadTrajectoryCSV parses a c-trajectory CSV (as written by
-// WriteTrajectoryCSV, cmd/asbviz -csv or cmd/spatialbench -ctraj).
+// WriteTrajectoryCSV, as cmd/asbviz -csv does).
 // The header line is required; blank lines and lines starting with '#'
 // are skipped.
 func ReadTrajectoryCSV(rd io.Reader) (refs, cands []int, err error) {
