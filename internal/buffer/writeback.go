@@ -273,7 +273,10 @@ func (w *writeback) write(id page.ID) {
 
 // remove deletes id's entry, under w.mu, and wakes drain once none is left.
 func (w *writeback) remove(id page.ID) {
-	if e := w.pending[id]; len(w.spares) < 64 { // no burst of evictions stays in memory
+	// pending never holds more than a queued entry per slot plus one per
+	// writer, so a burst that fills the queue is served from spares the
+	// next time.
+	if e := w.pending[id]; len(w.spares) < cap(w.queue)+w.workers {
 		e.page = nil // keep no page alive
 		w.spares = append(w.spares, e)
 	}

@@ -205,3 +205,55 @@ func TestDropRecyclesOnlyLeasedPages(t *testing.T) {
 		t.Errorf("offered %d pages to the store, want only the leased one it may drop", len(log))
 	}
 }
+
+// TestWritebackBurstReusesEntries: a burst of dirty evictions that piles
+// up behind a slow writer, as a fast producer's does, leaves its entries
+// among the spares, so the next burst as large allocates none.
+func TestWritebackBurstReusesEntries(t *testing.T) {
+	const burst = 200
+	bw := &blockWriteStore{Store: newStore(t, burst), gate: make(chan struct{}, burst)}
+	w := newWriteback(bw, 1, 256)
+	entries := func() map[*wbEntry]bool {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		m := make(map[*wbEntry]bool, len(w.pending))
+		for _, e := range w.pending {
+			m[e] = true
+		}
+		return m
+	}
+	var first map[*wbEntry]bool
+	for round := range 2 {
+		for id := page.ID(1); id <= burst; id++ {
+			if !w.enqueue(testPage(id, uint64(round)), 0) {
+				t.Fatalf("burst %d: page %d refused", round+1, id)
+			}
+		}
+		got := entries()
+		if len(got) != burst {
+			t.Fatalf("burst %d: %d pending entries, want %d", round+1, len(got), burst)
+		}
+		if round == 0 {
+			first = got
+		} else {
+			fresh := 0
+			for e := range got {
+				if !first[e] {
+					fresh++
+				}
+			}
+			if fresh > 0 {
+				t.Errorf("the second burst allocated %d of its %d entries", fresh, burst)
+			}
+		}
+		for range burst { // one write per token
+			bw.gate <- struct{}{}
+		}
+		if err := w.drain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+}

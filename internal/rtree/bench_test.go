@@ -50,7 +50,7 @@ func BenchmarkInsert(b *testing.B) {
 // BenchmarkChooseSubtree measures ChooseSubtree's overlap-enlargement
 // search on a full level-1 node (51 entries) of a built tree, for a point
 // and for a small window: supporting evidence for the end-to-end numbers
-// of ISSUE 22, not a claim of its own.
+// in DESIGN.md §5a.4, not a claim of its own.
 func BenchmarkChooseSubtree(b *testing.B) {
 	tr, objs := benchTree(b, 50_000)
 	var node *page.Page

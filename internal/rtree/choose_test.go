@@ -3,10 +3,12 @@ package rtree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/page"
+	"repro/internal/storage"
 )
 
 // textbookChooseByOverlap is ChooseSubtree's overlap-enlargement search
@@ -30,6 +32,46 @@ func textbookChooseByOverlap(node *page.Page, r geom.Rect) int {
 		}
 		enl := node.Entries[i].MBR.Enlargement(r)
 		area := node.Entries[i].MBR.Area()
+		if best < 0 || ovl < bestOvl || (ovl == bestOvl && enl < bestEnl) ||
+			(ovl == bestOvl && enl == bestEnl && area < bestArea) {
+			best, bestOvl, bestEnl, bestArea = i, ovl, enl, area
+		}
+	}
+	return best
+}
+
+// prunedChooseByOverlap is the one-pass kernel that least enlargement
+// first replaced, kept verbatim: every entry in index order, with cuts
+// (a)–(c) of DESIGN.md §5a.4. It is the oracle where areas overflow,
+// which the textbook loop's x − x turns into NaN.
+func prunedChooseByOverlap(node *page.Page, r geom.Rect) int {
+	entries := node.Entries
+	best := -1
+	var bestOvl, bestEnl, bestArea float64
+candidates:
+	for i := range entries {
+		e := entries[i].MBR
+		var ovl float64
+		// r inside e: the enlarged MBR is e and every term is x − x.
+		if !e.Contains(r) {
+			grown := e.Union(r)
+			for j := range entries {
+				m := entries[j].MBR
+				// m disjoint from grown is disjoint from e ⊆ grown: 0 − 0.
+				if j == i || !grown.Intersects(m) {
+					continue
+				}
+				ovl += grown.OverlapArea(m) - e.OverlapArea(m)
+				// e ⊆ grown and rounding is monotone, so no term is
+				// negative and partial sums never decrease: above the
+				// best complete sum, i can neither win nor tie.
+				if best >= 0 && ovl > bestOvl {
+					continue candidates
+				}
+			}
+		}
+		enl := e.Enlargement(r)
+		area := e.Area()
 		if best < 0 || ovl < bestOvl || (ovl == bestOvl && enl < bestEnl) ||
 			(ovl == bestOvl && enl == bestEnl && area < bestArea) {
 			best, bestOvl, bestEnl, bestArea = i, ovl, enl, area
@@ -66,37 +108,55 @@ var gridCoords = [16]float64{
 }
 
 // gridCase decodes fuzz bytes into a node of 1–51 entries and a rectangle
-// r; data is read cyclically, so every input is a full case.
-func gridCase(data []byte) (*page.Page, geom.Rect) {
+// r; data is read cyclically, so every input is a full case. A first byte
+// of 128 or more scales the grid by 1e200 (huge), where areas overflow
+// to +Inf and enlargements to +Inf or NaN.
+func gridCase(data []byte) (node *page.Page, r geom.Rect, huge bool) {
 	if len(data) == 0 {
 		data = []byte{0}
+	}
+	huge = data[0] >= 128
+	scale := 1.0
+	if huge {
+		scale = 1e200
 	}
 	pos := 0
 	next := func() float64 {
 		b := data[pos%len(data)] + byte(pos/len(data)) // later laps differ
 		pos++
-		return gridCoords[b%16]
+		return gridCoords[b%16] * scale
 	}
 	rect := func() geom.Rect { return geom.NewRect(next(), next(), next(), next()) }
 	n := 1 + int(data[0])%51
-	r := rect()
+	r = rect()
 	rects := make([]geom.Rect, n)
 	for i := range rects {
 		rects[i] = rect()
 	}
-	return level1(rects), r
+	return level1(rects), r, huge
 }
 
-// FuzzChooseByOverlap is the differential fuzzer of the pruned kernel
-// against the textbook loop. CI runs it for ten seconds.
+// FuzzChooseByOverlap is the differential fuzzer of the kernel against
+// the one-pass pruned kernel on every case and against the textbook loop
+// where no area overflows. CI runs it for ten seconds.
 func FuzzChooseByOverlap(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{50, 6, 6, 10, 10, 5, 5, 12, 12, 6, 6, 6, 6})
 	f.Add([]byte{7, 3, 9, 3, 9, 0, 0, 15, 15, 1, 14, 2, 13, 6, 5, 6, 5, 7, 7, 8, 8})
 	f.Add([]byte("the write workload measures the buffer again"))
+	// No least-enlargement entry is free of overlap enlargement: the
+	// other entries are searched too.
+	f.Add([]byte{15, 199, 187, 129, 134, 57})
+	// Enlargements of +Inf and NaN: entries are visited in index order.
+	f.Add([]byte{222, 228, 127, 89})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		node, r := gridCase(data)
-		checkChoice(t, node, r)
+		node, r, huge := gridCase(data)
+		if got, want := chooseByOverlap(node, r), prunedChooseByOverlap(node, r); got != want {
+			t.Fatalf("chooseByOverlap = %d, pruned kernel = %d\nr = %#v\nentries = %#v", got, want, r, node.Entries)
+		}
+		if !huge {
+			checkChoice(t, node, r)
+		}
 	})
 }
 
@@ -193,5 +253,71 @@ func TestOverlapTermsNonNegative(t *testing.T) {
 		if term := grown.OverlapArea(m) - e.OverlapArea(m); !(term >= 0) {
 			t.Fatalf("term %g < 0 for e=%#v r=%#v m=%#v", term, e, r, m)
 		}
+	}
+}
+
+// TestChooseByOverlapMatchesPrunedKernel compares the kernel with the
+// one-pass kernel on random nodes of 1–51 entries at magnitudes from 1 to
+// 1e308: areas, enlargements and overlap sums overflow to +Inf, and an
+// infinite width times a zero height is NaN.
+func TestChooseByOverlapMatchesPrunedKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	nan, inf := 0, 0 // nodes visited in index order, and in two passes
+	for trial := 0; trial < 20_000; trial++ {
+		scale := math.Pow(10, float64(rng.Intn(309)))
+		coord := func() float64 { return (2*rng.Float64() - 1) * scale }
+		rects := make([]geom.Rect, 1+rng.Intn(51))
+		for i := range rects {
+			if trial%2 == 0 { // overlapping cluster around the origin
+				c := geom.Point{X: rng.NormFloat64() * scale / 4, Y: rng.NormFloat64() * scale / 4}
+				rects[i] = geom.RectFromCenter(c, rng.Float64()*scale, rng.Float64()*scale)
+			} else {
+				rects[i] = randRect(rng, coord)
+			}
+		}
+		node := level1(rects)
+		r := randRect(rng, coord)
+		if rng.Intn(4) == 0 { // r equal to an entry
+			r = rects[rng.Intn(len(rects))]
+		}
+		enls := make([]float64, len(rects))
+		for i, e := range node.Entries {
+			enls[i] = e.MBR.Enlargement(r)
+		}
+		switch {
+		case slices.ContainsFunc(enls, math.IsNaN):
+			nan++
+		case slices.Contains(enls, math.Inf(1)):
+			inf++
+		}
+		if got, want := chooseByOverlap(node, r), prunedChooseByOverlap(node, r); got != want {
+			t.Fatalf("chooseByOverlap = %d, pruned kernel = %d\nr = %#v\nentries = %#v", got, want, r, node.Entries)
+		}
+	}
+	if nan == 0 || inf == 0 {
+		t.Fatalf("%d nodes with a NaN enlargement, %d with +Inf and no NaN; want both", nan, inf)
+	}
+}
+
+// TestInsertHugeCoordinates builds a tree of objects whose coordinates
+// are near 1e200, so that the areas of leaves, and the enlargements
+// ChooseSubtree compares, overflow to +Inf and NaN.
+func TestInsertHugeCoordinates(t *testing.T) {
+	tr, err := New(storage.NewMemStore(), DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range randObjs(rand.New(rand.NewSource(47)), 3000) {
+		m := o.mbr
+		huge := geom.NewRect(m.MinX*1e197, m.MinY*1e197, m.MaxX*1e197, m.MaxY*1e197)
+		if err := tr.Insert(o.id, huge); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.Height() < 2 {
+		t.Fatalf("height %d: no node above the leaves", tr.Height())
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

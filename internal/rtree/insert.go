@@ -3,6 +3,7 @@ package rtree
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/geom"
@@ -106,40 +107,90 @@ func chooseByArea(node *page.Page, r geom.Rect) int {
 // exactly zero, and candidates that can no longer win or tie. The terms
 // it keeps are added in the textbook's order, so ovl is the same float
 // (DESIGN.md §5a.4; approximate variants would change the tree's shape).
+//
+// The entries of least area enlargement are tried first: if one of them
+// needs no overlap enlargement, no other entry can win or tie, since
+// every other one has a larger enlargement and an overlap sum of at
+// least 0. Each pass visits its entries in index order, and the two
+// passes share no enlargement, so the winner is the least (overlap,
+// enlargement, area, index), as in the textbook's one pass. An area that
+// overflows can make an enlargement NaN, and NaN compares false in any
+// order of visits; then every entry is visited in index order instead.
 func chooseByOverlap(node *page.Page, r geom.Rect) int {
 	entries := node.Entries
-	best := -1
-	var bestOvl, bestEnl, bestArea float64
-candidates:
+	var buf [64]float64
+	enls := buf[:0]
+	if len(entries) > len(buf) {
+		enls = make([]float64, 0, len(entries))
+	}
+	minEnl, nan := math.Inf(1), false
 	for i := range entries {
-		e := entries[i].MBR
-		var ovl float64
-		// r inside e: the enlarged MBR is e and every term is x − x.
-		if !e.Contains(r) {
-			grown := e.Union(r)
-			for j := range entries {
-				m := entries[j].MBR
-				// m disjoint from grown is disjoint from e ⊆ grown: 0 − 0.
-				if j == i || !grown.Intersects(m) {
-					continue
-				}
-				ovl += grown.OverlapArea(m) - e.OverlapArea(m)
-				// e ⊆ grown and rounding is monotone, so no term is
-				// negative and partial sums never decrease: above the
-				// best complete sum, i can neither win nor tie.
-				if best >= 0 && ovl > bestOvl {
-					continue candidates
-				}
-			}
+		enl := entries[i].MBR.Enlargement(r)
+		enls = append(enls, enl)
+		minEnl, nan = min(minEnl, enl), nan || enl != enl
+	}
+	s := overlapSearch{entries: entries, r: r, best: -1}
+	if nan {
+		for i, enl := range enls {
+			s.consider(i, enl)
 		}
-		enl := e.Enlargement(r)
-		area := e.Area()
-		if best < 0 || ovl < bestOvl || (ovl == bestOvl && enl < bestEnl) ||
-			(ovl == bestOvl && enl == bestEnl && area < bestArea) {
-			best, bestOvl, bestEnl, bestArea = i, ovl, enl, area
+		return s.best
+	}
+	// Without a NaN enlargement every entry's area is finite, each term
+	// is at most a sibling's area, and no overlap sum is NaN.
+	for i, enl := range enls {
+		if enl == minEnl {
+			s.consider(i, enl)
 		}
 	}
-	return best
+	if s.bestOvl == 0 {
+		return s.best
+	}
+	for i, enl := range enls {
+		if enl != minEnl {
+			s.consider(i, enl)
+		}
+	}
+	return s.best
+}
+
+// overlapSearch is chooseByOverlap's best candidate so far.
+type overlapSearch struct {
+	entries                    []page.Entry
+	r                          geom.Rect
+	best                       int
+	bestOvl, bestEnl, bestArea float64
+}
+
+// consider makes entry i, whose area enlargement by r is enl, the best
+// candidate if its (overlap, enlargement, area) is less than the best's.
+func (s *overlapSearch) consider(i int, enl float64) {
+	entries := s.entries
+	e := entries[i].MBR
+	var ovl float64
+	// r inside e: the enlarged MBR is e and every term is x − x.
+	if !e.Contains(s.r) {
+		grown := e.Union(s.r)
+		for j := range entries {
+			m := entries[j].MBR
+			// m disjoint from grown is disjoint from e ⊆ grown: 0 − 0.
+			if j == i || !grown.Intersects(m) {
+				continue
+			}
+			ovl += grown.OverlapArea(m) - e.OverlapArea(m)
+			// e ⊆ grown and rounding is monotone, so no term is
+			// negative and partial sums never decrease: above the
+			// best complete sum, i can neither win nor tie.
+			if s.best >= 0 && ovl > s.bestOvl {
+				return
+			}
+		}
+	}
+	area := e.Area()
+	if s.best < 0 || ovl < s.bestOvl || (ovl == s.bestOvl && enl < s.bestEnl) ||
+		(ovl == s.bestOvl && enl == s.bestEnl && area < s.bestArea) {
+		s.best, s.bestOvl, s.bestEnl, s.bestArea = i, ovl, enl, area
+	}
 }
 
 // writeAndAdjust persists the node at the given depth and propagates its
