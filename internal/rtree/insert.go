@@ -115,7 +115,8 @@ func chooseByArea(node *page.Page, r geom.Rect) int {
 // passes share no enlargement, so the winner is the least (overlap,
 // enlargement, area, index), as in the textbook's one pass. An area that
 // overflows can make an enlargement NaN, and NaN compares false in any
-// order of visits; then every entry is visited in index order instead.
+// order of visits; then the first pass visits every entry, in index
+// order, and is the only one.
 func chooseByOverlap(node *page.Page, r geom.Rect) int {
 	entries := node.Entries
 	var buf [64]float64
@@ -123,27 +124,23 @@ func chooseByOverlap(node *page.Page, r geom.Rect) int {
 	if len(entries) > len(buf) {
 		enls = make([]float64, 0, len(entries))
 	}
-	minEnl, nan := math.Inf(1), false
+	minEnl := math.Inf(1)
 	for i := range entries {
 		enl := entries[i].MBR.Enlargement(r)
 		enls = append(enls, enl)
-		minEnl, nan = min(minEnl, enl), nan || enl != enl
+		minEnl = min(minEnl, enl)
 	}
+	// min is NaN if any enlargement is. Without a NaN enlargement every
+	// entry's area is finite, each term is at most a sibling's area, and
+	// no overlap sum is NaN.
+	nan := minEnl != minEnl
 	s := overlapSearch{entries: entries, r: r, best: -1}
-	if nan {
-		for i, enl := range enls {
-			s.consider(i, enl)
-		}
-		return s.best
-	}
-	// Without a NaN enlargement every entry's area is finite, each term
-	// is at most a sibling's area, and no overlap sum is NaN.
 	for i, enl := range enls {
-		if enl == minEnl {
+		if nan || enl == minEnl {
 			s.consider(i, enl)
 		}
 	}
-	if s.bestOvl == 0 {
+	if nan || s.bestOvl == 0 {
 		return s.best
 	}
 	for i, enl := range enls {
