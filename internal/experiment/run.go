@@ -44,7 +44,7 @@ type sweep struct {
 // (policy, buffer size) combination. Query sets are resolved by name with
 // calibrated sizes; seed controls query generation. Replays are
 // independent of each other (each gets its own buffer manager and policy
-// instance over the shared, thread-safe page store), so they run in
+// instance over one frozen page table of the database), so they run in
 // parallel across the available CPUs.
 func run(db *Database, setNames []string, factories []core.Factory, fracs []float64, seed int64) (*sweep, error) {
 	sw := &sweep{
@@ -78,6 +78,9 @@ func run(db *Database, setNames []string, factories []core.Factory, fracs []floa
 		}
 	}
 
+	// The replays only read the database: they share a frozen page table
+	// rather than queue on the MemStore's mutex.
+	store := db.Store.Frozen()
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(jobs) {
 		workers = len(jobs)
@@ -102,7 +105,7 @@ func run(db *Database, setNames []string, factories []core.Factory, fracs []floa
 				}
 				j := jobs[i]
 				var stats buffer.Stats
-				m, err := buffer.NewEngine(db.Store, j.f.New(j.frames), j.frames)
+				m, err := buffer.NewEngine(store, j.f.New(j.frames), j.frames)
 				if err == nil {
 					m.SetTracer(currentTracer())
 					stats, err = trace.ReplayOn(j.tr, m)

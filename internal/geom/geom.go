@@ -127,11 +127,31 @@ func (r Rect) UnionPoint(p Point) Rect {
 // Intersects reports whether r and s share at least one point. Touching
 // boundaries count as intersecting (rectangles are closed).
 func (r Rect) Intersects(s Rect) bool {
-	if r.IsEmpty() || s.IsEmpty() {
-		return false
+	return r.Meets(s) && !r.IsEmpty() && !s.IsEmpty()
+}
+
+// Meets reports whether the closed intervals of r and s overlap on both
+// axes, without asking whether either rectangle is empty: Intersects is
+// Meets of two non-empty rectangles. The four comparisons are counted
+// rather than chained with &&, so they compile to conditional moves and
+// a node scan has one branch per entry, on the answer, instead of one per
+// comparison. A NaN coordinate fails its comparison, so r and s do not
+// meet.
+func (r Rect) Meets(s Rect) bool {
+	var n int
+	if r.MinX <= s.MaxX {
+		n++
 	}
-	return r.MinX <= s.MaxX && s.MinX <= r.MaxX &&
-		r.MinY <= s.MaxY && s.MinY <= r.MaxY
+	if s.MinX <= r.MaxX {
+		n++
+	}
+	if r.MinY <= s.MaxY {
+		n++
+	}
+	if s.MinY <= r.MaxY {
+		n++
+	}
+	return n == 4
 }
 
 // Intersection returns the common part of r and s, or an empty rectangle
@@ -158,14 +178,20 @@ func (r Rect) OverlapArea(s Rect) float64 {
 // Contains reports whether s lies completely inside r. Every non-empty
 // rectangle contains the empty rectangle.
 func (r Rect) Contains(s Rect) bool {
-	if r.IsEmpty() {
-		return false
+	var n int // bounds of s inside r's, counted as in Meets
+	if r.MinX <= s.MinX {
+		n++
 	}
-	if s.IsEmpty() {
-		return true
+	if s.MaxX <= r.MaxX {
+		n++
 	}
-	return r.MinX <= s.MinX && s.MaxX <= r.MaxX &&
-		r.MinY <= s.MinY && s.MaxY <= r.MaxY
+	if r.MinY <= s.MinY {
+		n++
+	}
+	if s.MaxY <= r.MaxY {
+		n++
+	}
+	return (n == 4 || s.IsEmpty()) && !r.IsEmpty()
 }
 
 // ContainsPoint reports whether p lies inside or on the boundary of r.

@@ -389,3 +389,60 @@ func TestMinMaxBuiltinsBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// textbookIntersects is Intersects as it was before the comparisons were
+// counted (DESIGN.md §5a.5): the oracle of
+// TestIntersectsContainsMatchDefinition, kept verbatim.
+func (r Rect) textbookIntersects(s Rect) bool {
+	if r.IsEmpty() || s.IsEmpty() {
+		return false
+	}
+	return r.MinX <= s.MaxX && s.MinX <= r.MaxX &&
+		r.MinY <= s.MaxY && s.MinY <= r.MaxY
+}
+
+// textbookContains is Contains as it was, kept verbatim beside
+// textbookIntersects.
+func (r Rect) textbookContains(s Rect) bool {
+	if r.IsEmpty() {
+		return false
+	}
+	if s.IsEmpty() {
+		return true
+	}
+	return r.MinX <= s.MinX && s.MaxX <= r.MaxX &&
+		r.MinY <= s.MinY && s.MaxY <= r.MaxY
+}
+
+// TestIntersectsContainsMatchDefinition: for every pair of rectangles
+// whose eight coordinates come from {−Inf, −1, 0, 1, +Inf, NaN} (6⁸
+// pairs: empty, inverted, degenerate, unbounded and NaN rectangles on
+// either side), Intersects and Contains give the answers of their
+// textbook definitions, and Intersects is Meets of two non-empty
+// rectangles.
+func TestIntersectsContainsMatchDefinition(t *testing.T) {
+	vals := []float64{math.Inf(-1), -1, 0, 1, math.Inf(1), math.NaN()}
+	var rects []Rect
+	for _, a := range vals {
+		for _, b := range vals {
+			for _, c := range vals {
+				for _, d := range vals {
+					rects = append(rects, Rect{MinX: a, MinY: b, MaxX: c, MaxY: d})
+				}
+			}
+		}
+	}
+	for _, r := range rects {
+		for _, s := range rects {
+			if got, want := r.Intersects(s), r.textbookIntersects(s); got != want {
+				t.Fatalf("%#v.Intersects(%#v) = %v, textbook %v", r, s, got, want)
+			}
+			if got, want := r.Contains(s), r.textbookContains(s); got != want {
+				t.Fatalf("%#v.Contains(%#v) = %v, textbook %v", r, s, got, want)
+			}
+			if got, want := r.Meets(s) && !r.IsEmpty() && !s.IsEmpty(), r.textbookIntersects(s); got != want {
+				t.Fatalf("%#v.Meets(%#v) of non-empty rectangles = %v, textbook Intersects %v", r, s, got, want)
+			}
+		}
+	}
+}

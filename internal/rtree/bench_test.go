@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/buffer"
+	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/page"
 	"repro/internal/storage"
@@ -79,39 +80,69 @@ func BenchmarkChooseSubtree(b *testing.B) {
 // sinkIdx keeps the benchmarked call alive.
 var sinkIdx int
 
-// BenchmarkWindowQuery measures unbuffered window queries on a 50k-object
-// tree.
+// BenchmarkWindowQuery measures 30 × 30 window queries on a 50k-object
+// tree, in the rows benchQueries runs.
 func BenchmarkWindowQuery(b *testing.B) {
-	tr, _ := benchTree(b, 50_000)
-	rd := StoreReader{Store: tr.Store()}
 	rng := rand.New(rand.NewSource(3))
-	b.ResetTimer()
-	matched := 0
-	for i := 0; i < b.N; i++ {
-		w := geom.RectFromCenter(
-			geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}, 30, 30)
-		err := tr.Search(rd, buffer.AccessContext{QueryID: uint64(i)}, w,
-			func(page.Entry) bool { matched++; return true })
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	_ = matched
+	benchQueries(b, func() geom.Rect {
+		return geom.RectFromCenter(geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}, 30, 30)
+	})
 }
 
-// BenchmarkPointQuery measures point queries.
+// BenchmarkPointQuery measures point queries on a 50k-object tree, in the
+// rows benchQueries runs.
 func BenchmarkPointQuery(b *testing.B) {
-	tr, _ := benchTree(b, 50_000)
-	rd := StoreReader{Store: tr.Store()}
 	rng := rand.New(rand.NewSource(4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
-		err := tr.Search(rd, buffer.AccessContext{QueryID: uint64(i)}, geom.RectFromPoint(p),
-			func(page.Entry) bool { return true })
+	benchQueries(b, func() geom.Rect {
+		return geom.RectFromPoint(geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000})
+	})
+}
+
+// benchQueries runs 4 096 queries from next, round and round, in three
+// rows: "store" reads every node from the tree's MemStore (its mutex on
+// each read); "engine" reads through a warm bare LRU engine that holds
+// every page, as TestPointSearchAllocatesNothing sets it up, so that the
+// row prices the node scan; "textbook" is the engine row run by the loop
+// Search had before its scan went branch-free (DESIGN.md §5a.5).
+func benchQueries(b *testing.B, next func() geom.Rect) {
+	tr, _ := benchTree(b, 50_000)
+	queries := make([]geom.Rect, 4096)
+	for i := range queries {
+		queries[i] = next()
+	}
+	pool, err := buffer.NewEngine(tr.Store(), core.NewLRU(), tr.Store().NumPages())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for id := page.ID(1); int(id) <= tr.Store().NumPages(); id++ {
+		p, err := pool.Get(id, buffer.AccessContext{})
 		if err != nil {
 			b.Fatal(err)
 		}
+		p.Release()
+	}
+	for _, row := range []struct {
+		name   string
+		rd     Reader
+		search func(*Tree, Reader, buffer.AccessContext, geom.Rect, Visit) error
+	}{
+		{"store", StoreReader{Store: tr.Store()}, (*Tree).Search},
+		{"engine", pool, (*Tree).Search},
+		{"textbook", pool, textbookSearch},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			matched := 0
+			visit := func(page.Entry) bool { matched++; return true }
+			for i := 0; i < b.N; i++ {
+				err := row.search(tr, row.rd, buffer.AccessContext{QueryID: uint64(i)}, queries[i%len(queries)], visit)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			if matched == 0 && b.N >= len(queries) {
+				b.Fatal("no query matched anything")
+			}
+		})
 	}
 }
 

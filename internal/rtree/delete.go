@@ -67,9 +67,10 @@ func (t *Tree) findLeaf(objID uint64, mbr geom.Rect) ([]pathStep, error) {
 	backtrack:
 		for {
 			if n := path[len(path)-1].node; n.Level > 0 {
-				for i := next; i < len(n.Entries); i++ {
-					if n.Entries[i].MBR.Contains(mbr) {
-						id, idx = n.Entries[i].Child, i
+				es := n.Entries
+				for i := next; i < len(es); i++ {
+					if m := &es[i].MBR; m.Contains(mbr) {
+						id, idx = es[i].Child, i
 						break backtrack
 					}
 				}

@@ -42,12 +42,17 @@ type Visit func(e page.Entry) bool
 // pages through rd under the given access context. This is the window
 // query of the paper's experiments (a point query is a degenerate
 // window); the traversal is depth-first.
+//
+// An entry matches when its MBR meets the query and is not empty: the
+// query's own emptiness is tested once, not per entry, and an empty query
+// still reads and releases the root (DESIGN.md §5a.5).
 func (t *Tree) Search(rd Reader, ctx buffer.AccessContext, query geom.Rect, fn Visit) error {
 	// The pending IDs start on the goroutine's stack; 64 slots hold the
 	// deepest traversal of every query set up to W-33 at the default
 	// scale, and append moves a larger one to the heap.
 	var pending [64]page.ID
 	stack := append(pending[:0], t.root)
+	empty := query.IsEmpty()
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -55,17 +60,21 @@ func (t *Tree) Search(rd Reader, ctx buffer.AccessContext, query geom.Rect, fn V
 		if err != nil {
 			return fmt.Errorf("rtree: search: %w", err)
 		}
+		es := node.Entries
+		if empty {
+			es = nil
+		}
 		if node.Level == 0 {
-			for _, e := range node.Entries {
-				if query.Intersects(e.MBR) && !fn(e) {
+			for i := range es {
+				if m := &es[i].MBR; m.Meets(query) && !m.IsEmpty() && !fn(es[i]) {
 					stack = stack[:0] // fn stopped the query
 					break
 				}
 			}
 		} else {
-			for _, e := range node.Entries {
-				if query.Intersects(e.MBR) {
-					stack = append(stack, e.Child)
+			for i := range es {
+				if m := &es[i].MBR; m.Meets(query) && !m.IsEmpty() {
+					stack = append(stack, es[i].Child)
 				}
 			}
 		}

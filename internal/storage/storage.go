@@ -146,3 +146,44 @@ func (s *MemStore) Close() error {
 	s.pages = nil
 	return nil
 }
+
+// Frozen returns a read-only Store over the pages s holds now, for
+// buffers that share one database and only read it (the figure replays).
+// Its Read takes no lock and counts nothing: a buffer in front counts its
+// own misses. Pages s gets afterwards are not in it, and Write and
+// Allocate fail.
+func (s *MemStore) Frozen() Store {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f := make(frozen, s.next)
+	for id, p := range s.pages {
+		f[id] = p
+	}
+	return f
+}
+
+// frozen is a page table indexed by ID (index 0, InvalidID, is nil).
+type frozen []*page.Page
+
+func (f frozen) Read(id page.ID) (*page.Page, error) {
+	if id < page.ID(len(f)) && f[id] != nil {
+		return f[id], nil
+	}
+	return nil, fmt.Errorf("storage: read page %d: %w", id, ErrPageNotFound)
+}
+
+func (f frozen) Allocate() page.ID        { return page.InvalidID }
+func (f frozen) Write(p *page.Page) error { return errors.New("storage: write to a frozen store") }
+func (f frozen) Stats() Stats             { return Stats{} }
+func (f frozen) ResetStats()              {}
+func (f frozen) Close() error             { return nil }
+
+func (f frozen) NumPages() int {
+	n := 0
+	for _, p := range f {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}

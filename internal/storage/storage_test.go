@@ -127,6 +127,50 @@ func TestMemStoreContract(t *testing.T) {
 	storeUnderTest(t, NewMemStore())
 }
 
+// TestMemStoreFrozen: a frozen MemStore reads the pages the store held
+// when it was frozen, the very pointers, counting nothing on either
+// store; it sees no later write, and refuses writes of its own.
+func TestMemStoreFrozen(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	s := NewMemStore()
+	var pages []*page.Page
+	for i := 0; i < 5; i++ {
+		p := makePage(s.Allocate(), page.TypeData, 0, 3, rng)
+		if err := s.Write(p); err != nil {
+			t.Fatal(err)
+		}
+		pages = append(pages, p)
+	}
+	gap := s.Allocate() // allocated, never written
+	f := s.Frozen()
+	later := makePage(s.Allocate(), page.TypeData, 0, 1, rng)
+	if err := s.Write(later); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pages {
+		if got, err := f.Read(p.ID); err != nil || got != p {
+			t.Errorf("Read(%d) = %p, %v; want the stored page %p", p.ID, got, err, p)
+		}
+	}
+	for _, id := range []page.ID{page.InvalidID, gap, later.ID, 1000, 1 << 63} {
+		if _, err := f.Read(id); !errors.Is(err, ErrPageNotFound) {
+			t.Errorf("Read(%d) of a page not stored when frozen: %v, want ErrPageNotFound", id, err)
+		}
+	}
+	if n := f.NumPages(); n != len(pages) {
+		t.Errorf("NumPages = %d, want %d", n, len(pages))
+	}
+	if err := f.Write(later); err == nil {
+		t.Error("Write to a frozen store succeeded")
+	}
+	if id := f.Allocate(); id != page.InvalidID {
+		t.Errorf("Allocate on a frozen store = %d, want InvalidID", id)
+	}
+	if st := s.Stats(); st.Reads != 0 || f.Stats() != (Stats{}) {
+		t.Errorf("frozen reads were counted: store %+v, frozen %+v", st, f.Stats())
+	}
+}
+
 func TestFileStoreContract(t *testing.T) {
 	fs, err := CreateFileStore(filepath.Join(t.TempDir(), "pages.db"))
 	if err != nil {
