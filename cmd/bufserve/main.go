@@ -241,10 +241,12 @@ func run(cfg *config) error {
 		if err != nil {
 			return err
 		}
-		// The bank replays every event through all its ghost caches under
-		// one mutex, so it lives behind its own async ring: the request
-		// path pays one non-blocking channel send (before sampling, if
-		// -shadow-sample > 1), never the simulation cost.
+		// The bank replays every request through all its ghost caches
+		// under one mutex, so it lives behind its own async ring: a
+		// request pays a slab append under a short mutex (a sampled one
+		// only, if -shadow-sample > 1), the slab one channel send per 64
+		// requests, never the simulation cost; evictions and adaptations,
+		// which the bank does not read, are not copied at all.
 		shadowAsync = live.NewAsyncSink(bank, cfg.ring, svc.Counters.AddDropped)
 		sinks = append(sinks, cfg.shadow.Sampled(shadowAsync))
 		svc.AddShadowGauges(bank)

@@ -55,7 +55,7 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 		// other requests' events (documented accuracy caveat of the
 		// shadow-cache contract).
 		e.miss(true)
-		e.emitMiss(id, ctx, true, page.Meta{})
+		e.emitMiss(id, ctx, true, nil)
 		if fl.done == nil {
 			fl.done = make(chan struct{})
 		}
@@ -94,7 +94,7 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 		// stale bytes, so the queued version is re-admitted directly —
 		// no I/O.
 		now := e.miss(true)
-		e.emitMiss(id, ctx, true, pg.Meta)
+		e.emitMiss(id, ctx, true, &pg.Meta)
 		fr, err := s.readmit(pg, now, ctx)
 		if err != nil {
 			return nil, err
@@ -127,10 +127,10 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 	if rerr != nil {
 		// The counted miss still emits exactly one event; no page
 		// materialized, so its Meta stays zero.
-		e.emitMiss(id, ctx, false, page.Meta{})
+		e.emitMiss(id, ctx, false, nil)
 	} else {
 		queued, meta := false, &rpg.Meta
-		if fr = e.frames.get(id); fr != nil {
+		if fr = e.frames.Get(id); fr != nil {
 			// A Put raced the page in while we read: its version is
 			// newer — serve it and discard the read.
 			published, meta = fr.Page, &fr.Meta
@@ -139,7 +139,7 @@ func (s *asyncShard) miss(id page.ID, ctx AccessContext, pin bool) (*page.Page, 
 			// read: the queued version is newer than our read.
 			published, queued, meta = pg, true, &pg.Meta
 		}
-		e.emitMiss(id, ctx, false, *meta)
+		e.emitMiss(id, ctx, false, meta)
 		// The leader's and each waiting Get's reference, on the page the
 		// read resolved to, before admission may requeue a taken one.
 		for range fl.gets + 1 {

@@ -69,7 +69,7 @@ func (c AccessContext) Trace() *tracing.Active { return c.trace }
 // request count, and goes to the sink that engine holds now. A context no
 // engine made discards it.
 func (c AccessContext) Adapt(e obs.AdaptEvent) {
-	if c.engine != nil {
+	if c.engine != nil && c.engine.sink != nil {
 		e.Shard, e.Ref = c.engine.shard, c.engine.stats.Requests
 		c.engine.sink.Adapt(e)
 	}

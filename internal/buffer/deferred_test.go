@@ -35,7 +35,8 @@ func forceDeferral(t testing.TB, pool Pool) {
 // whatever page the reader gets must be the one it asked for.
 func TestFrameTableMatchesMap(t *testing.T) {
 	const capacity, ids, steps = 24, 96, 20000
-	tab := newFrameTable(capacity)
+	tab := NewFrameTable(capacity)
+	tab.publish()
 	if len(tab.slots) != 64 {
 		t.Fatalf("%d slots for capacity %d, want 64", len(tab.slots), capacity)
 	}
@@ -66,19 +67,19 @@ func TestFrameTableMatchesMap(t *testing.T) {
 			f = &Frame{Page: page.New(id, page.TypeData, 0, 0)}
 			f.Meta = f.Page.Meta
 			model[id] = f
-			tab.put(f)
+			tab.Put(f)
 		case f != nil && rng.Intn(3) == 0: // Put in place
 			f.Page = page.New(id, page.TypeData, 0, 0)
-			tab.put(f)
+			tab.Put(f)
 		case f != nil:
 			delete(model, id)
-			tab.del(id)
+			tab.Delete(id)
 		}
 		if tab.n != len(model) {
 			t.Fatalf("step %d: n = %d, model holds %d", i, tab.n, len(model))
 		}
 		probe := page.ID(rng.Intn(ids + 2)) // 0 and ids+1 are never resident
-		if got := tab.get(probe); got != model[probe] {
+		if got := tab.Get(probe); got != model[probe] {
 			t.Fatalf("step %d: get(%d) = %p, model says %p", i, probe, got, model[probe])
 		}
 		if f := model[probe]; f != nil && tab.page(probe) != f.Page {
@@ -86,12 +87,12 @@ func TestFrameTableMatchesMap(t *testing.T) {
 		}
 	}
 	for id, f := range model {
-		if tab.get(id) != f {
+		if tab.Get(id) != f {
 			t.Fatalf("get(%d) lost its frame", id)
 		}
 	}
 	tab.clear()
-	if tab.n != 0 || tab.get(1) != nil || tab.page(1) != nil {
+	if tab.Len() != 0 || tab.Get(1) != nil || tab.page(1) != nil {
 		t.Fatal("table not empty after clear")
 	}
 	close(stop)
@@ -266,7 +267,7 @@ func TestDeferredHitsOnOneP(t *testing.T) {
 			l.shards[0].mu.Unlock()
 			runtime.Gosched()
 		}
-		rec.pg, rec.query = e.frames.get(1).Page, 99
+		rec.pg, rec.query = e.frames.Get(1).Page, 99
 		rec.ready.Store(true)
 		if st := <-drained; st.Requests != resident+goroutines*perG+1 || st.Hits != goroutines*perG+1 {
 			t.Errorf("stats = %+v after %d hits", st, goroutines*perG+1)

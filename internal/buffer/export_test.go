@@ -13,7 +13,10 @@ func ForceDeferral(t testing.TB, pool Pool) { forceDeferral(t, pool) }
 
 // lockEngine is the locked layout around an engine the test built and
 // may still read directly.
-func lockEngine(e *Engine) *Shared { return &Shared{shards: []*shard{{e: e}}} }
+func lockEngine(e *Engine) *Shared {
+	e.frames.publish()
+	return &Shared{shards: []*shard{{e: e}}}
+}
 
 // newAsync builds the async layout as Composition.Build does, from
 // explicit shard and write-back numbers.

@@ -133,7 +133,7 @@ func TestContextEventsReachCurrentSink(t *testing.T) {
 	}
 
 	// Outside any engine the policy's reports go nowhere.
-	pol.OnHit(m.frames.get(3), 9, AccessContext{})
+	pol.OnHit(m.frames.Get(3), 9, AccessContext{})
 	if a.adapts+b.adapts != 2 {
 		t.Error("a context no engine made delivered an event")
 	}

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/obs/tracing"
@@ -160,7 +159,7 @@ func (l *shard) drain() {
 func (l *shard) replay(p *page.Page, ctx AccessContext) {
 	e := l.e
 	weight, start := e.startSample(true, nil)
-	if f := e.frames.get(p.ID); f != nil {
+	if f := e.frames.Get(p.ID); f != nil {
 		e.hit(f, ctx)
 	} else {
 		e.countHit(&p.Meta, ctx)
@@ -211,9 +210,9 @@ func (l *shard) lockRequest() {
 		if c != nil {
 			c.BeginWait(l.e.shard)
 		}
-		start := time.Now()
+		start := monoNow()
 		l.mu.Lock()
-		wait := time.Since(start).Nanoseconds()
+		wait := monoNow() - start
 		if c != nil {
 			c.EndWait(l.e.shard, wait)
 		}
@@ -289,6 +288,7 @@ func newShared(store storage.Store, factory PolicyFactory, capacity, shards int,
 			return nil, fmt.Errorf("buffer: shard %d: %w", i, err)
 		}
 		e.shard = i
+		e.frames.publish() // for the hits served without the mutex
 		sh := &shard{e: e}
 		if wb != nil {
 			e.async = &asyncShard{e: e, l: sh, flight: make(map[page.ID]*inflight), wb: wb}

@@ -8,8 +8,8 @@ import (
 
 // Histogram is a lock-free log-linear histogram for non-negative int64
 // values (request latencies in nanoseconds, fixed-point criterion
-// values). Recording is one atomic add per value plus count/sum upkeep —
-// cheap enough to sit on the request hot path of a live buffer — and
+// values). Recording is one atomic add to a bucket plus the sum's upkeep
+// — cheap enough to sit on the request hot path of a live buffer — and
 // snapshots are mergeable, so per-shard histograms can be summed at
 // scrape time.
 //
@@ -27,7 +27,6 @@ import (
 type Histogram struct {
 	NopSink
 
-	count atomic.Uint64
 	// sum holds the bits of the float64 sum of the recorded values. A
 	// float cannot wrap where an int64 would: 2^63 fixed-point units are
 	// only 18 447 criteria of 5e5 at nano-unit scale.
@@ -81,7 +80,6 @@ func (h *Histogram) ObserveN(v int64, n uint64) {
 	if v < 0 {
 		v = 0
 	}
-	h.count.Add(n)
 	add := float64(v) * float64(n)
 	for {
 		old := h.sum.Load()
@@ -98,13 +96,14 @@ func (h *Histogram) RecordLatency(nanos int64, weight uint64) { h.ObserveN(nanos
 // Snapshot returns a point-in-time copy of the histogram. Under
 // concurrent writers the copy is per-bucket, not mutually, consistent
 // (the expvar contract); quantiles computed from it are approximate by
-// at most the in-flight writes.
+// at most the in-flight writes. Its Count is the sum of the buckets it
+// copied, so the count always equals the +Inf bucket.
 func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot
-	s.Count = h.count.Load()
 	s.Sum = math.Float64frombits(h.sum.Load())
 	for i := range h.buckets {
 		s.counts[i] = h.buckets[i].Load()
+		s.Count += s.counts[i]
 	}
 	return s
 }

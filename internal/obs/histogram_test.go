@@ -98,7 +98,7 @@ func TestHistogramObserveN(t *testing.T) {
 	if w != s {
 		t.Fatalf("weighted snapshot differs from the one-by-one snapshot:\n%+v\n%+v", w, s)
 	}
-	if w.Count != 134 || w.Sum != 128*100+5000+3*90000 || weighted.count.Load() != 134 {
+	if w.Count != 134 || w.Sum != 128*100+5000+3*90000 || weighted.Snapshot().Count != 134 {
 		t.Errorf("count/sum = %d/%g, want 134/%d", w.Count, w.Sum, 128*100+5000+3*90000)
 	}
 	if got := w.CountAtMost(histBucketHigh(histBucketIndex(100))); got != 130 {
@@ -144,7 +144,7 @@ func TestHistogramImplementsLatencyRecorder(t *testing.T) {
 	var h Histogram
 	var lr LatencyRecorder = &h
 	lr.RecordLatency(42, 1)
-	if h.count.Load() != 1 {
+	if h.Snapshot().Count != 1 {
 		t.Error("RecordLatency did not observe")
 	}
 }

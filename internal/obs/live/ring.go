@@ -8,8 +8,9 @@
 // hot path stays allocation-free; with an AsyncSink in front of an
 // expensive consumer (JSONL encoding, the shadow bank) the hot path pays
 // one copy of the event into a slab under a short mutex and one channel
-// send per 64 events — O(1), never waiting on I/O — and saturation is
-// surfaced as an explicit drop count instead of backpressure.
+// send per 64 events — O(1), never waiting on I/O; nothing for an event
+// kind the consumer does not read — and saturation is surfaced as an
+// explicit drop count instead of backpressure.
 package live
 
 import (
@@ -69,7 +70,10 @@ type slab struct {
 // and whoever fills a slab hands it over with one channel send; the
 // drainer dispatches a slab per wake-up, recycles it, and takes over a
 // partly filled one every flushTick. Producers never block or allocate:
-// when no slab is free, the newest event is dropped and counted. Only
+// when no slab is free, the newest event is dropped and counted. In
+// front of an obs.RequestConsumer only Request events enter the ring;
+// the others are neither delivered nor dropped, and Delivered + Dropped
+// counts requests alone. Only
 // the drainer goroutine touches the downstream sink, so single-goroutine
 // sinks (JSONLSink) become safe behind an AsyncSink.
 //
@@ -78,7 +82,26 @@ type slab struct {
 // Close is called (detach the sink from the manager first); events
 // emitted after Close are dropped and counted, not delivered.
 type AsyncSink struct {
-	down obs.Sink
+	// down is read by the drainer, once, and by Close; requestsOnly says
+	// that down is an obs.RequestConsumer.
+	down         obs.Sink
+	requestsOnly bool
+	full         chan *slab
+
+	// dropHook, when set, is invoked with 1 for every dropped event —
+	// typically obs.(*Counters).AddDropped, so the drop count appears in
+	// the same snapshot as the counters it qualifies.
+	dropHook func(n uint64)
+
+	done      chan struct{}
+	closeOnce sync.Once
+	closeErr  error
+
+	// What every event writes has cache lines of its own: sharing one
+	// with a neighbouring heap object that the drainer writes per event
+	// (a ghost cache's counters were one) made every producer's Lock
+	// wait for that line.
+	_ [64]byte
 
 	// mu orders the producers and guards the fields below it. Every send
 	// on full happens under it, so slabs arrive in emission order; full
@@ -88,19 +111,11 @@ type AsyncSink struct {
 	free     []*slab // emptied slabs, returned by the drainer
 	accepted uint64  // events appended to a slab so far
 	closed   bool
-	full     chan *slab
+	dropped  atomic.Uint64
 
-	done      chan struct{}
-	closeOnce sync.Once
-	closeErr  error
+	_ [64]byte
 
 	delivered atomic.Uint64
-	dropped   atomic.Uint64
-
-	// dropHook, when set, is invoked with 1 for every dropped event —
-	// typically obs.(*Counters).AddDropped, so the drop count appears in
-	// the same snapshot as the counters it qualifies.
-	dropHook func(n uint64)
 }
 
 // DefaultRingCapacity is the AsyncSink capacity used when the caller
@@ -121,12 +136,14 @@ func NewAsyncSink(down obs.Sink, capacity int, dropHook func(n uint64)) *AsyncSi
 		capacity = DefaultRingCapacity
 	}
 	slabs := max((capacity+slabRecords-1)/slabRecords, 2)
+	_, requestsOnly := down.(obs.RequestConsumer)
 	s := &AsyncSink{
-		down:     down,
-		free:     make([]*slab, slabs),
-		full:     make(chan *slab, slabs),
-		done:     make(chan struct{}),
-		dropHook: dropHook,
+		down:         down,
+		requestsOnly: requestsOnly,
+		free:         make([]*slab, slabs),
+		full:         make(chan *slab, slabs),
+		done:         make(chan struct{}),
+		dropHook:     dropHook,
 	}
 	backing := make([]slab, slabs)
 	for i := range backing {
@@ -138,8 +155,10 @@ func NewAsyncSink(down obs.Sink, capacity int, dropHook func(n uint64)) *AsyncSi
 
 // drain dispatches slabs as they arrive and flushes a partly filled one
 // every flushTick, until Close closes the channel behind the last slab.
+// It loads down once, not once per event.
 func (s *AsyncSink) drain() {
 	defer close(s.done)
+	down := s.down
 	tick := time.NewTicker(flushTick)
 	defer tick.Stop()
 	for {
@@ -149,7 +168,7 @@ func (s *AsyncSink) drain() {
 				return
 			}
 			for i := range sl.recs[:sl.n] {
-				s.dispatch(&sl.recs[i])
+				dispatch(down, &sl.recs[i])
 			}
 			s.delivered.Add(uint64(sl.n))
 			sl.n = 0
@@ -173,23 +192,27 @@ func (s *AsyncSink) handOver() {
 	}
 }
 
-func (s *AsyncSink) dispatch(r *record) {
+// dispatch hands one record to down as the event it was made from.
+func dispatch(down obs.Sink, r *record) {
 	shard := int(r.shard)
 	switch r.kind {
 	case kindRequest:
-		s.down.Request(obs.RequestEvent{Page: r.page, QueryID: r.a, Hit: r.hit, Shard: shard, Coalesced: r.coalesced, Meta: r.meta})
+		down.Request(obs.RequestEvent{Page: r.page, QueryID: r.a, Hit: r.hit, Shard: shard, Coalesced: r.coalesced, Meta: r.meta})
 	case kindEviction:
-		s.down.Eviction(obs.EvictionEvent{Page: r.page, Reason: r.reason, Criterion: math.Float64frombits(r.b), LRURank: int(r.a), Shard: shard})
+		down.Eviction(obs.EvictionEvent{Page: r.page, Reason: r.reason, Criterion: math.Float64frombits(r.b), LRURank: int(r.a), Shard: shard})
 	case kindAdapt:
-		s.down.Adapt(obs.AdaptEvent{Page: r.page, BetterSpatial: r.meta.Level, BetterLRU: r.meta.NumEntries,
+		down.Adapt(obs.AdaptEvent{Page: r.page, BetterSpatial: r.meta.Level, BetterLRU: r.meta.NumEntries,
 			OldC: int(r.a), NewC: int(r.b), Shard: shard, Ref: uint64(r.meta.ID)})
 	}
 }
 
-// put appends one event to the slab being filled — taking a free one
-// when there is none — and hands the slab over if that filled it. With
-// the sink closed or no slab free, the event is dropped and counted.
-func (s *AsyncSink) put(r *record) {
+// slot locks mu and returns the next record of the slab being filled —
+// taking a free slab when there is none — tagged with kind, for the
+// caller to fill in place and then commit. With the sink closed or no
+// slab free it unlocks, drops and counts the event, and returns nil.
+// The record still holds its previous event: the caller writes every
+// field that dispatch reads for kind.
+func (s *AsyncSink) slot(kind eventKind) *record {
 	s.mu.Lock()
 	if n := len(s.free); s.cur == nil && n > 0 && !s.closed {
 		s.cur, s.free = s.free[n-1], s.free[:n-1]
@@ -201,11 +224,18 @@ func (s *AsyncSink) put(r *record) {
 		if s.dropHook != nil {
 			s.dropHook(1)
 		}
-		return
+		return nil
 	}
-	sl.recs[sl.n] = *r
+	r := &sl.recs[sl.n]
+	r.kind = kind
+	return r
+}
+
+// commit appends the record slot returned, hands the slab over if that
+// filled it, and unlocks mu.
+func (s *AsyncSink) commit() {
 	s.accepted++
-	if sl.n++; sl.n == slabRecords {
+	if s.cur.n++; s.cur.n == slabRecords {
 		s.handOver()
 	}
 	s.mu.Unlock()
@@ -213,18 +243,33 @@ func (s *AsyncSink) put(r *record) {
 
 // Request implements obs.Sink.
 func (s *AsyncSink) Request(e obs.RequestEvent) {
-	s.put(&record{kind: kindRequest, shard: int32(e.Shard), page: e.Page, a: e.QueryID, hit: e.Hit, coalesced: e.Coalesced, meta: e.Meta})
+	if r := s.slot(kindRequest); r != nil {
+		r.shard, r.page, r.a, r.hit, r.coalesced, r.meta = int32(e.Shard), e.Page, e.QueryID, e.Hit, e.Coalesced, e.Meta
+		s.commit()
+	}
 }
 
 // Eviction implements obs.Sink.
 func (s *AsyncSink) Eviction(e obs.EvictionEvent) {
-	s.put(&record{kind: kindEviction, shard: int32(e.Shard), page: e.Page, a: uint64(e.LRURank), b: math.Float64bits(e.Criterion), reason: e.Reason})
+	if s.requestsOnly {
+		return
+	}
+	if r := s.slot(kindEviction); r != nil {
+		r.shard, r.page, r.a, r.b, r.reason = int32(e.Shard), e.Page, uint64(e.LRURank), math.Float64bits(e.Criterion), e.Reason
+		s.commit()
+	}
 }
 
 // Adapt implements obs.Sink.
 func (s *AsyncSink) Adapt(e obs.AdaptEvent) {
-	s.put(&record{kind: kindAdapt, shard: int32(e.Shard), page: e.Page, a: uint64(e.OldC), b: uint64(e.NewC),
-		meta: page.Meta{ID: page.ID(e.Ref), Level: e.BetterSpatial, NumEntries: e.BetterLRU}})
+	if s.requestsOnly {
+		return
+	}
+	if r := s.slot(kindAdapt); r != nil {
+		r.shard, r.page, r.a, r.b = int32(e.Shard), e.Page, uint64(e.OldC), uint64(e.NewC)
+		r.meta.ID, r.meta.Level, r.meta.NumEntries = page.ID(e.Ref), e.BetterSpatial, e.BetterLRU
+		s.commit()
+	}
 }
 
 // Delivered returns how many events reached the downstream sink; it

@@ -204,3 +204,84 @@ func TestAsyncSinkConcurrentProducers(t *testing.T) {
 		next[p]++
 	}
 }
+
+// requestLog is an eventLog that declares, as the shadow bank does, that
+// it reads Request events only.
+type requestLog struct{ *eventLog }
+
+func (requestLog) RequestsOnly() {}
+
+// TestAsyncSinkCopiesOnlyRequestsForRequestConsumer: in front of an
+// obs.RequestConsumer the ring takes in the Request events alone. They
+// all arrive, in emission order; the evictions and adaptations
+// interleaved with them are neither delivered nor dropped. Then, with
+// the consumer stalled and the ring too small, Delivered + Dropped still
+// counts exactly the requests emitted, and what arrives is still only
+// requests, in order.
+func TestAsyncSinkCopiesOnlyRequestsForRequestConsumer(t *testing.T) {
+	events := func(n int) (all, requests []any) {
+		for i := 0; i < n; i++ {
+			id := page.ID(1 + i)
+			var e any
+			switch i % 3 {
+			case 0:
+				e = obs.RequestEvent{Page: id, QueryID: uint64(i), Hit: i%2 == 0, Shard: i % 4,
+					Meta: page.Meta{ID: id, Level: i % 3, MBR: geom.NewRect(0, 0, float64(i), 1), NumEntries: i}}
+				requests = append(requests, e)
+			case 1:
+				e = obs.EvictionEvent{Page: id, Reason: obs.ReasonLRU, Criterion: float64(i), LRURank: i, Shard: i % 4}
+			case 2:
+				e = obs.AdaptEvent{Page: id, BetterSpatial: i, BetterLRU: i, OldC: i, NewC: i + 1, Shard: i % 4, Ref: uint64(i)}
+			}
+			all = append(all, e)
+		}
+		return all, requests
+	}
+
+	all, requests := events(5*slabRecords + 7)
+	log := newEventLog()
+	s := NewAsyncSink(requestLog{log}, 2*len(all), nil)
+	for _, e := range all {
+		emit(s, e)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Delivered() != uint64(len(requests)) || s.Dropped() != 0 {
+		t.Errorf("delivered %d, dropped %d, want %d requests and 0", s.Delivered(), s.Dropped(), len(requests))
+	}
+	if !reflect.DeepEqual(log.events, requests) {
+		t.Fatalf("downstream got %d events, want exactly the %d requests in emission order", len(log.events), len(requests))
+	}
+
+	all, requests = events(20 * slabRecords)
+	log = newEventLog()
+	log.gate = make(chan struct{})
+	s = NewAsyncSink(requestLog{log}, 2*slabRecords, nil)
+	for _, e := range all {
+		emit(s, e)
+	}
+	close(log.gate)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Dropped() == 0 {
+		t.Error("no drops from a two-slab ring in front of a stalled consumer")
+	}
+	if got := s.Delivered() + s.Dropped(); got != uint64(len(requests)) {
+		t.Errorf("delivered %d + dropped %d = %d, want the %d requests emitted", s.Delivered(), s.Dropped(), got, len(requests))
+	}
+	if uint64(len(log.events)) != s.Delivered() {
+		t.Errorf("downstream saw %d events, sink says delivered %d", len(log.events), s.Delivered())
+	}
+	next := 0
+	for _, e := range log.events {
+		for next < len(requests) && !reflect.DeepEqual(e, requests[next]) {
+			next++
+		}
+		if next == len(requests) {
+			t.Fatalf("delivered %+v, which is not a request or is out of emission order", e)
+		}
+		next++
+	}
+}

@@ -5,10 +5,10 @@
 // profiling helpers shared by the commands.
 //
 // The design constraint is that observability must be free when unused:
-// the engine holds a Sink (never nil — NopSink by default) and emits
-// fixed-size event structs by value, so with the no-op sink the
-// Engine.Get hot path stays allocation-free (asserted by
-// TestRequestHitPathZeroAllocs in package buffer).
+// the engine holds a Sink (nil when none or a NopSink is attached, and
+// then it builds no event) and emits fixed-size event structs by value,
+// so unobserved the Engine.Get hot path stays allocation-free (asserted
+// by TestRequestHitPathZeroAllocs in package buffer).
 //
 // Event types mirror the decisions the paper's evaluation reasons about:
 //
@@ -132,6 +132,14 @@ type Sink interface {
 // Histogram implements it; Tee propagates it.
 type LatencyRecorder interface {
 	RecordLatency(nanos int64, weight uint64)
+}
+
+// RequestConsumer is the optional sink extension of a consumer that
+// reads Request events only (the shadow bank, whose Eviction and Adapt
+// do nothing): a ring in front of it (live.AsyncSink) then copies no
+// other kind. The method only declares it.
+type RequestConsumer interface {
+	RequestsOnly()
 }
 
 // NopSink discards all events. It is the default sink of every engine;

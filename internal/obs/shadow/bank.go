@@ -57,7 +57,8 @@ func Specs(realPolicy string, capacity int, policies []string, ladder []float64)
 //
 // Bank implements obs.Sink. Request events drive every cache under one
 // mutex; all other events are ignored (replacement simulation needs only
-// the reference string). The mutex makes the bank safe for concurrent
+// the reference string), which the bank declares as an
+// obs.RequestConsumer, so a ring in front of it carries requests alone. The mutex makes the bank safe for concurrent
 // producers, but the intended deployment is behind a live.AsyncSink —
 // one drain goroutine, no contention on the request path — optionally
 // behind an obs.SamplingSink to trade shadow fidelity for event-rate
@@ -121,6 +122,9 @@ func (b *Bank) Request(e obs.RequestEvent) {
 	}
 	b.mu.Unlock()
 }
+
+// RequestsOnly implements obs.RequestConsumer.
+func (b *Bank) RequestsOnly() {}
 
 // Shadows returns the bank's caches in their deterministic order. The
 // slice is shared; callers must not mutate it.

@@ -53,13 +53,14 @@ type Cache struct {
 	capacity   int
 	policy     buffer.Policy
 
-	frames map[page.ID]*buffer.Frame
-	// arena pre-allocates the ghost frames: a shadow holds at most
+	// frames is the ghost resident set, in the engine's own open-addressed
+	// table; arena pre-allocates the ghost frames: a shadow holds at most
 	// capacity frames, so evicted ghosts recycle through the arena
 	// free-list and steady-state replay allocates nothing per reference.
 	// Ghost frames carry Meta and policy state only — Page stays nil.
-	arena *buffer.Arena
-	clock uint64
+	frames buffer.FrameTable
+	arena  *buffer.Arena
+	clock  uint64
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
@@ -84,7 +85,7 @@ func NewCache(policyName string, policy buffer.Policy, capacity, window int) *Ca
 		policyName: policyName,
 		capacity:   capacity,
 		policy:     policy,
-		frames:     make(map[page.ID]*buffer.Frame, capacity),
+		frames:     buffer.NewFrameTable(capacity),
 		arena:      buffer.NewArena(capacity),
 		winSize:    uint64(window),
 	}
@@ -103,7 +104,7 @@ func (c *Cache) Ref(id page.ID, meta page.Meta, queryID uint64) bool {
 	now := c.clock
 	ctx := buffer.AccessContext{QueryID: queryID}
 	hit := false
-	if f, ok := c.frames[id]; ok {
+	if f := c.frames.Get(id); f != nil {
 		hit = true
 		c.hits.Add(1)
 		c.winHits++
@@ -112,12 +113,12 @@ func (c *Cache) Ref(id page.ID, meta page.Meta, queryID uint64) bool {
 	} else {
 		c.misses.Add(1)
 		admit := true
-		if len(c.frames) >= c.capacity {
+		if c.frames.Len() >= c.capacity {
 			// Ghost frames are never pinned, so Victim returning nil can
 			// only mean a broken policy; mirror the Engine (which fails
 			// the request with ErrAllPinned) by not admitting.
 			if v := c.policy.Victim(ctx).Frame; v != nil {
-				delete(c.frames, v.Meta.ID)
+				c.frames.Delete(v.Meta.ID)
 				c.policy.OnEvict(v)
 				c.arena.Free(v)
 			} else {
@@ -132,7 +133,7 @@ func (c *Cache) Ref(id page.ID, meta page.Meta, queryID uint64) bool {
 			}
 			f.Meta = meta
 			f.LastUse = now
-			c.frames[id] = f
+			c.frames.Put(f)
 			c.policy.OnAdmit(f, now, ctx)
 		}
 	}

@@ -349,11 +349,12 @@ func TestDocsNameWhatExists(t *testing.T) {
 // production caller outside their package: test accessors that another
 // package's tests need, which an export_test.go cannot give them.
 var unusedAllowed = map[string]string{
-	"repro/internal/buffer.Engine.ResidentIDs": "core's, experiment's and obs/shadow's tests compare resident sets",
-	"repro/internal/buffer.Engine.Contains":    "core's policy tests check that one page is resident",
-	"repro/internal/buffer.Stats.Add":          "experiment's sharded-equivalence test merges per-shard stats",
-	"repro/internal/core.LRUK.HistRecords":     "experiment's TestHistMemory counts LRU-2's retained history records",
-	"repro/internal/storage.ErrPageNotFound":   "buffer's TestGetUnknownPage checks that a miss on a missing page wraps it",
+	"repro/internal/buffer.Engine.ResidentIDs":     "core's, experiment's and obs/shadow's tests compare resident sets",
+	"repro/internal/buffer.Engine.Contains":        "core's policy tests check that one page is resident",
+	"repro/internal/buffer.FrameTable.ResidentIDs": "obs/shadow's tests compare a ghost cache's resident set, which lives in one",
+	"repro/internal/buffer.Stats.Add":              "experiment's sharded-equivalence test merges per-shard stats",
+	"repro/internal/core.LRUK.HistRecords":         "experiment's TestHistMemory counts LRU-2's retained history records",
+	"repro/internal/storage.ErrPageNotFound":       "buffer's TestGetUnknownPage checks that a miss on a missing page wraps it",
 }
 
 // TestNoUnusedExports keeps code with no caller out of the tree. It
