@@ -329,7 +329,7 @@ func run(cfg *config) error {
 	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	st, c := pool.Stats(), svc.Counters.Snapshot()
+	st, c := pool.Stats(), svc.Signals().Counters
 	byReason := ""
 	c.ByReason.Each(func(reason string, n uint64) { byReason += fmt.Sprintf(" %s=%d", reason, n) })
 	fmt.Printf("bufserve: final counters: %d requests, %d hits (hit ratio %.4f), %d misses (%d coalesced), %d evictions (by reason:%s); %d adaptations (grow %d, shrink %d, hold %d), %d events dropped\n",

@@ -66,12 +66,19 @@ func (c AccessContext) Trace() *tracing.Active { return c.trace }
 
 // Adapt is how a policy reports an adaptation event while it serves the
 // request: the event gets the shard of the request's engine and its
-// request count, and goes to the sink that engine holds now. A context no
-// engine made discards it.
-func (c AccessContext) Adapt(e obs.AdaptEvent) {
-	if c.engine != nil && c.engine.sink != nil {
-		e.Shard, e.Ref = c.engine.shard, c.engine.stats.Requests
-		c.engine.sink.Adapt(e)
+// request count, and goes to the signals and the sink that engine holds
+// now. A context no engine made discards it.
+func (c AccessContext) Adapt(ev obs.AdaptEvent) {
+	e := c.engine
+	if e == nil {
+		return
+	}
+	if e.signals != nil {
+		e.signals.Adapted(ev.OldC, ev.NewC)
+	}
+	if e.decisions != nil {
+		ev.Shard, ev.Ref = e.shard, e.stats.Requests
+		e.decisions.Adapt(ev)
 	}
 }
 

@@ -187,17 +187,16 @@ func TestViewSeesDeferredHits(t *testing.T) {
 }
 
 // TestDeferredHitsKeepLatencyWeights: a replayed hit goes through the
-// same one-in-hitSample timing as a direct one, so the weights a latency
-// recorder receives still sum to the requests, short of the last
-// partial interval.
+// same one-in-sampleEvery timing as a direct one, so the latency count
+// still sums to the requests, short of the last partial interval.
 func TestDeferredHitsKeepLatencyWeights(t *testing.T) {
-	const hits = 5*hitSample + 17
+	const hits = 5*sampleEvery + 17
 	e, err := NewEngine(newStore(t, 2), newTestPolicy(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	l := lockEngine(e)
-	log := &latencyLog{}
+	log := &signalLog{}
 	l.SetSink(log)
 	if _, err := l.Get(1, AccessContext{}); err != nil {
 		t.Fatal(err)
@@ -211,8 +210,8 @@ func TestDeferredHitsKeepLatencyWeights(t *testing.T) {
 	if st := l.Stats(); st.Hits != hits {
 		t.Fatalf("hits = %d, want %d", st.Hits, hits)
 	}
-	if log.calls != 1+5 || log.weight != 1+5*hitSample {
-		t.Errorf("recorder saw %d samples of total weight %d, want 6 and %d", log.calls, log.weight, 1+5*hitSample)
+	if got := log.read().Latency.Count; got != 5*sampleEvery {
+		t.Errorf("latency count %d after %d requests, want %d", got, 1+hits, 5*sampleEvery)
 	}
 }
 

@@ -41,15 +41,18 @@ type Engine struct {
 	clock  uint64
 	stats  Stats
 
-	// sink receives observability events; nil when nothing (or a
-	// NopSink) is attached, and then no event is built at all.
-	sink obs.Sink
-	// timer is non-nil only when sink implements obs.LatencyRecorder;
-	// then startSample times every miss and Put and one hit in hitSample,
-	// which stands for the untimedHits before it. Latency-blind sinks
-	// (including NopSink) keep the hot path free of clock reads.
-	timer       obs.LatencyRecorder
-	untimedHits uint64
+	// sink receives the Request events and decisions the Eviction and
+	// Adapt events of the attached consumers (obs.Route); each is nil when
+	// no consumer reads that kind, and then no such event is built.
+	sink      obs.Sink
+	decisions obs.Sink
+	// signals is this engine's block of a live service's signals, nil
+	// when no obs.SignalRegistry is attached; the engine is its only
+	// writer. With it, startSample times one request in sampleEvery,
+	// which stands for the untimed ones before it; without it the request
+	// path reads no clock.
+	signals *obs.Signals
+	untimed uint64
 
 	// tracer samples request-scoped span traces; nil when tracing is
 	// disabled (the request path then pays a single pointer test). shard
@@ -102,18 +105,23 @@ func drop(r recycler, p, keep *page.Page) {
 	}
 }
 
-// SetSink attaches an observability sink to the engine. A nil sink or a
-// NopSink detaches. Request and Eviction events are the
-// engine's, for any policy; what a policy reports of its own (ASB's
-// Adapt) comes through the request's AccessContext and reaches the same
-// sink.
+// SetSink attaches an observability sink to the engine, replacing the
+// one attached before; a nil sink or a NopSink detaches. Request and
+// Eviction events are the engine's, for any policy; what a policy
+// reports of its own (ASB's Adapt) comes through the request's
+// AccessContext and reaches the same sink. Each consumer is called only
+// for the kinds it reads (obs.Route); each obs.SignalRegistry gets a
+// fresh Signals block of this engine's.
 func (e *Engine) SetSink(s obs.Sink) {
-	if _, nop := s.(obs.NopSink); nop {
-		s = nil
+	var regs []obs.SignalRegistry
+	e.sink, e.decisions, regs = obs.Route(s)
+	e.signals, e.untimed = nil, 0
+	if len(regs) > 0 {
+		e.signals = new(obs.Signals)
+		for _, r := range regs {
+			r.Register(e.signals)
+		}
 	}
-	e.sink = s
-	e.timer, _ = s.(obs.LatencyRecorder)
-	e.untimedHits = 0
 }
 
 // SetTracer attaches a request-scoped span tracer to the engine. Nothing
@@ -177,9 +185,10 @@ func (e *Engine) beginRequest(kind tracing.SpanKind, id page.ID, query uint64) *
 	return e.tracer.StartRequest(kind, id, query, e.shard, wait)
 }
 
-// hitSample is the hit-timing interval: with a latency-recording sink
-// attached, one hit in hitSample is timed and stands for all of them.
-const hitSample = 64
+// sampleEvery is the latency-sampling interval: with a signal registry
+// attached, one request in sampleEvery is timed and stands for all of
+// them.
+const sampleEvery = 64
 
 // request implements the read-path protocol for Get (pin=false) and Fix
 // (pin=true): lookup, then the hit in place or the miss through fetch. A
@@ -188,7 +197,7 @@ func (e *Engine) request(kind tracing.SpanKind, id page.ID, ctx AccessContext, p
 	ctx.trace, ctx.engine = e.beginRequest(kind, id, ctx.QueryID), e
 	f := e.frames.Get(id)
 	hit := f != nil
-	weight, start := e.startSample(hit, ctx.trace)
+	weight, start := e.startSample(ctx.trace)
 	if !hit {
 		pg, err := e.fetch(id, ctx, pin)
 		e.finish(ctx.trace, start, weight, false, err != nil)
@@ -206,25 +215,21 @@ func (e *Engine) request(kind tracing.SpanKind, id page.ID, ctx AccessContext, p
 // startSample is the one place a request learns what to record of its
 // own duration: the weight of its latency sample (0 = not timed) and,
 // unless its trace a has the clock readings already, the first one, in
-// nanoseconds of the monotonic clock (monoNow). With a latency recorder
-// attached a miss or a Put (hit=false) is always timed, for itself, and a
-// hit when hitSample-1 untimed hits preceded it (or a tracer sampled
-// it), standing for those too: the recorder's count trails the requests
-// by < hitSample, its sum and quantiles stay consistent estimators. Must
-// run under the engine's serialization.
-func (e *Engine) startSample(hit bool, a *tracing.Active) (weight uint64, start int64) {
-	if e.timer == nil {
+// nanoseconds of the monotonic clock (monoNow). With a signal block
+// attached a request — hit, miss or Put — is timed when sampleEvery-1
+// untimed ones preceded it, or when a tracer sampled it, and stands for
+// those too: the latency count trails the requests by < sampleEvery,
+// its sum and quantiles stay consistent estimators. Must run under the
+// engine's serialization.
+func (e *Engine) startSample(a *tracing.Active) (weight uint64, start int64) {
+	if e.signals == nil {
 		return 0, start
 	}
-	if hit && a == nil && e.untimedHits < hitSample-1 {
-		e.untimedHits++
+	e.untimed++
+	if a == nil && e.untimed < sampleEvery {
 		return 0, start
 	}
-	weight = 1
-	if hit {
-		weight += e.untimedHits
-		e.untimedHits = 0
-	}
+	weight, e.untimed = e.untimed, 0
 	if a == nil {
 		start = monoNow()
 	}
@@ -249,8 +254,8 @@ func (e *Engine) finish(a *tracing.Active, start int64, weight uint64, hit, fail
 	} else if weight > 0 {
 		ns = monoNow() - start
 	}
-	if weight > 0 {
-		e.timer.RecordLatency(ns, weight)
+	if weight > 0 && e.signals != nil { // SetSink may detach while an async miss reads
+		e.signals.Timed(ns, weight)
 	}
 }
 
@@ -444,7 +449,7 @@ func writePage(s storage.Store, a *tracing.Active, p *page.Page) error {
 // evictOne asks the policy for its choice, writes the victim out if
 // dirty, and removes it. Evictions are reported here and nowhere else:
 // the choice fills the victim-select span of a sampled request and, after
-// OnEvict, the event.
+// OnEvict, the signals and the event.
 func (e *Engine) evictOne(ctx AccessContext) error {
 	a := ctx.trace
 	var span int32
@@ -482,8 +487,11 @@ func (e *Engine) evictOne(ctx AccessContext) error {
 	e.frames.Delete(v.Meta.ID)
 	e.stats.Evictions++
 	e.policy.OnEvict(v)
-	if e.sink != nil {
-		e.sink.Eviction(obs.EvictionEvent{Page: v.Meta.ID, Reason: c.Reason, Criterion: c.Win, LRURank: c.Rank, Shard: e.shard})
+	if e.signals != nil {
+		e.signals.Evicted(c.Reason, c.Win)
+	}
+	if e.decisions != nil {
+		e.decisions.Eviction(obs.EvictionEvent{Page: v.Meta.ID, Reason: c.Reason, Criterion: c.Win, LRURank: c.Rank, Shard: e.shard})
 	}
 	if !v.Dirty {
 		drop(e.recycler, v.Page, nil)
@@ -549,9 +557,9 @@ func (e *Engine) markDirty(id page.ID) error {
 // it is the write path for update workloads. A non-resident page is
 // admitted without a physical read (the caller provides the content); a
 // resident page is replaced in place. Dirty pages are written back on
-// eviction or Flush. Every Put is timed when the sink implements
-// obs.LatencyRecorder. Put never reads the store, so it runs entirely
-// under the latch in every composition.
+// eviction or Flush. A Put is sampled for latency like a read request.
+// Put never reads the store, so it runs entirely under the latch in
+// every composition.
 func (e *Engine) Put(p *page.Page, ctx AccessContext) error {
 	ctx.engine = e
 	if p != nil {
@@ -559,7 +567,7 @@ func (e *Engine) Put(p *page.Page, ctx AccessContext) error {
 	}
 	// A traced Put "hits" when it replaced a resident page in place.
 	resident := ctx.trace != nil && e.Contains(p.ID)
-	weight, start := e.startSample(false, ctx.trace)
+	weight, start := e.startSample(ctx.trace)
 	err := e.put(p, ctx)
 	e.finish(ctx.trace, start, weight, resident, err != nil)
 	return err

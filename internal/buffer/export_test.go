@@ -3,6 +3,7 @@ package buffer
 import (
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/page"
 	"repro/internal/storage"
 )
@@ -10,6 +11,13 @@ import (
 // ForceDeferral is forceDeferral for the external tests, which build
 // R*-trees and so cannot live in this package.
 func ForceDeferral(t testing.TB, pool Pool) { forceDeferral(t, pool) }
+
+// NewTestStore is newStore for the external tests.
+func NewTestStore(t testing.TB, n int) *storage.MemStore { return newStore(t, n) }
+
+// EventSinks returns where e sends its events: the Request events and the
+// Eviction and Adapt events, nil for a kind it builds no event of.
+func EventSinks(e *Engine) (requests, decisions obs.Sink) { return e.sink, e.decisions }
 
 // lockEngine is the locked layout around an engine the test built and
 // may still read directly.

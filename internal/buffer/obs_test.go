@@ -2,9 +2,11 @@ package buffer
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/obs/tracing"
 	"repro/internal/page"
 )
 
@@ -159,28 +161,41 @@ func TestLockedEngineSetSink(t *testing.T) {
 	}
 }
 
-// latencyLog records the calls and the summed weights an engine makes to
-// its latency recorder.
-type latencyLog struct {
+// signalLog is a signal registry: it keeps the blocks engines give it
+// and merges them when read.
+type signalLog struct {
 	obs.NopSink
-	calls  int
-	weight uint64
-	nanos  []int64
+	blocks []*obs.Signals
 }
 
-func (l *latencyLog) RecordLatency(nanos int64, weight uint64) {
-	l.calls++
-	l.weight += weight
-	l.nanos = append(l.nanos, nanos)
+func (l *signalLog) Register(b *obs.Signals) { l.blocks = append(l.blocks, b) }
+
+func (l *signalLog) read() obs.SignalSnapshot {
+	var m obs.SignalSnapshot
+	for _, b := range l.blocks {
+		m.Add(b)
+	}
+	return m
+}
+
+// shardMates returns n page IDs from 1 up that the pool serves on the
+// shard of page 1.
+func shardMates(pool Pool, n int) []page.ID {
+	var ids []page.ID
+	for id := page.ID(1); len(ids) < n; id++ {
+		if sp, ok := pool.(*Shared); !ok || sp.shardFor(id) == sp.shardFor(1) {
+			ids = append(ids, id)
+		}
+	}
+	return ids
 }
 
 // TestEngineTimesRequestsForLatencySinks asserts the timing contract on
-// every layout: when (and only when) the attached sink implements
-// obs.LatencyRecorder, each miss and each Put publishes one sample of
-// weight 1 and every hitSample-th hit one sample of weight hitSample, so
-// over h hits (a multiple of hitSample, all on one page, hence one
-// shard), m misses and p puts the recorder sees m + p + h/hitSample
-// calls whose weights sum to h + m + p.
+// every layout: when (and only when) a signal registry is attached, one
+// request in sampleEvery — hit, miss or Put alike — publishes one sample
+// standing for itself and the untimed ones before it, so after n
+// requests and puts on one shard the latency count is n rounded down to
+// a multiple of sampleEvery, and it moves only at those multiples.
 func TestEngineTimesRequestsForLatencySinks(t *testing.T) {
 	for _, spec := range []string{"bare", "locked", "sharded,shards=2", "async,shards=2"} {
 		t.Run(spec, func(t *testing.T) {
@@ -188,7 +203,7 @@ func TestEngineTimesRequestsForLatencySinks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			store := newStore(t, 8)
+			store := newStore(t, 32)
 			pool, err := comp.Build(store, testFactoryFIFO, 16)
 			if err != nil {
 				t.Fatal(err)
@@ -196,36 +211,41 @@ func TestEngineTimesRequestsForLatencySinks(t *testing.T) {
 			if cl, ok := pool.(interface{ Close() error }); ok {
 				defer cl.Close()
 			}
-			log := &latencyLog{}
+			log := &signalLog{}
 			pool.SetSink(log)
+			if len(log.blocks) != pool.Shards() {
+				t.Fatalf("%d blocks registered by %d shards", len(log.blocks), pool.Shards())
+			}
 			get := func(id page.ID) {
 				t.Helper()
 				if _, err := pool.Get(id, AccessContext{}); err != nil {
 					t.Fatal(err)
 				}
 			}
-			check := func(when string, calls int, weight uint64) {
+			check := func(when string, count uint64) {
 				t.Helper()
-				if log.calls != calls || log.weight != weight {
-					t.Fatalf("%s: %d calls of summed weight %d, want %d and %d", when, log.calls, log.weight, calls, weight)
+				if got := log.read().Latency.Count; got != count {
+					t.Fatalf("%s: latency count %d, want %d", when, got, count)
 				}
 			}
 
-			const m, p, h = 3, 2, 2 * hitSample
-			for id := page.ID(1); id <= m; id++ {
+			ids := shardMates(pool, 4) // one engine serves every request
+			const m, p = 3, 2
+			for _, id := range ids[:m] {
 				get(id)
 			}
-			check("after the misses", m, m)
-			for i := 0; i < hitSample-1; i++ {
-				get(1)
+			check("after the misses", 0)
+			for i := m; i < sampleEvery-1; i++ {
+				get(ids[0])
 			}
-			check("before the first timed hit", m, m)
-			get(1)
-			check("at the first timed hit", m+1, m+hitSample)
-			for i := 0; i < h-hitSample; i++ {
-				get(1)
+			check("before the first timed request", 0)
+			get(ids[0])
+			check("at the first timed request", sampleEvery)
+			for i := 0; i < sampleEvery-p; i++ {
+				get(ids[0])
 			}
-			for _, id := range []page.ID{2, 7} { // one resident, one not
+			check("before the second", sampleEvery)
+			for _, id := range ids[m-1:] { // one resident, one not
 				pg, err := store.Read(id)
 				if err != nil {
 					t.Fatal(err)
@@ -234,29 +254,62 @@ func TestEngineTimesRequestsForLatencySinks(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			check("at the end", m+p+h/hitSample, m+p+h)
+			check("at the second timed request, a Put", 2*sampleEvery)
 
 			pool.SetSink(nil) // detaching stops misses and hits alike
-			get(8)
-			for i := 0; i < hitSample; i++ {
-				get(1)
+			get(ids[0] + 20)
+			for i := 0; i < sampleEvery; i++ {
+				get(ids[0])
 			}
-			check("after detaching", m+p+h/hitSample, m+p+h)
+			check("after detaching", 2*sampleEvery)
 		})
 	}
 
-	// A sink that records no latency leaves the engine without a timer —
+	// A sink with no signal registry leaves the engine without a block —
 	// the only thing that makes it read the clock for a request.
 	e, err := NewEngine(newStore(t, 1), newTestPolicy(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []obs.Sink{&obs.Counters{}, obs.NopSink{}, nil} {
-		e.SetSink(&obs.Histogram{})
+	for _, s := range []obs.Sink{&recordingSink{}, obs.NopSink{}, nil} {
+		e.SetSink(&signalLog{})
 		e.SetSink(s)
-		if e.timer != nil {
-			t.Errorf("sink %T left a latency timer attached", s)
+		if e.signals != nil {
+			t.Errorf("sink %T left a signal block attached", s)
 		}
+	}
+}
+
+// TestDetachDuringAsyncMiss: a request timed when it entered may finish
+// after SetSink(nil) took the engine's signal block away — an async
+// leader reads outside the latch, where a detach can run — and then
+// records nothing instead of failing.
+func TestDetachDuringAsyncMiss(t *testing.T) {
+	const target = page.ID(3)
+	gs := &gatedStore{Store: newStore(t, 8), gate: make(chan struct{}), only: target}
+	pool, err := newAsync(gs, testFactoryFIFO, 8, 2, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	pool.SetTracer(tracing.NewTracer(1, 2, 16)) // every request traced, so timed
+	log := &signalLog{}
+	pool.SetSink(log)
+	done := make(chan error)
+	go func() {
+		_, err := pool.Get(target, AccessContext{})
+		done <- err
+	}()
+	for pool.InflightReads() == 0 {
+		runtime.Gosched()
+	}
+	pool.SetSink(nil)
+	close(gs.gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := log.read().Latency.Count; got != 0 {
+		t.Errorf("a request finished after the detach recorded %d samples", got)
 	}
 }
 
@@ -284,15 +337,15 @@ func TestRequestHitPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineGetHit measures the hit path with and without a
-// counting sink attached; run with -benchmem to see the 0 allocs/op.
+// BenchmarkEngineGetHit measures the hit path with and without a signal
+// registry attached; run with -benchmem to see the 0 allocs/op.
 func BenchmarkEngineGetHit(b *testing.B) {
 	for _, cfg := range []struct {
 		name string
 		sink obs.Sink
 	}{
 		{"nop-sink", nil},
-		{"counters-sink", &obs.Counters{}},
+		{"signals", &signalLog{}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			s := newStore(b, 1)

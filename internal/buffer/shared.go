@@ -152,13 +152,13 @@ func (l *shard) drain() {
 }
 
 // replay accounts one hit served without the mutex as Engine.request
-// would have: latency sample (one in hitSample, timing the replay),
+// would have: latency sample (one in sampleEvery, timing the replay),
 // clock, counters, event, OnHit, LastUse; no tracer samples it. If the
 // request that held the mutex meanwhile evicted the page, the hit still
 // counts and reports, but there is no frame for the policy to touch.
 func (l *shard) replay(p *page.Page, ctx AccessContext) {
 	e := l.e
-	weight, start := e.startSample(true, nil)
+	weight, start := e.startSample(nil)
 	if f := e.frames.Get(p.ID); f != nil {
 		e.hit(f, ctx)
 	} else {
@@ -460,10 +460,10 @@ func (s *Shared) Len() int {
 }
 
 // SetSink attaches one observability sink to every shard; each shard's
-// engine stamps its index on what it emits. The sink receives events
-// from all shards concurrently and must be safe for concurrent use
-// (obs.Counters, the live service sink and the async ring are). A nil
-// sink detaches.
+// engine stamps its index on what it emits, and gives a signal registry
+// (the live service's sink) a block of its own. The sink receives events
+// from all shards concurrently and must be safe for concurrent use (the
+// async ring is). A nil sink detaches.
 func (s *Shared) SetSink(sink obs.Sink) {
 	s.each(func(e *Engine) error { e.SetSink(sink); return nil })
 }

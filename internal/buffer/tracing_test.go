@@ -374,27 +374,34 @@ func TestTracedRequestIsItsOwnLatencySample(t *testing.T) {
 	}
 	tr := tracing.NewTracer(1, 1, 16)
 	e.SetTracer(tr)
-	log := &latencyLog{}
+	log := &signalLog{}
 	e.SetSink(log)
-	for _, id := range []page.ID{1, 1, 2, 1} { // miss, hit, miss, hit
-		if _, err := e.Get(id, AccessContext{}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	pg, err := s.Read(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Put(pg, AccessContext{}); err != nil {
-		t.Fatal(err)
+	requests := []func() error{
+		func() error { _, err := e.Get(1, AccessContext{}); return err }, // miss
+		func() error { _, err := e.Get(1, AccessContext{}); return err }, // hit
+		func() error { _, err := e.Get(2, AccessContext{}); return err }, // miss
+		func() error { _, err := e.Get(1, AccessContext{}); return err }, // hit
+		func() error { return e.Put(pg, AccessContext{}) },
+	}
+	var nanos []float64 // each request's latency sample
+	for _, req := range requests {
+		before := log.read().Latency.Sum
+		if err := req(); err != nil {
+			t.Fatal(err)
+		}
+		nanos = append(nanos, log.read().Latency.Sum-before)
 	}
 	traces := tr.Traces(0)
-	if len(traces) != 5 || log.calls != 5 || log.weight != 5 {
-		t.Fatalf("%d traces, %d samples of summed weight %d, want 5 of each", len(traces), log.calls, log.weight)
+	if lat := log.read().Latency; len(traces) != 5 || lat.Count != 5 {
+		t.Fatalf("%d traces, latency count %d, want 5 of each", len(traces), lat.Count)
 	}
 	for i, trc := range traces {
-		if log.nanos[i] != trc[0].Dur {
-			t.Errorf("request %d (%s): latency sample %d ns, root span %d ns", i, trc[0].Kind, log.nanos[i], trc[0].Dur)
+		if nanos[i] != float64(trc[0].Dur) {
+			t.Errorf("request %d (%s): latency sample %g ns, root span %d ns", i, trc[0].Kind, nanos[i], trc[0].Dur)
 		}
 	}
 }

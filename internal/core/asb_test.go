@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/obs/live"
 	"repro/internal/page"
 )
 
@@ -187,9 +188,9 @@ func TestASBCandidateClamped(t *testing.T) {
 func TestASBAdaptEvents(t *testing.T) {
 	// An overflow hit emits one Adapt event (the §4.2 signal and the
 	// resulting size), through the request's context, to the sink the
-	// engine holds.
+	// engine holds, and counts one adaptation in the engine's signals.
 	rec := obs.NewTrajectoryRecorder()
-	var counters obs.Counters
+	svc := live.NewService()
 	areas := []float64{5, 3, 10, 10, 10, 10, 10, 10, 10, 10}
 	specs := make([]pageSpec, len(areas))
 	for i, a := range areas {
@@ -200,7 +201,7 @@ func TestASBAdaptEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetSink(obs.Tee(rec, &counters))
+	e.SetSink(obs.Tee(rec, svc.Sink()))
 	// Ten admissions at times 1..10 (pages 2 and 1 end up in the overflow
 	// buffer), then the overflow hit on page 1 at time 11.
 	for _, id := range []page.ID{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 1} {
@@ -211,7 +212,7 @@ func TestASBAdaptEvents(t *testing.T) {
 	if len(rec.Ref) != 1 || rec.Cand[0] != p.CandidateSize() || rec.Ref[0] != 11 {
 		t.Errorf("recorder saw %v at %v, candidate = %d at request 11", rec.Cand, rec.Ref, p.CandidateSize())
 	}
-	s := counters.Snapshot()
+	s := svc.Signals().Counters
 	if s.Adaptations != 1 {
 		t.Errorf("counters = %+v, want 1 adaptation", s)
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/obs/live"
 	"repro/internal/page"
 )
 
@@ -66,8 +67,9 @@ func TestSteadyStateEvictionAllocsUnchangedBySink(t *testing.T) {
 // TestInstrumentedPoliciesEmitEvictionEvents replays a miss-heavy access
 // pattern through every named policy on every pool layout and checks
 // that each eviction the engine counted was reported exactly once, with
-// the policy's own reason tag, and reached the Counters aggregator under
-// that reason — its per-reason counts sum to Stats.Evictions.
+// the policy's own reason tag, and reached the live service's merged
+// signals under that reason — its per-reason counts sum to
+// Stats.Evictions.
 func TestInstrumentedPoliciesEmitEvictionEvents(t *testing.T) {
 	specs := make([]pageSpec, 20)
 	for i := range specs {
@@ -90,8 +92,8 @@ func TestInstrumentedPoliciesEmitEvictionEvents(t *testing.T) {
 					pool := buildComposition(t, layout, buildStore(t, specs), f, 4)
 					defer closePool(t, pool)
 					rec := &evictionRecorder{}
-					var counters obs.Counters
-					pool.SetSink(obs.Tee(rec, &counters))
+					svc := live.NewService()
+					pool.SetSink(obs.Tee(rec, svc.Sink()))
 					for i := 0; i < 60; i++ {
 						if _, err := pool.Get(page.ID(i%20+1), buffer.AccessContext{QueryID: uint64(i)}); err != nil {
 							t.Fatal(err)
@@ -110,7 +112,7 @@ func TestInstrumentedPoliciesEmitEvictionEvents(t *testing.T) {
 						}
 					}
 					filed := uint64(0)
-					counters.Snapshot().ByReason.Each(func(reason string, n uint64) {
+					svc.Signals().Counters.ByReason.Each(func(reason string, n uint64) {
 						filed += n
 						if !slices.Contains(reasons[f.Name], reason) {
 							t.Errorf("counters filed %d evictions under %q", n, reason)

@@ -51,17 +51,17 @@ func reasonSlot(r string) int {
 	return reasonSlotOther
 }
 
-// Counters is a concurrency-safe event aggregator: plain atomic
-// counters, cheap enough to leave attached in production, and shared by
-// every producer of a pool. It counts only what the events alone can
-// say — evictions by reason, adaptations by direction, dropped events.
-// How many requests, hits, misses, coalesced reads and evictions there
-// were the engine keeps in its Stats under its latch, and the exporters
-// read them there; a Request event carries nothing for Counters to
-// count.
+// Counters counts what only the engine's decisions can say — evictions
+// by reason, adaptations by direction — and the events an async ring
+// dropped. How many requests, hits, misses, coalesced reads and
+// evictions there were the engine keeps in its Stats, and the exporters
+// read them there.
+//
+// The decision counts have one writer: the engine whose Signals block
+// holds them, under its own serialization, with a load and a store (no
+// read-modify-write); any goroutine may read them. AddDropped is an
+// atomic add, safe from any goroutine.
 type Counters struct {
-	NopSink
-
 	// byReason counts evictions per reason slot.
 	byReason [numReasonSlots]atomic.Uint64
 	// Adapt events split by direction of the candidate-size change.
@@ -73,22 +73,26 @@ type Counters struct {
 	dropped atomic.Uint64
 }
 
-// Eviction implements Sink.
-func (c *Counters) Eviction(e EvictionEvent) { c.byReason[reasonSlot(e.Reason)].Add(1) }
+// bump adds one to a counter that has a single writer.
+func bump(c *atomic.Uint64) { c.Store(c.Load() + 1) }
 
-// Adapt implements Sink.
-func (c *Counters) Adapt(e AdaptEvent) {
+// evicted counts one eviction for reason; single writer.
+func (c *Counters) evicted(reason string) { bump(&c.byReason[reasonSlot(reason)]) }
+
+// adapted counts one adaptation from candidate size oldC to newC; single
+// writer.
+func (c *Counters) adapted(oldC, newC int) {
 	switch {
-	case e.NewC > e.OldC:
-		c.adaptGrow.Add(1)
-	case e.NewC < e.OldC:
-		c.adaptShrink.Add(1)
+	case newC > oldC:
+		bump(&c.adaptGrow)
+	case newC < oldC:
+		bump(&c.adaptShrink)
 	default:
-		c.adaptHold.Add(1)
+		bump(&c.adaptHold)
 	}
 }
 
-// AddDropped records n events discarded before reaching this aggregator
+// AddDropped records n events discarded before reaching a consumer
 // (ring-sink backpressure). Exposed so the drop count appears in the
 // same snapshot as the counts it qualifies.
 func (c *Counters) AddDropped(n uint64) { c.dropped.Add(n) }
@@ -120,19 +124,17 @@ type Snapshot struct {
 	Dropped     uint64
 }
 
-// Snapshot returns a point-in-time copy of the counters. Under
-// concurrent producers the fields are individually, not mutually,
+// addTo adds the counts to s, the merge of several Counters' snapshots.
+// Under a running writer the fields are individually, not mutually,
 // consistent.
-func (c *Counters) Snapshot() Snapshot {
-	s := Snapshot{
-		AdaptGrow:   c.adaptGrow.Load(),
-		AdaptShrink: c.adaptShrink.Load(),
-		AdaptHold:   c.adaptHold.Load(),
-		Dropped:     c.dropped.Load(),
-	}
-	s.Adaptations = s.AdaptGrow + s.AdaptShrink + s.AdaptHold
+func (c *Counters) addTo(s *Snapshot) {
+	grow, shrink, hold := c.adaptGrow.Load(), c.adaptShrink.Load(), c.adaptHold.Load()
+	s.AdaptGrow += grow
+	s.AdaptShrink += shrink
+	s.AdaptHold += hold
+	s.Adaptations += grow + shrink + hold
+	s.Dropped += c.dropped.Load()
 	for i := range c.byReason {
-		s.ByReason[i] = c.byReason[i].Load()
+		s.ByReason[i] += c.byReason[i].Load()
 	}
-	return s
 }

@@ -5,19 +5,26 @@ import (
 	"testing"
 )
 
-// TestCountersSnapshotPopulatesEveryField feeds one event of each kind
-// Counters counts (and ring drops) and checks by reflection that no
+// snapshot returns a point-in-time copy of the counters.
+func (c *Counters) snapshot() Snapshot {
+	var s Snapshot
+	c.addTo(&s)
+	return s
+}
+
+// TestCountersSnapshotPopulatesEveryField records one decision of each
+// kind Counters counts (and ring drops) and checks by reflection that no
 // Snapshot field stays zero — a field added to Snapshot but never wired
-// to an event or accumulator fails here.
+// to a recorder or accumulator fails here.
 func TestCountersSnapshotPopulatesEveryField(t *testing.T) {
 	var c Counters
-	c.Eviction(EvictionEvent{Page: 3, Reason: ReasonSLRU, Criterion: 0.5})
-	c.Adapt(AdaptEvent{OldC: 1, NewC: 2})
-	c.Adapt(AdaptEvent{OldC: 2, NewC: 1})
-	c.Adapt(AdaptEvent{OldC: 1, NewC: 1})
+	c.evicted(ReasonSLRU)
+	c.adapted(1, 2)
+	c.adapted(2, 1)
+	c.adapted(1, 1)
 	c.AddDropped(5)
 
-	snap := c.Snapshot()
+	snap := c.snapshot()
 	v := reflect.ValueOf(snap)
 	for i := 0; i < v.NumField(); i++ {
 		name := v.Type().Field(i).Name

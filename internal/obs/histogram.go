@@ -6,27 +6,20 @@ import (
 	"sync/atomic"
 )
 
-// Histogram is a lock-free log-linear histogram for non-negative int64
-// values (request latencies in nanoseconds, fixed-point criterion
-// values). Recording is one atomic add to a bucket plus the sum's upkeep
-// — cheap enough to sit on the request hot path of a live buffer — and
-// snapshots are mergeable, so per-shard histograms can be summed at
-// scrape time.
+// histogram is a log-linear histogram for non-negative int64 values
+// (request latencies in nanoseconds, fixed-point criterion values) with
+// one writer and any number of readers. Recording is a load and a store
+// to a bucket and to the sum — no read-modify-write, cheap enough to sit
+// on the request path of a live buffer — and snapshots are mergeable, so
+// the histograms of several engines are summed at scrape time.
 //
 // Bucketing follows the HDR scheme: values below histSub land in exact
 // unit buckets; above that, each power-of-two octave is split into
 // histSub linear sub-buckets, bounding the relative quantile error by
 // 1/histSub (12.5%). The bucket layout is fixed at compile time, so two
-// snapshots are always structurally compatible.
-//
-// Histogram implements LatencyRecorder (RecordLatency == ObserveN), so it
-// can be attached wherever the buffer manager publishes request timings,
-// and (via the embedded NopSink) satisfies Sink, so a latency-only
-// histogram can ride in a Tee next to event-consuming sinks. The zero
-// value is ready to use.
-type Histogram struct {
-	NopSink
-
+// snapshots are always structurally compatible. The zero value is ready
+// to use.
+type histogram struct {
 	// sum holds the bits of the float64 sum of the recorded values. A
 	// float cannot wrap where an int64 would: 2^63 fixed-point units are
 	// only 18 447 criteria of 5e5 at nano-unit scale.
@@ -72,44 +65,36 @@ func histBucketHigh(idx int) int64 {
 	return histBucketLow(idx) + int64(1)<<(exp-histSubBits) - 1
 }
 
-// Observe records one value. Negative values are clamped to 0.
-func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
+// observe records one value. Negative values are clamped to 0.
+func (h *histogram) observe(v int64) { h.observeN(v, 1) }
 
-// ObserveN records n occurrences of one value (a weighted sample).
-func (h *Histogram) ObserveN(v int64, n uint64) {
+// observeN records n occurrences of one value (a weighted sample). Only
+// the histogram's one writer may call it.
+func (h *histogram) observeN(v int64, n uint64) {
 	if v < 0 {
 		v = 0
 	}
-	add := float64(v) * float64(n)
-	for {
-		old := h.sum.Load()
-		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+add)) {
-			break
-		}
-	}
-	h.buckets[histBucketIndex(v)].Add(n)
+	h.sum.Store(math.Float64bits(math.Float64frombits(h.sum.Load()) + float64(v)*float64(n)))
+	b := &h.buckets[histBucketIndex(v)]
+	b.Store(b.Load() + n)
 }
 
-// RecordLatency implements LatencyRecorder.
-func (h *Histogram) RecordLatency(nanos int64, weight uint64) { h.ObserveN(nanos, weight) }
-
-// Snapshot returns a point-in-time copy of the histogram. Under
-// concurrent writers the copy is per-bucket, not mutually, consistent
-// (the expvar contract); quantiles computed from it are approximate by
-// at most the in-flight writes. Its Count is the sum of the buckets it
-// copied, so the count always equals the +Inf bucket.
-func (h *Histogram) Snapshot() HistSnapshot {
-	var s HistSnapshot
-	s.Sum = math.Float64frombits(h.sum.Load())
+// addTo adds the histogram's current values to s, the merge of several
+// histograms' snapshots. Under a running writer the copy is per-bucket,
+// not mutually, consistent (the expvar contract); quantiles computed
+// from it are approximate by at most the in-flight writes. Count is the
+// sum of the buckets copied, so it always equals the +Inf bucket.
+func (h *histogram) addTo(s *HistSnapshot) {
+	s.Sum += math.Float64frombits(h.sum.Load())
 	for i := range h.buckets {
-		s.counts[i] = h.buckets[i].Load()
-		s.Count += s.counts[i]
+		n := h.buckets[i].Load()
+		s.counts[i] += n
+		s.Count += n
 	}
-	return s
 }
 
-// HistSnapshot is an immutable copy of a Histogram, safe to read from
-// any goroutine and to merge with other snapshots.
+// HistSnapshot is an immutable copy of a histogram (or the sum of
+// several), safe to read from any goroutine.
 type HistSnapshot struct {
 	Count  uint64
 	Sum    float64

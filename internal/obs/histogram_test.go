@@ -3,8 +3,16 @@ package obs
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
+
+// snapshot returns a point-in-time copy of the histogram.
+func (h *histogram) snapshot() HistSnapshot {
+	var s HistSnapshot
+	h.addTo(&s)
+	return s
+}
 
 func TestHistBucketLayout(t *testing.T) {
 	// Buckets must tile the value space contiguously: every value maps to
@@ -32,13 +40,13 @@ func TestHistBucketLayout(t *testing.T) {
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	var h Histogram
+	var h histogram
 	// 1000 values 1..1000: quantiles are known up to the 12.5% bucket
 	// resolution.
 	for v := int64(1); v <= 1000; v++ {
-		h.Observe(v)
+		h.observe(v)
 	}
-	s := h.Snapshot()
+	s := h.snapshot()
 	if s.Count != 1000 || s.Sum != 500500 {
 		t.Fatalf("count/sum = %d/%g", s.Count, s.Sum)
 	}
@@ -70,13 +78,13 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 func TestHistogramEmptyAndNegative(t *testing.T) {
-	var h Histogram
-	s := h.Snapshot()
+	var h histogram
+	s := h.snapshot()
 	if s.Quantile(0.5) != 0 {
 		t.Error("empty snapshot should report zeros")
 	}
-	h.Observe(-5) // clamped to 0
-	if got := h.Snapshot().Quantile(0.5); got != 0 {
+	h.observe(-5) // clamped to 0
+	if got := h.snapshot().Quantile(0.5); got != 0 {
 		t.Errorf("negative observation quantile = %f, want 0", got)
 	}
 }
@@ -84,21 +92,21 @@ func TestHistogramEmptyAndNegative(t *testing.T) {
 // TestHistogramObserveN: a weighted observation is indistinguishable from
 // that many single ones — count, sum, bucket and quantiles.
 func TestHistogramObserveN(t *testing.T) {
-	var weighted, single Histogram
+	var weighted, single histogram
 	for _, o := range []struct {
 		v int64
 		n uint64
 	}{{100, 64}, {5000, 1}, {100, 64}, {90000, 3}, {-7, 2}, {100, 0}} {
-		weighted.ObserveN(o.v, o.n)
+		weighted.observeN(o.v, o.n)
 		for i := uint64(0); i < o.n; i++ {
-			single.Observe(o.v)
+			single.observe(o.v)
 		}
 	}
-	w, s := weighted.Snapshot(), single.Snapshot()
+	w, s := weighted.snapshot(), single.snapshot()
 	if w != s {
 		t.Fatalf("weighted snapshot differs from the one-by-one snapshot:\n%+v\n%+v", w, s)
 	}
-	if w.Count != 134 || w.Sum != 128*100+5000+3*90000 || weighted.Snapshot().Count != 134 {
+	if w.Count != 134 || w.Sum != 128*100+5000+3*90000 || weighted.snapshot().Count != 134 {
 		t.Errorf("count/sum = %d/%g, want 134/%d", w.Count, w.Sum, 128*100+5000+3*90000)
 	}
 	if got := w.CountAtMost(histBucketHigh(histBucketIndex(100))); got != 130 {
@@ -116,35 +124,86 @@ func TestHistogramObserveN(t *testing.T) {
 	}
 }
 
+// TestHistogramConcurrent: the histogram has one writer, and readers
+// snapshot it while it writes (race-free under -race). Every snapshot
+// counts no more than was written and no less than an earlier one, and
+// the final one counts every value.
 func TestHistogramConcurrent(t *testing.T) {
-	var h Histogram
-	const goroutines, per = 8, 10000
+	var h histogram
+	const readers, values = 4, 80000
+	var written atomic.Uint64
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
+	for r := 0; r < readers; r++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < per; i++ {
-				h.Observe(int64(g*per + i))
+			last := uint64(0)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				s := h.snapshot()
+				if s.Count < last || s.Count > written.Load() {
+					t.Errorf("snapshot count %d after %d, with %d written", s.Count, last, written.Load())
+					return
+				}
+				last = s.Count
 			}
-		}(g)
+		}()
 	}
+	for i := 0; i < values; i++ {
+		written.Add(1) // before the value, so no snapshot counts more
+		h.observe(int64(i))
+	}
+	close(stop)
 	wg.Wait()
-	s := h.Snapshot()
-	if s.Count != goroutines*per {
-		t.Errorf("count = %d, want %d", s.Count, goroutines*per)
+	s := h.snapshot()
+	if s.Count != values {
+		t.Errorf("count = %d, want %d", s.Count, values)
 	}
 	total := s.CountAtMost(math.MaxInt64)
-	if total != goroutines*per {
-		t.Errorf("bucket sum = %d, want %d", total, goroutines*per)
+	if total != values {
+		t.Errorf("bucket sum = %d, want %d", total, values)
 	}
 }
 
-func TestHistogramImplementsLatencyRecorder(t *testing.T) {
-	var h Histogram
-	var lr LatencyRecorder = &h
-	lr.RecordLatency(42, 1)
-	if h.Snapshot().Count != 1 {
-		t.Error("RecordLatency did not observe")
+// TestSignalSnapshotMerges: a block's recorders reach its snapshot —
+// Timed as a weighted latency sample, Evicted as a reason and a
+// fixed-point criterion, Adapted as a direction — and the merge of two
+// blocks and a Counters of drops is their sum.
+func TestSignalSnapshotMerges(t *testing.T) {
+	var a, b Signals
+	a.Timed(42, 1)
+	b.Timed(1000, 63)
+	a.Evicted(ReasonSLRU, 0.5)
+	b.Evicted(ReasonSLRU, 2)
+	b.Evicted(ReasonLRU, 0)
+	a.Adapted(3, 4)
+	b.Adapted(4, 4)
+	var drops Counters
+	drops.AddDropped(7)
+
+	var one SignalSnapshot
+	one.Add(&a)
+	if one.Latency.Count != 1 || one.Latency.Sum != 42 {
+		t.Errorf("Timed(42, 1): latency count %d sum %g, want 1 and 42", one.Latency.Count, one.Latency.Sum)
+	}
+	var m SignalSnapshot
+	m.AddCounters(&drops)
+	m.Add(&a)
+	m.Add(&b)
+	want := Snapshot{Adaptations: 2, AdaptGrow: 1, AdaptHold: 1, Dropped: 7}
+	want.ByReason[reasonSlotSLRU], want.ByReason[reasonSlotLRU] = 2, 1
+	if m.Counters != want {
+		t.Errorf("merged counters %+v, want %+v", m.Counters, want)
+	}
+	if m.Latency.Count != 64 || m.Latency.Sum != 42+63*1000 {
+		t.Errorf("merged latency count %d sum %g, want 64 and %d", m.Latency.Count, m.Latency.Sum, 42+63*1000)
+	}
+	if m.Criterion.Count != 3 || m.Criterion.Sum != 2.5*CriterionScale {
+		t.Errorf("merged criterion count %d sum %g, want 3 and %g", m.Criterion.Count, m.Criterion.Sum, 2.5*CriterionScale)
 	}
 }

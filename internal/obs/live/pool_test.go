@@ -140,7 +140,7 @@ func scrapeWhileServing(t *testing.T, spec string) {
 	close(stop)
 	scraper.Wait()
 
-	if n := svc.Counters.Snapshot().Adaptations; n == 0 {
+	if n := svc.Signals().Counters.Adaptations; n == 0 {
 		t.Fatal("no adaptation event: the run was meant to move c")
 	}
 	body := scrape(svc, "/metrics")
@@ -171,5 +171,82 @@ func scrapeWhileServing(t *testing.T, spec string) {
 	}
 	if got := metricSample(t, body, "spatialbuf_asb_candidate_size"); got != sum {
 		t.Errorf("spatialbuf_asb_candidate_size = %d, the shards sum to %d", got, sum)
+	}
+}
+
+// TestOneServiceTwoPools: one service attached to a bare engine and to a
+// two-shard pool, both driven at once (two goroutines on the pool) while
+// /metrics is scraped, still counts every eviction and adaptation of the
+// three engines exactly, because each engine keeps a block of its own.
+func TestOneServiceTwoPools(t *testing.T) {
+	asb := func(c int) buffer.Policy { return core.NewASB(c, core.DefaultASBOptions()) }
+	bare, err := buffer.NewEngine(newStore(t, 256), asb(32), 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := buffer.ParseComposition("sharded,shards=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := comp.Build(newStore(t, 256), asb, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := live.NewService()
+	bare.SetSink(svc.Sink())
+	pool.SetSink(svc.Sink())
+
+	drive := func(p buffer.Pool, w, n int) error {
+		for i := 0; i < n; i++ {
+			id := page.ID(1 + (i*7+w)%24) // a resident hot set and a tail
+			if i%3 == 0 {
+				id = page.ID(25 + (i/3*5+w*11)%200)
+			}
+			if _, err := p.Get(id, buffer.AccessContext{QueryID: uint64(w)<<32 | uint64(i/8)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	stop := make(chan struct{})
+	var scraper, wg sync.WaitGroup
+	scraper.Add(1)
+	go func() {
+		defer scraper.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				scrape(svc, "/metrics")
+			}
+		}
+	}()
+	for w, p := range []buffer.Pool{bare, pool, pool} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := drive(p, w, 20000); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	scraper.Wait()
+
+	c := svc.Signals().Counters
+	evictions := bare.Stats().Evictions + pool.Stats().Evictions
+	filed := uint64(0)
+	c.ByReason.Each(func(_ string, n uint64) { filed += n })
+	if filed != evictions {
+		t.Errorf("service filed %d evictions by reason, the engines made %d", filed, evictions)
+	}
+	adaptations := bare.Policy().(*core.ASB).Adaptations()
+	for i := range pool.Shards() {
+		pool.View(i, func(e *buffer.Engine) { adaptations += e.Policy().(*core.ASB).Adaptations() })
+	}
+	if adaptations == 0 || c.Adaptations != adaptations || c.AdaptGrow+c.AdaptShrink+c.AdaptHold != adaptations {
+		t.Errorf("service counted %+v adaptations, the engines' ASB %d", c, adaptations)
 	}
 }

@@ -136,7 +136,8 @@ func NewAsyncSink(down obs.Sink, capacity int, dropHook func(n uint64)) *AsyncSi
 		capacity = DefaultRingCapacity
 	}
 	slabs := max((capacity+slabRecords-1)/slabRecords, 2)
-	_, requestsOnly := down.(obs.RequestConsumer)
+	rc, requestsOnly := down.(obs.RequestConsumer)
+	requestsOnly = requestsOnly && rc.RequestsOnly()
 	s := &AsyncSink{
 		down:         down,
 		requestsOnly: requestsOnly,
@@ -271,6 +272,11 @@ func (s *AsyncSink) Adapt(e obs.AdaptEvent) {
 		s.commit()
 	}
 }
+
+// RequestsOnly implements obs.RequestConsumer: a ring in front of a
+// request consumer reads requests alone, so an engine sends it no other
+// kind.
+func (s *AsyncSink) RequestsOnly() bool { return s.requestsOnly }
 
 // Delivered returns how many events reached the downstream sink; it
 // advances a slab at a time.

@@ -208,7 +208,9 @@ func TestLockedEngineWithAsyncRingSink(t *testing.T) {
 // 1-in-1024 tracer and the contention profiler — allocates nothing per
 // resident Get, and nothing per leader miss either (a MemStore page is
 // the store's own, the flight record is recycled). A sampled trace does
-// allocate; one in 1024 rounds to zero per request.
+// allocate; one in 1024 rounds to zero per request. The timed-hit case
+// measures runs of 64 Gets on one page — one shard — so that every run
+// holds exactly one request the engine times into its latency histogram.
 func TestObservedHitPathZeroAllocs(t *testing.T) {
 	const pages, shards = 64, 2
 	for _, tc := range []struct {
@@ -216,9 +218,11 @@ func TestObservedHitPathZeroAllocs(t *testing.T) {
 		policy string
 		frames int
 		hot    int // Gets cycle over pages 1..hot
+		per    int // Gets per measured run
 	}{
-		{"hit", "ASB", 2 * pages, 8},     // everything resident
-		{"leader-miss", "LRU", 8, pages}, // a cycle longer than the cache: LRU always misses
+		{"hit", "ASB", 2 * pages, 8, 1},        // everything resident
+		{"leader-miss", "LRU", 8, pages, 1},    // a cycle longer than the cache: LRU always misses
+		{"timed-hit", "ASB", 2 * pages, 1, 64}, // one timed request per run
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			factory, err := core.Resolver(tc.policy)
@@ -259,15 +263,23 @@ func TestObservedHitPathZeroAllocs(t *testing.T) {
 			for i := 0; i < 2*pages; i++ { // warm: admit the pages, fill the shadows
 				get()
 			}
-			before := pool.Stats()
-			allocs := testing.AllocsPerRun(2000, get)
+			before, timed := pool.Stats(), svc.Signals().Latency.Count
+			allocs := testing.AllocsPerRun(2000, func() {
+				for range tc.per {
+					get()
+				}
+			})
 			after := pool.Stats()
 			hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
 			if tc.hot < pages && misses != 0 || tc.hot == pages && hits != 0 {
 				t.Fatalf("%d hits and %d misses: not the %s path alone", hits, misses, tc.name)
 			}
+			// Each shard leaves fewer than 64 requests untimed.
+			if timed = svc.Signals().Latency.Count - timed; timed+64*shards < 2000*uint64(tc.per) {
+				t.Errorf("latency count grew by %d over 2000 runs of %d Gets: the requests were not timed", timed, tc.per)
+			}
 			if allocs != 0 {
-				t.Errorf("observed %s allocates %.1f objects per Get, want 0", tc.name, allocs)
+				t.Errorf("observed %s allocates %.1f objects per run of %d Gets, want 0", tc.name, allocs, tc.per)
 			}
 			pool.SetSink(nil)
 			if err := ring.Close(); err != nil {

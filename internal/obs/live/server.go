@@ -10,12 +10,6 @@ import (
 	"repro/internal/obs"
 )
 
-// critScale converts the float64 spatial criterion into the fixed-point
-// int64 domain of obs.Histogram: nano-units. Quantiles keep the
-// histogram's 12.5 % bound for criteria from 8e-9 (8 units) up to 9.2e9
-// (the int64 limit); the sum is a float and does not wrap.
-const critScale = 1e9
-
 // gauge is a named instantaneous value scraped at request time. Value
 // must be safe to call from any goroutine. Labels is an optional
 // Prometheus label set rendered inside the braces (e.g. `shard="3"`);
@@ -37,25 +31,28 @@ func (g gauge) key() string {
 }
 
 // Service aggregates the live metrics of one buffer stack — the request
-// counters of the pool AddPoolGauges registered, the event counters, a
-// request-latency histogram, an eviction-criterion histogram and the
-// registered gauges — and serves them over HTTP:
+// counters of the pool AddPoolGauges registered, the signals of every
+// engine its sink is attached to (evictions by reason, adaptations by
+// direction, the request-latency and eviction-criterion histograms), the
+// events async rings dropped and the registered gauges — and serves them
+// over HTTP:
 //
 //	/metrics  Prometheus text exposition format, the one live export
 //	/healthz  liveness probe
 //	/         minimal self-contained HTML dashboard polling /metrics
 //
-// Attach Sink() to the pool (or tee it with capture sinks); the sink is
-// concurrency-safe and implements obs.LatencyRecorder, so the engines
-// time requests into the latency histogram. How many requests, hits,
-// misses and evictions there were is not counted from events: the
-// handlers read it from the pool's Stats, which the engines keep anyway.
+// Attach Sink() to the pool, alone or teed with event consumers. It
+// consumes no event: every engine it reaches keeps its own obs.Signals
+// block, registered here, and /metrics merges the blocks. How many
+// requests, hits, misses and evictions there were is read from the
+// pool's Stats, which the engines keep anyway.
 type Service struct {
-	Counters  *obs.Counters
-	Latency   *obs.Histogram
-	Criterion *obs.Histogram
+	// Counters takes the events async rings drop (pass its AddDropped to
+	// live.NewAsyncSink); the engines count the rest in their blocks.
+	Counters *obs.Counters
 
 	mu     sync.Mutex
+	blocks []*obs.Signals
 	gauges []gauge
 	named  map[string]bool
 	pool   buffer.Pool // set by AddPoolGauges; nil until then
@@ -63,34 +60,42 @@ type Service struct {
 
 // NewService returns a Service with fresh aggregators.
 func NewService() *Service {
-	return &Service{
-		Counters:  &obs.Counters{},
-		Latency:   &obs.Histogram{},
-		Criterion: &obs.Histogram{},
-		named:     make(map[string]bool),
+	return &Service{Counters: &obs.Counters{}, named: make(map[string]bool)}
+}
+
+// serviceSink is the service's attach point: an obs.SignalRegistry, which
+// Tee keeps out of its fan-out and an engine gives its Signals block. A
+// value type: attaching it costs one interface allocation once.
+type serviceSink struct {
+	obs.NopSink
+	s *Service
+}
+
+// Register implements obs.SignalRegistry.
+func (ss serviceSink) Register(b *obs.Signals) {
+	ss.s.mu.Lock()
+	ss.s.blocks = append(ss.s.blocks, b)
+	ss.s.mu.Unlock()
+}
+
+// Sink returns the service's attach point for pools (obs.Tee keeps it
+// beside event consumers). It counts only on an engine it is attached
+// to: behind a ring or a sampling sink it sees nothing.
+func (s *Service) Sink() obs.Sink { return serviceSink{s: s} }
+
+// Signals returns the merged signals of every engine the sink was
+// attached to, with the dropped events.
+func (s *Service) Signals() obs.SignalSnapshot {
+	s.mu.Lock()
+	blocks := s.blocks // appends never touch the elements already there
+	s.mu.Unlock()
+	var m obs.SignalSnapshot
+	m.AddCounters(s.Counters)
+	for _, b := range blocks {
+		m.Add(b)
 	}
+	return m
 }
-
-// serviceSink fans events into the service's aggregators. A value type:
-// attaching it costs one interface allocation once, never per event.
-type serviceSink struct{ s *Service }
-
-// Request implements obs.Sink: a request is counted by the engine that
-// serves it, in its Stats, and nowhere else.
-func (serviceSink) Request(obs.RequestEvent) {}
-
-func (ss serviceSink) Eviction(e obs.EvictionEvent) {
-	ss.s.Counters.Eviction(e)
-	ss.s.Criterion.Observe(int64(e.Criterion*critScale + 0.5))
-}
-
-func (ss serviceSink) Adapt(e obs.AdaptEvent) { ss.s.Counters.Adapt(e) }
-
-// RecordLatency implements obs.LatencyRecorder.
-func (ss serviceSink) RecordLatency(ns int64, weight uint64) { ss.s.Latency.ObserveN(ns, weight) }
-
-// Sink returns the concurrency-safe sink feeding this service.
-func (s *Service) Sink() obs.Sink { return serviceSink{s} }
 
 // AddGauge registers an instantaneous value for /metrics.
 // Registering a name twice replaces the earlier gauge.
@@ -193,10 +198,9 @@ var summaryQs = []float64{0.5, 0.9, 0.95, 0.99}
 func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	st := s.stats()
-	c := s.Counters.Snapshot()
+	sig := s.Signals()
+	c, lat, crit := &sig.Counters, &sig.Latency, &sig.Criterion
 	gauges := s.gaugeSnapshot()
-	lat := s.Latency.Snapshot()
-	crit := s.Criterion.Snapshot()
 
 	var b []byte
 	metric := func(name, help, typ string) {
@@ -264,9 +268,9 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	metric("spatialbuf_eviction_criterion", "Spatial criterion of evicted pages.", "summary")
 	for _, q := range summaryQs {
 		sample("spatialbuf_eviction_criterion",
-			`quantile="`+strconv.FormatFloat(q, 'g', -1, 64)+`"`, crit.Quantile(q)/critScale)
+			`quantile="`+strconv.FormatFloat(q, 'g', -1, 64)+`"`, crit.Quantile(q)/obs.CriterionScale)
 	}
-	sample("spatialbuf_eviction_criterion_sum", "", crit.Sum/critScale)
+	sample("spatialbuf_eviction_criterion_sum", "", crit.Sum/obs.CriterionScale)
 	count("spatialbuf_eviction_criterion_count", "", crit.Count)
 
 	lastName := ""

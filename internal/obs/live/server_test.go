@@ -18,30 +18,38 @@ import (
 	"repro/internal/page"
 )
 
+// block registers a signal block with the service's sink, as an engine
+// attached to it does, for the test to record into by hand.
+func block(t *testing.T, svc *live.Service) *obs.Signals {
+	t.Helper()
+	reg, ok := svc.Sink().(obs.SignalRegistry)
+	if !ok {
+		t.Fatal("service sink must be an obs.SignalRegistry")
+	}
+	b := new(obs.Signals)
+	reg.Register(b)
+	return b
+}
+
 // feedService registers a pool that has served ten requests, five of
-// them hits, and pushes a small, known event mix through the service
-// sink. The sink is not attached to the pool, so the latency samples are
-// exactly the ten fed here — and the Request events fed alongside move no
-// counter: the requests are the pool's to count.
+// them hits, and records a small, known signal mix into a block of the
+// service's. The sink is not attached to the pool, so the latency
+// samples are exactly the ten recorded here; the requests are the pool's
+// to count.
 func feedService(t *testing.T, svc *live.Service) {
 	t.Helper()
 	pool := lockedPool(t, newStore(t, 8), core.NewLRU(), 8)
 	svc.AddPoolGauges(pool)
-	sink := svc.Sink()
-	lr, ok := sink.(obs.LatencyRecorder)
-	if !ok {
-		t.Fatal("service sink must implement obs.LatencyRecorder")
-	}
+	b := block(t, svc)
 	for i := 0; i < 10; i++ {
 		if _, err := pool.Get(page.ID(1+i/2), buffer.AccessContext{}); err != nil { // a miss, then a hit
 			t.Fatal(err)
 		}
-		sink.Request(obs.RequestEvent{Page: 1, Hit: true})
-		lr.RecordLatency(int64(1000*(i+1)), 1)
+		b.Timed(int64(1000*(i+1)), 1)
 	}
-	sink.Eviction(obs.EvictionEvent{Page: 2, Reason: obs.ReasonSLRU, Criterion: 0.25})
-	sink.Eviction(obs.EvictionEvent{Page: 3, Reason: obs.ReasonASBOverflow, Criterion: 0.75})
-	sink.Adapt(obs.AdaptEvent{Page: 4, OldC: 3, NewC: 4})
+	b.Evicted(obs.ReasonSLRU, 0.25)
+	b.Evicted(obs.ReasonASBOverflow, 0.75)
+	b.Adapted(3, 4)
 }
 
 func TestMetricsEndpoint(t *testing.T) {
@@ -191,8 +199,9 @@ func TestDashboardServed(t *testing.T) {
 // fixed-point scale resolves to the largest of DB1.
 func TestEvictionCriterionSum(t *testing.T) {
 	svc := live.NewService()
+	b := block(t, svc)
 	for i := 0; i < 20000; i++ {
-		svc.Sink().Eviction(obs.EvictionEvent{Page: page.ID(i), Reason: obs.ReasonSLRU, Criterion: 5e5})
+		b.Evicted(obs.ReasonSLRU, 5e5)
 	}
 	body := scrape(svc, "/metrics")
 	if got := metricFloat(t, body, "spatialbuf_eviction_criterion_sum"); math.Abs(got-1e10) > 20000*1e-9 {
@@ -200,8 +209,9 @@ func TestEvictionCriterionSum(t *testing.T) {
 	}
 	for _, crit := range []float64{8e-9, 3.3e-7, 0.0125, 526, 5e5} {
 		svc := live.NewService()
+		b := block(t, svc)
 		for i := 0; i < 100; i++ {
-			svc.Sink().Eviction(obs.EvictionEvent{Page: page.ID(i), Reason: obs.ReasonSLRU, Criterion: crit})
+			b.Evicted(obs.ReasonSLRU, crit)
 		}
 		got := metricFloat(t, scrape(svc, "/metrics"), `spatialbuf_eviction_criterion{quantile="0.5"}`)
 		if math.Abs(got-crit) > 0.125*crit {

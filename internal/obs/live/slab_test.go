@@ -209,7 +209,7 @@ func TestAsyncSinkConcurrentProducers(t *testing.T) {
 // it reads Request events only.
 type requestLog struct{ *eventLog }
 
-func (requestLog) RequestsOnly() {}
+func (requestLog) RequestsOnly() bool { return true }
 
 // TestAsyncSinkCopiesOnlyRequestsForRequestConsumer: in front of an
 // obs.RequestConsumer the ring takes in the Request events alone. They

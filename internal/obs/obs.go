@@ -5,10 +5,14 @@
 // profiling helpers shared by the commands.
 //
 // The design constraint is that observability must be free when unused:
-// the engine holds a Sink (nil when none or a NopSink is attached, and
+// the engine holds its sinks (nil when none or a NopSink is attached, and
 // then it builds no event) and emits fixed-size event structs by value,
 // so unobserved the Engine.Get hot path stays allocation-free (asserted
-// by TestRequestHitPathZeroAllocs in package buffer).
+// by TestRequestHitPathZeroAllocs in package buffer). What the live
+// service exports — evictions by reason, adaptations by direction, the
+// eviction-criterion and request-latency histograms — is not fed by
+// events at all: each engine keeps it in a Signals block of its own,
+// which a SignalRegistry reads.
 //
 // Event types mirror the decisions the paper's evaluation reasons about:
 //
@@ -112,34 +116,29 @@ type AdaptEvent struct {
 // calls as hot-path: no locking beyond what the caller's concurrency
 // model requires, no retention of pointers into policy state (events are
 // self-contained values). A sink used with a concurrent composition
-// (buffer.Shared) must be safe for concurrent use
-// (Counters is; the file-writing sinks are not).
+// (buffer.Shared) must be safe for concurrent use (the async ring is;
+// the file-writing sinks are not).
 type Sink interface {
 	Request(e RequestEvent)
 	Eviction(e EvictionEvent)
 	Adapt(e AdaptEvent)
 }
 
-// LatencyRecorder is the optional sink extension for wall-clock request
-// timings. The simulation core is counting-based and never times
-// requests; but when the attached sink implements LatencyRecorder, the
-// buffer engine times them with a pair of monotonic-clock readings and
-// publishes weighted samples: a miss and a Put are always timed and
-// arrive with weight 1; a hit is timed one in 64 and arrives with weight
-// = the hits since the last timed hit, itself included. A call counts as
-// weight samples of nanos each, so counts follow the requests (at most
-// 63 hits late) and sums and quantiles stay consistent estimators.
-// Histogram implements it; Tee propagates it.
-type LatencyRecorder interface {
-	RecordLatency(nanos int64, weight uint64)
+// RequestConsumer is the optional sink extension of a consumer that may
+// read Request events only (the shadow bank, whose Eviction and Adapt do
+// nothing, and a ring in front of it): when RequestsOnly reports true, an
+// engine sends it no other kind, and a ring in front of it copies none.
+type RequestConsumer interface {
+	RequestsOnly() bool
 }
 
-// RequestConsumer is the optional sink extension of a consumer that
-// reads Request events only (the shadow bank, whose Eviction and Adapt
-// do nothing): a ring in front of it (live.AsyncSink) then copies no
-// other kind. The method only declares it.
-type RequestConsumer interface {
-	RequestsOnly()
+// SignalRegistry is the optional sink extension of an aggregator that
+// reads no event at all: the live service, whose signals each engine
+// keeps itself. An engine it is attached to, directly or through Tee,
+// makes a fresh Signals block, registers it and from then on counts into
+// it; Tee keeps registries out of its fan-out, so no event reaches one.
+type SignalRegistry interface {
+	Register(b *Signals)
 }
 
 // NopSink discards all events. It is the default sink of every engine;
@@ -176,66 +175,81 @@ func (m multiSink) Adapt(e AdaptEvent) {
 	}
 }
 
-// timedMultiSink is a multiSink whose members include at least one
-// LatencyRecorder; it forwards RecordLatency to those members so that a
-// Tee of (histogram, jsonl, …) still receives request timings.
-type timedMultiSink struct {
+// registrySink is what Tee returns when signal registries remain: the
+// consumers' fan-out, and the registries only Route reads.
+type registrySink struct {
 	multiSink
-	timers []LatencyRecorder
+	regs []SignalRegistry
 }
 
-func (t timedMultiSink) RecordLatency(nanos int64, weight uint64) {
-	for _, lr := range t.timers {
-		lr.RecordLatency(nanos, weight)
+// split flattens sinks, Tee results included, into the event consumers
+// and the signal registries, dropping nil entries and NopSinks.
+func split(sinks ...Sink) (consumers multiSink, regs []SignalRegistry) {
+	for _, s := range sinks {
+		switch t := s.(type) {
+		case nil, NopSink:
+		case registrySink:
+			consumers, regs = append(consumers, t.multiSink...), append(regs, t.regs...)
+		case multiSink:
+			consumers = append(consumers, t...)
+		case SignalRegistry:
+			regs = append(regs, t)
+		default:
+			consumers = append(consumers, s)
+		}
 	}
+	return consumers, regs
 }
 
 // Tee returns a sink that forwards every event to all the given sinks in
-// order. Nil entries and NopSinks are dropped; Tee of zero remaining
-// sinks is a NopSink, of one is that sink itself. If any kept sink
-// implements LatencyRecorder, the returned sink does too (forwarding to
-// exactly those members), so request timing survives fan-out.
+// order. Nil entries and NopSinks are dropped; a SignalRegistry takes no
+// part in the fan-out but is kept for the engine the result is attached
+// to (Route). Tee of zero remaining sinks is a NopSink, of one is that
+// sink itself.
 //
 // The degenerate cases allocate nothing: callers on reconfiguration
 // paths (SetSink during shutdown, single-sink pools) can call Tee
 // unconditionally without ever paying for a fan-out they don't need.
 func Tee(sinks ...Sink) Sink {
-	drop := func(s Sink) bool {
-		if s == nil {
-			return true
-		}
-		_, nop := s.(NopSink)
-		return nop
-	}
-	// Count before building: a multiSink is only materialized when two
-	// or more sinks actually remain.
-	n, last := 0, Sink(nil)
+	n, last := 0, Sink(NopSink{})
 	for _, s := range sinks {
-		if !drop(s) {
-			n++
-			last = s
+		if _, nop := s.(NopSink); s != nil && !nop {
+			n, last = n+1, s
 		}
 	}
-	switch n {
-	case 0:
-		return NopSink{}
-	case 1:
+	if n < 2 {
 		return last
 	}
-	kept := make(multiSink, 0, n)
-	for _, s := range sinks {
-		if !drop(s) {
-			kept = append(kept, s)
+	consumers, regs := split(sinks...)
+	if len(regs) == 0 {
+		return consumers
+	}
+	return registrySink{consumers, regs}
+}
+
+// Route is how an engine serves the sink attached to it: requests go to
+// every consumer, decisions (Eviction and Adapt events) to those that
+// are not request-only — each nil when no consumer is left, and the
+// engine then builds no such event — and regs take its Signals block.
+func Route(s Sink) (requests, decisions Sink, regs []SignalRegistry) {
+	consumers, regs := split(s)
+	var deciders multiSink
+	for _, c := range consumers {
+		if rc, ok := c.(RequestConsumer); !ok || !rc.RequestsOnly() {
+			deciders = append(deciders, c)
 		}
 	}
-	var timers []LatencyRecorder
-	for _, s := range kept {
-		if lr, ok := s.(LatencyRecorder); ok {
-			timers = append(timers, lr)
-		}
+	return collapse(consumers), collapse(deciders), regs
+}
+
+// collapse returns nil for no sink, the sink itself for one, the fan-out
+// otherwise.
+func collapse(m multiSink) Sink {
+	switch len(m) {
+	case 0:
+		return nil
+	case 1:
+		return m[0]
 	}
-	if len(timers) > 0 {
-		return timedMultiSink{multiSink: kept, timers: timers}
-	}
-	return kept
+	return m
 }

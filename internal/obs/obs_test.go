@@ -39,18 +39,20 @@ func TestTeeFansOutAndCollapses(t *testing.T) {
 	}
 }
 
+// TestCountersAggregate: evictions land in their reason's slot (an
+// unknown reason in "other"), adaptations in their direction, drops
+// beside them.
 func TestCountersAggregate(t *testing.T) {
 	var c Counters
-	c.Request(RequestEvent{Hit: true}) // counted by the engine, not here
-	c.Eviction(EvictionEvent{Reason: ReasonSLRU})
-	c.Eviction(EvictionEvent{Reason: ReasonASBOverflow})
-	c.Eviction(EvictionEvent{Reason: "made-up"})
-	c.Adapt(AdaptEvent{OldC: 5, NewC: 7})
-	c.Adapt(AdaptEvent{OldC: 7, NewC: 6})
-	c.Adapt(AdaptEvent{OldC: 6, NewC: 6})
+	c.evicted(ReasonSLRU)
+	c.evicted(ReasonASBOverflow)
+	c.evicted("made-up")
+	c.adapted(5, 7)
+	c.adapted(7, 6)
+	c.adapted(6, 6)
 	c.AddDropped(4)
 
-	s := c.Snapshot()
+	s := c.snapshot()
 	want := Snapshot{Adaptations: 3, AdaptGrow: 1, AdaptShrink: 1, AdaptHold: 1, Dropped: 4}
 	want.ByReason[reasonSlot(ReasonSLRU)] = 1
 	want.ByReason[reasonSlot(ReasonASBOverflow)] = 1

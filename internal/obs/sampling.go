@@ -6,7 +6,7 @@ import "sync/atomic"
 // sink and passes Eviction and Adapt events through unchanged. It decouples exact accounting from bulk capture: a JSONL
 // file behind a samplingSink stays small under heavy load while the
 // rare, decision-carrying events remain complete (exact request counters
-// come from a Counters attached alongside, not from the sampled file).
+// come from the pool's Stats, not from the sampled file).
 //
 // Sampling is deterministic — the 1st, N+1st, 2N+1st, … Request events
 // are forwarded, counted by an atomic counter — so the sink is safe for

@@ -123,8 +123,9 @@ func (b *Bank) Request(e obs.RequestEvent) {
 	b.mu.Unlock()
 }
 
-// RequestsOnly implements obs.RequestConsumer.
-func (b *Bank) RequestsOnly() {}
+// RequestsOnly implements obs.RequestConsumer: the bank reads requests
+// alone.
+func (b *Bank) RequestsOnly() bool { return true }
 
 // Shadows returns the bank's caches in their deterministic order. The
 // slice is shared; callers must not mutate it.

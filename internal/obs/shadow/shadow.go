@@ -44,10 +44,11 @@ const defaultWindow = 4096
 
 // Cache is one ghost cache: a replacement policy simulated over
 // metadata-only frames. It is not safe for concurrent use — Bank drives
-// its caches under one mutex — but its counters are atomics, so the
-// accessor methods (Hits, Misses, HitRatio, WindowHitRatio, Len) may be
-// called from any goroutine while the cache is being driven; that is
-// the scrape path of the live gauges.
+// its caches under one mutex — but its counters are atomics written by
+// that one driver with single-writer stores (a load and a store, no
+// read-modify-write), so the accessor methods (Hits, Misses, HitRatio,
+// WindowHitRatio, Len) may be called from any goroutine while the cache
+// is being driven; that is the scrape path of the live gauges.
 type Cache struct {
 	policyName string
 	capacity   int
@@ -106,12 +107,12 @@ func (c *Cache) Ref(id page.ID, meta page.Meta, queryID uint64) bool {
 	hit := false
 	if f := c.frames.Get(id); f != nil {
 		hit = true
-		c.hits.Add(1)
+		c.hits.Store(c.hits.Load() + 1)
 		c.winHits++
 		c.policy.OnHit(f, now, ctx)
 		f.LastUse = now
 	} else {
-		c.misses.Add(1)
+		c.misses.Store(c.misses.Load() + 1)
 		admit := true
 		if c.frames.Len() >= c.capacity {
 			// Ghost frames are never pinned, so Victim returning nil can
