@@ -115,9 +115,9 @@ type Frame struct {
 	// outside an arena.
 	arena int32
 
-	// Slot is the frame's position in the owning policy's Heap (Spatial,
-	// ASB's candidate window), kept by the heap; −1 when absent. The arena
-	// hands out and scrubs frames with −1.
+	// Slot is the frame's position in the owning policy's Heap (the
+	// candidate window of SLRU, the spatial policies and ASB), kept by the
+	// heap; −1 when absent. The arena hands out and scrubs frames with −1.
 	Slot int32
 
 	// Tag is small per-policy scratch: the ASB region (main/overflow), the
@@ -126,13 +126,12 @@ type Frame struct {
 	Tag uint32
 
 	// Crit caches the owning policy's spatial criterion value for the
-	// page, so victim scans and ASB adaptation votes never recompute MBR
+	// page, so victim picks and ASB adaptation votes never recompute MBR
 	// geometry.
 	Crit float64
 
-	// Stamp is the policy's recency key, the Heap's tie-break: Spatial's
-	// shadow of LastUse (updated in OnHit, before the engine bumps
-	// LastUse), ASB's count of insertions at the front of its main part.
+	// Stamp is the policy's recency key, the Heap's tie-break: the
+	// candidate window's count of moves to the front of its list.
 	Stamp uint64
 }
 
@@ -153,15 +152,12 @@ type Choice struct {
 	Frame *Frame
 	// Reason is the policy's eviction-reason constant (obs.Reason*).
 	Reason string
-	// CritKind names what Win and Lose measure: the spatial criterion
+	// CritKind names what Win measures: the spatial criterion
 	// ("A", "EA", …), "class" for the priority class of LRU-T/P, "hist-k"
 	// for LRU-K's HIST(q,K); empty for policies that rank by order alone.
 	CritKind string
 	// Win is the victim's deciding value, 0 when the policy has none.
 	Win float64
-	// Lose is the largest (best-to-keep) value among the candidates the
-	// victim won against, 0 when none were compared.
-	Lose float64
 	// Rank is the victim's place in the policy's LRU or FIFO order (0 =
 	// least recently used / oldest admission, more when pinned frames were
 	// skipped), -1 without such an order or without a victim.

@@ -461,7 +461,7 @@ func (e *Engine) evictOne(ctx AccessContext) error {
 	if a != nil {
 		sp := a.At(span)
 		sp.Reason, sp.CritKind = c.Reason, c.CritKind
-		sp.CritWin, sp.CritLose = c.Win, c.Lose
+		sp.CritWin = c.Win
 		sp.Rank, sp.Slot = int32(c.Rank), -1
 		sp.Err = v == nil // every frame pinned
 		if v != nil {

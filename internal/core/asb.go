@@ -62,49 +62,33 @@ const (
 // Both parts together never exceed the buffer capacity, so — unlike
 // LRU-K — ASB needs no state for pages that have left the buffer.
 //
-// Both regions are buffer.Lists over the frames' own link words; a
-// frame's region lives in Frame.Tag and its criterion is cached in
-// Frame.Crit at admission, so demotions and the §4.2 adaptation votes
-// never recompute MBR geometry and never allocate. The candidate set
-// itself is a buffer.Heap (the window, see win), so a demotion costs
-// O(log cand) instead of a scan of cand frames.
+// The main part is an SLRU, whose candidate window is a buffer.Heap, so
+// a demotion costs O(log cand); the overflow is a buffer.List over the
+// frames' own link words. A frame's region lives in Frame.Tag and its
+// criterion is cached in Frame.Crit at admission, so demotions and the
+// §4.2 adaptation votes never recompute MBR geometry and never allocate.
 //
 // ASB reports its adaptation through the context of the request it is
 // serving (buffer.AccessContext), which hands the events to the engine's
 // sink: one Adapt per overflow hit, carrying the promoted page, the §4.2
 // signal and the resulting candidate size (the Fig. 14 series).
 type ASB struct {
-	crit     page.Criterion
+	// main is the SLRU part; its cand is the current candidate-set size,
+	// in [1, mainCap]. Its window is built at its first pick.
+	main     SLRU
 	mainCap  int
 	overCap  int
 	initCand int
 	step     int
 
-	cand int // current candidate-set size, in [1, mainCap]
-
-	// main is the SLRU part, front = most recently used.
-	main buffer.List
 	// over is the overflow FIFO, front = oldest (next FIFO victim).
 	over buffer.List
-
-	// win is the candidate window: the min(cand, |main|) least recently
-	// used frames of main in a heap ordered by (Crit, Stamp). Stamp is
-	// seq at the frame's latest insertion at main's front, so it grows
-	// from main's LRU end to its MRU end, and the heap's minimum is the
-	// frame slruVictim(&main, cand) picks when it is unpinned: the
-	// smallest criterion, ties to the LRU end. edge is the window's most
-	// recently used frame. Both are built at the first demotion after
-	// Reset and kept from then on; edge is nil (and win empty) until then,
-	// and again whenever main runs empty.
-	win  buffer.Heap
-	edge *buffer.Frame
-	seq  uint64
 
 	adaptations uint64
 	// Rounds the struct up to three whole cache lines, which the allocator
 	// puts on a line boundary: sharing lines with whatever heap neighbour
-	// another core writes (136 bytes), serve-observed ran 7–15 % slower.
-	_ [48]byte
+	// another core writes, serve-observed ran 7–15 % slower.
+	_ [24]byte
 }
 
 // NewASB returns an adaptable spatial buffer for a buffer of the given
@@ -133,13 +117,13 @@ func NewASB(capacity int, opts ASBOptions) *ASB {
 	}
 	mainCap := capacity - overCap
 	a := &ASB{
-		crit:     opts.Criterion,
+		main:     SLRU{crit: opts.Criterion},
 		mainCap:  mainCap,
 		overCap:  overCap,
 		initCand: clamp(int(opts.InitialCandFrac*float64(mainCap)+0.5), 1, mainCap),
 		step:     clamp(int(opts.StepFrac*float64(mainCap)+0.5), 1, mainCap),
 	}
-	a.cand = a.initCand
+	a.main.cand = a.initCand
 	return a
 }
 
@@ -158,7 +142,7 @@ func clamp(v, lo, hi int) int {
 func (p *ASB) Name() string { return "ASB" }
 
 // CandidateSize returns the current (adapted) candidate-set size.
-func (p *ASB) CandidateSize() int { return p.cand }
+func (p *ASB) CandidateSize() int { return p.main.cand }
 
 // MainCapacity returns the capacity of the main part in frames.
 func (p *ASB) MainCapacity() int { return p.mainCap }
@@ -177,9 +161,9 @@ func (p *ASB) Adaptations() uint64 { return p.adaptations }
 // MRU position; if the main part exceeds its share, its SLRU victim is
 // demoted into the overflow buffer.
 func (p *ASB) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	f.Crit = p.crit.Value(f.Meta)
+	f.Crit = p.main.crit.Value(f.Meta)
 	f.Tag = asbMain
-	p.pushFront(f)
+	p.main.pushFront(f)
 	p.rebalance()
 }
 
@@ -188,14 +172,13 @@ func (p *ASB) OnAdmit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 // (§4.2, cases 1–3) and promotes the page back into the main part.
 func (p *ASB) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 	if f.Tag != asbOver {
-		p.unlink(f)
-		p.pushFront(f)
+		p.main.touch(f)
 		return
 	}
 	p.adapt(f, ctx)
 	p.over.Remove(f)
 	f.Tag = asbMain
-	p.pushFront(f)
+	p.main.pushFront(f)
 	p.rebalance()
 }
 
@@ -211,13 +194,13 @@ func (p *ASB) adapt(f *buffer.Frame, ctx buffer.AccessContext) {
 	if act != nil {
 		span = act.Start(tracing.KindAdapt)
 	}
-	oldC := p.cand
+	oldC := p.main.cand
 	betterSpatial, betterLRU := 0, 0
 	defer func() {
 		if act != nil {
 			sp := act.At(span)
 			sp.Page = f.Meta.ID
-			sp.OldC, sp.NewC = int32(oldC), int32(p.cand)
+			sp.OldC, sp.NewC = int32(oldC), int32(p.main.cand)
 			sp.BetterSpatial, sp.BetterLRU = int32(betterSpatial), int32(betterLRU)
 			act.End(span)
 		}
@@ -251,11 +234,11 @@ func (p *ASB) adapt(f *buffer.Frame, ctx buffer.AccessContext) {
 		// twice as fast as growing: robustness (never losing badly to
 		// LRU) is the design goal, and the deflated better-spatial count
 		// means each shrink signal is strong evidence.
-		p.resize(clamp(p.cand-2*p.step, 1, p.mainCap))
+		p.main.resize(clamp(oldC-2*p.step, 1, p.mainCap))
 	case betterLRU > betterSpatial+margin:
 		// LRU would have kept clearly more pages ahead of the
 		// re-requested page: the spatial strategy judged better.
-		p.resize(clamp(p.cand+p.step, 1, p.mainCap))
+		p.main.resize(clamp(oldC+p.step, 1, p.mainCap))
 	}
 	p.adaptations++
 	// One Adapt event per adaptation event, even when the size is
@@ -266,100 +249,36 @@ func (p *ASB) adapt(f *buffer.Frame, ctx buffer.AccessContext) {
 		BetterSpatial: betterSpatial,
 		BetterLRU:     betterLRU,
 		OldC:          oldC,
-		NewC:          p.cand,
+		NewC:          p.main.cand,
 	})
-}
-
-// pushFront links f at main's front with the next insertion number as
-// its Stamp. While the window spans all of main, f joins it.
-func (p *ASB) pushFront(f *buffer.Frame) {
-	p.seq++
-	f.Stamp = p.seq
-	p.main.PushFront(f)
-	if p.edge != nil && p.win.Len() < p.cand {
-		p.win.Push(f)
-		p.edge = f
-	}
-}
-
-// unlink removes f from main. A window frame that leaves is replaced by
-// the frame in front of the window, if main has one.
-func (p *ASB) unlink(f *buffer.Frame) {
-	if f.Slot >= 0 {
-		if p.win.Len() < p.main.Len() {
-			p.edge = p.main.Prev(p.edge)
-			p.win.Replace(f.Slot, p.edge)
-		} else {
-			if f == p.edge {
-				p.edge = p.main.Next(f)
-			}
-			p.win.Remove(f.Slot)
-		}
-	}
-	p.main.Remove(f)
-}
-
-// resize sets the candidate-set size and moves the window's edge to match.
-func (p *ASB) resize(c int) {
-	p.cand = c
-	if p.edge == nil {
-		return
-	}
-	for p.win.Len() < c && p.win.Len() < p.main.Len() {
-		p.edge = p.main.Prev(p.edge)
-		p.win.Push(p.edge)
-	}
-	for p.win.Len() > c {
-		f := p.edge
-		p.edge = p.main.Next(f)
-		p.win.Remove(f.Slot)
-	}
 }
 
 // rebalance demotes main-part SLRU victims into the overflow buffer until
 // the main part is within its share. Pinned pages are never demoted.
 func (p *ASB) rebalance() {
-	for p.main.Len() > p.mainCap {
-		v := p.demotee()
+	for p.main.order.Len() > p.mainCap {
+		v := p.main.pick()
 		if v == nil {
 			return // everything pinned; tolerate a temporarily oversized main part
 		}
-		p.unlink(v)
+		p.main.unlink(v)
 		v.Tag = asbOver
 		p.over.PushBack(v)
 	}
 }
 
-// demotee is the main part's SLRU victim: the window's minimum, built
-// here if it is not kept yet. Pins are invisible to the window, so when
-// its minimum is pinned, slruVictim's scan decides.
-func (p *ASB) demotee() *buffer.Frame {
-	if p.edge == nil {
-		for f := p.main.Back(); f != nil && p.win.Len() < p.cand; f = p.main.Prev(f) {
-			p.win.Push(f)
-			p.edge = f
-		}
-	}
-	if v := p.win.Min(); !v.Pinned() {
-		return v
-	}
-	v, _, _ := slruVictim(&p.main, p.cand)
-	return v
-}
-
 // Victim implements buffer.Policy: the FIFO head of the overflow buffer.
-// If the overflow buffer is empty (or fully pinned) the main part's SLRU
-// victim (slruVictim over the cand least recently used) is evicted
-// directly.
+// If the overflow buffer is empty (or fully pinned) the main part's pick,
+// the frame it would demote, is evicted directly; that choice has no
+// rank, as SLRU's has none.
 func (p *ASB) Victim(ctx buffer.AccessContext) buffer.Choice {
-	kind := p.crit.String()
+	kind := p.main.crit.String()
 	if f, rank := firstUnpinned(&p.over, true); f != nil {
 		return buffer.Choice{Frame: f, Reason: obs.ReasonASBOverflow, CritKind: kind, Win: f.Crit, Rank: rank}
 	}
-	f, rank, worst := slruVictim(&p.main, p.cand)
-	c := buffer.Choice{Frame: f, Reason: obs.ReasonASBMain, CritKind: kind, Lose: worst, Rank: rank}
-	if f != nil {
-		c.Win = f.Crit
+	c := buffer.Choice{Reason: obs.ReasonASBMain, CritKind: kind, Rank: -1}
+	if f := p.main.pick(); f != nil {
+		c.Frame, c.Win = f, f.Crit
 	}
 	return c
 }
@@ -369,18 +288,16 @@ func (p *ASB) OnEvict(f *buffer.Frame) {
 	if f.Tag == asbOver {
 		p.over.Remove(f)
 	} else {
-		p.unlink(f)
+		p.main.unlink(f)
 	}
 }
 
 // Reset implements buffer.Policy: both parts are cleared and the
 // candidate-set size returns to its initial value.
 func (p *ASB) Reset() {
-	p.main.Clear()
+	p.main.Reset()
+	p.main.cand = p.initCand
 	p.over.Clear()
-	p.win.Clear()
-	p.edge = nil
-	p.cand = p.initCand
 	p.adaptations = 0
 }
 
@@ -391,16 +308,13 @@ func (p *ASB) Reset() {
 // adaptation signal is defined for re-*references*, and an update is not
 // evidence about which read strategy judged the page correctly.
 func (p *ASB) OnUpdate(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
-	over := f.Tag == asbOver
-	if over {
-		p.over.Remove(f)
-	} else {
-		p.unlink(f)
+	f.Crit = p.main.crit.Value(f.Meta)
+	if f.Tag != asbOver {
+		p.main.touch(f)
+		return
 	}
-	f.Crit = p.crit.Value(f.Meta)
+	p.over.Remove(f)
 	f.Tag = asbMain
-	p.pushFront(f)
-	if over {
-		p.rebalance()
-	}
+	p.main.pushFront(f)
+	p.rebalance()
 }

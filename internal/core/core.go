@@ -6,12 +6,17 @@
 //   - LRU-T and LRU-P — type- and priority-based LRU variants (§2.1);
 //   - LRU-K — the history-based algorithm of O'Neil, O'Neil and Weikum,
 //     with query-correlated reference handling (§2.2);
-//   - the five spatial strategies A, EA, M, EM, EO, which evict the page
-//     with the smallest spatial criterion (§2.3);
 //   - SLRU — the static combination that draws a candidate set with LRU
 //     and picks the victim spatially (§4.1);
-//   - ASB — the adaptable spatial buffer, the paper's headline: SLRU whose
-//     candidate-set size self-tunes through a FIFO overflow buffer (§4.2).
+//   - the five spatial strategies A, EA, M, EM, EO, which evict the page
+//     with the smallest spatial criterion (§2.3): the SLRU whose
+//     candidate set is the whole buffer;
+//   - ASB — the adaptable spatial buffer, the paper's headline: an SLRU
+//     main part whose candidate-set size self-tunes through a FIFO
+//     overflow buffer (§4.2).
+//
+// The three share one candidate window, a heap over the candidate set
+// (see SLRU), so a victim or a demotion costs O(log c) at any c.
 //
 // All policies implement buffer.Policy; Factories enumerates constructors
 // for the experiment harness. A policy only decides: Victim returns a

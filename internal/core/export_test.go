@@ -1,7 +1,8 @@
 package core
 
-// CandidateSize returns the fixed candidate-set size.
-func (p *SLRU) CandidateSize() int { return p.candSize }
+// CandidateSize returns the candidate-set size (MaxInt for the spatial
+// policy, whose window spans the buffer).
+func (p *SLRU) CandidateSize() int { return p.cand }
 
-// Len returns the number of tracked frames.
-func (p *Spatial) Len() int { return p.h.Len() }
+// Len returns the number of frames on the recency list and in the window.
+func (p *SLRU) Len() (list, window int) { return p.order.Len(), p.win.Len() }

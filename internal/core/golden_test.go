@@ -120,8 +120,8 @@ func TestGoldenEventDigests(t *testing.T) {
 		for _, trc := range traces {
 			for _, sp := range trc {
 				if sp.Kind == tracing.KindVictim {
-					fmt.Fprintf(h, "%s %s %v %v %d %d %d %t\n",
-						sp.Reason, sp.CritKind, sp.CritWin, sp.CritLose, sp.Rank, sp.Slot, sp.Page, sp.Err)
+					fmt.Fprintf(h, "%s %s %v %d %d %d %t\n",
+						sp.Reason, sp.CritKind, sp.CritWin, sp.Rank, sp.Slot, sp.Page, sp.Err)
 				}
 			}
 		}

@@ -77,3 +77,25 @@ func (p *FIFO) OnEvict(f *buffer.Frame) { p.order.Remove(f) }
 
 // Reset implements buffer.Policy.
 func (p *FIFO) Reset() { p.order.Clear() }
+
+// firstUnpinned scans a policy list from its eviction end — the back of
+// a recency list, the front of an admission queue (fromFront) — for the
+// first unpinned frame. It returns the frame with its rank, the number
+// of pinned frames skipped, or (nil, -1) when every frame is pinned.
+func firstUnpinned(l *buffer.List, fromFront bool) (*buffer.Frame, int) {
+	f := l.Back()
+	if fromFront {
+		f = l.Front()
+	}
+	for rank := 0; f != nil; rank++ {
+		if !f.Pinned() {
+			return f, rank
+		}
+		if fromFront {
+			f = l.Next(f)
+		} else {
+			f = l.Prev(f)
+		}
+	}
+	return nil, -1
+}

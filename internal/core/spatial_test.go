@@ -120,24 +120,31 @@ func TestSpatialSkipsPinnedVictim(t *testing.T) {
 
 func TestSpatialHeapConsistencyUnderChurn(t *testing.T) {
 	// Property test: after a long random access sequence, the policy's
-	// internal heap tracks exactly the resident set and every eviction
-	// still succeeds.
-	rng := rand.New(rand.NewSource(99))
-	specs := make([]pageSpec, 40)
-	for i := range specs {
-		specs[i] = dataPage(float64(rng.Intn(100) + 1))
-	}
-	s := buildStore(t, specs)
-	pol := core.NewSpatial(page.CritEA)
-	m := mustEngine(t, s, pol, 7)
-	for i := 0; i < 3000; i++ {
-		id := page.ID(rng.Intn(40) + 1)
-		runOn(t, m, []access{q(id, uint64(i/4))})
-		if pol.Len() != m.Len() {
-			t.Fatalf("heap size %d != resident %d at step %d", pol.Len(), m.Len(), i)
+	// recency list tracks exactly the resident set, its window holds the
+	// min(cand, resident) least recently used frames from the first
+	// eviction on (all of them for the spatial policy), and every
+	// eviction still succeeds.
+	for _, pol := range []*core.SLRU{core.NewSpatial(page.CritEA), core.NewSLRU(page.CritEA, 3)} {
+		rng := rand.New(rand.NewSource(99))
+		specs := make([]pageSpec, 40)
+		for i := range specs {
+			specs[i] = dataPage(float64(rng.Intn(100) + 1))
 		}
-		if m.Len() > 7 {
-			t.Fatalf("buffer overflowed: %d", m.Len())
+		s := buildStore(t, specs)
+		m := mustEngine(t, s, pol, 7)
+		for i := 0; i < 3000; i++ {
+			id := page.ID(rng.Intn(40) + 1)
+			runOn(t, m, []access{q(id, uint64(i/4))})
+			list, window := pol.Len()
+			if list != m.Len() {
+				t.Fatalf("%s: list holds %d, resident %d at step %d", pol.Name(), list, m.Len(), i)
+			}
+			if built := m.Stats().Evictions > 0; built && window != min(pol.CandidateSize(), list) || !built && window != 0 {
+				t.Fatalf("%s: window holds %d of %d frames after %d evictions at step %d", pol.Name(), window, list, m.Stats().Evictions, i)
+			}
+			if m.Len() > 7 {
+				t.Fatalf("buffer overflowed: %d", m.Len())
+			}
 		}
 	}
 }
@@ -150,8 +157,8 @@ func TestSpatialReset(t *testing.T) {
 	if err := m.Clear(); err != nil {
 		t.Fatal(err)
 	}
-	if pol.Len() != 0 {
-		t.Errorf("heap not cleared: %d", pol.Len())
+	if list, window := pol.Len(); list != 0 || window != 0 {
+		t.Errorf("not cleared: %d frames listed, %d in the window", list, window)
 	}
 	misses := runOn(t, m, seqOf(1, 2))
 	if len(misses) != 2 {

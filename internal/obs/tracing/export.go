@@ -39,7 +39,6 @@ func spanArgs(sp Span) map[string]any {
 		args["reason"] = sp.Reason
 		args["criterion"] = sp.CritKind
 		args["crit_win"] = sp.CritWin
-		args["crit_lose"] = sp.CritLose
 		args["lru_rank"] = sp.Rank
 		args["arena_slot"] = sp.Slot
 		args["page"] = uint64(sp.Page)

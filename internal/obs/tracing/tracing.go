@@ -134,9 +134,8 @@ type Span struct {
 
 	// Victim-selection payload (KindVictim).
 	Reason   string  // eviction reason constant (obs.Reason*)
-	CritKind string  // what the values measure ("A", "EA", …, "class", "hist-k")
+	CritKind string  // what CritWin measures ("A", "EA", …, "class", "hist-k")
 	CritWin  float64 // deciding value of the selected victim
-	CritLose float64 // worst (largest) value among scanned candidates
 	Rank     int32   // victim's LRU rank, -1 when not applicable
 	Slot     int32   // arena index of the victim's frame, -1 off-arena/none
 

@@ -20,7 +20,6 @@ func record(t *Tracer, shard int, hit bool) *Active {
 	sp.Reason = "slru"
 	sp.CritKind = "A"
 	sp.CritWin = 0.25
-	sp.CritLose = 0.75
 	sp.Rank = 3
 	a.End(v)
 	r := a.Start(KindStoreRead)
@@ -93,7 +92,7 @@ func TestSpanNesting(t *testing.T) {
 	if spans[1].Kind != KindVictim || spans[1].Parent != 0 {
 		t.Fatalf("bad victim span: %+v", spans[1])
 	}
-	if spans[1].Reason != "slru" || spans[1].CritWin != 0.25 || spans[1].CritLose != 0.75 {
+	if spans[1].Reason != "slru" || spans[1].CritWin != 0.25 || spans[1].Rank != 3 {
 		t.Fatalf("victim payload lost: %+v", spans[1])
 	}
 	if spans[2].Kind != KindStoreRead || spans[2].Parent != 0 || spans[2].Bytes != 4096 {

@@ -266,9 +266,12 @@ func printedAs(printed, csvCell string) bool {
 
 // TestDocsNameWhatExists: every Test, Benchmark and Fuzz function that
 // DESIGN.md, README.md or the verify skill names exists (a name ending in
-// * names a prefix), and every section of DESIGN.md that a Go comment
-// cites is a heading there (§5h) or a numbered item under one (§5a.4).
-// Go files under bench/ define names but are not searched for citations.
+// * names a prefix), every section of DESIGN.md that a Go comment cites
+// is a heading there (§5h) or a numbered item under one (§5a.4), and
+// every ROADMAP direction that the documents and CI cite ("ROADMAP 7",
+// "ROADMAP direction 2", "ROADMAP 3-II(b)") is a numbered direction in
+// ROADMAP.md that has the part and the lettered item cited. Go files
+// under bench/ define names but are not searched for citations.
 func TestDocsNameWhatExists(t *testing.T) {
 	funcRE := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 	citeRE := regexp.MustCompile(`DESIGN(?:\.md)? §([0-9]+[a-z]?(?:\.[0-9]+)?)`)
@@ -342,6 +345,44 @@ func TestDocsNameWhatExists(t *testing.T) {
 	}
 	if len(cites) == 0 {
 		t.Error("no Go comment cites DESIGN.md: the citation pattern is broken")
+	}
+
+	roadmap, err := os.ReadFile("ROADMAP.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirRE := regexp.MustCompile(`^- \*\*([0-9]+)\. `)
+	partRE := regexp.MustCompile(`^ +- \*\*([0-9]+-[IVX]+)\. `)
+	letterRE := regexp.MustCompile(`^ +- \*{1,2}\(([a-z])\)`)
+	items, dir := map[string]bool{}, ""
+	for _, ln := range strings.Split(string(roadmap), "\n") {
+		if m := dirRE.FindStringSubmatch(ln); m != nil {
+			dir = m[1]
+			items[dir] = true
+		} else if m := partRE.FindStringSubmatch(ln); m != nil && dir != "" {
+			items[m[1]] = true
+		} else if m := letterRE.FindStringSubmatch(ln); m != nil && dir != "" {
+			items[dir+"("+m[1]+")"] = true
+		}
+	}
+	roadmapRE := regexp.MustCompile(`ROADMAP\s+(?:directions?\s+)?(([0-9]+)(?:-[IVX]+)?)(?:\(([a-z])\))?`)
+	n := 0
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range roadmapRE.FindAllStringSubmatch(string(text), -1) {
+			n++
+			if !items[m[1]] {
+				t.Errorf("%s cites %q: ROADMAP.md has no direction %s", doc, m[0], m[1])
+			} else if m[3] != "" && !items[m[2]+"("+m[3]+")"] {
+				t.Errorf("%s cites %q: ROADMAP.md's direction %s has no item (%s)", doc, m[0], m[2], m[3])
+			}
+		}
+	}
+	if n == 0 || len(items) == 0 {
+		t.Errorf("%d ROADMAP citations against %d directions and items: a pattern is broken", n, len(items))
 	}
 }
 
