@@ -100,7 +100,7 @@ func declare(fs *flag.FlagSet) (*obs.ProfileFlags, func() error) {
 	fs.StringVar(&cfg.policy, "policy", "ASB", "replacement policy: a registry name (LRU, ASB, ...) or a parameterized spec like LRU-K:4, SLRU:EA:0.25, SPATIAL:EM, ASB:A:0.3, PIN:2")
 	fs.Float64Var(&cfg.frac, "frac", experiment.LargestFrac, "buffer size as a fraction of the database")
 	fs.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "concurrent replay goroutines")
-	fs.StringVar(&cfg.pool, "pool", "async", "pool composition spec: layout[,shards=N][,wbworkers=N] with layout bare|locked|sharded|async (shards=0 or omitted = one per CPU)")
+	fs.StringVar(&cfg.pool, "pool", "async", "pool composition spec: layout[,shards=N][,wbworkers=N] with layout locked|sharded|async (shards=0 or omitted = one per CPU; bare is rejected: /metrics reads the pool under its latch)")
 	fs.DurationVar(&cfg.duration, "duration", 0, "stop after this long (0 = run until signalled)")
 	fs.IntVar(&cfg.loops, "loops", 0, "trace replays per worker (0 = unbounded)")
 	fs.IntVar(&cfg.rate, "rate", 0, "approximate total requests/second across workers (0 = unthrottled)")
@@ -154,8 +154,11 @@ func run(cfg *config) error {
 	if err != nil {
 		return err
 	}
-	if comp.Layout == buffer.LayoutBare && cfg.workers > 1 {
-		return fmt.Errorf("-pool bare is single-threaded; use -workers 1 or a locked/sharded/async layout")
+	if comp.Layout == buffer.LayoutBare {
+		// A bare engine has no latch, and /metrics reads its counters and
+		// histograms under one (Pool.View): the scraper would race the
+		// workers.
+		return fmt.Errorf("-pool bare has no latch for the /metrics scrape; use -pool locked")
 	}
 
 	// The tracer is sized by the composition's shard count before the
@@ -219,7 +222,7 @@ func run(cfg *config) error {
 	svc.AddGauge("spatialbuf_workers", "Replay worker goroutines.",
 		func() float64 { return float64(cfg.workers) })
 
-	sinks := []obs.Sink{svc.Sink()}
+	var sinks []obs.Sink
 	var async *live.AsyncSink
 	if cfg.events != "" {
 		f, err := os.Create(cfg.events)
@@ -329,11 +332,11 @@ func run(cfg *config) error {
 	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	st, c := pool.Stats(), svc.Signals().Counters
+	st := pool.Stats()
 	byReason := ""
-	c.ByReason.Each(func(reason string, n uint64) { byReason += fmt.Sprintf(" %s=%d", reason, n) })
+	st.ByReason.Each(func(reason string, n uint64) { byReason += fmt.Sprintf(" %s=%d", reason, n) })
 	fmt.Printf("bufserve: final counters: %d requests, %d hits (hit ratio %.4f), %d misses (%d coalesced), %d evictions (by reason:%s); %d adaptations (grow %d, shrink %d, hold %d), %d events dropped\n",
 		st.Requests, st.Hits, st.HitRatio(), st.Misses, st.Coalesced, st.Evictions, byReason,
-		c.Adaptations, c.AdaptGrow, c.AdaptShrink, c.AdaptHold, c.Dropped)
+		st.Adaptations(), st.AdaptGrow, st.AdaptShrink, st.AdaptHold, svc.Counters.Dropped())
 	return nil
 }

@@ -46,3 +46,21 @@ func TestRunRejectsBadNumbers(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsBarePool: a bare engine has no latch for the /metrics
+// scrape to read its counters under, so -pool bare fails run whatever
+// -workers is, naming locked as the pool to use, before the listener
+// opens.
+func TestRunRejectsBarePool(t *testing.T) {
+	for _, workers := range []string{"1", "2"} {
+		fs := flag.NewFlagSet("bufserve", flag.ContinueOnError)
+		_, run := declare(fs)
+		if err := fs.Parse([]string{"-addr", "no port", "-pool", "bare", "-workers", workers}); err != nil {
+			t.Fatal(err)
+		}
+		err := run()
+		if err == nil || !strings.Contains(err.Error(), "-pool bare") || !strings.Contains(err.Error(), "-pool locked") {
+			t.Errorf("-pool bare -workers %s: run returned %v, want an error naming -pool bare and -pool locked", workers, err)
+		}
+	}
+}

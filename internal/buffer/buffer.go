@@ -66,15 +66,20 @@ func (c AccessContext) Trace() *tracing.Active { return c.trace }
 
 // Adapt is how a policy reports an adaptation event while it serves the
 // request: the event gets the shard of the request's engine and its
-// request count, and goes to the signals and the sink that engine holds
-// now. A context no engine made discards it.
+// request count, is counted by direction in that engine's Stats and goes
+// to the sink the engine holds now. A context no engine made discards it.
 func (c AccessContext) Adapt(ev obs.AdaptEvent) {
 	e := c.engine
 	if e == nil {
 		return
 	}
-	if e.signals != nil {
-		e.signals.Adapted(ev.OldC, ev.NewC)
+	switch {
+	case ev.NewC > ev.OldC:
+		e.stats.AdaptGrow++
+	case ev.NewC < ev.OldC:
+		e.stats.AdaptShrink++
+	default:
+		e.stats.AdaptHold++
 	}
 	if e.decisions != nil {
 		ev.Shard, ev.Ref = e.shard, e.stats.Requests
@@ -223,6 +228,17 @@ type Stats struct {
 	// queue. Always a subset of Misses; zero on synchronous pools, so
 	// Misses-Coalesced equals the physical read count.
 	Coalesced uint64
+	// DeferredHits counts the hits a shared pool served without the
+	// shard latch and accounted at its next acquisition (DESIGN.md §5c);
+	// a subset of Hits, zero on a bare engine.
+	DeferredHits uint64
+	// ByReason files Evictions by the policy's reason (obs.Reason*); its
+	// counts sum to Evictions.
+	ByReason obs.EvictionsByReason
+	// AdaptGrow, AdaptShrink and AdaptHold count the policy's adaptation
+	// events — ASB's overflow hits (§4.2) — by direction of the
+	// candidate-size change.
+	AdaptGrow, AdaptShrink, AdaptHold uint64
 }
 
 // Add accumulates o into s, field by field. It is the merge operation
@@ -236,7 +252,17 @@ func (s *Stats) Add(o Stats) {
 	s.Puts += o.Puts
 	s.WriteBacks += o.WriteBacks
 	s.Coalesced += o.Coalesced
+	s.DeferredHits += o.DeferredHits
+	for i, n := range o.ByReason {
+		s.ByReason[i] += n
+	}
+	s.AdaptGrow += o.AdaptGrow
+	s.AdaptShrink += o.AdaptShrink
+	s.AdaptHold += o.AdaptHold
 }
+
+// Adaptations returns the adaptation events of every direction.
+func (s Stats) Adaptations() uint64 { return s.AdaptGrow + s.AdaptShrink + s.AdaptHold }
 
 // DiskReads returns the number of physical reads caused through the
 // buffer — the paper's cost metric for read-only workloads. Coalesced

@@ -46,12 +46,7 @@ type Engine struct {
 	// no consumer reads that kind, and then no such event is built.
 	sink      obs.Sink
 	decisions obs.Sink
-	// signals is this engine's block of a live service's signals, nil
-	// when no obs.SignalRegistry is attached; the engine is its only
-	// writer. With it, startSample times one request in sampleEvery,
-	// which stands for the untimed ones before it; without it the request
-	// path reads no clock.
-	signals *obs.Signals
+	// untimed counts the requests since the last one startSample timed.
 	untimed uint64
 
 	// tracer samples request-scoped span traces; nil when tracing is
@@ -70,6 +65,13 @@ type Engine struct {
 	// fetch hands it every miss, writeOut hands it dirty pages, and put
 	// tells it that a newer version supersedes a queued one.
 	async *asyncShard
+
+	// latency and criterion are the engine's two live histograms, kept
+	// like stats and read like them (AddHistograms): request latencies in
+	// nanoseconds, one request in sampleEvery timed (startSample), and
+	// the deciding values of the evicted pages, in obs.CriterionScale
+	// units.
+	latency, criterion obs.LogHistogram
 }
 
 // NewEngine creates a bare core engine of the given capacity (in
@@ -110,18 +112,10 @@ func drop(r recycler, p, keep *page.Page) {
 // Eviction events are the engine's, for any policy; what a policy
 // reports of its own (ASB's Adapt) comes through the request's
 // AccessContext and reaches the same sink. Each consumer is called only
-// for the kinds it reads (obs.Route); each obs.SignalRegistry gets a
-// fresh Signals block of this engine's.
+// for the kinds it reads (obs.Route). What the engine counts itself —
+// Stats and the two histograms — does not depend on a sink.
 func (e *Engine) SetSink(s obs.Sink) {
-	var regs []obs.SignalRegistry
-	e.sink, e.decisions, regs = obs.Route(s)
-	e.signals, e.untimed = nil, 0
-	if len(regs) > 0 {
-		e.signals = new(obs.Signals)
-		for _, r := range regs {
-			r.Register(e.signals)
-		}
-	}
+	e.sink, e.decisions = obs.Route(s)
 }
 
 // SetTracer attaches a request-scoped span tracer to the engine. Nothing
@@ -150,6 +144,16 @@ func (e *Engine) Policy() Policy { return e.policy }
 
 // Stats returns the logical access counters.
 func (e *Engine) Stats() Stats { return e.stats }
+
+// AddHistograms adds the engine's request-latency histogram
+// (nanoseconds) to lat and its eviction-criterion histogram
+// (obs.CriterionScale units) to crit. Like Stats, it reads what the
+// request path writes: call it under the engine's serialization
+// (Pool.View).
+func (e *Engine) AddHistograms(lat, crit *obs.LogHistogram) {
+	lat.Add(&e.latency)
+	crit.Add(&e.criterion)
+}
 
 // Shards implements Pool: a bare engine is its own only shard.
 func (e *Engine) Shards() int { return 1 }
@@ -185,9 +189,8 @@ func (e *Engine) beginRequest(kind tracing.SpanKind, id page.ID, query uint64) *
 	return e.tracer.StartRequest(kind, id, query, e.shard, wait)
 }
 
-// sampleEvery is the latency-sampling interval: with a signal registry
-// attached, one request in sampleEvery is timed and stands for all of
-// them.
+// sampleEvery is the latency-sampling interval: one request in
+// sampleEvery is timed and stands for all of them.
 const sampleEvery = 64
 
 // request implements the read-path protocol for Get (pin=false) and Fix
@@ -215,16 +218,12 @@ func (e *Engine) request(kind tracing.SpanKind, id page.ID, ctx AccessContext, p
 // startSample is the one place a request learns what to record of its
 // own duration: the weight of its latency sample (0 = not timed) and,
 // unless its trace a has the clock readings already, the first one, in
-// nanoseconds of the monotonic clock (monoNow). With a signal block
-// attached a request — hit, miss or Put — is timed when sampleEvery-1
-// untimed ones preceded it, or when a tracer sampled it, and stands for
-// those too: the latency count trails the requests by < sampleEvery,
-// its sum and quantiles stay consistent estimators. Must run under the
-// engine's serialization.
+// nanoseconds of the monotonic clock (monoNow). A request — hit, miss or
+// Put — is timed when sampleEvery-1 untimed ones preceded it, or when a
+// tracer sampled it, and stands for those too: the latency count trails
+// the requests by < sampleEvery, its sum and quantiles stay consistent
+// estimators. Must run under the engine's serialization.
 func (e *Engine) startSample(a *tracing.Active) (weight uint64, start int64) {
-	if e.signals == nil {
-		return 0, start
-	}
 	e.untimed++
 	if a == nil && e.untimed < sampleEvery {
 		return 0, start
@@ -245,7 +244,7 @@ var epoch = time.Now()
 // Xeon).
 func monoNow() int64 { return int64(time.Since(epoch)) }
 
-// finish closes the request's trace and publishes its latency sample;
+// finish closes the request's trace and records its latency sample;
 // the root span's duration is the sample of a traced request.
 func (e *Engine) finish(a *tracing.Active, start int64, weight uint64, hit, failed bool) {
 	var ns int64
@@ -254,8 +253,8 @@ func (e *Engine) finish(a *tracing.Active, start int64, weight uint64, hit, fail
 	} else if weight > 0 {
 		ns = monoNow() - start
 	}
-	if weight > 0 && e.signals != nil { // SetSink may detach while an async miss reads
-		e.signals.Timed(ns, weight)
+	if weight > 0 {
+		e.latency.ObserveN(ns, weight)
 	}
 }
 
@@ -449,7 +448,7 @@ func writePage(s storage.Store, a *tracing.Active, p *page.Page) error {
 // evictOne asks the policy for its choice, writes the victim out if
 // dirty, and removes it. Evictions are reported here and nowhere else:
 // the choice fills the victim-select span of a sampled request and, after
-// OnEvict, the signals and the event.
+// OnEvict, the counts by reason, the criterion histogram and the event.
 func (e *Engine) evictOne(ctx AccessContext) error {
 	a := ctx.trace
 	var span int32
@@ -487,9 +486,8 @@ func (e *Engine) evictOne(ctx AccessContext) error {
 	e.frames.Delete(v.Meta.ID)
 	e.stats.Evictions++
 	e.policy.OnEvict(v)
-	if e.signals != nil {
-		e.signals.Evicted(c.Reason, c.Win)
-	}
+	e.stats.ByReason.Add(c.Reason)
+	e.criterion.Observe(int64(c.Win*obs.CriterionScale + 0.5))
 	if e.decisions != nil {
 		e.decisions.Eviction(obs.EvictionEvent{Page: v.Meta.ID, Reason: c.Reason, Criterion: c.Win, LRURank: c.Rank, Shard: e.shard})
 	}
@@ -640,7 +638,7 @@ func (e *Engine) flush(a *tracing.Active) error {
 }
 
 // Clear evicts everything (writing back dirty pages), resets the policy
-// and zeroes the statistics. The paper clears the buffer before each query
+// and zeroes the statistics and the histograms. The paper clears the buffer before each query
 // set "in order to increase the comparability of the results" (§3).
 func (e *Engine) Clear() error {
 	if err := e.Flush(); err != nil {
@@ -658,6 +656,8 @@ func (e *Engine) Clear() error {
 	e.arena.reset()
 	e.clock = 0
 	e.stats = Stats{}
+	e.untimed = 0
+	e.latency, e.criterion = obs.LogHistogram{}, obs.LogHistogram{}
 	return nil
 }
 

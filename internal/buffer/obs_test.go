@@ -161,21 +161,14 @@ func TestLockedEngineSetSink(t *testing.T) {
 	}
 }
 
-// signalLog is a signal registry: it keeps the blocks engines give it
-// and merges them when read.
-type signalLog struct {
-	obs.NopSink
-	blocks []*obs.Signals
-}
-
-func (l *signalLog) Register(b *obs.Signals) { l.blocks = append(l.blocks, b) }
-
-func (l *signalLog) read() obs.SignalSnapshot {
-	var m obs.SignalSnapshot
-	for _, b := range l.blocks {
-		m.Add(b)
+// latencyCount returns the requests the pool's latency histograms stand
+// for, read through Pool.View as the live service reads them.
+func latencyCount(pool Pool) uint64 {
+	var lat, crit obs.LogHistogram
+	for i := range pool.Shards() {
+		pool.View(i, func(e *Engine) { e.AddHistograms(&lat, &crit) })
 	}
-	return m
+	return lat.Count
 }
 
 // shardMates returns n page IDs from 1 up that the pool serves on the
@@ -191,8 +184,8 @@ func shardMates(pool Pool, n int) []page.ID {
 }
 
 // TestEngineTimesRequestsForLatencySinks asserts the timing contract on
-// every layout: when (and only when) a signal registry is attached, one
-// request in sampleEvery — hit, miss or Put alike — publishes one sample
+// every layout, with no sink attached: one request in sampleEvery — hit,
+// miss or Put alike — records one sample
 // standing for itself and the untimed ones before it, so after n
 // requests and puts on one shard the latency count is n rounded down to
 // a multiple of sampleEvery, and it moves only at those multiples.
@@ -211,11 +204,6 @@ func TestEngineTimesRequestsForLatencySinks(t *testing.T) {
 			if cl, ok := pool.(interface{ Close() error }); ok {
 				defer cl.Close()
 			}
-			log := &signalLog{}
-			pool.SetSink(log)
-			if len(log.blocks) != pool.Shards() {
-				t.Fatalf("%d blocks registered by %d shards", len(log.blocks), pool.Shards())
-			}
 			get := func(id page.ID) {
 				t.Helper()
 				if _, err := pool.Get(id, AccessContext{}); err != nil {
@@ -224,7 +212,7 @@ func TestEngineTimesRequestsForLatencySinks(t *testing.T) {
 			}
 			check := func(when string, count uint64) {
 				t.Helper()
-				if got := log.read().Latency.Count; got != count {
+				if got := latencyCount(pool); got != count {
 					t.Fatalf("%s: latency count %d, want %d", when, got, count)
 				}
 			}
@@ -256,34 +244,14 @@ func TestEngineTimesRequestsForLatencySinks(t *testing.T) {
 			}
 			check("at the second timed request, a Put", 2*sampleEvery)
 
-			pool.SetSink(nil) // detaching stops misses and hits alike
-			get(ids[0] + 20)
-			for i := 0; i < sampleEvery; i++ {
-				get(ids[0])
-			}
-			check("after detaching", 2*sampleEvery)
 		})
-	}
-
-	// A sink with no signal registry leaves the engine without a block —
-	// the only thing that makes it read the clock for a request.
-	e, err := NewEngine(newStore(t, 1), newTestPolicy(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []obs.Sink{&recordingSink{}, obs.NopSink{}, nil} {
-		e.SetSink(&signalLog{})
-		e.SetSink(s)
-		if e.signals != nil {
-			t.Errorf("sink %T left a signal block attached", s)
-		}
 	}
 }
 
 // TestDetachDuringAsyncMiss: a request timed when it entered may finish
-// after SetSink(nil) took the engine's signal block away — an async
-// leader reads outside the latch, where a detach can run — and then
-// records nothing instead of failing.
+// after SetSink(nil) — an async leader reads outside the latch, where a
+// detach can run — and then still records its one sample, since the
+// engine keeps its signals whatever sink is attached.
 func TestDetachDuringAsyncMiss(t *testing.T) {
 	const target = page.ID(3)
 	gs := &gatedStore{Store: newStore(t, 8), gate: make(chan struct{}), only: target}
@@ -293,8 +261,8 @@ func TestDetachDuringAsyncMiss(t *testing.T) {
 	}
 	defer pool.Close()
 	pool.SetTracer(tracing.NewTracer(1, 2, 16)) // every request traced, so timed
-	log := &signalLog{}
-	pool.SetSink(log)
+	rec := &recordingSink{}
+	pool.SetSink(rec)
 	done := make(chan error)
 	go func() {
 		_, err := pool.Get(target, AccessContext{})
@@ -308,8 +276,11 @@ func TestDetachDuringAsyncMiss(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if got := log.read().Latency.Count; got != 0 {
-		t.Errorf("a request finished after the detach recorded %d samples", got)
+	if got := latencyCount(pool); got != 1 {
+		t.Errorf("a request finished after the detach recorded %d samples, want 1", got)
+	}
+	if len(rec.requests) != 0 {
+		t.Errorf("the detached sink got %d request events", len(rec.requests))
 	}
 }
 
@@ -337,36 +308,24 @@ func TestRequestHitPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineGetHit measures the hit path with and without a signal
-// registry attached; run with -benchmem to see the 0 allocs/op.
+// BenchmarkEngineGetHit measures the hit path, which counts the live
+// signals whatever is attached; run with -benchmem to see the 0
+// allocs/op.
 func BenchmarkEngineGetHit(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		sink obs.Sink
-	}{
-		{"nop-sink", nil},
-		{"signals", &signalLog{}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			s := newStore(b, 1)
-			m, err := NewEngine(s, newTestPolicy(), 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if cfg.sink != nil {
-				m.SetSink(cfg.sink)
-			}
-			ctx := AccessContext{QueryID: 1}
-			if _, err := m.Get(1, ctx); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Get(1, ctx); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	s := newStore(b, 1)
+	m, err := NewEngine(s, newTestPolicy(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := AccessContext{QueryID: 1}
+	if _, err := m.Get(1, ctx); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Get(1, ctx); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

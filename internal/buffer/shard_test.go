@@ -16,15 +16,32 @@ import (
 // testFactory builds a fresh testPolicy per shard.
 func testFactory(int) Policy { return newTestPolicy() }
 
-// randomStats returns a Stats with a random value in every counter
-// field. Reflection, not a literal: a field added to Stats is exercised
-// here automatically, so the Add/merge property test below cannot
-// silently skip it (as a hand-written literal once did for Coalesced).
+// counters returns every counter of the Stats s points to: each uint64
+// field, and each slot of an array field (ByReason).
+func counters(s *Stats) []reflect.Value {
+	var out []reflect.Value
+	v := reflect.ValueOf(s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if f.Kind() != reflect.Array {
+			out = append(out, f)
+			continue
+		}
+		for j := 0; j < f.Len(); j++ {
+			out = append(out, f.Index(j))
+		}
+	}
+	return out
+}
+
+// randomStats returns a Stats with a random value in every counter.
+// Reflection, not a literal: a field added to Stats is exercised here
+// automatically, so the Add/merge property test below cannot silently
+// skip it (as a hand-written literal once did for Coalesced).
 func randomStats(rng *rand.Rand) Stats {
 	var s Stats
-	v := reflect.ValueOf(&s).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		v.Field(i).SetUint(rng.Uint64() >> 40)
+	for _, c := range counters(&s) {
+		c.SetUint(rng.Uint64() >> 40)
 	}
 	return s
 }
@@ -33,13 +50,14 @@ func randomStats(rng *rand.Rand) Stats {
 // Stats is fine — but this failing reminds you to extend Add, the
 // JSONL/Counters exporters and the merge tests along with it.
 func TestStatsFieldSet(t *testing.T) {
-	want := []string{"Requests", "Hits", "Misses", "Evictions", "Puts", "WriteBacks", "Coalesced"}
+	want := []string{"Requests", "Hits", "Misses", "Evictions", "Puts", "WriteBacks", "Coalesced",
+		"DeferredHits", "ByReason", "AdaptGrow", "AdaptShrink", "AdaptHold"}
 	typ := reflect.TypeOf(Stats{})
 	var got []string
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
-		if f.Type.Kind() != reflect.Uint64 {
-			t.Errorf("Stats.%s is %s, want uint64 (Add sums every field)", f.Name, f.Type)
+		if k := f.Type.Kind(); k != reflect.Uint64 && (k != reflect.Array || f.Type.Elem().Kind() != reflect.Uint64) {
+			t.Errorf("Stats.%s is %s, want uint64 or an array of them (Add sums every counter)", f.Name, f.Type)
 		}
 		got = append(got, f.Name)
 	}
@@ -65,11 +83,10 @@ func TestStatsAddProperty(t *testing.T) {
 			merged.Add(p)
 		}
 		var want Stats
-		wv := reflect.ValueOf(&want).Elem()
+		wc := counters(&want)
 		for _, p := range parts {
-			pv := reflect.ValueOf(p)
-			for i := 0; i < wv.NumField(); i++ {
-				wv.Field(i).SetUint(wv.Field(i).Uint() + pv.Field(i).Uint())
+			for i, c := range counters(&p) {
+				wc[i].SetUint(wc[i].Uint() + c.Uint())
 			}
 		}
 		if merged != want {

@@ -153,7 +153,8 @@ func (l *shard) drain() {
 
 // replay accounts one hit served without the mutex as Engine.request
 // would have: latency sample (one in sampleEvery, timing the replay),
-// clock, counters, event, OnHit, LastUse; no tracer samples it. If the
+// clock, counters, event, OnHit, LastUse; no tracer samples it. It also
+// counts the hit in Stats.DeferredHits. If the
 // request that held the mutex meanwhile evicted the page, the hit still
 // counts and reports, but there is no frame for the policy to touch.
 func (l *shard) replay(p *page.Page, ctx AccessContext) {
@@ -164,6 +165,7 @@ func (l *shard) replay(p *page.Page, ctx AccessContext) {
 	} else {
 		e.countHit(&p.Meta, ctx)
 	}
+	e.stats.DeferredHits++
 	e.finish(nil, start, weight, true, false)
 }
 
@@ -460,8 +462,7 @@ func (s *Shared) Len() int {
 }
 
 // SetSink attaches one observability sink to every shard; each shard's
-// engine stamps its index on what it emits, and gives a signal registry
-// (the live service's sink) a block of its own. The sink receives events
+// engine stamps its index on what it emits. The sink receives events
 // from all shards concurrently and must be safe for concurrent use (the
 // async ring is). A nil sink detaches.
 func (s *Shared) SetSink(sink obs.Sink) {

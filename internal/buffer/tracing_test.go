@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/obs/tracing"
 	"repro/internal/page"
 )
@@ -374,8 +375,11 @@ func TestTracedRequestIsItsOwnLatencySample(t *testing.T) {
 	}
 	tr := tracing.NewTracer(1, 1, 16)
 	e.SetTracer(tr)
-	log := &signalLog{}
-	e.SetSink(log)
+	lat := func() *obs.LogHistogram {
+		var lat, crit obs.LogHistogram
+		e.AddHistograms(&lat, &crit)
+		return &lat
+	}
 	pg, err := s.Read(3)
 	if err != nil {
 		t.Fatal(err)
@@ -389,14 +393,14 @@ func TestTracedRequestIsItsOwnLatencySample(t *testing.T) {
 	}
 	var nanos []float64 // each request's latency sample
 	for _, req := range requests {
-		before := log.read().Latency.Sum
+		before := lat().Sum
 		if err := req(); err != nil {
 			t.Fatal(err)
 		}
-		nanos = append(nanos, log.read().Latency.Sum-before)
+		nanos = append(nanos, lat().Sum-before)
 	}
 	traces := tr.Traces(0)
-	if lat := log.read().Latency; len(traces) != 5 || lat.Count != 5 {
+	if lat := lat(); len(traces) != 5 || lat.Count != 5 {
 		t.Fatalf("%d traces, latency count %d, want 5 of each", len(traces), lat.Count)
 	}
 	for i, trc := range traces {

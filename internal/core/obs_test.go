@@ -65,11 +65,15 @@ func TestSteadyStateEvictionAllocsUnchangedBySink(t *testing.T) {
 }
 
 // TestInstrumentedPoliciesEmitEvictionEvents replays a miss-heavy access
-// pattern through every named policy on every pool layout and checks
-// that each eviction the engine counted was reported exactly once, with
-// the policy's own reason tag, and reached the live service's merged
-// signals under that reason — its per-reason counts sum to
-// Stats.Evictions.
+// pattern, then a hot set with a cycling tail and a few Puts, through
+// every named policy on every pool layout, from one goroutine, and
+// checks the count identities of the signals the engines keep: each
+// eviction the engine counted was reported exactly once, with the
+// policy's own reason tag, and filed under that reason in Stats, whose
+// per-reason counts sum to Stats.Evictions; the adaptations by direction
+// sum to the Adapt events a recording sink saw and to ASB's own count;
+// the latency histograms stand for the requests and puts, less at most
+// sampleEvery−1 per engine; and no hit was deferred.
 func TestInstrumentedPoliciesEmitEvictionEvents(t *testing.T) {
 	specs := make([]pageSpec, 20)
 	for i := range specs {
@@ -89,22 +93,37 @@ func TestInstrumentedPoliciesEmitEvictionEvents(t *testing.T) {
 		t.Run(f.Name, func(t *testing.T) {
 			for _, layout := range []string{"bare", "locked", "sharded,shards=2", "async,shards=2"} {
 				t.Run(layout, func(t *testing.T) {
-					pool := buildComposition(t, layout, buildStore(t, specs), f, 4)
+					store := buildStore(t, specs)
+					pool := buildComposition(t, layout, store, f, 4)
 					defer closePool(t, pool)
 					rec := &evictionRecorder{}
-					svc := live.NewService()
-					pool.SetSink(obs.Tee(rec, svc.Sink()))
-					for i := 0; i < 60; i++ {
-						if _, err := pool.Get(page.ID(i%20+1), buffer.AccessContext{QueryID: uint64(i)}); err != nil {
+					pool.SetSink(obs.Tee(rec, live.NewService().Sink()))
+					for i := 0; i < 400; i++ {
+						id := page.ID(i%20 + 1)
+						if i >= 60 && i%3 != 0 {
+							id = page.ID(1 + (i*7)%5) // a hot set, so ASB's overflow hits adapt
+						}
+						ctx := buffer.AccessContext{QueryID: uint64(i / 4)}
+						if i%50 == 49 {
+							pg, err := store.Read(id)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if err := pool.Put(pg, ctx); err != nil {
+								t.Fatal(err)
+							}
+							continue
+						}
+						if _, err := pool.Get(id, ctx); err != nil {
 							t.Fatal(err)
 						}
 					}
-					evictions := pool.Stats().Evictions
-					if evictions == 0 {
+					st := pool.Stats()
+					if st.Evictions == 0 {
 						t.Fatal("replay evicted nothing")
 					}
-					if uint64(len(rec.events)) != evictions {
-						t.Errorf("%d events for %d evictions", len(rec.events), evictions)
+					if uint64(len(rec.events)) != st.Evictions {
+						t.Errorf("%d events for %d evictions", len(rec.events), st.Evictions)
 					}
 					for _, e := range rec.events {
 						if !slices.Contains(reasons[f.Name], e.Reason) {
@@ -112,14 +131,43 @@ func TestInstrumentedPoliciesEmitEvictionEvents(t *testing.T) {
 						}
 					}
 					filed := uint64(0)
-					svc.Signals().Counters.ByReason.Each(func(reason string, n uint64) {
+					st.ByReason.Each(func(reason string, n uint64) {
 						filed += n
 						if !slices.Contains(reasons[f.Name], reason) {
-							t.Errorf("counters filed %d evictions under %q", n, reason)
+							t.Errorf("Stats filed %d evictions under %q", n, reason)
 						}
 					})
-					if filed != evictions {
-						t.Errorf("counters filed %d evictions by reason, Stats.Evictions = %d", filed, evictions)
+					if filed != st.Evictions {
+						t.Errorf("Stats filed %d evictions by reason, Stats.Evictions = %d", filed, st.Evictions)
+					}
+
+					adaptations, timed := uint64(0), uint64(0)
+					for i := range pool.Shards() {
+						pool.View(i, func(e *buffer.Engine) {
+							if asb, ok := e.Policy().(*core.ASB); ok {
+								adaptations += asb.Adaptations()
+							}
+							var lat, crit obs.LogHistogram
+							e.AddHistograms(&lat, &crit)
+							timed += lat.Count
+							if crit.Count != e.Stats().Evictions {
+								t.Errorf("shard %d: %d criteria for %d evictions", i, crit.Count, e.Stats().Evictions)
+							}
+						})
+					}
+					if f.Name == "ASB" && adaptations == 0 {
+						t.Error("no adaptation event: the hot set was meant to move c")
+					}
+					if st.Adaptations() != uint64(rec.adapts) || st.Adaptations() != adaptations {
+						t.Errorf("Stats count %d adaptations (grow %d, shrink %d, hold %d), the sink saw %d, ASB counted %d",
+							st.Adaptations(), st.AdaptGrow, st.AdaptShrink, st.AdaptHold, rec.adapts, adaptations)
+					}
+					served := st.Requests + st.Puts
+					if timed > served || served-timed > 63*uint64(pool.Shards()) {
+						t.Errorf("latency count %d for %d requests and puts on %d engines", timed, served, pool.Shards())
+					}
+					if st.DeferredHits != 0 {
+						t.Errorf("one goroutine deferred %d hits", st.DeferredHits)
 					}
 				})
 			}
@@ -162,6 +210,8 @@ func TestASBEvictionReasons(t *testing.T) {
 type evictionRecorder struct {
 	obs.NopSink
 	events []obs.EvictionEvent
+	adapts int
 }
 
 func (r *evictionRecorder) Eviction(e obs.EvictionEvent) { r.events = append(r.events, e) }
+func (r *evictionRecorder) Adapt(obs.AdaptEvent)         { r.adapts++ }

@@ -498,14 +498,17 @@ func (p *refASB) OnHit(f *buffer.Frame, now uint64, ctx buffer.AccessContext) {
 		p.main.MoveToFront(aux.elem)
 		return
 	}
-	p.adapt(f, aux)
+	p.adapt(f, aux, ctx)
 	p.over.Remove(aux.elem)
 	aux.inOver = false
 	aux.elem = p.main.PushFront(f)
 	p.rebalance()
 }
 
-func (p *refASB) adapt(f *buffer.Frame, aux *refASBAux) {
+// adapt applies the §4.2 rule and reports the overflow hit as ASB does,
+// so the engine's adaptation counts by direction can be compared too.
+func (p *refASB) adapt(f *buffer.Frame, aux *refASBAux, ctx buffer.AccessContext) {
+	old := p.cand
 	betterSpatial, betterLRU := 0, 0
 	for e := p.over.Front(); e != nil; e = e.Next() {
 		q := e.Value.(*buffer.Frame)
@@ -529,6 +532,7 @@ func (p *refASB) adapt(f *buffer.Frame, aux *refASBAux) {
 	case betterLRU > betterSpatial+margin:
 		p.cand = refClamp(p.cand+p.step, 1, p.mainCap)
 	}
+	ctx.Adapt(obs.AdaptEvent{Page: f.Meta.ID, BetterSpatial: betterSpatial, BetterLRU: betterLRU, OldC: old, NewC: p.cand})
 }
 
 func (p *refASB) rebalance() {
@@ -715,7 +719,7 @@ func (p *refPinLevels) Victim(ctx buffer.AccessContext) buffer.Choice {
 		if f.Pinned() {
 			continue
 		}
-		c := buffer.Choice{Frame: f, Reason: obs.ReasonLRU, Rank: rank}
+		c := buffer.Choice{Frame: f, Reason: obs.ReasonPriority, Rank: rank}
 		if f.Meta.Level < p.minLevel {
 			return c
 		}

@@ -1,48 +1,41 @@
 package obs
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
-// snapshot returns a point-in-time copy of the counters.
-func (c *Counters) snapshot() Snapshot {
-	var s Snapshot
-	c.addTo(&s)
-	return s
+// TestCountersAggregate: evictions land in their reason's slot (an
+// unknown reason in "other") and Each names them back in slot order;
+// drops accumulate in Counters.
+func TestCountersAggregate(t *testing.T) {
+	var e EvictionsByReason
+	e.Add(ReasonSLRU)
+	e.Add(ReasonASBOverflow)
+	e.Add(ReasonASBOverflow)
+	e.Add("made-up")
+	var want EvictionsByReason
+	want[reasonSlotSLRU], want[reasonSlotASBOverflow], want[reasonSlotOther] = 1, 2, 1
+	if e != want {
+		t.Errorf("counts = %v, want %v", e, want)
+	}
+	var got []string
+	e.Each(func(reason string, n uint64) { got = append(got, reason) })
+	if len(got) != 3 || got[0] != ReasonSLRU || got[1] != ReasonASBOverflow || got[2] != "other" {
+		t.Errorf("Each named %v, want slru, asb-overflow, other", got)
+	}
+
+	var c Counters
+	c.AddDropped(4)
+	c.AddDropped(1)
+	if c.Dropped() != 5 {
+		t.Errorf("dropped = %d, want 5", c.Dropped())
+	}
 }
 
-// TestCountersSnapshotPopulatesEveryField records one decision of each
-// kind Counters counts (and ring drops) and checks by reflection that no
-// Snapshot field stays zero — a field added to Snapshot but never wired
-// to a recorder or accumulator fails here.
-func TestCountersSnapshotPopulatesEveryField(t *testing.T) {
-	var c Counters
-	c.evicted(ReasonSLRU)
-	c.adapted(1, 2)
-	c.adapted(2, 1)
-	c.adapted(1, 1)
-	c.AddDropped(5)
-
-	snap := c.snapshot()
-	v := reflect.ValueOf(snap)
-	for i := 0; i < v.NumField(); i++ {
-		name := v.Type().Field(i).Name
-		switch f := v.Field(i); f.Kind() {
-		case reflect.Uint64:
-			if f.Uint() == 0 {
-				t.Errorf("Snapshot.%s = 0 after an event mix covering every kind", name)
-			}
-		case reflect.Array: // ByReason
-			nonzero := false
-			for j := 0; j < f.Len(); j++ {
-				nonzero = nonzero || f.Index(j).Uint() != 0
-			}
-			if !nonzero {
-				t.Errorf("Snapshot.%s has no nonzero slot", name)
-			}
-		default:
-			t.Errorf("Snapshot.%s has unexpected kind %s — extend this test", name, f.Kind())
+// TestEveryReasonHasASlot: every named reason has a slot of its own,
+// which Each labels with that reason, so no reason counts as "other".
+func TestEveryReasonHasASlot(t *testing.T) {
+	for i, name := range reasonSlotNames[:reasonSlotOther] {
+		if got := reasonSlot(name); got != i {
+			t.Errorf("reason %q files into slot %d, its label is slot %d's", name, got, i)
 		}
 	}
 }

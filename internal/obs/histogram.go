@@ -1,30 +1,35 @@
 package obs
 
-import (
-	"math"
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
-// histogram is a log-linear histogram for non-negative int64 values
-// (request latencies in nanoseconds, fixed-point criterion values) with
-// one writer and any number of readers. Recording is a load and a store
-// to a bucket and to the sum — no read-modify-write, cheap enough to sit
-// on the request path of a live buffer — and snapshots are mergeable, so
-// the histograms of several engines are summed at scrape time.
+// CriterionScale converts the float64 eviction criterion into the
+// fixed-point int64 domain of the criterion histogram: nano-units.
+// Quantiles keep the histogram's 12.5 % bound for criteria from 8e-9
+// (8 units) up to 9.2e9 (the int64 limit); the sum is a float and does
+// not wrap.
+const CriterionScale = 1e9
+
+// LogHistogram is a log-linear histogram for non-negative int64 values
+// (request latencies in nanoseconds, fixed-point criterion values). It
+// is a plain value with one writer: an engine keeps two, beside its
+// Stats, and they are read, like Stats, under the engine's
+// serialization. Histograms merge by Add, so the histograms of several
+// engines are summed at scrape time.
 //
 // Bucketing follows the HDR scheme: values below histSub land in exact
 // unit buckets; above that, each power-of-two octave is split into
 // histSub linear sub-buckets, bounding the relative quantile error by
 // 1/histSub (12.5%). The bucket layout is fixed at compile time, so two
-// snapshots are always structurally compatible. The zero value is ready
+// histograms are always structurally compatible. The zero value is ready
 // to use.
-type histogram struct {
-	// sum holds the bits of the float64 sum of the recorded values. A
-	// float cannot wrap where an int64 would: 2^63 fixed-point units are
-	// only 18 447 criteria of 5e5 at nano-unit scale.
-	sum     atomic.Uint64
-	buckets [histBuckets]atomic.Uint64
+type LogHistogram struct {
+	// Count is the number of recorded values, the sum of the buckets.
+	Count uint64
+	// Sum is the sum of the recorded values. A float cannot wrap where an
+	// int64 would: 2^63 fixed-point units are only 18 447 criteria of 5e5
+	// at nano-unit scale.
+	Sum    float64
+	counts [histBuckets]uint64
 }
 
 const (
@@ -65,47 +70,33 @@ func histBucketHigh(idx int) int64 {
 	return histBucketLow(idx) + int64(1)<<(exp-histSubBits) - 1
 }
 
-// observe records one value. Negative values are clamped to 0.
-func (h *histogram) observe(v int64) { h.observeN(v, 1) }
+// Observe records one value. Negative values are clamped to 0.
+func (h *LogHistogram) Observe(v int64) { h.ObserveN(v, 1) }
 
-// observeN records n occurrences of one value (a weighted sample). Only
-// the histogram's one writer may call it.
-func (h *histogram) observeN(v int64, n uint64) {
+// ObserveN records n occurrences of one value (a weighted sample).
+func (h *LogHistogram) ObserveN(v int64, n uint64) {
 	if v < 0 {
 		v = 0
 	}
-	h.sum.Store(math.Float64bits(math.Float64frombits(h.sum.Load()) + float64(v)*float64(n)))
-	b := &h.buckets[histBucketIndex(v)]
-	b.Store(b.Load() + n)
+	h.Count += n
+	h.Sum += float64(v) * float64(n)
+	h.counts[histBucketIndex(v)] += n
 }
 
-// addTo adds the histogram's current values to s, the merge of several
-// histograms' snapshots. Under a running writer the copy is per-bucket,
-// not mutually, consistent (the expvar contract); quantiles computed
-// from it are approximate by at most the in-flight writes. Count is the
-// sum of the buckets copied, so it always equals the +Inf bucket.
-func (h *histogram) addTo(s *HistSnapshot) {
-	s.Sum += math.Float64frombits(h.sum.Load())
-	for i := range h.buckets {
-		n := h.buckets[i].Load()
-		s.counts[i] += n
-		s.Count += n
+// Add adds o's values to h.
+func (h *LogHistogram) Add(o *LogHistogram) {
+	h.Count += o.Count
+	h.Sum += o.Sum
+	for i, n := range o.counts {
+		h.counts[i] += n
 	}
-}
-
-// HistSnapshot is an immutable copy of a histogram (or the sum of
-// several), safe to read from any goroutine.
-type HistSnapshot struct {
-	Count  uint64
-	Sum    float64
-	counts [histBuckets]uint64
 }
 
 // Quantile returns an estimate of the q-quantile (q in [0,1]) of the
 // recorded values, interpolating linearly within the matched bucket.
-// Returns 0 for an empty snapshot.
-func (s HistSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
+// Returns 0 for an empty histogram.
+func (h *LogHistogram) Quantile(q float64) float64 {
+	if h.Count == 0 {
 		return 0
 	}
 	if q < 0 {
@@ -114,12 +105,12 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	target := q * float64(s.Count)
+	target := q * float64(h.Count)
 	if target < 1 {
 		target = 1
 	}
 	cum := uint64(0)
-	for i, c := range s.counts {
+	for i, c := range h.counts {
 		if c == 0 {
 			continue
 		}
@@ -130,26 +121,19 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 		}
 		cum += c
 	}
-	// Unreachable unless the snapshot is torn; fall back to the largest
-	// occupied bucket's upper edge.
-	for i := histBuckets - 1; i >= 0; i-- {
-		if s.counts[i] > 0 {
-			return float64(histBucketHigh(i))
-		}
-	}
-	return 0
+	return 0 // unreachable: Count is the sum of the buckets
 }
 
 // CountAtMost returns how many recorded values are certainly ≤ v: the
 // total count of buckets whose upper edge does not exceed v. Values in
 // the bucket straddling v are excluded, so cumulative counts derived
 // from a bound ladder stay monotone (the Prometheus histogram contract).
-func (s HistSnapshot) CountAtMost(v int64) uint64 {
+func (h *LogHistogram) CountAtMost(v int64) uint64 {
 	if v < 0 {
 		return 0
 	}
 	cum := uint64(0)
-	for i, c := range s.counts {
+	for i, c := range h.counts {
 		if c == 0 {
 			continue
 		}

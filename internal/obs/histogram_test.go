@@ -2,17 +2,8 @@ package obs
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
-
-// snapshot returns a point-in-time copy of the histogram.
-func (h *histogram) snapshot() HistSnapshot {
-	var s HistSnapshot
-	h.addTo(&s)
-	return s
-}
 
 func TestHistBucketLayout(t *testing.T) {
 	// Buckets must tile the value space contiguously: every value maps to
@@ -40,13 +31,13 @@ func TestHistBucketLayout(t *testing.T) {
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	var h histogram
+	var h LogHistogram
 	// 1000 values 1..1000: quantiles are known up to the 12.5% bucket
 	// resolution.
 	for v := int64(1); v <= 1000; v++ {
-		h.observe(v)
+		h.Observe(v)
 	}
-	s := h.snapshot()
+	s := &h
 	if s.Count != 1000 || s.Sum != 500500 {
 		t.Fatalf("count/sum = %d/%g", s.Count, s.Sum)
 	}
@@ -78,13 +69,12 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 func TestHistogramEmptyAndNegative(t *testing.T) {
-	var h histogram
-	s := h.snapshot()
-	if s.Quantile(0.5) != 0 {
-		t.Error("empty snapshot should report zeros")
+	var h LogHistogram
+	if h.Quantile(0.5) != 0 {
+		t.Error("empty histogram should report zeros")
 	}
-	h.observe(-5) // clamped to 0
-	if got := h.snapshot().Quantile(0.5); got != 0 {
+	h.Observe(-5) // clamped to 0
+	if got := h.Quantile(0.5); got != 0 {
 		t.Errorf("negative observation quantile = %f, want 0", got)
 	}
 }
@@ -92,21 +82,21 @@ func TestHistogramEmptyAndNegative(t *testing.T) {
 // TestHistogramObserveN: a weighted observation is indistinguishable from
 // that many single ones — count, sum, bucket and quantiles.
 func TestHistogramObserveN(t *testing.T) {
-	var weighted, single histogram
+	var weighted, single LogHistogram
 	for _, o := range []struct {
 		v int64
 		n uint64
 	}{{100, 64}, {5000, 1}, {100, 64}, {90000, 3}, {-7, 2}, {100, 0}} {
-		weighted.observeN(o.v, o.n)
+		weighted.ObserveN(o.v, o.n)
 		for i := uint64(0); i < o.n; i++ {
-			single.observe(o.v)
+			single.Observe(o.v)
 		}
 	}
-	w, s := weighted.snapshot(), single.snapshot()
-	if w != s {
-		t.Fatalf("weighted snapshot differs from the one-by-one snapshot:\n%+v\n%+v", w, s)
+	w := &weighted
+	if weighted != single {
+		t.Fatalf("weighted histogram differs from the one-by-one histogram:\n%+v\n%+v", weighted, single)
 	}
-	if w.Count != 134 || w.Sum != 128*100+5000+3*90000 || weighted.snapshot().Count != 134 {
+	if w.Count != 134 || w.Sum != 128*100+5000+3*90000 {
 		t.Errorf("count/sum = %d/%g, want 134/%d", w.Count, w.Sum, 128*100+5000+3*90000)
 	}
 	if got := w.CountAtMost(histBucketHigh(histBucketIndex(100))); got != 130 {
@@ -124,86 +114,32 @@ func TestHistogramObserveN(t *testing.T) {
 	}
 }
 
-// TestHistogramConcurrent: the histogram has one writer, and readers
-// snapshot it while it writes (race-free under -race). Every snapshot
-// counts no more than was written and no less than an earlier one, and
-// the final one counts every value.
-func TestHistogramConcurrent(t *testing.T) {
-	var h histogram
-	const readers, values = 4, 80000
-	var written atomic.Uint64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			last := uint64(0)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				s := h.snapshot()
-				if s.Count < last || s.Count > written.Load() {
-					t.Errorf("snapshot count %d after %d, with %d written", s.Count, last, written.Load())
-					return
-				}
-				last = s.Count
-			}
-		}()
+// TestLogHistogramMerges: Add sums two histograms bucket by bucket —
+// count, sum, quantiles and cumulative counts are those of one histogram
+// that recorded both value sets — and adding an empty one changes
+// nothing.
+func TestLogHistogramMerges(t *testing.T) {
+	var a, b, both LogHistogram
+	for v := int64(1); v <= 300; v++ {
+		a.Observe(v)
+		both.Observe(v)
 	}
-	for i := 0; i < values; i++ {
-		written.Add(1) // before the value, so no snapshot counts more
-		h.observe(int64(i))
-	}
-	close(stop)
-	wg.Wait()
-	s := h.snapshot()
-	if s.Count != values {
-		t.Errorf("count = %d, want %d", s.Count, values)
-	}
-	total := s.CountAtMost(math.MaxInt64)
-	if total != values {
-		t.Errorf("bucket sum = %d, want %d", total, values)
-	}
-}
+	b.ObserveN(1000, 63)
+	b.Observe(5e5)
+	both.ObserveN(1000, 63)
+	both.Observe(5e5)
 
-// TestSignalSnapshotMerges: a block's recorders reach its snapshot —
-// Timed as a weighted latency sample, Evicted as a reason and a
-// fixed-point criterion, Adapted as a direction — and the merge of two
-// blocks and a Counters of drops is their sum.
-func TestSignalSnapshotMerges(t *testing.T) {
-	var a, b Signals
-	a.Timed(42, 1)
-	b.Timed(1000, 63)
-	a.Evicted(ReasonSLRU, 0.5)
-	b.Evicted(ReasonSLRU, 2)
-	b.Evicted(ReasonLRU, 0)
-	a.Adapted(3, 4)
-	b.Adapted(4, 4)
-	var drops Counters
-	drops.AddDropped(7)
-
-	var one SignalSnapshot
-	one.Add(&a)
-	if one.Latency.Count != 1 || one.Latency.Sum != 42 {
-		t.Errorf("Timed(42, 1): latency count %d sum %g, want 1 and 42", one.Latency.Count, one.Latency.Sum)
-	}
-	var m SignalSnapshot
-	m.AddCounters(&drops)
+	var m LogHistogram
 	m.Add(&a)
+	m.Add(&LogHistogram{})
 	m.Add(&b)
-	want := Snapshot{Adaptations: 2, AdaptGrow: 1, AdaptHold: 1, Dropped: 7}
-	want.ByReason[reasonSlotSLRU], want.ByReason[reasonSlotLRU] = 2, 1
-	if m.Counters != want {
-		t.Errorf("merged counters %+v, want %+v", m.Counters, want)
+	if m != both {
+		t.Fatalf("merge differs from the histogram of both value sets")
 	}
-	if m.Latency.Count != 64 || m.Latency.Sum != 42+63*1000 {
-		t.Errorf("merged latency count %d sum %g, want 64 and %d", m.Latency.Count, m.Latency.Sum, 42+63*1000)
+	if m.Count != 364 || m.Sum != 300*301/2+63*1000+5e5 {
+		t.Errorf("merged count %d sum %g, want 364 and %g", m.Count, m.Sum, 300*301/2+63*1000+5e5)
 	}
-	if m.Criterion.Count != 3 || m.Criterion.Sum != 2.5*CriterionScale {
-		t.Errorf("merged criterion count %d sum %g, want 3 and %g", m.Criterion.Count, m.Criterion.Sum, 2.5*CriterionScale)
+	if got := m.CountAtMost(math.MaxInt64); got != m.Count {
+		t.Errorf("buckets hold %d values, count says %d", got, m.Count)
 	}
 }

@@ -21,8 +21,9 @@ type asbGauges interface {
 	MainCapacity() int
 }
 
-// AddPoolGauges makes pool the one the service reports on: its Stats
-// become the request counters of /metrics, and what it says about
+// AddPoolGauges makes pool the one the service reports on: its Stats and
+// its engines' histograms become the counters and histograms of
+// /metrics, and what it says about
 // itself is registered as gauges, every value read through Pool.View —
 // under the latch of the shard it belongs to, a few times a second,
 // instead of the request path publishing it:

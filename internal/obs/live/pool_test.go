@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/obs/live"
 	"repro/internal/page"
 )
@@ -39,8 +40,17 @@ func asbPool(t *testing.T, spec string) (buffer.Pool, *live.Service) {
 	}
 	svc := live.NewService()
 	svc.AddPoolGauges(pool)
-	pool.SetSink(svc.Sink())
 	return pool, svc
+}
+
+// latencyCount returns the requests the pool's latency histograms stand
+// for, read through Pool.View as the service reads them.
+func latencyCount(pool buffer.Pool) uint64 {
+	var lat, crit obs.LogHistogram
+	for i := range pool.Shards() {
+		pool.View(i, func(e *buffer.Engine) { e.AddHistograms(&lat, &crit) })
+	}
+	return lat.Count
 }
 
 // scrape serves one request for path from the service's handler.
@@ -57,7 +67,8 @@ func scrape(svc *live.Service, path string) string {
 // by hand, so the names an operator's dashboard reads did not move. Since
 // then it lost the promotions counter (an overflow hit is one adaptation)
 // and its async section gained the write-back queue's nine families,
-// which bufserve had registered by hand.
+// which bufserve had registered by hand; both sections gained the
+// deferred-hit counter.
 func TestPoolGaugeNamesGolden(t *testing.T) {
 	var got strings.Builder
 	for _, spec := range []string{"async,shards=4", "locked"} {
@@ -88,13 +99,15 @@ func TestPoolGaugeNamesGolden(t *testing.T) {
 }
 
 // TestScrapeWhileServing is the door under load: four goroutines Get on
-// an ASB pool while a fifth scrapes /metrics in a loop — every gauge
-// reads its shard through Pool.View and the counters come from
-// Pool.Stats, so the race detector has nothing to report. Once the
-// workers stop, the four request counters on /metrics equal Stats
-// exactly, each shard's candidate-size gauge equals that shard's
-// CandidateSize read through the same door, and the pool-level gauge is
-// their sum.
+// an ASB pool while a fifth scrapes /metrics in a loop — every gauge,
+// counter and histogram is read under its shard's latch through
+// Pool.View, so the race detector has nothing to report. Once the
+// workers stop, the request counters, the evictions by reason, the
+// adaptations by direction and the deferred hits on /metrics equal
+// Stats exactly, the latency count equals the engines' histograms read
+// through the same door (and trails the requests by less than 64 per
+// shard), each shard's candidate-size gauge equals that shard's
+// CandidateSize, and the pool-level gauge is their sum.
 func TestScrapeWhileServing(t *testing.T) {
 	for _, spec := range []string{"locked", "sharded,shards=4", "async,shards=4"} {
 		t.Run(spec, func(t *testing.T) { scrapeWhileServing(t, spec) })
@@ -140,23 +153,39 @@ func scrapeWhileServing(t *testing.T, spec string) {
 	close(stop)
 	scraper.Wait()
 
-	if n := svc.Signals().Counters.Adaptations; n == 0 {
-		t.Fatal("no adaptation event: the run was meant to move c")
-	}
 	body := scrape(svc, "/metrics")
 	st := pool.Stats()
 	if st.Requests != workers*perWorker {
 		t.Fatalf("stats %+v after %d requests", st, workers*perWorker)
 	}
-	for name, want := range map[string]uint64{
-		"spatialbuf_requests_total":        st.Requests,
-		"spatialbuf_hits_total":            st.Hits,
-		"spatialbuf_misses_total":          st.Misses,
-		"spatialbuf_coalesced_reads_total": st.Coalesced,
-	} {
-		if got := metricSample(t, body, name); got != want {
-			t.Errorf("%s = %d, Stats say %d", name, got, want)
+	if st.Adaptations() == 0 {
+		t.Fatal("no adaptation event: the run was meant to move c")
+	}
+	if st.DeferredHits > st.Hits {
+		t.Errorf("%d deferred hits of %d hits", st.DeferredHits, st.Hits)
+	}
+	want := map[string]uint64{
+		"spatialbuf_requests_total":                        st.Requests,
+		"spatialbuf_hits_total":                            st.Hits,
+		"spatialbuf_misses_total":                          st.Misses,
+		"spatialbuf_coalesced_reads_total":                 st.Coalesced,
+		"spatialbuf_deferred_hits_total":                   st.DeferredHits,
+		`spatialbuf_adaptations_total{direction="grow"}`:   st.AdaptGrow,
+		`spatialbuf_adaptations_total{direction="shrink"}`: st.AdaptShrink,
+		`spatialbuf_adaptations_total{direction="hold"}`:   st.AdaptHold,
+		"spatialbuf_request_latency_seconds_count":         latencyCount(pool),
+	}
+	st.ByReason.Each(func(reason string, n uint64) { want[`spatialbuf_evictions_total{reason="`+reason+`"}`] = n })
+	if len(want) < 10 {
+		t.Fatalf("no eviction filed by reason: %+v", st)
+	}
+	for name, n := range want {
+		if got := metricSample(t, body, name); got != n {
+			t.Errorf("%s = %d, the pool says %d", name, got, n)
 		}
+	}
+	if timed := want["spatialbuf_request_latency_seconds_count"]; timed > st.Requests || st.Requests-timed > 63*uint64(pool.Shards()) {
+		t.Errorf("latency count %d for %d requests on %d shards", timed, st.Requests, pool.Shards())
 	}
 	sum := uint64(0)
 	for i := 0; i < pool.Shards(); i++ {
@@ -171,82 +200,5 @@ func scrapeWhileServing(t *testing.T, spec string) {
 	}
 	if got := metricSample(t, body, "spatialbuf_asb_candidate_size"); got != sum {
 		t.Errorf("spatialbuf_asb_candidate_size = %d, the shards sum to %d", got, sum)
-	}
-}
-
-// TestOneServiceTwoPools: one service attached to a bare engine and to a
-// two-shard pool, both driven at once (two goroutines on the pool) while
-// /metrics is scraped, still counts every eviction and adaptation of the
-// three engines exactly, because each engine keeps a block of its own.
-func TestOneServiceTwoPools(t *testing.T) {
-	asb := func(c int) buffer.Policy { return core.NewASB(c, core.DefaultASBOptions()) }
-	bare, err := buffer.NewEngine(newStore(t, 256), asb(32), 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp, err := buffer.ParseComposition("sharded,shards=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := comp.Build(newStore(t, 256), asb, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := live.NewService()
-	bare.SetSink(svc.Sink())
-	pool.SetSink(svc.Sink())
-
-	drive := func(p buffer.Pool, w, n int) error {
-		for i := 0; i < n; i++ {
-			id := page.ID(1 + (i*7+w)%24) // a resident hot set and a tail
-			if i%3 == 0 {
-				id = page.ID(25 + (i/3*5+w*11)%200)
-			}
-			if _, err := p.Get(id, buffer.AccessContext{QueryID: uint64(w)<<32 | uint64(i/8)}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	stop := make(chan struct{})
-	var scraper, wg sync.WaitGroup
-	scraper.Add(1)
-	go func() {
-		defer scraper.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				scrape(svc, "/metrics")
-			}
-		}
-	}()
-	for w, p := range []buffer.Pool{bare, pool, pool} {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := drive(p, w, 20000); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	close(stop)
-	scraper.Wait()
-
-	c := svc.Signals().Counters
-	evictions := bare.Stats().Evictions + pool.Stats().Evictions
-	filed := uint64(0)
-	c.ByReason.Each(func(_ string, n uint64) { filed += n })
-	if filed != evictions {
-		t.Errorf("service filed %d evictions by reason, the engines made %d", filed, evictions)
-	}
-	adaptations := bare.Policy().(*core.ASB).Adaptations()
-	for i := range pool.Shards() {
-		pool.View(i, func(e *buffer.Engine) { adaptations += e.Policy().(*core.ASB).Adaptations() })
-	}
-	if adaptations == 0 || c.Adaptations != adaptations || c.AdaptGrow+c.AdaptShrink+c.AdaptHold != adaptations {
-		t.Errorf("service counted %+v adaptations, the engines' ASB %d", c, adaptations)
 	}
 }

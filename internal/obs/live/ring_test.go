@@ -203,9 +203,9 @@ func TestLockedEngineWithAsyncRingSink(t *testing.T) {
 
 // TestObservedHitPathZeroAllocs is the allocation gate of the observed
 // stack: an async pool carrying everything the end-to-end benchmark's
-// serve-observed workload (bufserve's defaults) attaches — the service
-// sink teed with a default shadow bank behind a default-size ring, the
-// 1-in-1024 tracer and the contention profiler — allocates nothing per
+// serve-observed workload (bufserve's defaults) attaches — a default
+// shadow bank behind a default-size ring, the 1-in-1024 tracer and the
+// contention profiler, beside the signals every engine keeps — allocates nothing per
 // resident Get, and nothing per leader miss either (a MemStore page is
 // the store's own, the flight record is recycled). A sampled trace does
 // allocate; one in 1024 rounds to zero per request. The timed-hit case
@@ -243,7 +243,7 @@ func TestObservedHitPathZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			ring := live.NewAsyncSink(bank, 0, svc.Counters.AddDropped)
-			pool.SetSink(obs.Tee(svc.Sink(), ring))
+			pool.SetSink(ring)
 			ip := pool.(interface {
 				SetTracer(*tracing.Tracer)
 				EnableContention(*tracing.Contention)
@@ -263,7 +263,7 @@ func TestObservedHitPathZeroAllocs(t *testing.T) {
 			for i := 0; i < 2*pages; i++ { // warm: admit the pages, fill the shadows
 				get()
 			}
-			before, timed := pool.Stats(), svc.Signals().Latency.Count
+			before, timed := pool.Stats(), latencyCount(pool)
 			allocs := testing.AllocsPerRun(2000, func() {
 				for range tc.per {
 					get()
@@ -275,7 +275,7 @@ func TestObservedHitPathZeroAllocs(t *testing.T) {
 				t.Fatalf("%d hits and %d misses: not the %s path alone", hits, misses, tc.name)
 			}
 			// Each shard leaves fewer than 64 requests untimed.
-			if timed = svc.Signals().Latency.Count - timed; timed+64*shards < 2000*uint64(tc.per) {
+			if timed = latencyCount(pool) - timed; timed+64*shards < 2000*uint64(tc.per) {
 				t.Errorf("latency count grew by %d over 2000 runs of %d Gets: the requests were not timed", timed, tc.per)
 			}
 			if allocs != 0 {

@@ -30,29 +30,25 @@ func (g gauge) key() string {
 	return g.Name + "{" + g.Labels + "}"
 }
 
-// Service aggregates the live metrics of one buffer stack — the request
-// counters of the pool AddPoolGauges registered, the signals of every
-// engine its sink is attached to (evictions by reason, adaptations by
-// direction, the request-latency and eviction-criterion histograms), the
-// events async rings dropped and the registered gauges — and serves them
-// over HTTP:
+// Service serves the live metrics of one buffer pool — the one
+// AddPoolGauges registered: its Stats (requests, hits, misses, coalesced
+// and deferred hits, evictions by reason, adaptations by direction), its
+// engines' request-latency and eviction-criterion histograms, the events
+// async rings dropped and the registered gauges — over HTTP:
 //
 //	/metrics  Prometheus text exposition format, the one live export
 //	/healthz  liveness probe
 //	/         minimal self-contained HTML dashboard polling /metrics
 //
-// Attach Sink() to the pool, alone or teed with event consumers. It
-// consumes no event: every engine it reaches keeps its own obs.Signals
-// block, registered here, and /metrics merges the blocks. How many
-// requests, hits, misses and evictions there were is read from the
-// pool's Stats, which the engines keep anyway.
+// It consumes no event: every engine keeps its signals itself, in plain
+// fields, and a scrape reads them under each shard's latch (Pool.View),
+// as it reads the gauges.
 type Service struct {
 	// Counters takes the events async rings drop (pass its AddDropped to
-	// live.NewAsyncSink); the engines count the rest in their blocks.
+	// live.NewAsyncSink); the engines count the rest.
 	Counters *obs.Counters
 
 	mu     sync.Mutex
-	blocks []*obs.Signals
 	gauges []gauge
 	named  map[string]bool
 	pool   buffer.Pool // set by AddPoolGauges; nil until then
@@ -63,39 +59,10 @@ func NewService() *Service {
 	return &Service{Counters: &obs.Counters{}, named: make(map[string]bool)}
 }
 
-// serviceSink is the service's attach point: an obs.SignalRegistry, which
-// Tee keeps out of its fan-out and an engine gives its Signals block. A
-// value type: attaching it costs one interface allocation once.
-type serviceSink struct {
-	obs.NopSink
-	s *Service
-}
-
-// Register implements obs.SignalRegistry.
-func (ss serviceSink) Register(b *obs.Signals) {
-	ss.s.mu.Lock()
-	ss.s.blocks = append(ss.s.blocks, b)
-	ss.s.mu.Unlock()
-}
-
-// Sink returns the service's attach point for pools (obs.Tee keeps it
-// beside event consumers). It counts only on an engine it is attached
-// to: behind a ring or a sampling sink it sees nothing.
-func (s *Service) Sink() obs.Sink { return serviceSink{s: s} }
-
-// Signals returns the merged signals of every engine the sink was
-// attached to, with the dropped events.
-func (s *Service) Signals() obs.SignalSnapshot {
-	s.mu.Lock()
-	blocks := s.blocks // appends never touch the elements already there
-	s.mu.Unlock()
-	var m obs.SignalSnapshot
-	m.AddCounters(s.Counters)
-	for _, b := range blocks {
-		m.Add(b)
-	}
-	return m
-}
+// Sink returns a NopSink: the service reads its signals from the pool,
+// not from events. It stays only for the benchmark harness, which still
+// attaches it (ROADMAP direction 3(e) moves that caller).
+func (s *Service) Sink() obs.Sink { return obs.NopSink{} }
 
 // AddGauge registers an instantaneous value for /metrics.
 // Registering a name twice replaces the earlier gauge.
@@ -129,18 +96,26 @@ type gaugeSample struct {
 	Value              float64
 }
 
-// stats returns the request counters of the pool AddPoolGauges
-// registered, zero before that. Pool.Stats takes every shard's latch,
-// which first replays the hits served latch-free (DESIGN.md §5c), so the
-// counters of an idle pool are exact.
-func (s *Service) stats() buffer.Stats {
+// signals reads what the pool AddPoolGauges registered has counted —
+// the merge of its shards' Stats and histograms, each shard under its
+// latch (Pool.View, which first replays the hits served latch-free,
+// DESIGN.md §5c, so an idle pool's counts are exact) — and zeros before
+// a pool is registered.
+func (s *Service) signals() (st buffer.Stats, lat, crit *obs.LogHistogram) {
+	lat, crit = new(obs.LogHistogram), new(obs.LogHistogram)
 	s.mu.Lock()
 	pool := s.pool
 	s.mu.Unlock()
 	if pool == nil {
-		return buffer.Stats{}
+		return st, lat, crit
 	}
-	return pool.Stats()
+	for i := range pool.Shards() {
+		pool.View(i, func(e *buffer.Engine) {
+			st.Add(e.Stats())
+			e.AddHistograms(lat, crit)
+		})
+	}
+	return st, lat, crit
 }
 
 // gaugeSnapshot copies the registered gauges under the lock and samples
@@ -197,9 +172,7 @@ var summaryQs = []float64{0.5, 0.9, 0.95, 0.99}
 
 func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	st := s.stats()
-	sig := s.Signals()
-	c, lat, crit := &sig.Counters, &sig.Latency, &sig.Criterion
+	st, lat, crit := s.signals()
 	gauges := s.gaugeSnapshot()
 
 	var b []byte
@@ -237,17 +210,19 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	count("spatialbuf_coalesced_reads_total", "", st.Coalesced)
 	metric("spatialbuf_hit_ratio", "Cumulative hit ratio.", "gauge")
 	sample("spatialbuf_hit_ratio", "", st.HitRatio())
+	metric("spatialbuf_deferred_hits_total", "Hits served without the shard latch and accounted at its next acquisition.", "counter")
+	count("spatialbuf_deferred_hits_total", "", st.DeferredHits)
 
 	metric("spatialbuf_evictions_total", "Pages evicted, by policy reason.", "counter")
-	c.ByReason.Each(func(reason string, n uint64) {
+	st.ByReason.Each(func(reason string, n uint64) {
 		count("spatialbuf_evictions_total", `reason="`+reason+`"`, n)
 	})
 	metric("spatialbuf_adaptations_total", "ASB adaptation events, by direction of the candidate-size change.", "counter")
-	count("spatialbuf_adaptations_total", `direction="grow"`, c.AdaptGrow)
-	count("spatialbuf_adaptations_total", `direction="shrink"`, c.AdaptShrink)
-	count("spatialbuf_adaptations_total", `direction="hold"`, c.AdaptHold)
+	count("spatialbuf_adaptations_total", `direction="grow"`, st.AdaptGrow)
+	count("spatialbuf_adaptations_total", `direction="shrink"`, st.AdaptShrink)
+	count("spatialbuf_adaptations_total", `direction="hold"`, st.AdaptHold)
 	metric("spatialbuf_events_dropped_total", "Observability events dropped by the async ring sink.", "counter")
-	count("spatialbuf_events_dropped_total", "", c.Dropped)
+	count("spatialbuf_events_dropped_total", "", s.Counters.Dropped())
 
 	metric("spatialbuf_request_latency_seconds", "Per-request buffer latency.", "histogram")
 	for _, bound := range latencyBounds {

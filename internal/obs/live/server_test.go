@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,46 +16,79 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/live"
+	"repro/internal/obs/tracing"
 	"repro/internal/page"
 )
 
-// block registers a signal block with the service's sink, as an engine
-// attached to it does, for the test to record into by hand.
-func block(t *testing.T, svc *live.Service) *obs.Signals {
-	t.Helper()
-	reg, ok := svc.Sink().(obs.SignalRegistry)
-	if !ok {
-		t.Fatal("service sink must be an obs.SignalRegistry")
-	}
-	b := new(obs.Signals)
-	reg.Register(b)
-	return b
+// scriptedPolicy is a FIFO whose i-th eviction carries script[i mod
+// len(script)] — a reason and a criterion — and which, if adapt is set,
+// reports one adaptation from 3 to 4 on its first hit: a known signal
+// mix for the engine to count.
+type scriptedPolicy struct {
+	frames  []*buffer.Frame
+	script  []buffer.Choice
+	evicted int
+	adapt   bool
 }
 
-// feedService registers a pool that has served ten requests, five of
-// them hits, and records a small, known signal mix into a block of the
-// service's. The sink is not attached to the pool, so the latency
-// samples are exactly the ten recorded here; the requests are the pool's
-// to count.
-func feedService(t *testing.T, svc *live.Service) {
+func (p *scriptedPolicy) Name() string { return "scripted" }
+
+func (p *scriptedPolicy) OnAdmit(f *buffer.Frame, _ uint64, _ buffer.AccessContext) {
+	p.frames = append(p.frames, f)
+}
+
+func (p *scriptedPolicy) OnHit(_ *buffer.Frame, _ uint64, ctx buffer.AccessContext) {
+	if p.adapt {
+		p.adapt = false
+		ctx.Adapt(obs.AdaptEvent{OldC: 3, NewC: 4})
+	}
+}
+
+func (p *scriptedPolicy) Victim(buffer.AccessContext) buffer.Choice {
+	c := p.script[p.evicted%len(p.script)]
+	c.Frame = p.frames[0]
+	return c
+}
+
+func (p *scriptedPolicy) OnEvict(f *buffer.Frame) {
+	p.frames = slices.DeleteFunc(p.frames, func(g *buffer.Frame) bool { return g == f })
+	p.evicted++
+}
+
+func (p *scriptedPolicy) Reset() { p.frames, p.evicted = nil, 0 }
+
+// scriptedService registers with a fresh service a locked pool of
+// frames over a scripted policy, which a tracer times every request of.
+func scriptedService(t *testing.T, pol *scriptedPolicy, pages, frames int) (*live.Service, buffer.Pool) {
 	t.Helper()
-	pool := lockedPool(t, newStore(t, 8), core.NewLRU(), 8)
+	pool := lockedPool(t, newStore(t, pages), pol, frames)
+	pool.(interface{ SetTracer(*tracing.Tracer) }).SetTracer(tracing.NewTracer(1, 1, 16))
+	svc := live.NewService()
 	svc.AddPoolGauges(pool)
-	b := block(t, svc)
+	return svc, pool
+}
+
+// feedService returns a service registered with a pool that has served
+// ten requests, five of them hits, two of its three misses evicting — under slru with
+// criterion 0.25, then under asb-overflow with 0.75 — and its first hit
+// adapting 3 → 4. Every request is traced, so each is its own latency
+// sample.
+func feedService(t *testing.T) *live.Service {
+	t.Helper()
+	pol := &scriptedPolicy{script: []buffer.Choice{
+		{Reason: obs.ReasonSLRU, Win: 0.25}, {Reason: obs.ReasonASBOverflow, Win: 0.75},
+	}, adapt: true}
+	svc, pool := scriptedService(t, pol, 8, 3)
 	for i := 0; i < 10; i++ {
 		if _, err := pool.Get(page.ID(1+i/2), buffer.AccessContext{}); err != nil { // a miss, then a hit
 			t.Fatal(err)
 		}
-		b.Timed(int64(1000*(i+1)), 1)
 	}
-	b.Evicted(obs.ReasonSLRU, 0.25)
-	b.Evicted(obs.ReasonASBOverflow, 0.75)
-	b.Adapted(3, 4)
+	return svc
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	svc := live.NewService()
-	feedService(t, svc)
+	svc := feedService(t)
 	svc.AddGauge("spatialbuf_resident_pages", "Frames in use.", func() float64 { return 7 })
 
 	ts := httptest.NewServer(svc.Handler())
@@ -84,6 +118,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`spatialbuf_evictions_total{reason="slru"} 1`,
 		`spatialbuf_evictions_total{reason="asb-overflow"} 1`,
 		`spatialbuf_adaptations_total{direction="grow"} 1`,
+		`spatialbuf_adaptations_total{direction="hold"} 0`,
+		"spatialbuf_deferred_hits_total 0",
 		"spatialbuf_events_dropped_total 0",
 		`spatialbuf_request_latency_seconds_bucket{le="+Inf"} 10`,
 		"spatialbuf_request_latency_seconds_count 10",
@@ -198,22 +234,27 @@ func TestDashboardServed(t *testing.T) {
 // the histogram's 12.5 % bound from the smallest criterion the
 // fixed-point scale resolves to the largest of DB1.
 func TestEvictionCriterionSum(t *testing.T) {
-	svc := live.NewService()
-	b := block(t, svc)
-	for i := 0; i < 20000; i++ {
-		b.Evicted(obs.ReasonSLRU, 5e5)
+	// evict serves n evictions of criterion crit: three pages cycling
+	// through two FIFO frames miss every time.
+	evict := func(crit float64, n int) *live.Service {
+		pol := &scriptedPolicy{script: []buffer.Choice{{Reason: obs.ReasonSLRU, Win: crit}}}
+		svc, pool := scriptedService(t, pol, 3, 2)
+		for i := 0; i < n+2; i++ {
+			if _, err := pool.Get(page.ID(1+i%3), buffer.AccessContext{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return svc
 	}
-	body := scrape(svc, "/metrics")
+	body := scrape(evict(5e5, 20000), "/metrics")
+	if got := metricSample(t, body, `spatialbuf_evictions_total{reason="slru"}`); got != 20000 {
+		t.Fatalf("%d evictions served, want 20000", got)
+	}
 	if got := metricFloat(t, body, "spatialbuf_eviction_criterion_sum"); math.Abs(got-1e10) > 20000*1e-9 {
 		t.Errorf("spatialbuf_eviction_criterion_sum = %g, want 1e10", got)
 	}
 	for _, crit := range []float64{8e-9, 3.3e-7, 0.0125, 526, 5e5} {
-		svc := live.NewService()
-		b := block(t, svc)
-		for i := 0; i < 100; i++ {
-			b.Evicted(obs.ReasonSLRU, crit)
-		}
-		got := metricFloat(t, scrape(svc, "/metrics"), `spatialbuf_eviction_criterion{quantile="0.5"}`)
+		got := metricFloat(t, scrape(evict(crit, 100), "/metrics"), `spatialbuf_eviction_criterion{quantile="0.5"}`)
 		if math.Abs(got-crit) > 0.125*crit {
 			t.Errorf("median of criterion %g served as %g, beyond 12.5 %%", crit, got)
 		}
@@ -236,16 +277,15 @@ func TestAddGaugeReplaces(t *testing.T) {
 	}
 }
 
-// TestLatencyCountTracksRequests drives a real engine with the service
-// sink attached through a mix of hits and misses and reads the result
-// off /metrics: the latency histogram is a weighted sample — misses one
-// by one, hits one in 64 standing for 64 — so its count trails the
-// request counter by fewer than 64 and never leads it.
+// TestLatencyCountTracksRequests drives a real engine through a mix of
+// hits and misses and reads the result off /metrics: the latency
+// histogram is a weighted sample — one request in 64, hit or miss,
+// standing for 64 — so its count trails the request counter by fewer
+// than 64 and never leads it.
 func TestLatencyCountTracksRequests(t *testing.T) {
 	svc := live.NewService()
 	pool := lockedPool(t, newStore(t, 64), core.NewASB(16, core.DefaultASBOptions()), 16)
 	svc.AddPoolGauges(pool)
-	pool.SetSink(svc.Sink())
 	for i := 0; i < 5000; i++ {
 		id := page.ID(1 + i%8) // a resident hot set …
 		if i%5 == 0 {
@@ -332,9 +372,10 @@ func (g gateSink) Request(e obs.RequestEvent) {
 // contract (DESIGN.md §5c). Two workers burst on one pool; then a request
 // finds the latch held by a second goroutine and is served latch-free, so
 // the idle pool has served one hit more than its sink has seen. A scrape
-// reads the counters through Pool.Stats — a barrier — so
-// spatialbuf_requests_total is exact without anyone touching the pool in
-// between.
+// reads the counters and histograms through Pool.View — a barrier — so
+// spatialbuf_requests_total, spatialbuf_deferred_hits_total (at least
+// the one latch-free hit, at most every hit) and the latency count are
+// exact without anyone touching the pool in between.
 func TestScrapeOfIdlePoolIsExact(t *testing.T) {
 	const workers, perWorker, hot, cold = 2, 20000, 8, 9
 	svc := live.NewService()
@@ -383,5 +424,13 @@ func TestScrapeOfIdlePoolIsExact(t *testing.T) {
 	}
 	if got := metricSample(t, body, "spatialbuf_hits_total"); got != issued-hot-1 {
 		t.Errorf("spatialbuf_hits_total = %d, want %d", got, issued-hot-1)
+	}
+	st := pool.Stats()
+	if got := metricSample(t, body, "spatialbuf_deferred_hits_total"); got != st.DeferredHits || got == 0 || got > st.Hits {
+		t.Errorf("spatialbuf_deferred_hits_total = %d, Stats say %d of %d hits, want at least the latch-free one", got, st.DeferredHits, st.Hits)
+	}
+	timed := metricSample(t, body, "spatialbuf_request_latency_seconds_count")
+	if want := latencyCount(pool); timed != want || timed > issued || issued-timed > 63 {
+		t.Errorf("spatialbuf_request_latency_seconds_count = %d, the engine's histogram %d, for %d requests", timed, want, issued)
 	}
 }

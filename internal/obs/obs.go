@@ -1,8 +1,9 @@
 // Package obs is the observability layer of the buffer system: a
 // structured event stream emitted by the buffer engine (and, for its
-// adaptation, by ASB), plus cheap aggregators (atomic counters,
-// log-bucketed histograms), exporters (JSONL, CSV c-trajectory) and
-// profiling helpers shared by the commands.
+// adaptation, by ASB), the plain aggregators the engine keeps its live
+// signals in (eviction counts by reason, log-bucketed histograms),
+// exporters (JSONL, CSV c-trajectory) and profiling helpers shared by
+// the commands.
 //
 // The design constraint is that observability must be free when unused:
 // the engine holds its sinks (nil when none or a NopSink is attached, and
@@ -11,8 +12,9 @@
 // by TestRequestHitPathZeroAllocs in package buffer). What the live
 // service exports — evictions by reason, adaptations by direction, the
 // eviction-criterion and request-latency histograms — is not fed by
-// events at all: each engine keeps it in a Signals block of its own,
-// which a SignalRegistry reads.
+// events at all: every engine always keeps it, in plain fields beside
+// its Stats (an EvictionsByReason, two LogHistograms), and the service
+// reads it under the engine's latch, as it reads the Stats.
 //
 // Event types mirror the decisions the paper's evaluation reasons about:
 //
@@ -132,15 +134,6 @@ type RequestConsumer interface {
 	RequestsOnly() bool
 }
 
-// SignalRegistry is the optional sink extension of an aggregator that
-// reads no event at all: the live service, whose signals each engine
-// keeps itself. An engine it is attached to, directly or through Tee,
-// makes a fresh Signals block, registers it and from then on counts into
-// it; Tee keeps registries out of its fan-out, so no event reaches one.
-type SignalRegistry interface {
-	Register(b *Signals)
-}
-
 // NopSink discards all events. It is the default sink of every engine;
 // its calls compile to nothing and add no allocations.
 type NopSink struct{}
@@ -175,37 +168,24 @@ func (m multiSink) Adapt(e AdaptEvent) {
 	}
 }
 
-// registrySink is what Tee returns when signal registries remain: the
-// consumers' fan-out, and the registries only Route reads.
-type registrySink struct {
-	multiSink
-	regs []SignalRegistry
-}
-
-// split flattens sinks, Tee results included, into the event consumers
-// and the signal registries, dropping nil entries and NopSinks.
-func split(sinks ...Sink) (consumers multiSink, regs []SignalRegistry) {
+// flatten flattens sinks, Tee results included, into one fan-out,
+// dropping nil entries and NopSinks.
+func flatten(sinks ...Sink) (m multiSink) {
 	for _, s := range sinks {
 		switch t := s.(type) {
 		case nil, NopSink:
-		case registrySink:
-			consumers, regs = append(consumers, t.multiSink...), append(regs, t.regs...)
 		case multiSink:
-			consumers = append(consumers, t...)
-		case SignalRegistry:
-			regs = append(regs, t)
+			m = append(m, t...)
 		default:
-			consumers = append(consumers, s)
+			m = append(m, s)
 		}
 	}
-	return consumers, regs
+	return m
 }
 
 // Tee returns a sink that forwards every event to all the given sinks in
-// order. Nil entries and NopSinks are dropped; a SignalRegistry takes no
-// part in the fan-out but is kept for the engine the result is attached
-// to (Route). Tee of zero remaining sinks is a NopSink, of one is that
-// sink itself.
+// order. Nil entries and NopSinks are dropped; Tee of zero remaining
+// sinks is a NopSink, of one is that sink itself.
 //
 // The degenerate cases allocate nothing: callers on reconfiguration
 // paths (SetSink during shutdown, single-sink pools) can call Tee
@@ -220,26 +200,22 @@ func Tee(sinks ...Sink) Sink {
 	if n < 2 {
 		return last
 	}
-	consumers, regs := split(sinks...)
-	if len(regs) == 0 {
-		return consumers
-	}
-	return registrySink{consumers, regs}
+	return flatten(sinks...)
 }
 
 // Route is how an engine serves the sink attached to it: requests go to
 // every consumer, decisions (Eviction and Adapt events) to those that
 // are not request-only — each nil when no consumer is left, and the
-// engine then builds no such event — and regs take its Signals block.
-func Route(s Sink) (requests, decisions Sink, regs []SignalRegistry) {
-	consumers, regs := split(s)
+// engine then builds no such event.
+func Route(s Sink) (requests, decisions Sink) {
+	consumers := flatten(s)
 	var deciders multiSink
 	for _, c := range consumers {
 		if rc, ok := c.(RequestConsumer); !ok || !rc.RequestsOnly() {
 			deciders = append(deciders, c)
 		}
 	}
-	return collapse(consumers), collapse(deciders), regs
+	return collapse(consumers), collapse(deciders)
 }
 
 // collapse returns nil for no sink, the sink itself for one, the fan-out

@@ -39,30 +39,6 @@ func TestTeeFansOutAndCollapses(t *testing.T) {
 	}
 }
 
-// TestCountersAggregate: evictions land in their reason's slot (an
-// unknown reason in "other"), adaptations in their direction, drops
-// beside them.
-func TestCountersAggregate(t *testing.T) {
-	var c Counters
-	c.evicted(ReasonSLRU)
-	c.evicted(ReasonASBOverflow)
-	c.evicted("made-up")
-	c.adapted(5, 7)
-	c.adapted(7, 6)
-	c.adapted(6, 6)
-	c.AddDropped(4)
-
-	s := c.snapshot()
-	want := Snapshot{Adaptations: 3, AdaptGrow: 1, AdaptShrink: 1, AdaptHold: 1, Dropped: 4}
-	want.ByReason[reasonSlot(ReasonSLRU)] = 1
-	want.ByReason[reasonSlot(ReasonASBOverflow)] = 1
-	want.ByReason[reasonSlotOther] = 1
-	if s != want {
-		t.Errorf("snapshot = %+v, want %+v", s, want)
-	}
-
-}
-
 func TestJSONLSinkLines(t *testing.T) {
 	var buf bytes.Buffer
 	s := newJSONLSink(&buf)

@@ -60,50 +60,38 @@ func TestMarkFlushes(t *testing.T) {
 	}
 }
 
-// registryLog is a SignalRegistry that also counts any event it gets.
-type registryLog struct {
-	recordingSink
-	blocks []*Signals
-}
-
-func (r *registryLog) Register(b *Signals) { r.blocks = append(r.blocks, b) }
-
 // requestLog reads requests only.
 type requestLog struct{ recordingSink }
 
 func (*requestLog) RequestsOnly() bool { return true }
 
-// TestTeeRoutesRegistriesApart: Tee keeps a signal registry out of its
-// fan-out — called directly, the tee reaches the consumers alone — and
-// Route hands it to the engine as a registry, nested tees included; a
-// request-only consumer gets the requests and no decision. A tee of consumers alone has no registry, so
-// an engine keeps no signals and reads no clock for it.
-func TestTeeRoutesRegistriesApart(t *testing.T) {
-	reg, rec, req := &registryLog{}, &recordingSink{}, &requestLog{}
-	tee := Tee(reg, Tee(rec, req))
+// TestRouteSplitsRequestConsumers: Route, applied to what an engine is
+// given, sends requests to every consumer of a tee, nested tees
+// included, and decisions only to those that are not request-only; a
+// kind no consumer reads routes to nil, so the engine builds no such
+// event.
+func TestRouteSplitsRequestConsumers(t *testing.T) {
+	rec, req := &recordingSink{}, &requestLog{}
+	tee := Tee(NopSink{}, Tee(rec, req))
 	tee.Request(RequestEvent{})
 	tee.Eviction(EvictionEvent{})
-	if reg.req+reg.evict != 0 || rec.req != 1 || rec.evict != 1 {
-		t.Errorf("registry saw %d events, consumer %d requests and %d evictions; want 0, 1, 1", reg.req+reg.evict, rec.req, rec.evict)
+	if rec.req != 1 || rec.evict != 1 || req.req != 1 || req.evict != 1 {
+		t.Errorf("called directly, the tee reached %+v and %+v, want one request and one eviction each", *rec, req.recordingSink)
 	}
 
-	requests, decisions, regs := Route(tee)
-	if len(regs) != 1 || regs[0] != SignalRegistry(reg) {
-		t.Errorf("registries %v, want the one registry", regs)
-	}
+	requests, decisions := Route(tee)
 	if m, ok := requests.(multiSink); !ok || len(m) != 2 {
 		t.Errorf("requests go to %T %v, want both consumers", requests, requests)
 	}
 	if decisions != Sink(rec) {
 		t.Errorf("decisions go to %T, want the consumer that reads them alone", decisions)
 	}
-	if requests, decisions, regs := Route(Tee(reg)); requests != nil || decisions != nil || len(regs) != 1 {
-		t.Errorf("a registry alone routes to %v, %v, %v, want no consumer", requests, decisions, regs)
-	}
-	if _, _, regs := Route(Tee(rec, req)); len(regs) != 0 {
-		t.Errorf("a tee of consumers has registries %v", regs)
-	}
-	if requests, decisions, _ := Route(req); requests != Sink(req) || decisions != nil {
+	if requests, decisions := Route(req); requests != Sink(req) || decisions != nil {
 		t.Errorf("a request consumer routes to %v and %v, want requests only", requests, decisions)
+	}
+	for _, s := range []Sink{nil, NopSink{}, Tee()} {
+		if requests, decisions := Route(s); requests != nil || decisions != nil {
+			t.Errorf("Route(%T) = %v, %v, want no consumer", s, requests, decisions)
+		}
 	}
 }

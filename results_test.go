@@ -393,7 +393,6 @@ var unusedAllowed = map[string]string{
 	"repro/internal/buffer.Engine.ResidentIDs":     "core's, experiment's and obs/shadow's tests compare resident sets",
 	"repro/internal/buffer.Engine.Contains":        "core's policy tests check that one page is resident",
 	"repro/internal/buffer.FrameTable.ResidentIDs": "obs/shadow's tests compare a ghost cache's resident set, which lives in one",
-	"repro/internal/buffer.Stats.Add":              "experiment's sharded-equivalence test merges per-shard stats",
 	"repro/internal/core.LRUK.HistRecords":         "experiment's TestHistMemory counts LRU-2's retained history records",
 	"repro/internal/storage.ErrPageNotFound":       "buffer's TestGetUnknownPage checks that a miss on a missing page wraps it",
 }
