@@ -127,17 +127,18 @@ func (r Rect) UnionPoint(p Point) Rect {
 // Intersects reports whether r and s share at least one point. Touching
 // boundaries count as intersecting (rectangles are closed).
 func (r Rect) Intersects(s Rect) bool {
-	return r.Meets(s) && !r.IsEmpty() && !s.IsEmpty()
+	return r.meets(s) && !r.IsEmpty() && !s.IsEmpty()
 }
 
-// Meets reports whether the closed intervals of r and s overlap on both
+// meets reports whether the closed intervals of r and s overlap on both
 // axes, without asking whether either rectangle is empty: Intersects is
-// Meets of two non-empty rectangles. The four comparisons are counted
+// meets of two non-empty rectangles. The four comparisons are counted
 // rather than chained with &&, so they compile to conditional moves and
-// a node scan has one branch per entry, on the answer, instead of one per
-// comparison. A NaN coordinate fails its comparison, so r and s do not
-// meet.
-func (r Rect) Meets(s Rect) bool {
+// a loop over many rectangles has one branch per rectangle, on the
+// answer, instead of one per comparison. A NaN coordinate fails its
+// comparison, so r and s do not meet. rtree's node scan computes the
+// same predicate for up to 64 entries at once.
+func (r Rect) meets(s Rect) bool {
 	var n int
 	if r.MinX <= s.MaxX {
 		n++
@@ -178,7 +179,7 @@ func (r Rect) OverlapArea(s Rect) float64 {
 // Contains reports whether s lies completely inside r. Every non-empty
 // rectangle contains the empty rectangle.
 func (r Rect) Contains(s Rect) bool {
-	var n int // bounds of s inside r's, counted as in Meets
+	var n int // bounds of s inside r's, counted as in meets
 	if r.MinX <= s.MinX {
 		n++
 	}

@@ -418,7 +418,7 @@ func (r Rect) textbookContains(s Rect) bool {
 // whose eight coordinates come from {−Inf, −1, 0, 1, +Inf, NaN} (6⁸
 // pairs: empty, inverted, degenerate, unbounded and NaN rectangles on
 // either side), Intersects and Contains give the answers of their
-// textbook definitions, and Intersects is Meets of two non-empty
+// textbook definitions, and Intersects is meets of two non-empty
 // rectangles.
 func TestIntersectsContainsMatchDefinition(t *testing.T) {
 	vals := []float64{math.Inf(-1), -1, 0, 1, math.Inf(1), math.NaN()}
@@ -440,8 +440,8 @@ func TestIntersectsContainsMatchDefinition(t *testing.T) {
 			if got, want := r.Contains(s), r.textbookContains(s); got != want {
 				t.Fatalf("%#v.Contains(%#v) = %v, textbook %v", r, s, got, want)
 			}
-			if got, want := r.Meets(s) && !r.IsEmpty() && !s.IsEmpty(), r.textbookIntersects(s); got != want {
-				t.Fatalf("%#v.Meets(%#v) of non-empty rectangles = %v, textbook Intersects %v", r, s, got, want)
+			if got, want := r.meets(s) && !r.IsEmpty() && !s.IsEmpty(), r.textbookIntersects(s); got != want {
+				t.Fatalf("%#v.meets(%#v) of non-empty rectangles = %v, textbook Intersects %v", r, s, got, want)
 			}
 		}
 	}

@@ -2,8 +2,10 @@ package rtree
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/buffer"
+	"repro/internal/geom"
 	"repro/internal/page"
 )
 
@@ -45,32 +47,48 @@ func Join(left, right *Tree, rdL, rdR Reader, ctx buffer.AccessContext, fn JoinV
 		if !nl.MBR.Intersects(nr.MBR) {
 			continue
 		}
+		// The pair passed Intersects, so neither node's MBR is empty and
+		// serves as eachHit's probe as it is.
 		switch {
 		case nl.Level == 0 && nr.Level == 0:
 			for _, el := range nl.Entries {
-				for _, er := range nr.Entries {
-					if el.MBR.Intersects(er.MBR) {
-						if !fn(JoinPair{Left: el, Right: er}) {
-							return nil
-						}
-					}
+				if !el.MBR.IsEmpty() && !eachHit(nr.Entries, el.MBR, func(er *page.Entry) bool {
+					return fn(JoinPair{Left: el, Right: *er})
+				}) {
+					return nil
 				}
 			}
 		case nl.Level > 0 && (nr.Level == 0 || nl.Level >= nr.Level):
 			// Expand the left (taller) node against the right node.
-			for _, el := range nl.Entries {
-				if el.MBR.Intersects(nr.MBR) {
-					stack = append(stack, task{el.Child, tk.r})
-				}
-			}
+			eachHit(nl.Entries, nr.MBR, func(el *page.Entry) bool {
+				stack = append(stack, task{el.Child, tk.r})
+				return true
+			})
 		default:
 			// Expand the right node.
-			for _, er := range nr.Entries {
-				if er.MBR.Intersects(nl.MBR) {
-					stack = append(stack, task{tk.l, er.Child})
-				}
-			}
+			eachHit(nr.Entries, nl.MBR, func(er *page.Entry) bool {
+				stack = append(stack, task{tk.l, er.Child})
+				return true
+			})
 		}
 	}
 	return nil
+}
+
+// eachHit calls fn with each entry of es whose MBR meets q and is not
+// empty, in index order, until fn returns false, and reports whether fn
+// never did. scanNode takes es 64 entries a call and an entry's emptiness
+// is tested only on a hit, so q must not be empty. Search runs the same
+// loop inline: a call of fn per hit made point queries 5–10 % slower
+// (DESIGN.md §5a.5).
+func eachHit(es []page.Entry, q geom.Rect, fn func(e *page.Entry) bool) bool {
+	for lo := 0; lo < len(es); lo += 64 {
+		part := es[lo:min(lo+64, len(es))]
+		for m := scanNode(part, q); m != 0; m &= m - 1 {
+			if e := &part[bits.TrailingZeros64(m)]; !e.MBR.IsEmpty() && !fn(e) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -1,12 +1,118 @@
 package rtree
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/buffer"
+	"repro/internal/page"
 )
+
+// textbookJoin is Join as it was before its loops went through scanNode
+// (DESIGN.md §5a.5), kept verbatim: the oracle of
+// TestJoinMatchesTextbookLoop.
+func textbookJoin(left, right *Tree, rdL, rdR Reader, ctx buffer.AccessContext, fn JoinVisit) error {
+	type task struct {
+		l, r page.ID
+	}
+	stack := []task{{left.root, right.root}}
+	for len(stack) > 0 {
+		tk := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		nl, err := rdL.Get(tk.l, ctx)
+		if err != nil {
+			return fmt.Errorf("rtree: join left: %w", err)
+		}
+		nr, err := rdR.Get(tk.r, ctx)
+		if err != nil {
+			return fmt.Errorf("rtree: join right: %w", err)
+		}
+		if !nl.MBR.Intersects(nr.MBR) {
+			continue
+		}
+		switch {
+		case nl.Level == 0 && nr.Level == 0:
+			for _, el := range nl.Entries {
+				for _, er := range nr.Entries {
+					if el.MBR.Intersects(er.MBR) {
+						if !fn(JoinPair{Left: el, Right: er}) {
+							return nil
+						}
+					}
+				}
+			}
+		case nl.Level > 0 && (nr.Level == 0 || nl.Level >= nr.Level):
+			// Expand the left (taller) node against the right node.
+			for _, el := range nl.Entries {
+				if el.MBR.Intersects(nr.MBR) {
+					stack = append(stack, task{el.Child, tk.r})
+				}
+			}
+		default:
+			// Expand the right node.
+			for _, er := range nr.Entries {
+				if er.MBR.Intersects(nl.MBR) {
+					stack = append(stack, task{tk.l, er.Child})
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// TestJoinMatchesTextbookLoop: on pairs of trees of unequal heights, at
+// the test fan-outs and at storage.MaxEntries (nodes of more than 64
+// entries), with about a fifth of their pages scrambled (empty, inverted,
+// NaN and infinite entry MBRs), Join and the textbook loop read the same
+// pages of each tree in the same order and report the same pairs in the
+// same order, with and without an early stop.
+func TestJoinMatchesTextbookLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(5455))
+	type run struct {
+		left, right []page.ID
+		pairs       [][2]uint64
+	}
+	for trial := 0; trial < 16; trial++ {
+		build := buildTree
+		if trial%2 == 1 {
+			build = buildWide
+		}
+		left, right := randObjs(rng, rng.Intn(3000)), randObjs(rng, rng.Intn(600))
+		for i := range right {
+			right[i].id += 1 << 32
+		}
+		lt, ls := build(t, left)
+		rt, rs := build(t, right)
+		scramble(t, rng, ls)
+		scramble(t, rng, rs)
+		stopAt := 0
+		if rng.Intn(3) == 0 {
+			stopAt = 1 + rng.Intn(200)
+		}
+		join := func(join func(*Tree, *Tree, Reader, Reader, buffer.AccessContext, JoinVisit) error) run {
+			rdL := &recordingReader{rd: StoreReader{Store: ls}}
+			rdR := &recordingReader{rd: StoreReader{Store: rs}}
+			var out run
+			err := join(lt, rt, rdL, rdR, buffer.AccessContext{QueryID: uint64(trial)}, func(p JoinPair) bool {
+				out.pairs = append(out.pairs, [2]uint64{p.Left.ObjID, p.Right.ObjID})
+				return len(out.pairs) != stopAt
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.left, out.right = rdL.ids, rdR.ids
+			return out
+		}
+		got, want := join(Join), join(textbookJoin)
+		if !slices.Equal(got.left, want.left) || !slices.Equal(got.right, want.right) || !slices.Equal(got.pairs, want.pairs) {
+			t.Fatalf("trial %d, stop at %d: Join read %d+%d pages and found %d pairs, textbook %d+%d and %d",
+				trial, stopAt, len(got.left), len(got.right), len(got.pairs), len(want.left), len(want.right), len(want.pairs))
+		}
+	}
+}
 
 func TestJoinMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/buffer"
 	"repro/internal/geom"
@@ -43,9 +44,11 @@ type Visit func(e page.Entry) bool
 // query of the paper's experiments (a point query is a degenerate
 // window); the traversal is depth-first.
 //
-// An entry matches when its MBR meets the query and is not empty: the
-// query's own emptiness is tested once, not per entry, and an empty query
-// still reads and releases the root (DESIGN.md §5a.5).
+// Each node is scanned by scanNode, at most 64 entries a call, and its
+// hits are taken in index order. An entry matches when its MBR meets the
+// query and is not empty: the query's own emptiness is tested once, not
+// per entry, an entry's only on a hit, and an empty query still reads and
+// releases the root (DESIGN.md §5a.5).
 func (t *Tree) Search(rd Reader, ctx buffer.AccessContext, query geom.Rect, fn Visit) error {
 	// The pending IDs start on the goroutine's stack; 64 slots hold the
 	// deepest traversal of every query set up to W-33 at the default
@@ -64,17 +67,17 @@ func (t *Tree) Search(rd Reader, ctx buffer.AccessContext, query geom.Rect, fn V
 		if empty {
 			es = nil
 		}
-		if node.Level == 0 {
-			for i := range es {
-				if m := &es[i].MBR; m.Meets(query) && !m.IsEmpty() && !fn(es[i]) {
+	scan:
+		for lo := 0; lo < len(es); lo += 64 {
+			part := es[lo:min(lo+64, len(es))]
+			for m := scanNode(part, query); m != 0; m &= m - 1 {
+				switch e := &part[bits.TrailingZeros64(m)]; {
+				case e.MBR.IsEmpty():
+				case node.Level > 0:
+					stack = append(stack, e.Child)
+				case !fn(*e):
 					stack = stack[:0] // fn stopped the query
-					break
-				}
-			}
-		} else {
-			for i := range es {
-				if m := &es[i].MBR; m.Meets(query) && !m.IsEmpty() {
-					stack = append(stack, es[i].Child)
+					break scan
 				}
 			}
 		}
