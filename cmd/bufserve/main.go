@@ -93,6 +93,12 @@ func main() { cli.Main("bufserve", declare) }
 
 // declare declares bufserve's flags on fs.
 func declare(fs *flag.FlagSet) (*obs.ProfileFlags, func() error) {
+	cfg := newConfig(fs)
+	return nil, func() error { return run(cfg) }
+}
+
+// newConfig declares bufserve's flags on fs, into the config it returns.
+func newConfig(fs *flag.FlagSet) *config {
 	cfg := new(config)
 	fs.StringVar(&cfg.addr, "addr", ":8080", "HTTP listen address for metrics, dashboard and pprof")
 	cfg.db.Register(fs, "database number (1 or 2)", "objects in the database (0 = default scale)")
@@ -110,36 +116,14 @@ func declare(fs *flag.FlagSet) (*obs.ProfileFlags, func() error) {
 	fs.IntVar(&cfg.traceSample, "trace-sample", 1024, "record a span trace for 1 in N requests, served at /debug/trace (0 = tracing off)")
 	fs.IntVar(&cfg.traceBuf, "trace-buf", 256, "completed traces retained per shard ring")
 	cfg.shadow.Register(fs)
-	return nil, func() error { return run(cfg) }
+	return cfg
 }
 
+// run serves until SIGINT or SIGTERM, the -duration or the end of the
+// -loops.
 func run(cfg *config) error {
-	// Everything the flags can get wrong fails here, before the listener
-	// opens or any database is built.
-	if cfg.workers < 1 {
-		return fmt.Errorf("bad -workers value %d (want an integer ≥ 1)", cfg.workers)
-	}
-	if !(cfg.frac > 0) || math.IsInf(cfg.frac, 0) {
-		return fmt.Errorf("bad -frac value %v (want a number > 0)", cfg.frac)
-	}
-	if cfg.duration < 0 {
-		return fmt.Errorf("bad -duration value %v (want a duration ≥ 0)", cfg.duration)
-	}
-	for _, f := range []struct {
-		name     string
-		val, min int
-	}{
-		{"loops", cfg.loops, 0}, {"rate", cfg.rate, 0}, {"trace-sample", cfg.traceSample, 0},
-		{"ring", cfg.ring, 0}, {"trace-buf", cfg.traceBuf, 1}, {"sample", cfg.sample, 1},
-	} {
-		if f.val < f.min {
-			return fmt.Errorf("bad -%s value %d (want an integer ≥ %d)", f.name, f.val, f.min)
-		}
-	}
-	if err := cfg.db.Parse(); err != nil {
-		return err
-	}
-	if err := cfg.shadow.Parse(); err != nil {
+	ln, comp, err := listen(cfg)
+	if err != nil {
 		return err
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -149,17 +133,61 @@ func run(cfg *config) error {
 		ctx, cancel = context.WithTimeout(ctx, cfg.duration)
 		defer cancel()
 	}
+	return serve(ctx, cfg, comp, ln)
+}
 
+// listen checks cfg and opens its listener. Everything the flags can get
+// wrong fails here, before the listener opens or any database is built;
+// the listener opens synchronously, so that a bad -addr fails fast.
+func listen(cfg *config) (net.Listener, buffer.Composition, error) {
+	var comp buffer.Composition
+	if cfg.workers < 1 {
+		return nil, comp, fmt.Errorf("bad -workers value %d (want an integer ≥ 1)", cfg.workers)
+	}
+	if !(cfg.frac > 0) || math.IsInf(cfg.frac, 0) {
+		return nil, comp, fmt.Errorf("bad -frac value %v (want a number > 0)", cfg.frac)
+	}
+	if cfg.duration < 0 {
+		return nil, comp, fmt.Errorf("bad -duration value %v (want a duration ≥ 0)", cfg.duration)
+	}
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{
+		{"loops", cfg.loops, 0}, {"rate", cfg.rate, 0}, {"trace-sample", cfg.traceSample, 0},
+		{"ring", cfg.ring, 0}, {"trace-buf", cfg.traceBuf, 1}, {"sample", cfg.sample, 1},
+	} {
+		if f.val < f.min {
+			return nil, comp, fmt.Errorf("bad -%s value %d (want an integer ≥ %d)", f.name, f.val, f.min)
+		}
+	}
+	if err := cfg.db.Parse(); err != nil {
+		return nil, comp, err
+	}
+	if err := cfg.shadow.Parse(); err != nil {
+		return nil, comp, err
+	}
 	comp, err := buffer.ParseComposition(cfg.pool)
 	if err != nil {
-		return err
+		return nil, comp, err
 	}
 	if comp.Layout == buffer.LayoutBare {
 		// A bare engine has no latch, and /metrics reads its counters and
 		// histograms under one (Pool.View): the scraper would race the
 		// workers.
-		return fmt.Errorf("-pool bare has no latch for the /metrics scrape; use -pool locked")
+		return nil, comp, fmt.Errorf("-pool bare has no latch for the /metrics scrape; use -pool locked")
 	}
+	ln, err := net.Listen("tcp", cfg.addr)
+	return ln, comp, err
+}
+
+// serve serves /metrics, the dashboard, /debug/trace and pprof on ln,
+// builds the database and replays its trace through the comp pool until
+// ctx is done or the -loops end. /healthz answers while the (potentially
+// long) database build runs.
+func serve(ctx context.Context, cfg *config, comp buffer.Composition, ln net.Listener) error {
+	ctx, stop := context.WithCancel(ctx)
+	defer stop()
 
 	// The tracer is sized by the composition's shard count before the
 	// pool exists so /debug/trace can be mounted before serving starts;
@@ -180,13 +208,8 @@ func run(cfg *config) error {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
-	// Listen synchronously so a bad -addr fails fast and /healthz is
-	// reachable while the (potentially long) database build runs.
-	ln, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		return err
-	}
 	srv := &http.Server{Handler: mux}
+	defer srv.Close() // stops serving on an early return; after Shutdown, a no-op
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	fmt.Printf("bufserve: serving metrics on http://%s/\n", ln.Addr())

@@ -157,7 +157,7 @@ func Trace(p buffer.Pool, t *tracing.Tracer, c *tracing.Contention) {
 }
 
 // Close closes the pool where the layout has something to stop or flush
-// (the router's dirty pages, the async writers); closing twice, or a
+// (a shared pool's dirty pages, the async writers); closing twice, or a
 // layout without Close, is a no-op.
 func Close(p buffer.Pool) error {
 	if c, ok := p.(interface{ Close() error }); ok {

@@ -6,8 +6,9 @@ package core_test
 // standard policy. Frames recycle through the manager's arena, policy
 // structures ride the frames' embedded link words, and LRU-K's history
 // lives in flat slabs, so nothing on the request path escapes to the
-// heap. CI runs TestPolicyZeroAlloc without -race (the race detector's
-// instrumentation allocates, so the test skips itself under it).
+// heap. The plain go test ./... runs TestPolicyZeroAlloc (the race
+// detector's instrumentation allocates, so the test skips itself under
+// it).
 //
 // BenchmarkPolicyOpsReference is the old-implementation twin of
 // BenchmarkPolicyOps; benchstat over the pair quantifies the refactor.

@@ -22,8 +22,8 @@ func testBank(t *testing.T) *shadow.Bank {
 	return bank
 }
 
-// TestShadowGaugesExposed pins the metric families the CI smoke job
-// greps for: labeled spatialbuf_shadow_hit_ratio per shadow and the
+// TestShadowGaugesExposed pins the metric families that bufserve's
+// TestServeShardedAsync looks for on /metrics: labeled spatialbuf_shadow_hit_ratio per shadow and the
 // unlabeled regret gauge.
 func TestShadowGaugesExposed(t *testing.T) {
 	svc := live.NewService()

@@ -27,7 +27,8 @@ type JoinVisit func(p JoinPair) bool
 //
 // Both traversals share one access context: all page requests of a join
 // count as correlated, matching the paper's definition (one operation =
-// one query).
+// one query). Both pages of a pair are released once it has been
+// scanned, also when the join stops early or the right read fails.
 func Join(left, right *Tree, rdL, rdR Reader, ctx buffer.AccessContext, fn JoinVisit) error {
 	type task struct {
 		l, r page.ID
@@ -42,20 +43,21 @@ func Join(left, right *Tree, rdL, rdR Reader, ctx buffer.AccessContext, fn JoinV
 		}
 		nr, err := rdR.Get(tk.r, ctx)
 		if err != nil {
+			nl.Release()
 			return fmt.Errorf("rtree: join right: %w", err)
 		}
-		if !nl.MBR.Intersects(nr.MBR) {
-			continue
-		}
-		// The pair passed Intersects, so neither node's MBR is empty and
-		// serves as eachHit's probe as it is.
+		// A pair whose MBRs do not intersect is skipped; in one that
+		// passed Intersects, neither node's MBR is empty, and each serves
+		// as eachHit's probe as it is.
+		stop := false
 		switch {
+		case !nl.MBR.Intersects(nr.MBR):
 		case nl.Level == 0 && nr.Level == 0:
 			for _, el := range nl.Entries {
-				if !el.MBR.IsEmpty() && !eachHit(nr.Entries, el.MBR, func(er *page.Entry) bool {
+				if stop = !el.MBR.IsEmpty() && !eachHit(nr.Entries, el.MBR, func(er *page.Entry) bool {
 					return fn(JoinPair{Left: el, Right: *er})
-				}) {
-					return nil
+				}); stop {
+					break
 				}
 			}
 		case nl.Level > 0 && (nr.Level == 0 || nl.Level >= nr.Level):
@@ -70,6 +72,11 @@ func Join(left, right *Tree, rdL, rdR Reader, ctx buffer.AccessContext, fn JoinV
 				stack = append(stack, task{tk.l, er.Child})
 				return true
 			})
+		}
+		nl.Release()
+		nr.Release()
+		if stop {
+			return nil
 		}
 	}
 	return nil

@@ -210,3 +210,64 @@ func TestJoinEarlyStop(t *testing.T) {
 		t.Errorf("early stop after %d pairs, want 5", count)
 	}
 }
+
+// failingReader fails every Get after the first ok.
+type failingReader struct {
+	rd Reader
+	ok int
+}
+
+func (r *failingReader) Get(id page.ID, ctx buffer.AccessContext) (*page.Page, error) {
+	if r.ok == 0 {
+		return nil, fmt.Errorf("page %d: read failed", id)
+	}
+	r.ok--
+	return r.rd.Get(id, ctx)
+}
+
+// TestJoinReleasesWhatItReads: every page Join reads from either tree is
+// released exactly once (a second Release panics), on a full join, on
+// one a visitor stops early, and on one whose right reader fails partway.
+func TestJoinReleasesWhatItReads(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	left, right := randObjs(rng, 2000), randObjs(rng, 2000)
+	for i := range right {
+		right[i].id += 1 << 32
+	}
+	lt, ls := buildTree(t, left)
+	rt, rs := buildTree(t, right)
+	for _, tc := range []struct {
+		name   string
+		stopAt int // the visitor stops the join at this pair; 0 never
+		failAt int // the right reader fails after this many reads; 0 never
+	}{
+		{"full", 0, 0},
+		{"early stop", 40, 0},
+		{"right read fails", 0, 25},
+	} {
+		rdL := &recordingReader{rd: StoreReader{Store: ls}}
+		var right Reader = StoreReader{Store: rs}
+		if tc.failAt > 0 {
+			right = &failingReader{rd: right, ok: tc.failAt}
+		}
+		rdR := &recordingReader{rd: right}
+		pairs := 0
+		err := Join(lt, rt, rdL, rdR, buffer.AccessContext{QueryID: 1}, func(JoinPair) bool {
+			pairs++
+			return pairs != tc.stopAt
+		})
+		if (err != nil) != (tc.failAt > 0) {
+			t.Fatalf("%s: Join returned %v", tc.name, err)
+		}
+		if tc.stopAt > 0 && pairs != tc.stopAt {
+			t.Fatalf("%s: Join visited %d pairs, want %d", tc.name, pairs, tc.stopAt)
+		}
+		if len(rdL.got) < 2 || len(rdR.got) < 2 {
+			t.Fatalf("%s: degenerate test: Join read %d+%d pages", tc.name, len(rdL.got), len(rdR.got))
+		}
+		if l, r := rdL.unreleased(), rdR.unreleased(); len(l) > 0 || len(r) > 0 {
+			t.Errorf("%s: Join did not release %d of the %d left pages and %d of the %d right pages it read",
+				tc.name, len(l), len(rdL.got), len(r), len(rdR.got))
+		}
+	}
+}

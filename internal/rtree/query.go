@@ -15,9 +15,9 @@ import (
 // serving many query goroutines; StoreReader bypasses buffering.
 //
 // A page from Get (or a pool's Fix) carries one reference for the caller.
-// Search releases each node once it has scanned it, so a FileStore may
-// decode into the node's memory once the pool evicted it clean; a caller
-// that never releases — Join, the mutation path — keeps its pages intact.
+// Search and Join release each node once they have scanned it, and Insert
+// and Delete release all they read when they return, so a FileStore may
+// decode into a node's memory once the pool evicted it clean.
 type Reader interface {
 	Get(id page.ID, ctx buffer.AccessContext) (*page.Page, error)
 }

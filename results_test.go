@@ -13,6 +13,31 @@ import (
 	"testing"
 )
 
+// repoFiles lists every file of the repository outside dot directories
+// (.git, .github, .claude), as slash-separated paths relative to its root
+// in lexical order: both modules' Go files, their testdata included.
+func repoFiles(t *testing.T) []string {
+	t.Helper()
+	var paths []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		paths = append(paths, filepath.ToSlash(path))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
+}
+
 // readCells reads one checked-in results/ CSV as row name → column name
 // → cell, as printed.
 func readCells(t *testing.T, path string) map[string]map[string]string {
@@ -266,8 +291,10 @@ func printedAs(printed, csvCell string) bool {
 
 // TestDocsNameWhatExists: every Test, Benchmark and Fuzz function that
 // DESIGN.md, README.md or the verify skill names exists (a name ending in
-// * names a prefix), every section of DESIGN.md that a Go comment cites
-// is a heading there (§5h) or a numbered item under one (§5a.4), and
+// * names a prefix), every name in a -run, -bench or -fuzz pattern of
+// ci.yml starts a function's name (or is one, ending in $), every section
+// of DESIGN.md that a Go comment cites is a heading there (§5h) or a
+// numbered item under one (§5a.4), and
 // every ROADMAP direction that the documents and CI cite ("ROADMAP 7",
 // "ROADMAP direction 2", "ROADMAP 3-II(b)") is a numbered direction in
 // ROADMAP.md that has the part and the lettered item cited. Go files
@@ -277,32 +304,22 @@ func TestDocsNameWhatExists(t *testing.T) {
 	citeRE := regexp.MustCompile(`DESIGN(?:\.md)? §([0-9]+[a-z]?(?:\.[0-9]+)?)`)
 	defined := map[string]bool{}
 	var cites [][2]string // file, section
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			if err == nil && path != "." && strings.HasPrefix(d.Name(), ".") {
-				return filepath.SkipDir
-			}
-			return err
-		}
+	for _, path := range repoFiles(t) {
 		if !strings.HasSuffix(path, ".go") {
-			return nil
+			continue
 		}
 		src, err := os.ReadFile(path)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		for _, m := range funcRE.FindAllSubmatch(src, -1) {
 			defined[string(m[1])] = true
 		}
-		if !strings.HasPrefix(path, "bench"+string(filepath.Separator)) {
+		if !strings.HasPrefix(path, "bench/") {
 			for _, m := range citeRE.FindAllSubmatch(src, -1) {
 				cites = append(cites, [2]string{path, string(m[1])})
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	nameRE := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z]\w*\*?`)
@@ -321,6 +338,37 @@ func TestDocsNameWhatExists(t *testing.T) {
 				t.Errorf("%s names %s, which no Go file defines", doc, name)
 			}
 		}
+	}
+
+	// A CI step whose -run, -bench or -fuzz pattern names no function
+	// runs nothing and passes. go test matches a pattern unanchored, so
+	// an alternative runs every function whose name it starts, or only
+	// itself when it ends in $.
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	patternRE := regexp.MustCompile(`-(?:run|bench|fuzz) +(?:'([^']*)'|([^\s']+))`)
+	altRE := regexp.MustCompile(`^\^?((?:Test|Benchmark|Fuzz)[A-Z]\w*)(\$?)$`)
+	names := 0
+	for _, m := range patternRE.FindAllStringSubmatch(string(ci), -1) {
+		for _, alt := range strings.Split(m[1]+m[2], "|") {
+			a := altRE.FindStringSubmatch(alt)
+			if a == nil {
+				continue
+			}
+			names++
+			found := defined[a[1]]
+			for d := range defined {
+				found = found || a[2] == "" && strings.HasPrefix(d, a[1])
+			}
+			if !found {
+				t.Errorf("ci.yml runs %s, which no Go function's name starts with", alt)
+			}
+		}
+	}
+	if names == 0 {
+		t.Error("ci.yml names no test, benchmark or fuzz target: the pattern is broken")
 	}
 
 	design, err := os.ReadFile("DESIGN.md")

@@ -14,11 +14,12 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 )
 
 // listedPackage is the part of one `go list -json` record the unused-name
-// checker reads.
+// checker and TestArchitectureRules read.
 type listedPackage struct {
 	ImportPath   string
 	Dir          string
@@ -27,15 +28,25 @@ type listedPackage struct {
 	GoFiles      []string
 	TestGoFiles  []string
 	XTestGoFiles []string
+	Deps         []string
 	TestImports  []string
 	XTestImports []string
 	Module       *struct{ Main bool }
 }
 
+// goListed holds goList's results by directory and arguments: the load,
+// which builds the export data of every package, is made once for
+// TestNoUnusedExports and TestArchitectureRules.
+var goListed = map[string][]*listedPackage{}
+
 // goList runs the go tool's list command in dir and decodes its stream of
 // JSON records.
 func goList(t *testing.T, dir string, args ...string) []*listedPackage {
 	t.Helper()
+	key := dir + "\x00" + strings.Join(args, "\x00")
+	if pkgs, ok := goListed[key]; ok {
+		return pkgs
+	}
 	cmd := exec.Command(filepath.Join(runtime.GOROOT(), "bin", "go"), append([]string{"list", "-export", "-deps", "-json"}, args...)...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -48,6 +59,7 @@ func goList(t *testing.T, dir string, args ...string) []*listedPackage {
 	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
 		p := new(listedPackage)
 		if err := dec.Decode(p); err == io.EOF {
+			goListed[key] = pkgs
 			return pkgs
 		} else if err != nil {
 			t.Fatalf("go list in %s: %v", dir, err)
